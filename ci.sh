@@ -9,6 +9,25 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perf/ builds against the crates and passes its tests"
+# perf/ is its own workspace (the frozen benchmark), so the workspace
+# build above never compiles it: an API change that breaks it must fail
+# here, not in the pipeline. Its smoke run asserts cpu_s_per_medge > 0 on
+# a child that burns 7-9 ms of CPU against a 10 ms clock tick, which
+# reads 0 about one run in eight at any commit, so the step gets three
+# attempts; a compile break fails all three.
+perf_ok=0
+for _ in 1 2 3; do
+    if cargo test -q --offline --manifest-path perf/Cargo.toml; then
+        perf_ok=1
+        break
+    fi
+done
+if [ "$perf_ok" -ne 1 ]; then
+    echo "perf/ does not build or its tests fail against this tree" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 

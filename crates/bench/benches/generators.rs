@@ -2,7 +2,7 @@
 //! the "model zoo" comparison backing the extensions in DESIGN.md §7.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pa_core::{approx_yh, cl, er, par, partition::Scheme, rmat, ws, GenOptions, PaConfig};
+use pa_core::{approx_yh, cl, er, par, partition::Scheme, rmat, ws, Engine, GenOptions, PaConfig};
 use pa_rng::Xoshiro256pp;
 use std::hint::black_box;
 
@@ -25,12 +25,13 @@ fn bench_model_zoo(c: &mut Criterion) {
     group.bench_function("pa_parallel_p4_hub_off", |b| {
         b.iter(|| par::generate(black_box(&pa_cfg), Scheme::Rrp, 4, &nohub_opts))
     });
+    let engine3_opts = GenOptions::default().with_engine(Engine::Chain);
     group.bench_function("pa_parallel_p4_engine3", |b| {
-        b.iter(|| par::generate3(black_box(&pa_cfg), Scheme::Rrp, 4, &GenOptions::default()))
+        b.iter(|| par::generate(black_box(&pa_cfg), Scheme::Rrp, 4, &engine3_opts))
     });
-    let nomemo_opts = GenOptions::default().with_chain_memo(0);
+    let nomemo_opts = engine3_opts.clone().with_chain_memo(0);
     group.bench_function("pa_parallel_p4_engine3_memo_off", |b| {
-        b.iter(|| par::generate3(black_box(&pa_cfg), Scheme::Rrp, 4, &nomemo_opts))
+        b.iter(|| par::generate(black_box(&pa_cfg), Scheme::Rrp, 4, &nomemo_opts))
     });
     group.bench_function("pa_streaming_count_p4", |b| {
         // Same engine, zero-materialization path: edges fold into a
@@ -48,13 +49,9 @@ fn bench_model_zoo(c: &mut Criterion) {
     });
     group.bench_function("pa_streaming_count_p4_engine3", |b| {
         b.iter(|| {
-            par::generate3_streaming(
-                black_box(&pa_cfg),
-                Scheme::Rrp,
-                4,
-                &GenOptions::default(),
-                |_| par::CountSink::default(),
-            )
+            par::generate_streaming(black_box(&pa_cfg), Scheme::Rrp, 4, &engine3_opts, |_| {
+                par::CountSink::default()
+            })
         })
     });
     group.bench_function("pa_sequential", |b| {

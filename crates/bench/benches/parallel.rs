@@ -3,7 +3,7 @@
 //! runtime's overhead — the scaling *figures* use the cost model instead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
+use pa_core::{par, partition::Scheme, Engine, GenOptions, PaConfig};
 use std::hint::black_box;
 
 fn bench_engine_by_ranks(c: &mut Criterion) {
@@ -25,7 +25,8 @@ fn bench_engine_x1_vs_general(c: &mut Criterion) {
     let cfg = PaConfig::new(50_000, 1).with_seed(1);
     group.throughput(Throughput::Elements(cfg.expected_edges()));
     group.bench_function("algorithm_3_1", |b| {
-        b.iter(|| par::generate_x1(black_box(&cfg), Scheme::Rrp, 4, &GenOptions::default()))
+        let opts = GenOptions::default().with_engine(Engine::X1);
+        b.iter(|| par::generate(black_box(&cfg), Scheme::Rrp, 4, &opts))
     });
     group.bench_function("algorithm_3_2_with_x1", |b| {
         b.iter(|| par::generate(black_box(&cfg), Scheme::Rrp, 4, &GenOptions::default()))

@@ -20,7 +20,7 @@
 use pa_analysis::scaling::render_table;
 use pa_bench::{banner, csv_line, Args};
 use pa_core::partition::Scheme;
-use pa_core::{par, GenOptions, PaConfig};
+use pa_core::{par, Engine, GenOptions, PaConfig};
 
 struct Row {
     label: &'static str,
@@ -33,19 +33,9 @@ struct Row {
     edges: u64,
 }
 
-fn measure(
-    label: &'static str,
-    cfg: &PaConfig,
-    ranks: usize,
-    opts: &GenOptions,
-    engine3: bool,
-) -> Row {
+fn measure(label: &'static str, cfg: &PaConfig, ranks: usize, opts: &GenOptions) -> Row {
     let start = std::time::Instant::now();
-    let out = if engine3 {
-        par::generate3(cfg, Scheme::Rrp, ranks, opts)
-    } else {
-        par::generate(cfg, Scheme::Rrp, ranks, opts)
-    };
+    let out = par::generate(cfg, Scheme::Rrp, ranks, opts);
     let secs = start.elapsed().as_secs_f64();
     let msgs = out.ranks.iter().map(|r| r.comm.msgs_sent).sum();
     let totals = out.total_counters();
@@ -76,22 +66,21 @@ fn main() {
     println!("n = {n}, x = {x}, p = {p}, P = {ranks} (RRP)\n");
 
     let cfg = PaConfig::new(n, x).with_p(p).with_seed(seed);
+    let engine3 = GenOptions::default().with_engine(Engine::Chain);
     let mut rows = vec![
-        measure("engine2 hub on", &cfg, ranks, &GenOptions::default(), false),
+        measure("engine2 hub on", &cfg, ranks, &GenOptions::default()),
         measure(
             "engine2 hub off",
             &cfg,
             ranks,
             &GenOptions::default().without_hub_cache(),
-            false,
         ),
-        measure("engine3", &cfg, ranks, &GenOptions::default(), true),
+        measure("engine3", &cfg, ranks, &engine3),
         measure(
             "engine3 memo full",
             &cfg,
             ranks,
-            &GenOptions::default().with_chain_memo(n),
-            true,
+            &engine3.clone().with_chain_memo(n),
         ),
     ];
     if n <= 200_000 {
@@ -101,8 +90,7 @@ fn main() {
             "engine3 memo off",
             &cfg,
             ranks,
-            &GenOptions::default().with_chain_memo(0),
-            true,
+            &engine3.with_chain_memo(0),
         ));
     }
 

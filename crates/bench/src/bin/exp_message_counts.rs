@@ -19,7 +19,7 @@ use pa_analysis::messages;
 use pa_analysis::scaling::render_table;
 use pa_bench::{banner, csv_line, Args};
 use pa_core::partition::{Scheme, Ucp};
-use pa_core::{par, seq, GenOptions, PaConfig};
+use pa_core::{par, seq, Engine, GenOptions, PaConfig};
 
 fn main() {
     let args = Args::parse();
@@ -76,7 +76,8 @@ fn main() {
     // --- Engine check: per-rank incoming requests under UCP. ---
     println!("engine measurement (Algorithm 3.1, UCP, P = {ranks}):");
     let cfg = PaConfig::new(n, 1).with_p(p).with_seed(seed);
-    let out = par::generate_x1(&cfg, Scheme::Ucp, ranks, &GenOptions::default());
+    let opts = GenOptions::default().with_engine(Engine::X1);
+    let out = par::generate(&cfg, Scheme::Ucp, ranks, &opts);
     let part = Ucp::new(n, ranks);
     let predicted = messages::expected_requests_per_rank(p, &part);
     println!("csv,rank,measured_in,predicted_upper_bound");

@@ -18,7 +18,7 @@
 
 use pa_analysis::powerlaw;
 use pa_bench::{banner, csv_line, Args};
-use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
+use pa_core::{par, partition::Scheme, Engine, GenOptions, PaConfig};
 use pa_graph::degrees;
 
 struct Row {
@@ -52,9 +52,11 @@ fn main() {
 
     let mut rows = Vec::new();
     for alpha in alphas {
-        let opts = GenOptions::default().with_alpha(alpha);
+        let opts = GenOptions::default()
+            .with_engine(Engine::Chain)
+            .with_alpha(alpha);
         let start = std::time::Instant::now();
-        let out = par::generate3(&cfg, Scheme::Rrp, ranks, &opts);
+        let out = par::generate(&cfg, Scheme::Rrp, ranks, &opts);
         let secs = start.elapsed().as_secs_f64();
         let deg = degrees::degree_sequence(n as usize, &out.edge_list());
         let mle = powerlaw::fit_mle(&deg, dmin);

@@ -39,7 +39,7 @@ fn parse_job(args: &Args) -> Result<JobDescriptor, CliError> {
     let desc = JobDescriptor {
         cfg: validated(n, x, p, seed)?,
         scheme,
-        engine,
+        engine: engine.id(),
         model,
         ranks: u32::try_from(ranks)
             .map_err(|_| CliError::usage(format!("--ranks {ranks} does not fit in u32")))?,

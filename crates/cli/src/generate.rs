@@ -3,10 +3,11 @@
 use crate::args::{Args, CliError};
 use crate::stats::{MergedStats, StatsFlags};
 use pa_core::partition::Scheme;
-use pa_core::{cl, er, par, rmat, ws, GenOptions, PaConfig};
+use pa_core::{cl, er, par, rmat, ws, Engine, GenOptions, PaConfig};
 use pa_graph::{container, io, EdgeList};
 use pa_rng::Xoshiro256pp;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     match args.str("backend", "mpsim").as_str() {
@@ -30,22 +31,15 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // of the edges, so they stream each rank straight to disk instead of
     // materializing per-rank edge vectors (see `stream_pa_to_disk`).
     if matches!(model.as_str(), "pa" | "nlpa") && matches!(format.as_str(), "bin" | "txt") {
-        let (cfg, scheme, ranks, opts, engine) = parse_pa_params(args, seed)?;
+        let (cfg, scheme, ranks, opts) = parse_pa_params(args, seed)?;
         let stats_flags = StatsFlags::parse(args)?;
         args.finish()?;
         let edge_format = match format.as_str() {
             "bin" => io::EdgeFormat::Binary,
             _ => io::EdgeFormat::Text,
         };
-        let (total_edges, comms) = stream_pa_to_disk(
-            &cfg,
-            scheme,
-            ranks,
-            &opts,
-            engine,
-            std::path::Path::new(&path),
-            edge_format,
-        )?;
+        let (total_edges, comms) =
+            stream_pa_to_disk(&cfg, scheme, ranks, &opts, Path::new(&path), edge_format)?;
         cleanup_store(&opts.store, ranks);
         writeln!(
             out,
@@ -60,14 +54,9 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut pa_stats: Option<(StatsFlags, Vec<pa_mpsim::CommStats>)> = None;
     let (n, shards, attrs): (u64, Vec<EdgeList>, Vec<(String, String)>) = match model.as_str() {
         "pa" | "nlpa" => {
-            let (cfg, scheme, ranks, opts, engine) = parse_pa_params(args, seed)?;
+            let (cfg, scheme, ranks, opts) = parse_pa_params(args, seed)?;
             let flags = StatsFlags::parse(args)?;
-            let result = match engine {
-                1 => par::generate_x1(&cfg, scheme, ranks, &opts),
-                2 => par::generate(&cfg, scheme, ranks, &opts),
-                3 => par::generate3(&cfg, scheme, ranks, &opts),
-                _ => unreachable!("parse_pa_params validated the engine"),
-            };
+            let result = par::generate(&cfg, scheme, ranks, &opts);
             pa_stats = Some((flags, result.ranks.iter().map(|r| r.comm.clone()).collect()));
             cleanup_store(&opts.store, ranks);
             let shards = result.ranks.into_iter().map(|r| r.edges).collect();
@@ -85,7 +74,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 ("p".into(), cfg.p.to_string()),
                 ("scheme".into(), scheme.to_string()),
                 ("ranks".into(), ranks.to_string()),
-                ("engine".into(), engine.to_string()),
+                ("engine".into(), opts.engine.id().to_string()),
             ];
             if let pa_core::ModelKind::Nlpa { alpha } = opts.model {
                 attrs.push(("alpha".into(), alpha.to_string()));
@@ -202,12 +191,12 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse the `pa` model's parameters: config, scheme, rank count, knobs,
-/// and the engine selection.
+/// Parse the `pa` model's parameters: config, scheme, rank count, and the
+/// options (engine, model, store and tuning knobs).
 fn parse_pa_params(
     args: &Args,
     seed: u64,
-) -> Result<(PaConfig, Scheme, usize, GenOptions, u8), CliError> {
+) -> Result<(PaConfig, Scheme, usize, GenOptions), CliError> {
     let n = args.u64("n", 100_000)?;
     let x = args.u64("x", 4)?;
     let p = args.f64("p", 0.5)?;
@@ -217,14 +206,11 @@ fn parse_pa_params(
         return Err(CliError::usage("--ranks must be positive"));
     }
     let engine = parse_engine(args)?;
-    if engine == 1 && x != 1 {
-        return Err(CliError::usage(
-            "--engine 1 implements Algorithm 3.1 and requires --x 1",
-        ));
-    }
+    engine.check(x).map_err(CliError::usage)?;
     let cfg = validated(n, x, p, seed)?;
     let default_store_dir = format!("{}.store", args.str("out", "graph.pag"));
     let opts = parse_gen_options(args)?
+        .with_engine(engine)
         .with_model(parse_model_kind(args)?)
         .with_store(parse_store_spec(args, &default_store_dir)?);
     if let Some(hub) = opts.hub_cache_nodes {
@@ -234,7 +220,7 @@ fn parse_pa_params(
             )));
         }
     }
-    Ok((cfg, scheme, ranks, opts, engine))
+    Ok((cfg, scheme, ranks, opts))
 }
 
 /// Parse a byte size: a plain integer with an optional `k`, `m` or `g`
@@ -337,14 +323,66 @@ pub(crate) fn parse_model_kind(args: &Args) -> Result<pa_core::ModelKind, CliErr
 }
 
 /// Parse `--engine 1|2|3` (default 2, the general Algorithm 3.2).
-pub(crate) fn parse_engine(args: &Args) -> Result<u8, CliError> {
-    match args.u64("engine", 2)? {
-        e @ 1..=3 => Ok(e as u8),
-        other => Err(CliError::usage(format!(
-            "--engine must be 1 (Alg. 3.1, x = 1 only), 2 (Alg. 3.2) or \
-             3 (communication-free chain recomputation), got {other}"
-        ))),
+pub(crate) fn parse_engine(args: &Args) -> Result<Engine, CliError> {
+    let id = args.u64("engine", u64::from(Engine::default().id()))?;
+    u8::try_from(id)
+        .ok()
+        .and_then(Engine::from_id)
+        .ok_or_else(|| {
+            CliError::usage(format!(
+                "--engine must be 1 (Alg. 3.1, x = 1 only), 2 (Alg. 3.2) or \
+                 3 (communication-free chain recomputation), got {id}"
+            ))
+        })
+}
+
+/// `{path}.part{rank}`: where one rank of a streamed run writes.
+pub(crate) fn part_path(path: &Path, rank: usize) -> PathBuf {
+    let mut p = path.as_os_str().to_owned();
+    p.push(format!(".part{rank}"));
+    PathBuf::from(p)
+}
+
+/// Delete every `{path}.part{0..ranks}` that exists.
+fn remove_parts(path: &Path, ranks: usize) {
+    for rank in 0..ranks {
+        let _ = std::fs::remove_file(part_path(path, rank));
     }
+}
+
+/// Concatenate `{path}.part{0..ranks}` in rank order into `path`, fsync
+/// it, and delete the parts — the one merge behind in-process streamed
+/// runs and rank 0 of a TCP world. A failed merge removes the parts too
+/// (best effort).
+///
+/// # Errors
+///
+/// Any I/O failure; a part that cannot be opened is named with the hint
+/// that multi-host worlds need a shared filesystem.
+pub(crate) fn merge_parts(path: &Path, ranks: usize) -> std::io::Result<()> {
+    let merge = || {
+        let mut merged = std::io::BufWriter::new(std::fs::File::create(path)?);
+        for rank in 0..ranks {
+            let part = part_path(path, rank);
+            let mut file = std::fs::File::open(&part).map_err(|e| {
+                std::io::Error::new(
+                    e.kind(),
+                    format!(
+                        "{} (rank {rank}'s part not visible to the merging rank — \
+                         distributed runs need a shared filesystem to merge): {e}",
+                        part.display()
+                    ),
+                )
+            })?;
+            std::io::copy(&mut file, &mut merged)?;
+        }
+        merged
+            .into_inner()
+            .map_err(|e| e.into_error())?
+            .sync_all()?;
+        (0..ranks).try_for_each(|rank| std::fs::remove_file(part_path(path, rank)))
+    };
+    merge().inspect_err(|_| remove_parts(path, ranks))
 }
 
 /// Stream a PA network to `path` without ever materializing the edges:
@@ -364,69 +402,36 @@ pub(crate) fn stream_pa_to_disk(
     scheme: Scheme,
     ranks: usize,
     opts: &GenOptions,
-    engine: u8,
-    path: &std::path::Path,
+    path: &Path,
     edge_format: io::EdgeFormat,
 ) -> Result<(u64, Vec<pa_mpsim::CommStats>), CliError> {
-    let part_path = |rank: usize| {
-        let mut p = path.as_os_str().to_owned();
-        p.push(format!(".part{rank}"));
-        std::path::PathBuf::from(p)
-    };
-
     // Pre-create the per-rank files so creation errors surface before any
     // rank spawns; each rank thread then takes its own handle.
     let mut files = Vec::with_capacity(ranks);
     for rank in 0..ranks {
-        let f = std::fs::File::create(part_path(rank)).map_err(CliError::io)?;
+        let f = std::fs::File::create(part_path(path, rank)).map_err(CliError::io)?;
         files.push(std::sync::Mutex::new(Some(f)));
     }
 
-    let make_sink = |rank: usize| {
+    let outputs = par::generate_streaming(cfg, scheme, ranks, opts, |rank| {
         let f = files[rank]
             .lock()
             .expect("file handoff poisoned")
             .take()
             .expect("sink built twice for one rank");
         par::StreamingWriterSink::new(f, edge_format)
-    };
-    let outputs = match engine {
-        1 => par::generate_x1_streaming(cfg, scheme, ranks, opts, make_sink),
-        2 => par::generate_streaming(cfg, scheme, ranks, opts, make_sink),
-        3 => par::generate3_streaming(cfg, scheme, ranks, opts, make_sink),
-        _ => unreachable!("callers validate the engine"),
-    };
-
-    let cleanup = |err: CliError| {
-        for rank in 0..ranks {
-            let _ = std::fs::remove_file(part_path(rank));
-        }
-        err
-    };
+    });
 
     let mut total_edges = 0u64;
     let mut comms = Vec::with_capacity(outputs.len());
     for o in outputs {
-        total_edges += o.sink.finish().map_err(|e| cleanup(CliError::io(e)))?;
+        total_edges += o.sink.finish().map_err(|e| {
+            remove_parts(path, ranks);
+            CliError::io(e)
+        })?;
         comms.push(o.comm);
     }
-
-    // Concatenate the parts in rank order into the final file.
-    let merged = std::fs::File::create(path).map_err(|e| cleanup(CliError::io(e)))?;
-    let mut merged = std::io::BufWriter::new(merged);
-    for rank in 0..ranks {
-        let mut part =
-            std::fs::File::open(part_path(rank)).map_err(|e| cleanup(CliError::io(e)))?;
-        std::io::copy(&mut part, &mut merged).map_err(|e| cleanup(CliError::io(e)))?;
-    }
-    merged
-        .into_inner()
-        .map_err(|e| cleanup(CliError::io(e.into_error())))?
-        .sync_all()
-        .map_err(|e| cleanup(CliError::io(e)))?;
-    for rank in 0..ranks {
-        std::fs::remove_file(part_path(rank)).map_err(CliError::io)?;
-    }
+    merge_parts(path, ranks).map_err(CliError::io)?;
     Ok((total_edges, comms))
 }
 
@@ -490,13 +495,9 @@ pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
 }
 
 pub(crate) fn validated(n: u64, x: u64, p: f64, seed: u64) -> Result<PaConfig, CliError> {
-    if x == 0 || n <= x {
-        return Err(CliError::usage("need n > x >= 1"));
-    }
-    if !(0.0..=1.0).contains(&p) {
-        return Err(CliError::usage("--p must lie in [0, 1]"));
-    }
-    Ok(PaConfig { n, x, p, seed })
+    let cfg = PaConfig { n, x, p, seed };
+    cfg.check().map_err(CliError::usage)?;
+    Ok(cfg)
 }
 
 pub(crate) fn parse_scheme(s: &str) -> Result<Scheme, CliError> {

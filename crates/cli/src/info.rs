@@ -3,6 +3,7 @@
 
 use crate::args::{Args, CliError};
 use pa_core::partition::{self, Partition};
+use pa_core::Engine;
 use pa_graph::container;
 use std::io::Write;
 
@@ -64,14 +65,9 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let scheme = crate::generate::parse_scheme(&args.str("scheme", "rrp"))?;
     let engine = crate::generate::parse_engine(args)?;
-    if n <= x || x == 0 {
-        return Err(CliError::usage("need n > x >= 1"));
-    }
-    if engine == 1 && x != 1 {
-        return Err(CliError::usage(
-            "--engine 1 implements Algorithm 3.1 and requires --x 1",
-        ));
-    }
+    // `p` and the seed do not enter the estimate; any legal values do.
+    crate::generate::validated(n, x, 0.5, 0)?;
+    engine.check(x).map_err(CliError::usage)?;
     let budget = args.str("memory-budget", "");
     let budget_bytes = if budget.is_empty() {
         None
@@ -106,12 +102,12 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Per-engine table inventory: which per-node state pages to disk
     // (the store-backed tables) and which stays resident regardless.
     let lines: Vec<TableLine> = match engine {
-        1 => vec![TableLine {
+        Engine::X1 => vec![TableLine {
             name: "F table (1 slot/node)",
             resident: size * 8,
             budgeted: budget_bytes.and_then(|b| capped(b, size)),
         }],
-        2 => {
+        Engine::General => {
             // The general engine splits one budget across three tables
             // by slot weight: f and attempts get slots each, next_e
             // gets size.
@@ -139,7 +135,7 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 },
             ]
         }
-        _ => vec![
+        Engine::Chain => vec![
             TableLine {
                 name: "F table (x slots/node)",
                 resident: slots * 8,
@@ -160,7 +156,8 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     writeln!(
         out,
-        "per-rank memory estimate: n={n} x={x} ranks={ranks} scheme={scheme} engine={engine}"
+        "per-rank memory estimate: n={n} x={x} ranks={ranks} scheme={scheme} engine={}",
+        engine.id()
     )
     .map_err(CliError::io)?;
     writeln!(out, "largest rank: {size} nodes ({slots} F slots)").map_err(CliError::io)?;

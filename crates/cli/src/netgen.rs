@@ -12,13 +12,16 @@
 use std::io::Write;
 
 use pa_core::par::{self, EdgeSink, Msg};
-use pa_core::partition;
+use pa_core::{partition, Engine};
 use pa_graph::io as gio;
 use pa_mpsim::Transport;
 use pa_net::{TcpConfig, TcpTransport};
 
 use crate::args::{Args, CliError};
-use crate::generate::{parse_engine, parse_gen_options, parse_model_kind, parse_scheme, validated};
+use crate::generate::{
+    merge_parts, parse_engine, parse_gen_options, parse_model_kind, parse_scheme, part_path,
+    validated,
+};
 use crate::stats::{MergedStats, StatsFlags};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -49,14 +52,16 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let p = args.f64("p", 0.5)?;
     let scheme = parse_scheme(&args.str("scheme", "rrp"))?;
     let engine = parse_engine(args)?;
-    if engine == 1 {
+    if engine == Engine::X1 {
         return Err(CliError::usage(
             "--backend tcp supports --engine 2 or 3 (engine 1 uses the \
              x = 1 wire format, which the TCP rank path does not carry)",
         ));
     }
     let cfg = validated(n, x, p, seed)?;
-    let mut opts = parse_gen_options(args)?.with_model(parse_model_kind(args)?);
+    let mut opts = parse_gen_options(args)?
+        .with_engine(engine)
+        .with_model(parse_model_kind(args)?);
     if opts.fault_plan.is_some() {
         return Err(CliError::usage(
             "--chaos-profile is not supported with --backend tcp \
@@ -207,23 +212,13 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let part = partition::build(scheme, cfg.n, world);
-    let part_path = |r: usize| format!("{path}.part{r}");
+    let out_path = std::path::Path::new(&path);
+    let my_part = part_path(out_path, rank);
 
     let store = if ckpt_dir.is_empty() {
         None
     } else {
-        let meta = par::CheckpointMeta {
-            world: world as u32,
-            n: cfg.n,
-            x: cfg.x,
-            p_bits: cfg.p.to_bits(),
-            seed: cfg.seed,
-            scheme_id: scheme.id(),
-            engine_id: engine,
-            model_id: opts.model.id(),
-            interval: ckpt_interval,
-            alpha_bits: opts.model.alpha_bits(),
-        };
+        let meta = par::CheckpointMeta::for_run(&cfg, scheme, world, &opts);
         Some(par::CheckpointStore::new(&ckpt_dir, rank as u32, meta).map_err(CliError::io)?)
     };
 
@@ -238,7 +233,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let agreed = t.allreduce_min(vote);
     let (sink, saved) = if agreed == 0 {
-        let file = std::fs::File::create(part_path(rank)).map_err(CliError::io)?;
+        let file = std::fs::File::create(&my_part).map_err(CliError::io)?;
         let mut sink = par::StreamingWriterSink::new(file, edge_format);
         match &world_ckpt {
             None => (sink, None),
@@ -271,7 +266,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
-            .open(part_path(rank))
+            .open(&my_part)
             .map_err(CliError::io)?;
         file.set_len(saved.bytes).map_err(CliError::io)?;
         file.seek(std::io::SeekFrom::End(0)).map_err(CliError::io)?;
@@ -281,27 +276,15 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         )
     };
 
-    let (sink, _counters) = match engine {
-        2 => par::generate_rank_streaming_recoverable(
-            &cfg,
-            &part,
-            &opts,
-            &mut t,
-            sink,
-            store.as_ref(),
-            saved.as_ref(),
-        ),
-        3 => par::generate_rank3_streaming_recoverable(
-            &cfg,
-            &part,
-            &opts,
-            &mut t,
-            sink,
-            store.as_ref(),
-            saved.as_ref(),
-        ),
-        _ => unreachable!("engine validated above"),
-    };
+    let (sink, _counters) = par::generate_rank_streaming_recoverable(
+        &cfg,
+        &part,
+        &opts,
+        &mut t,
+        sink,
+        store.as_ref(),
+        saved.as_ref(),
+    );
     let edges = sink.finish().map_err(CliError::io)?;
 
     // Publish completion before anyone merges, then merge the ledgers.
@@ -327,32 +310,9 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .then(|| MergedStats::over_transport(&t, t.stats()));
 
     if rank == 0 {
-        // Concatenate `{out}.part{0..world}` in rank order. This needs
-        // every part visible on rank 0's filesystem — true for palaunch
-        // (one host) and for shared-filesystem clusters.
-        let merge = || -> std::io::Result<()> {
-            let merged_file = std::fs::File::create(&path)?;
-            let mut w = std::io::BufWriter::new(merged_file);
-            for r in 0..world {
-                let mut part_file = std::fs::File::open(part_path(r)).map_err(|e| {
-                    std::io::Error::new(
-                        e.kind(),
-                        format!(
-                            "{} (rank {r}'s part not visible on rank 0 — \
-                             distributed runs need a shared filesystem to merge)",
-                            part_path(r)
-                        ),
-                    )
-                })?;
-                std::io::copy(&mut part_file, &mut w)?;
-            }
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            for r in 0..world {
-                std::fs::remove_file(part_path(r))?;
-            }
-            Ok(())
-        };
-        merge().map_err(CliError::io)?;
+        // Merging needs every part visible on rank 0's filesystem —
+        // true for palaunch (one host) and shared-filesystem clusters.
+        merge_parts(out_path, world).map_err(CliError::io)?;
         writeln!(
             out,
             "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} \

@@ -89,7 +89,6 @@ impl JobRunner for EngineRunner {
             desc.scheme,
             desc.ranks as usize,
             &desc.gen_options(GenOptions::default()),
-            desc.engine,
             out,
             desc.format,
         )

@@ -53,31 +53,112 @@ impl PaConfig {
         self
     }
 
-    /// Check internal consistency.
+    /// Human-readable validation error, if the parameters are invalid —
+    /// the one statement of the model's parameter rules, shared by the
+    /// panicking [`PaConfig::validate`], the job descriptor and the CLI.
+    ///
+    /// # Errors
+    ///
+    /// Degenerate `n`/`x` (the model needs a seed clique of `x ≥ 1`
+    /// nodes plus one attaching node), or `p` outside `[0, 1]` or NaN.
+    pub fn check(&self) -> Result<(), String> {
+        if self.x == 0 {
+            return Err("x must be at least 1".into());
+        }
+        if self.n <= self.x {
+            return Err(format!(
+                "n = {} must exceed x = {} (need n > x: seed clique plus one attaching node)",
+                self.n, self.x
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.p) {
+            return Err(format!("p = {} must lie in [0, 1]", self.p));
+        }
+        Ok(())
+    }
+
+    /// Panicking form of [`PaConfig::check`].
     ///
     /// # Panics
     ///
-    /// Panics on invalid parameters (degenerate `n`/`x`, `p` outside
-    /// `[0, 1]` or NaN).
+    /// Panics with the [`PaConfig::check`] message on invalid parameters.
     pub fn validate(&self) {
-        assert!(self.x >= 1, "x must be at least 1");
-        assert!(
-            self.n > self.x,
-            "n = {} must exceed x = {} (seed clique plus one attaching node)",
-            self.n,
-            self.x
-        );
-        assert!(
-            self.p >= 0.0 && self.p <= 1.0,
-            "p = {} must lie in [0, 1]",
-            self.p
-        );
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 
     /// Total number of edges the model produces:
     /// `x(x−1)/2` clique edges + `x` edges for every node `t >= x`.
     pub fn expected_edges(&self) -> u64 {
         self.x * (self.x - 1) / 2 + (self.n - self.x) * self.x
+    }
+}
+
+/// Which per-node state machine resolves the copy dependencies of a run
+/// (selected via [`GenOptions::engine`], `pagen --engine 1|2|3`). All
+/// three compute the same function of `(seed, n, x, p, model)` — the
+/// FNV oracles pin them to one edge set — and differ only in how a copy
+/// `F_k(l)` owned by another rank is resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
+pub enum Engine {
+    /// Algorithm 3.1: the dedicated `x = 1` protocol with the paper's
+    /// two-field messages. In-process worlds only.
+    X1 = 1,
+    /// Algorithm 3.2: in-order slots with request/resolved messages,
+    /// any `x ≥ 1`.
+    #[default]
+    General = 2,
+    /// Communication-free: every copy chain is recomputed locally from
+    /// the counter-based draws; zero algorithm messages.
+    Chain = 3,
+}
+
+impl Engine {
+    /// Every engine, in [`Engine::id`] order.
+    pub const ALL: [Engine; 3] = [Engine::X1, Engine::General, Engine::Chain];
+
+    /// Stable discriminant for wire and checkpoint identity — the number
+    /// `--engine` takes: 1, 2 or 3.
+    pub fn id(&self) -> u8 {
+        *self as u8
+    }
+
+    /// Inverse of [`Engine::id`]; `None` for unknown discriminants.
+    pub fn from_id(id: u8) -> Option<Engine> {
+        Engine::ALL.into_iter().find(|e| e.id() == id)
+    }
+
+    /// Short name for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Engine::X1 => "engine1",
+            Engine::General => "engine2",
+            Engine::Chain => "engine3",
+        }
+    }
+
+    /// Whether this engine can generate a network with `x` edges per
+    /// node.
+    ///
+    /// # Errors
+    ///
+    /// [`Engine::X1`] implements Algorithm 3.1, whose one-slot node
+    /// state and two-field messages only exist for `x = 1`.
+    pub fn check(&self, x: u64) -> Result<(), String> {
+        if *self == Engine::X1 && x != 1 {
+            return Err(format!(
+                "engine 1 (Algorithm 3.1) requires x = 1, got x = {x}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -102,6 +183,9 @@ pub const DEFAULT_CHAIN_MEMO_NODES: u64 = 1 << 20;
 /// [`GenOptions::store`] carries a directory path.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenOptions {
+    /// Which engine resolves copy dependencies (see [`Engine`]). Never
+    /// changes the generated edge set.
+    pub engine: Engine,
     /// Message-buffer capacity per destination (the paper's message
     /// aggregation, §3.5). 1 disables buffering: every logical message is
     /// its own packet.
@@ -170,6 +254,7 @@ pub struct GenOptions {
 impl Default for GenOptions {
     fn default() -> Self {
         Self {
+            engine: Engine::default(),
             buffer_capacity: 4096,
             service_interval: 4096,
             hub_cache_nodes: None,
@@ -186,6 +271,13 @@ impl Default for GenOptions {
 }
 
 impl GenOptions {
+    /// Replace the engine (see [`Engine`]).
+    #[must_use]
+    pub fn with_engine(mut self, engine: Engine) -> Self {
+        self.engine = engine;
+        self
+    }
+
     /// Replace the hub-cache size (in nodes); `0` disables the cache.
     #[must_use]
     pub fn with_hub_cache(mut self, nodes: u64) -> Self {
@@ -349,6 +441,29 @@ mod tests {
         assert_eq!(cfg.seed, 0);
         cfg.validate();
         GenOptions::default().validate();
+    }
+
+    #[test]
+    fn engine_ids_round_trip_and_reject_unknowns() {
+        for e in Engine::ALL {
+            assert_eq!(Engine::from_id(e.id()), Some(e));
+        }
+        assert_eq!(Engine::ALL.map(|e| e.id()), [1, 2, 3]);
+        assert_eq!(Engine::from_id(0), None);
+        assert_eq!(Engine::from_id(4), None);
+        assert_eq!(GenOptions::default().engine, Engine::General);
+        let opts = GenOptions::default().with_engine(Engine::Chain);
+        assert_eq!(opts.engine, Engine::Chain);
+    }
+
+    #[test]
+    fn only_engine_1_constrains_x() {
+        assert!(Engine::X1.check(1).is_ok());
+        let err = Engine::X1.check(3).unwrap_err();
+        assert!(err.contains("requires x = 1"), "{err}");
+        for e in [Engine::General, Engine::Chain] {
+            assert!(e.check(1).is_ok() && e.check(7).is_ok());
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! streams require the same `ranks` value.
 
 use crate::partition::Scheme;
-use crate::{GenOptions, ModelKind, PaConfig};
+use crate::{Engine, GenOptions, ModelKind, PaConfig};
 use pa_graph::io::{EdgeFormat, Fnv1a};
 
 /// Length of the canonical job encoding: five `u64` fields, one `u32`,
@@ -95,46 +95,37 @@ impl JobDescriptor {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first violated rule: the
-    /// mirrors of [`PaConfig::validate`]'s panics, engine range and the
-    /// engine-1 `x = 1` constraint, model parameter checks, and a
-    /// positive rank count.
+    /// A human-readable description of the first violated rule:
+    /// [`PaConfig::check`], the engine range and [`Engine::check`]
+    /// (engine 1 needs `x = 1`), a positive rank count, and
+    /// [`ModelKind::check`].
     pub fn validate(&self) -> Result<(), String> {
-        let cfg = &self.cfg;
-        if cfg.x == 0 {
-            return Err("x must be at least 1".into());
-        }
-        if cfg.n <= cfg.x {
-            return Err(format!(
-                "n = {} must exceed x = {} (seed clique plus one attaching node)",
-                cfg.n, cfg.x
-            ));
-        }
-        if !cfg.p.is_finite() || !(0.0..=1.0).contains(&cfg.p) {
-            return Err(format!("p = {} must lie in [0, 1]", cfg.p));
-        }
-        if !(1..=3).contains(&self.engine) {
-            return Err(format!("engine must be 1, 2 or 3, got {}", self.engine));
-        }
-        if self.engine == 1 && cfg.x != 1 {
-            return Err(format!(
-                "engine 1 (Algorithm 3.1) requires x = 1, got x = {}",
-                cfg.x
-            ));
-        }
+        self.cfg.check()?;
+        self.typed_engine()?.check(self.cfg.x)?;
         if self.ranks == 0 {
             return Err("ranks must be at least 1".into());
         }
-        self.model.check()?;
-        Ok(())
+        self.model.check()
+    }
+
+    /// The wire-level engine id as an [`Engine`].
+    fn typed_engine(&self) -> Result<Engine, String> {
+        Engine::from_id(self.engine)
+            .ok_or_else(|| format!("engine must be 1, 2 or 3, got {}", self.engine))
     }
 
     /// The engine options this job runs under: `base` (the server's
-    /// tuning knobs) with the job's model applied. Only the model
-    /// reaches the draw streams; every other knob is byte-neutral.
+    /// tuning knobs) with the job's engine and model applied. Only the
+    /// model reaches the draw streams; the engine fixes the byte order
+    /// within each rank's section; every other knob is byte-neutral.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a descriptor [`JobDescriptor::validate`] rejects.
     #[must_use]
     pub fn gen_options(&self, base: GenOptions) -> GenOptions {
-        base.with_model(self.model)
+        let engine = self.typed_engine().unwrap_or_else(|why| panic!("{why}"));
+        base.with_engine(engine).with_model(self.model)
     }
 
     /// The canonical encoding job identity is hashed over: every field
@@ -391,13 +382,15 @@ mod tests {
     }
 
     #[test]
-    fn gen_options_applies_the_model_only() {
+    fn gen_options_applies_the_engine_and_model_only() {
         let d = JobDescriptor {
+            engine: 3,
             model: ModelKind::Nlpa { alpha: 1.5 },
             ..sample()
         };
         let base = GenOptions::default().with_chain_memo(77);
         let opts = d.gen_options(base);
+        assert_eq!(opts.engine, Engine::Chain);
         assert_eq!(opts.model, ModelKind::Nlpa { alpha: 1.5 });
         assert_eq!(opts.chain_memo_nodes, 77, "tuning knobs pass through");
     }

@@ -33,9 +33,9 @@
 //!   LCP, RRP) plus the nonlinear load-balance Equation 10 solver behind
 //!   LCP.
 //! * [`par`] — the parallel engines over the `pa-mpsim` message-passing
-//!   runtime: [`par::generate_x1`] (Algorithm 3.1) and
-//!   [`par::generate`] (Algorithm 3.2), with per-rank load and traffic
-//!   reports.
+//!   runtime: [`par::generate`] runs the [`Engine`] named in
+//!   [`GenOptions`] (Algorithm 3.1, Algorithm 3.2 or communication-free
+//!   chain recomputation), with per-rank load and traffic reports.
 //! * [`chains`] — selection/dependency-chain analytics (Theorem 3.3).
 //! * [`approx_yh`] — a Yoo–Henderson-style *approximate* distributed
 //!   baseline, reproducing the prior work the paper argues against.
@@ -74,7 +74,7 @@ pub mod seq;
 pub mod store;
 pub mod ws;
 
-pub use config::{GenOptions, PaConfig, DEFAULT_CHAIN_MEMO_NODES, DEFAULT_HUB_CACHE_NODES};
+pub use config::{Engine, GenOptions, PaConfig, DEFAULT_CHAIN_MEMO_NODES, DEFAULT_HUB_CACHE_NODES};
 pub use model::{Model, ModelKind};
 
 /// The fault-injection schedule consumed by [`GenOptions::fault_plan`]

@@ -22,7 +22,11 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use pa_graph::io::Fnv1a;
 use pa_mpsim::wire::{get_u32, get_u64, get_u8};
+
+use crate::partition::Scheme;
+use crate::{GenOptions, PaConfig};
 
 /// Magic number at the head of every checkpoint file (`"PACK"`).
 const MAGIC: u32 = 0x4b43_4150;
@@ -47,11 +51,9 @@ pub struct CheckpointMeta {
     pub p_bits: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Partition-scheme discriminant (caller-defined; the CLI uses the
-    /// scheme's index in [`crate::partition::Scheme::ALL`]).
+    /// Partition-scheme discriminant ([`crate::partition::Scheme::id`]).
     pub scheme_id: u8,
-    /// Engine discriminant (caller-defined; the CLI uses 2 for the
-    /// general engine).
+    /// Engine discriminant ([`crate::Engine::id`]).
     pub engine_id: u8,
     /// Attachment-model discriminant ([`crate::ModelKind::id`]): a
     /// checkpoint taken under one model must never resume under another.
@@ -62,6 +64,26 @@ pub struct CheckpointMeta {
     /// ([`crate::ModelKind::alpha_bits`]; 0 for the parameter-free copy
     /// model) — exact compare, like `p_bits`.
     pub alpha_bits: u64,
+}
+
+impl CheckpointMeta {
+    /// The identity of a run of `cfg` under `opts` on `world` ranks
+    /// partitioned by `scheme` (interval 0 when `opts` sets no
+    /// checkpoint epochs — such a run never saves).
+    pub fn for_run(cfg: &PaConfig, scheme: Scheme, world: usize, opts: &GenOptions) -> Self {
+        CheckpointMeta {
+            world: world as u32,
+            n: cfg.n,
+            x: cfg.x,
+            p_bits: cfg.p.to_bits(),
+            seed: cfg.seed,
+            scheme_id: scheme.id(),
+            engine_id: opts.engine.id(),
+            model_id: opts.model.id(),
+            interval: opts.checkpoint_interval.unwrap_or(0),
+            alpha_bits: opts.model.alpha_bits(),
+        }
+    }
 }
 
 /// One rank's checkpoint as read back from disk.
@@ -96,15 +118,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// A checkpoint file parsed **without** a run identity to compare
 /// against — the elastic-restart reader's view. `CheckpointStore::load`
 /// demands an exact identity match; elastic restart instead validates
@@ -130,7 +143,7 @@ pub(crate) fn read_raw_checkpoint(path: &Path) -> Option<RawCheckpoint> {
     }
     let (body, sum_bytes) = buf.split_at(buf.len() - 8);
     let sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-    if fnv1a(body) != sum {
+    if Fnv1a::hash(body) != sum {
         return None;
     }
     let mut r: &[u8] = body;
@@ -229,7 +242,7 @@ impl CheckpointStore {
         put_u64(&mut buf, bytes);
         put_u64(&mut buf, payload.len() as u64);
         buf.extend_from_slice(payload);
-        let sum = fnv1a(&buf);
+        let sum = Fnv1a::hash(&buf);
         put_u64(&mut buf, sum);
 
         let tmp = self

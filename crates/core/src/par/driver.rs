@@ -90,22 +90,14 @@ impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
 
 /// Run `algo` to global quiescence on this rank; returns it with every
 /// local slot committed and every waiter drained.
-pub(super) fn run<P, T, A>(part: &P, x: u64, opts: &GenOptions, comm: &mut T, algo: A) -> A
-where
-    P: Partition,
-    T: Transport<A::Msg>,
-    A: Strategy,
-{
-    run_recoverable(part, x, opts, comm, algo, None, None)
-}
-
-/// [`run`], with checkpointing: when `store` is set, every epoch
-/// boundary (except the final one) writes an atomic checkpoint of the
-/// engine + sink watermark; when `resume` is set, the engine state is
-/// restored first and generation continues from the epoch after the
-/// saved one. Callers are responsible for positioning the sink at the
-/// saved watermark (truncating part files) before calling.
-pub(super) fn run_recoverable<P, T, A>(
+///
+/// When `store` is set, every epoch boundary (except the final one)
+/// writes an atomic checkpoint of the engine + sink watermark; when
+/// `resume` is set, the engine state is restored first and generation
+/// continues from the epoch after the saved one. Callers are responsible
+/// for positioning the sink at the saved watermark (truncating part
+/// files) before calling.
+pub(super) fn run<P, T, A>(
     part: &P,
     x: u64,
     opts: &GenOptions,

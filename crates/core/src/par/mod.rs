@@ -1,34 +1,35 @@
 //! Distributed-memory parallel PA generation (paper §3.2–§3.3).
 //!
-//! Entry points:
+//! Which algorithm runs is a value, [`crate::Engine`], carried in
+//! [`GenOptions::engine`]: Algorithm 3.1 (`x = 1`, two-field messages),
+//! Algorithm 3.2 (the default; any `x ≥ 1`), or communication-free local
+//! chain recomputation. All three generate the same edge set. The entry
+//! points differ only in *where the ranks live* and *where edges go*:
 //!
-//! * [`generate`] — Algorithm 3.2, the general `x ≥ 1` engine.
-//! * [`generate_x1`] — Algorithm 3.1, the dedicated `x = 1` engine with
-//!   the paper's two-field messages.
-//! * [`generate3`] — the communication-free engine: every copy chain is
-//!   recomputed locally from the counter-based draws, with zero
-//!   request/resolved traffic.
-//! * [`generate_with`] / [`generate3_with`] — the same over a
-//!   caller-supplied [`Partition`] (for custom layouts beyond
-//!   UCP/LCP/RRP/BCP).
-//! * [`generate_streaming`] / [`generate_x1_streaming`] /
-//!   [`generate3_streaming`] — the same engines delivering every edge to
-//!   a caller-built [`EdgeSink`] instead of materializing per-rank edge
-//!   lists.
+//! * [`generate`] — an in-process world over one of the standard
+//!   partitioning schemes, materializing per-rank edge lists.
+//! * [`generate_with`] — the same over a caller-supplied [`Partition`]
+//!   (for custom layouts beyond UCP/LCP/RRP/BCP).
+//! * [`generate_streaming`] — an in-process world delivering every edge
+//!   to a caller-built [`EdgeSink`] instead of materializing lists.
+//! * [`generate_rank_streaming`] — **one rank of an external world**
+//!   over a caller-supplied [`Transport`] (multi-process backends).
+//! * [`generate_rank_streaming_recoverable`] — the same with
+//!   coordinated checkpoint/restart.
 //!
 //! Architecturally the module is three layers:
 //!
 //! * `driver` — the single service/flush/park/termination loop shared
 //!   by all algorithms, generic over the transport and the sink;
-//! * `engine1` / `engine2` / `engine3` — the per-node state machines
-//!   (Algorithms 3.1, 3.2, and local chain recomputation), plugged into
-//!   the driver as strategies;
+//! * `strategy` — the per-node state machines (Algorithms 3.1, 3.2, and
+//!   local chain recomputation) plugged into the driver, and the one
+//!   dispatch from an [`crate::Engine`] value to a running strategy;
 //! * [`EdgeSink`] — where edges go: materialized lists, counters, degree
 //!   folds, or streaming disk writers.
 //!
-//! Multi-rank runs spawn a `pa-mpsim` world (one thread per rank);
-//! single-rank runs execute on the calling thread over a thread-free
-//! [`pa_mpsim::LoopbackTransport`].
+//! Multi-rank in-process runs spawn a `pa-mpsim` world (one thread per
+//! rank); single-rank runs execute on the calling thread over a
+//! thread-free [`pa_mpsim::LoopbackTransport`].
 
 mod checkpoint;
 mod degrees;
@@ -41,150 +42,104 @@ mod strategy;
 
 pub use checkpoint::{CheckpointMeta, CheckpointStore, SavedCheckpoint};
 pub use degrees::{distributed_degrees, merge_degrees};
-pub use msg::{Msg, Msg1};
+pub use msg::Msg;
 pub use output::{EngineCounters, ParallelOutput, RankOutput};
 pub use restart::WorldCheckpoint;
 pub use sink::{CountSink, DegreeCountSink, EdgeSink, StreamingWriterSink};
 
-use crate::partition::{self, AnyPartition, Partition, Scheme};
-use crate::{GenOptions, PaConfig};
+use crate::partition::{self, Partition, Scheme};
+use crate::{Engine, GenOptions, PaConfig};
+use msg::Msg1;
 use pa_graph::EdgeList;
 use pa_mpsim::{CommStats, FaultTransport, LoopbackTransport, Transport, World};
+use strategy::Protocol;
 
-/// Run a strategy over a transport, wrapping it in a fault-injecting
-/// decorator first when `opts.fault_plan` asks for one; returns the
-/// finished strategy and the transport's final statistics.
-fn drive<P, T, A>(part: &P, x: u64, opts: &GenOptions, mut comm: T, algo: A) -> (A, CommStats)
-where
-    P: Partition,
-    A: strategy::Strategy,
-    A::Msg: Clone,
-    T: Transport<A::Msg>,
-{
-    match opts.fault_plan {
+/// The checks every entry point runs before any rank spawns.
+fn validate_run<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) {
+    cfg.validate();
+    opts.validate_for(cfg.n);
+    if let Err(why) = opts.engine.check(cfg.x) {
+        panic!("{why}");
+    }
+    assert_eq!(
+        part.num_nodes(),
+        cfg.n,
+        "partition does not cover cfg.n nodes"
+    );
+}
+
+/// Run one rank of an in-process world over `comm`, wrapping it in a
+/// fault-injecting decorator first when `opts.fault_plan` asks for one.
+fn in_process_rank<M: Protocol, P: Partition, S: EdgeSink, T: Transport<M>>(
+    cfg: &PaConfig,
+    part: &P,
+    opts: &GenOptions,
+    mut comm: T,
+    sink: S,
+) -> StreamRankOutput<S> {
+    let rank = comm.rank();
+    let ((sink, counters), comm) = match opts.fault_plan {
         Some(plan) => {
             let mut faulty = FaultTransport::new(comm, plan);
-            let algo = driver::run(part, x, opts, &mut faulty, algo);
-            (algo, faulty.into_stats())
+            let parts = M::run_rank(cfg, part, opts, &mut faulty, sink, None, None);
+            (parts, faulty.into_stats())
         }
         None => {
-            let algo = driver::run(part, x, opts, &mut comm, algo);
-            (algo, comm.into_stats())
+            let parts = M::run_rank(cfg, part, opts, &mut comm, sink, None, None);
+            (parts, comm.into_stats())
         }
+    };
+    StreamRankOutput {
+        rank,
+        sink,
+        comm,
+        counters,
     }
 }
 
-/// Run the general (Alg. 3.2) strategy on every rank of `part`,
-/// collecting `(sink, counters, comm stats)` in rank order. `P = 1` runs
+/// Run every rank of `part` in this process, in rank order. `P = 1` runs
 /// on the calling thread over a loopback transport; larger worlds spawn
 /// one thread per rank.
-fn run_general<P, S, F>(
+fn in_process<M: Protocol, P: Partition, S: EdgeSink + Send>(
     cfg: &PaConfig,
     part: &P,
     opts: &GenOptions,
-    make_sink: F,
-) -> Vec<(S, output::EngineCounters, CommStats)>
-where
-    P: Partition,
-    S: EdgeSink + Send,
-    F: Fn(usize) -> S + Send + Sync,
-{
-    let nranks = part.nranks();
-    if nranks == 1 {
-        let algo = strategy::General::new(cfg, part, 0, 1, opts, make_sink(0));
-        let (algo, stats) = drive(part, cfg.x, opts, LoopbackTransport::new(), algo);
-        let (sink, counters) = algo.into_parts();
-        vec![(sink, counters, stats)]
+    make_sink: impl Fn(usize) -> S + Send + Sync,
+) -> Vec<StreamRankOutput<S>> {
+    if part.nranks() == 1 {
+        let comm = LoopbackTransport::<M>::new();
+        vec![in_process_rank(cfg, part, opts, comm, make_sink(0))]
     } else {
-        World::new(nranks).run(|comm| {
-            let rank = comm.rank();
-            let algo = strategy::General::new(cfg, part, rank, nranks, opts, make_sink(rank));
-            let (algo, stats) = drive(part, cfg.x, opts, comm, algo);
-            let (sink, counters) = algo.into_parts();
-            (sink, counters, stats)
+        World::new(part.nranks()).run(|comm: pa_mpsim::Comm<M>| {
+            let sink = make_sink(comm.rank());
+            in_process_rank(cfg, part, opts, comm, sink)
         })
     }
 }
 
-/// Run the communication-free chain-recomputation strategy on every rank
-/// of `part`; same transport selection as [`run_general`].
-fn run_general3<P, S, F>(
+/// Validate, then run `opts.engine` on every rank of `part` over the
+/// wire vocabulary that engine speaks.
+fn run_world<P: Partition, S: EdgeSink + Send>(
     cfg: &PaConfig,
     part: &P,
     opts: &GenOptions,
-    make_sink: F,
-) -> Vec<(S, output::EngineCounters, CommStats)>
-where
-    P: Partition,
-    S: EdgeSink + Send,
-    F: Fn(usize) -> S + Send + Sync,
-{
-    let nranks = part.nranks();
-    if nranks == 1 {
-        let algo = strategy::Chain::new(cfg, part, 0, opts, make_sink(0));
-        let (algo, stats) = drive(part, cfg.x, opts, LoopbackTransport::new(), algo);
-        let (sink, counters) = algo.into_parts();
-        vec![(sink, counters, stats)]
-    } else {
-        World::new(nranks).run(|comm| {
-            let rank = comm.rank();
-            let algo = strategy::Chain::new(cfg, part, rank, opts, make_sink(rank));
-            let (algo, stats) = drive(part, cfg.x, opts, comm, algo);
-            let (sink, counters) = algo.into_parts();
-            (sink, counters, stats)
-        })
+    make_sink: impl Fn(usize) -> S + Send + Sync,
+) -> Vec<StreamRankOutput<S>> {
+    validate_run(cfg, part, opts);
+    match opts.engine {
+        Engine::X1 => in_process::<Msg1, _, _>(cfg, part, opts, make_sink),
+        Engine::General | Engine::Chain => in_process::<Msg, _, _>(cfg, part, opts, make_sink),
     }
 }
 
-/// Run the `x = 1` (Alg. 3.1) strategy on every rank of `part`; same
-/// transport selection as [`run_general`].
-fn run_x1<P, S, F>(
-    cfg: &PaConfig,
-    part: &P,
-    opts: &GenOptions,
-    make_sink: F,
-) -> Vec<(S, output::EngineCounters, CommStats)>
-where
-    P: Partition,
-    S: EdgeSink + Send,
-    F: Fn(usize) -> S + Send + Sync,
-{
-    let nranks = part.nranks();
-    if nranks == 1 {
-        let algo = strategy::X1::new(cfg, part, 0, opts, make_sink(0));
-        let (algo, stats) = drive(part, cfg.x, opts, LoopbackTransport::new(), algo);
-        let (sink, counters) = algo.into_parts();
-        vec![(sink, counters, stats)]
-    } else {
-        World::new(nranks).run(|comm| {
-            let rank = comm.rank();
-            let algo = strategy::X1::new(cfg, part, rank, opts, make_sink(rank));
-            let (algo, stats) = drive(part, cfg.x, opts, comm, algo);
-            let (sink, counters) = algo.into_parts();
-            (sink, counters, stats)
-        })
-    }
-}
-
-fn to_rank_outputs(parts: Vec<(EdgeList, output::EngineCounters, CommStats)>) -> Vec<RankOutput> {
-    parts
-        .into_iter()
-        .enumerate()
-        .map(|(rank, (edges, counters, comm))| RankOutput {
-            rank,
-            edges,
-            counters,
-            comm,
-        })
-        .collect()
-}
-
-/// Generate a PA network with Algorithm 3.2 on `nranks` ranks using one
-/// of the standard partitioning schemes.
+/// Generate a PA network on `nranks` in-process ranks using one of the
+/// standard partitioning schemes, with the engine `opts.engine` names
+/// (Algorithm 3.2 by default).
 ///
 /// # Panics
 ///
-/// Panics on invalid `cfg`/`opts` or `nranks == 0`.
+/// Panics on invalid `cfg`/`opts`, `nranks == 0`, or
+/// [`Engine::X1`] with `cfg.x != 1`.
 pub fn generate(
     cfg: &PaConfig,
     scheme: Scheme,
@@ -197,73 +152,26 @@ pub fn generate(
     out
 }
 
-/// Generate with Algorithm 3.2 over an explicit partition.
+/// [`generate`] over an explicit partition.
 ///
 /// # Panics
 ///
-/// Panics on invalid `cfg`/`opts`, or if the partition's node count does
+/// Panics as [`generate`] does, or if the partition's node count does
 /// not match `cfg.n`.
 pub fn generate_with<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) -> ParallelOutput {
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    assert_eq!(
-        part.num_nodes(),
-        cfg.n,
-        "partition does not cover cfg.n nodes"
-    );
-    let parts = run_general(cfg, part, opts, |rank| {
+    let outs = run_world(cfg, part, opts, |rank| {
         EdgeList::with_capacity((part.size_of(rank) * cfg.x + cfg.x * cfg.x) as usize)
+    });
+    let ranks = outs.into_iter().map(|o| RankOutput {
+        rank: o.rank,
+        edges: o.sink,
+        counters: o.counters,
+        comm: o.comm,
     });
     ParallelOutput {
         cfg: *cfg,
         scheme: None,
-        ranks: to_rank_outputs(parts),
-    }
-}
-
-/// Generate a PA network with the communication-free engine (engine3) on
-/// `nranks` ranks: every copy dependency is recomputed locally from the
-/// counter-based draws instead of resolved over the wire, so no rank
-/// sends a single algorithm message. Bit-identical to [`generate`] for
-/// every rank count, scheme, and transport.
-///
-/// # Panics
-///
-/// Panics on invalid `cfg`/`opts` or `nranks == 0`.
-pub fn generate3(
-    cfg: &PaConfig,
-    scheme: Scheme,
-    nranks: usize,
-    opts: &GenOptions,
-) -> ParallelOutput {
-    let part = partition::build(scheme, cfg.n, nranks);
-    let mut out = generate3_with(cfg, &part, opts);
-    out.scheme = Some(scheme);
-    out
-}
-
-/// Generate with the communication-free engine over an explicit
-/// partition.
-///
-/// # Panics
-///
-/// Panics on invalid `cfg`/`opts`, or if the partition's node count does
-/// not match `cfg.n`.
-pub fn generate3_with<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) -> ParallelOutput {
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    assert_eq!(
-        part.num_nodes(),
-        cfg.n,
-        "partition does not cover cfg.n nodes"
-    );
-    let parts = run_general3(cfg, part, opts, |rank| {
-        EdgeList::with_capacity((part.size_of(rank) * cfg.x + cfg.x * cfg.x) as usize)
-    });
-    ParallelOutput {
-        cfg: *cfg,
-        scheme: None,
-        ranks: to_rank_outputs(parts),
+        ranks: ranks.collect(),
     }
 }
 
@@ -282,30 +190,15 @@ pub struct StreamRankOutput<S> {
     pub counters: EngineCounters,
 }
 
-fn to_stream_outputs<S>(
-    parts: Vec<(S, output::EngineCounters, CommStats)>,
-) -> Vec<StreamRankOutput<S>> {
-    parts
-        .into_iter()
-        .enumerate()
-        .map(|(rank, (sink, counters, comm))| StreamRankOutput {
-            rank,
-            sink,
-            counters,
-            comm,
-        })
-        .collect()
-}
-
-/// Generate with Algorithm 3.2, streaming each rank's edges into a sink
-/// built by `make_sink(rank)` instead of materializing edge lists — the
+/// [`generate`], streaming each rank's edges into a sink built by
+/// `make_sink(rank)` instead of materializing edge lists — the
 /// "generate on the fly and analyze without disk I/O" mode of §3.2.
 /// Resident memory is the engine state plus whatever the sink keeps:
 /// `O(n/P)` slot words per rank, not `O(m)` edges.
 ///
 /// # Panics
 ///
-/// Panics on invalid `cfg`/`opts` or `nranks == 0`.
+/// Panics as [`generate`] does.
 ///
 /// # Example
 ///
@@ -330,78 +223,33 @@ where
     S: EdgeSink + Send,
     F: Fn(usize) -> S + Send + Sync,
 {
-    cfg.validate();
-    opts.validate_for(cfg.n);
     let part = partition::build(scheme, cfg.n, nranks);
-    to_stream_outputs(run_general(cfg, &part, opts, make_sink))
+    run_world(cfg, &part, opts, make_sink)
 }
 
-/// Generate with the communication-free engine, streaming each rank's
-/// edges into a sink built by `make_sink(rank)` — the engine3 counterpart
-/// of [`generate_streaming`].
-///
-/// # Panics
-///
-/// Panics on invalid `cfg`/`opts` or `nranks == 0`.
-pub fn generate3_streaming<S, F>(
-    cfg: &PaConfig,
-    scheme: Scheme,
-    nranks: usize,
-    opts: &GenOptions,
-    make_sink: F,
-) -> Vec<StreamRankOutput<S>>
-where
-    S: EdgeSink + Send,
-    F: Fn(usize) -> S + Send + Sync,
-{
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    let part = partition::build(scheme, cfg.n, nranks);
-    to_stream_outputs(run_general3(cfg, &part, opts, make_sink))
-}
-
-/// Generate with Algorithm 3.1 (requires `cfg.x == 1`), streaming each
-/// rank's edges into a sink built by `make_sink(rank)`.
-///
-/// # Panics
-///
-/// Panics on invalid `cfg`/`opts`, `nranks == 0`, or `cfg.x != 1`.
-pub fn generate_x1_streaming<S, F>(
-    cfg: &PaConfig,
-    scheme: Scheme,
-    nranks: usize,
-    opts: &GenOptions,
-    make_sink: F,
-) -> Vec<StreamRankOutput<S>>
-where
-    S: EdgeSink + Send,
-    F: Fn(usize) -> S + Send + Sync,
-{
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    assert_eq!(cfg.x, 1, "generate_x1 implements Algorithm 3.1 (x = 1)");
-    let part: AnyPartition = partition::build(scheme, cfg.n, nranks);
-    to_stream_outputs(run_x1(cfg, &part, opts, make_sink))
-}
-
-/// Run Algorithm 3.2 for **one rank of an external world**, over a
-/// caller-supplied [`Transport`] — the entry point for multi-*process*
-/// backends (`pa-net`'s `TcpTransport`, eventually real MPI), where each
-/// OS process executes exactly one rank and the in-process world
-/// spawning of [`generate_streaming`] does not apply.
+/// Run **one rank of an external world** over a caller-supplied
+/// [`Transport`] — the entry point for multi-*process* backends
+/// (`pa-net`'s `TcpTransport`, eventually real MPI), where each OS
+/// process executes exactly one rank and the in-process world spawning
+/// of [`generate_streaming`] does not apply.
 ///
 /// The rank and world size come from the transport; the partition must
 /// cover `cfg.n` nodes across `comm.nranks()` ranks. Edges stream into
 /// `sink` exactly as in [`generate_streaming`]. The transport is
 /// borrowed, not consumed, so the caller can keep using its collectives
 /// afterwards (stats aggregation, output coordination); read the final
-/// traffic counts from [`Transport::stats`].
+/// traffic counts from [`Transport::stats`]. Under [`Engine::Chain`] the
+/// transport only ever carries the driver's collectives (barriers,
+/// termination counting): it sends zero algorithm messages.
 ///
 /// # Panics
 ///
 /// Panics on invalid `cfg`/`opts`, a partition/transport shape mismatch,
-/// or when `opts.fault_plan` is set (fault injection wraps a transport
-/// whole — apply it outside before calling).
+/// when `opts.fault_plan` is set (fault injection wraps a transport
+/// whole — apply it outside before calling), or when `opts.engine` is
+/// [`Engine::X1`] (Algorithm 3.1 speaks its own two-field messages,
+/// which external transports do not carry; it runs on in-process worlds
+/// only).
 pub fn generate_rank_streaming<P, S, T>(
     cfg: &PaConfig,
     part: &P,
@@ -414,25 +262,7 @@ where
     S: EdgeSink,
     T: Transport<Msg>,
 {
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    assert!(
-        opts.fault_plan.is_none(),
-        "fault injection must wrap the transport before generate_rank_streaming"
-    );
-    assert_eq!(
-        part.num_nodes(),
-        cfg.n,
-        "partition does not cover cfg.n nodes"
-    );
-    assert_eq!(
-        part.nranks(),
-        comm.nranks(),
-        "partition rank count does not match the transport world"
-    );
-    let algo = strategy::General::new(cfg, part, comm.rank(), comm.nranks(), opts, sink);
-    let algo = driver::run(part, cfg.x, opts, comm, algo);
-    algo.into_parts()
+    generate_rank_streaming_recoverable(cfg, part, opts, comm, sink, None, None)
 }
 
 /// [`generate_rank_streaming`] with coordinated checkpoint/restart: when
@@ -466,20 +296,14 @@ where
     S: EdgeSink,
     T: Transport<Msg>,
 {
-    cfg.validate();
-    opts.validate_for(cfg.n);
+    validate_run(cfg, part, opts);
     assert!(
         opts.fault_plan.is_none(),
-        "fault injection must wrap the transport before generate_rank_streaming_recoverable"
+        "fault injection must wrap the transport before generate_rank_streaming"
     );
     assert!(
         (store.is_none() && resume.is_none()) || opts.checkpoint_interval.is_some(),
         "checkpoint store/resume require GenOptions::checkpoint_interval"
-    );
-    assert_eq!(
-        part.num_nodes(),
-        cfg.n,
-        "partition does not cover cfg.n nodes"
     );
     assert_eq!(
         part.nranks(),
@@ -490,149 +314,39 @@ where
     // fresh run must start from clean pages.
     let mut opts = opts.clone();
     opts.store = opts.store.with_resume(resume.is_some());
-    let algo = strategy::General::new(cfg, part, comm.rank(), comm.nranks(), &opts, sink);
-    let algo = driver::run_recoverable(part, cfg.x, &opts, comm, algo, store, resume);
-    algo.into_parts()
+    Msg::run_rank(cfg, part, &opts, comm, sink, store, resume)
 }
 
-/// Run the communication-free engine for **one rank of an external
-/// world** — the engine3 counterpart of [`generate_rank_streaming`]. The
-/// transport only ever carries the driver's collectives (barriers,
-/// termination counting): engine3 sends zero algorithm messages.
-///
-/// # Panics
-///
-/// Panics on invalid `cfg`/`opts`, a partition/transport shape mismatch,
-/// or when `opts.fault_plan` is set (fault injection wraps a transport
-/// whole — apply it outside before calling).
-pub fn generate_rank3_streaming<P, S, T>(
-    cfg: &PaConfig,
-    part: &P,
-    opts: &GenOptions,
-    comm: &mut T,
-    sink: S,
-) -> (S, EngineCounters)
-where
-    P: Partition,
-    S: EdgeSink,
-    T: Transport<Msg>,
-{
-    generate_rank3_streaming_recoverable(cfg, part, opts, comm, sink, None, None)
-}
-
-/// [`generate_rank3_streaming`] with coordinated checkpoint/restart —
-/// the engine3 counterpart of [`generate_rank_streaming_recoverable`],
-/// with the same store/resume protocol and caller obligations.
-///
-/// # Panics
-///
-/// Panics as [`generate_rank_streaming_recoverable`] does.
-pub fn generate_rank3_streaming_recoverable<P, S, T>(
-    cfg: &PaConfig,
-    part: &P,
-    opts: &GenOptions,
-    comm: &mut T,
-    sink: S,
-    store: Option<&CheckpointStore>,
-    resume: Option<&SavedCheckpoint>,
-) -> (S, EngineCounters)
-where
-    P: Partition,
-    S: EdgeSink,
-    T: Transport<Msg>,
-{
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    assert!(
-        opts.fault_plan.is_none(),
-        "fault injection must wrap the transport before generate_rank3_streaming"
-    );
-    assert!(
-        (store.is_none() && resume.is_none()) || opts.checkpoint_interval.is_some(),
-        "checkpoint store/resume require GenOptions::checkpoint_interval"
-    );
-    assert_eq!(
-        part.num_nodes(),
-        cfg.n,
-        "partition does not cover cfg.n nodes"
-    );
-    assert_eq!(
-        part.nranks(),
-        comm.nranks(),
-        "partition rank count does not match the transport world"
-    );
-    // Same paged-store resume discipline as the engine2 entry point.
-    let mut opts = opts.clone();
-    opts.store = opts.store.with_resume(resume.is_some());
-    let algo = strategy::Chain::new(cfg, part, comm.rank(), &opts, sink);
-    let algo = driver::run_recoverable(part, cfg.x, &opts, comm, algo, store, resume);
-    algo.into_parts()
-}
-
-/// Run Algorithm 3.1 (`cfg.x == 1`) for **one rank of an external
-/// world**; the `x = 1` counterpart of [`generate_rank_streaming`].
-///
-/// # Panics
-///
-/// Panics on invalid `cfg`/`opts`, `cfg.x != 1`, a partition/transport
-/// shape mismatch, or when `opts.fault_plan` is set.
-pub fn generate_rank_x1_streaming<P, S, T>(
-    cfg: &PaConfig,
-    part: &P,
-    opts: &GenOptions,
-    comm: &mut T,
-    sink: S,
-) -> (S, EngineCounters)
-where
-    P: Partition,
-    S: EdgeSink,
-    T: Transport<Msg1>,
-{
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    assert_eq!(cfg.x, 1, "generate_x1 implements Algorithm 3.1 (x = 1)");
-    assert!(
-        opts.fault_plan.is_none(),
-        "fault injection must wrap the transport before generate_rank_x1_streaming"
-    );
-    assert_eq!(
-        part.num_nodes(),
-        cfg.n,
-        "partition does not cover cfg.n nodes"
-    );
-    assert_eq!(
-        part.nranks(),
-        comm.nranks(),
-        "partition rank count does not match the transport world"
-    );
-    let algo = strategy::X1::new(cfg, part, comm.rank(), opts, sink);
-    let algo = driver::run(part, cfg.x, opts, comm, algo);
-    algo.into_parts()
-}
-
-/// Generate with Algorithm 3.1 (requires `cfg.x == 1`).
-///
-/// # Panics
-///
-/// Panics on invalid `cfg`/`opts`, `nranks == 0`, or `cfg.x != 1`.
-pub fn generate_x1(
+/// `perf/src/layers.rs` still calls the engine-3 entry points by name and
+/// is frozen between benchmark PRs; the next `benchmark` PR switches it
+/// to `with_engine(Engine::Chain)` and removes these two shims.
+#[doc(hidden)]
+pub fn generate3_streaming<S, F>(
     cfg: &PaConfig,
     scheme: Scheme,
     nranks: usize,
     opts: &GenOptions,
-) -> ParallelOutput {
-    cfg.validate();
-    opts.validate_for(cfg.n);
-    assert_eq!(cfg.x, 1, "generate_x1 implements Algorithm 3.1 (x = 1)");
-    let part: AnyPartition = partition::build(scheme, cfg.n, nranks);
-    let parts = run_x1(cfg, &part, opts, |rank| {
-        EdgeList::with_capacity(part.size_of(rank) as usize)
-    });
-    ParallelOutput {
-        cfg: *cfg,
-        scheme: Some(scheme),
-        ranks: to_rank_outputs(parts),
-    }
+    make_sink: F,
+) -> Vec<StreamRankOutput<S>>
+where
+    S: EdgeSink + Send,
+    F: Fn(usize) -> S + Send + Sync,
+{
+    let opts = opts.clone().with_engine(Engine::Chain);
+    generate_streaming(cfg, scheme, nranks, &opts, make_sink)
+}
+
+/// See [`generate3_streaming`].
+#[doc(hidden)]
+pub fn generate_rank3_streaming<P: Partition, S: EdgeSink, T: Transport<Msg>>(
+    cfg: &PaConfig,
+    part: &P,
+    opts: &GenOptions,
+    comm: &mut T,
+    sink: S,
+) -> (S, EngineCounters) {
+    let opts = opts.clone().with_engine(Engine::Chain);
+    generate_rank_streaming(cfg, part, &opts, comm, sink)
 }
 
 #[cfg(test)]
@@ -649,13 +363,26 @@ mod tests {
         }
     }
 
+    fn engine_opts(engine: Engine) -> GenOptions {
+        opts().with_engine(engine)
+    }
+
+    /// The `x` values worth running `engine` at: Algorithm 3.1 only
+    /// exists for `x = 1`.
+    fn xs_for(engine: Engine) -> &'static [u64] {
+        match engine {
+            Engine::X1 => &[1],
+            Engine::General | Engine::Chain => &[1, 4],
+        }
+    }
+
     #[test]
     fn x1_engine_matches_sequential_copy_model_on_any_world() {
         let cfg = PaConfig::new(3000, 1).with_seed(11);
         let reference = seq::copy_model(&cfg).canonicalized();
         for nranks in [1usize, 2, 3, 7] {
             for scheme in Scheme::ALL {
-                let out = generate_x1(&cfg, scheme, nranks, &opts());
+                let out = generate(&cfg, scheme, nranks, &engine_opts(Engine::X1));
                 assert_eq!(
                     out.edge_list().canonicalized(),
                     reference,
@@ -668,48 +395,38 @@ mod tests {
     #[test]
     fn general_engine_with_x1_matches_algorithm_31() {
         let cfg = PaConfig::new(2000, 1).with_seed(5);
-        let a = generate_x1(&cfg, Scheme::Rrp, 4, &opts());
+        let a = generate(&cfg, Scheme::Rrp, 4, &engine_opts(Engine::X1));
         let b = generate(&cfg, Scheme::Rrp, 4, &opts());
         assert_eq!(a.edge_list().canonicalized(), b.edge_list().canonicalized());
     }
 
     #[test]
     fn paged_store_is_byte_identical_to_resident_for_all_engines() {
-        let cfg = PaConfig::new(3_000, 3).with_seed(11);
         let dir = std::env::temp_dir().join(format!("pa_core_paged_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // A 4 KiB budget over 512-byte pages is far below any rank's F
         // footprint here, so the cache evicts constantly.
-        let paged = GenOptions {
-            store: crate::store::StoreSpec::paged(&dir, 4 * 1024).with_page_bytes(512),
-            ..opts()
-        };
-        for scheme in [Scheme::Rrp, Scheme::Ucp] {
-            assert_eq!(
-                generate(&cfg, scheme, 4, &paged)
-                    .edge_list()
-                    .canonicalized(),
-                generate(&cfg, scheme, 4, &opts())
-                    .edge_list()
-                    .canonicalized(),
-                "engine2, {scheme}"
-            );
-            assert_eq!(
-                generate3(&cfg, scheme, 4, &paged).edge_list(),
-                generate3(&cfg, scheme, 4, &opts()).edge_list(),
-                "engine3, {scheme}"
-            );
+        let store = crate::store::StoreSpec::paged(&dir, 4 * 1024).with_page_bytes(512);
+        for engine in Engine::ALL {
+            for &x in xs_for(engine) {
+                let cfg = PaConfig::new(3_000, x).with_seed(11);
+                let resident = engine_opts(engine);
+                let paged = resident.clone().with_store(store.clone());
+                for scheme in [Scheme::Rrp, Scheme::Ucp] {
+                    let a = generate(&cfg, scheme, 4, &paged).edge_list();
+                    let b = generate(&cfg, scheme, 4, &resident).edge_list();
+                    if engine == Engine::Chain {
+                        // Label-order emission: identical bytes, not just sets.
+                        assert_eq!(a, b, "{engine}, x={x}, {scheme}");
+                    }
+                    assert_eq!(
+                        a.canonicalized(),
+                        b.canonicalized(),
+                        "{engine}, x={x}, {scheme}"
+                    );
+                }
+            }
         }
-        // x = 1 exercises engine1's one-slot-per-node table.
-        let cfg1 = PaConfig::new(2_000, 1).with_seed(5);
-        assert_eq!(
-            generate_x1(&cfg1, Scheme::Rrp, 3, &paged)
-                .edge_list()
-                .canonicalized(),
-            generate_x1(&cfg1, Scheme::Rrp, 3, &opts())
-                .edge_list()
-                .canonicalized(),
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -735,14 +452,25 @@ mod tests {
         assert_eq!(out.ranks[0].comm.msgs_recv, 0);
     }
 
-    #[test]
-    fn x1_streaming_counts_match_materialized_run() {
-        let cfg = PaConfig::new(1200, 1).with_seed(7);
-        let outs = generate_x1_streaming(&cfg, Scheme::Rrp, 3, &opts(), |_| CountSink::default());
+    /// A streamed run must deliver exactly the materialized run's edges.
+    fn streaming_counts_match_materialized_run(engine: Engine, x: u64, scheme: Scheme) {
+        let cfg = PaConfig::new(1_500, x).with_seed(7);
+        let o = engine_opts(engine);
+        let outs = generate_streaming(&cfg, scheme, 3, &o, |_| CountSink::default());
         let total: u64 = outs.iter().map(|o| o.sink.edges).sum();
         assert_eq!(total, cfg.expected_edges());
-        let materialized = generate_x1(&cfg, Scheme::Rrp, 3, &opts());
+        let materialized = generate(&cfg, scheme, 3, &o);
         assert_eq!(materialized.total_edges() as u64, total);
+    }
+
+    #[test]
+    fn x1_streaming_counts_match_materialized_run() {
+        streaming_counts_match_materialized_run(Engine::X1, 1, Scheme::Rrp);
+    }
+
+    #[test]
+    fn engine3_streaming_counts_match_materialized_run() {
+        streaming_counts_match_materialized_run(Engine::Chain, 2, Scheme::Lcp);
     }
 
     #[test]
@@ -833,7 +561,38 @@ mod tests {
     #[should_panic(expected = "Algorithm 3.1")]
     fn generate_x1_rejects_larger_x() {
         let cfg = PaConfig::new(10, 2);
-        let _ = generate_x1(&cfg, Scheme::Ucp, 2, &opts());
+        let _ = generate(&cfg, Scheme::Ucp, 2, &engine_opts(Engine::X1));
+    }
+
+    #[test]
+    #[should_panic(expected = "Engine::X1")]
+    fn rank_entry_point_rejects_engine_x1_by_name() {
+        let cfg = PaConfig::new(100, 1).with_seed(1);
+        let part = partition::build(Scheme::Ucp, cfg.n, 1);
+        let mut t = LoopbackTransport::new();
+        let o = engine_opts(Engine::X1);
+        let _ = generate_rank_streaming(&cfg, &part, &o, &mut t, EdgeList::new());
+    }
+
+    #[test]
+    fn perf_shims_equal_with_engine_chain() {
+        // Engine 3 emits in label order, so equality is exact, per rank.
+        let cfg = PaConfig::new(1_500, 3).with_seed(13);
+        let chain = engine_opts(Engine::Chain);
+        let lists = |outs: Vec<StreamRankOutput<EdgeList>>| -> Vec<EdgeList> {
+            outs.into_iter().map(|o| o.sink).collect()
+        };
+        // The shims override whatever engine the options name.
+        let via_shim = generate3_streaming(&cfg, Scheme::Rrp, 3, &opts(), |_| EdgeList::new());
+        let direct = generate_streaming(&cfg, Scheme::Rrp, 3, &chain, |_| EdgeList::new());
+        let direct = lists(direct);
+        assert_eq!(lists(via_shim), direct);
+
+        let part = partition::build(Scheme::Rrp, cfg.n, 3);
+        let via_rank_shim = World::new(3).run(|mut comm| {
+            generate_rank3_streaming(&cfg, &part, &opts(), &mut comm, EdgeList::new()).0
+        });
+        assert_eq!(via_rank_shim, direct);
     }
 
     #[test]
@@ -842,7 +601,7 @@ mod tests {
         let reference = seq::copy_model(&cfg).canonicalized();
         for nranks in [1usize, 2, 4, 8] {
             for scheme in Scheme::EXTENDED {
-                let out = generate3(&cfg, scheme, nranks, &opts());
+                let out = generate(&cfg, scheme, nranks, &engine_opts(Engine::Chain));
                 assert_eq!(
                     out.edge_list().canonicalized(),
                     reference,
@@ -855,7 +614,7 @@ mod tests {
     #[test]
     fn engine3_sends_zero_algorithm_messages() {
         let cfg = PaConfig::new(3_000, 4).with_seed(8);
-        let out = generate3(&cfg, Scheme::Rrp, 8, &opts());
+        let out = generate(&cfg, Scheme::Rrp, 8, &engine_opts(Engine::Chain));
         for r in &out.ranks {
             assert_eq!(
                 r.comm.msgs_sent, 0,
@@ -881,8 +640,9 @@ mod tests {
         // must yield the identical edge set.
         let cfg = PaConfig::new(2_000, 3).with_seed(19);
         let reference = seq::copy_model(&cfg).canonicalized();
+        let chain = engine_opts(Engine::Chain);
         for memo in [0u64, 1, 16, 1 << 20] {
-            let out = generate3(&cfg, Scheme::Ucp, 4, &opts().with_chain_memo(memo));
+            let out = generate(&cfg, Scheme::Ucp, 4, &chain.clone().with_chain_memo(memo));
             assert_eq!(
                 out.edge_list().canonicalized(),
                 reference,
@@ -890,37 +650,26 @@ mod tests {
             );
         }
         // A warm memo must actually be hit at these sizes.
-        let out = generate3(&cfg, Scheme::Ucp, 4, &opts());
+        let out = generate(&cfg, Scheme::Ucp, 4, &chain);
         assert!(out.total_counters().chain_memo_hits > 0, "memo never hit");
     }
 
-    #[test]
-    fn engine3_checkpoint_resume_reproduces_the_uninterrupted_run() {
+    /// Run a checkpointing 3-rank world to completion, then gang-restart
+    /// it from the older of the two surviving epochs: each rank reloads
+    /// its engine state, hands in a sink truncated to the saved edge
+    /// watermark, and replays the remaining epochs. The stitched output
+    /// must equal the uninterrupted run's and the sequential oracle.
+    fn checkpoint_resume_round_trip(engine: Engine, tag: &str) {
         let cfg = PaConfig::new(2_400, 3).with_seed(29);
-        let interval = 500u64;
-        let epoch_opts = GenOptions {
-            checkpoint_interval: Some(interval),
-            ..opts()
-        };
+        let epoch_opts = engine_opts(engine).with_checkpoint_interval(500);
         let part = partition::build(Scheme::Rrp, cfg.n, 3);
-        let dir = std::env::temp_dir().join(format!("pa_core_resume3_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("pa_core_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let meta = CheckpointMeta {
-            world: 3,
-            n: cfg.n,
-            x: cfg.x,
-            p_bits: cfg.p.to_bits(),
-            seed: cfg.seed,
-            scheme_id: 2,
-            engine_id: 3,
-            model_id: 0,
-            interval,
-            alpha_bits: 0,
-        };
-        let ckpt_dir = dir.clone();
+        let meta = CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &epoch_opts);
+        let open = |rank: usize| CheckpointStore::new(&dir, rank as u32, meta).unwrap();
         let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
-            let store = CheckpointStore::new(&ckpt_dir, comm.rank() as u32, meta).unwrap();
-            generate_rank3_streaming_recoverable(
+            let store = open(comm.rank());
+            generate_rank_streaming_recoverable(
                 &cfg,
                 &part,
                 &epoch_opts,
@@ -935,19 +684,16 @@ mod tests {
         assert_eq!(
             reference,
             seq::copy_model(&cfg).canonicalized(),
-            "checkpointed engine3 run drifted from the sequential oracle"
+            "checkpointed {engine} run drifted from the sequential oracle"
         );
 
-        let ckpt_dir = dir.clone();
         let resumed: Vec<EdgeList> = World::new(3).run(|mut comm| {
             let rank = comm.rank();
-            let store = CheckpointStore::new(&ckpt_dir, rank as u32, meta).unwrap();
+            let store = open(rank);
             let saved = store.load(store.latest().unwrap() - 1).unwrap();
-            let mut sink = EdgeList::new();
-            for &(u, v) in &full[rank].as_slice()[..saved.edges as usize] {
-                sink.push(u, v);
-            }
-            generate_rank3_streaming_recoverable(
+            let prefix = &full[rank].as_slice()[..saved.edges as usize];
+            let sink = EdgeList::from_vec(prefix.to_vec());
+            generate_rank_streaming_recoverable(
                 &cfg,
                 &part,
                 &epoch_opts,
@@ -963,11 +709,13 @@ mod tests {
     }
 
     #[test]
-    fn engine3_streaming_counts_match_materialized_run() {
-        let cfg = PaConfig::new(1_500, 2).with_seed(7);
-        let outs = generate3_streaming(&cfg, Scheme::Lcp, 3, &opts(), |_| CountSink::default());
-        let total: u64 = outs.iter().map(|o| o.sink.edges).sum();
-        assert_eq!(total, cfg.expected_edges());
+    fn checkpoint_resume_reproduces_the_uninterrupted_run() {
+        checkpoint_resume_round_trip(Engine::General, "resume");
+    }
+
+    #[test]
+    fn engine3_checkpoint_resume_reproduces_the_uninterrupted_run() {
+        checkpoint_resume_round_trip(Engine::Chain, "resume3");
     }
 
     #[test]
@@ -984,97 +732,22 @@ mod tests {
     #[test]
     fn epoch_boundaries_do_not_change_the_output() {
         // Checkpoint epochs only add barriers at label cuts; the generated
-        // network must stay bit-identical for any interval, both engines.
-        let cfg = PaConfig::new(2000, 4).with_seed(19);
-        let reference = generate(&cfg, Scheme::Rrp, 3, &opts())
-            .edge_list()
-            .canonicalized();
-        for interval in [1u64, 257, 1999, 2000, 5000] {
-            let epoch_opts = GenOptions {
-                checkpoint_interval: Some(interval),
-                ..opts()
-            };
-            let out = generate(&cfg, Scheme::Rrp, 3, &epoch_opts);
-            assert_eq!(
-                out.edge_list().canonicalized(),
-                reference,
-                "interval {interval}"
-            );
-        }
-        let cfg1 = PaConfig::new(1500, 1).with_seed(19);
-        let reference1 = seq::copy_model(&cfg1).canonicalized();
-        let epoch_opts = GenOptions {
-            checkpoint_interval: Some(333),
-            ..opts()
-        };
-        let out = generate_x1(&cfg1, Scheme::Lcp, 3, &epoch_opts);
-        assert_eq!(out.edge_list().canonicalized(), reference1);
-    }
-
-    #[test]
-    fn checkpoint_resume_reproduces_the_uninterrupted_run() {
-        let cfg = PaConfig::new(2400, 3).with_seed(29);
-        let interval = 500u64;
-        let epoch_opts = GenOptions {
-            checkpoint_interval: Some(interval),
-            ..opts()
-        };
-        let part = partition::build(Scheme::Rrp, cfg.n, 3);
-        let dir = std::env::temp_dir().join(format!("pa_core_resume_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let meta = CheckpointMeta {
-            world: 3,
-            n: cfg.n,
-            x: cfg.x,
-            p_bits: cfg.p.to_bits(),
-            seed: cfg.seed,
-            scheme_id: 2,
-            engine_id: 2,
-            model_id: 0,
-            interval,
-            alpha_bits: 0,
-        };
-        let ckpt_dir = dir.clone();
-        let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
-            let store = CheckpointStore::new(&ckpt_dir, comm.rank() as u32, meta).unwrap();
-            generate_rank_streaming_recoverable(
-                &cfg,
-                &part,
-                &epoch_opts,
-                &mut comm,
-                EdgeList::new(),
-                Some(&store),
-                None,
-            )
-            .0
-        });
-        let reference = EdgeList::concat(full.clone()).canonicalized();
-
-        // Gang-restart from the older of the two surviving epochs: each
-        // rank reloads its engine state, hands in a sink truncated to the
-        // saved edge watermark, and replays the remaining epochs.
-        let ckpt_dir = dir.clone();
-        let resumed: Vec<EdgeList> = World::new(3).run(|mut comm| {
-            let rank = comm.rank();
-            let store = CheckpointStore::new(&ckpt_dir, rank as u32, meta).unwrap();
-            let saved = store.load(store.latest().unwrap() - 1).unwrap();
-            let mut sink = EdgeList::new();
-            for &(u, v) in &full[rank].as_slice()[..saved.edges as usize] {
-                sink.push(u, v);
+        // network must stay bit-identical for any interval, every engine.
+        for engine in Engine::ALL {
+            for &x in xs_for(engine) {
+                let cfg = PaConfig::new(2000, x).with_seed(19);
+                let reference = seq::copy_model(&cfg).canonicalized();
+                for interval in [1u64, 257, 1999, 2000, 5000] {
+                    let epoch_opts = engine_opts(engine).with_checkpoint_interval(interval);
+                    let out = generate(&cfg, Scheme::Rrp, 3, &epoch_opts);
+                    assert_eq!(
+                        out.edge_list().canonicalized(),
+                        reference,
+                        "{engine}, x={x}, interval {interval}"
+                    );
+                }
             }
-            generate_rank_streaming_recoverable(
-                &cfg,
-                &part,
-                &epoch_opts,
-                &mut comm,
-                sink,
-                None,
-                Some(&saved),
-            )
-            .0
-        });
-        assert_eq!(EdgeList::concat(resumed).canonicalized(), reference);
-        let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1083,18 +756,7 @@ mod tests {
         let cfg = PaConfig::new(100, 2).with_seed(1);
         let part = partition::build(Scheme::Ucp, cfg.n, 1);
         let dir = std::env::temp_dir().join(format!("pa_core_noint_{}", std::process::id()));
-        let meta = CheckpointMeta {
-            world: 1,
-            n: cfg.n,
-            x: cfg.x,
-            p_bits: cfg.p.to_bits(),
-            seed: cfg.seed,
-            scheme_id: 0,
-            engine_id: 2,
-            model_id: 0,
-            interval: 0,
-            alpha_bits: 0,
-        };
+        let meta = CheckpointMeta::for_run(&cfg, Scheme::Ucp, 1, &opts());
         let store = CheckpointStore::new(&dir, 0, meta).unwrap();
         let mut t = LoopbackTransport::new();
         let _ = generate_rank_streaming_recoverable(
@@ -1111,23 +773,17 @@ mod tests {
     #[test]
     fn rank_entry_points_match_world_runs() {
         // Driving each rank of a threaded world through the external-rank
-        // entry points must reproduce the internally spawned run exactly —
+        // entry point must reproduce the internally spawned run exactly —
         // this is the API contract the multi-process TCP backend builds on.
         let cfg = PaConfig::new(2000, 4).with_seed(21);
         let reference = seq::copy_model(&cfg).canonicalized();
         let part = partition::build(Scheme::Rrp, cfg.n, 3);
-        let shards = World::new(3).run(|mut comm| {
-            generate_rank_streaming(&cfg, &part, &opts(), &mut comm, EdgeList::new()).0
-        });
-        let merged = EdgeList::concat(shards).canonicalized();
-        assert_eq!(merged, reference);
-
-        let cfg1 = PaConfig::new(2000, 1).with_seed(21);
-        let reference1 = seq::copy_model(&cfg1).canonicalized();
-        let part1 = partition::build(Scheme::Lcp, cfg1.n, 3);
-        let shards1 = World::new(3).run(|mut comm| {
-            generate_rank_x1_streaming(&cfg1, &part1, &opts(), &mut comm, EdgeList::new()).0
-        });
-        assert_eq!(EdgeList::concat(shards1).canonicalized(), reference1);
+        for engine in [Engine::General, Engine::Chain] {
+            let o = engine_opts(engine);
+            let shards = World::new(3).run(|mut comm| {
+                generate_rank_streaming(&cfg, &part, &o, &mut comm, EdgeList::new()).0
+            });
+            assert_eq!(EdgeList::concat(shards).canonicalized(), reference);
+        }
     }
 }

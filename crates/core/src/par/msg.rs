@@ -1,8 +1,10 @@
 //! Message types exchanged by the parallel engines.
 //!
-//! Both types implement [`pa_mpsim::Wire`] so byte-stream transports
-//! (the TCP backend) can carry them: a one-byte variant tag followed by
-//! fixed little-endian fields, identical on every host.
+//! [`Msg`] implements [`pa_mpsim::Wire`] so byte-stream transports (the
+//! TCP backend) can carry it: a one-byte variant tag followed by fixed
+//! little-endian fields, identical on every host. [`Msg1`] only ever
+//! crosses in-process channels (Algorithm 3.1 runs on in-process worlds
+//! only), so it has no byte encoding.
 
 use crate::Node;
 use pa_mpsim::wire::{get_u32, get_u64, get_u8, Wire};
@@ -80,37 +82,6 @@ pub enum Msg {
     },
 }
 
-impl Wire for Msg1 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            Msg1::Request { t, k } => {
-                out.push(0);
-                out.extend_from_slice(&t.to_le_bytes());
-                out.extend_from_slice(&k.to_le_bytes());
-            }
-            Msg1::Resolved { t, v } => {
-                out.push(1);
-                out.extend_from_slice(&t.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        match get_u8(input)? {
-            0 => Some(Msg1::Request {
-                t: get_u64(input)?,
-                k: get_u64(input)?,
-            }),
-            1 => Some(Msg1::Resolved {
-                t: get_u64(input)?,
-                v: get_u64(input)?,
-            }),
-            _ => None,
-        }
-    }
-}
-
 impl Wire for Msg {
     fn encode(&self, out: &mut Vec<u8>) {
         match *self {
@@ -167,21 +138,16 @@ impl Wire for Msg {
 mod tests {
     use super::*;
 
-    fn round_trip<T: Wire + PartialEq + std::fmt::Debug + Copy>(m: T) {
+    fn round_trip(m: Msg) {
         let mut buf = Vec::new();
         m.encode(&mut buf);
         let mut cursor = buf.as_slice();
-        assert_eq!(T::decode(&mut cursor), Some(m));
+        assert_eq!(Msg::decode(&mut cursor), Some(m));
         assert!(cursor.is_empty(), "decode left bytes behind");
     }
 
     #[test]
     fn wire_round_trips_every_variant() {
-        round_trip(Msg1::Request {
-            t: 7,
-            k: u64::MAX - 1,
-        });
-        round_trip(Msg1::Resolved { t: 0, v: 3 });
         round_trip(Msg::Request {
             t: 1 << 40,
             e: 3,
@@ -216,8 +182,6 @@ mod tests {
         let bad = [9u8, 0, 0, 0, 0, 0, 0, 0, 0];
         let mut cursor = &bad[..];
         assert_eq!(Msg::decode(&mut cursor), None, "unknown tag accepted");
-        let mut cursor = &bad[..];
-        assert_eq!(Msg1::decode(&mut cursor), None, "unknown tag accepted");
     }
 
     #[test]

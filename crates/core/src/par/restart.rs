@@ -40,8 +40,8 @@ use super::checkpoint::{read_raw_checkpoint, CheckpointMeta, SavedCheckpoint};
 use super::output::EngineCounters;
 use super::sink::EdgeSink;
 use crate::partition::{self, AnyPartition, Partition, Scheme};
-use crate::store::{fnv1a_bytes, page_path, read_page_file, FNV_OFFSET, PAGED_PAYLOAD_MARK};
-use crate::{Node, NILL};
+use crate::store::{page_path, read_page_file, slots_fnv, PAGED_PAYLOAD_MARK};
+use crate::{Engine, Node, NILL};
 
 /// A saved world's committed state at its newest common checkpoint cut,
 /// re-partitionable onto any new rank count.
@@ -97,7 +97,7 @@ impl WorldCheckpoint {
         let world = meta.world as usize;
         let scheme = Scheme::from_id(meta.scheme_id)
             .ok_or_else(|| format!("unknown partition scheme id {}", meta.scheme_id))?;
-        if !matches!(meta.engine_id, 1..=3) {
+        if Engine::from_id(meta.engine_id).is_none() {
             return Err(format!("unknown engine id {}", meta.engine_id));
         }
         // The newest epoch every rank holds. Keep-last-two plus the
@@ -181,10 +181,10 @@ impl WorldCheckpoint {
 
     /// Synthesize new rank `rank`'s resume payload over `new_part` — the
     /// resident checkpoint format, which every engine's `restore`
-    /// accepts into either store backend. `engine_id` names the **new**
+    /// accepts into either store backend. `engine` names the **new**
     /// run's engine (it appends the general engine's empty hub section;
     /// a restored hub rebuilds through the request path).
-    pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize, engine_id: u8) -> Vec<u8> {
+    pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize, engine: Engine) -> Vec<u8> {
         let x = self.meta.x;
         let cnt = new_part.local_count_below(rank, self.hi);
         let mut out = Vec::with_capacity(8 * (1 + (cnt * x) as usize));
@@ -203,7 +203,7 @@ impl WorldCheckpoint {
             ..Default::default()
         }
         .encode(&mut out);
-        if engine_id == 2 {
+        if engine == Engine::General {
             // Empty hub section: the fresh replica plus request-path
             // fallback below the committed base is always correct.
             out.extend_from_slice(&0u64.to_le_bytes());
@@ -303,11 +303,7 @@ fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result
             slots.extend_from_slice(&data);
         }
         slots.truncate(want as usize);
-        let mut h = FNV_OFFSET;
-        for &v in &slots {
-            h = fnv1a_bytes(h, &v.to_le_bytes());
-        }
-        if h != fnv {
+        if slots_fnv(slots.iter().copied()) != fnv {
             return Err(format!(
                 "rank {rank}: page files do not match the checkpoint's \
                  committed-prefix checksum"
@@ -332,9 +328,7 @@ fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::{
-        generate_rank3_streaming_recoverable, generate_rank_streaming_recoverable, CheckpointStore,
-    };
+    use crate::par::{generate_rank_streaming_recoverable, CheckpointStore};
     use crate::store::StoreSpec;
     use crate::{GenOptions, PaConfig};
     use pa_graph::EdgeList;
@@ -347,8 +341,9 @@ mod tests {
         dir
     }
 
-    fn opts(interval: u64) -> GenOptions {
+    fn opts(engine: Engine, interval: u64) -> GenOptions {
         GenOptions {
+            engine,
             buffer_capacity: 16,
             service_interval: 8,
             checkpoint_interval: Some(interval),
@@ -356,87 +351,56 @@ mod tests {
         }
     }
 
-    fn meta(
-        cfg: &PaConfig,
-        world: u32,
-        scheme: Scheme,
-        engine: u8,
-        interval: u64,
-    ) -> CheckpointMeta {
-        CheckpointMeta {
-            world,
-            n: cfg.n,
-            x: cfg.x,
-            p_bits: cfg.p.to_bits(),
-            seed: cfg.seed,
-            scheme_id: scheme.id(),
-            engine_id: engine,
-            model_id: 0,
-            interval,
-            alpha_bits: 0,
-        }
-    }
-
-    /// Run a full engine3 world of `p_old` ranks, leaving its last two
-    /// checkpoint epochs (and, when `store` is paged, its page files)
-    /// behind in `dir`.
-    fn save_world3(
+    /// Run a full world of `p_old` ranks under `run_opts`; with `dir`
+    /// set it leaves its last two checkpoint epochs (and, when the
+    /// store is paged, its page files) behind there.
+    fn run_world(
         cfg: &PaConfig,
         scheme: Scheme,
         p_old: usize,
-        interval: u64,
-        dir: &Path,
-        store: &StoreSpec,
+        run_opts: &GenOptions,
+        dir: Option<&Path>,
     ) -> Vec<EdgeList> {
         let part = partition::build(scheme, cfg.n, p_old);
-        let m = meta(cfg, p_old as u32, scheme, 3, interval);
-        let run_opts = GenOptions {
-            store: store.clone(),
-            ..opts(interval)
-        };
-        let dir = dir.to_path_buf();
+        let m = CheckpointMeta::for_run(cfg, scheme, p_old, run_opts);
         World::new(p_old).run(move |mut comm| {
-            let ckpt = CheckpointStore::new(&dir, comm.rank() as u32, m).unwrap();
-            generate_rank3_streaming_recoverable(
+            let ckpt = dir.map(|d| CheckpointStore::new(d, comm.rank() as u32, m).unwrap());
+            generate_rank_streaming_recoverable(
                 cfg,
                 &part,
-                &run_opts,
+                run_opts,
                 &mut comm,
                 EdgeList::new(),
-                Some(&ckpt),
+                ckpt.as_ref(),
                 None,
             )
             .0
         })
     }
 
-    /// Restart the world in `dir` on `p_new` engine3 ranks and return the
-    /// per-rank edge lists (prefix replay + continued generation).
-    fn restart3(
+    /// Restart the world in `dir` on `p_new` ranks under `run_opts` and
+    /// return the per-rank edge lists (prefix replay + continued
+    /// generation).
+    fn restart(
         cfg: &PaConfig,
         scheme: Scheme,
         p_new: usize,
-        interval: u64,
+        run_opts: &GenOptions,
         dir: &Path,
-        store: &StoreSpec,
     ) -> Vec<EdgeList> {
         let world = WorldCheckpoint::load(dir).expect("world loads");
         assert_eq!(world.meta().n, cfg.n);
         let part = partition::build(scheme, cfg.n, p_new);
-        let run_opts = GenOptions {
-            store: store.clone(),
-            ..opts(interval)
-        };
         World::new(p_new).run(move |mut comm| {
             let rank = comm.rank();
             let mut sink = EdgeList::new();
             let edges = world.write_part_prefix(&part, rank, &mut sink);
-            let payload = world.payload_for(&part, rank, 3);
+            let payload = world.payload_for(&part, rank, run_opts.engine);
             let saved = world.resume_point(payload, edges, 0);
-            generate_rank3_streaming_recoverable(
+            generate_rank_streaming_recoverable(
                 cfg,
                 &part,
-                &run_opts,
+                run_opts,
                 &mut comm,
                 sink,
                 None,
@@ -449,36 +413,14 @@ mod tests {
     #[test]
     fn engine3_world_restarts_on_smaller_and_larger_rank_counts() {
         let cfg = PaConfig::new(2_400, 3).with_seed(29);
-        let interval = 500;
+        let o = opts(Engine::Chain, 500);
         let dir = scratch("resize3");
-        save_world3(&cfg, Scheme::Rrp, 4, interval, &dir, &StoreSpec::Resident);
+        run_world(&cfg, Scheme::Rrp, 4, &o, Some(&dir));
         for p_new in [2usize, 8] {
             // Byte-identity oracle: a fresh never-killed P_new run. The
             // per-rank part bytes must match exactly, not just as sets.
-            let fresh = {
-                let part = partition::build(Scheme::Rrp, cfg.n, p_new);
-                let o = opts(interval);
-                World::new(p_new).run(move |mut comm| {
-                    generate_rank3_streaming_recoverable(
-                        &cfg,
-                        &part,
-                        &o,
-                        &mut comm,
-                        EdgeList::new(),
-                        None,
-                        None,
-                    )
-                    .0
-                })
-            };
-            let restarted = restart3(
-                &cfg,
-                Scheme::Rrp,
-                p_new,
-                interval,
-                &dir,
-                &StoreSpec::Resident,
-            );
+            let fresh = run_world(&cfg, Scheme::Rrp, p_new, &o, None);
+            let restarted = restart(&cfg, Scheme::Rrp, p_new, &o, &dir);
             assert_eq!(
                 restarted, fresh,
                 "P=4 -> P={p_new} restart must be byte-identical"
@@ -490,29 +432,20 @@ mod tests {
     #[test]
     fn paged_world_restarts_from_its_page_files() {
         let cfg = PaConfig::new(2_000, 2).with_seed(7);
-        let interval = 400;
+        let o = opts(Engine::Chain, 400);
         let dir = scratch("paged_resize");
         // The old world spills its F tables into the checkpoint dir.
         let paged = StoreSpec::paged(&dir, 2 * 1024).with_page_bytes(256);
-        save_world3(&cfg, Scheme::Rrp, 4, interval, &dir, &paged);
-        let fresh = {
-            let part = partition::build(Scheme::Rrp, cfg.n, 2);
-            let o = opts(interval);
-            World::new(2).run(move |mut comm| {
-                generate_rank3_streaming_recoverable(
-                    &cfg,
-                    &part,
-                    &o,
-                    &mut comm,
-                    EdgeList::new(),
-                    None,
-                    None,
-                )
-                .0
-            })
-        };
+        run_world(
+            &cfg,
+            Scheme::Rrp,
+            4,
+            &o.clone().with_store(paged),
+            Some(&dir),
+        );
+        let fresh = run_world(&cfg, Scheme::Rrp, 2, &o, None);
         // Restart reads F from page files; the new run runs resident.
-        let restarted = restart3(&cfg, Scheme::Rrp, 2, interval, &dir, &StoreSpec::Resident);
+        let restarted = restart(&cfg, Scheme::Rrp, 2, &o, &dir);
         assert_eq!(restarted, fresh);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -523,51 +456,12 @@ mod tests {
         // rank count: the committed F values are engine-independent, so
         // the restarted edge set must equal the sequential oracle's.
         let cfg = PaConfig::new(2_400, 3).with_seed(11);
-        let interval = 500;
+        let o = opts(Engine::General, 500);
         let dir = scratch("cross2");
-        let p_old = 3usize;
-        let scheme_old = Scheme::Lcp;
-        let part_old = partition::build(scheme_old, cfg.n, p_old);
-        let m = meta(&cfg, p_old as u32, scheme_old, 2, interval);
-        {
-            let dir = dir.clone();
-            let o = opts(interval);
-            World::new(p_old).run(move |mut comm| {
-                let ckpt = CheckpointStore::new(&dir, comm.rank() as u32, m).unwrap();
-                generate_rank_streaming_recoverable(
-                    &cfg,
-                    &part_old,
-                    &o,
-                    &mut comm,
-                    EdgeList::new(),
-                    Some(&ckpt),
-                    None,
-                )
-                .0
-            });
-        }
+        run_world(&cfg, Scheme::Lcp, 3, &o, Some(&dir));
         let world = WorldCheckpoint::load(&dir).expect("world loads");
-        assert_eq!(world.meta().world, p_old as u32);
-        let p_new = 2usize;
-        let part_new = partition::build(Scheme::Rrp, cfg.n, p_new);
-        let o = opts(interval);
-        let restarted: Vec<EdgeList> = World::new(p_new).run(move |mut comm| {
-            let rank = comm.rank();
-            let mut sink = EdgeList::new();
-            let edges = world.write_part_prefix(&part_new, rank, &mut sink);
-            let payload = world.payload_for(&part_new, rank, 2);
-            let saved = world.resume_point(payload, edges, 0);
-            generate_rank_streaming_recoverable(
-                &cfg,
-                &part_new,
-                &o,
-                &mut comm,
-                sink,
-                None,
-                Some(&saved),
-            )
-            .0
-        });
+        assert_eq!(world.meta().world, 3);
+        let restarted = restart(&cfg, Scheme::Rrp, 2, &o, &dir);
         assert_eq!(
             EdgeList::concat(restarted).canonicalized(),
             crate::seq::copy_model(&cfg).canonicalized(),
@@ -579,9 +473,9 @@ mod tests {
     #[test]
     fn load_rejects_missing_ranks_and_mixed_identities() {
         let cfg = PaConfig::new(1_200, 2).with_seed(3);
-        let interval = 300;
+        let o = opts(Engine::Chain, 300);
         let dir = scratch("reject");
-        save_world3(&cfg, Scheme::Rrp, 2, interval, &dir, &StoreSpec::Resident);
+        run_world(&cfg, Scheme::Rrp, 2, &o, Some(&dir));
         // Remove every checkpoint of rank 1: the load must name it.
         for entry in fs::read_dir(&dir).unwrap().flatten() {
             if entry.file_name().to_string_lossy().starts_with("rank1.") {
@@ -594,10 +488,10 @@ mod tests {
         // files must not collide with the first world's names (same
         // epoch grid ⇒ same `rank{r}.epoch{e}.ckpt`), so plant one under
         // a foreign name: the loader reads identity from headers.
-        save_world3(&cfg, Scheme::Rrp, 2, interval, &dir, &StoreSpec::Resident);
+        run_world(&cfg, Scheme::Rrp, 2, &o, Some(&dir));
         let cfg2 = PaConfig::new(1_200, 2).with_seed(4);
         let dir2 = scratch("reject_other");
-        save_world3(&cfg2, Scheme::Rrp, 2, interval, &dir2, &StoreSpec::Resident);
+        run_world(&cfg2, Scheme::Rrp, 2, &o, Some(&dir2));
         let foreign = fs::read_dir(&dir2)
             .unwrap()
             .flatten()

@@ -24,7 +24,7 @@ use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::store::{self, AnyTable, NodeTable};
-use crate::{GenOptions, Model, Node, PaConfig, NILL};
+use crate::{Engine, GenOptions, Model, Node, PaConfig, NILL};
 
 #[derive(Debug, Clone, Copy)]
 enum Waiter {
@@ -54,7 +54,7 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
         opts: &GenOptions,
         sink: S,
     ) -> Self {
-        assert_eq!(cfg.x, 1, "Algorithm 3.1 requires x = 1");
+        debug_assert_eq!(Engine::X1.check(cfg.x), Ok(()));
         let size = part.size_of(rank);
         let f = AnyTable::build(&opts.store, rank, "f", size, NILL)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));

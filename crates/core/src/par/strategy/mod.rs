@@ -33,17 +33,87 @@ mod engine3;
 mod hub;
 mod waiters;
 
-pub(super) use engine1::X1;
-pub(super) use engine2::General;
-pub(super) use engine3::Chain;
+use engine1::X1;
+use engine2::General;
+use engine3::Chain;
 
-use super::driver::Net;
+use super::checkpoint::{CheckpointStore, SavedCheckpoint};
+use super::driver::{self, Net};
+use super::msg::{Msg, Msg1};
+use super::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
-use crate::Node;
+use crate::{Engine, GenOptions, Node, PaConfig};
 use pa_mpsim::Transport;
 
-/// The algorithm-specific half of an engine; [`super::driver::run`]
+/// A wire vocabulary and the engines that speak it.
+///
+/// [`Protocol::run_rank`] is the one place an [`Engine`] value becomes a
+/// running strategy: it builds the strategy `opts.engine` names for this
+/// rank, drives it to global quiescence over `comm` (checkpointing into
+/// `store` and resuming from `resume` as [`driver::run`] describes) and
+/// returns the sink and counters. [`Msg`] carries Algorithm 3.2 and the
+/// communication-free engine (whose transport only ever sees the
+/// driver's collectives); [`Msg1`] carries Algorithm 3.1's two-field
+/// protocol.
+pub(super) trait Protocol: Clone + Send + Sized + 'static {
+    fn run_rank<P: Partition, S: EdgeSink, T: Transport<Self>>(
+        cfg: &PaConfig,
+        part: &P,
+        opts: &GenOptions,
+        comm: &mut T,
+        sink: S,
+        store: Option<&CheckpointStore>,
+        resume: Option<&SavedCheckpoint>,
+    ) -> (S, EngineCounters);
+}
+
+impl Protocol for Msg1 {
+    fn run_rank<P: Partition, S: EdgeSink, T: Transport<Self>>(
+        cfg: &PaConfig,
+        part: &P,
+        opts: &GenOptions,
+        comm: &mut T,
+        sink: S,
+        store: Option<&CheckpointStore>,
+        resume: Option<&SavedCheckpoint>,
+    ) -> (S, EngineCounters) {
+        assert_eq!(opts.engine, Engine::X1, "Msg1 carries only Engine::X1");
+        let algo = X1::new(cfg, part, comm.rank(), opts, sink);
+        driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+    }
+}
+
+impl Protocol for Msg {
+    fn run_rank<P: Partition, S: EdgeSink, T: Transport<Self>>(
+        cfg: &PaConfig,
+        part: &P,
+        opts: &GenOptions,
+        comm: &mut T,
+        sink: S,
+        store: Option<&CheckpointStore>,
+        resume: Option<&SavedCheckpoint>,
+    ) -> (S, EngineCounters) {
+        let (rank, nranks) = (comm.rank(), comm.nranks());
+        match opts.engine {
+            Engine::X1 => panic!(
+                "Engine::X1 (Algorithm 3.1) speaks the two-field Msg1 protocol and runs on \
+                 in-process worlds only (par::generate / par::generate_streaming); \
+                 use Engine::General or Engine::Chain over an external transport"
+            ),
+            Engine::General => {
+                let algo = General::new(cfg, part, rank, nranks, opts, sink);
+                driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+            }
+            Engine::Chain => {
+                let algo = Chain::new(cfg, part, rank, opts, sink);
+                driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+            }
+        }
+    }
+}
+
+/// The algorithm-specific half of an engine; [`driver::run`]
 /// supplies the loop.
 ///
 /// Hook order per rank and per epoch `[lo, hi)`:

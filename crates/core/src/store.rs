@@ -37,6 +37,7 @@
 //! epoch's cut — the prefix checksum re-verified on restore
 //! (`read_table_prefix`) is exactly the torn-page detector.
 
+use pa_graph::io::Fnv1a;
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
@@ -58,18 +59,15 @@ pub const DEFAULT_PAGE_BYTES: usize = 256 * 1024;
 /// so `u64::MAX` can never be mistaken for one.
 pub(crate) const PAGED_PAYLOAD_MARK: u64 = u64::MAX;
 
-/// FNV-1a over a byte slice (same constants as the checkpoint store).
-pub(crate) fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+/// FNV-1a over the little-endian bytes of `slots` — the committed-prefix
+/// checksum a paged checkpoint records and elastic restart re-verifies.
+pub(crate) fn slots_fnv(slots: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for s in slots {
+        h.update(&s.to_le_bytes());
     }
-    h
+    h.digest()
 }
-
-/// The FNV-1a offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Where a rank's node tables live: in RAM, or paged to disk under a
 /// byte budget.
@@ -219,11 +217,7 @@ pub trait NodeTable {
     /// FNV-1a over the little-endian bytes of slots `0..len` — the
     /// torn-page detector for paged checkpoints.
     fn prefix_fnv(&mut self, len: u64) -> u64 {
-        let mut h = FNV_OFFSET;
-        for s in 0..len {
-            h = fnv1a_bytes(h, &self.get(s).to_le_bytes());
-        }
-        h
+        slots_fnv((0..len).map(|s| self.get(s)))
     }
 
     /// Reset every slot at or above `slot` to the fill value. A paged
@@ -274,11 +268,7 @@ impl NodeTable for ResidentTable {
     }
 
     fn prefix_fnv(&mut self, len: u64) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &s in &self.slots[..len as usize] {
-            h = fnv1a_bytes(h, &s.to_le_bytes());
-        }
-        h
+        slots_fnv(self.slots[..len as usize].iter().copied())
     }
 
     fn reset_from(&mut self, slot: u64) {
@@ -351,7 +341,7 @@ pub fn read_page_file(path: &Path) -> Option<Vec<u64>> {
     }
     let (body, sum_bytes) = buf.split_at(buf.len() - 8);
     let sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-    if fnv1a_bytes(FNV_OFFSET, body) != sum {
+    if Fnv1a::hash(body) != sum {
         return None;
     }
     if u32::from_le_bytes(body[0..4].try_into().ok()?) != PAGE_MAGIC
@@ -459,7 +449,7 @@ impl PagedTable {
         for &v in data {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        let sum = fnv1a_bytes(FNV_OFFSET, &buf);
+        let sum = Fnv1a::hash(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
         let tmp = self.dir.join(format!("{}.p{page}.pg.tmp", self.prefix));
         {

@@ -2,7 +2,7 @@
 //! invariants, and cross-engine agreement on randomized configurations.
 
 use pa_core::partition::{build, check_contract, Partition, Scheme};
-use pa_core::{chains, par, seq, FaultPlan, GenOptions, PaConfig};
+use pa_core::{chains, par, seq, Engine, FaultPlan, GenOptions, PaConfig};
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -65,8 +65,13 @@ proptest! {
     ) {
         let cfg = PaConfig::new(n, 1).with_seed(seed);
         let reference = seq::copy_model(&cfg).canonicalized();
-        let opts = GenOptions { buffer_capacity: 8, service_interval: 4, ..GenOptions::default() };
-        let out = par::generate_x1(&cfg, scheme, nranks, &opts);
+        let opts = GenOptions {
+            engine: Engine::X1,
+            buffer_capacity: 8,
+            service_interval: 4,
+            ..GenOptions::default()
+        };
+        let out = par::generate(&cfg, scheme, nranks, &opts);
         prop_assert_eq!(out.edge_list().canonicalized(), reference);
     }
 

@@ -163,6 +163,18 @@ impl Fnv1a {
         h.update(bytes);
         h.digest()
     }
+
+    /// Digest of an edge list's binary encoding (the bytes
+    /// [`write_binary`] emits, in list order) — the fingerprint the
+    /// determinism suites pin canonicalized outputs with.
+    pub fn hash_edges(edges: &EdgeList) -> u64 {
+        let mut h = Self::new();
+        for (u, v) in edges.iter() {
+            h.update(&u.to_le_bytes());
+            h.update(&v.to_le_bytes());
+        }
+        h.digest()
+    }
 }
 
 impl Default for Fnv1a {
@@ -612,6 +624,11 @@ mod tests {
         let mut w = Fnv1a::new();
         io::copy(&mut &b"foobar"[..], &mut w).unwrap();
         assert_eq!(w.digest(), Fnv1a::hash(b"foobar"));
+        // An edge list hashes as its binary encoding.
+        let edges = EdgeList::from_vec(vec![(1, 0), (2, 1), (u64::MAX, 7)]);
+        let mut bin = Vec::new();
+        write_binary(&mut bin, &edges).unwrap();
+        assert_eq!(Fnv1a::hash_edges(&edges), Fnv1a::hash(&bin));
     }
 
     #[test]

@@ -8,27 +8,16 @@
 
 use std::time::Duration;
 
-use pa_core::par::{generate_rank_streaming, generate_rank_x1_streaming, Msg, Msg1};
+use pa_core::par::{generate_rank_streaming, Msg};
 use pa_core::partition::{self, Scheme};
 use pa_core::{GenOptions, PaConfig};
-use pa_graph::EdgeList;
-use pa_mpsim::{FaultPlan, FaultTransport, Transport, Wire};
+use pa_graph::{io::Fnv1a, EdgeList};
+use pa_mpsim::{FaultPlan, FaultTransport, Transport};
 use pa_net::{TcpConfig, TcpTransport};
 
 /// The PR-1 fingerprints of `PaConfig::new(3000, x).with_seed(41)`.
 const ORACLE_X1: u64 = 0xdefa6458a590e3ba;
 const ORACLE_X4: u64 = 0x66b9ce422f65dc31;
-
-fn fnv1a(edges: &EdgeList) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for (u, v) in edges.iter() {
-        for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 /// Small buffers for plentiful packets (more fault opportunities) and a
 /// watchdog generous enough that recovering plans never trip it.
@@ -52,10 +41,10 @@ fn plan_for(fault_seed: u64) -> FaultPlan {
 
 /// One thread per rank over a loopback TCP world, each wrapping its
 /// wired transport in the fault layer before handing it to the engine.
-fn run_faulty_world<M: Wire + Clone + Send + 'static>(
+fn run_faulty_world(
     world: usize,
     plan: FaultPlan,
-    rank_fn: impl Fn(usize, &mut FaultTransport<M, TcpTransport<M>>) -> EdgeList + Send + Sync,
+    rank_fn: impl Fn(usize, &mut FaultTransport<Msg, TcpTransport<Msg>>) -> EdgeList + Send + Sync,
 ) -> Vec<EdgeList> {
     let ranks = TcpConfig::local_world(world).expect("loopback world");
     let mut shards: Vec<Option<EdgeList>> = (0..world).map(|_| None).collect();
@@ -66,7 +55,7 @@ fn run_faulty_world<M: Wire + Clone + Send + 'static>(
                 let rank_fn = &rank_fn;
                 let rank = cfg.rank;
                 s.spawn(move || {
-                    let inner: TcpTransport<M> =
+                    let inner: TcpTransport<Msg> =
                         TcpTransport::connect_with_listener(cfg, listener).unwrap();
                     let mut t = FaultTransport::new(inner, plan);
                     let shard = rank_fn(rank, &mut t);
@@ -89,27 +78,22 @@ fn chaos_over_tcp(world: usize) {
     for fault_seed in 0..2u64 {
         let plan = plan_for(fault_seed);
 
-        // General engine, x = 4.
-        let shards = run_faulty_world::<Msg>(world, plan, |_, t| {
-            let part = partition::build(Scheme::Rrp, cfg4.n, world);
-            generate_rank_streaming(&cfg4, &part, &chaos_opts(), t, EdgeList::new()).0
-        });
-        assert_eq!(
-            fnv1a(&EdgeList::concat(shards).canonicalized()),
-            ORACLE_X4,
-            "x=4 diverged under faults over TCP: P={world} fault_seed={fault_seed}"
-        );
-
-        // Dedicated x = 1 engine.
-        let shards = run_faulty_world::<Msg1>(world, plan, |_, t| {
-            let part = partition::build(Scheme::Lcp, cfg1.n, world);
-            generate_rank_x1_streaming(&cfg1, &part, &chaos_opts(), t, EdgeList::new()).0
-        });
-        assert_eq!(
-            fnv1a(&EdgeList::concat(shards).canonicalized()),
-            ORACLE_X1,
-            "x=1 diverged under faults over TCP: P={world} fault_seed={fault_seed}"
-        );
+        // The general engine at x = 4 and x = 1.
+        for (cfg, scheme, oracle) in [
+            (&cfg4, Scheme::Rrp, ORACLE_X4),
+            (&cfg1, Scheme::Lcp, ORACLE_X1),
+        ] {
+            let shards = run_faulty_world(world, plan, |_, t| {
+                let part = partition::build(scheme, cfg.n, world);
+                generate_rank_streaming(cfg, &part, &chaos_opts(), t, EdgeList::new()).0
+            });
+            assert_eq!(
+                Fnv1a::hash_edges(&EdgeList::concat(shards).canonicalized()),
+                oracle,
+                "x={} diverged under faults over TCP: P={world} fault_seed={fault_seed}",
+                cfg.x
+            );
+        }
     }
 }
 

@@ -14,7 +14,8 @@
 
 use std::time::Duration;
 
-use pa_core::{par, partition::Scheme, FaultPlan, GenOptions, PaConfig};
+use pa_core::{par, partition::Scheme, Engine, FaultPlan, GenOptions, PaConfig};
+use pa_graph::io::Fnv1a;
 
 /// The PR-1 fingerprints from `tests/determinism.rs`: the fault-free
 /// oracle every chaos schedule must reproduce.
@@ -31,14 +32,7 @@ fn cfg_x4() -> PaConfig {
 
 /// FNV-1a over the canonicalized edge list (same as `determinism.rs`).
 fn fnv1a(edges: &pa_graph::EdgeList) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for (u, v) in edges.iter() {
-        for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    Fnv1a::hash_edges(&edges.canonicalized())
 }
 
 /// Chaos runs use small buffers and a short service interval so packets
@@ -69,23 +63,23 @@ fn plan_for(fault_seed: u64) -> FaultPlan {
 /// parallelizes): schemes × 8 fault seeds, x = 1 and x = 4, each
 /// asserting termination and the fault-free fingerprint.
 fn chaos_matrix(nranks: usize) {
-    let cfg1 = cfg_x1();
-    let cfg4 = cfg_x4();
+    let runs = [
+        (Engine::X1, cfg_x1(), ORACLE_X1),
+        (Engine::General, cfg_x4(), ORACLE_X4),
+    ];
     for scheme in Scheme::ALL {
         for fault_seed in 0..8 {
-            let opts = chaos_opts(plan_for(fault_seed));
-            let x1 = par::generate_x1(&cfg1, scheme, nranks, &opts);
-            assert_eq!(
-                fnv1a(&x1.edge_list().canonicalized()),
-                ORACLE_X1,
-                "x=1 edge set diverged under faults: P={nranks} {scheme} fault_seed={fault_seed}"
-            );
-            let x4 = par::generate(&cfg4, scheme, nranks, &opts);
-            assert_eq!(
-                fnv1a(&x4.edge_list().canonicalized()),
-                ORACLE_X4,
-                "x=4 edge set diverged under faults: P={nranks} {scheme} fault_seed={fault_seed}"
-            );
+            for (engine, cfg, oracle) in runs {
+                let opts = chaos_opts(plan_for(fault_seed)).with_engine(engine);
+                let out = par::generate(&cfg, scheme, nranks, &opts);
+                assert_eq!(
+                    fnv1a(&out.edge_list()),
+                    oracle,
+                    "{engine} (x={}) edge set diverged under faults: P={nranks} {scheme} \
+                     fault_seed={fault_seed}",
+                    cfg.x
+                );
+            }
         }
     }
 }
@@ -114,10 +108,10 @@ fn engine3_survives_chaos_without_sending_anything() {
     let cfg4 = cfg_x4();
     for scheme in Scheme::EXTENDED {
         for fault_seed in 0..4 {
-            let opts = chaos_opts(plan_for(fault_seed));
-            let out = par::generate3(&cfg4, scheme, 4, &opts);
+            let opts = chaos_opts(plan_for(fault_seed)).with_engine(Engine::Chain);
+            let out = par::generate(&cfg4, scheme, 4, &opts);
             assert_eq!(
-                fnv1a(&out.edge_list().canonicalized()),
+                fnv1a(&out.edge_list()),
                 ORACLE_X4,
                 "engine3 edge set diverged under faults: {scheme} fault_seed={fault_seed}"
             );
@@ -177,7 +171,7 @@ fn hub_cache_off_still_survives_chaos() {
     // round trip — far more wire traffic to perturb.
     let opts = chaos_opts(FaultPlan::aggressive(5)).without_hub_cache();
     let out = par::generate(&cfg_x4(), Scheme::Ucp, 4, &opts);
-    assert_eq!(fnv1a(&out.edge_list().canonicalized()), ORACLE_X4);
+    assert_eq!(fnv1a(&out.edge_list()), ORACLE_X4);
 }
 
 #[test]
@@ -187,10 +181,11 @@ fn unacked_drop_trips_the_stall_watchdog_not_a_hang() {
     // reports — with the rank's progress state — instead of hanging.
     let cfg = PaConfig::new(2_000, 1).with_seed(3);
     let opts = GenOptions::default()
+        .with_engine(Engine::X1)
         .with_fault_plan(FaultPlan::drop_without_recovery(7))
         .with_stall_timeout(Duration::from_secs(2));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        par::generate_x1(&cfg, Scheme::Rrp, 2, &opts)
+        par::generate(&cfg, Scheme::Rrp, 2, &opts)
     }));
     let payload = result.expect_err("lost messages with recovery off must trip the watchdog");
     let msg = payload

@@ -1,7 +1,7 @@
 //! Cross-configuration agreement: the generated network must not depend
 //! on how it was parallelized.
 
-use pa_core::{par, partition::Scheme, seq, GenOptions, PaConfig};
+use pa_core::{par, partition::Scheme, seq, Engine, GenOptions, PaConfig};
 use pa_graph::degrees;
 
 fn opts() -> GenOptions {
@@ -20,7 +20,7 @@ fn x1_network_is_identical_for_every_world_shape() {
     let reference = seq::copy_model(&cfg).canonicalized();
     for nranks in [1usize, 2, 4, 8, 16] {
         for scheme in Scheme::ALL {
-            let via31 = par::generate_x1(&cfg, scheme, nranks, &opts());
+            let via31 = par::generate(&cfg, scheme, nranks, &opts().with_engine(Engine::X1));
             assert_eq!(
                 via31.edge_list().canonicalized(),
                 reference,
@@ -41,7 +41,7 @@ fn x1_invariance_holds_for_other_p_values() {
     for p in [0.1f64, 0.9] {
         let cfg = PaConfig::new(3_000, 1).with_p(p).with_seed(7);
         let reference = seq::copy_model(&cfg).canonicalized();
-        let out = par::generate_x1(&cfg, Scheme::Rrp, 6, &opts());
+        let out = par::generate(&cfg, Scheme::Rrp, 6, &opts().with_engine(Engine::X1));
         assert_eq!(out.edge_list().canonicalized(), reference, "p = {p}");
     }
 }
@@ -81,11 +81,12 @@ fn service_interval_does_not_change_x1_output() {
     let cfg = PaConfig::new(2_000, 1).with_seed(55);
     let reference = seq::copy_model(&cfg).canonicalized();
     for interval in [1usize, 7, 1024] {
-        let out = par::generate_x1(
+        let out = par::generate(
             &cfg,
             Scheme::Ucp,
             4,
             &GenOptions {
+                engine: Engine::X1,
                 buffer_capacity: 32,
                 service_interval: interval,
                 ..GenOptions::default()

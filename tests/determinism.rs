@@ -1,13 +1,15 @@
 //! Reproducibility guarantees across the whole stack.
 
-use pa_core::{er, par, partition::Scheme, seq, ws, GenOptions, PaConfig};
+use pa_core::{er, par, partition::Scheme, seq, ws, Engine, GenOptions, PaConfig};
+use pa_graph::io::Fnv1a;
 use pa_rng::Xoshiro256pp;
 
 #[test]
 fn repeated_parallel_runs_are_identical_for_x1() {
     let cfg = PaConfig::new(4_000, 1).with_seed(5);
-    let a = par::generate_x1(&cfg, Scheme::Rrp, 6, &GenOptions::default());
-    let b = par::generate_x1(&cfg, Scheme::Rrp, 6, &GenOptions::default());
+    let opts = GenOptions::default().with_engine(Engine::X1);
+    let a = par::generate(&cfg, Scheme::Rrp, 6, &opts);
+    let b = par::generate(&cfg, Scheme::Rrp, 6, &opts);
     // Commit *order* within a rank depends on message timing, but the
     // edge *set* is a pure function of the seed.
     assert_eq!(a.edge_list().canonicalized(), b.edge_list().canonicalized());
@@ -67,55 +69,47 @@ fn hub_cache_size_never_changes_the_network() {
     }
 }
 
-/// FNV-1a over the canonicalized edge list — the fingerprint used to
-/// snapshot the pre-unification engines' output.
-fn fnv1a(edges: &pa_graph::EdgeList) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for (u, v) in edges.iter() {
-        for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+/// The PR-1 fingerprints: FNV-1a over the canonicalized edge list of
+/// `PaConfig::new(3000, x).with_seed(41)`, captured from the codebase
+/// where Algorithms 3.1 and 3.2 each carried their own hand-written
+/// service/flush/park loop, before both were folded into the shared
+/// driver. Every engine, scheme and rank count agreed on them — so
+/// every engine must keep producing exactly these edge sets, not merely
+/// internally consistent ones.
+const ORACLE_X1: u64 = 0xdefa6458a590e3ba;
+const ORACLE_X4: u64 = 0x66b9ce422f65dc31;
+
+/// Assert `engine` lands on the oracle of every `x` it supports (engine
+/// 1 only exists for `x = 1`) for every listed world.
+fn assert_engine_reproduces_oracles(engine: Engine, ranks: &[usize], schemes: &[Scheme]) {
+    let opts = GenOptions::default().with_engine(engine);
+    for (x, oracle) in [(1u64, ORACLE_X1), (4, ORACLE_X4)] {
+        if engine.check(x).is_err() {
+            continue;
+        }
+        let cfg = PaConfig::new(3_000, x).with_seed(41);
+        for &nranks in ranks {
+            for &scheme in schemes {
+                let out = par::generate(&cfg, scheme, nranks, &opts);
+                assert_eq!(
+                    Fnv1a::hash_edges(&out.edge_list().canonicalized()),
+                    oracle,
+                    "{engine} (x={x}) drifted from the PR-1 oracle: P={nranks} {scheme}"
+                );
+            }
         }
     }
-    h
 }
 
 #[test]
 fn unified_driver_reproduces_pre_unification_oracle_hashes() {
-    // These fingerprints were captured from the PR-1 codebase, where
-    // Algorithms 3.1 and 3.2 each carried their own hand-written
-    // service/flush/park loop (engine1/engine2), before both were folded
-    // into the shared driver. Every engine, scheme and rank count agreed
-    // on them — so the unified driver must keep producing exactly these
-    // edge sets, not merely internally consistent ones.
-    const ORACLE_X1: u64 = 0xdefa6458a590e3ba;
-    const ORACLE_X4: u64 = 0x66b9ce422f65dc31;
-    let cfg1 = PaConfig::new(3_000, 1).with_seed(41);
-    let cfg4 = PaConfig::new(3_000, 4).with_seed(41);
-    assert_eq!(fnv1a(&seq::copy_model(&cfg1).canonicalized()), ORACLE_X1);
-    assert_eq!(fnv1a(&seq::copy_model(&cfg4).canonicalized()), ORACLE_X4);
-    for nranks in [1usize, 2, 8] {
-        for scheme in Scheme::ALL {
-            let opts = GenOptions::default();
-            let x1 = par::generate_x1(&cfg1, scheme, nranks, &opts);
-            assert_eq!(
-                fnv1a(&x1.edge_list().canonicalized()),
-                ORACLE_X1,
-                "x=1 path drifted from the PR-1 oracle: P={nranks} {scheme}"
-            );
-            let gen1 = par::generate(&cfg1, scheme, nranks, &opts);
-            assert_eq!(
-                fnv1a(&gen1.edge_list().canonicalized()),
-                ORACLE_X1,
-                "general path (x=1) drifted from the PR-1 oracle: P={nranks} {scheme}"
-            );
-            let gen4 = par::generate(&cfg4, scheme, nranks, &opts);
-            assert_eq!(
-                fnv1a(&gen4.edge_list().canonicalized()),
-                ORACLE_X4,
-                "general path (x=4) drifted from the PR-1 oracle: P={nranks} {scheme}"
-            );
-        }
+    for (x, oracle) in [(1u64, ORACLE_X1), (4, ORACLE_X4)] {
+        let cfg = PaConfig::new(3_000, x).with_seed(41);
+        let sequential = seq::copy_model(&cfg).canonicalized();
+        assert_eq!(Fnv1a::hash_edges(&sequential), oracle);
+    }
+    for engine in [Engine::X1, Engine::General] {
+        assert_engine_reproduces_oracles(engine, &[1, 2, 8], &Scheme::ALL);
     }
 }
 
@@ -126,27 +120,7 @@ fn engine3_reproduces_pre_unification_oracle_hashes() {
     // engines are pinned to — for every rank count and every scheme the
     // workspace implements (including block-cyclic, which the paper's
     // engines never ran under).
-    const ORACLE_X1: u64 = 0xdefa6458a590e3ba;
-    const ORACLE_X4: u64 = 0x66b9ce422f65dc31;
-    let cfg1 = PaConfig::new(3_000, 1).with_seed(41);
-    let cfg4 = PaConfig::new(3_000, 4).with_seed(41);
-    for nranks in [1usize, 2, 4, 8] {
-        for scheme in Scheme::EXTENDED {
-            let opts = GenOptions::default();
-            let gen1 = par::generate3(&cfg1, scheme, nranks, &opts);
-            assert_eq!(
-                fnv1a(&gen1.edge_list().canonicalized()),
-                ORACLE_X1,
-                "engine3 (x=1) drifted from the PR-1 oracle: P={nranks} {scheme}"
-            );
-            let gen4 = par::generate3(&cfg4, scheme, nranks, &opts);
-            assert_eq!(
-                fnv1a(&gen4.edge_list().canonicalized()),
-                ORACLE_X4,
-                "engine3 (x=4) drifted from the PR-1 oracle: P={nranks} {scheme}"
-            );
-        }
-    }
+    assert_engine_reproduces_oracles(Engine::Chain, &[1, 2, 4, 8], &Scheme::EXTENDED);
 }
 
 #[test]

@@ -11,8 +11,8 @@
 
 use std::time::Duration;
 
-use pa_core::{par, partition, partition::Scheme, seq, FaultPlan, GenOptions, PaConfig};
-use pa_graph::EdgeList;
+use pa_core::{par, partition, partition::Scheme, seq, Engine, FaultPlan, GenOptions, PaConfig};
+use pa_graph::{io::Fnv1a, EdgeList};
 use pa_mpsim::World;
 
 /// The PR-1 PA fingerprints (see `tests/determinism.rs`): nlpa at
@@ -38,77 +38,58 @@ fn cfg_x4() -> PaConfig {
 }
 
 /// FNV-1a over the canonicalized edge list (same as `determinism.rs`).
-fn fnv1a(edges: &pa_graph::EdgeList) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for (u, v) in edges.iter() {
-        for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+fn fnv1a(edges: &EdgeList) -> u64 {
+    Fnv1a::hash_edges(&edges.canonicalized())
 }
 
 #[test]
 fn nlpa_sequential_oracle_fingerprints_are_pinned() {
     for (alpha, pin1, pin4) in NLPA_PINS {
         assert_eq!(
-            fnv1a(&seq::nlpa(&cfg_x1(), alpha).canonicalized()),
+            fnv1a(&seq::nlpa(&cfg_x1(), alpha)),
             pin1,
             "sequential nlpa x=1 drifted: alpha={alpha}"
         );
         assert_eq!(
-            fnv1a(&seq::nlpa(&cfg_x4(), alpha).canonicalized()),
+            fnv1a(&seq::nlpa(&cfg_x4(), alpha)),
             pin4,
             "sequential nlpa x=4 drifted: alpha={alpha}"
         );
     }
 }
 
-#[test]
-fn nlpa_message_passing_engines_match_the_oracle_for_every_world() {
+/// Assert every `(engine, x)` run lands on its nlpa pin at every
+/// exponent, for P ∈ {1, 2, 4} and every listed scheme.
+fn assert_nlpa_pins(runs: &[(Engine, u64)], schemes: &[Scheme]) {
     for (alpha, pin1, pin4) in NLPA_PINS {
-        let opts = GenOptions::default().with_alpha(alpha);
-        for nranks in [1usize, 2, 4] {
-            for scheme in Scheme::ALL {
-                let x1 = par::generate_x1(&cfg_x1(), scheme, nranks, &opts);
-                assert_eq!(
-                    fnv1a(&x1.edge_list().canonicalized()),
-                    pin1,
-                    "engine1 nlpa drifted: alpha={alpha} P={nranks} {scheme}"
-                );
-                let gen4 = par::generate(&cfg_x4(), scheme, nranks, &opts);
-                assert_eq!(
-                    fnv1a(&gen4.edge_list().canonicalized()),
-                    pin4,
-                    "engine2 nlpa drifted: alpha={alpha} P={nranks} {scheme}"
-                );
+        for &(engine, x) in runs {
+            let (cfg, pin) = match x {
+                1 => (cfg_x1(), pin1),
+                _ => (cfg_x4(), pin4),
+            };
+            let opts = GenOptions::default().with_engine(engine).with_alpha(alpha);
+            for nranks in [1usize, 2, 4] {
+                for &scheme in schemes {
+                    let out = par::generate(&cfg, scheme, nranks, &opts);
+                    assert_eq!(
+                        fnv1a(&out.edge_list()),
+                        pin,
+                        "{engine} nlpa (x={x}) drifted: alpha={alpha} P={nranks} {scheme}"
+                    );
+                }
             }
         }
     }
 }
 
 #[test]
+fn nlpa_message_passing_engines_match_the_oracle_for_every_world() {
+    assert_nlpa_pins(&[(Engine::X1, 1), (Engine::General, 4)], &Scheme::ALL);
+}
+
+#[test]
 fn nlpa_communication_free_engine_matches_the_oracle_for_every_world() {
-    for (alpha, pin1, pin4) in NLPA_PINS {
-        let opts = GenOptions::default().with_alpha(alpha);
-        for nranks in [1usize, 2, 4] {
-            for scheme in Scheme::EXTENDED {
-                let gen1 = par::generate3(&cfg_x1(), scheme, nranks, &opts);
-                assert_eq!(
-                    fnv1a(&gen1.edge_list().canonicalized()),
-                    pin1,
-                    "engine3 nlpa (x=1) drifted: alpha={alpha} P={nranks} {scheme}"
-                );
-                let gen4 = par::generate3(&cfg_x4(), scheme, nranks, &opts);
-                assert_eq!(
-                    fnv1a(&gen4.edge_list().canonicalized()),
-                    pin4,
-                    "engine3 nlpa (x=4) drifted: alpha={alpha} P={nranks} {scheme}"
-                );
-            }
-        }
-    }
+    assert_nlpa_pins(&[(Engine::Chain, 1), (Engine::Chain, 4)], &Scheme::EXTENDED);
 }
 
 #[test]
@@ -120,20 +101,16 @@ fn strategies_without_hub_broadcasts_never_touch_the_hub_cache_path() {
     // other traffic the run generates.
     let cfg = cfg_x4();
 
-    // Engine 3 exchanges no algorithm messages at all.
-    let out = par::generate3(&cfg, Scheme::Rrp, 4, &GenOptions::default());
-    for r in &out.ranks {
-        assert_eq!(r.counters.hub_hits, 0, "engine3 rank {} hub hit", r.rank);
-        assert_eq!(r.counters.hub_deferred, 0);
-        assert_eq!(r.counters.hub_updates, 0);
-    }
-
-    // Engine 1 predates the hub cache and never consults it.
-    let out = par::generate_x1(&cfg_x1(), Scheme::Rrp, 4, &GenOptions::default());
-    for r in &out.ranks {
-        assert_eq!(r.counters.hub_hits, 0, "engine1 rank {} hub hit", r.rank);
-        assert_eq!(r.counters.hub_deferred, 0);
-        assert_eq!(r.counters.hub_updates, 0);
+    // Engine 3 exchanges no algorithm messages at all; engine 1 predates
+    // the hub cache and never consults it.
+    for (engine, cfg) in [(Engine::Chain, cfg), (Engine::X1, cfg_x1())] {
+        let opts = GenOptions::default().with_engine(engine);
+        let out = par::generate(&cfg, Scheme::Rrp, 4, &opts);
+        for r in &out.ranks {
+            assert_eq!(r.counters.hub_hits, 0, "{engine} rank {} hub hit", r.rank);
+            assert_eq!(r.counters.hub_deferred, 0);
+            assert_eq!(r.counters.hub_updates, 0);
+        }
     }
 
     // Engine 2 with the cache disabled must fall back to pure
@@ -188,19 +165,16 @@ fn nlpa_chaos_matrix() {
                 } else {
                     FaultPlan::aggressive(fault_seed)
                 };
-                let opts = chaos_opts(plan).with_alpha(alpha);
-                let out = par::generate(&cfg_x4(), scheme, 4, &opts);
-                assert_eq!(
-                    fnv1a(&out.edge_list().canonicalized()),
-                    pin4,
-                    "engine2 nlpa diverged under faults: alpha={alpha} {scheme} seed={fault_seed}"
-                );
-                let out = par::generate3(&cfg_x4(), scheme, 4, &opts);
-                assert_eq!(
-                    fnv1a(&out.edge_list().canonicalized()),
-                    pin4,
-                    "engine3 nlpa diverged under faults: alpha={alpha} {scheme} seed={fault_seed}"
-                );
+                for engine in [Engine::General, Engine::Chain] {
+                    let opts = chaos_opts(plan).with_engine(engine).with_alpha(alpha);
+                    let out = par::generate(&cfg_x4(), scheme, 4, &opts);
+                    assert_eq!(
+                        fnv1a(&out.edge_list()),
+                        pin4,
+                        "{engine} nlpa diverged under faults: alpha={alpha} {scheme} \
+                         seed={fault_seed}"
+                    );
+                }
             }
         }
     }
@@ -215,32 +189,21 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
     let alpha = 1.5f64;
     let (_, _, pin4) = NLPA_PINS[2];
     let cfg = cfg_x4();
-    let interval = 500u64;
     let opts = GenOptions::default()
+        .with_engine(Engine::Chain)
         .with_alpha(alpha)
-        .with_checkpoint_interval(interval);
+        .with_checkpoint_interval(500);
     let part = partition::build(Scheme::Rrp, cfg.n, 3);
     let dir = std::env::temp_dir().join(format!("pa_models_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let meta = par::CheckpointMeta {
-        world: 3,
-        n: cfg.n,
-        x: cfg.x,
-        p_bits: cfg.p.to_bits(),
-        seed: cfg.seed,
-        scheme_id: 2,
-        engine_id: 3,
-        model_id: opts.model.id(),
-        interval,
-        alpha_bits: opts.model.alpha_bits(),
-    };
+    let meta = par::CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &opts);
     assert_eq!(meta.model_id, 1, "nlpa must not masquerade as pa");
     assert_eq!(meta.alpha_bits, alpha.to_bits());
 
     let ckpt_dir = dir.clone();
     let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
         let store = par::CheckpointStore::new(&ckpt_dir, comm.rank() as u32, meta).unwrap();
-        par::generate_rank3_streaming_recoverable(
+        par::generate_rank_streaming_recoverable(
             &cfg,
             &part,
             &opts,
@@ -252,7 +215,7 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
         .0
     });
     assert_eq!(
-        fnv1a(&EdgeList::concat(full.clone()).canonicalized()),
+        fnv1a(&EdgeList::concat(full.clone())),
         pin4,
         "checkpointed nlpa run drifted from the pinned oracle"
     );
@@ -266,7 +229,7 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
         for &(u, v) in &full[rank].as_slice()[..saved.edges as usize] {
             sink.push(u, v);
         }
-        par::generate_rank3_streaming_recoverable(
+        par::generate_rank_streaming_recoverable(
             &cfg,
             &part,
             &opts,

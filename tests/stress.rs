@@ -4,7 +4,7 @@
 //! termination bug would surface as a hang, a panic, or an invalid
 //! graph.
 
-use pa_core::{par, partition::Scheme, seq, GenOptions, PaConfig};
+use pa_core::{par, partition::Scheme, seq, Engine, GenOptions, PaConfig};
 use pa_graph::validate::assert_valid_pa_network;
 use pa_rng::{Rng64, SplitMix64};
 
@@ -53,11 +53,12 @@ fn heavily_oversubscribed_x1_is_still_exact() {
     // 64 ranks on one core; x = 1 output must still be bit-identical to
     // the sequential generator.
     let cfg = PaConfig::new(2_000, 1).with_seed(21);
-    let out = par::generate_x1(
+    let out = par::generate(
         &cfg,
         Scheme::Rrp,
         64,
         &GenOptions {
+            engine: Engine::X1,
             buffer_capacity: 2,
             service_interval: 3,
             ..GenOptions::default()
@@ -85,15 +86,16 @@ fn repeated_runs_under_chaos_agree_for_x1() {
     // x = 1 edge set must never vary.
     let cfg = PaConfig::new(3_000, 1).with_seed(8);
     let opts = GenOptions {
+        engine: Engine::X1,
         buffer_capacity: 3,
         service_interval: 2,
         ..GenOptions::default()
     };
-    let reference = par::generate_x1(&cfg, Scheme::Rrp, 9, &opts)
+    let reference = par::generate(&cfg, Scheme::Rrp, 9, &opts)
         .edge_list()
         .canonicalized();
     for run in 0..4 {
-        let again = par::generate_x1(&cfg, Scheme::Rrp, 9, &opts)
+        let again = par::generate(&cfg, Scheme::Rrp, 9, &opts)
             .edge_list()
             .canonicalized();
         assert_eq!(again, reference, "run {run} diverged");

@@ -4,7 +4,7 @@
 
 use pa_analysis::messages;
 use pa_core::partition::{Scheme, Ucp};
-use pa_core::{chains, par, seq, GenOptions, PaConfig};
+use pa_core::{chains, par, seq, Engine, GenOptions, PaConfig};
 
 #[test]
 fn lemma_3_4_request_counts_follow_the_harmonic_law() {
@@ -88,7 +88,8 @@ fn engine_queue_waits_match_chain_theory() {
     // Short dependency chains mean queues never blow up: the peak number
     // of parked waiters on any rank stays a small fraction of its nodes.
     let cfg = PaConfig::new(50_000, 1).with_seed(41);
-    let out = par::generate_x1(&cfg, Scheme::Rrp, 8, &GenOptions::default());
+    let opts = GenOptions::default().with_engine(Engine::X1);
+    let out = par::generate(&cfg, Scheme::Rrp, 8, &opts);
     for r in &out.ranks {
         assert!(
             r.counters.max_queued_waiters < r.counters.nodes / 2,
@@ -104,7 +105,8 @@ fn engine_queue_waits_match_chain_theory() {
 fn engine_incoming_requests_track_lemma_3_4_per_rank() {
     let (n, ranks) = (100_000u64, 8usize);
     let cfg = PaConfig::new(n, 1).with_seed(13);
-    let out = par::generate_x1(&cfg, Scheme::Ucp, ranks, &GenOptions::default());
+    let opts = GenOptions::default().with_engine(Engine::X1);
+    let out = par::generate(&cfg, Scheme::Ucp, ranks, &opts);
     let part = Ucp::new(n, ranks);
     let predicted = messages::expected_requests_per_rank(cfg.p, &part);
     for (r, pred) in out.ranks.iter().zip(&predicted) {
