@@ -37,32 +37,27 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# Every smoke run below writes under one scratch directory, removed on
+# exit however the script ends.
+scratch="$(mktemp -d /tmp/pagen_ci_XXXXXX)"
+trap 'rm -rf "$scratch"' EXIT
+
+# same_edge_set <a> <b> <failure message>: two txt edge files must hold
+# the same edges. Within-rank emission order is timing-dependent, so
+# they are compared as sorted edge sets.
+same_edge_set() {
+    sort "$1" > "$1.sorted"
+    sort "$2" > "$2.sorted"
+    if ! cmp -s "$1.sorted" "$2.sorted"; then
+        echo "$3" >&2
+        exit 1
+    fi
+}
+
 echo "==> pagen streaming smoke run"
 # Stream a small network to disk and check the file holds exactly the
 # edge count the run reported (16 bytes per binary edge).
-smoke_out="$(mktemp /tmp/pagen_smoke_XXXXXX.bin)"
-chaos_clean="$(mktemp /tmp/pagen_chaos_clean_XXXXXX.txt)"
-chaos_faulty="$(mktemp /tmp/pagen_chaos_faulty_XXXXXX.txt)"
-net_multi="$(mktemp /tmp/pagen_net_multi_XXXXXX.txt)"
-net_single="$(mktemp /tmp/pagen_net_single_XXXXXX.txt)"
-e3_multi="$(mktemp /tmp/pagen_e3_multi_XXXXXX.txt)"
-e3_single="$(mktemp /tmp/pagen_e3_single_XXXXXX.txt)"
-nlpa_multi="$(mktemp /tmp/pagen_nlpa_multi_XXXXXX.txt)"
-nlpa_single="$(mktemp /tmp/pagen_nlpa_single_XXXXXX.txt)"
-rec_multi="$(mktemp /tmp/pagen_rec_multi_XXXXXX.txt)"
-rec_single="$(mktemp /tmp/pagen_rec_single_XXXXXX.txt)"
-rec_log="$(mktemp /tmp/pagen_rec_log_XXXXXX.txt)"
-rec_ckpts="$(mktemp -d /tmp/pagen_rec_ckpts_XXXXXX)"
-oc_dir="$(mktemp -d /tmp/pagen_oc_XXXXXX)"
-serve_dir=""
-restart_dir=""
-trap 'rm -f "$smoke_out" "$chaos_clean" "$chaos_faulty" "$chaos_clean.sorted" "$chaos_faulty.sorted" \
-    "$net_multi" "$net_single" "$net_multi.sorted" "$net_single.sorted" \
-    "$e3_multi" "$e3_single" "$e3_multi.sorted" "$e3_single.sorted" \
-    "$nlpa_multi" "$nlpa_single" "$nlpa_multi.sorted" "$nlpa_single.sorted" \
-    "$rec_multi" "$rec_single" "$rec_multi.sorted" "$rec_single.sorted" "$rec_log" \
-    "$rec_multi".part*; rm -rf "$rec_ckpts" "$oc_dir"; [ -z "$serve_dir" ] || rm -rf "$serve_dir"; \
-    [ -z "$restart_dir" ] || rm -rf "$restart_dir"' EXIT
+smoke_out="$scratch/smoke.bin"
 report="$(cargo run -q -p pa-cli --release -- generate --model pa \
     --n 20000 --x 3 --ranks 4 --seed 7 --out "$smoke_out" --format bin)"
 echo "    $report"
@@ -78,70 +73,62 @@ echo "==> pagen chaos smoke run"
 # run with aggressive fault injection must produce exactly the clean
 # run's edge set. Within-rank emission order is timing-dependent, so the
 # files are compared as sorted edge sets.
+chaos_clean="$scratch/chaos_clean.txt"
+chaos_faulty="$scratch/chaos_faulty.txt"
 cargo run -q -p pa-cli --release -- generate --model pa \
     --n 20000 --x 3 --ranks 4 --seed 7 --out "$chaos_clean" --format txt
 cargo run -q -p pa-cli --release -- generate --model pa \
     --n 20000 --x 3 --ranks 4 --seed 7 --out "$chaos_faulty" --format txt \
     --chaos-profile aggressive --chaos-seed 1 --stall-timeout-ms 60000
-sort "$chaos_clean" > "$chaos_clean.sorted"
-sort "$chaos_faulty" > "$chaos_faulty.sorted"
-if ! cmp -s "$chaos_clean.sorted" "$chaos_faulty.sorted"; then
-    echo "chaos smoke mismatch: fault injection changed the edge set" >&2
-    exit 1
-fi
+same_edge_set "$chaos_clean" "$chaos_faulty" \
+    "chaos smoke mismatch: fault injection changed the edge set"
 
 echo "==> palaunch net smoke run"
 # The TCP backend end to end through the real binaries: a 4-process
 # localhost world must produce exactly the edge set of a same-seed
 # single-process run. Within-rank emission order over sockets depends on
 # packet interleaving, so the files are compared as sorted edge sets.
+net_multi="$scratch/net_multi.txt"
+net_single="$scratch/net_single.txt"
 ./target/release/palaunch -p 4 --pagen ./target/release/pagen -- \
     generate --model pa --n 20000 --x 4 --scheme lcp --seed 7 \
     --out "$net_multi" --format txt
 cargo run -q -p pa-cli --release -- generate --model pa \
     --n 20000 --x 4 --ranks 4 --scheme lcp --seed 7 \
     --out "$net_single" --format txt
-sort "$net_multi" > "$net_multi.sorted"
-sort "$net_single" > "$net_single.sorted"
-if ! cmp -s "$net_multi.sorted" "$net_single.sorted"; then
-    echo "net smoke mismatch: 4-process run diverged from single-process run" >&2
-    exit 1
-fi
+same_edge_set "$net_multi" "$net_single" \
+    "net smoke mismatch: 4-process run diverged from single-process run"
 
 echo "==> engine3 net smoke run"
 # The communication-free engine end to end through the real binaries: a
 # 4-process TCP world on engine3 must produce exactly the edge set of a
 # same-seed single-process engine3 run (which the determinism suite in
 # turn pins to the engine1/engine2 oracles).
+e3_multi="$scratch/e3_multi.txt"
+e3_single="$scratch/e3_single.txt"
 ./target/release/palaunch -p 4 --pagen ./target/release/pagen -- \
     generate --model pa --n 20000 --x 4 --scheme bcp --seed 7 --engine 3 \
     --out "$e3_multi" --format txt
 cargo run -q -p pa-cli --release -- generate --model pa \
     --n 20000 --x 4 --ranks 4 --scheme bcp --seed 7 --engine 3 \
     --out "$e3_single" --format txt
-sort "$e3_multi" > "$e3_multi.sorted"
-sort "$e3_single" > "$e3_single.sorted"
-if ! cmp -s "$e3_multi.sorted" "$e3_single.sorted"; then
-    echo "engine3 smoke mismatch: 4-process run diverged from single-process run" >&2
-    exit 1
-fi
+same_edge_set "$e3_multi" "$e3_single" \
+    "engine3 smoke mismatch: 4-process run diverged from single-process run"
 
 echo "==> nlpa net smoke run"
 # The nonlinear-PA model end to end through the real binaries: a
 # 4-process TCP world running --model nlpa --alpha 1.5 must produce
 # exactly the edge set of a same-seed single-process nlpa run.
+nlpa_multi="$scratch/nlpa_multi.txt"
+nlpa_single="$scratch/nlpa_single.txt"
 ./target/release/palaunch -p 4 --pagen ./target/release/pagen -- \
     generate --model nlpa --alpha 1.5 --n 20000 --x 4 --scheme rrp --seed 7 \
     --out "$nlpa_multi" --format txt
 cargo run -q -p pa-cli --release -- generate --model nlpa --alpha 1.5 \
     --n 20000 --x 4 --ranks 4 --scheme rrp --seed 7 \
     --out "$nlpa_single" --format txt
-sort "$nlpa_multi" > "$nlpa_multi.sorted"
-sort "$nlpa_single" > "$nlpa_single.sorted"
-if ! cmp -s "$nlpa_multi.sorted" "$nlpa_single.sorted"; then
-    echo "nlpa smoke mismatch: 4-process run diverged from single-process run" >&2
-    exit 1
-fi
+same_edge_set "$nlpa_multi" "$nlpa_single" \
+    "nlpa smoke mismatch: 4-process run diverged from single-process run"
 
 echo "==> nlpa exponent-sweep guard"
 # exp_nlpa_degree_dist exits non-zero unless the fitted degree exponent
@@ -164,6 +151,10 @@ echo "==> palaunch crash-recovery smoke run"
 # and the final edge set must still equal a single-process run's. Small
 # message buffers slow the run enough to kill it mid-flight without
 # changing the generated network.
+rec_multi="$scratch/rec_multi.txt"
+rec_single="$scratch/rec_single.txt"
+rec_log="$scratch/rec_log.txt"
+rec_ckpts="$scratch/rec_ckpts"
 ./target/release/palaunch -p 4 --restart-failed 2 \
     --pagen ./target/release/pagen -- \
     generate --model pa --n 500000 --x 4 --scheme rrp --seed 7 \
@@ -198,12 +189,8 @@ fi
 cargo run -q -p pa-cli --release -- generate --model pa \
     --n 500000 --x 4 --ranks 4 --scheme rrp --seed 7 \
     --out "$rec_single" --format txt
-sort "$rec_multi" > "$rec_multi.sorted"
-sort "$rec_single" > "$rec_single.sorted"
-if ! cmp -s "$rec_multi.sorted" "$rec_single.sorted"; then
-    echo "recovery smoke mismatch: recovered run diverged from single-process run" >&2
-    exit 1
-fi
+same_edge_set "$rec_multi" "$rec_single" \
+    "recovery smoke mismatch: recovered run diverged from single-process run"
 if ls "$rec_ckpts"/*.ckpt* >/dev/null 2>&1; then
     echo "recovery smoke: finished job left checkpoints behind" >&2
     exit 1
@@ -216,6 +203,8 @@ echo "==> out-of-core smoke run"
 # eviction traffic) must write a byte-identical file to the unbudgeted
 # in-memory run, and a successful non-checkpointing run must clean its
 # page files up.
+oc_dir="$scratch/oc"
+mkdir "$oc_dir"
 cargo run -q -p pa-cli --release -- generate --model pa \
     --n 200000 --x 4 --ranks 4 --scheme rrp --seed 7 --engine 3 \
     --out "$oc_dir/resident.bin" --format bin
@@ -269,7 +258,8 @@ echo "==> pagen serve smoke run"
 # fetches of one engine-3 tuple (one interrupted mid-stream and then
 # resumed), all byte-identical to a solo run of the same tuple, then a
 # clean drain with no temp litter in the jobs dir.
-serve_dir="$(mktemp -d /tmp/pagen_serve_smoke_XXXXXX)"
+serve_dir="$scratch/serve"
+mkdir "$serve_dir"
 serve_log="$serve_dir/serve.log"
 serve_job=(--n 50000 --x 2 --p 0.5 --seed 11 --ranks 2 --scheme rrp --engine 3 --format bin)
 serve_addr="127.0.0.1:$(( 20000 + RANDOM % 20000 ))"
@@ -320,7 +310,6 @@ if ls "$serve_dir/jobs"/*.tmp* >/dev/null 2>&1; then
     echo "serve smoke: jobs dir holds leftover temp files" >&2
     exit 1
 fi
-rm -rf "$serve_dir"
 
 echo "==> pagen serve crash-restart smoke run"
 # Self-healing end to end through the real binary: SIGKILL the daemon
@@ -329,7 +318,8 @@ echo "==> pagen serve crash-restart smoke run"
 # the recovered artifact and cleaned temp litter on its startup line,
 # (b) resume the interrupted fetch byte-identically to a solo run
 # WITHOUT re-running the job — its drain line reports 0 jobs run.
-restart_dir="$(mktemp -d /tmp/pagen_serve_restart_XXXXXX)"
+restart_dir="$scratch/restart"
+mkdir "$restart_dir"
 restart_job=(--n 50000 --x 2 --p 0.5 --seed 23 --ranks 2 --scheme rrp --engine 3 --format bin)
 restart_addr="127.0.0.1:$(( 20000 + RANDOM % 20000 ))"
 ./target/release/pagen serve --addr "$restart_addr" \
@@ -400,6 +390,5 @@ if ls "$restart_dir/jobs"/*.tmp* >/dev/null 2>&1; then
     echo "restart smoke: stale temp files survived the restart scan" >&2
     exit 1
 fi
-rm -rf "$restart_dir"
 
 echo "CI OK"

@@ -11,49 +11,20 @@ use std::io::Write;
 use std::time::Duration;
 
 use crate::args::{Args, CliError};
-use crate::generate::{parse_engine, parse_model_kind, parse_scheme, validated};
-use crate::serve::spec_from_raw;
-use pa_core::job::JobDescriptor;
-use pa_graph::io::EdgeFormat;
+use crate::generate::{edge_format, parse_job};
 use pa_net::serve::{fetch, FetchError, FetchOptions, RejectCode};
-
-/// Build the job descriptor from `generate`-style flags.
-fn parse_job(args: &Args) -> Result<JobDescriptor, CliError> {
-    let n = args.u64("n", 100_000)?;
-    let x = args.u64("x", 4)?;
-    let p = args.f64("p", 0.5)?;
-    let seed = args.u64("seed", 0)?;
-    let ranks = args.u64("ranks", 4)?;
-    let scheme = parse_scheme(&args.str("scheme", "rrp"))?;
-    let engine = parse_engine(args)?;
-    let model = parse_model_kind(args)?;
-    let format = match args.str("format", "bin").as_str() {
-        "bin" => EdgeFormat::Binary,
-        "txt" => EdgeFormat::Text,
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown format {other:?} (the serve protocol streams bin or txt)"
-            )))
-        }
-    };
-    let desc = JobDescriptor {
-        cfg: validated(n, x, p, seed)?,
-        scheme,
-        engine: engine.id(),
-        model,
-        ranks: u32::try_from(ranks)
-            .map_err(|_| CliError::usage(format!("--ranks {ranks} does not fit in u32")))?,
-        format,
-    };
-    desc.validate().map_err(CliError::usage)?;
-    Ok(desc)
-}
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = args.str_required("addr")?;
     let out_path = args.str("out", "fetched.bin");
-    let desc = parse_job(args)?;
-    let mut opts = FetchOptions::new(&addr, spec_from_raw(&desc.to_raw()), &out_path);
+    let format = args.str("format", "bin");
+    let encoding = edge_format(&format).ok_or_else(|| {
+        CliError::usage(format!(
+            "unknown format {format:?} (the serve protocol streams bin or txt)"
+        ))
+    })?;
+    let job = parse_job(args, None, encoding)?;
+    let mut opts = FetchOptions::new(&addr, job.to_raw(), &out_path);
     opts.resume = match args.str("resume", "off").as_str() {
         "on" => true,
         "off" => false,

@@ -2,6 +2,7 @@
 
 use crate::args::{Args, CliError};
 use crate::stats::{MergedStats, StatsFlags};
+use pa_core::job::JobDescriptor;
 use pa_core::partition::Scheme;
 use pa_core::{cl, er, par, rmat, ws, Engine, GenOptions, PaConfig};
 use pa_graph::{container, io, EdgeList};
@@ -27,59 +28,58 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let started = std::time::Instant::now();
 
-    // The PA-family models writing a raw edge file need no global view
-    // of the edges, so they stream each rank straight to disk instead of
-    // materializing per-rank edge vectors (see `stream_pa_to_disk`).
-    if matches!(model.as_str(), "pa" | "nlpa") && matches!(format.as_str(), "bin" | "txt") {
-        let (cfg, scheme, ranks, opts) = parse_pa_params(args, seed)?;
-        let stats_flags = StatsFlags::parse(args)?;
-        args.finish()?;
-        let edge_format = match format.as_str() {
-            "bin" => io::EdgeFormat::Binary,
-            _ => io::EdgeFormat::Text,
-        };
-        let (total_edges, comms) =
-            stream_pa_to_disk(&cfg, scheme, ranks, &opts, Path::new(&path), edge_format)?;
-        cleanup_store(&opts.store, ranks);
-        writeln!(
-            out,
-            "generated {model}: {} nodes, {total_edges} edges in {:.2}s -> {path} ({format}, streamed)",
-            cfg.n,
-            started.elapsed().as_secs_f64()
-        )
-        .map_err(CliError::io)?;
-        return stats_flags.emit(&MergedStats::from_local(&comms), out);
-    }
-
     let mut pa_stats: Option<(StatsFlags, Vec<pa_mpsim::CommStats>)> = None;
     let (n, shards, attrs): (u64, Vec<EdgeList>, Vec<(String, String)>) = match model.as_str() {
         "pa" | "nlpa" => {
-            let (cfg, scheme, ranks, opts) = parse_pa_params(args, seed)?;
+            // The container path below never reads `job.format`.
+            let streamed = edge_format(&format);
+            let job = parse_job(args, None, streamed.unwrap_or(io::EdgeFormat::Binary))?;
+            let ranks = job.ranks as usize;
+            let store = parse_store_spec(args, &format!("{path}.store"))?;
+            let tuning = parse_gen_options(args, job.cfg.n)?.with_store(store.clone());
             let flags = StatsFlags::parse(args)?;
-            let result = par::generate(&cfg, scheme, ranks, &opts);
+            // A raw edge file needs no global view of the edges, so it
+            // streams each rank straight to disk instead of materializing
+            // per-rank edge vectors (see `stream_pa_to_disk`).
+            if streamed.is_some() {
+                args.finish()?;
+                let (total_edges, comms) = stream_pa_to_disk(&job, tuning, Path::new(&path))?;
+                cleanup_store(&store, ranks);
+                writeln!(
+                    out,
+                    "generated {model}: {} nodes, {total_edges} edges in {:.2}s -> {path} \
+                     ({format}, streamed, job {:016x})",
+                    job.cfg.n,
+                    started.elapsed().as_secs_f64(),
+                    job.job_id()
+                )
+                .map_err(CliError::io)?;
+                return flags.emit(&MergedStats::from_local(&comms), out);
+            }
+            let result = par::generate(&job.cfg, job.scheme, ranks, &job.gen_options(tuning));
             pa_stats = Some((flags, result.ranks.iter().map(|r| r.comm.clone()).collect()));
-            cleanup_store(&opts.store, ranks);
+            cleanup_store(&store, ranks);
             let shards = result.ranks.into_iter().map(|r| r.edges).collect();
             let mut attrs = vec![
                 (
                     "model".into(),
-                    match opts.model {
+                    match job.model {
                         pa_core::ModelKind::Pa => "preferential-attachment".to_string(),
                         pa_core::ModelKind::Nlpa { .. } => {
                             "nonlinear-preferential-attachment".to_string()
                         }
                     },
                 ),
-                ("x".into(), cfg.x.to_string()),
-                ("p".into(), cfg.p.to_string()),
-                ("scheme".into(), scheme.to_string()),
+                ("x".into(), job.cfg.x.to_string()),
+                ("p".into(), job.cfg.p.to_string()),
+                ("scheme".into(), job.scheme.to_string()),
                 ("ranks".into(), ranks.to_string()),
-                ("engine".into(), opts.engine.id().to_string()),
+                ("engine".into(), job.engine.to_string()),
             ];
-            if let pa_core::ModelKind::Nlpa { alpha } = opts.model {
+            if let pa_core::ModelKind::Nlpa { alpha } = job.model {
                 attrs.push(("alpha".into(), alpha.to_string()));
             }
-            (cfg.n, shards, attrs)
+            (job.cfg.n, shards, attrs)
         }
         "er" => {
             let n = args.u64("n", 100_000)?;
@@ -191,36 +191,44 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse the `pa` model's parameters: config, scheme, rank count, and the
-/// options (engine, model, store and tuning knobs).
-fn parse_pa_params(
+/// `--format bin|txt` as the streamed edge encoding; `None` for anything
+/// else (each command words its own refusal).
+pub(crate) fn edge_format(format: &str) -> Option<io::EdgeFormat> {
+    match format {
+        "bin" => Some(io::EdgeFormat::Binary),
+        "txt" => Some(io::EdgeFormat::Text),
+        _ => None,
+    }
+}
+
+/// Read the PA run tuple — `--n --x --p --seed --ranks --scheme --engine
+/// --model --alpha` and their defaults — once, for `generate`, one rank
+/// of a TCP world (`world` replaces `--ranks`) and `fetch`, so all three
+/// name the same job by the same flags. The result is validated.
+pub(crate) fn parse_job(
     args: &Args,
-    seed: u64,
-) -> Result<(PaConfig, Scheme, usize, GenOptions), CliError> {
+    world: Option<u64>,
+    format: io::EdgeFormat,
+) -> Result<JobDescriptor, CliError> {
     let n = args.u64("n", 100_000)?;
     let x = args.u64("x", 4)?;
     let p = args.f64("p", 0.5)?;
-    let ranks = args.u64("ranks", 4)? as usize;
-    let scheme = parse_scheme(&args.str("scheme", "rrp"))?;
-    if ranks == 0 {
-        return Err(CliError::usage("--ranks must be positive"));
-    }
-    let engine = parse_engine(args)?;
-    engine.check(x).map_err(CliError::usage)?;
-    let cfg = validated(n, x, p, seed)?;
-    let default_store_dir = format!("{}.store", args.str("out", "graph.pag"));
-    let opts = parse_gen_options(args)?
-        .with_engine(engine)
-        .with_model(parse_model_kind(args)?)
-        .with_store(parse_store_spec(args, &default_store_dir)?);
-    if let Some(hub) = opts.hub_cache_nodes {
-        if hub > n {
-            return Err(CliError::usage(format!(
-                "--hub-cache {hub} exceeds n = {n} (use auto or off)"
-            )));
-        }
-    }
-    Ok((cfg, scheme, ranks, opts))
+    let seed = args.u64("seed", 0)?;
+    let ranks = match world {
+        Some(world) => world,
+        None => args.u64("ranks", 4)?,
+    };
+    let job = JobDescriptor {
+        cfg: PaConfig { n, x, p, seed },
+        scheme: parse_scheme(&args.str("scheme", "rrp"))?,
+        engine: parse_engine(args)?.id(),
+        model: parse_model_kind(args)?,
+        ranks: u32::try_from(ranks)
+            .map_err(|_| CliError::usage(format!("rank count {ranks} does not fit in u32")))?,
+        format,
+    };
+    job.validate().map_err(CliError::usage)?;
+    Ok(job)
 }
 
 /// Parse a byte size: a plain integer with an optional `k`, `m` or `g`
@@ -397,14 +405,15 @@ pub(crate) fn merge_parts(path: &Path, ranks: usize) -> std::io::Result<()> {
 /// This is the single streaming code path shared by `pagen generate`
 /// and the `pagen serve` job runner — sharing it is what guarantees a
 /// served artifact is byte-identical to a solo run of the same tuple.
+/// `tuning` carries the byte-neutral knobs; the job's engine and model
+/// are applied to it here.
 pub(crate) fn stream_pa_to_disk(
-    cfg: &PaConfig,
-    scheme: Scheme,
-    ranks: usize,
-    opts: &GenOptions,
+    job: &JobDescriptor,
+    tuning: GenOptions,
     path: &Path,
-    edge_format: io::EdgeFormat,
 ) -> Result<(u64, Vec<pa_mpsim::CommStats>), CliError> {
+    let ranks = job.ranks as usize;
+    let opts = job.gen_options(tuning);
     // Pre-create the per-rank files so creation errors surface before any
     // rank spawns; each rank thread then takes its own handle.
     let mut files = Vec::with_capacity(ranks);
@@ -413,13 +422,13 @@ pub(crate) fn stream_pa_to_disk(
         files.push(std::sync::Mutex::new(Some(f)));
     }
 
-    let outputs = par::generate_streaming(cfg, scheme, ranks, opts, |rank| {
+    let outputs = par::generate_streaming(&job.cfg, job.scheme, ranks, &opts, |rank| {
         let f = files[rank]
             .lock()
             .expect("file handoff poisoned")
             .take()
             .expect("sink built twice for one rank");
-        par::StreamingWriterSink::new(f, edge_format)
+        par::StreamingWriterSink::new(f, job.format)
     });
 
     let mut total_edges = 0u64;
@@ -435,9 +444,10 @@ pub(crate) fn stream_pa_to_disk(
     Ok((total_edges, comms))
 }
 
-/// Engine tuning knobs shared by the `pa` model: buffering, service
-/// cadence, idle-wait timing, and the hub cache.
-pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
+/// Engine tuning knobs shared by the `pa` model on every backend:
+/// buffering, service cadence, the hub cache (bounded by the run's `n`),
+/// chaos and the stall watchdog.
+pub(crate) fn parse_gen_options(args: &Args, n: u64) -> Result<GenOptions, CliError> {
     let mut opts = GenOptions::default();
     opts.buffer_capacity = args.u64("buffer-cap", opts.buffer_capacity as u64)? as usize;
     if opts.buffer_capacity == 0 {
@@ -446,17 +456,6 @@ pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
     opts.service_interval = args.u64("service-interval", opts.service_interval as u64)? as usize;
     if opts.service_interval == 0 {
         return Err(CliError::usage("--service-interval must be positive"));
-    }
-    let default_idle_us = opts.idle_wait.as_micros() as u64;
-    let idle_us = args.u64("idle-wait-us", default_idle_us)?;
-    if idle_us == 0 {
-        return Err(CliError::usage("--idle-wait-us must be positive"));
-    }
-    opts.idle_wait = std::time::Duration::from_micros(idle_us);
-    opts.idle_flush_interval =
-        args.u64("idle-flush-interval", opts.idle_flush_interval as u64)? as usize;
-    if opts.idle_flush_interval == 0 {
-        return Err(CliError::usage("--idle-flush-interval must be positive"));
     }
     match args.str("hub-cache", "auto").as_str() {
         "auto" => {}
@@ -467,6 +466,11 @@ pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
                     "--hub-cache must be auto, off or a node count, got {nodes:?}"
                 ))
             })?;
+            if nodes > n {
+                return Err(CliError::usage(format!(
+                    "--hub-cache {nodes} exceeds n = {n} (use auto or off)"
+                )));
+            }
             opts = opts.with_hub_cache(nodes);
         }
     }
@@ -494,20 +498,13 @@ pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
     Ok(opts)
 }
 
-pub(crate) fn validated(n: u64, x: u64, p: f64, seed: u64) -> Result<PaConfig, CliError> {
-    let cfg = PaConfig { n, x, p, seed };
-    cfg.check().map_err(CliError::usage)?;
-    Ok(cfg)
-}
-
 pub(crate) fn parse_scheme(s: &str) -> Result<Scheme, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "ucp" => Ok(Scheme::Ucp),
-        "lcp" => Ok(Scheme::Lcp),
-        "rrp" => Ok(Scheme::Rrp),
-        "bcp" => Ok(Scheme::Bcp),
-        other => Err(CliError::usage(format!(
-            "unknown scheme {other:?} (expected ucp, lcp, rrp or bcp)"
-        ))),
-    }
+    Scheme::EXTENDED
+        .into_iter()
+        .find(|scheme| scheme.name().eq_ignore_ascii_case(s))
+        .ok_or_else(|| {
+            CliError::usage(format!(
+                "unknown scheme {s:?} (expected ucp, lcp, rrp or bcp)"
+            ))
+        })
 }

@@ -66,7 +66,13 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scheme = crate::generate::parse_scheme(&args.str("scheme", "rrp"))?;
     let engine = crate::generate::parse_engine(args)?;
     // `p` and the seed do not enter the estimate; any legal values do.
-    crate::generate::validated(n, x, 0.5, 0)?;
+    let any = pa_core::PaConfig {
+        n,
+        x,
+        p: 0.5,
+        seed: 0,
+    };
+    any.check().map_err(CliError::usage)?;
     engine.check(x).map_err(CliError::usage)?;
     let budget = args.str("memory-budget", "");
     let budget_bytes = if budget.is_empty() {

@@ -89,8 +89,6 @@ COMMANDS:
                           --service-interval <nodes> (default 4096)
                           --hub-cache auto|off|<nodes> (default auto)
                           --chain-memo <nodes> (engine 3 memo rows; default 1048576, 0 off)
-                          --idle-wait-us <µs> (default 200)
-                          --idle-flush-interval <waits> (default 16)
                pa chaos:  --chaos-profile off|light|aggressive (default off)
                           --chaos-seed <u64> (default 0)
                           --stall-timeout-ms <ms> (default: off; 120000 under chaos)

@@ -13,15 +13,11 @@ use std::io::Write;
 
 use pa_core::par::{self, EdgeSink, Msg};
 use pa_core::{partition, Engine};
-use pa_graph::io as gio;
 use pa_mpsim::Transport;
 use pa_net::{TcpConfig, TcpTransport};
 
 use crate::args::{Args, CliError};
-use crate::generate::{
-    merge_parts, parse_engine, parse_gen_options, parse_model_kind, parse_scheme, part_path,
-    validated,
-};
+use crate::generate::{edge_format, merge_parts, parse_gen_options, parse_job, part_path};
 use crate::stats::{MergedStats, StatsFlags};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -31,48 +27,14 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             "--backend tcp only supports --model pa or nlpa, got {model:?}"
         )));
     }
-    let seed = args.u64("seed", 0)?;
     let path = args.str("out", "graph.bin");
     let format = args.str("format", "bin");
-    let edge_format = match format.as_str() {
-        "bin" => gio::EdgeFormat::Binary,
-        "txt" => gio::EdgeFormat::Text,
-        other => {
-            return Err(CliError::usage(format!(
-                "--backend tcp streams per-rank files, so --format must be bin or txt, \
-                 got {other:?}"
-            )))
-        }
-    };
-
-    // Model parameters — identical to the in-process pa path, except the
-    // rank count comes from the world description, not --ranks.
-    let n = args.u64("n", 100_000)?;
-    let x = args.u64("x", 4)?;
-    let p = args.f64("p", 0.5)?;
-    let scheme = parse_scheme(&args.str("scheme", "rrp"))?;
-    let engine = parse_engine(args)?;
-    if engine == Engine::X1 {
-        return Err(CliError::usage(
-            "--backend tcp supports --engine 2 or 3 (engine 1 uses the \
-             x = 1 wire format, which the TCP rank path does not carry)",
-        ));
-    }
-    let cfg = validated(n, x, p, seed)?;
-    let mut opts = parse_gen_options(args)?
-        .with_engine(engine)
-        .with_model(parse_model_kind(args)?);
-    if opts.fault_plan.is_some() {
-        return Err(CliError::usage(
-            "--chaos-profile is not supported with --backend tcp \
-             (fault injection wraps in-process transports only)",
-        ));
-    }
-    if opts.stall_timeout.is_none() {
-        // A wedged (but not dead) peer must fail the run, not hang it;
-        // dead peers are detected faster by the transport itself.
-        opts = opts.with_stall_timeout(std::time::Duration::from_secs(120));
-    }
+    let encoding = edge_format(&format).ok_or_else(|| {
+        CliError::usage(format!(
+            "--backend tcp streams per-rank files, so --format must be bin or txt, \
+             got {format:?}"
+        ))
+    })?;
 
     // World description.
     let rank = args.u64("rank", u64::MAX)?;
@@ -88,6 +50,29 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     if world == 0 {
         return Err(CliError::usage("--backend tcp needs --world <P> >= 1"));
+    }
+
+    // The run tuple — the flags and defaults of the in-process pa path,
+    // except the rank count comes from the world description.
+    let job = parse_job(args, Some(world), encoding)?;
+    let (cfg, scheme, n) = (job.cfg, job.scheme, job.cfg.n);
+    let mut opts = job.gen_options(parse_gen_options(args, n)?);
+    if opts.engine == Engine::X1 {
+        return Err(CliError::usage(
+            "--backend tcp supports --engine 2 or 3 (engine 1 uses the \
+             x = 1 wire format, which the TCP rank path does not carry)",
+        ));
+    }
+    if opts.fault_plan.is_some() {
+        return Err(CliError::usage(
+            "--chaos-profile is not supported with --backend tcp \
+             (fault injection wraps in-process transports only)",
+        ));
+    }
+    if opts.stall_timeout.is_none() {
+        // A wedged (but not dead) peer must fail the run, not hang it;
+        // dead peers are detected faster by the transport itself.
+        opts = opts.with_stall_timeout(std::time::Duration::from_secs(120));
     }
     let peers: Vec<String> = peers_flag.split(',').map(str::to_string).collect();
     let connect_ms = args.u64("connect-timeout-ms", 30_000)?;
@@ -234,7 +219,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let agreed = t.allreduce_min(vote);
     let (sink, saved) = if agreed == 0 {
         let file = std::fs::File::create(&my_part).map_err(CliError::io)?;
-        let mut sink = par::StreamingWriterSink::new(file, edge_format);
+        let mut sink = par::StreamingWriterSink::new(file, job.format);
         match &world_ckpt {
             None => (sink, None),
             Some(w) => {
@@ -246,7 +231,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 // above comes back nonzero and this branch is skipped.)
                 w.write_part_prefix(&part, rank, &mut sink);
                 let (edges, bytes) = sink.checkpoint_mark().map_err(CliError::io)?;
-                let payload = w.payload_for(&part, rank, engine);
+                let payload = w.payload_for(&part, rank, opts.engine);
                 let saved = w.resume_point(payload, edges, bytes);
                 (sink, Some(saved))
             }
@@ -271,7 +256,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         file.set_len(saved.bytes).map_err(CliError::io)?;
         file.seek(std::io::SeekFrom::End(0)).map_err(CliError::io)?;
         (
-            par::StreamingWriterSink::resume(file, edge_format, saved.edges, saved.bytes),
+            par::StreamingWriterSink::resume(file, job.format, saved.edges, saved.bytes),
             Some(saved),
         )
     };

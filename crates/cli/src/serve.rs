@@ -12,42 +12,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use crate::args::{Args, CliError};
-use pa_core::job::{JobDescriptor, RawJob};
+use pa_core::job::JobDescriptor;
 use pa_core::GenOptions;
 use pa_net::serve::{JobRunner, JobSpec, ServeConfig, Server};
-
-/// Convert the wire tuple to `pa-core`'s raw form (same fields, owned by
-/// different layers — `pa-net` must not depend on `pa-core`).
-pub(crate) fn raw_from_spec(spec: &JobSpec) -> RawJob {
-    RawJob {
-        n: spec.n,
-        x: spec.x,
-        p_bits: spec.p_bits,
-        seed: spec.seed,
-        alpha_bits: spec.alpha_bits,
-        ranks: spec.ranks,
-        scheme_id: spec.scheme_id,
-        engine_id: spec.engine_id,
-        model_id: spec.model_id,
-        format_id: spec.format_id,
-    }
-}
-
-/// Inverse of [`raw_from_spec`].
-pub(crate) fn spec_from_raw(raw: &RawJob) -> JobSpec {
-    JobSpec {
-        n: raw.n,
-        x: raw.x,
-        p_bits: raw.p_bits,
-        seed: raw.seed,
-        alpha_bits: raw.alpha_bits,
-        ranks: raw.ranks,
-        scheme_id: raw.scheme_id,
-        engine_id: raw.engine_id,
-        model_id: raw.model_id,
-        format_id: raw.format_id,
-    }
-}
 
 /// The production job runner: validates via [`JobDescriptor`] and
 /// generates through [`crate::generate::stream_pa_to_disk`].
@@ -60,7 +27,7 @@ struct EngineRunner {
 
 impl EngineRunner {
     fn descriptor(&self, spec: &JobSpec) -> Result<JobDescriptor, String> {
-        let desc = JobDescriptor::from_raw(&raw_from_spec(spec))?;
+        let desc = JobDescriptor::from_raw(spec)?;
         if desc.ranks > self.max_ranks {
             return Err(format!(
                 "ranks = {} exceeds this server's cap of {} (--max-ranks)",
@@ -84,16 +51,9 @@ impl JobRunner for EngineRunner {
 
     fn run(&self, spec: &JobSpec, out: &Path) -> Result<(), String> {
         let desc = self.descriptor(spec)?;
-        crate::generate::stream_pa_to_disk(
-            &desc.cfg,
-            desc.scheme,
-            desc.ranks as usize,
-            &desc.gen_options(GenOptions::default()),
-            out,
-            desc.format,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+        crate::generate::stream_pa_to_disk(&desc, GenOptions::default(), out)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
     }
 }
 

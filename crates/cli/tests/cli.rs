@@ -223,10 +223,6 @@ fn pa_tuning_flags_do_not_change_the_network() {
         "16",
         "--hub-cache",
         "1000",
-        "--idle-wait-us",
-        "50",
-        "--idle-flush-interval",
-        "4",
         "--out",
         &tuned,
     ])
@@ -331,12 +327,7 @@ fn chaos_profile_rejects_garbage() {
 
 #[test]
 fn zero_valued_tuning_flags_are_rejected() {
-    for flag in [
-        "--buffer-cap",
-        "--service-interval",
-        "--idle-wait-us",
-        "--idle-flush-interval",
-    ] {
+    for flag in ["--buffer-cap", "--service-interval"] {
         let err = exec(&[
             "generate",
             "--model",

@@ -455,4 +455,26 @@ fn tcp_backend_rejects_incomplete_worlds_and_chaos() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("chaos"), "{stderr}");
+
+    // The hub-cache bound is part of the shared flag parse: a rank of a
+    // TCP world refuses it as usage (exit 2) before dialing anyone,
+    // instead of panicking inside the engine's option validation.
+    let out = run(&[
+        "--rank",
+        "0",
+        "--world",
+        "2",
+        "--peers",
+        "a:1,b:2",
+        "--n",
+        "1000",
+        "--hub-cache",
+        "2000",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--hub-cache 2000 exceeds n = 1000 (use auto or off)"),
+        "{stderr}"
+    );
 }

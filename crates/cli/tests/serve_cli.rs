@@ -1,8 +1,7 @@
 //! End-to-end tests of `pagen serve` / `fetch` / `drain` through the
-//! real binary, plus the cross-crate pin of the canonical job encoding
-//! (pa-net's wire-side `JobSpec` vs pa-core's engine-side
-//! `JobDescriptor` must agree byte for byte, or a client would fetch a
-//! different artifact than the daemon generates).
+//! real binary, plus the by-value pin of the canonical job encoding (a
+//! layout change would key a client's request to a different artifact
+//! than the daemon generates, and orphan every cached one).
 
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -69,16 +68,19 @@ fn assert_ok(out: &std::process::Output, what: &str) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Cross-crate canonical-encoding pin.
+// Canonical-encoding pin.
 // ---------------------------------------------------------------------
 
-/// The one property the whole serve stack hangs on: both crates derive
-/// the same 48 canonical bytes — hence the same job id — from the same
-/// parameters. Drift here would silently key a client's request to a
-/// different artifact than the daemon generates.
+/// The one property the whole serve stack hangs on, by value: these two
+/// tuples lower to exactly the 48 canonical bytes — hence the job ids —
+/// that the PR-12 tree derived for them on both sides of the wire. The
+/// arrays and ids are pasted literals on purpose: an accidental layout
+/// change must fail here, not pass by self-consistency, because it would
+/// orphan every cached artifact and key a client's request to a
+/// different file than the daemon generates.
 #[test]
-fn job_spec_and_job_descriptor_agree_on_canonical_bytes_and_id() {
-    let cases = [
+fn job_tuple_layout_and_ids_are_pinned_by_value() {
+    let cases: [(JobDescriptor, [u8; 48], u64); 2] = [
         (
             JobDescriptor {
                 cfg: PaConfig::new(50_000, 4).with_seed(42).with_p(0.5),
@@ -88,18 +90,11 @@ fn job_spec_and_job_descriptor_agree_on_canonical_bytes_and_id() {
                 ranks: 4,
                 format: EdgeFormat::Binary,
             },
-            JobSpec {
-                n: 50_000,
-                x: 4,
-                p_bits: 0.5f64.to_bits(),
-                seed: 42,
-                alpha_bits: 0,
-                ranks: 4,
-                scheme_id: 2,
-                engine_id: 2,
-                model_id: 0,
-                format_id: 1,
-            },
+            [
+                80, 195, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 224, 63, 42,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 2, 2, 0, 1,
+            ],
+            0x777b_6adc_2dca_d4b8,
         ),
         (
             JobDescriptor {
@@ -110,28 +105,20 @@ fn job_spec_and_job_descriptor_agree_on_canonical_bytes_and_id() {
                 ranks: 8,
                 format: EdgeFormat::Text,
             },
-            JobSpec {
-                n: 1_000,
-                x: 1,
-                p_bits: 0.25f64.to_bits(),
-                seed: 7,
-                alpha_bits: 1.5f64.to_bits(),
-                ranks: 8,
-                scheme_id: 1,
-                engine_id: 3,
-                model_id: 1,
-                format_id: 0,
-            },
+            [
+                232, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63, 7, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 248, 63, 8, 0, 0, 0, 1, 3, 1, 0,
+            ],
+            0xd4f0_8003_d0c1_673b,
         ),
     ];
-    for (desc, spec) in cases {
+    for (desc, bytes, id) in cases {
         desc.validate().unwrap();
-        assert_eq!(
-            desc.canonical_bytes().to_vec(),
-            spec.canonical_bytes().to_vec(),
-            "canonical encodings diverged for {desc:?}"
-        );
-        assert_eq!(desc.job_id(), spec.job_id());
+        assert_eq!(desc.canonical_bytes(), bytes, "{desc:?}");
+        assert_eq!(desc.job_id(), id, "{desc:?}");
+        let spec = JobSpec::from_canonical(&bytes);
+        assert_eq!(spec, desc.to_raw());
+        assert_eq!(spec.job_id(), id);
     }
 }
 
@@ -175,15 +162,15 @@ fn serve_fetch_resume_drain_round_trip() {
     let solo = dir.join("solo.bin");
     let mut gen_args = vec!["generate", "--model", "pa", "--out", solo.to_str().unwrap()];
     gen_args.extend_from_slice(job);
-    assert_ok(&pagen(&gen_args), "solo generate");
+    let gen_line = assert_ok(&pagen(&gen_args), "solo generate");
     let solo_bytes = std::fs::read(&solo).unwrap();
     assert!(!solo_bytes.is_empty());
 
     let fetched = dir.join("fetched.bin");
     let mut fetch_args = vec!["fetch", "--addr", &addr, "--out", fetched.to_str().unwrap()];
     fetch_args.extend_from_slice(job);
-    let line = assert_ok(&pagen(&fetch_args), "first fetch");
-    assert!(line.contains("fetched job"), "{line:?}");
+    let fetch_line = assert_ok(&pagen(&fetch_args), "first fetch");
+    assert!(fetch_line.contains("fetched job"), "{fetch_line:?}");
     assert_eq!(
         std::fs::read(&fetched).unwrap(),
         solo_bytes,
@@ -255,6 +242,24 @@ fn serve_fetch_resume_drain_round_trip() {
         .collect();
     assert_eq!(leftovers.len(), 1, "jobs dir: {leftovers:?}");
     assert!(leftovers[0].ends_with(".art"), "jobs dir: {leftovers:?}");
+
+    // One tuple, one name: `generate`, `fetch` and the daemon's runner
+    // (which files the artifact under the id) were given the same flags
+    // and must report the same job id.
+    let id_after = |line: &str, marker: &str| -> String {
+        let at = line
+            .find(marker)
+            .unwrap_or_else(|| panic!("no {marker:?} in {line:?}"));
+        line[at + marker.len()..].chars().take(16).collect()
+    };
+    assert_eq!(
+        [
+            id_after(&gen_line, ", job "),
+            id_after(&fetch_line, "fetched job ")
+        ],
+        [leftovers[0].trim_end_matches(".art"); 2],
+        "generate / fetch / served artifact disagree on the job id"
+    );
 }
 
 /// Crash-restart through the real binary: daemon A caches an artifact

@@ -200,14 +200,6 @@ pub struct GenOptions {
     /// large share of remote lookups without changing the output. `None`
     /// uses [`DEFAULT_HUB_CACHE_NODES`]; `Some(0)` disables the cache.
     pub hub_cache_nodes: Option<u64>,
-    /// How long the completion loop blocks on an empty message queue
-    /// before re-checking the termination predicate.
-    pub idle_wait: std::time::Duration,
-    /// Flush outgoing buffers after this many consecutive *idle*
-    /// completion-loop iterations (iterations that saw traffic always
-    /// flush). Larger values spare quiescent ranks the per-iteration
-    /// flush scan.
-    pub idle_flush_interval: usize,
     /// Seeded fault-injection schedule. When set, every rank's transport
     /// is wrapped in a [`pa_mpsim::FaultTransport`] that delays,
     /// reorders, duplicates and drops-with-recovery packets according to
@@ -258,8 +250,6 @@ impl Default for GenOptions {
             buffer_capacity: 4096,
             service_interval: 4096,
             hub_cache_nodes: None,
-            idle_wait: std::time::Duration::from_micros(200),
-            idle_flush_interval: 16,
             fault_plan: None,
             stall_timeout: None,
             checkpoint_interval: None,
@@ -376,14 +366,6 @@ impl GenOptions {
         assert!(
             self.service_interval > 0,
             "service_interval must be positive"
-        );
-        assert!(
-            !self.idle_wait.is_zero(),
-            "idle_wait must be positive (a zero wait busy-spins)"
-        );
-        assert!(
-            self.idle_flush_interval > 0,
-            "idle_flush_interval must be positive"
         );
         if let Some(plan) = &self.fault_plan {
             plan.validate();
@@ -573,16 +555,6 @@ mod tests {
     #[should_panic(expected = "checkpoint_interval must be positive")]
     fn zero_checkpoint_interval_panics() {
         GenOptions::default().with_checkpoint_interval(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "idle_flush_interval")]
-    fn zero_idle_flush_interval_panics() {
-        GenOptions {
-            idle_flush_interval: 0,
-            ..GenOptions::default()
-        }
-        .validate();
     }
 
     #[test]

@@ -2,31 +2,13 @@
 //!
 //! `pagen serve` turns the batch generator into a service: a client
 //! submits the full parameter tuple of a run and streams the resulting
-//! edge file back. This module owns the *meaning* of that tuple on the
-//! engine side — which [`PaConfig`]/[`GenOptions`]/[`Scheme`]/engine a
-//! raw wire descriptor selects — while `pa-net::serve` owns its wire
-//! encoding. The two agree on one **canonical byte encoding** (see
-//! [`JobDescriptor::canonical_bytes`]) whose FNV-1a digest is the
-//! **job id**: jobs with identical parameters hash to the same id on
-//! every host and every build, which is what makes results cacheable,
-//! coalescable (concurrent submits of one tuple run once) and safely
-//! resumable.
-//!
-//! **Resume tokens.** A dropped stream needs no server-side session
-//! state to resume: the token is just `(job id, durable byte offset)`,
-//! the same byte-watermark coordinates
-//! [`pa_graph::io::EdgeWriter::checkpoint`] records for crash
-//! recovery. A client re-submits the descriptor with the offset it has
-//! and receives exactly the missing suffix — of the server's *cached
-//! artifact*, which is immutable once generated. The generated edge
-//! **set** is a pure function of the descriptor for every engine;
-//! the byte *order* additionally is for engine 3 (label-order local
-//! recomputation), while engines 1 and 2 emit in resolution order,
-//! which varies run to run. Serving stays consistent either way
-//! because resumes always continue one immutable artifact, and the
-//! whole-artifact checksum turns any cross-run divergence (e.g. a
-//! server restart that re-ran an engine-2 job) into a named error
-//! instead of a silently stitched hybrid.
+//! edge file back. The tuple itself, its canonical bytes and the job id
+//! are `pa_graph::job::JobSpec` (named [`RawJob`] here); this module
+//! owns its *meaning* on the engine side — which
+//! [`PaConfig`]/[`GenOptions`]/[`Scheme`]/engine a raw tuple selects, and
+//! which tuples are runnable at all. DESIGN.md "Run identity and wire
+//! formats" has the layering, resume tokens and the per-engine byte-order
+//! guarantees.
 //!
 //! Note that `ranks` *is* part of the tuple: the generated edge **set**
 //! is independent of the rank count, but the on-disk byte order
@@ -35,41 +17,14 @@
 
 use crate::partition::Scheme;
 use crate::{Engine, GenOptions, ModelKind, PaConfig};
-use pa_graph::io::{EdgeFormat, Fnv1a};
+use pa_graph::io::EdgeFormat;
 
-/// Length of the canonical job encoding: five `u64` fields, one `u32`,
-/// four id bytes.
-pub const JOB_CANONICAL_LEN: usize = 48;
-
-/// The raw (wire-shaped) form of a job: plain numbers, no invariants.
-///
-/// This is the shape descriptors cross process boundaries in;
-/// [`JobDescriptor::from_raw`] is the *only* way back to typed form and
-/// rejects every invalid combination with a named error (never a
-/// panic — these fields arrive from the network).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawJob {
-    /// Number of nodes `n`.
-    pub n: u64,
-    /// Edges per new node `x`.
-    pub x: u64,
-    /// Copy-model probability `p` as IEEE-754 bits (exact identity).
-    pub p_bits: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Model parameter as IEEE-754 bits (0 for the parameter-free `pa`).
-    pub alpha_bits: u64,
-    /// Rank count the edge stream is laid out for.
-    pub ranks: u32,
-    /// [`Scheme::id`] discriminant.
-    pub scheme_id: u8,
-    /// Engine selector (1, 2 or 3).
-    pub engine_id: u8,
-    /// [`ModelKind::id`] discriminant.
-    pub model_id: u8,
-    /// [`EdgeFormat::id`] discriminant.
-    pub format_id: u8,
-}
+/// The raw (wire-shaped) form of a job: the one run tuple, under the
+/// name the engine side has always used. [`JobDescriptor::from_raw`] is
+/// the *only* way back to typed form and rejects every invalid
+/// combination with a named error (never a panic — these fields arrive
+/// from the network).
+pub use pa_graph::job::{JobSpec as RawJob, JOB_CANONICAL_LEN};
 
 /// A validated generation job: everything that determines the output
 /// bytes of a run, and nothing that does not (tuning knobs like buffer
@@ -128,30 +83,14 @@ impl JobDescriptor {
         base.with_engine(engine).with_model(self.model)
     }
 
-    /// The canonical encoding job identity is hashed over: every field
-    /// little-endian, fixed order, fixed width. `pa-net`'s wire
-    /// `JobSpec` encodes the identical bytes, so client, server and
-    /// engine all derive the same [`JobDescriptor::job_id`] — pinned by
-    /// a cross-crate test in `pa-cli`.
+    /// [`RawJob::canonical_bytes`] of this job's tuple.
     pub fn canonical_bytes(&self) -> [u8; JOB_CANONICAL_LEN] {
-        let raw = self.to_raw();
-        let mut out = [0u8; JOB_CANONICAL_LEN];
-        out[0..8].copy_from_slice(&raw.n.to_le_bytes());
-        out[8..16].copy_from_slice(&raw.x.to_le_bytes());
-        out[16..24].copy_from_slice(&raw.p_bits.to_le_bytes());
-        out[24..32].copy_from_slice(&raw.seed.to_le_bytes());
-        out[32..40].copy_from_slice(&raw.alpha_bits.to_le_bytes());
-        out[40..44].copy_from_slice(&raw.ranks.to_le_bytes());
-        out[44] = raw.scheme_id;
-        out[45] = raw.engine_id;
-        out[46] = raw.model_id;
-        out[47] = raw.format_id;
-        out
+        self.to_raw().canonical_bytes()
     }
 
-    /// Stable job identity: FNV-1a over [`JobDescriptor::canonical_bytes`].
+    /// Stable job identity: [`RawJob::job_id`] of this job's tuple.
     pub fn job_id(&self) -> u64 {
-        Fnv1a::hash(&self.canonical_bytes())
+        self.to_raw().job_id()
     }
 
     /// Lower to the raw wire-shaped form.

@@ -26,6 +26,7 @@ use pa_graph::io::Fnv1a;
 use pa_mpsim::wire::{get_u32, get_u64, get_u8};
 
 use crate::partition::Scheme;
+use crate::store::checksummed_body;
 use crate::{GenOptions, PaConfig};
 
 /// Magic number at the head of every checkpoint file (`"PACK"`).
@@ -138,15 +139,7 @@ pub(crate) struct RawCheckpoint {
 /// treated as absent, exactly like [`CheckpointStore::load`].
 pub(crate) fn read_raw_checkpoint(path: &Path) -> Option<RawCheckpoint> {
     let buf = fs::read(path).ok()?;
-    if buf.len() < 8 {
-        return None;
-    }
-    let (body, sum_bytes) = buf.split_at(buf.len() - 8);
-    let sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-    if Fnv1a::hash(body) != sum {
-        return None;
-    }
-    let mut r: &[u8] = body;
+    let mut r = checksummed_body(&buf)?;
     if get_u32(&mut r)? != MAGIC || get_u32(&mut r)? != VERSION {
         return None;
     }

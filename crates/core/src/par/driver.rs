@@ -88,6 +88,15 @@ impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
     }
 }
 
+/// How long the completion loop blocks on an empty message queue before
+/// re-checking the termination predicate (a zero wait would busy-spin).
+const IDLE_WAIT: std::time::Duration = std::time::Duration::from_micros(200);
+
+/// The completion loop re-scans its outgoing buffers after this many
+/// consecutive *idle* iterations (iterations that saw traffic always
+/// flush), sparing quiescent ranks the per-iteration flush scan.
+const IDLE_FLUSH_INTERVAL: usize = 16;
+
 /// Run `algo` to global quiescence on this rank; returns it with every
 /// local slot committed and every waiter drained.
 ///
@@ -190,7 +199,7 @@ where
 
         // --- Completion loop: service traffic until global quiescence. ---
         // Iterations that made progress flush immediately; quiescent ranks
-        // only re-scan their buffers every `idle_flush_interval` waits, and
+        // only re-scan their buffers every `IDLE_FLUSH_INTERVAL` waits, and
         // park on the transport instead of spinning (see the Transport
         // receive contract).
         //
@@ -213,11 +222,11 @@ where
                 }
             } else if !net.term.is_done() {
                 idle_iters += 1;
-                if idle_iters >= opts.idle_flush_interval {
+                if idle_iters >= IDLE_FLUSH_INTERVAL {
                     idle_iters = 0;
                     net.flush_all();
                 }
-                if let Some(pkt) = net.comm.recv_timeout(opts.idle_wait) {
+                if let Some(pkt) = net.comm.recv_timeout(IDLE_WAIT) {
                     idle_iters = 0;
                     let mut msgs = pkt.msgs;
                     algo.handle_msgs(&mut net, pkt.src, &mut msgs);

@@ -40,7 +40,7 @@ use super::checkpoint::{read_raw_checkpoint, CheckpointMeta, SavedCheckpoint};
 use super::output::EngineCounters;
 use super::sink::EdgeSink;
 use crate::partition::{self, AnyPartition, Partition, Scheme};
-use crate::store::{page_path, read_page_file, slots_fnv, PAGED_PAYLOAD_MARK};
+use crate::store::{page_path, read_page_file, slots_fnv, TablePrefix};
 use crate::{Engine, Node, NILL};
 
 /// A saved world's committed state at its newest common checkpoint cut,
@@ -262,67 +262,60 @@ impl WorldCheckpoint {
 /// files (re-verified against the payload's FNV) for the paged format.
 fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result<Vec<u64>, String> {
     let mut r = payload;
-    let first = get_u64(&mut r).ok_or("truncated checkpoint payload")?;
+    let header = TablePrefix::read(&mut r)?;
+    let (TablePrefix::Resident { cnt: file_cnt } | TablePrefix::Paged { cnt: file_cnt, .. }) =
+        header;
+    if file_cnt != cnt {
+        return Err(format!(
+            "rank {rank}: committed prefix holds {file_cnt} nodes but the \
+             partition puts {cnt} below the cut"
+        ));
+    }
     let want = cnt * x;
-    if first == PAGED_PAYLOAD_MARK {
-        let file_cnt = get_u64(&mut r).ok_or("truncated paged checkpoint payload")?;
-        let fnv = get_u64(&mut r).ok_or("truncated paged checkpoint checksum")?;
-        if file_cnt != cnt {
-            return Err(format!(
-                "rank {rank}: committed prefix holds {file_cnt} nodes but the \
-                 partition puts {cnt} below the cut"
-            ));
-        }
-        if want == 0 {
-            return Ok(Vec::new());
-        }
-        let prefix = format!("rank{rank}.f");
-        let read = |page: u64| {
-            read_page_file(&page_path(dir, &prefix, page)).ok_or_else(|| {
-                format!(
-                    "rank {rank}: page file {} is missing or torn (was this world \
-                     generated with --memory-budget and its store kept?)",
-                    page_path(dir, &prefix, page).display()
-                )
-            })
-        };
-        let mut slots = read(0)?;
-        let spp = slots.len() as u64;
-        if spp == 0 {
-            return Err(format!("rank {rank}: page 0 of table f is empty"));
-        }
-        for page in 1..want.div_ceil(spp) {
-            let data = read(page)?;
-            if data.len() as u64 != spp {
-                return Err(format!(
-                    "rank {rank}: page {page} has {} slots where the table's \
-                     geometry says {spp}",
-                    data.len()
-                ));
-            }
-            slots.extend_from_slice(&data);
-        }
-        slots.truncate(want as usize);
-        if slots_fnv(slots.iter().copied()) != fnv {
-            return Err(format!(
-                "rank {rank}: page files do not match the checkpoint's \
-                 committed-prefix checksum"
-            ));
-        }
-        Ok(slots)
-    } else {
-        if first != cnt {
-            return Err(format!(
-                "rank {rank}: committed prefix holds {first} nodes but the \
-                 partition puts {cnt} below the cut"
-            ));
-        }
+    let TablePrefix::Paged { fnv, .. } = header else {
         let mut slots = Vec::with_capacity(want as usize);
         for _ in 0..want {
             slots.push(get_u64(&mut r).ok_or("truncated F table")?);
         }
-        Ok(slots)
+        return Ok(slots);
+    };
+    if want == 0 {
+        return Ok(Vec::new());
     }
+    let prefix = format!("rank{rank}.f");
+    let read = |page: u64| {
+        read_page_file(&page_path(dir, &prefix, page)).ok_or_else(|| {
+            format!(
+                "rank {rank}: page file {} is missing or torn (was this world \
+                 generated with --memory-budget and its store kept?)",
+                page_path(dir, &prefix, page).display()
+            )
+        })
+    };
+    let mut slots = read(0)?;
+    let spp = slots.len() as u64;
+    if spp == 0 {
+        return Err(format!("rank {rank}: page 0 of table f is empty"));
+    }
+    for page in 1..want.div_ceil(spp) {
+        let data = read(page)?;
+        if data.len() as u64 != spp {
+            return Err(format!(
+                "rank {rank}: page {page} has {} slots where the table's \
+                 geometry says {spp}",
+                data.len()
+            ));
+        }
+        slots.extend_from_slice(&data);
+    }
+    slots.truncate(want as usize);
+    if slots_fnv(slots.iter().copied()) != fnv {
+        return Err(format!(
+            "rank {rank}: page files do not match the checkpoint's \
+             committed-prefix checksum"
+        ));
+    }
+    Ok(slots)
 }
 
 #[cfg(test)]

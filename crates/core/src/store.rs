@@ -38,6 +38,7 @@
 //! (`read_table_prefix`) is exactly the torn-page detector.
 
 use pa_graph::io::Fnv1a;
+use pa_mpsim::wire::{get_u32, get_u64, take};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
@@ -57,7 +58,7 @@ pub const DEFAULT_PAGE_BYTES: usize = 256 * 1024;
 /// First payload word of a paged-table checkpoint prefix. A resident
 /// payload starts with the committed node count, which is at most `n`,
 /// so `u64::MAX` can never be mistaken for one.
-pub(crate) const PAGED_PAYLOAD_MARK: u64 = u64::MAX;
+const PAGED_PAYLOAD_MARK: u64 = u64::MAX;
 
 /// FNV-1a over the little-endian bytes of `slots` — the committed-prefix
 /// checksum a paged checkpoint records and elastic restart re-verifies.
@@ -329,6 +330,14 @@ pub fn page_path(dir: &Path, prefix: &str, page: u64) -> PathBuf {
     dir.join(format!("{prefix}.p{page}.pg"))
 }
 
+/// The body of a file sealed with a trailing FNV-1a over everything
+/// before it (page files, checkpoints); `None` if short or mismatched.
+pub(crate) fn checksummed_body(buf: &[u8]) -> Option<&[u8]> {
+    let r = &mut &buf[..];
+    let body = take(r, buf.len().checked_sub(8)?)?;
+    (Fnv1a::hash(body) == get_u64(r)?).then_some(body)
+}
+
 /// Read and verify one page file: `None` on any defect — missing file,
 /// short read, wrong magic/version, index mismatch with the file name's
 /// `pN`, or checksum failure. The slot count is derived from the file
@@ -336,20 +345,11 @@ pub fn page_path(dir: &Path, prefix: &str, page: u64) -> PathBuf {
 /// count).
 pub fn read_page_file(path: &Path) -> Option<Vec<u64>> {
     let buf = fs::read(path).ok()?;
-    if buf.len() < PAGE_OVERHEAD || !(buf.len() - PAGE_OVERHEAD).is_multiple_of(8) {
+    let r = &mut checksummed_body(&buf)?;
+    if get_u32(r)? != PAGE_MAGIC || get_u32(r)? != PAGE_VERSION {
         return None;
     }
-    let (body, sum_bytes) = buf.split_at(buf.len() - 8);
-    let sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-    if Fnv1a::hash(body) != sum {
-        return None;
-    }
-    if u32::from_le_bytes(body[0..4].try_into().ok()?) != PAGE_MAGIC
-        || u32::from_le_bytes(body[4..8].try_into().ok()?) != PAGE_VERSION
-    {
-        return None;
-    }
-    let page = u64::from_le_bytes(body[8..16].try_into().ok()?);
+    let page = get_u64(r)?;
     // The index in the header must agree with the one in the file name —
     // a page renamed (or copied) under the wrong name must not load.
     let from_name: Option<u64> = path
@@ -361,13 +361,9 @@ pub fn read_page_file(path: &Path) -> Option<Vec<u64>> {
     if from_name != Some(page) {
         return None;
     }
-    let words = &body[16..];
-    Some(
-        words
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
+    let (words, rest) = r.as_chunks::<8>();
+    rest.is_empty()
+        .then(|| words.iter().map(|w| u64::from_le_bytes(*w)).collect())
 }
 
 impl PagedTable {
@@ -729,6 +725,30 @@ pub(crate) fn write_table_prefix(t: &mut AnyTable, cnt: u64, spn: u64, out: &mut
     }
 }
 
+/// The header [`write_table_prefix`] opens a payload with: the committed
+/// node count, plus — for a paged table, whose slots stay in the page
+/// files — the FNV of the committed prefix.
+pub(crate) enum TablePrefix {
+    /// `[cnt, slot values...]`: the slots follow inline.
+    Resident { cnt: u64 },
+    /// `[PAGED_PAYLOAD_MARK, cnt, fnv]`.
+    Paged { cnt: u64, fnv: u64 },
+}
+
+impl TablePrefix {
+    /// Parse the header, advancing `r` past it.
+    pub(crate) fn read(r: &mut &[u8]) -> Result<TablePrefix, String> {
+        let first = get_u64(r).ok_or("truncated checkpoint payload")?;
+        if first != PAGED_PAYLOAD_MARK {
+            return Ok(TablePrefix::Resident { cnt: first });
+        }
+        Ok(TablePrefix::Paged {
+            cnt: get_u64(r).ok_or("truncated paged checkpoint payload")?,
+            fnv: get_u64(r).ok_or("truncated paged checkpoint checksum")?,
+        })
+    }
+}
+
 /// Restore a table's committed prefix from a checkpoint payload written
 /// by [`write_table_prefix`], advancing `r` past the consumed bytes and
 /// clearing every slot above the prefix.
@@ -744,48 +764,40 @@ pub(crate) fn read_table_prefix(
     spn: u64,
     r: &mut &[u8],
 ) -> Result<(), String> {
-    use pa_mpsim::wire::get_u64;
-    let first = get_u64(r).ok_or("truncated checkpoint payload")?;
-    if first == PAGED_PAYLOAD_MARK {
-        let cnt = get_u64(r).ok_or("truncated paged checkpoint payload")?;
-        let fnv = get_u64(r).ok_or("truncated paged checkpoint checksum")?;
-        if cnt != expect_cnt {
-            return Err(format!(
-                "committed prefix holds {cnt} nodes but the partition expects {expect_cnt}"
-            ));
-        }
-        let AnyTable::Paged(_) = t else {
-            return Err(
-                "checkpoint was taken with --memory-budget (it references page files); \
-                 resume with the same --memory-budget/--store-dir"
-                    .to_string(),
-            );
-        };
-        let prefix = cnt * spn;
-        if t.prefix_fnv(prefix) != fnv {
-            return Err(
-                "page files do not match the checkpoint's committed-prefix checksum \
-                 (torn, missing, or foreign pages)"
-                    .to_string(),
-            );
-        }
-        t.reset_from(prefix);
-        Ok(())
-    } else {
-        let cnt = first;
-        if cnt != expect_cnt {
-            return Err(format!(
-                "committed prefix holds {cnt} nodes but the partition expects {expect_cnt}"
-            ));
-        }
-        let prefix = cnt * spn;
-        for s in 0..prefix {
-            let v = get_u64(r).ok_or("truncated F table")?;
-            t.set(s, v);
-        }
-        t.reset_from(prefix);
-        Ok(())
+    let header = TablePrefix::read(r)?;
+    let (TablePrefix::Resident { cnt } | TablePrefix::Paged { cnt, .. }) = header;
+    if cnt != expect_cnt {
+        return Err(format!(
+            "committed prefix holds {cnt} nodes but the partition expects {expect_cnt}"
+        ));
     }
+    let prefix = cnt * spn;
+    match header {
+        TablePrefix::Paged { fnv, .. } => {
+            let AnyTable::Paged(_) = t else {
+                return Err(
+                    "checkpoint was taken with --memory-budget (it references page files); \
+                     resume with the same --memory-budget/--store-dir"
+                        .to_string(),
+                );
+            };
+            if t.prefix_fnv(prefix) != fnv {
+                return Err(
+                    "page files do not match the checkpoint's committed-prefix checksum \
+                     (torn, missing, or foreign pages)"
+                        .to_string(),
+                );
+            }
+        }
+        TablePrefix::Resident { .. } => {
+            for s in 0..prefix {
+                let v = get_u64(r).ok_or("truncated F table")?;
+                t.set(s, v);
+            }
+        }
+    }
+    t.reset_from(prefix);
+    Ok(())
 }
 
 /// Delete every page file (and temp) belonging to `rank` inside `dir` —
@@ -925,6 +937,24 @@ mod tests {
         }
         for s in 8..12 {
             assert_eq!(t.get(s), 1000 + s, "page 2 intact");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncated_or_extended_page_file_reads_as_none() {
+        let dir = scratch("cut");
+        let mut t = PagedTable::open(&tiny_spec(&dir, 64), "rank0.f", 4, FILL).unwrap();
+        t.set(0, 7);
+        t.flush().unwrap();
+        let p0 = page_path(&dir, "rank0.f", 0);
+        let good = fs::read(&p0).unwrap();
+        assert!(read_page_file(&p0).is_some());
+        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+        for bad in cuts.chain([[&good[..], &[0]].concat()]) {
+            fs::write(&p0, &bad).unwrap();
+            let got = read_page_file(&p0);
+            assert_eq!(got, None, "{} of {} bytes", bad.len(), good.len());
         }
         let _ = fs::remove_dir_all(&dir);
     }

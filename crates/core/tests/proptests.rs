@@ -1,8 +1,10 @@
 //! Property-based tests for pa-core: partitioning contracts, model
 //! invariants, and cross-engine agreement on randomized configurations.
 
+use pa_core::job::{JobDescriptor, RawJob};
 use pa_core::partition::{build, check_contract, Partition, Scheme};
-use pa_core::{chains, par, seq, Engine, FaultPlan, GenOptions, PaConfig};
+use pa_core::{chains, par, seq, Engine, FaultPlan, GenOptions, ModelKind, PaConfig};
+use pa_graph::io::EdgeFormat;
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -316,5 +318,55 @@ proptest! {
             prop_assert_eq!(reopened.get(s), expect, "slot {}", s);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The 48 canonical bytes carry every bit of every field: decoding
+    /// them gives back the tuple, whatever the field values.
+    #[test]
+    fn run_tuple_survives_its_canonical_bytes(
+        words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        ranks in any::<u32>(),
+        ids in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+    ) {
+        let tuple = RawJob {
+            n: words.0,
+            x: words.1,
+            p_bits: words.2,
+            seed: words.3,
+            alpha_bits: words.4,
+            ranks,
+            scheme_id: ids.0,
+            engine_id: ids.1,
+            model_id: ids.2,
+            format_id: ids.3,
+        };
+        prop_assert_eq!(RawJob::from_canonical(&tuple.canonical_bytes()), tuple);
+    }
+
+    /// Lowering a valid descriptor to the raw tuple and lifting it back
+    /// is the identity, so a job means the same on both sides of the wire.
+    #[test]
+    fn valid_descriptor_survives_the_raw_tuple(
+        shape in (2u64..1_000_000_000, 1u64..9, 0.0f64..=1.0, any::<u64>()),
+        scheme in prop_oneof![any_scheme(), Just(Scheme::Bcp)],
+        engine in 1u8..4,
+        alpha in prop_oneof![Just(None), (0.0f64..=3.0).prop_map(Some)],
+        ranks in 1u32..=u32::MAX,
+        text in any::<bool>(),
+    ) {
+        let desc = JobDescriptor {
+            cfg: PaConfig { n: shape.0, x: shape.1, p: shape.2, seed: shape.3 },
+            scheme,
+            engine,
+            model: alpha.map_or(ModelKind::Pa, |alpha| ModelKind::Nlpa { alpha }),
+            ranks,
+            format: if text { EdgeFormat::Text } else { EdgeFormat::Binary },
+        };
+        prop_assume!(desc.validate().is_ok());
+        prop_assert_eq!(JobDescriptor::from_raw(&desc.to_raw()), Ok(desc));
     }
 }

@@ -17,6 +17,8 @@
 //!   networks are connected by construction, which makes connectivity a
 //!   strong end-to-end test.
 //! * [`io`] — text and binary edge-list readers/writers.
+//! * [`job`] — the run tuple that names a generated edge file: one
+//!   struct, its 48 canonical bytes and the job id hashed over them.
 //!
 //! Node ids are `u64` throughout (the paper generates up to 10⁹ nodes).
 
@@ -28,6 +30,7 @@ mod csr;
 pub mod degrees;
 mod edgelist;
 pub mod io;
+pub mod job;
 pub mod metrics;
 mod unionfind;
 pub mod validate;

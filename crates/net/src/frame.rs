@@ -15,6 +15,8 @@
 
 use std::io::{self, Read, Write};
 
+use pa_mpsim::wire::{get_u32, get_u64};
+
 /// Handshake magic: `"PANT"` as a little-endian `u32`.
 pub(crate) const MAGIC: u32 = 0x544e_4150;
 
@@ -170,12 +172,16 @@ pub(crate) fn read_hello(
     if kind != Kind::Hello {
         return Err(bad(format!("expected HELLO, got {kind:?}")));
     }
+    let bad_len = || bad(format!("HELLO payload of {} bytes", payload.len()));
     if payload.len() != 24 {
-        return Err(bad(format!("HELLO payload of {} bytes", payload.len())));
+        return Err(bad_len());
     }
-    let word = |i: usize| u32::from_le_bytes(payload[i * 4..i * 4 + 4].try_into().unwrap());
-    let (magic, version, world, rank) = (word(0), word(1), word(2), word(3));
-    let epoch = u64::from_le_bytes(payload[16..24].try_into().unwrap());
+    let r = &mut &payload[..];
+    let magic = get_u32(r).ok_or_else(bad_len)?;
+    let version = get_u32(r).ok_or_else(bad_len)?;
+    let world = get_u32(r).ok_or_else(bad_len)?;
+    let rank = get_u32(r).ok_or_else(bad_len)?;
+    let epoch = get_u64(r).ok_or_else(bad_len)?;
     if magic != MAGIC {
         return Err(bad(format!("bad magic {magic:#x} (not a pa-net peer?)")));
     }
@@ -254,6 +260,21 @@ mod tests {
         let mut bad = buf.clone();
         bad[5] ^= 0xff;
         assert!(read_hello(&mut &bad[..], 4, 7).is_err());
+    }
+
+    #[test]
+    fn hello_rejects_every_truncation_and_extension() {
+        let mut buf = Vec::new();
+        write_hello(&mut buf, 4, 2, 7).unwrap();
+        let payload = buf[5..].to_vec();
+        let cuts = (0..payload.len()).map(|cut| payload[..cut].to_vec());
+        for bad in cuts.chain([[&payload[..], &[0]].concat()]) {
+            let mut framed = Vec::new();
+            build_frame(&mut framed, Kind::Hello, |b| b.extend_from_slice(&bad));
+            let err = read_hello(&mut &framed[..], 4, 7).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("HELLO payload of"), "{err}");
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@ use std::io::{self, Read, Write};
 use std::time::Duration;
 
 use crate::frame::{build_raw_frame, read_raw_frame, MAGIC, MAX_FRAME};
-use pa_graph::io::Fnv1a;
+use pa_graph::job::JOB_CANONICAL_LEN;
+use pa_mpsim::wire::{get_u32, get_u64, get_u8, take};
 
 /// Serve protocol version, negotiated in every `SUBMIT`/`DRAIN_REQ`/
 /// `STATUS_REQ`; bumped on any incompatible change to message layouts
@@ -61,88 +62,14 @@ pub const KIND_STATUS_REQ: u8 = 0x48;
 /// Kind byte of a `STATUS_ACK` frame (server → client).
 pub const KIND_STATUS_ACK: u8 = 0x49;
 
-/// Length of [`JobSpec::canonical_bytes`].
-pub const JOB_CANONICAL_LEN: usize = 48;
+/// The run tuple as it crosses the wire — `pa_graph::job::JobSpec`, the
+/// same struct `pa-core` validates and maps onto engines, so both sides
+/// of the wire derive one [`JobSpec::job_id`]. The serve layer never
+/// interprets it beyond hashing.
+pub use pa_graph::job::JobSpec;
 
 /// `SUBMIT` payload length: magic, version, canonical job, offset.
 const SUBMIT_LEN: usize = 4 + 4 + JOB_CANONICAL_LEN + 8;
-
-/// The raw parameter tuple of a generation job, as it crosses the wire.
-///
-/// This is pure data — the serve layer never interprets it beyond
-/// hashing; `pa-core`'s `job::JobDescriptor` owns validation and the
-/// mapping onto engines, and encodes the **identical** canonical bytes
-/// (pinned by a cross-crate test), so both sides of the wire agree on
-/// [`JobSpec::job_id`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct JobSpec {
-    /// Number of nodes `n`.
-    pub n: u64,
-    /// Edges per new node `x`.
-    pub x: u64,
-    /// Copy-model probability `p` as IEEE-754 bits.
-    pub p_bits: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Model parameter as IEEE-754 bits (0 for plain `pa`).
-    pub alpha_bits: u64,
-    /// Rank count the byte stream is laid out for (part of identity:
-    /// the edge *set* is rank-independent, the byte *order* is not).
-    pub ranks: u32,
-    /// Partition-scheme discriminant.
-    pub scheme_id: u8,
-    /// Engine selector.
-    pub engine_id: u8,
-    /// Attachment-model discriminant.
-    pub model_id: u8,
-    /// Edge-format discriminant.
-    pub format_id: u8,
-}
-
-impl JobSpec {
-    /// The canonical encoding job identity is defined over: five `u64`
-    /// fields, one `u32`, four id bytes, all little-endian, fixed order.
-    pub fn canonical_bytes(&self) -> [u8; JOB_CANONICAL_LEN] {
-        let mut out = [0u8; JOB_CANONICAL_LEN];
-        out[0..8].copy_from_slice(&self.n.to_le_bytes());
-        out[8..16].copy_from_slice(&self.x.to_le_bytes());
-        out[16..24].copy_from_slice(&self.p_bits.to_le_bytes());
-        out[24..32].copy_from_slice(&self.seed.to_le_bytes());
-        out[32..40].copy_from_slice(&self.alpha_bits.to_le_bytes());
-        out[40..44].copy_from_slice(&self.ranks.to_le_bytes());
-        out[44] = self.scheme_id;
-        out[45] = self.engine_id;
-        out[46] = self.model_id;
-        out[47] = self.format_id;
-        out
-    }
-
-    /// Decode [`JobSpec::canonical_bytes`] (infallible: every byte
-    /// pattern is *some* spec; whether it names a runnable job is the
-    /// runner's validation question, answered with a `REJECT`).
-    pub fn from_canonical(bytes: &[u8; JOB_CANONICAL_LEN]) -> JobSpec {
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-        JobSpec {
-            n: u64_at(0),
-            x: u64_at(8),
-            p_bits: u64_at(16),
-            seed: u64_at(24),
-            alpha_bits: u64_at(32),
-            ranks: u32::from_le_bytes(bytes[40..44].try_into().unwrap()),
-            scheme_id: bytes[44],
-            engine_id: bytes[45],
-            model_id: bytes[46],
-            format_id: bytes[47],
-        }
-    }
-
-    /// Stable job identity: FNV-1a over the canonical encoding. Equal
-    /// tuples hash equal on every host and build, which is what makes
-    /// caching, coalescing and resume sound.
-    pub fn job_id(&self) -> u64 {
-        Fnv1a::hash(&self.canonical_bytes())
-    }
-}
 
 /// Why a submission was turned away. The discriminants are on-wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,17 +103,7 @@ pub enum RejectCode {
 impl RejectCode {
     /// Decode an on-wire code byte.
     pub fn from_byte(b: u8) -> Option<RejectCode> {
-        match b {
-            1 => Some(RejectCode::BadRequest),
-            2 => Some(RejectCode::QueueFull),
-            3 => Some(RejectCode::Draining),
-            4 => Some(RejectCode::UnsupportedVersion),
-            5 => Some(RejectCode::BadOffset),
-            6 => Some(RejectCode::JobFailed),
-            7 => Some(RejectCode::JobTimeout),
-            8 => Some(RejectCode::Overloaded),
-            _ => None,
-        }
+        RejectCode::ALL.get(usize::from(b).checked_sub(1)?).copied()
     }
 
     /// Short stable name for logs and error messages.
@@ -587,62 +504,54 @@ pub(crate) enum RequestError {
     Malformed(String),
 }
 
-/// Parse a client→server request (`SUBMIT` or `DRAIN_REQ`) from its raw
-/// kind byte and payload, validating magic and version.
+/// Parse a client→server request (`SUBMIT`, `DRAIN_REQ` or
+/// `STATUS_REQ`) from its raw kind byte and payload, validating length,
+/// magic and version in that order.
 pub(crate) fn parse_request(kind: u8, payload: &[u8]) -> Result<ServeMsg, RequestError> {
-    let check_preamble = |what: &str| -> Result<(), RequestError> {
-        let magic = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-        let version = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-        if magic != MAGIC {
+    let (what, len) = match kind {
+        KIND_SUBMIT => ("SUBMIT", SUBMIT_LEN),
+        KIND_DRAIN_REQ => ("DRAIN_REQ", 8),
+        KIND_STATUS_REQ => ("STATUS_REQ", 8),
+        other => {
             return Err(RequestError::Malformed(format!(
-                "{what}: bad magic {magic:#x} (not a pa-net serve client?)"
-            )));
+                "unknown request kind {other:#04x}"
+            )))
         }
-        if version != SERVE_VERSION {
-            return Err(RequestError::Version(format!(
-                "{what}: peer speaks serve protocol v{version}, this build v{SERVE_VERSION}"
-            )));
-        }
-        Ok(())
     };
-    match kind {
-        KIND_SUBMIT => {
-            if payload.len() != SUBMIT_LEN {
-                return Err(RequestError::Malformed(format!(
-                    "SUBMIT payload must be {SUBMIT_LEN} bytes, got {}",
-                    payload.len()
-                )));
-            }
-            check_preamble("SUBMIT")?;
-            let spec =
-                JobSpec::from_canonical(payload[8..8 + JOB_CANONICAL_LEN].try_into().unwrap());
-            let offset = u64::from_le_bytes(payload[8 + JOB_CANONICAL_LEN..].try_into().unwrap());
-            Ok(ServeMsg::Submit { spec, offset })
-        }
-        KIND_DRAIN_REQ => {
-            if payload.len() != 8 {
-                return Err(RequestError::Malformed(format!(
-                    "DRAIN_REQ payload must be 8 bytes, got {}",
-                    payload.len()
-                )));
-            }
-            check_preamble("DRAIN_REQ")?;
-            Ok(ServeMsg::DrainReq)
-        }
-        KIND_STATUS_REQ => {
-            if payload.len() != 8 {
-                return Err(RequestError::Malformed(format!(
-                    "STATUS_REQ payload must be 8 bytes, got {}",
-                    payload.len()
-                )));
-            }
-            check_preamble("STATUS_REQ")?;
-            Ok(ServeMsg::StatusReq)
-        }
-        other => Err(RequestError::Malformed(format!(
-            "unknown request kind {other:#04x}"
-        ))),
+    let bad_len = || {
+        RequestError::Malformed(format!(
+            "{what} payload must be {len} bytes, got {}",
+            payload.len()
+        ))
+    };
+    if payload.len() != len {
+        return Err(bad_len());
     }
+    let r = &mut &payload[..];
+    let magic = get_u32(r).ok_or_else(bad_len)?;
+    let version = get_u32(r).ok_or_else(bad_len)?;
+    if magic != MAGIC {
+        return Err(RequestError::Malformed(format!(
+            "{what}: bad magic {magic:#x} (not a pa-net serve client?)"
+        )));
+    }
+    if version != SERVE_VERSION {
+        return Err(RequestError::Version(format!(
+            "{what}: peer speaks serve protocol v{version}, this build v{SERVE_VERSION}"
+        )));
+    }
+    Ok(match kind {
+        KIND_SUBMIT => {
+            let mut job = [0u8; JOB_CANONICAL_LEN];
+            job.copy_from_slice(take(r, JOB_CANONICAL_LEN).ok_or_else(bad_len)?);
+            ServeMsg::Submit {
+                spec: JobSpec::from_canonical(&job),
+                offset: get_u64(r).ok_or_else(bad_len)?,
+            }
+        }
+        KIND_DRAIN_REQ => ServeMsg::DrainReq,
+        _ => ServeMsg::StatusReq,
+    })
 }
 
 /// Read one server→client reply frame.
@@ -658,95 +567,87 @@ pub fn read_reply(r: &mut impl Read) -> io::Result<ServeMsg> {
 }
 
 /// Parse a server→client reply from its raw kind byte and payload.
+/// Fields are read in wire order (struct-literal fields evaluate in
+/// source order).
 fn parse_reply(kind: u8, payload: &[u8]) -> Result<ServeMsg, String> {
-    let want = |n: usize, what: &str| -> Result<(), String> {
-        if payload.len() != n {
-            return Err(format!(
-                "{what} payload must be {n} bytes, got {}",
-                payload.len()
-            ));
-        }
-        Ok(())
+    // Fixed-size kinds carry exactly `Some(len)` bytes; `REJECT` and
+    // `CHUNK` end in a variable tail.
+    let (what, fixed) = match kind {
+        KIND_ACCEPT => ("ACCEPT", Some(24)),
+        KIND_REJECT => ("REJECT", None),
+        KIND_CHUNK => ("CHUNK", None),
+        KIND_DONE => ("DONE", Some(16)),
+        KIND_DRAIN_ACK => ("DRAIN_ACK", Some(8)),
+        KIND_STATUS_ACK => ("STATUS_ACK", Some(STATUS_ACK_LEN)),
+        other => return Err(format!("unknown reply kind {other:#04x}")),
     };
-    let u64_at = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().unwrap());
-    match kind {
-        KIND_ACCEPT => {
-            want(24, "ACCEPT")?;
-            Ok(ServeMsg::Accept {
-                job_id: u64_at(0),
-                offset: u64_at(8),
-                total: u64_at(16),
-            })
-        }
-        KIND_REJECT => {
-            if payload.len() < 5 {
-                return Err(format!("REJECT payload of {} bytes", payload.len()));
-            }
-            let code = RejectCode::from_byte(payload[0])
-                .ok_or_else(|| format!("unknown reject code {}", payload[0]))?;
-            let retry_ms = u32::from_le_bytes(payload[1..5].try_into().unwrap());
-            let msg = std::str::from_utf8(&payload[5..])
-                .map_err(|_| "REJECT message is not UTF-8".to_string())?
-                .to_string();
-            Ok(ServeMsg::Reject {
-                code,
-                retry_after: Duration::from_millis(u64::from(retry_ms)),
-                msg,
-            })
-        }
-        KIND_CHUNK => {
-            if payload.len() < 8 {
-                return Err(format!("CHUNK payload of {} bytes", payload.len()));
-            }
-            Ok(ServeMsg::Chunk {
-                offset: u64_at(0),
-                data: payload[8..].to_vec(),
-            })
-        }
-        KIND_DONE => {
-            want(16, "DONE")?;
-            Ok(ServeMsg::Done {
-                total: u64_at(0),
-                checksum: u64_at(8),
-            })
-        }
-        KIND_DRAIN_ACK => {
-            want(8, "DRAIN_ACK")?;
-            Ok(ServeMsg::DrainAck {
-                running: u32::from_le_bytes(payload[0..4].try_into().unwrap()),
-                dropped: u32::from_le_bytes(payload[4..8].try_into().unwrap()),
-            })
-        }
-        KIND_STATUS_ACK => {
-            want(STATUS_ACK_LEN, "STATUS_ACK")?;
-            let u32_at = |i: usize| u32::from_le_bytes(payload[i..i + 4].try_into().unwrap());
-            let mut words = [0u64; STAT_WORDS];
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = u64_at(33 + i * 8);
-            }
-            let mut rejects_by = [0u64; REJECT_CODE_COUNT];
-            for (i, c) in rejects_by.iter_mut().enumerate() {
-                *c = u64_at(33 + STAT_WORDS * 8 + i * 8);
-            }
-            Ok(ServeMsg::Status(ServeStatus {
-                queued: u32_at(0),
-                running: u32_at(4),
-                active_conns: u32_at(8),
-                workers: u32_at(12),
-                workers_wedged: u32_at(16),
-                cache_artifacts: u32_at(20),
-                draining: payload[24] != 0,
-                cache_bytes: u64_at(25),
-                stats: ServeStats::from_words(&words, rejects_by),
-            }))
-        }
-        other => Err(format!("unknown reply kind {other:#04x}")),
+    let bad_len = || match fixed {
+        Some(len) => format!("{what} payload must be {len} bytes, got {}", payload.len()),
+        None => format!("{what} payload of {} bytes", payload.len()),
+    };
+    if fixed.is_some_and(|len| len != payload.len()) {
+        return Err(bad_len());
     }
+    let u32_of = |r: &mut &[u8]| get_u32(r).ok_or_else(bad_len);
+    let u64_of = |r: &mut &[u8]| get_u64(r).ok_or_else(bad_len);
+    let r = &mut &payload[..];
+    Ok(match kind {
+        KIND_ACCEPT => ServeMsg::Accept {
+            job_id: u64_of(r)?,
+            offset: u64_of(r)?,
+            total: u64_of(r)?,
+        },
+        KIND_REJECT => {
+            let code = get_u8(r).ok_or_else(bad_len)?;
+            ServeMsg::Reject {
+                code: RejectCode::from_byte(code)
+                    .ok_or_else(|| format!("unknown reject code {code}"))?,
+                retry_after: Duration::from_millis(u64::from(u32_of(r)?)),
+                msg: std::str::from_utf8(r)
+                    .map_err(|_| "REJECT message is not UTF-8".to_string())?
+                    .to_string(),
+            }
+        }
+        KIND_CHUNK => ServeMsg::Chunk {
+            offset: u64_of(r)?,
+            data: r.to_vec(),
+        },
+        KIND_DONE => ServeMsg::Done {
+            total: u64_of(r)?,
+            checksum: u64_of(r)?,
+        },
+        KIND_DRAIN_ACK => ServeMsg::DrainAck {
+            running: u32_of(r)?,
+            dropped: u32_of(r)?,
+        },
+        _ => ServeMsg::Status(ServeStatus {
+            queued: u32_of(r)?,
+            running: u32_of(r)?,
+            active_conns: u32_of(r)?,
+            workers: u32_of(r)?,
+            workers_wedged: u32_of(r)?,
+            cache_artifacts: u32_of(r)?,
+            draining: get_u8(r).ok_or_else(bad_len)? != 0,
+            cache_bytes: u64_of(r)?,
+            stats: {
+                let mut words = [0u64; STAT_WORDS];
+                for w in &mut words {
+                    *w = u64_of(r)?;
+                }
+                let mut rejects_by = [0u64; REJECT_CODE_COUNT];
+                for c in &mut rejects_by {
+                    *c = u64_of(r)?;
+                }
+                ServeStats::from_words(&words, rejects_by)
+            },
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pa_graph::io::Fnv1a;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -903,6 +804,77 @@ mod tests {
 
         let err = parse_request(KIND_DRAIN_REQ, &payload[..4]).unwrap_err();
         assert!(matches!(err, RequestError::Malformed(_)));
+    }
+
+    /// Every decoder of socket bytes, fed every strict prefix and a
+    /// one-byte extension of a valid payload: a named error
+    /// (`Malformed` / `InvalidData`), never a panic. `REJECT` and `CHUNK`
+    /// end in a variable tail, so past their fixed head a shorter
+    /// payload is a shorter message — accepted, as is a longer `CHUNK`;
+    /// the byte appended is 0xff so a longer `REJECT` is bad UTF-8.
+    #[test]
+    fn every_truncation_and_extension_is_a_named_error() {
+        let mut wire = Vec::new();
+        let mut frame = |write: &dyn Fn(&mut Vec<u8>)| {
+            wire.clear();
+            write(&mut wire);
+            (wire[4], wire[5..].to_vec())
+        };
+        let requests = [
+            frame(&|w| write_submit(w, &spec(), 4096).unwrap()),
+            frame(&|w| write_drain_req(w).unwrap()),
+            frame(&|w| write_status_req(w).unwrap()),
+        ];
+        // (frame, length of the fixed head when a variable tail follows)
+        let replies = [
+            (frame(&|w| write_accept(w, 1, 2, 3).unwrap()), None),
+            (
+                frame(&|w| write_reject(w, RejectCode::Draining, Duration::ZERO, "bye").unwrap()),
+                Some(5),
+            ),
+            (frame(&|w| write_chunk(w, 64, b"edges").unwrap()), Some(8)),
+            (frame(&|w| write_done(w, 2048, 0xbeef).unwrap()), None),
+            (frame(&|w| write_drain_ack(w, 2, 5).unwrap()), None),
+            (
+                frame(&|w| write_status_ack(w, &ServeStatus::default()).unwrap()),
+                None,
+            ),
+        ];
+
+        let extended = |payload: &[u8]| [payload, &[0xff]].concat();
+        for (kind, payload) in &requests {
+            assert!(parse_request(*kind, payload).is_ok());
+            let cuts = (0..payload.len()).map(|cut| payload[..cut].to_vec());
+            for bad in cuts.chain([extended(payload)]) {
+                let got = parse_request(*kind, &bad);
+                assert!(
+                    matches!(got, Err(RequestError::Malformed(_))),
+                    "request {kind:#04x}, {} of {} bytes: {got:?}",
+                    bad.len(),
+                    payload.len()
+                );
+            }
+        }
+        let read = |kind: u8, payload: &[u8]| {
+            let mut framed = Vec::new();
+            build_raw_frame(&mut framed, kind, |b| b.extend_from_slice(payload));
+            read_reply(&mut &framed[..])
+        };
+        for ((kind, payload), tail_after) in &replies {
+            assert!(read(*kind, payload).is_ok());
+            let cuts = (0..payload.len()).map(|cut| payload[..cut].to_vec());
+            for other in cuts.chain([extended(payload)]) {
+                let tail_only = tail_after.is_some_and(|head| other.len() >= head);
+                let refused = !tail_only || (other.len() > payload.len() && *kind == KIND_REJECT);
+                match read(*kind, &other) {
+                    Ok(msg) => assert!(!refused, "reply {kind:#04x} accepted as {msg:?}"),
+                    Err(e) => {
+                        assert!(refused, "reply {kind:#04x}, {} bytes: {e}", other.len());
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
