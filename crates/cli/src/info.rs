@@ -98,65 +98,37 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let size = (0..ranks).map(|r| part.size_of(r)).max().unwrap_or(0);
     let slots = size * x;
 
-    // A paged table's cache holds `budget/page` frames but never fewer
-    // than two pages, mirroring `StoreSpec::scaled`.
-    let capped = |share: u64, table_slots: u64| {
-        let table_bytes = table_slots * 8;
-        Some(share.max(2 * page_bytes).min(table_bytes))
+    // The F table is the one store-backed table of every engine, so it
+    // takes the whole budget: `budget/page` cache frames, never fewer
+    // than two pages (`PagedTable::open`), never more than the table.
+    let f_table = |name, f_slots: u64| TableLine {
+        name,
+        resident: f_slots * 8,
+        budgeted: budget_bytes.map(|b| b.max(2 * page_bytes).min(f_slots * 8)),
+    };
+    let resident = |name, bytes| TableLine {
+        name,
+        resident: bytes,
+        budgeted: None,
     };
 
-    // Per-engine table inventory: which per-node state pages to disk
-    // (the store-backed tables) and which stays resident regardless.
+    // Per-engine inventory of the per-node state: the F table pages to
+    // disk under a budget, everything else stays resident regardless.
     let lines: Vec<TableLine> = match engine {
-        Engine::X1 => vec![TableLine {
-            name: "F table (1 slot/node)",
-            resident: size * 8,
-            budgeted: budget_bytes.and_then(|b| capped(b, size)),
-        }],
-        Engine::General => {
-            // The general engine splits one budget across three tables
-            // by slot weight: f and attempts get slots each, next_e
-            // gets size.
-            let total = slots * 2 + size;
-            vec![
-                TableLine {
-                    name: "F table (x slots/node)",
-                    resident: slots * 8,
-                    budgeted: budget_bytes.and_then(|b| capped(b * slots / total, slots)),
-                },
-                TableLine {
-                    name: "attempt counters",
-                    resident: slots * 8,
-                    budgeted: budget_bytes.and_then(|b| capped(b * slots / total, slots)),
-                },
-                TableLine {
-                    name: "node cursors",
-                    resident: size * 8,
-                    budgeted: budget_bytes.and_then(|b| capped(b * size / total, size)),
-                },
-                TableLine {
-                    name: "hub cache (replicated)",
-                    resident: hub_nodes * x * 8,
-                    budgeted: None,
-                },
-            ]
-        }
+        Engine::X1 => vec![
+            f_table("F table (1 slot/node)", size),
+            resident("waiter bitmap (1 bit/node)", size.div_ceil(8)),
+        ],
+        Engine::General => vec![
+            f_table("F table (x slots/node)", slots),
+            resident("node cursors + attempts (u32)", size * 8),
+            resident("waiter bitmap (1 bit/slot)", slots.div_ceil(8)),
+            resident("hub cache (replicated)", hub_nodes * x * 8),
+        ],
         Engine::Chain => vec![
-            TableLine {
-                name: "F table (x slots/node)",
-                resident: slots * 8,
-                budgeted: budget_bytes.and_then(|b| capped(b, slots)),
-            },
-            TableLine {
-                name: "node cursors (u32)",
-                resident: size * 4,
-                budgeted: None,
-            },
-            TableLine {
-                name: "chain memo (worst case)",
-                resident: memo_nodes.min(size) * x * 8,
-                budgeted: None,
-            },
+            f_table("F table (x slots/node)", slots),
+            resident("node cursors (u32)", size * 4),
+            resident("chain memo (worst case)", memo_nodes.min(size) * x * 8),
         ],
     };
 

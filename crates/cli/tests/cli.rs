@@ -567,3 +567,66 @@ fn chain_memo_rejects_non_integer_values() {
         );
     }
 }
+
+#[test]
+fn info_plans_engine2_memory_from_its_actual_state() {
+    // The estimate mode, pinned by value: engine 2 keeps the F table
+    // (the only table `--memory-budget` pages, so it gets the whole
+    // budget), 8 B/node of cursor + attempt counter, one waiter bit per
+    // slot and the hub replica. `tests/heap.rs` holds the total to the
+    // heap the engine really uses.
+    let plan = [
+        "info", "--n", "2000000", "--x", "4", "--ranks", "2", "--engine", "2",
+    ];
+    let resident = exec(&plan).unwrap();
+    let want = "\
+per-rank memory estimate: n=2000000 x=4 ranks=2 scheme=RRP engine=2
+largest rank: 1000000 nodes (4000000 F slots)
+  F table (x slots/node)             30.5 MiB
+  node cursors + attempts (u32)        7.6 MiB
+  waiter bitmap (1 bit/slot)        488.3 KiB
+  hub cache (replicated)            128.0 KiB
+total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged plan)
+";
+    assert_eq!(resident, want);
+
+    let paged = exec(&[&plan[..], &["--memory-budget", "8m"]].concat()).unwrap();
+    assert!(
+        paged.contains("  F table (x slots/node)             30.5 MiB          8.0 MiB paged\n"),
+        "{paged}"
+    );
+    assert!(
+        paged.ends_with("total: 38.7 MiB resident | 16.2 MiB under --memory-budget 8.0 MiB\n"),
+        "{paged}"
+    );
+    assert_eq!(paged.matches("paged").count(), 1, "only F pages:\n{paged}");
+
+    // Engine 1: the same shape at one slot per node; a budget below two
+    // pages is raised to the cache's two-page minimum.
+    let x1 = exec(&[
+        "info",
+        "--n",
+        "2000000",
+        "--x",
+        "1",
+        "--ranks",
+        "2",
+        "--engine",
+        "1",
+        "--memory-budget",
+        "64k",
+    ])
+    .unwrap();
+    assert!(
+        x1.contains("  F table (1 slot/node)               7.6 MiB        512.0 KiB paged\n"),
+        "{x1}"
+    );
+    assert!(
+        x1.contains("  waiter bitmap (1 bit/node)        122.1 KiB\n"),
+        "{x1}"
+    );
+    assert!(
+        x1.ends_with("total: 7.7 MiB resident | 634.1 KiB under --memory-budget 64.0 KiB\n"),
+        "{x1}"
+    );
+}

@@ -233,13 +233,12 @@ pub struct GenOptions {
     /// the direct-vs-copy coin to `p^alpha` (nonlinear preferential
     /// attachment surrogate), with `alpha = 1` bit-identical to `Pa`.
     pub model: crate::ModelKind,
-    /// Where each rank keeps its node tables (committed `F` slots,
-    /// attempt counters, node cursors): RAM-resident, or spilled to
-    /// fixed-size page files under a byte budget so `n` is bounded by
-    /// disk instead of memory (see [`crate::store`]). Because every
-    /// table read returns the identical committed values either way,
-    /// the store backend can never change the generated network — only
-    /// its memory footprint.
+    /// Where each rank keeps its `F` table (the committed slots):
+    /// RAM-resident, or spilled to fixed-size page files under a byte
+    /// budget so `n` is bounded by disk instead of memory (see
+    /// [`crate::store`]). Because every table read returns the identical
+    /// committed values either way, the store backend can never change
+    /// the generated network — only its memory footprint.
     pub store: crate::store::StoreSpec,
 }
 

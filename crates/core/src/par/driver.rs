@@ -56,6 +56,9 @@ pub(super) struct Net<'t, M, T: Transport<M>> {
     req: BufferedComm<M>,
     res: BufferedComm<M>,
     term: pa_mpsim::TerminationHandle,
+    /// Slots committed since the last [`Net::publish`]. Rank-private:
+    /// the per-edge path never touches the world-wide ledger.
+    completed: u64,
 }
 
 impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
@@ -72,10 +75,30 @@ impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
         self.res.push(&mut *self.comm, dest, msg);
     }
 
-    /// Mark `n` units of outstanding work resolved.
+    /// Mark `n` units of outstanding work resolved. Counted privately;
+    /// [`Net::publish`] hands the sum to the termination ledger.
     #[inline]
-    pub fn complete(&self, n: u64) {
-        self.term.complete(n);
+    pub fn complete(&mut self, n: u64) {
+        self.completed += n;
+    }
+
+    /// Report the completions counted since the last call to the
+    /// world-wide ledger. The rule: publish before every receive and
+    /// before every `is_done` — the ledger then lags a rank's commits by
+    /// at most one service interval (late is safe: quiescence is only
+    /// observed later) and can never run ahead of them (early is
+    /// impossible: only committed slots are ever counted).
+    #[inline]
+    fn publish(&mut self) {
+        if self.completed != 0 {
+            self.term.complete(std::mem::take(&mut self.completed));
+        }
+    }
+
+    /// [`Net::publish`], then the global quiescence predicate.
+    fn is_done(&mut self) -> bool {
+        self.publish();
+        self.term.is_done()
     }
 
     fn flush_res(&mut self) {
@@ -151,6 +174,7 @@ where
         req: BufferedComm::new(comm.nranks(), opts.buffer_capacity),
         res: BufferedComm::new(comm.nranks(), opts.buffer_capacity),
         term: comm.termination(),
+        completed: 0,
         comm,
     };
 
@@ -194,8 +218,11 @@ where
                 std::thread::yield_now();
             }
         }
-        // End-of-sweep flush: requests may now wait for nobody.
+        // End-of-sweep flush: requests may now wait for nobody, and the
+        // sweep's tail of commits reaches the ledger before the watchdog
+        // takes its first reading.
         net.flush_all();
+        net.publish();
 
         // --- Completion loop: service traffic until global quiescence. ---
         // Iterations that made progress flush immediately; quiescent ranks
@@ -213,14 +240,14 @@ where
             .stall_timeout
             .map(|limit| (std::time::Instant::now(), net.term.outstanding(), limit));
         let mut idle_iters = 0usize;
-        while !net.term.is_done() {
+        while !net.is_done() {
             if service(&mut algo, &mut net, &mut rxq) {
                 idle_iters = 0;
                 net.flush_all();
                 if let Some((last_progress, _, _)) = &mut watchdog {
                     *last_progress = std::time::Instant::now();
                 }
-            } else if !net.term.is_done() {
+            } else if !net.is_done() {
                 idle_iters += 1;
                 if idle_iters >= IDLE_FLUSH_INTERVAL {
                     idle_iters = 0;
@@ -237,6 +264,8 @@ where
                         *last_progress = std::time::Instant::now();
                     }
                 } else if let Some((last_progress, last_outstanding, limit)) = &mut watchdog {
+                    // Nothing is unpublished here: the `is_done` above
+                    // published, and an empty receive commits nothing.
                     let outstanding = net.term.outstanding();
                     if outstanding != *last_outstanding {
                         *last_outstanding = outstanding;
@@ -294,11 +323,14 @@ where
 
 /// Drain all currently pending packets in one batched receive; returns
 /// whether any arrived. Packet buffers go back to their senders' pools.
+/// Publishes first, so a distributed transport's receive path (which
+/// broadcasts the rank's ledger entry) carries the current count.
 fn service<T, A>(algo: &mut A, net: &mut Net<'_, A::Msg, T>, rxq: &mut Vec<Packet<A::Msg>>) -> bool
 where
     T: Transport<A::Msg>,
     A: Strategy,
 {
+    net.publish();
     net.comm.drain_recv(rxq);
     let any = !rxq.is_empty();
     for mut pkt in rxq.drain(..) {

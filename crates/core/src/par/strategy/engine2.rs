@@ -6,7 +6,7 @@
 //! immediately; copy choices either resolve from the local `F` table, from
 //! the replicated hub cache, park in a waiter slot, or become a `request`
 //! message to the owner of `k`. Incoming requests are answered immediately
-//! when the slot is known or parked in the dense waiter table otherwise; a
+//! when the slot is known or parked in the waiter table otherwise; a
 //! commit drains the slot's waiters, sending `resolved` messages
 //! (buffered, with the §3.5.2 flush discipline). Duplicate edges are
 //! rejected against the committed prefix of the row, re-drawing with an
@@ -54,6 +54,20 @@ enum Waiter {
     Remote { t: Node, e: u32, a: u32, src: usize },
 }
 
+/// A local node's in-order progress: the one slot it may run next and
+/// that slot's draw counter. The slot discipline keeps exactly one
+/// attempt counter per node alive, so both live side by side — 8 bytes
+/// per node, resident, one cache line per visit. Never checkpointed:
+/// a committed node's cursor is `x`, an untouched one's is 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    /// Next edge index the node must commit.
+    next_e: u32,
+    /// Draws taken so far for slot `next_e` (`attempt` in the draw key);
+    /// reset at commit.
+    attempt: u32,
+}
+
 /// What `try_slot` did with the current slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotOutcome {
@@ -72,14 +86,11 @@ pub(crate) struct General<'a, P: Partition, S: EdgeSink> {
     /// The resolved attachment model this rank draws from.
     model: Model,
     /// Flattened `F_t(e)` slots for local nodes: `local_index(t)·x + e`.
-    /// Resident or disk-paged per [`GenOptions::store`].
+    /// Resident or disk-paged per [`GenOptions::store`] — the engine's
+    /// only store-backed table, so it takes the whole memory budget.
     f: AnyTable,
-    /// Per-slot retry counters (`attempt` in the draw key). Ephemeral:
-    /// dead once a slot commits, never checkpointed.
-    attempts: AnyTable,
-    /// Next edge index each local node must commit (in-order
-    /// discipline). Ephemeral: reconstructed on restore.
-    next_e: AnyTable,
+    /// Per local node (by local index): see [`Cursor`].
+    cursors: Vec<Cursor>,
     /// Waiters per local slot index.
     waiters: WaiterTable<Waiter>,
     /// Replicated low-label slots (see [`super::hub`]).
@@ -119,22 +130,8 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         } else {
             HubCache::disabled(cfg)
         };
-        // Split one --memory-budget across the three tables by
-        // slot-count weight: f and attempts each hold x slots per node,
-        // next_e one. The two ephemeral tables always start fresh.
-        let total = slots * 2 + size;
-        let build = |spec: &store::StoreSpec, name: &str, len: u64, fill: u64| {
-            AnyTable::build(spec, rank, name, len, fill)
-                .unwrap_or_else(|e| panic!("rank {rank}: opening node table {name}: {e}"))
-        };
-        let f = build(&opts.store.scaled(slots, total), "f", slots, NILL);
-        let attempts = build(
-            &opts.store.scaled(slots, total).ephemeral(),
-            "att",
-            slots,
-            0,
-        );
-        let next_e = build(&opts.store.scaled(size, total).ephemeral(), "nxe", size, 0);
+        let f = AnyTable::build(&opts.store, rank, "f", slots, NILL)
+            .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         General {
             cfg,
             part,
@@ -142,8 +139,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
             nranks,
             model: Model::resolve(cfg, opts.model),
             f,
-            attempts,
-            next_e,
+            cursors: vec![Cursor::default(); size as usize],
             waiters: WaiterTable::new(slots as usize),
             hub,
             hub_waiters: HashMap::new(),
@@ -178,9 +174,9 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     /// Drive node `t` forward: run each slot from `next_e` in order until
     /// one parks (local wait or remote request) or the node completes.
     fn advance_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node) {
-        let li = self.part.local_index(t);
-        while self.next_e.get(li) < self.cfg.x {
-            let e = self.next_e.get(li) as u32;
+        let li = self.part.local_index(t) as usize;
+        while u64::from(self.cursors[li].next_e) < self.cfg.x {
+            let e = self.cursors[li].next_e;
             if self.try_slot(net, t, e) == SlotOutcome::Waiting {
                 return;
             }
@@ -200,10 +196,11 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         // pays one key mix instead of three (the high-x duplicate-retry
         // hot spot).
         let keys = self.model.keys_for(t);
+        let li = self.part.local_index(t) as usize;
+        debug_assert_eq!(self.cursors[li].next_e, e, "draw for a non-current slot");
         loop {
-            let slot = self.slot(t, e);
-            let attempt = self.attempts.get(slot) as u32;
-            self.attempts.set(slot, u64::from(attempt) + 1);
+            let attempt = self.cursors[li].attempt;
+            self.cursors[li].attempt = attempt + 1;
             let c = self.model.draw_keyed(&keys, t, e, attempt);
             let (v, direct) = if c.direct {
                 (c.k, true)
@@ -300,17 +297,17 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     /// Record `F_t(e) = v`, emit the edge, broadcast hub commits, and
     /// notify waiters.
     fn commit<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node, e: u32, v: Node) {
-        let slot = self.slot(t, e);
         let li = self.part.local_index(t);
+        let slot = li * self.cfg.x + u64::from(e);
+        let cursor = &mut self.cursors[li as usize];
+        debug_assert_eq!(cursor.next_e, e, "out-of-order commit of ({t},{e})");
+        *cursor = Cursor {
+            next_e: e + 1,
+            attempt: 0,
+        };
         debug_assert_eq!(self.f.get(slot), NILL, "double commit of ({t},{e})");
-        debug_assert_eq!(
-            self.next_e.get(li),
-            u64::from(e),
-            "out-of-order commit of ({t},{e})"
-        );
         debug_assert!(!self.row_contains(t, v), "duplicate committed at ({t},{e})");
         self.f.set(slot, v);
-        self.next_e.set(li, u64::from(e) + 1);
         self.edges.emit(t, v);
         net.complete(1);
         // Replicate committed hub slots to every other rank (node x's row
@@ -363,15 +360,16 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         v: Node,
         a: u32,
     ) {
-        let li = self.part.local_index(t);
-        if self.next_e.get(li) != u64::from(e) {
+        let cursor = self.cursors[self.part.local_index(t) as usize];
+        if cursor.next_e != e {
             // The slot already committed (and possibly its successors
             // too): a late duplicate of an answer we consumed.
             self.counters.stale_resolutions += 1;
             return;
         }
-        let slot = self.slot(t, e);
-        if u64::from(a) + 1 != self.attempts.get(slot) {
+        // `(t, e)` is the node's current slot, so the node's counter is
+        // this slot's.
+        if a + 1 != cursor.attempt {
             // Answer to a superseded draw of the current slot.
             self.counters.stale_resolutions += 1;
             return;
@@ -393,8 +391,8 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         v: Node,
     ) {
         debug_assert_eq!(
-            self.next_e.get(self.part.local_index(t)),
-            u64::from(e),
+            self.cursors[self.part.local_index(t) as usize].next_e,
+            e,
             "resolution for a non-current slot"
         );
         if self.row_contains(t, v) {
@@ -506,8 +504,8 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         // At the epoch cut every local node below `hi` is fully
         // committed and everything at or above it is untouched, so the
         // prefix of `f` plus the counters and the hub replica is the
-        // whole engine (attempt counters are dead for committed slots;
-        // `next_e` is reconstructed; waiter tables are provably empty —
+        // whole engine (a committed node's attempt counter is dead and
+        // its cursor is reconstructed; waiter tables are provably empty —
         // `finish` just asserted it). Clique-node rows (labels < x)
         // legitimately hold NILL: their slots are never drawn or queried.
         let x = self.cfg.x;
@@ -527,10 +525,13 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         let mut r = payload;
         let expect = self.part.local_count_below(self.rank, hi);
         store::read_table_prefix(&mut self.f, expect, x, &mut r)?;
-        self.next_e.reset_from(0);
-        for li in 0..expect {
-            self.next_e.set(li, x);
-        }
+        let committed = Cursor {
+            next_e: x as u32,
+            attempt: 0,
+        };
+        let (below, above) = self.cursors.split_at_mut(expect as usize);
+        below.fill(committed);
+        above.fill(Cursor::default());
         self.counters = EngineCounters::decode(&mut r).ok_or("truncated engine counters")?;
         let hub_len = get_u64(&mut r).ok_or("truncated hub-cache length")? as usize;
         let mut vals = Vec::with_capacity(hub_len);
@@ -557,8 +558,10 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
     }
 
     fn stall_report(&mut self) -> String {
-        let uncommitted = (0..self.next_e.len())
-            .filter(|&li| self.next_e.get(li) < self.cfg.x)
+        let uncommitted = self
+            .cursors
+            .iter()
+            .filter(|c| u64::from(c.next_e) < self.cfg.x)
             .count();
         format!(
             "uncommitted_nodes={uncommitted} waiters={} hub_waiters={} stale_resolutions={}",

@@ -1,11 +1,10 @@
 //! Out-of-core node-table storage: the `NodeTable` trait and its two
 //! implementations.
 //!
-//! Every engine keeps its committed `F` slots (and, for the general
-//! engine, the per-slot attempt counters and per-node cursors) in a
-//! *node table* — a flat array of `u64` slots addressed by
-//! `local_index(t) · x + e`. This module puts that array behind a trait
-//! with two backends:
+//! Every engine keeps its committed `F` slots in a *node table* — a
+//! flat array of `u64` slots addressed by `local_index(t) · x + e`, the
+//! one `O(x·n/P)` structure a rank owns. This module puts that array
+//! behind a trait with two backends:
 //!
 //! - [`ResidentTable`]: the classic `Vec<u64>` — everything in RAM,
 //!   `O(n/P)` words per rank.
@@ -78,7 +77,7 @@ pub enum StoreSpec {
     #[default]
     Resident,
     /// Fixed-size pages spilled to files under `dir`, cached under
-    /// `budget_bytes` of RAM per table.
+    /// `budget_bytes` of RAM.
     Paged(PagedSpec),
 }
 
@@ -88,8 +87,8 @@ pub struct PagedSpec {
     /// Directory holding this world's page files (shared by all ranks;
     /// file names carry the rank).
     pub dir: PathBuf,
-    /// Page-cache budget in bytes **per table** (an engine splits its
-    /// overall budget across its tables by slot-count weight).
+    /// Page-cache budget in bytes. Every engine pages exactly one table
+    /// (`F`), which takes the whole budget.
     pub budget_bytes: u64,
     /// Page size in bytes (slot words per page × 8).
     pub page_bytes: usize,
@@ -138,31 +137,6 @@ impl StoreSpec {
                 StoreSpec::Paged(p)
             }
         }
-    }
-
-    /// This spec with `num/den` of the byte budget — how an engine
-    /// splits one `--memory-budget` across several tables. The result
-    /// never drops below two pages (the cache minimum).
-    #[must_use]
-    pub fn scaled(&self, num: u64, den: u64) -> Self {
-        match self {
-            StoreSpec::Resident => StoreSpec::Resident,
-            StoreSpec::Paged(p) => {
-                let share = p.budget_bytes * num / den.max(1);
-                StoreSpec::Paged(PagedSpec {
-                    budget_bytes: share.max(2 * p.page_bytes as u64),
-                    ..p.clone()
-                })
-            }
-        }
-    }
-
-    /// This spec with fresh-start semantics regardless of the run's
-    /// resume state — for *ephemeral* tables (attempt counters, node
-    /// cursors) whose content is never part of a checkpoint.
-    #[must_use]
-    pub fn ephemeral(&self) -> Self {
-        self.clone().with_resume(false)
     }
 
     /// Validate knob values.
@@ -1091,31 +1065,19 @@ mod tests {
     }
 
     #[test]
-    fn spec_scaling_and_validation() {
-        let dir = scratch("spec");
-        let spec = StoreSpec::paged(&dir, 1_000).with_page_bytes(64);
+    fn spec_builders_and_validation() {
+        let spec = StoreSpec::paged("/tmp/x", 1_000).with_page_bytes(64);
         spec.validate();
-        let half = spec.scaled(1, 2);
-        match &half {
-            StoreSpec::Paged(p) => assert_eq!(p.budget_bytes, 500),
-            StoreSpec::Resident => panic!("scaled must stay paged"),
-        }
-        // Floor: never below two pages.
-        let tiny = spec.scaled(1, 1_000_000);
-        match &tiny {
-            StoreSpec::Paged(p) => assert_eq!(p.budget_bytes, 128),
-            StoreSpec::Resident => panic!(),
-        }
-        assert_eq!(StoreSpec::Resident.scaled(1, 2), StoreSpec::Resident);
-        assert!(!StoreSpec::Resident.is_paged());
         assert!(spec.is_paged());
-        // Ephemeral forces fresh-start.
-        let eph = spec.clone().with_resume(true).ephemeral();
-        match eph {
-            StoreSpec::Paged(p) => assert!(!p.resume),
-            StoreSpec::Resident => panic!(),
+        assert!(!StoreSpec::Resident.is_paged());
+        match spec.with_resume(true) {
+            StoreSpec::Paged(p) => {
+                assert!(p.resume);
+                assert_eq!((p.budget_bytes, p.page_bytes), (1_000, 64));
+            }
+            StoreSpec::Resident => panic!("builders must stay paged"),
         }
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(StoreSpec::Resident.with_resume(true), StoreSpec::Resident);
     }
 
     #[test]
@@ -1135,9 +1097,20 @@ mod tests {
         b.set(0, 2);
         a.flush().unwrap();
         b.flush().unwrap();
+        // A store directory left by an older build also holds engine 2's
+        // former `att`/`nxe` tables; the rank prefix sweeps those too.
+        let stale = ["rank0.att.p0.pg", "rank0.nxe.p3.pg", "rank0.att.p1.pg.tmp"];
+        for name in stale {
+            fs::write(dir.join(name), b"old").unwrap();
+        }
+        fs::write(dir.join("rank1.att.p0.pg"), b"old").unwrap();
         clean_rank_pages(&dir, 0);
         assert!(!page_path(&dir, "rank0.f", 0).exists());
         assert!(page_path(&dir, "rank1.f", 0).exists());
+        for name in stale {
+            assert!(!dir.join(name).exists(), "{name} survived");
+        }
+        assert!(dir.join("rank1.att.p0.pg").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }
