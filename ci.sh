@@ -144,6 +144,14 @@ echo "==> engine3 zero-communication guard"
 cargo run -q -p pa-bench --release --bin exp_engine3_vs_engine2 -- \
     --n 50000 --ranks 4 > /dev/null
 
+echo "==> measured scaling figures"
+# Figures 5 and 6 are built on each rank's on-CPU time; both binaries
+# exit non-zero, naming the rank, unless every rank reported a reading.
+cargo run -q -p pa-bench --release --bin fig5_strong_scaling -- \
+    --n 200000 --maxp 4 > /dev/null
+cargo run -q -p pa-bench --release --bin fig6_weak_scaling -- \
+    --nodes-per-rank 20000 --maxp 8 > /dev/null
+
 echo "==> palaunch crash-recovery smoke run"
 # The recovery layer end to end from a shell: a 4-rank checkpointing
 # world loses one rank to kill -9 mid-generation; palaunch must restart

@@ -9,8 +9,8 @@
 //! * [`messages`] — the Lemma 3.4 message-count law
 //!   `E[M_k] = (1−p)(H_{n−1} − H_k)` and its per-partition aggregates
 //!   (the predicted curves behind Figure 7).
-//! * [`scaling`] — strong/weak scaling series built from per-rank loads
-//!   through the `pa-mpsim` virtual-time cost model (Figures 5 and 6).
+//! * [`scaling`] — strong/weak scaling series built from each rank's
+//!   measured on-CPU time (Figures 5 and 6).
 //! * [`stats`] — small statistics helpers (linear regression on log–log
 //!   axes, summary moments).
 

@@ -71,6 +71,13 @@ pub fn imbalance(values: &[f64]) -> f64 {
     max / min
 }
 
+/// Max/mean ratio of a non-negative series — how far the busiest rank
+/// sits above the average (1.0 = balanced; a mean of 0 gives NaN).
+pub fn max_over_mean(values: &[f64]) -> f64 {
+    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    max / mean_std(values).0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,5 +117,11 @@ mod tests {
     fn imbalance_ratio() {
         assert!((imbalance(&[1.0, 2.0, 4.0]) - 4.0).abs() < 1e-12);
         assert!((imbalance(&[3.0, 3.0]) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn max_over_mean_ratio() {
+        assert!((max_over_mean(&[0.0, 1.0, 2.0]) - 2.0).abs() < 1e-12);
+        assert!((max_over_mean(&[3.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 }

@@ -31,7 +31,7 @@ fn main() {
     let gen_time = start.elapsed();
     let edges = out.edge_list();
     println!(
-        "generated {} edges in {:.2}s (wall, single-core host)\n",
+        "generated {} edges in {:.2}s (wall)\n",
         edges.len(),
         gen_time.as_secs_f64()
     );

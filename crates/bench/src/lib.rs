@@ -13,6 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use pa_core::par::ParallelOutput;
 use std::collections::HashMap;
 
 /// Minimal `--key value` / `--key=value` argument parser for the
@@ -104,6 +105,23 @@ pub fn csv_line(fields: &[&dyn std::fmt::Display]) {
         .collect::<Vec<_>>()
         .join(",");
     println!("csv,{joined}");
+}
+
+/// Each rank's measured on-CPU nanoseconds `W_r`, in rank order. The
+/// timing figures print no stand-in for a missing reading: the process
+/// exits with status 2, naming the rank.
+pub fn rank_cpu_ns(out: &ParallelOutput) -> Vec<u64> {
+    let missing = |rank| -> u64 {
+        eprintln!(
+            "error: rank {rank} has no on-CPU time reading (/proc/thread-self/schedstat \
+             is unreadable); this figure is measured CPU time and cannot be printed"
+        );
+        std::process::exit(2)
+    };
+    out.ranks
+        .iter()
+        .map(|r| r.cpu_ns.unwrap_or_else(|| missing(r.rank)))
+        .collect()
 }
 
 /// Print the standard experiment banner.

@@ -51,7 +51,7 @@ use crate::partition::{self, Partition, Scheme};
 use crate::{Engine, GenOptions, PaConfig};
 use msg::Msg1;
 use pa_graph::EdgeList;
-use pa_mpsim::{CommStats, FaultTransport, LoopbackTransport, Transport, World};
+use pa_mpsim::{thread_cpu_ns, CommStats, FaultTransport, LoopbackTransport, Transport, World};
 use strategy::Protocol;
 
 /// The checks every entry point runs before any rank spawns.
@@ -69,7 +69,8 @@ fn validate_run<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) {
 }
 
 /// Run one rank of an in-process world over `comm`, wrapping it in a
-/// fault-injecting decorator first when `opts.fault_plan` asks for one.
+/// fault-injecting decorator first when `opts.fault_plan` asks for one,
+/// and measure the rank's on-CPU time around the run.
 fn in_process_rank<M: Protocol, P: Partition, S: EdgeSink, T: Transport<M>>(
     cfg: &PaConfig,
     part: &P,
@@ -78,6 +79,7 @@ fn in_process_rank<M: Protocol, P: Partition, S: EdgeSink, T: Transport<M>>(
     sink: S,
 ) -> StreamRankOutput<S> {
     let rank = comm.rank();
+    let cpu_start = thread_cpu_ns();
     let ((sink, counters), comm) = match opts.fault_plan {
         Some(plan) => {
             let mut faulty = FaultTransport::new(comm, plan);
@@ -89,11 +91,15 @@ fn in_process_rank<M: Protocol, P: Partition, S: EdgeSink, T: Transport<M>>(
             (parts, comm.into_stats())
         }
     };
+    let cpu_ns = cpu_start
+        .zip(thread_cpu_ns())
+        .map(|(start, end)| end - start);
     StreamRankOutput {
         rank,
         sink,
         comm,
         counters,
+        cpu_ns,
     }
 }
 
@@ -167,6 +173,7 @@ pub fn generate_with<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) 
         edges: o.sink,
         counters: o.counters,
         comm: o.comm,
+        cpu_ns: o.cpu_ns,
     });
     ParallelOutput {
         cfg: *cfg,
@@ -188,6 +195,9 @@ pub struct StreamRankOutput<S> {
     pub comm: CommStats,
     /// Algorithm counters.
     pub counters: EngineCounters,
+    /// Nanoseconds this rank's thread spent on a CPU while generating
+    /// (`None` where [`pa_mpsim::thread_cpu_ns`] has no reading).
+    pub cpu_ns: Option<u64>,
 }
 
 /// [`generate`], streaming each rank's edges into a sink built by
@@ -450,6 +460,24 @@ mod tests {
         assert_eq!(out.ranks.len(), 1);
         assert_eq!(out.ranks[0].comm.msgs_sent, 0);
         assert_eq!(out.ranks[0].comm.msgs_recv, 0);
+    }
+
+    #[test]
+    fn every_rank_reports_its_cpu_time() {
+        // P = 1 runs on the calling thread, P = 3 on world threads; both
+        // measure around the rank's own run.
+        let cfg = PaConfig::new(20_000, 4).with_seed(3);
+        for nranks in [1usize, 3] {
+            let out = generate(&cfg, Scheme::Rrp, nranks, &opts());
+            for r in &out.ranks {
+                assert!(
+                    matches!(r.cpu_ns, Some(v) if v > 0),
+                    "P={nranks} rank {}: {:?}",
+                    r.rank,
+                    r.cpu_ns
+                );
+            }
+        }
     }
 
     /// A streamed run must deliver exactly the materialized run's edges.

@@ -46,9 +46,8 @@
 //!   rules of §3.5.2 can be expressed.
 //! * [`CommStats`] counts logical messages and physical packets per rank —
 //!   exactly the quantities Figure 7 of the paper plots — and
-//!   [`cost::CostModel`] converts per-rank load into a virtual-time
-//!   makespan for the scaling experiments (Figures 5 and 6), since real
-//!   wall-clock speedup cannot be observed on a single-core host.
+//!   [`thread_cpu_ns`] reads a rank thread's on-CPU time, the measured
+//!   work behind the scaling experiments (Figures 5 and 6).
 //!
 //! # Example
 //!
@@ -84,7 +83,7 @@ mod channel;
 mod comm;
 pub mod conformance;
 mod control;
-pub mod cost;
+mod cpu;
 pub mod fault;
 mod loopback;
 mod stats;
@@ -94,6 +93,7 @@ pub mod wire;
 pub use buffer::BufferedComm;
 pub use comm::{Comm, Packet, World};
 pub use control::{TerminationBackend, TerminationHandle};
+pub use cpu::thread_cpu_ns;
 pub use fault::{FaultPlan, FaultTransport};
 pub use loopback::LoopbackTransport;
 pub use stats::CommStats;

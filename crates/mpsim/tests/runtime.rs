@@ -1,8 +1,6 @@
 //! Integration and property tests for the message-passing runtime:
-//! randomized traffic patterns, collective stress, and cost-model
-//! properties.
+//! randomized traffic patterns, collective stress and buffering.
 
-use pa_mpsim::cost::{CostModel, RankLoad};
 use pa_mpsim::{BufferedComm, Comm, World};
 use pa_rng::{Rng64, Xoshiro256pp};
 use proptest::prelude::*;
@@ -127,38 +125,6 @@ fn termination_with_work_stealing_pattern() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Makespan is monotone in every load component.
-    #[test]
-    fn makespan_is_monotone(
-        nodes in 0u64..1_000_000,
-        msgs in 0u64..1_000_000,
-        pkts in 0u64..10_000,
-    ) {
-        let m = CostModel::default();
-        let base = RankLoad { nodes, msgs_out: msgs, msgs_in: msgs, packets_out: pkts, packets_in: pkts };
-        let bigger = RankLoad { nodes: nodes + 1, ..base };
-        prop_assert!(m.rank_time(&bigger) > m.rank_time(&base));
-        let noisier = RankLoad { msgs_out: msgs + 1, ..base };
-        prop_assert!(m.rank_time(&noisier) > m.rank_time(&base));
-    }
-
-    /// Speedup never exceeds the rank count under non-negative overheads
-    /// when work is conserved (sum of rank nodes == total nodes).
-    #[test]
-    fn speedup_bounded_by_p(
-        split in prop::collection::vec(1u64..100_000, 1..32),
-    ) {
-        let m = CostModel { t_node: 1.0, t_msg: 0.5, t_packet: 10.0, t_collective: 25.0 };
-        let total: u64 = split.iter().sum();
-        let loads: Vec<RankLoad> = split
-            .iter()
-            .map(|&nodes| RankLoad { nodes, ..Default::default() })
-            .collect();
-        let s = m.speedup(total, &loads);
-        prop_assert!(s <= loads.len() as f64 + 1e-9, "s = {s}");
-        prop_assert!(s > 0.0);
-    }
 
     /// Buffered transfers deliver exactly the pushed messages for any
     /// capacity.

@@ -10,21 +10,18 @@ fn opts() -> GenOptions {
     GenOptions::default().without_hub_cache()
 }
 
-fn loads(scheme: Scheme, cfg: &PaConfig, ranks: usize) -> Vec<f64> {
+fn paper_loads(scheme: Scheme, cfg: &PaConfig, ranks: usize) -> Vec<f64> {
     let out = par::generate(cfg, scheme, ranks, &opts());
     assert_eq!(out.total_edges() as u64, cfg.expected_edges());
-    out.ranks
-        .iter()
-        .map(|r| r.load().paper_load() as f64)
-        .collect()
+    out.ranks.iter().map(|r| r.paper_load() as f64).collect()
 }
 
 #[test]
 fn rrp_balances_better_than_ucp() {
     let cfg = PaConfig::new(40_000, 6).with_seed(3);
     let ranks = 16;
-    let ucp = stats::imbalance(&loads(Scheme::Ucp, &cfg, ranks));
-    let rrp = stats::imbalance(&loads(Scheme::Rrp, &cfg, ranks));
+    let ucp = stats::imbalance(&paper_loads(Scheme::Ucp, &cfg, ranks));
+    let rrp = stats::imbalance(&paper_loads(Scheme::Rrp, &cfg, ranks));
     assert!(
         rrp < ucp,
         "RRP imbalance {rrp:.2} must beat UCP {ucp:.2} (Figure 7d)"
@@ -36,8 +33,8 @@ fn rrp_balances_better_than_ucp() {
 fn lcp_balances_better_than_ucp() {
     let cfg = PaConfig::new(40_000, 6).with_seed(3);
     let ranks = 16;
-    let ucp = stats::imbalance(&loads(Scheme::Ucp, &cfg, ranks));
-    let lcp = stats::imbalance(&loads(Scheme::Lcp, &cfg, ranks));
+    let ucp = stats::imbalance(&paper_loads(Scheme::Ucp, &cfg, ranks));
+    let lcp = stats::imbalance(&paper_loads(Scheme::Lcp, &cfg, ranks));
     assert!(
         lcp < ucp,
         "LCP imbalance {lcp:.2} must beat UCP {ucp:.2} (Figure 7d)"

@@ -50,7 +50,7 @@ fn fully_unbuffered_oversubscribed_world() {
 
 #[test]
 fn heavily_oversubscribed_x1_is_still_exact() {
-    // 64 ranks on one core; x = 1 output must still be bit-identical to
+    // 64 ranks on a few cores; x = 1 output must still be bit-identical to
     // the sequential generator.
     let cfg = PaConfig::new(2_000, 1).with_seed(21);
     let out = par::generate(
