@@ -361,8 +361,10 @@ fi
 # ...and then the daemon itself dies hard: no drain, no cleanup.
 kill -9 "$restart_pid" 2>/dev/null || true
 wait "$restart_pid" 2>/dev/null || true
-# Stage the temp litter an in-flight run would have left behind.
+# Stage the temp litter an in-flight run would have left behind: its
+# output and a rank's part file.
 printf junk > "$restart_dir/jobs/0123456789abcdef.5.tmp"
+printf junk > "$restart_dir/jobs/0123456789abcdef.5.tmp.part0"
 restart_addr_b="127.0.0.1:$(( 20000 + RANDOM % 20000 ))"
 ./target/release/pagen serve --addr "$restart_addr_b" \
     --jobs-dir "$restart_dir/jobs" --workers 2 > "$restart_dir/serve_b.log" 2>&1 &
@@ -394,7 +396,7 @@ if ! wait "$restart_pid_b"; then
     cat "$restart_dir/serve_b.log" >&2
     exit 1
 fi
-if ! grep -q "recovered 1 artifact(s), cleaned 1 stale temp file(s)" "$restart_dir/serve_b.log"; then
+if ! grep -q "recovered 1 artifact(s), cleaned 2 stale temp file(s)" "$restart_dir/serve_b.log"; then
     echo "restart smoke: startup line does not report the recovery scan" >&2
     cat "$restart_dir/serve_b.log" >&2
     exit 1

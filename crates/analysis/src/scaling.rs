@@ -141,7 +141,10 @@ mod tests {
         let total = 720_720 * MS;
         for nranks in 1..=16u64 {
             let p = strong_point(total, &vec![total / nranks; nranks as usize]);
-            assert!((p.speedup_bound - nranks as f64).abs() < 1e-9, "P = {nranks}: {p:?}");
+            assert!(
+                (p.speedup_bound - nranks as f64).abs() < 1e-9,
+                "P = {nranks}: {p:?}"
+            );
             assert!((p.efficiency - 1.0).abs() < 1e-9);
         }
     }
@@ -154,7 +157,10 @@ mod tests {
             let mut w = vec![300 * MS / (nranks - 1); nranks as usize - 1];
             w.push(700 * MS);
             let p = strong_point(1000 * MS, &w);
-            assert!((p.speedup_bound - 1000.0 / 700.0).abs() < 1e-12, "P = {nranks}: {p:?}");
+            assert!(
+                (p.speedup_bound - 1000.0 / 700.0).abs() < 1e-12,
+                "P = {nranks}: {p:?}"
+            );
         }
     }
 

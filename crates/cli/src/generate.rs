@@ -7,7 +7,7 @@ use pa_core::partition::Scheme;
 use pa_core::{cl, er, par, rmat, ws, Engine, GenOptions, PaConfig};
 use pa_graph::{container, io, EdgeList};
 use pa_rng::Xoshiro256pp;
-use std::io::Write;
+use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -358,46 +358,80 @@ fn remove_parts(path: &Path, ranks: usize) {
     }
 }
 
-/// Concatenate `{path}.part{0..ranks}` in rank order into `path`, fsync
-/// it, and delete the parts — the one merge behind in-process streamed
-/// runs and rank 0 of a TCP world. A failed merge removes the parts too
-/// (best effort).
+/// Removes `{path}.part{0..ranks}` when dropped — on an error return and
+/// on an unwinding panic alike — unless [`PartFiles::merge`] took over.
+struct PartFiles<'a> {
+    path: &'a Path,
+    ranks: usize,
+}
+
+impl PartFiles<'_> {
+    /// Disarm the guard and [`merge_parts`], which cleans up after its
+    /// own failures.
+    fn merge(self) -> std::io::Result<()> {
+        let merged = merge_parts(self.path, self.ranks);
+        std::mem::forget(self);
+        merged
+    }
+}
+
+impl Drop for PartFiles<'_> {
+    fn drop(&mut self) {
+        remove_parts(self.path, self.ranks);
+    }
+}
+
+/// Append `{path}.part{1..ranks}` in rank order onto rank 0's part, fsync
+/// it, rename it to `path` and delete the other parts — the one merge
+/// behind in-process streamed runs, the serve runner and rank 0 of a TCP
+/// world. Rank 0's bytes are never copied (at one rank nothing is), and
+/// `path` only ever names a complete file: the rename replaces whatever
+/// was there, a symlink included, rather than writing through it. A
+/// failed merge removes the parts (best effort).
 ///
 /// # Errors
 ///
 /// Any I/O failure; a part that cannot be opened is named with the hint
 /// that multi-host worlds need a shared filesystem.
 pub(crate) fn merge_parts(path: &Path, ranks: usize) -> std::io::Result<()> {
+    let open = |rank: usize, opts: &std::fs::OpenOptions| {
+        let part = part_path(path, rank);
+        opts.open(&part).map_err(|e| {
+            std::io::Error::new(
+                e.kind(),
+                format!(
+                    "{} (rank {rank}'s part not visible to the merging rank — \
+                     distributed runs need a shared filesystem to merge): {e}",
+                    part.display()
+                ),
+            )
+        })
+    };
     let merge = || {
-        let mut merged = std::io::BufWriter::new(std::fs::File::create(path)?);
-        for rank in 0..ranks {
-            let part = part_path(path, rank);
-            let mut file = std::fs::File::open(&part).map_err(|e| {
-                std::io::Error::new(
-                    e.kind(),
-                    format!(
-                        "{} (rank {rank}'s part not visible to the merging rank — \
-                         distributed runs need a shared filesystem to merge): {e}",
-                        part.display()
-                    ),
-                )
-            })?;
-            std::io::copy(&mut file, &mut merged)?;
+        // Positioned at the end rather than opened O_APPEND: the kernel's
+        // copy_file_range, which io::copy uses between two files, refuses
+        // an append-mode destination.
+        let mut merged = open(0, std::fs::OpenOptions::new().write(true))?;
+        merged.seek(std::io::SeekFrom::End(0))?;
+        for rank in 1..ranks {
+            std::io::copy(
+                &mut open(rank, std::fs::OpenOptions::new().read(true))?,
+                &mut merged,
+            )?;
         }
-        merged
-            .into_inner()
-            .map_err(|e| e.into_error())?
-            .sync_all()?;
-        (0..ranks).try_for_each(|rank| std::fs::remove_file(part_path(path, rank)))
+        merged.sync_all()?;
+        std::fs::rename(part_path(path, 0), path)?;
+        (1..ranks).try_for_each(|rank| std::fs::remove_file(part_path(path, rank)))
     };
     merge().inspect_err(|_| remove_parts(path, ranks))
 }
 
 /// Stream a PA network to `path` without ever materializing the edges:
 /// each rank writes its own `{path}.part{rank}` through a chunked
-/// [`par::StreamingWriterSink`], and the parts are concatenated in rank
+/// [`par::StreamingWriterSink`], and [`merge_parts`] joins them in rank
 /// order afterwards. Peak resident memory is the engines' `O(n/P)` slot
-/// state plus one write chunk per rank, regardless of edge count.
+/// state plus one write chunk per rank, regardless of edge count. Every
+/// exit that does not merge — an error or a panic — deletes the parts.
 ///
 /// Returns the total number of edges written plus the per-rank
 /// communication ledgers (for `--stats` / `--stats-json`).
@@ -414,6 +448,7 @@ pub(crate) fn stream_pa_to_disk(
 ) -> Result<(u64, Vec<pa_mpsim::CommStats>), CliError> {
     let ranks = job.ranks as usize;
     let opts = job.gen_options(tuning);
+    let parts = PartFiles { path, ranks };
     // Pre-create the per-rank files so creation errors surface before any
     // rank spawns; each rank thread then takes its own handle.
     let mut files = Vec::with_capacity(ranks);
@@ -434,13 +469,10 @@ pub(crate) fn stream_pa_to_disk(
     let mut total_edges = 0u64;
     let mut comms = Vec::with_capacity(outputs.len());
     for o in outputs {
-        total_edges += o.sink.finish().map_err(|e| {
-            remove_parts(path, ranks);
-            CliError::io(e)
-        })?;
+        total_edges += o.sink.finish().map_err(CliError::io)?;
         comms.push(o.comm);
     }
-    merge_parts(path, ranks).map_err(CliError::io)?;
+    parts.merge().map_err(CliError::io)?;
     Ok((total_edges, comms))
 }
 

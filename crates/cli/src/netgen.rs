@@ -4,9 +4,10 @@
 //! world is described by `--world` and the `--peers` table (normally
 //! injected by `palaunch`, or written by hand for multi-host runs).
 //! Each rank streams its partition's edges to `{out}.part{rank}`; after
-//! the final barrier rank 0 concatenates the parts into `{out}` in rank
-//! order — byte-identical to what a single-process streamed run of the
-//! same seed writes — and prints the one summary line. Ranks above 0
+//! the final barrier rank 0 appends the other parts onto its own in rank
+//! order and renames it to `{out}` — byte-identical to what a
+//! single-process streamed run of the same seed writes — and prints the
+//! one summary line. Ranks above 0
 //! print nothing on success.
 
 use std::io::Write;

@@ -60,43 +60,59 @@ fn generate_binary_and_text_formats() {
 
 #[test]
 fn streamed_binary_output_matches_materialized_run() {
-    // pa + bin routes through the streaming writer: the file must hold
-    // exactly the edge set a materialized run produces, the reported
-    // count must match the file size, and no part files may remain.
-    let bin = tmp("streamed.bin");
-    let pag = tmp("streamed.pag");
-    let common = [
-        "--model", "pa", "--n", "3000", "--x", "3", "--ranks", "4", "--scheme", "rrp", "--seed",
-        "11",
-    ];
-    let mut gen_bin: Vec<&str> = vec!["generate"];
-    gen_bin.extend_from_slice(&common);
-    gen_bin.extend_from_slice(&["--out", &bin, "--format", "bin"]);
-    let msg = exec(&gen_bin).unwrap();
-    assert!(msg.contains("streamed"), "{msg}");
+    // pa + bin|txt routes through the streaming writer: the file must
+    // hold exactly the edge set a materialized run produces and the
+    // reported count, it must replace (never append to) an existing
+    // --out file, and no part files may remain.
+    for (format, ranks) in [("bin", "1"), ("bin", "4"), ("txt", "1"), ("txt", "4")] {
+        let name = format!("streamed_p{ranks}.{format}");
+        let out = tmp(&name);
+        let pag = tmp(&format!("streamed_p{ranks}.pag"));
+        let case = format!("{format} ranks {ranks}");
+        // 16 bytes: one bogus binary edge, or an unparsable text line.
+        std::fs::write(&out, b"stale output ...").unwrap();
+        let common = [
+            "--model", "pa", "--n", "3000", "--x", "3", "--ranks", ranks, "--scheme", "rrp",
+            "--seed", "11",
+        ];
+        let mut gen: Vec<&str> = vec!["generate"];
+        gen.extend_from_slice(&common);
+        gen.extend_from_slice(&["--out", &out, "--format", format]);
+        let msg = exec(&gen).unwrap();
+        assert!(msg.contains("streamed"), "{case}: {msg}");
 
-    let mut gen_pag: Vec<&str> = vec!["generate"];
-    gen_pag.extend_from_slice(&common);
-    gen_pag.extend_from_slice(&["--out", &pag, "--format", "pag"]);
-    exec(&gen_pag).unwrap();
+        let mut gen_pag: Vec<&str> = vec!["generate"];
+        gen_pag.extend_from_slice(&common);
+        gen_pag.extend_from_slice(&["--out", &pag, "--format", "pag"]);
+        exec(&gen_pag).unwrap();
 
-    let streamed = pa_graph::io::read_binary_file(&bin).unwrap();
-    let (_, shards) = pa_graph::container::read_file(&pag).unwrap();
-    let materialized = pa_graph::EdgeList::concat(shards);
-    assert_eq!(streamed.canonicalized(), materialized.canonicalized());
+        let streamed = if format == "bin" {
+            pa_graph::io::read_binary_file(&out)
+        } else {
+            pa_graph::io::read_text_file(&out)
+        }
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
+        let (_, shards) = pa_graph::container::read_file(&pag).unwrap();
+        let materialized = pa_graph::EdgeList::concat(shards);
+        assert_eq!(
+            streamed.canonicalized(),
+            materialized.canonicalized(),
+            "{case}"
+        );
+        let reported = msg
+            .split_whitespace()
+            .find_map(|w| w.parse::<u64>().ok().filter(|&e| e > 3000))
+            .unwrap();
+        assert_eq!(reported, streamed.len() as u64, "{case}");
 
-    let file_len = std::fs::metadata(&bin).unwrap().len();
-    assert_eq!(file_len, streamed.len() as u64 * 16);
-    let reported = msg
-        .split_whitespace()
-        .find_map(|w| w.parse::<u64>().ok().filter(|&e| e > 3000))
-        .unwrap();
-    assert_eq!(reported, streamed.len() as u64);
-
-    for rank in 0..4 {
+        let parts: Vec<String> = std::fs::read_dir(std::path::Path::new(&out).parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| f.starts_with(&format!("{name}.part")))
+            .collect();
         assert!(
-            !std::path::Path::new(&format!("{bin}.part{rank}")).exists(),
-            "part file {rank} left behind"
+            parts.is_empty(),
+            "{case}: part files left behind: {parts:?}"
         );
     }
 }

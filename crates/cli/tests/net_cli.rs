@@ -41,6 +41,39 @@ fn wait_bounded(child: &mut Child, what: &str, limit: Duration) -> std::process:
     }
 }
 
+/// `--n` for the worlds the kill tests interrupt. `pagen` is built with
+/// the test binary's profile, and a release world of the debug size can
+/// finish before the kill lands.
+const KILL_N: &str = if cfg!(debug_assertions) {
+    "500000"
+} else {
+    "2000000"
+};
+
+/// Wait until `rank` has committed its first checkpoint in `dir` (they
+/// are renamed into place, so a `.ckpt` name means a complete file): from
+/// then on the world is past its start-up and still generating.
+fn wait_for_first_checkpoint(dir: &str, rank: usize) {
+    let prefix = format!("rank{rank}.epoch");
+    let limit = Duration::from_secs(60);
+    let start = Instant::now();
+    loop {
+        let saved = std::fs::read_dir(dir).unwrap().flatten().any(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.starts_with(&prefix) && name.ends_with(".ckpt")
+        });
+        if saved {
+            return;
+        }
+        assert!(
+            start.elapsed() < limit,
+            "rank {rank} committed no checkpoint in {dir} within {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 fn read_canonical(path: &str) -> pa_graph::EdgeList {
     pa_graph::io::read_binary_file(path)
         .unwrap()
@@ -246,11 +279,14 @@ fn connecting_to_a_dead_peer_exits_nonzero_and_names_the_rank() {
 
 #[test]
 fn killing_a_rank_mid_run_fails_the_survivor_with_a_diagnostic() {
-    // A 2-rank world big enough to still be generating half a second in
-    // (a dev-profile run of this size takes multiple seconds); rank 1 is
-    // killed mid-flight and rank 0 must abort naming it, not hang.
+    // A 2-rank checkpointing world; rank 1 is killed mid-flight, right
+    // after its first checkpoint, and rank 0 must abort naming it, not
+    // hang.
     let peers = ports(2).join(",");
     let out_path = tmp("killed.bin");
+    let ckpt_dir = tmp("killed_ckpts");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    std::fs::create_dir_all(&ckpt_dir).unwrap();
     let spawn = |rank: &str| {
         Command::new(PAGEN)
             .args([
@@ -258,7 +294,11 @@ fn killing_a_rank_mid_run_fails_the_survivor_with_a_diagnostic() {
                 "--model",
                 "pa",
                 "--n",
-                "500000",
+                KILL_N,
+                "--checkpoint-dir",
+                &ckpt_dir,
+                "--checkpoint-interval",
+                "30000",
                 "--x",
                 "4",
                 "--scheme",
@@ -283,7 +323,7 @@ fn killing_a_rank_mid_run_fails_the_survivor_with_a_diagnostic() {
     };
     let mut rank0 = spawn("0");
     let mut rank1 = spawn("1");
-    std::thread::sleep(Duration::from_millis(500));
+    wait_for_first_checkpoint(&ckpt_dir, 1);
     rank1.kill().unwrap();
     let _ = rank1.wait();
 
@@ -302,6 +342,7 @@ fn killing_a_rank_mid_run_fails_the_survivor_with_a_diagnostic() {
     for r in 0..2 {
         let _ = std::fs::remove_file(format!("{out_path}.part{r}"));
     }
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
 #[test]
@@ -337,8 +378,8 @@ fn palaunch_restart_failed_recovers_from_kill9_with_identical_output() {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     std::fs::create_dir_all(&ckpt_dir).unwrap();
     let common = [
-        "generate", "--model", "pa", "--n", "500000", "--x", "4", "--scheme", "rrp", "--seed",
-        "99", "--format", "bin",
+        "generate", "--model", "pa", "--n", KILL_N, "--x", "4", "--scheme", "rrp", "--seed", "99",
+        "--format", "bin",
     ];
 
     let mut child = Command::new(PALAUNCH)
@@ -357,19 +398,11 @@ fn palaunch_restart_failed_recovers_from_kill9_with_identical_output() {
         .spawn()
         .unwrap();
 
-    // Give the world time to get going (and, usually, commit a few
-    // checkpoint epochs — a dev-profile run of this size takes multiple
-    // seconds), then SIGKILL rank 2 from outside the supervisor.
-    std::thread::sleep(Duration::from_millis(900));
-    let victim = (0..40)
-        .find_map(|_| {
-            let pid = find_rank_pid(&out_path, 2);
-            if pid.is_none() {
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            pid
-        })
-        .expect("rank 2 should still be running ~1s into the run");
+    // Once rank 2 has committed a checkpoint epoch, SIGKILL it from
+    // outside the supervisor.
+    wait_for_first_checkpoint(&ckpt_dir, 2);
+    let victim = find_rank_pid(&out_path, 2)
+        .expect("rank 2 should still be running just after its first checkpoint");
     let killed = Command::new("kill")
         .args(["-9", &victim.to_string()])
         .status()
@@ -388,8 +421,12 @@ fn palaunch_restart_failed_recovers_from_kill9_with_identical_output() {
         "recovery run failed\nstderr: {stderr}\nstdout: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+    // palaunch names the first exit its poll sees; a survivor that
+    // aborted on the lost connection can beat the victim to it, and then
+    // the survivor's diagnostic names rank 2.
     assert!(
-        stderr.contains("palaunch: rank 2 exited with code"),
+        stderr.contains("palaunch: rank 2 exited with code")
+            || stderr.contains("lost connection to rank 2"),
         "stderr: {stderr}"
     );
     assert!(

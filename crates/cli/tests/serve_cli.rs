@@ -302,6 +302,7 @@ fn killed_daemon_restart_recovers_cache_and_serve_status_reports_it() {
     daemon_a.kill().unwrap();
     daemon_a.wait().unwrap();
     std::fs::write(jobs.join("0123456789abcdef.5.tmp"), b"junk").unwrap();
+    std::fs::write(jobs.join("0123456789abcdef.5.tmp.part0"), b"junk").unwrap();
 
     let addr_b = free_addr();
     let mut daemon_b = Command::new(PAGEN)
@@ -323,7 +324,7 @@ fn killed_daemon_restart_recovers_cache_and_serve_status_reports_it() {
         status_line.contains("1 recovered at startup"),
         "{status_line:?}"
     );
-    assert!(status_line.contains("1 temp cleaned"), "{status_line:?}");
+    assert!(status_line.contains("2 temp cleaned"), "{status_line:?}");
 
     let second = dir.join("second.bin");
     let mut refetch = vec![
@@ -351,7 +352,7 @@ fn killed_daemon_restart_recovers_cache_and_serve_status_reports_it() {
     let mut daemon_out = String::new();
     std::io::Read::read_to_string(daemon_b.stdout.as_mut().unwrap(), &mut daemon_out).unwrap();
     assert!(
-        daemon_out.contains("recovered 1 artifact(s), cleaned 1 stale temp file(s)"),
+        daemon_out.contains("recovered 1 artifact(s), cleaned 2 stale temp file(s)"),
         "{daemon_out:?}"
     );
     assert!(

@@ -22,6 +22,22 @@ proptest! {
         prop_assert_eq!(io::read_text(&txt[..]).unwrap(), el);
     }
 
+    /// The text encoder writes exactly what `format!` does, over pairs
+    /// of every digit length (a uniform `u64` shifted right by 0–63).
+    #[test]
+    fn text_encoding_matches_format(
+        pairs in prop::collection::vec(
+            (any::<u64>(), 0u32..64, any::<u64>(), 0u32..64)
+                .prop_map(|(u, su, v, sv)| (u >> su, v >> sv)),
+            0..300,
+        )
+    ) {
+        let mut txt = Vec::new();
+        io::write_text(&mut txt, &EdgeList::from_vec(pairs.clone())).unwrap();
+        let reference: String = pairs.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
+        prop_assert_eq!(String::from_utf8(txt).unwrap(), reference);
+    }
+
     /// Canonicalization is idempotent and direction-invariant.
     #[test]
     fn canonicalize_idempotent(el in arb_edges(100, 100)) {

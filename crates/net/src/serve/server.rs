@@ -33,12 +33,12 @@
 //!   publish rename happens under the lock only while the run is still
 //!   current, so a late finisher can never clobber the cache).
 //! - **Recovery.** On startup the jobs directory is scanned: stale
-//!   `*.tmp` litter is deleted and every `*.art` artifact is
-//!   re-checksummed and republished, so a SIGKILLed daemon restarted
-//!   on the same directory serves its pre-crash cache instead of
-//!   re-running (engines 1/2 are not byte-deterministic across runs —
-//!   a re-run would break every resuming client's whole-artifact
-//!   checksum).
+//!   `*.tmp` litter (and a runner's `*.tmp.part<N>` files) is deleted
+//!   and every `*.art` artifact is re-checksummed and republished, so a
+//!   SIGKILLed daemon restarted on the same directory serves its
+//!   pre-crash cache instead of re-running (engines 1/2 are not
+//!   byte-deterministic across runs — a re-run would break every
+//!   resuming client's whole-artifact checksum).
 //! - **Admission control.** Connections beyond
 //!   [`ServeConfig::max_conns`] get a retryable
 //!   [`RejectCode::Overloaded`] instead of an unbounded thread; the
@@ -629,6 +629,15 @@ fn evict_over_quota(inner: &mut Inner, shared: &Shared) {
     }
 }
 
+/// A run's temp output `*.tmp`, or a part file `*.tmp.part<N>` a
+/// streaming runner writes beside it: litter once no run is live.
+fn is_stale_temp(name: &str) -> bool {
+    name.ends_with(".tmp")
+        || name
+            .rsplit_once(".tmp.part")
+            .is_some_and(|(_, rank)| !rank.is_empty() && rank.bytes().all(|b| b.is_ascii_digit()))
+}
+
 /// Rebuild the artifact cache from the jobs directory after a restart:
 /// delete stale `*.tmp` litter, re-checksum every `*.art` file and
 /// republish it as `Done`, so resuming clients stitch against the
@@ -642,7 +651,7 @@ fn recover_cache(shared: &Shared, inner: &mut Inner) {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let path = entry.path();
-        if name.ends_with(".tmp") {
+        if is_stale_temp(name) {
             if std::fs::remove_file(&path).is_ok() {
                 inner.stats.tmp_cleaned += 1;
             }
@@ -1068,4 +1077,28 @@ fn stream_artifact(
     });
     // A client that vanished mid-stream will reconnect and resume.
     streamed.is_ok() && write_done(stream, total, checksum).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_stale_temp;
+
+    #[test]
+    fn stale_temp_names_cover_runner_part_files() {
+        for stale in [
+            "0123456789abcdef.5.tmp",
+            "0123456789abcdef.5.tmp.part0",
+            "0123456789abcdef.5.tmp.part17",
+        ] {
+            assert!(is_stale_temp(stale), "{stale}");
+        }
+        for kept in [
+            "0123456789abcdef.art",
+            "0123456789abcdef.5.tmp.part",
+            "0123456789abcdef.5.tmp.partx",
+            "notes.tmp.txt",
+        ] {
+            assert!(!is_stale_temp(kept), "{kept}");
+        }
+    }
 }

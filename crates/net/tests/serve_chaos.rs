@@ -541,13 +541,15 @@ fn restart_on_same_jobs_dir_recovers_cache_and_cleans_tmp_litter() {
         server.drain();
         server.join();
     }
-    // Stale temp litter, as a crashed run would leave behind.
+    // Stale temp litter, as a crashed run would leave behind: run
+    // outputs and a streaming runner's per-rank part file.
     std::fs::write(jobs_dir.join("deadbeefdeadbeef.3.tmp"), b"junk").unwrap();
     std::fs::write(
         jobs_dir.join(format!("{:016x}.9.tmp", sp.job_id())),
         b"junk",
     )
     .unwrap();
+    std::fs::write(jobs_dir.join("deadbeefdeadbeef.4.tmp.part1"), b"junk").unwrap();
 
     // Second daemon on the same directory, with a runner that fails any
     // re-run: serving must come from the recovered cache alone.
@@ -557,7 +559,7 @@ fn restart_on_same_jobs_dir_recovers_cache_and_cleans_tmp_litter() {
     let server = Server::start(listener, cfg, MustNotRun).unwrap();
     let status = server.status();
     assert_eq!(status.stats.jobs_recovered, 1, "{status:?}");
-    assert_eq!(status.stats.tmp_cleaned, 2);
+    assert_eq!(status.stats.tmp_cleaned, 3);
     assert_eq!(status.cache_artifacts, 1);
     assert_eq!(status.cache_bytes, 4096);
 
