@@ -80,7 +80,6 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         Some(crate::generate::parse_byte_size("memory-budget", &budget)?)
     };
-    let page_bytes = pa_core::store::DEFAULT_PAGE_BYTES as u64;
     let hub_nodes = match args.str("hub-cache", "auto").as_str() {
         "off" => 0,
         "auto" => pa_core::DEFAULT_HUB_CACHE_NODES.min(n),
@@ -99,12 +98,16 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let slots = size * x;
 
     // The F table is the one store-backed table of every engine, so it
-    // takes the whole budget: `budget/page` cache frames, never fewer
-    // than two pages (`PagedTable::open`), never more than the table.
+    // takes the whole budget: `budget/page` cache frames of the budget's
+    // default page size, never fewer than two pages (`PagedTable::open`),
+    // never more than the table.
     let f_table = |name, f_slots: u64| TableLine {
         name,
         resident: f_slots * 8,
-        budgeted: budget_bytes.map(|b| b.max(2 * page_bytes).min(f_slots * 8)),
+        budgeted: budget_bytes.map(|b| {
+            let page_bytes = pa_core::store::default_page_bytes(b) as u64;
+            b.max(2 * page_bytes).min(f_slots * 8)
+        }),
     };
     let resident = |name, bytes| TableLine {
         name,

@@ -26,7 +26,7 @@ use pa_graph::io::Fnv1a;
 use pa_mpsim::wire::{get_u32, get_u64, get_u8};
 
 use crate::partition::Scheme;
-use crate::store::checksummed_body;
+use crate::store::{checksummed_body, sync_dir};
 use crate::{GenOptions, PaConfig};
 
 /// Magic number at the head of every checkpoint file (`"PACK"`).
@@ -139,7 +139,7 @@ pub(crate) struct RawCheckpoint {
 /// treated as absent, exactly like [`CheckpointStore::load`].
 pub(crate) fn read_raw_checkpoint(path: &Path) -> Option<RawCheckpoint> {
     let buf = fs::read(path).ok()?;
-    let mut r = checksummed_body(&buf)?;
+    let mut r = checksummed_body(&buf, Fnv1a::hash)?;
     if get_u32(&mut r)? != MAGIC || get_u32(&mut r)? != VERSION {
         return None;
     }
@@ -253,7 +253,9 @@ impl CheckpointStore {
                 let _ = fs::remove_file(self.file_name(old));
             }
         }
-        Ok(())
+        // The rename and the removals are directory entries: make them
+        // durable too, or a power loss can forget the new epoch's name.
+        sync_dir(&self.dir)
     }
 
     /// Epoch numbers of this rank's checkpoint files currently on disk

@@ -14,17 +14,22 @@
 //!
 //! **Page files.** Each page is its own file, `{prefix}.p{index}.pg`:
 //! a magic/version header, the page index, the raw little-endian slot
-//! words, and a trailing FNV-1a checksum. Pages are written to a `.tmp`
-//! sibling, fsynced, then renamed — the same atomicity discipline as
+//! words, and a trailing word-wise FNV-1a checksum
+//! ([`Fnv1a::hash_words`]). Pages are written to a `.tmp` sibling,
+//! then renamed — the same atomicity discipline as
 //! [`crate::par::CheckpointStore`] — so a crash mid-write never leaves a
-//! half page under a valid name, and a torn or foreign page fails its
-//! checksum and **reads as absent** (every slot the fill value) rather
-//! than as garbage.
+//! half page under a valid name, and a torn, foreign or older-version
+//! page fails its checks and **reads as absent** (every slot the fill
+//! value) rather than as garbage. The `flush` barrier fsyncs every page
+//! written since the last one, then the directory, so the renames a
+//! checkpoint relies on are durable too.
 //!
 //! **Eviction.** The cache runs clock / second-chance: each frame has a
 //! reference bit set on access; the clock hand clears bits until it
 //! finds an unreferenced frame, writes it back if dirty, and reuses it.
-//! The budget buys `max(2, budget / page_bytes)` frames.
+//! The budget buys `max(2, budget / page_bytes)` frames. A fault reads
+//! the file into one reused page image and decodes it into the frame's
+//! own buffer, so once every frame exists a fault allocates nothing.
 //!
 //! **Checkpoints.** A resident table serializes its committed prefix
 //! into the checkpoint payload verbatim (the historical format). A
@@ -38,21 +43,46 @@
 
 use pa_graph::io::Fnv1a;
 use pa_mpsim::wire::{get_u32, get_u64, take};
-use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic number at the head of every page file (`"PAPG"`).
 const PAGE_MAGIC: u32 = 0x4750_4150;
-/// Page-file format version.
-const PAGE_VERSION: u32 = 1;
+/// Page-file format version. Version 2 seals pages with the word-wise
+/// [`Fnv1a::hash_words`]; a version-1 page (bytewise FNV-1a) reads as
+/// absent.
+const PAGE_VERSION: u32 = 2;
 /// Bytes of page-file framing around the slot words
 /// (magic + version + page index + trailing checksum).
 const PAGE_OVERHEAD: usize = 4 + 4 + 8 + 8;
 
-/// Default page size in bytes (32 Ki slots per page).
-pub const DEFAULT_PAGE_BYTES: usize = 256 * 1024;
+/// The page sizes [`default_page_bytes`] picks from.
+const MIN_DEFAULT_PAGE_BYTES: u64 = 4 << 10;
+const MAX_DEFAULT_PAGE_BYTES: u64 = 256 << 10;
+
+/// The page size a `budget_bytes` cache gets unless one is given: the
+/// largest power of two at most `budget / 256`, clamped to
+/// [4 KiB, 256 KiB]. A fault costs a read and a checksum of one page, so
+/// pages stay small enough for the cache to hold about 256 of them; the
+/// floor keeps a page well above a syscall's fixed cost, the ceiling
+/// bounds what one fault reads. A 4 MiB budget gets 16 KiB pages, 1 MiB
+/// or less gets 4 KiB.
+pub fn default_page_bytes(budget_bytes: u64) -> usize {
+    let quota = (budget_bytes / 256).clamp(MIN_DEFAULT_PAGE_BYTES, MAX_DEFAULT_PAGE_BYTES);
+    1 << quota.ilog2()
+}
+
+/// Fsync directory `dir`, so the renames and removals inside it survive
+/// a power loss — a file's own fsync does not cover its name.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    match fs::File::open(dir)?.sync_all() {
+        // A filesystem that cannot sync a directory reports EINVAL; it
+        // has no directory state to make durable this way.
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => Ok(()),
+        res => res,
+    }
+}
 
 /// First payload word of a paged-table checkpoint prefix. A resident
 /// payload starts with the committed node count, which is at most `n`,
@@ -100,12 +130,13 @@ pub struct PagedSpec {
 }
 
 impl StoreSpec {
-    /// A paged spec with the default page size, fresh-start semantics.
+    /// A paged spec with the budget's default page size
+    /// ([`default_page_bytes`]), fresh-start semantics.
     pub fn paged(dir: impl Into<PathBuf>, budget_bytes: u64) -> Self {
         StoreSpec::Paged(PagedSpec {
             dir: dir.into(),
             budget_bytes,
-            page_bytes: DEFAULT_PAGE_BYTES,
+            page_bytes: default_page_bytes(budget_bytes),
             resume: false,
         })
     }
@@ -252,12 +283,52 @@ impl NodeTable for ResidentTable {
     }
 }
 
-/// One cached page.
+/// `page_frame` entry of a page that is not resident.
+const NO_FRAME: u32 = u32::MAX;
+/// `PageFrame::page` of a frame that holds no page.
+const NO_PAGE: u64 = u64::MAX;
+
+/// One cached page. Its buffer lives as long as the table.
 struct PageFrame {
     page: u64,
     data: Vec<u64>,
     dirty: bool,
     referenced: bool,
+}
+
+/// What a fault works in: one page-file image, reused by every
+/// write-back and load, and the paths of one page file and its `.tmp`
+/// sibling, rebuilt in place — so that a fault allocates nothing. Boxed
+/// in the table, since only a fault touches it.
+struct PageIo {
+    image: Vec<u8>,
+    name: String,
+    page: PathBuf,
+    tmp: PathBuf,
+}
+
+impl PageIo {
+    fn new(dir: &Path, prefix: &str, spp: usize) -> Self {
+        // Start from the longest name this table can have, so the
+        // buffers never grow.
+        let longest = format!("{prefix}.p{}.pg.tmp", u64::MAX);
+        PageIo {
+            image: Vec::with_capacity(PAGE_OVERHEAD + spp * 8),
+            page: dir.join(&longest),
+            tmp: dir.join(&longest),
+            name: longest,
+        }
+    }
+
+    /// Point both paths at page `page` of table `prefix`.
+    fn set(&mut self, prefix: &str, page: u64) {
+        use std::fmt::Write as _;
+        self.name.clear();
+        let _ = write!(self.name, "{prefix}.p{page}.pg");
+        self.page.set_file_name(&self.name);
+        self.name.push_str(".tmp");
+        self.tmp.set_file_name(&self.name);
+    }
 }
 
 /// A node table spilled to fixed-size page files under a byte-budgeted
@@ -274,16 +345,21 @@ pub struct PagedTable {
     /// count (no point caching more frames than pages exist).
     nframes: usize,
     frames: Vec<PageFrame>,
-    /// `page index -> frame index` for resident pages.
-    map: HashMap<u64, usize>,
+    /// `page_frame[page]`: the frame holding `page`, or [`NO_FRAME`].
+    /// Dense, 4 B per page, sized at open.
+    page_frame: Vec<u32>,
     /// Clock hand for second-chance eviction.
     hand: usize,
-    /// Pages written back without fsync since the last `flush` barrier.
-    /// Eviction skips fsync — a torn eviction write fails its checksum
-    /// and reads as absent, which only matters once a checkpoint
-    /// references the page, so durability is settled wholesale at the
-    /// `flush` barrier instead of once per eviction.
-    unsynced: std::collections::HashSet<u64>,
+    /// `unsynced[page]`: written back without fsync since the last
+    /// `flush` barrier. Eviction skips fsync — a torn eviction write
+    /// fails its checksum and reads as absent, which only matters once a
+    /// checkpoint references the page, so durability is settled
+    /// wholesale at the `flush` barrier instead of once per eviction.
+    unsynced: Vec<bool>,
+    io: Box<PageIo>,
+    /// Page loads and write-backs since open.
+    faults: u64,
+    write_backs: u64,
 }
 
 impl std::fmt::Debug for PagedTable {
@@ -304,12 +380,36 @@ pub fn page_path(dir: &Path, prefix: &str, page: u64) -> PathBuf {
     dir.join(format!("{prefix}.p{page}.pg"))
 }
 
-/// The body of a file sealed with a trailing FNV-1a over everything
-/// before it (page files, checkpoints); `None` if short or mismatched.
-pub(crate) fn checksummed_body(buf: &[u8]) -> Option<&[u8]> {
+/// The body of a file sealed with a trailing `digest` of everything
+/// before it (page files: [`Fnv1a::hash_words`]; checkpoints:
+/// [`Fnv1a::hash`]); `None` if short or mismatched.
+pub(crate) fn checksummed_body(buf: &[u8], digest: fn(&[u8]) -> u64) -> Option<&[u8]> {
     let r = &mut &buf[..];
     let body = take(r, buf.len().checked_sub(8)?)?;
-    (Fnv1a::hash(body) == get_u64(r)?).then_some(body)
+    (digest(body) == get_u64(r)?).then_some(body)
+}
+
+/// The slot words of page image `buf`, or `None` unless its checksum,
+/// magic, version and header index (against `page`) all check out and
+/// the words fill the body exactly.
+fn page_words(buf: &[u8], page: u64) -> Option<&[[u8; 8]]> {
+    let mut r = checksummed_body(buf, Fnv1a::hash_words)?;
+    if get_u32(&mut r)? != PAGE_MAGIC
+        || get_u32(&mut r)? != PAGE_VERSION
+        || get_u64(&mut r)? != page
+    {
+        return None;
+    }
+    let (words, rest) = r.as_chunks::<8>();
+    rest.is_empty().then_some(words)
+}
+
+/// Fill `buf` from the file at `path`, which must hold exactly
+/// `buf.len()` bytes; `None` if it is missing, shorter or longer.
+fn read_exact_file(path: &Path, buf: &mut [u8]) -> Option<()> {
+    let mut f = fs::File::open(path).ok()?;
+    f.read_exact(buf).ok()?;
+    (f.read(&mut [0; 1]).ok()? == 0).then_some(())
 }
 
 /// Read and verify one page file: `None` on any defect — missing file,
@@ -318,26 +418,17 @@ pub(crate) fn checksummed_body(buf: &[u8]) -> Option<&[u8]> {
 /// length, so foreign-geometry pages still parse (callers validate the
 /// count).
 pub fn read_page_file(path: &Path) -> Option<Vec<u64>> {
-    let buf = fs::read(path).ok()?;
-    let r = &mut checksummed_body(&buf)?;
-    if get_u32(r)? != PAGE_MAGIC || get_u32(r)? != PAGE_VERSION {
-        return None;
-    }
-    let page = get_u64(r)?;
     // The index in the header must agree with the one in the file name —
     // a page renamed (or copied) under the wrong name must not load.
-    let from_name: Option<u64> = path
+    let page = path
         .file_name()?
         .to_str()?
         .strip_suffix(".pg")
         .and_then(|s| s.rsplit(".p").next())
-        .and_then(|s| s.parse().ok());
-    if from_name != Some(page) {
-        return None;
-    }
-    let (words, rest) = r.as_chunks::<8>();
-    rest.is_empty()
-        .then(|| words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+        .and_then(|s| s.parse().ok())?;
+    let buf = fs::read(path).ok()?;
+    let words = page_words(&buf, page)?;
+    Some(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
 }
 
 impl PagedTable {
@@ -357,7 +448,8 @@ impl PagedTable {
         let spp = (spec.page_bytes / 8).max(1);
         let npages = len.div_ceil(spp as u64);
         let nframes = ((spec.budget_bytes / spec.page_bytes.max(1) as u64).max(2))
-            .min(npages.max(1)) as usize;
+            .min(npages.max(1))
+            .min(u64::from(NO_FRAME)) as usize;
         let table = PagedTable {
             dir: spec.dir.clone(),
             prefix: prefix.to_string(),
@@ -365,10 +457,13 @@ impl PagedTable {
             spp,
             fill,
             nframes,
-            frames: Vec::new(),
-            map: HashMap::new(),
+            frames: Vec::with_capacity(nframes),
+            page_frame: vec![NO_FRAME; npages as usize],
             hand: 0,
-            unsynced: std::collections::HashSet::new(),
+            unsynced: vec![false; npages as usize],
+            io: Box::new(PageIo::new(&spec.dir, prefix, spp)),
+            faults: 0,
+            write_backs: 0,
         };
         if !spec.resume {
             table.remove_files()?;
@@ -379,6 +474,11 @@ impl PagedTable {
     /// Number of pages this table spans.
     pub fn npages(&self) -> u64 {
         self.len.div_ceil(self.spp as u64)
+    }
+
+    /// Page loads (faults) and write-backs since open.
+    pub fn fault_counts(&self) -> (u64, u64) {
+        (self.faults, self.write_backs)
     }
 
     /// Delete every file under this table's prefix (pages and temps).
@@ -401,64 +501,80 @@ impl PagedTable {
         Ok(())
     }
 
-    fn page_file(&self, page: u64) -> PathBuf {
-        page_path(&self.dir, &self.prefix, page)
-    }
-
-    /// Write one page: serialize, write `.tmp`, rename. With `durable`
-    /// the data is fsynced before the rename; without it the page is
-    /// recorded in `unsynced` and settled wholesale at the next
-    /// [`NodeTable::flush`] barrier — an eviction write that tears on
-    /// crash fails its checksum and reads as absent, which only matters
-    /// once a checkpoint references the page.
-    fn write_page(&mut self, page: u64, data: &[u64], durable: bool) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(PAGE_OVERHEAD + data.len() * 8);
-        buf.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&PAGE_VERSION.to_le_bytes());
-        buf.extend_from_slice(&page.to_le_bytes());
-        for &v in data {
-            buf.extend_from_slice(&v.to_le_bytes());
+    /// Write frame `idx`'s page: encode into the page image, write
+    /// `.tmp`, rename. With `durable` the data is fsynced before the
+    /// rename; without it the page is marked `unsynced` and settled
+    /// wholesale at the next [`NodeTable::flush`] barrier — an eviction
+    /// write that tears on crash fails its checksum and reads as absent,
+    /// which only matters once a checkpoint references the page.
+    fn write_page(&mut self, idx: usize, durable: bool) -> io::Result<()> {
+        let frame = &self.frames[idx];
+        let io = &mut *self.io;
+        io.image.clear();
+        io.image.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
+        io.image.extend_from_slice(&PAGE_VERSION.to_le_bytes());
+        io.image.extend_from_slice(&frame.page.to_le_bytes());
+        for &v in &frame.data {
+            io.image.extend_from_slice(&v.to_le_bytes());
         }
-        let sum = Fnv1a::hash(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        let tmp = self.dir.join(format!("{}.p{page}.pg.tmp", self.prefix));
+        let sum = Fnv1a::hash_words(&io.image);
+        io.image.extend_from_slice(&sum.to_le_bytes());
+        io.set(&self.prefix, frame.page);
         {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&buf)?;
+            let mut f = fs::File::create(&io.tmp)?;
+            f.write_all(&io.image)?;
             if durable {
                 f.sync_all()?;
             }
         }
-        fs::rename(&tmp, self.page_file(page))?;
-        if durable {
-            self.unsynced.remove(&page);
-        } else {
-            self.unsynced.insert(page);
-        }
+        fs::rename(&io.tmp, &io.page)?;
+        self.unsynced[frame.page as usize] = !durable;
+        self.write_backs += 1;
         Ok(())
     }
 
-    /// Load page `page` from disk, or a fill-value page when the file
-    /// is absent, torn, or has foreign geometry.
-    fn load_page(&self, page: u64) -> Vec<u64> {
-        match read_page_file(&self.page_file(page)) {
-            Some(data) if data.len() == self.spp => data,
-            _ => vec![self.fill; self.spp],
+    /// Load page `page` into frame `idx`: its file's slots, or the fill
+    /// value when the file is absent, torn, of another version, or of
+    /// another geometry.
+    fn load_page(&mut self, page: u64, idx: usize) {
+        self.faults += 1;
+        let io = &mut *self.io;
+        io.set(&self.prefix, page);
+        io.image.resize(PAGE_OVERHEAD + self.spp * 8, 0);
+        let data = &mut self.frames[idx].data;
+        let words =
+            read_exact_file(&io.page, &mut io.image).and_then(|()| page_words(&io.image, page));
+        match words {
+            Some(words) if words.len() == data.len() => {
+                for (slot, w) in data.iter_mut().zip(words) {
+                    *slot = u64::from_le_bytes(*w);
+                }
+            }
+            _ => data.fill(self.fill),
         }
     }
 
-    /// Frame index holding `page`, faulting it in (and evicting if the
-    /// cache is full). Panics on write-back I/O failure — see the trait
-    /// docs for why the per-slot path has no error channel.
+    /// Frame index holding `page`, faulting it in on a miss.
+    #[inline]
     fn frame_of(&mut self, page: u64) -> usize {
-        if let Some(&idx) = self.map.get(&page) {
-            self.frames[idx].referenced = true;
-            return idx;
+        match self.page_frame[page as usize] {
+            NO_FRAME => self.fault(page),
+            idx => {
+                self.frames[idx as usize].referenced = true;
+                idx as usize
+            }
         }
+    }
+
+    /// Bring `page` into a frame, evicting (and writing back) another
+    /// if the cache is full. Panics on write-back I/O failure — see the
+    /// trait docs for why the per-slot path has no error channel.
+    #[inline(never)]
+    fn fault(&mut self, page: u64) -> usize {
         let idx = if self.frames.len() < self.nframes {
             self.frames.push(PageFrame {
-                page,
-                data: Vec::new(),
+                page: NO_PAGE,
+                data: vec![self.fill; self.spp],
                 dirty: false,
                 referenced: false,
             });
@@ -477,22 +593,21 @@ impl PagedTable {
                 }
             }
         };
-        let old = &self.frames[idx];
-        if old.dirty {
-            let (old_page, data) = (old.page, std::mem::take(&mut self.frames[idx].data));
-            self.write_page(old_page, &data, false).unwrap_or_else(|e| {
-                panic!("paged table {}: writing page {old_page}: {e}", self.prefix)
-            });
-            self.frames[idx].data = data;
+        let old = self.frames[idx].page;
+        if old != NO_PAGE {
+            if self.frames[idx].dirty {
+                self.write_page(idx, false).unwrap_or_else(|e| {
+                    panic!("paged table {}: writing page {old}: {e}", self.prefix)
+                });
+            }
+            self.page_frame[old as usize] = NO_FRAME;
         }
-        self.map.remove(&self.frames[idx].page);
-        let data = self.load_page(page);
+        self.load_page(page, idx);
         let frame = &mut self.frames[idx];
         frame.page = page;
-        frame.data = data;
         frame.dirty = false;
         frame.referenced = true;
-        self.map.insert(page, idx);
+        self.page_frame[page as usize] = idx as u32;
         idx
     }
 }
@@ -523,27 +638,25 @@ impl NodeTable for PagedTable {
     fn flush(&mut self) -> io::Result<()> {
         for i in 0..self.frames.len() {
             if self.frames[i].dirty {
-                let (page, data) = (
-                    self.frames[i].page,
-                    std::mem::take(&mut self.frames[i].data),
-                );
-                let res = self.write_page(page, &data, true);
-                self.frames[i].data = data;
-                res?;
+                self.write_page(i, true)?;
                 self.frames[i].dirty = false;
             }
         }
         // Settle every page evicted without fsync since the last
-        // barrier, so a checkpoint taken after this flush references
-        // only durable pages.
-        for page in std::mem::take(&mut self.unsynced) {
-            match fs::File::open(self.page_file(page)) {
+        // barrier, then the directory that names them, so a checkpoint
+        // taken after this flush references only durable pages.
+        for page in 0..self.unsynced.len() {
+            if !std::mem::take(&mut self.unsynced[page]) {
+                continue;
+            }
+            self.io.set(&self.prefix, page as u64);
+            match fs::File::open(&self.io.page) {
                 Ok(f) => f.sync_all()?,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(())
+        sync_dir(&self.dir)
     }
 
     fn reset_from(&mut self, slot: u64) {
@@ -561,18 +674,18 @@ impl NodeTable for PagedTable {
         // the cached frames and the files.
         let first_dead = slot.div_ceil(spp);
         for page in first_dead..self.npages() {
-            if let Some(idx) = self.map.remove(&page) {
-                // Mark the frame reusable without write-back.
-                self.frames[idx].dirty = false;
-                self.frames[idx].referenced = false;
-                // Point it at an impossible page so frame_of never
-                // aliases it with a real one.
-                self.frames[idx].page = u64::MAX;
-                self.frames[idx].data.clear();
-                self.frames[idx].data.resize(self.spp, self.fill);
+            let idx = std::mem::replace(&mut self.page_frame[page as usize], NO_FRAME);
+            if idx != NO_FRAME {
+                // Free the frame without write-back; the next fault
+                // into it overwrites its data.
+                let frame = &mut self.frames[idx as usize];
+                frame.dirty = false;
+                frame.referenced = false;
+                frame.page = NO_PAGE;
             }
-            let _ = fs::remove_file(self.page_file(page));
-            self.unsynced.remove(&page);
+            self.io.set(&self.prefix, page);
+            let _ = fs::remove_file(&self.io.page);
+            self.unsynced[page as usize] = false;
         }
     }
 }
@@ -882,6 +995,21 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A page file image built by hand: header, slots, and a trailer of
+    /// `digest` over both.
+    fn page_image(version: u32, page: u64, slots: &[u64], digest: fn(&[u8]) -> u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&page.to_le_bytes());
+        for s in slots {
+            buf.extend_from_slice(&s.to_le_bytes());
+        }
+        let sum = digest(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
     #[test]
     fn torn_page_reads_as_absent() {
         let dir = scratch("torn");
@@ -892,26 +1020,90 @@ mod tests {
         }
         t.flush().unwrap();
         drop(t);
-        // Corrupt page 1 (slots 4..8): flip one byte mid-file.
+        // Corrupt page 1 (slots 4..8) at every byte position in turn:
+        // header, slots and trailer alike.
         let p1 = page_path(&dir, "rank0.f", 1);
-        let mut bytes = fs::read(&p1).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        fs::write(&p1, &bytes).unwrap();
+        let good = fs::read(&p1).unwrap();
+        assert_eq!(
+            good,
+            page_image(2, 1, &[1004, 1005, 1006, 1007], Fnv1a::hash_words)
+        );
         let spec = PagedSpec {
             resume: true,
             ..tiny_spec(&dir, 64)
         };
-        let mut t = PagedTable::open(&spec, "rank0.f", len, FILL).unwrap();
-        for s in 0..4 {
-            assert_eq!(t.get(s), 1000 + s, "page 0 intact");
+        for at in 0..good.len() {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0xff;
+            fs::write(&p1, &bytes).unwrap();
+            let mut t = PagedTable::open(&spec, "rank0.f", len, FILL).unwrap();
+            for s in 0..4 {
+                assert_eq!(t.get(s), 1000 + s, "page 0 intact (flip at {at})");
+            }
+            for s in 4..8 {
+                assert_eq!(t.get(s), FILL, "flip at byte {at} reads as absent (fill)");
+            }
+            for s in 8..12 {
+                assert_eq!(t.get(s), 1000 + s, "page 2 intact (flip at {at})");
+            }
         }
-        for s in 4..8 {
-            assert_eq!(t.get(s), FILL, "torn page reads as absent (fill)");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_page_reads_as_absent() {
+        let dir = scratch("v1");
+        let p0 = page_path(&dir, "rank0.f", 0);
+        fs::create_dir_all(&dir).unwrap();
+        let slots = [5, 6, 7, 8];
+        // What an older build wrote: version 1 under a bytewise FNV-1a.
+        // Neither that, nor a version-1 header under a valid word-wise
+        // trailer, loads; the current format does.
+        for (version, digest, loads) in [
+            (1, Fnv1a::hash as fn(&[u8]) -> u64, false),
+            (1, Fnv1a::hash_words, false),
+            (2, Fnv1a::hash_words, true),
+        ] {
+            fs::write(&p0, page_image(version, 0, &slots, digest)).unwrap();
+            assert_eq!(read_page_file(&p0).is_some(), loads, "version {version}");
+            let spec = PagedSpec {
+                resume: true,
+                ..tiny_spec(&dir, 64)
+            };
+            let mut t = PagedTable::open(&spec, "rank0.f", 4, FILL).unwrap();
+            let want = if loads { 5 } else { FILL };
+            assert_eq!(t.get(0), want, "version {version}");
         }
-        for s in 8..12 {
-            assert_eq!(t.get(s), 1000 + s, "page 2 intact");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn paged_checkpoint_over_a_version_1_page_does_not_resume() {
+        let dir = scratch("v1ckpt");
+        let spec = tiny_spec(&dir, 64);
+        let (cnt, spn) = (4u64, 2u64);
+        let len = cnt * spn;
+        let mut t = AnyTable::Paged(PagedTable::open(&spec, "rank0.f", len, FILL).unwrap());
+        for s in 0..len {
+            t.set(s, 30 + s);
         }
+        let mut payload = Vec::new();
+        write_table_prefix(&mut t, cnt, spn, &mut payload);
+        drop(t);
+        // The same slots, as an older build would have sealed page 0.
+        fs::write(
+            page_path(&dir, "rank0.f", 0),
+            page_image(1, 0, &[30, 31, 32, 33], Fnv1a::hash),
+        )
+        .unwrap();
+        let spec = PagedSpec {
+            resume: true,
+            ..spec
+        };
+        let mut back = AnyTable::Paged(PagedTable::open(&spec, "rank0.f", len, FILL).unwrap());
+        let mut r: &[u8] = &payload;
+        let err = read_table_prefix(&mut back, cnt, spn, &mut r).unwrap_err();
+        assert!(err.contains("page files do not match"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1078,6 +1270,52 @@ mod tests {
             StoreSpec::Resident => panic!("builders must stay paged"),
         }
         assert_eq!(StoreSpec::Resident.with_resume(true), StoreSpec::Resident);
+    }
+
+    #[test]
+    fn default_page_size_follows_the_budget() {
+        let kib = |k: u64| k << 10;
+        for (budget, page) in [
+            (1, 4),
+            (kib(64), 4),
+            (kib(1024), 4),
+            (kib(2047), 4),
+            (kib(2048), 8),
+            (kib(4096), 16),
+            (kib(6000), 16),
+            (kib(64 << 10), 256),
+            (u64::MAX, 256),
+        ] {
+            assert_eq!(
+                default_page_bytes(budget),
+                kib(page) as usize,
+                "budget {budget}"
+            );
+        }
+        match StoreSpec::paged("/tmp/x", kib(4096)) {
+            StoreSpec::Paged(p) => assert_eq!(p.page_bytes, kib(16) as usize),
+            StoreSpec::Resident => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn fault_counts_track_loads_and_write_backs() {
+        let dir = scratch("counts");
+        // 8 pages of 4 slots under 2 frames: a sweep faults every page.
+        let mut t = PagedTable::open(&tiny_spec(&dir, 64), "rank0.f", 32, FILL).unwrap();
+        for s in 0..32 {
+            t.set(s, s);
+        }
+        assert_eq!(
+            t.fault_counts(),
+            (8, 6),
+            "8 loads, 6 evictions of dirty pages"
+        );
+        for s in 0..32 {
+            assert_eq!(t.get(s), s);
+        }
+        assert_eq!(t.fault_counts(), (16, 8));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -165,6 +165,20 @@ impl Fnv1a {
         h.digest()
     }
 
+    /// FNV-1a folded over little-endian 64-bit words: the same basis and
+    /// prime as [`Fnv1a::hash`], one multiply per 8 bytes, with a tail
+    /// shorter than a word folded byte by byte. A *different digest* from
+    /// `hash`; page files seal with it because every page load checksums
+    /// a whole page.
+    pub fn hash_words(bytes: &[u8]) -> u64 {
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut h = Self::from_digest(words.iter().fold(Self::OFFSET_BASIS, |h, w| {
+            (h ^ u64::from_le_bytes(*w)).wrapping_mul(Self::PRIME)
+        }));
+        h.update(tail);
+        h.digest()
+    }
+
     /// Digest of an edge list's binary encoding (the bytes
     /// [`write_binary`] emits, in list order) — the fingerprint the
     /// determinism suites pin canonicalized outputs with.
@@ -743,6 +757,23 @@ mod tests {
         let mut bin = Vec::new();
         write_binary(&mut bin, &edges).unwrap();
         assert_eq!(Fnv1a::hash_edges(&edges), Fnv1a::hash(&bin));
+    }
+
+    #[test]
+    fn fnv1a_hash_words_is_pinned() {
+        // Shorter than a word: bytewise FNV-1a, so the published vectors.
+        assert_eq!(Fnv1a::hash_words(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::hash_words(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // One word, three words, and two words plus a 3-byte tail.
+        assert_eq!(Fnv1a::hash_words(b"foobar!!"), 0x536a_9086_5558_95d9);
+        assert_eq!(
+            Fnv1a::hash_words(b"page files, word by word"),
+            0x253f_badd_82a1_703a
+        );
+        let ramp: Vec<u8> = (0..19).collect();
+        assert_eq!(Fnv1a::hash_words(&ramp), 0x8990_b145_7493_d228);
+        // A different digest from the bytewise one.
+        assert_ne!(Fnv1a::hash_words(b"foobar!!"), Fnv1a::hash(b"foobar!!"));
     }
 
     #[test]
