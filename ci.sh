@@ -206,29 +206,27 @@ fi
 
 echo "==> out-of-core smoke run"
 # The paged node-table store end to end through the binary: a 4-rank run
-# under a deliberately tiny --memory-budget (64 KiB: sixteen 4 KiB pages —
-# constant eviction traffic) must write the same network as the
-# unbudgeted in-memory run, and a successful non-checkpointing run must
-# clean its page files up. Both store-backed engines, each as
-# "<engine> <n> [page bytes]": engine 3 runs the page size the budget
-# picks, engine 2 names it with --page-bytes. Engine 3 reads its table
-# in sweep order, so it affords a ~6 MiB F footprint and — emitting in
-# label order — a byte-for-byte comparison; engine 2 (only its F table
-# is paged, under the whole budget) looks slots up all over the table,
-# nearly every lookup an eviction, so it runs at 160 KiB of F per rank
-# and, being edge-set- not byte-deterministic, is compared as a sorted
-# set.
+# under a deliberately tiny --memory-budget (64 KiB: four pages of the
+# default 16 KiB — constant eviction traffic) must write the same network
+# as the unbudgeted in-memory run, and a successful non-checkpointing run
+# must clean its page files up. Both store-backed engines, each as
+# "<engine> <n>": engine 3 reads its table in sweep order, so it affords
+# a ~6 MiB F footprint and — emitting in label order — a byte-for-byte
+# comparison; engine 2 (only its F table is paged, under the whole
+# budget) looks slots up all over the table, nearly every lookup an
+# eviction, so it runs at 160 KiB of F per rank and, being edge-set-
+# not byte-deterministic, is compared as a sorted set.
 oc_dir="$scratch/oc"
 mkdir "$oc_dir"
-for run in "3 200000" "2 20000 4k"; do
-    read -r engine oc_n page <<< "$run"
+for run in "3 200000" "2 20000"; do
+    read -r engine oc_n <<< "$run"
     cargo run -q -p pa-cli --release -- generate --model pa \
         --n "$oc_n" --x 4 --ranks 4 --scheme rrp --seed 7 --engine "$engine" \
         --out "$oc_dir/resident$engine.txt" --format txt
     cargo run -q -p pa-cli --release -- generate --model pa \
         --n "$oc_n" --x 4 --ranks 4 --scheme rrp --seed 7 --engine "$engine" \
         --out "$oc_dir/paged$engine.txt" --format txt \
-        --memory-budget 64k ${page:+--page-bytes "$page"} --store-dir "$oc_dir/store$engine"
+        --memory-budget 64k --store-dir "$oc_dir/store$engine"
     if [ -d "$oc_dir/store$engine" ]; then
         echo "out-of-core smoke: finished engine-$engine run left page files behind" >&2
         exit 1

@@ -98,15 +98,16 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let slots = size * x;
 
     // The F table is the one store-backed table of every engine, so it
-    // takes the whole budget: `budget/page` cache frames of the budget's
-    // default page size, never fewer than two pages (`PagedTable::open`),
-    // never more than the table.
+    // takes the whole budget: `budget/page` cache frames, never fewer
+    // than two pages (`PagedTable::open`), never more than the table —
+    // plus the page index, a few bytes per page of the whole table.
+    let page_bytes = pa_core::store::DEFAULT_PAGE_BYTES as u64;
     let f_table = |name, f_slots: u64| TableLine {
         name,
         resident: f_slots * 8,
         budgeted: budget_bytes.map(|b| {
-            let page_bytes = pa_core::store::default_page_bytes(b) as u64;
-            b.max(2 * page_bytes).min(f_slots * 8)
+            let index = (f_slots * 8).div_ceil(page_bytes) * pa_core::store::INDEX_BYTES_PER_PAGE;
+            b.max(2 * page_bytes).min(f_slots * 8) + index
         }),
     };
     let resident = |name, bytes| TableLine {

@@ -617,8 +617,9 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
     );
     assert_eq!(paged.matches("paged").count(), 1, "only F pages:\n{paged}");
 
-    // Engine 1: the same shape at one slot per node. A 64 KiB budget
-    // gets the smallest default page, 4 KiB, so the cache is 16 pages.
+    // Engine 1: the same shape at one slot per node. A 64 KiB budget is
+    // four 16 KiB pages; the paged line adds the page index, 5 B for
+    // each of the table's 489 pages.
     let x1_plan = |budget: &str| {
         exec(&[
             "info",
@@ -637,7 +638,7 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
     };
     let x1 = x1_plan("64k");
     assert!(
-        x1.contains("  F table (1 slot/node)               7.6 MiB         64.0 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               7.6 MiB         66.4 KiB paged\n"),
         "{x1}"
     );
     assert!(
@@ -645,17 +646,17 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
         "{x1}"
     );
     assert!(
-        x1.ends_with("total: 7.7 MiB resident | 186.1 KiB under --memory-budget 64.0 KiB\n"),
+        x1.ends_with("total: 7.7 MiB resident | 188.5 KiB under --memory-budget 64.0 KiB\n"),
         "{x1}"
     );
     // A budget below two pages is raised to the cache's two-page minimum.
     let x1 = x1_plan("6k");
     assert!(
-        x1.contains("  F table (1 slot/node)               7.6 MiB          8.0 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               7.6 MiB         34.4 KiB paged\n"),
         "{x1}"
     );
     assert!(
-        x1.ends_with("total: 7.7 MiB resident | 130.1 KiB under --memory-budget 6.0 KiB\n"),
+        x1.ends_with("total: 7.7 MiB resident | 156.5 KiB under --memory-budget 6.0 KiB\n"),
         "{x1}"
     );
 }

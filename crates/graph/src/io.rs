@@ -170,10 +170,16 @@ impl Fnv1a {
     /// shorter than a word folded byte by byte. A *different digest* from
     /// `hash`; page files seal with it because every page load checksums
     /// a whole page.
+    ///
+    /// Each step folds the high half of the product back into the low
+    /// half. A multiply only carries upward, so without that a flip of
+    /// bit 63 would stay a flip of bit 63 of the state, and two such
+    /// flips (in two words, or in a word and the trailer) would cancel.
     pub fn hash_words(bytes: &[u8]) -> u64 {
         let (words, tail) = bytes.as_chunks::<8>();
         let mut h = Self::from_digest(words.iter().fold(Self::OFFSET_BASIS, |h, w| {
-            (h ^ u64::from_le_bytes(*w)).wrapping_mul(Self::PRIME)
+            let h = (h ^ u64::from_le_bytes(*w)).wrapping_mul(Self::PRIME);
+            h ^ (h >> 32)
         }));
         h.update(tail);
         h.digest()
@@ -765,15 +771,35 @@ mod tests {
         assert_eq!(Fnv1a::hash_words(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(Fnv1a::hash_words(b"a"), 0xaf63_dc4c_8601_ec8c);
         // One word, three words, and two words plus a 3-byte tail.
-        assert_eq!(Fnv1a::hash_words(b"foobar!!"), 0x536a_9086_5558_95d9);
+        assert_eq!(Fnv1a::hash_words(b"foobar!!"), 0x536a_9086_0632_055f);
         assert_eq!(
             Fnv1a::hash_words(b"page files, word by word"),
-            0x253f_badd_82a1_703a
+            0x92c2_aa47_491a_44b1
         );
         let ramp: Vec<u8> = (0..19).collect();
-        assert_eq!(Fnv1a::hash_words(&ramp), 0x8990_b145_7493_d228);
+        assert_eq!(Fnv1a::hash_words(&ramp), 0xb038_860f_a178_9409);
         // A different digest from the bytewise one.
         assert_ne!(Fnv1a::hash_words(b"foobar!!"), Fnv1a::hash(b"foobar!!"));
+    }
+
+    #[test]
+    fn fnv1a_hash_words_does_not_cancel_top_bit_flips() {
+        // Flipping bit 63 of two words must change the digest, and
+        // flipping it in the last word must not move the digest by bit
+        // 63 alone (which a flip of a trailer's top bit would undo).
+        let base: Vec<u8> = (0..32).collect();
+        let flip = |bytes: &mut [u8], word: usize| bytes[word * 8 + 7] ^= 0x80;
+        let h = Fnv1a::hash_words(&base);
+        for i in 0..4 {
+            let mut one = base.clone();
+            flip(&mut one, i);
+            assert_ne!(Fnv1a::hash_words(&one) ^ h, 1 << 63, "word {i}");
+            for j in i + 1..4 {
+                let mut two = one.clone();
+                flip(&mut two, j);
+                assert_ne!(Fnv1a::hash_words(&two), h, "words {i} and {j}");
+            }
+        }
     }
 
     #[test]
