@@ -130,6 +130,8 @@ cargo run -q -p pa-cli --release -- generate --model nlpa --alpha 1.5 \
 same_edge_set "$nlpa_multi" "$nlpa_single" \
     "nlpa smoke mismatch: 4-process run diverged from single-process run"
 
+# The bench binaries below reject a flag they do not read (exit 2), so a
+# stale flag here fails the step instead of silently running defaults.
 echo "==> nlpa exponent-sweep guard"
 # exp_nlpa_degree_dist exits non-zero unless the fitted degree exponent
 # strictly decreases as alpha grows — i.e. unless --alpha actually
@@ -143,6 +145,13 @@ echo "==> engine3 zero-communication guard"
 # real engine through the real bench binary.
 cargo run -q -p pa-bench --release --bin exp_engine3_vs_engine2 -- \
     --n 50000 --ranks 4 > /dev/null
+
+echo "==> hub-cache edge-set guard"
+# exp_hub_cache exits non-zero unless the runs with the hub cache on and
+# off produce identical edge sets — the cache's exactness, asserted on
+# the real engine through the real bench binary.
+cargo run -q -p pa-bench --release --bin exp_hub_cache -- \
+    --n 200000 --ranks 4 > /dev/null
 
 echo "==> measured scaling figures"
 # Figures 5 and 6 are built on each rank's on-CPU time; both binaries

@@ -10,13 +10,11 @@
 //! ```
 
 use pa_analysis::scaling::render_table;
-use pa_bench::{banner, csv_line, Args};
+use pa_bench::{banner, csv_line, flags};
 use pa_core::chains;
 
 fn main() {
-    let args = Args::parse();
-    let max_n = args.get_u64("maxn", 10_000_000);
-    let seed = args.get_u64("seed", 1);
+    let (max_n, seed) = flags(|a| Ok((a.u64("maxn", 10_000_000)?, a.u64("seed", 1)?)));
 
     banner(
         "Theorem 3.3",

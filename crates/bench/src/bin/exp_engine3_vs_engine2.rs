@@ -18,7 +18,7 @@
 //! ```
 
 use pa_analysis::scaling::render_table;
-use pa_bench::{banner, csv_line, Args};
+use pa_bench::{banner, csv_line, flags};
 use pa_core::partition::Scheme;
 use pa_core::{par, Engine, GenOptions, PaConfig};
 
@@ -52,12 +52,15 @@ fn measure(label: &'static str, cfg: &PaConfig, ranks: usize, opts: &GenOptions)
 }
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 1_000_000);
-    let x = args.get_u64("x", 4);
-    let p = args.get_f64("p", 0.5);
-    let seed = args.get_u64("seed", 1);
-    let ranks = args.get_u64("ranks", 4) as usize;
+    let (n, x, p, seed, ranks) = flags(|a| {
+        Ok((
+            a.u64("n", 1_000_000)?,
+            a.u64("x", 4)?,
+            a.f64("p", 0.5)?,
+            a.u64("seed", 1)?,
+            a.u64("ranks", 4)? as usize,
+        ))
+    });
 
     banner(
         "engine3 ablation",

@@ -11,7 +11,7 @@
 //! ```
 
 use pa_analysis::scaling::render_table;
-use pa_bench::{banner, csv_line, Args};
+use pa_bench::{banner, csv_line, flags};
 use pa_core::par::ParallelOutput;
 use pa_core::partition::Scheme;
 use pa_core::{par, GenOptions, PaConfig};
@@ -23,12 +23,16 @@ fn totals(out: &ParallelOutput) -> (u64, u64, u64) {
 }
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 1_000_000);
-    let x = args.get_u64("x", 4);
-    let ranks = args.get_u64("ranks", 8) as usize;
-    let seed = args.get_u64("seed", 1);
-    let hub_nodes = args.get_u64("hub", n / 4);
+    let (n, x, ranks, seed, hub_nodes) = flags(|a| {
+        let n = a.u64("n", 1_000_000)?;
+        Ok((
+            n,
+            a.u64("x", 4)?,
+            a.u64("ranks", 8)? as usize,
+            a.u64("seed", 1)?,
+            a.u64("hub", n / 4)?,
+        ))
+    });
 
     banner(
         "Hub cache",

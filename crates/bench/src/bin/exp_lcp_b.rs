@@ -13,7 +13,7 @@
 
 use pa_analysis::scaling::render_table;
 use pa_analysis::stats::max_over_mean;
-use pa_bench::{banner, csv_line, rank_cpu_ns, Args};
+use pa_bench::{banner, csv_line, flags, rank_cpu_ns};
 use pa_core::par::{self, ParallelOutput};
 use pa_core::partition::{eq10, Lcp, Scheme};
 use pa_core::{GenOptions, PaConfig};
@@ -27,11 +27,14 @@ fn imbalance(out: &ParallelOutput) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 1_000_000);
-    let x = args.get_u64("x", 6);
-    let ranks = args.get_u64("ranks", 32) as usize;
-    let seed = args.get_u64("seed", 1);
+    let (n, x, ranks, seed) = flags(|a| {
+        Ok((
+            a.u64("n", 1_000_000)?,
+            a.u64("x", 6)?,
+            a.u64("ranks", 32)? as usize,
+            a.u64("seed", 1)?,
+        ))
+    });
 
     banner("Ablation", "LCP load constant b (Equation 10)");
     let cfg = PaConfig::new(n, x).with_seed(seed);

@@ -17,16 +17,19 @@
 
 use pa_analysis::messages;
 use pa_analysis::scaling::render_table;
-use pa_bench::{banner, csv_line, Args};
+use pa_bench::{banner, csv_line, flags};
 use pa_core::partition::{Scheme, Ucp};
 use pa_core::{par, seq, Engine, GenOptions, PaConfig};
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 1_000_000);
-    let p = args.get_f64("p", 0.5);
-    let seed = args.get_u64("seed", 1);
-    let ranks = args.get_u64("ranks", 16) as usize;
+    let (n, p, seed, ranks) = flags(|a| {
+        Ok((
+            a.u64("n", 1_000_000)?,
+            a.f64("p", 0.5)?,
+            a.u64("seed", 1)?,
+            a.u64("ranks", 16)? as usize,
+        ))
+    });
 
     banner(
         "Lemma 3.4",

@@ -6,15 +6,18 @@
 //! ```
 
 use pa_analysis::scaling::render_table;
-use pa_bench::{banner, csv_line, Args};
+use pa_bench::{banner, csv_line, flags};
 use pa_core::partition::eq10;
 use pa_core::partition::{Lcp, Partition};
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 1_000_000);
-    let ranks = args.get_u64("ranks", 100) as usize;
-    let b = args.get_f64("b", eq10::DEFAULT_B);
+    let (n, ranks, b) = flags(|a| {
+        Ok((
+            a.u64("n", 1_000_000)?,
+            a.u64("ranks", 100)? as usize,
+            a.f64("b", eq10::DEFAULT_B)?,
+        ))
+    });
 
     banner(
         "Figure 3",

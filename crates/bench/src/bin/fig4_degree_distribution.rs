@@ -7,17 +7,20 @@
 //! ```
 
 use pa_analysis::powerlaw;
-use pa_bench::{banner, csv_line, Args};
+use pa_bench::{banner, csv_line, flags};
 use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
 use pa_graph::degrees;
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 1_000_000);
-    let x = args.get_u64("x", 4);
-    let p = args.get_f64("p", 0.5);
-    let ranks = args.get_u64("ranks", 8) as usize;
-    let seed = args.get_u64("seed", 1);
+    let (n, x, p, ranks, seed) = flags(|a| {
+        Ok((
+            a.u64("n", 1_000_000)?,
+            a.u64("x", 4)?,
+            a.f64("p", 0.5)?,
+            a.u64("ranks", 8)? as usize,
+            a.u64("seed", 1)?,
+        ))
+    });
 
     banner(
         "Figure 4",

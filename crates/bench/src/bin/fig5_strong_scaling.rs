@@ -11,15 +11,18 @@
 //! ```
 
 use pa_analysis::scaling::{render_table, strong_point};
-use pa_bench::{banner, csv_line, rank_cpu_ns, Args};
+use pa_bench::{banner, csv_line, flags, rank_cpu_ns};
 use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 2_000_000);
-    let x = args.get_u64("x", 6);
-    let max_p = args.get_u64("maxp", 32) as usize;
-    let seed = args.get_u64("seed", 1);
+    let (n, x, max_p, seed) = flags(|a| {
+        Ok((
+            a.u64("n", 2_000_000)?,
+            a.u64("x", 6)?,
+            a.u64("maxp", 32)? as usize,
+            a.u64("seed", 1)?,
+        ))
+    });
 
     banner("Figure 5", "strong scaling of the parallel PA algorithm");
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());

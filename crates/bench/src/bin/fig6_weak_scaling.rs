@@ -8,15 +8,23 @@
 //! ```
 
 use pa_analysis::scaling::{render_table, weak_series};
-use pa_bench::{banner, csv_line, rank_cpu_ns, Args};
+use pa_bench::{banner, csv_line, flags, rank_cpu_ns};
 use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
 
 fn main() {
-    let args = Args::parse();
-    let nodes_per_rank = args.get_u64("nodes-per-rank", 100_000);
-    let x = args.get_u64("x", 6);
-    let max_p = args.get_u64("maxp", 32) as usize;
-    let seed = args.get_u64("seed", 1);
+    // The sweep starts at P = `minp` (default 4): like the paper's sweep
+    // (16..768), the baseline is a genuinely communicating run — a 1-rank
+    // run has no messages at all and would make every later point look
+    // artificially slow.
+    let (nodes_per_rank, x, min_p, max_p, seed) = flags(|a| {
+        Ok((
+            a.u64("nodes-per-rank", 100_000)?,
+            a.u64("x", 6)?,
+            a.u64("minp", 4)? as usize,
+            a.u64("maxp", 32)? as usize,
+            a.u64("seed", 1)?,
+        ))
+    });
 
     banner("Figure 6", "weak scaling of the parallel PA algorithm");
     println!(
@@ -25,10 +33,6 @@ fn main() {
     );
 
     let opts = GenOptions::default();
-    // Start at P = 4: like the paper's sweep (16..768), the baseline is
-    // a genuinely communicating run — a 1-rank run has no messages at
-    // all and would make every later point look artificially slow.
-    let min_p = args.get_u64("minp", 4) as usize;
     let mut sweep = vec![min_p];
     while *sweep.last().unwrap() * 2 <= max_p {
         sweep.push(sweep.last().unwrap() * 2);

@@ -12,15 +12,18 @@
 
 use pa_analysis::scaling::render_table;
 use pa_analysis::stats;
-use pa_bench::{banner, csv_line, rank_cpu_ns, Args};
+use pa_bench::{banner, csv_line, flags, rank_cpu_ns};
 use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 1_000_000);
-    let x = args.get_u64("x", 10);
-    let ranks = args.get_u64("ranks", 160) as usize;
-    let seed = args.get_u64("seed", 1);
+    let (n, x, ranks, seed) = flags(|a| {
+        Ok((
+            a.u64("n", 1_000_000)?,
+            a.u64("x", 10)?,
+            a.u64("ranks", 160)? as usize,
+            a.u64("seed", 1)?,
+        ))
+    });
 
     banner("Figure 7", "node and message distribution per processor");
     println!("n = {n}, x = {x}, P = {ranks} (paper: n = 1e8, x = 10, P = 160)\n");

@@ -11,15 +11,18 @@
 //! ```
 
 use pa_analysis::scaling::render_table;
-use pa_bench::{banner, csv_line, rank_cpu_ns, Args};
+use pa_bench::{banner, csv_line, flags, rank_cpu_ns};
 use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_u64("n", 10_000_000);
-    let x = args.get_u64("x", 5);
-    let ranks = args.get_u64("ranks", 8) as usize;
-    let seed = args.get_u64("seed", 1);
+    let (n, x, ranks, seed) = flags(|a| {
+        Ok((
+            a.u64("n", 10_000_000)?,
+            a.u64("x", 5)?,
+            a.u64("ranks", 8)? as usize,
+            a.u64("seed", 1)?,
+        ))
+    });
 
     banner(
         "Table (§4.5)",

@@ -13,87 +13,37 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use pa_cli::{Args, CliError};
 use pa_core::par::ParallelOutput;
-use std::collections::HashMap;
 
-/// Minimal `--key value` / `--key=value` argument parser for the
-/// experiment binaries (clap stays off the dependency list).
-#[derive(Debug, Clone, Default)]
-pub struct Args {
-    values: HashMap<String, String>,
+/// Read an experiment's flags with `pagen`'s parser (`--key value` or
+/// `--key=value`). `read` takes the flags the experiment knows; any other
+/// flag is then rejected, so a typo cannot silently run the defaults. A
+/// malformed or unknown flag is a usage error, reported as `pagen`
+/// reports one — the message on stderr, exit status 2 — before the
+/// experiment does any work.
+pub fn flags<T>(read: impl FnOnce(&Args) -> Result<T, CliError>) -> T {
+    parse_flags(std::env::args().skip(1), read).unwrap_or_else(|err| {
+        eprintln!("error: {}", err.message());
+        std::process::exit(2)
+    })
 }
 
-impl Args {
-    /// Parse the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a positional (non `--key`) argument.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Parse from an explicit iterator (testable).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed arguments.
-    pub fn from_args<I: IntoIterator<Item = String>>(iter: I) -> Self {
-        let mut values = HashMap::new();
-        let mut iter = iter.into_iter().peekable();
-        while let Some(arg) = iter.next() {
-            let key = arg
-                .strip_prefix("--")
-                .unwrap_or_else(|| panic!("expected --key, got {arg:?}"));
-            if let Some((k, v)) = key.split_once('=') {
-                values.insert(k.to_string(), v.to_string());
-            } else {
-                let v = iter
-                    .next()
-                    .unwrap_or_else(|| panic!("missing value for --{key}"));
-                values.insert(key.to_string(), v);
-            }
-        }
-        Self { values }
-    }
-
-    /// Look up a `u64` flag with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not parse.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} must be an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// Look up an `f64` flag with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not parse.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} must be a number, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// Look up a string flag with a default.
-    pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    }
+/// [`flags`] on an explicit argument list, returning the usage error
+/// instead of exiting.
+///
+/// # Errors
+///
+/// Errors on a malformed flag, a value `read` cannot parse, or a flag
+/// `read` did not take.
+pub fn parse_flags<T>(
+    argv: impl IntoIterator<Item = String>,
+    read: impl FnOnce(&Args) -> Result<T, CliError>,
+) -> Result<T, CliError> {
+    let args = Args::parse(argv)?;
+    let values = read(&args)?;
+    args.finish()?;
+    Ok(values)
 }
 
 /// Emit one machine-readable CSV record (prefixed so it survives mixed
@@ -133,36 +83,41 @@ pub fn banner(figure: &str, description: &str) {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
-        Args::from_args(list.iter().map(|s| s.to_string()))
+    /// What an experiment reads; a usage error panics with the message
+    /// [`flags`] would print before exiting.
+    fn read(list: &[&str]) -> (u64, u64, f64, String) {
+        parse_flags(list.iter().map(|s| s.to_string()), |a| {
+            Ok((
+                a.u64("n", 42)?,
+                a.u64("x", 1)?,
+                a.f64("p", 0.5)?,
+                a.str("scheme", "ucp"),
+            ))
+        })
+        .unwrap_or_else(|err| panic!("{}", err.message()))
     }
 
     #[test]
     fn parses_separated_and_equals_forms() {
-        let a = args(&["--n", "100", "--x=4", "--scheme", "rrp"]);
-        assert_eq!(a.get_u64("n", 0), 100);
-        assert_eq!(a.get_u64("x", 0), 4);
-        assert_eq!(a.get_str("scheme", ""), "rrp");
+        let (n, x, _, scheme) = read(&["--n", "100", "--x=4", "--scheme", "rrp"]);
+        assert_eq!((n, x), (100, 4));
+        assert_eq!(scheme, "rrp");
     }
 
     #[test]
     fn defaults_apply_when_missing() {
-        let a = args(&[]);
-        assert_eq!(a.get_u64("n", 42), 42);
-        assert_eq!(a.get_f64("p", 0.5), 0.5);
-        assert_eq!(a.get_str("scheme", "ucp"), "ucp");
+        assert_eq!(read(&[]), (42, 1, 0.5, "ucp".to_string()));
     }
 
     #[test]
-    #[should_panic(expected = "missing value")]
+    #[should_panic(expected = "missing value for --n")]
     fn dangling_key_panics() {
-        let _ = args(&["--n"]);
+        read(&["--n"]);
     }
 
     #[test]
-    #[should_panic(expected = "must be an integer")]
+    #[should_panic(expected = "--n must be an integer")]
     fn bad_integer_panics() {
-        let a = args(&["--n", "abc"]);
-        let _ = a.get_u64("n", 0);
+        read(&["--n", "abc"]);
     }
 }

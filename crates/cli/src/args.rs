@@ -180,6 +180,8 @@ mod tests {
         let a = parse(&["--n", "5", "--scheme=rrp"]);
         assert_eq!(a.u64("n", 0).unwrap(), 5);
         assert_eq!(a.str("scheme", ""), "rrp");
+        let err = parse(&["--n", "abc"]).u64("n", 0).unwrap_err();
+        assert!(err.message().contains("--n must be an integer"), "{err}");
     }
 
     #[test]
@@ -192,6 +194,8 @@ mod tests {
     #[test]
     fn rejects_positional() {
         assert!(Args::parse(["boom".to_string()]).is_err());
+        let err = Args::parse(["--n".to_string()]).unwrap_err();
+        assert!(err.message().contains("missing value for --n"), "{err}");
     }
 
     #[test]

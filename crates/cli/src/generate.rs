@@ -36,7 +36,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let job = parse_job(args, None, streamed.unwrap_or(io::EdgeFormat::Binary))?;
             let ranks = job.ranks as usize;
             let store = parse_store_spec(args, &format!("{path}.store"))?;
-            let tuning = parse_gen_options(args, job.cfg.n)?.with_store(store.clone());
+            let tuning = parse_gen_options(args)?.with_store(store.clone());
             let flags = StatsFlags::parse(args)?;
             // A raw edge file needs no global view of the edges, so it
             // streams each rank straight to disk instead of materializing
@@ -477,9 +477,9 @@ pub(crate) fn stream_pa_to_disk(
 }
 
 /// Engine tuning knobs shared by the `pa` model on every backend:
-/// buffering, service cadence, the hub cache (bounded by the run's `n`),
-/// chaos and the stall watchdog.
-pub(crate) fn parse_gen_options(args: &Args, n: u64) -> Result<GenOptions, CliError> {
+/// buffering, service cadence, the hub cache, chaos and the stall
+/// watchdog.
+pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
     let mut opts = GenOptions::default();
     opts.buffer_capacity = args.u64("buffer-cap", opts.buffer_capacity as u64)? as usize;
     if opts.buffer_capacity == 0 {
@@ -489,22 +489,8 @@ pub(crate) fn parse_gen_options(args: &Args, n: u64) -> Result<GenOptions, CliEr
     if opts.service_interval == 0 {
         return Err(CliError::usage("--service-interval must be positive"));
     }
-    match args.str("hub-cache", "auto").as_str() {
-        "auto" => {}
-        "off" => opts = opts.without_hub_cache(),
-        nodes => {
-            let nodes: u64 = nodes.parse().map_err(|_| {
-                CliError::usage(format!(
-                    "--hub-cache must be auto, off or a node count, got {nodes:?}"
-                ))
-            })?;
-            if nodes > n {
-                return Err(CliError::usage(format!(
-                    "--hub-cache {nodes} exceeds n = {n} (use auto or off)"
-                )));
-            }
-            opts = opts.with_hub_cache(nodes);
-        }
+    if !parse_hub_cache(args)? {
+        opts = opts.without_hub_cache();
     }
     let chaos_seed = args.u64("chaos-seed", 0)?;
     match args.str("chaos-profile", "off").as_str() {
@@ -528,6 +514,19 @@ pub(crate) fn parse_gen_options(args: &Args, n: u64) -> Result<GenOptions, CliEr
     let memo = args.u64("chain-memo", opts.chain_memo_nodes)?;
     opts = opts.with_chain_memo(memo);
     Ok(opts)
+}
+
+/// `--hub-cache auto|off`: whether engine 2 replicates the default
+/// [`pa_core::DEFAULT_HUB_CACHE_NODES`] hub rows (`auto`) or runs the
+/// paper's pure request protocol (`off`).
+pub(crate) fn parse_hub_cache(args: &Args) -> Result<bool, CliError> {
+    match args.str("hub-cache", "auto").as_str() {
+        "auto" => Ok(true),
+        "off" => Ok(false),
+        other => Err(CliError::usage(format!(
+            "--hub-cache must be auto or off, got {other:?}"
+        ))),
+    }
 }
 
 pub(crate) fn parse_scheme(s: &str) -> Result<Scheme, CliError> {

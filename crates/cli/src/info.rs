@@ -80,14 +80,10 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         Some(crate::generate::parse_byte_size("memory-budget", &budget)?)
     };
-    let hub_nodes = match args.str("hub-cache", "auto").as_str() {
-        "off" => 0,
-        "auto" => pa_core::DEFAULT_HUB_CACHE_NODES.min(n),
-        v => v.parse::<u64>().map_err(|_| {
-            CliError::usage(format!(
-                "--hub-cache must be auto, off or a node count, got {v:?}"
-            ))
-        })?,
+    let hub_nodes = if crate::generate::parse_hub_cache(args)? {
+        pa_core::DEFAULT_HUB_CACHE_NODES.min(n)
+    } else {
+        0
     };
     let memo_nodes = args.u64("chain-memo", pa_core::DEFAULT_CHAIN_MEMO_NODES)?;
     args.finish()?;
@@ -132,7 +128,10 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Engine::Chain => vec![
             f_table("F table (x slots/node)", slots),
             resident("node cursors (u32)", size * 4),
-            resident("chain memo (worst case)", memo_nodes.min(size) * x * 8),
+            resident(
+                "chain memo (allocated)",
+                pa_core::chain_memo_bytes(memo_nodes, n, x),
+            ),
         ],
     };
 

@@ -87,7 +87,7 @@ COMMANDS:
                           not carry its x=1 messages)
                pa tuning: --buffer-cap <msgs> (default 4096)
                           --service-interval <nodes> (default 4096)
-                          --hub-cache auto|off|<nodes> (default auto)
+                          --hub-cache auto|off (default auto)
                           --chain-memo <nodes> (engine 3 memo rows; default 1048576, 0 off)
                pa chaos:  --chaos-profile off|light|aggressive (default off)
                           --chaos-seed <u64> (default 0)

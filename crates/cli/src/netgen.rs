@@ -57,7 +57,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // except the rank count comes from the world description.
     let job = parse_job(args, Some(world), encoding)?;
     let (cfg, scheme, n) = (job.cfg, job.scheme, job.cfg.n);
-    let mut opts = job.gen_options(parse_gen_options(args, n)?);
+    let mut opts = job.gen_options(parse_gen_options(args)?);
     if opts.engine == Engine::X1 {
         return Err(CliError::usage(
             "--backend tcp supports --engine 2 or 3 (engine 1 uses the \

@@ -238,7 +238,7 @@ fn pa_tuning_flags_do_not_change_the_network() {
         "--service-interval",
         "16",
         "--hub-cache",
-        "1000",
+        "off",
         "--out",
         &tuned,
     ])
@@ -268,19 +268,26 @@ fn hub_cache_flag_accepts_off_and_rejects_garbage() {
         &path,
     ])
     .unwrap();
-    let err = exec(&[
-        "generate",
-        "--model",
-        "pa",
-        "--n",
-        "1000",
-        "--hub-cache",
-        "sometimes",
-        "--out",
-        &path,
-    ])
-    .unwrap_err();
-    assert!(err.contains("--hub-cache"), "{err}");
+    // A node count is rejected: that form lost to the better of auto
+    // and off in every measured cell (EXPERIMENTS.md).
+    for bad in ["sometimes", "1000"] {
+        let err = exec(&[
+            "generate",
+            "--model",
+            "pa",
+            "--n",
+            "1000",
+            "--hub-cache",
+            bad,
+            "--out",
+            &path,
+        ])
+        .unwrap_err();
+        assert!(
+            err.contains(&format!("--hub-cache must be auto or off, got \"{bad}\"")),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -582,6 +589,35 @@ fn chain_memo_rejects_non_integer_values() {
             "{bad}: {err}"
         );
     }
+}
+
+#[test]
+fn info_plans_engine3_chain_memo_as_allocated() {
+    // Engine 3's memo is allocated up front on every rank at its full
+    // shape: next_pow2(min(cap, n)) slots of 1 + x u32 cells. At the
+    // gen-e3-paged tuple that is 2^19 · 5 · 4 B = 10 MiB, whatever the
+    // rank's own size.
+    let plan = |memo: &str| {
+        exec(&[
+            "info",
+            "--n",
+            "500000",
+            "--x",
+            "4",
+            "--ranks",
+            "2",
+            "--engine",
+            "3",
+            "--chain-memo",
+            memo,
+        ])
+        .unwrap()
+    };
+    let line = |bytes: &str| format!("  {:<28} {:>14}\n", "chain memo (allocated)", bytes);
+    let default = plan("1048576");
+    assert!(default.contains(&line("10.0 MiB")), "{default}");
+    let off = plan("0");
+    assert!(off.contains(&line("0 B")), "{off}");
 }
 
 #[test]

@@ -493,9 +493,9 @@ fn tcp_backend_rejects_incomplete_worlds_and_chaos() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("chaos"), "{stderr}");
 
-    // The hub-cache bound is part of the shared flag parse: a rank of a
-    // TCP world refuses it as usage (exit 2) before dialing anyone,
-    // instead of panicking inside the engine's option validation.
+    // `--hub-cache` is part of the shared flag parse: a rank of a TCP
+    // world refuses a numeric size (only auto and off exist) as usage
+    // (exit 2) before dialing anyone.
     let out = run(&[
         "--rank",
         "0",
@@ -511,7 +511,7 @@ fn tcp_backend_rejects_incomplete_worlds_and_chaos() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("--hub-cache 2000 exceeds n = 1000 (use auto or off)"),
+        stderr.contains("--hub-cache must be auto or off, got \"2000\""),
         "{stderr}"
     );
 }

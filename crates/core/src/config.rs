@@ -176,6 +176,29 @@ pub const DEFAULT_HUB_CACHE_NODES: u64 = 4096;
 /// default (`x = 4` at the full default size costs ~40 MB per rank).
 pub const DEFAULT_CHAIN_MEMO_NODES: u64 = 1 << 20;
 
+/// Bytes of engine 3's chain memo for a `cap`-row budget over an
+/// `n`-node network with `x` slots per node: what every rank allocates,
+/// up front. The budget is clamped to `n` and rounded up to a power of
+/// two (the memo is direct-mapped); each slot holds `1 + x` cells (a tag
+/// and the row), compact `u32`s while every label fits below the
+/// `u32::MAX` sentinel, `u64`s otherwise. `cap = 0` is no memo, 0 B.
+pub fn chain_memo_bytes(cap: u64, n: u64, x: u64) -> u64 {
+    let (slots, compact) = chain_memo_shape(cap, n);
+    let cell = if compact { 4 } else { 8 };
+    slots * (1 + x) * cell
+}
+
+/// The chain memo's slot count and whether its cells are compact `u32`s
+/// (see [`chain_memo_bytes`]).
+pub(crate) fn chain_memo_shape(cap: u64, n: u64) -> (u64, bool) {
+    let slots = if cap == 0 {
+        0
+    } else {
+        cap.min(n).next_power_of_two()
+    };
+    (slots, n < u64::from(u32::MAX))
+}
+
 /// Tuning knobs for the parallel engines.
 ///
 /// (`Eq` is not derived: [`GenOptions::fault_plan`] carries the fault

@@ -74,7 +74,10 @@ pub mod seq;
 pub mod store;
 pub mod ws;
 
-pub use config::{Engine, GenOptions, PaConfig, DEFAULT_CHAIN_MEMO_NODES, DEFAULT_HUB_CACHE_NODES};
+pub use config::{
+    chain_memo_bytes, Engine, GenOptions, PaConfig, DEFAULT_CHAIN_MEMO_NODES,
+    DEFAULT_HUB_CACHE_NODES,
+};
 pub use model::{Model, ModelKind};
 
 /// The fault-injection schedule consumed by [`GenOptions::fault_plan`]

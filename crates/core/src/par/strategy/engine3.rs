@@ -222,18 +222,14 @@ enum Memo {
 }
 
 impl Memo {
-    /// `cap` is the configured row budget; it is clamped to `n` (no point
-    /// caching more rows than exist) and rounded up to a power of two.
+    /// `cap` is the configured row budget, shaped by
+    /// [`crate::config::chain_memo_shape`] — the sizing `pagen info`
+    /// plans with ([`crate::chain_memo_bytes`]).
     fn new(cap: u64, n: u64, x: u64) -> Memo {
-        if cap == 0 {
-            return Memo::Off;
-        }
-        let slots = cap.min(n).next_power_of_two() as usize;
-        // u32::MAX itself is the sentinel, so labels must stay below it.
-        if n < u64::from(u32::MAX) {
-            Memo::Compact(Slots::new(slots, n, x))
-        } else {
-            Memo::Wide(Slots::new(slots, n, x))
+        match crate::config::chain_memo_shape(cap, n) {
+            (0, _) => Memo::Off,
+            (slots, true) => Memo::Compact(Slots::new(slots as usize, n, x)),
+            (slots, false) => Memo::Wide(Slots::new(slots as usize, n, x)),
         }
     }
 
@@ -643,5 +639,50 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
             self.memo.occupied(),
             self.counters.chain_rows_recomputed,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Bytes the memo's cells really occupy.
+    fn allocated(memo: &Memo) -> u64 {
+        match memo {
+            Memo::Off => 0,
+            Memo::Compact(s) => std::mem::size_of_val(s.entries.as_slice()) as u64,
+            Memo::Wide(s) => std::mem::size_of_val(s.entries.as_slice()) as u64,
+        }
+    }
+
+    #[test]
+    fn chain_memo_bytes_is_what_the_memo_allocates() {
+        // (cap, n, x): the gen-e3-paged and gen-e3-mpsim tuples at the
+        // default budget, a budget that does not fill a power of two, the
+        // memo off, and labels too wide for the compact cell.
+        let wide_n = u64::from(u32::MAX);
+        for (cap, n, x) in [
+            (crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4),
+            (crate::DEFAULT_CHAIN_MEMO_NODES, 2_000_000, 4),
+            (1000, 10_000, 3),
+            (0, 10_000, 3),
+            (1000, wide_n, 3),
+        ] {
+            let memo = Memo::new(cap, n, x);
+            assert_eq!(
+                matches!(memo, Memo::Wide(_)),
+                n == wide_n,
+                "cell width at n = {n}"
+            );
+            assert_eq!(
+                allocated(&memo),
+                crate::chain_memo_bytes(cap, n, x),
+                "cap = {cap}, n = {n}, x = {x}"
+            );
+        }
+        assert_eq!(
+            crate::chain_memo_bytes(crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4),
+            10 << 20
+        );
     }
 }
