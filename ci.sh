@@ -68,6 +68,29 @@ if [ -z "$reported_edges" ] || [ "$file_bytes" -ne "$((reported_edges * 16))" ];
     exit 1
 fi
 
+echo "==> pagen PAG smoke run"
+# A PAG container is the bin stream behind a header: an engine-3 run
+# (which emits in label order) must end in exactly the bin run's bytes,
+# and the header must count 4 shards holding every one of its edges.
+pag_out="$scratch/smoke.pag"
+pag_bin="$scratch/smoke_e3.bin"
+for format in pag bin; do
+    out="$pag_out"
+    [ "$format" = bin ] && out="$pag_bin"
+    ./target/release/pagen generate --model pa --n 20000 --x 3 --ranks 4 \
+        --seed 7 --engine 3 --out "$out" --format "$format" >/dev/null
+done
+if ! tail -c "$(stat -c %s "$pag_bin")" "$pag_out" | cmp -s - "$pag_bin"; then
+    echo "PAG smoke mismatch: the container's payload is not the bin file" >&2
+    exit 1
+fi
+pag_info="$(./target/release/pagen info --in "$pag_out")"
+if ! grep -q "^edges:  $(($(stat -c %s "$pag_bin") / 16)) in 4 shard(s)$" <<< "$pag_info"; then
+    echo "PAG smoke mismatch: header does not count the bin file's edges in 4 shards" >&2
+    echo "$pag_info" >&2
+    exit 1
+fi
+
 echo "==> pagen chaos smoke run"
 # The fault layer's headline invariant, end to end through the binary: a
 # run with aggressive fault injection must produce exactly the clean

@@ -5,10 +5,14 @@ use crate::stats::{MergedStats, StatsFlags};
 use pa_core::job::JobDescriptor;
 use pa_core::partition::Scheme;
 use pa_core::{cl, er, par, rmat, ws, Engine, GenOptions, PaConfig};
-use pa_graph::{container, io, EdgeList};
+use pa_graph::container::{self, Meta};
+use pa_graph::io::{self, EdgeWriter};
+use pa_graph::EdgeList;
 use pa_rng::Xoshiro256pp;
+use std::fs::File;
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     match args.str("backend", "mpsim").as_str() {
@@ -25,61 +29,63 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let seed = args.u64("seed", 0)?;
     let path = args.str("out", "graph.pag");
     let format = args.str("format", "pag");
+    // A PAG container is the `bin` stream behind a header.
+    let pag = format == "pag";
+    let encoding = match edge_format(&format) {
+        Some(encoding) => encoding,
+        None if pag => io::EdgeFormat::Binary,
+        None => {
+            return Err(CliError::usage(format!(
+                "unknown format {format:?} (expected pag, bin or txt)"
+            )))
+        }
+    };
 
     let started = std::time::Instant::now();
 
-    let mut pa_stats: Option<(StatsFlags, Vec<pa_mpsim::CommStats>)> = None;
-    let (n, shards, attrs): (u64, Vec<EdgeList>, Vec<(String, String)>) = match model.as_str() {
+    // PA streams from its ranks and returns; every other model yields its
+    // edges and the PAG header's provenance (`seed` is added below).
+    let (edges, meta): (EdgeList, Meta) = match model.as_str() {
         "pa" | "nlpa" => {
-            // The container path below never reads `job.format`.
-            let streamed = edge_format(&format);
-            let job = parse_job(args, None, streamed.unwrap_or(io::EdgeFormat::Binary))?;
+            let job = parse_job(args, None, encoding)?;
             let ranks = job.ranks as usize;
             let store = parse_store_spec(args, &format!("{path}.store"))?;
             let tuning = parse_gen_options(args)?.with_store(store.clone());
             let flags = StatsFlags::parse(args)?;
-            // A raw edge file needs no global view of the edges, so it
-            // streams each rank straight to disk instead of materializing
-            // per-rank edge vectors (see `stream_pa_to_disk`).
-            if streamed.is_some() {
-                args.finish()?;
-                let (total_edges, comms) = stream_pa_to_disk(&job, tuning, Path::new(&path))?;
-                cleanup_store(&store, ranks);
-                writeln!(
-                    out,
-                    "generated {model}: {} nodes, {total_edges} edges in {:.2}s -> {path} \
-                     ({format}, streamed, job {:016x})",
-                    job.cfg.n,
-                    started.elapsed().as_secs_f64(),
-                    job.job_id()
-                )
-                .map_err(CliError::io)?;
-                return flags.emit(&MergedStats::from_local(&comms), out);
-            }
-            let result = par::generate(&job.cfg, job.scheme, ranks, &job.gen_options(tuning));
-            pa_stats = Some((flags, result.ranks.iter().map(|r| r.comm.clone()).collect()));
+            args.finish()?;
+            let header = pag.then(|| {
+                let meta = Meta::new(job.cfg.n)
+                    .with("seed", seed)
+                    .with("x", job.cfg.x)
+                    .with("p", job.cfg.p)
+                    .with("scheme", job.scheme)
+                    .with("ranks", ranks)
+                    .with("engine", job.engine);
+                match job.model {
+                    pa_core::ModelKind::Pa => meta.with("model", "preferential-attachment"),
+                    pa_core::ModelKind::Nlpa { alpha } => meta
+                        .with("model", "nonlinear-preferential-attachment")
+                        .with("alpha", alpha),
+                }
+            });
+            let (total_edges, comms) =
+                stream_pa_to_disk(&job, tuning, Path::new(&path), header.as_ref())?;
             cleanup_store(&store, ranks);
-            let shards = result.ranks.into_iter().map(|r| r.edges).collect();
-            let mut attrs = vec![
-                (
-                    "model".into(),
-                    match job.model {
-                        pa_core::ModelKind::Pa => "preferential-attachment".to_string(),
-                        pa_core::ModelKind::Nlpa { .. } => {
-                            "nonlinear-preferential-attachment".to_string()
-                        }
-                    },
-                ),
-                ("x".into(), job.cfg.x.to_string()),
-                ("p".into(), job.cfg.p.to_string()),
-                ("scheme".into(), job.scheme.to_string()),
-                ("ranks".into(), ranks.to_string()),
-                ("engine".into(), job.engine.to_string()),
-            ];
-            if let pa_core::ModelKind::Nlpa { alpha } = job.model {
-                attrs.push(("alpha".into(), alpha.to_string()));
-            }
-            (job.cfg.n, shards, attrs)
+            // A PAG file is never a served artifact, so it names no job.
+            let job_id = if pag {
+                String::new()
+            } else {
+                format!(", job {:016x}", job.job_id())
+            };
+            writeln!(
+                out,
+                "generated {model}: {} nodes, {total_edges} edges in {:.2}s -> {path} \
+                 ({format}, streamed{job_id})",
+                job.cfg.n,
+                started.elapsed().as_secs_f64(),
+            )
+            .map_err(CliError::io)?;
+            return flags.emit(&MergedStats::from_local(&comms), out);
         }
         "er" => {
             let n = args.u64("n", 100_000)?;
@@ -88,12 +94,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let cfg = er::ErConfig::new(n, p).with_seed(seed);
             let edges = er::generate_par(&cfg, ranks.max(1));
             (
-                n,
-                vec![edges],
-                vec![
-                    ("model".into(), "erdos-renyi".into()),
-                    ("p".into(), p.to_string()),
-                ],
+                edges,
+                Meta::new(n).with("model", "erdos-renyi").with("p", p),
             )
         }
         "ws" => {
@@ -102,15 +104,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let beta = args.f64("p", 0.1)?;
             let cfg = ws::WsConfig::new(n, 2 * x, beta).with_seed(seed);
             let edges = ws::generate(&cfg, &mut Xoshiro256pp::new(seed));
-            (
-                n,
-                vec![edges],
-                vec![
-                    ("model".into(), "watts-strogatz".into()),
-                    ("k".into(), (2 * x).to_string()),
-                    ("beta".into(), beta.to_string()),
-                ],
-            )
+            let meta = Meta::new(n).with("model", "watts-strogatz");
+            (edges, meta.with("k", 2 * x).with("beta", beta))
         }
         "cl" => {
             let n = args.u64("n", 100_000)?;
@@ -119,15 +114,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let ranks = args.u64("ranks", 4)? as usize;
             let cfg = cl::ClConfig::new(cl::power_law_weights(n, gamma, mean), seed);
             let edges = cl::generate_par(&cfg, ranks.max(1));
-            (
-                n,
-                vec![edges],
-                vec![
-                    ("model".into(), "chung-lu".into()),
-                    ("gamma".into(), gamma.to_string()),
-                    ("mean_degree".into(), mean.to_string()),
-                ],
-            )
+            let meta = Meta::new(n).with("model", "chung-lu");
+            (edges, meta.with("gamma", gamma).with("mean_degree", mean))
         }
         "rmat" => {
             let scale = args.u64("scale", 18)? as u32;
@@ -140,12 +128,10 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let ranks = args.u64("ranks", 4)? as usize;
             let edges = rmat::generate_par(&cfg, ranks.max(1));
             (
-                cfg.n(),
-                vec![edges],
-                vec![
-                    ("model".into(), "rmat".into()),
-                    ("scale".into(), scale.to_string()),
-                ],
+                edges,
+                Meta::new(cfg.n())
+                    .with("model", "rmat")
+                    .with("scale", scale),
             )
         }
         other => {
@@ -156,39 +142,23 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     args.finish()?;
 
-    let total_edges: usize = shards.iter().map(EdgeList::len).sum();
-    match format.as_str() {
-        "pag" => {
-            let mut meta = container::Meta::new(n).with("seed", seed);
-            for (k, v) in attrs {
-                meta.attrs.insert(k, v);
+    // The extension models build their network whole; it leaves as one
+    // part (one PAG shard).
+    let n = meta.n;
+    let header = pag.then(|| meta.with("seed", seed));
+    let (total_edges, ()) =
+        write_parts(Path::new(&path), encoding, header.as_ref(), 1, |mut w| {
+            for (u, v) in edges.iter() {
+                w[0].push(u, v);
             }
-            container::write_file(&path, &meta, &shards).map_err(CliError::io)?;
-        }
-        "bin" => {
-            let merged = EdgeList::concat(shards);
-            io::write_binary_file(&path, &merged).map_err(CliError::io)?;
-        }
-        "txt" => {
-            let merged = EdgeList::concat(shards);
-            io::write_text_file(&path, &merged).map_err(CliError::io)?;
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown format {other:?} (expected pag, bin or txt)"
-            )))
-        }
-    }
+            (w, ())
+        })?;
     writeln!(
         out,
         "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} ({format})",
         started.elapsed().as_secs_f64()
     )
-    .map_err(CliError::io)?;
-    if let Some((flags, comms)) = pa_stats {
-        flags.emit(&MergedStats::from_local(&comms), out)?;
-    }
-    Ok(())
+    .map_err(CliError::io)
 }
 
 /// `--format bin|txt` as the streamed edge encoding; `None` for anything
@@ -426,54 +396,89 @@ pub(crate) fn merge_parts(path: &Path, ranks: usize) -> std::io::Result<()> {
     merge().inspect_err(|_| remove_parts(path, ranks))
 }
 
+/// How `generate` turns edges into a file — its one output path. Creates
+/// `{path}.part{0..ranks}` and hands `fill` one [`EdgeWriter`] per part,
+/// each in `format`; `fill` streams every part's edges through its writer
+/// and hands the writers back. [`merge_parts`] then joins the parts in
+/// order onto `path`. Every exit that does not merge — an error or a
+/// panic — deletes the parts.
+///
+/// With a `header` (a PAG container, `format` then `bin`) part 0 opens
+/// with that header, its shard counts zero; once every writer has
+/// finished, the fixed-length header is rewritten in place with each
+/// part's edge count.
+///
+/// Returns the total edge count and what `fill` returned beside the
+/// writers.
+fn write_parts<R>(
+    path: &Path,
+    format: io::EdgeFormat,
+    header: Option<&Meta>,
+    ranks: usize,
+    fill: impl FnOnce(Vec<EdgeWriter<File>>) -> (Vec<EdgeWriter<File>>, R),
+) -> Result<(u64, R), CliError> {
+    let parts = PartFiles { path, ranks };
+    let mut writers = Vec::with_capacity(ranks);
+    for rank in 0..ranks {
+        let mut f = File::create(part_path(path, rank)).map_err(CliError::io)?;
+        if let (0, Some(meta)) = (rank, header) {
+            container::write_header(&mut f, meta, &vec![0; ranks]).map_err(CliError::io)?;
+        }
+        writers.push(EdgeWriter::new(f, format));
+    }
+    let (writers, extra) = fill(writers);
+    let counts = writers
+        .into_iter()
+        .map(EdgeWriter::finish)
+        .collect::<std::io::Result<Vec<u64>>>()
+        .map_err(CliError::io)?;
+    if let Some(meta) = header {
+        let part0 = std::fs::OpenOptions::new()
+            .write(true)
+            .open(part_path(path, 0))
+            .map_err(CliError::io)?;
+        container::write_header(part0, meta, &counts).map_err(CliError::io)?;
+    }
+    parts.merge().map_err(CliError::io)?;
+    Ok((counts.iter().sum(), extra))
+}
+
 /// Stream a PA network to `path` without ever materializing the edges:
-/// each rank writes its own `{path}.part{rank}` through a chunked
-/// [`par::StreamingWriterSink`], and [`merge_parts`] joins them in rank
-/// order afterwards. Peak resident memory is the engines' `O(n/P)` slot
-/// state plus one write chunk per rank, regardless of edge count. Every
-/// exit that does not merge — an error or a panic — deletes the parts.
+/// each rank writes its own part through [`write_parts`]. Peak resident
+/// memory is the engines' `O(n/P)` slot state plus one write chunk per
+/// rank, regardless of edge count. `header` makes the file a PAG
+/// container (one shard per rank); `job.format` is then `bin`.
 ///
 /// Returns the total number of edges written plus the per-rank
 /// communication ledgers (for `--stats` / `--stats-json`).
 ///
 /// This is the single streaming code path shared by `pagen generate`
-/// and the `pagen serve` job runner — sharing it is what guarantees a
-/// served artifact is byte-identical to a solo run of the same tuple.
-/// `tuning` carries the byte-neutral knobs; the job's engine and model
-/// are applied to it here.
+/// and the `pagen serve` job runner (which passes no header) — sharing
+/// it is what guarantees a served artifact is byte-identical to a solo
+/// run of the same tuple. `tuning` carries the byte-neutral knobs; the
+/// job's engine and model are applied to it here.
 pub(crate) fn stream_pa_to_disk(
     job: &JobDescriptor,
     tuning: GenOptions,
     path: &Path,
+    header: Option<&Meta>,
 ) -> Result<(u64, Vec<pa_mpsim::CommStats>), CliError> {
     let ranks = job.ranks as usize;
     let opts = job.gen_options(tuning);
-    let parts = PartFiles { path, ranks };
-    // Pre-create the per-rank files so creation errors surface before any
-    // rank spawns; each rank thread then takes its own handle.
-    let mut files = Vec::with_capacity(ranks);
-    for rank in 0..ranks {
-        let f = std::fs::File::create(part_path(path, rank)).map_err(CliError::io)?;
-        files.push(std::sync::Mutex::new(Some(f)));
-    }
-
-    let outputs = par::generate_streaming(&job.cfg, job.scheme, ranks, &opts, |rank| {
-        let f = files[rank]
-            .lock()
-            .expect("file handoff poisoned")
-            .take()
-            .expect("sink built twice for one rank");
-        par::StreamingWriterSink::new(f, job.format)
-    });
-
-    let mut total_edges = 0u64;
-    let mut comms = Vec::with_capacity(outputs.len());
-    for o in outputs {
-        total_edges += o.sink.finish().map_err(CliError::io)?;
-        comms.push(o.comm);
-    }
-    parts.merge().map_err(CliError::io)?;
-    Ok((total_edges, comms))
+    write_parts(path, job.format, header, ranks, |writers| {
+        // Each rank thread takes its own writer.
+        let slots: Vec<_> = writers.into_iter().map(|w| Mutex::new(Some(w))).collect();
+        par::generate_streaming(&job.cfg, job.scheme, ranks, &opts, |rank| {
+            slots[rank]
+                .lock()
+                .expect("writer handoff poisoned")
+                .take()
+                .expect("sink built twice for one rank")
+        })
+        .into_iter()
+        .map(|o| (o.sink, o.comm))
+        .unzip()
+    })
 }
 
 /// Engine tuning knobs shared by the `pa` model on every backend:

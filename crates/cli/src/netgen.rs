@@ -14,6 +14,7 @@ use std::io::Write;
 
 use pa_core::par::{self, EdgeSink, Msg};
 use pa_core::{partition, Engine};
+use pa_graph::io::EdgeWriter;
 use pa_mpsim::Transport;
 use pa_net::{TcpConfig, TcpTransport};
 
@@ -220,7 +221,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let agreed = t.allreduce_min(vote);
     let (sink, saved) = if agreed == 0 {
         let file = std::fs::File::create(&my_part).map_err(CliError::io)?;
-        let mut sink = par::StreamingWriterSink::new(file, job.format);
+        let mut sink = EdgeWriter::new(file, job.format);
         match &world_ckpt {
             None => (sink, None),
             Some(w) => {
@@ -257,7 +258,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         file.set_len(saved.bytes).map_err(CliError::io)?;
         file.seek(std::io::SeekFrom::End(0)).map_err(CliError::io)?;
         (
-            par::StreamingWriterSink::resume(file, job.format, saved.edges, saved.bytes),
+            EdgeWriter::resume(file, job.format, saved.edges, saved.bytes),
             Some(saved),
         )
     };

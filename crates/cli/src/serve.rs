@@ -4,7 +4,7 @@
 //! streaming; this module supplies the [`JobRunner`] that maps a wire
 //! [`JobSpec`] onto the engines via `pa-core::job::JobDescriptor` and
 //! produces artifacts through the *same* streaming writer as
-//! `pagen generate --format bin|txt` — which is what makes a served
+//! `pagen generate` — which is what makes a served
 //! artifact byte-identical to a solo run of the same parameter tuple.
 
 use std::io::Write;
@@ -51,7 +51,7 @@ impl JobRunner for EngineRunner {
 
     fn run(&self, spec: &JobSpec, out: &Path) -> Result<(), String> {
         let desc = self.descriptor(spec)?;
-        crate::generate::stream_pa_to_disk(&desc, GenOptions::default(), out)
+        crate::generate::stream_pa_to_disk(&desc, GenOptions::default(), out, None)
             .map(|_| ())
             .map_err(|e| e.to_string())
     }

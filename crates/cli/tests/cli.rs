@@ -60,20 +60,31 @@ fn generate_binary_and_text_formats() {
 
 #[test]
 fn streamed_binary_output_matches_materialized_run() {
-    // pa + bin|txt routes through the streaming writer: the file must
-    // hold exactly the edge set a materialized run produces and the
-    // reported count, it must replace (never append to) an existing
-    // --out file, and no part files may remain.
-    for (format, ranks) in [("bin", "1"), ("bin", "4"), ("txt", "1"), ("txt", "4")] {
-        let name = format!("streamed_p{ranks}.{format}");
-        let out = tmp(&name);
-        let pag = tmp(&format!("streamed_p{ranks}.pag"));
-        let case = format!("{format} ranks {ranks}");
+    // Every format streams each rank to its own part file. The bin|txt
+    // file must hold exactly the edge set of the PAG container of the
+    // same tuple and the reported count; both must replace (never append
+    // to) an existing --out file, and no part files may remain. Engine 3
+    // emits in label order, so its PAG payload behind the header is the
+    // bin file byte for byte.
+    for (format, ranks, engine) in [
+        ("bin", "1", "2"),
+        ("bin", "4", "2"),
+        ("txt", "1", "2"),
+        ("txt", "4", "2"),
+        ("bin", "1", "3"),
+        ("bin", "4", "3"),
+        ("txt", "4", "3"),
+    ] {
+        let name = format!("streamed_p{ranks}_e{engine}.{format}");
+        let pag_name = format!("streamed_p{ranks}_e{engine}.pag");
+        let (out, pag) = (tmp(&name), tmp(&pag_name));
+        let case = format!("{format} ranks {ranks} engine {engine}");
         // 16 bytes: one bogus binary edge, or an unparsable text line.
         std::fs::write(&out, b"stale output ...").unwrap();
+        std::fs::write(&pag, b"stale output ...").unwrap();
         let common = [
             "--model", "pa", "--n", "3000", "--x", "3", "--ranks", ranks, "--scheme", "rrp",
-            "--seed", "11",
+            "--seed", "11", "--engine", engine,
         ];
         let mut gen: Vec<&str> = vec!["generate"];
         gen.extend_from_slice(&common);
@@ -93,12 +104,19 @@ fn streamed_binary_output_matches_materialized_run() {
         }
         .unwrap_or_else(|e| panic!("{case}: {e}"));
         let (_, shards) = pa_graph::container::read_file(&pag).unwrap();
-        let materialized = pa_graph::EdgeList::concat(shards);
-        assert_eq!(
-            streamed.canonicalized(),
-            materialized.canonicalized(),
-            "{case}"
-        );
+        assert_eq!(shards.len(), ranks.parse::<usize>().unwrap(), "{case}");
+        let from_pag = pa_graph::EdgeList::concat(shards);
+        assert_eq!(streamed.canonicalized(), from_pag.canonicalized(), "{case}");
+        if (format, engine) == ("bin", "3") {
+            let (pag_bytes, bin_bytes) =
+                (std::fs::read(&pag).unwrap(), std::fs::read(&out).unwrap());
+            let header = pag_bytes.len() - bin_bytes.len();
+            assert_eq!(
+                &pag_bytes[header..],
+                &bin_bytes[..],
+                "{case}: PAG payload is not the bin file"
+            );
+        }
         let reported = msg
             .split_whitespace()
             .find_map(|w| w.parse::<u64>().ok().filter(|&e| e > 3000))
@@ -106,6 +124,46 @@ fn streamed_binary_output_matches_materialized_run() {
         assert_eq!(reported, streamed.len() as u64, "{case}");
 
         let parts: Vec<String> = std::fs::read_dir(std::path::Path::new(&out).parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| {
+                f.starts_with(&format!("{name}.part")) || f.starts_with(&format!("{pag_name}.part"))
+            })
+            .collect();
+        assert!(
+            parts.is_empty(),
+            "{case}: part files left behind: {parts:?}"
+        );
+    }
+}
+
+#[test]
+fn out_symlink_is_replaced_not_written_through() {
+    // `--out` names the finished file: a symlink already there is
+    // replaced by it, and the file the link pointed at is left alone.
+    for (model, format) in [("pa", "pag"), ("er", "pag"), ("er", "bin"), ("ws", "txt")] {
+        let case = format!("{model} {format}");
+        let target = tmp(&format!("link_target_{model}_{format}"));
+        let name = format!("link_{model}.{format}");
+        let link = tmp(&name);
+        std::fs::write(&target, b"keep me").unwrap();
+        let _ = std::fs::remove_file(&link);
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        exec(&[
+            "generate", "--model", model, "--n", "2000", "--out", &link, "--format", format,
+        ])
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
+        assert_eq!(
+            std::fs::read(&target).unwrap(),
+            b"keep me",
+            "{case}: wrote through the link"
+        );
+        let meta = std::fs::symlink_metadata(&link).unwrap();
+        assert!(
+            meta.file_type().is_file(),
+            "{case}: --out is not a regular file"
+        );
+        let parts: Vec<String> = std::fs::read_dir(std::path::Path::new(&link).parent().unwrap())
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|f| f.starts_with(&format!("{name}.part")))

@@ -7,7 +7,9 @@
 //! (F table 32, cursor + attempt 8, one waiter bit per slot); the dense
 //! waiter table and per-slot attempt counters it replaced made that 200.
 //! The same run is what `pagen info --n` claims to predict, so the
-//! estimate is held to the measurement here.
+//! estimate is held to the measurement here. And `pagen generate` itself
+//! streams every output format: its default PAG container costs no more
+//! heap than a raw `bin` file of the same run.
 
 use pa_core::par::{self, CountSink};
 use pa_core::partition::Scheme;
@@ -165,6 +167,61 @@ fn engine1_peak_heap_stays_under_16_bytes_per_node() {
         "engine 1 peak live heap {peak} B = {:.1} B/node",
         peak as f64 / N as f64
     );
+}
+
+/// Peak live heap, over what was live before, of one `pagen generate`
+/// at the P = 2 test tuple, written in `format`.
+fn generate_peak_heap_bytes(engine: &str, format: &str) -> usize {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let path = std::env::temp_dir().join(format!("pagen_heap_e{engine}.{format}"));
+    let argv = [
+        "generate",
+        "--n",
+        &N.to_string(),
+        "--x",
+        "4",
+        "--ranks",
+        &NRANKS.to_string(),
+        "--seed",
+        "7",
+        "--engine",
+        engine,
+        "--format",
+        format,
+        "--out",
+        &path.to_string_lossy(),
+    ]
+    .map(String::from);
+    let mut out = Vec::new();
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    pa_cli::run(&argv, &mut out).unwrap_or_else(|e| panic!("pagen generate: {}", e.message()));
+    let peak = PEAK.load(Ordering::Relaxed);
+    std::fs::remove_file(&path).unwrap();
+    peak.saturating_sub(before)
+}
+
+#[test]
+fn pag_output_peaks_no_higher_than_bin() {
+    // A PAG container that held every edge before writing would add
+    // 16 B/edge: 12.8 MB at this tuple, far past the 1 MiB allowed.
+    for engine in ["2", "3"] {
+        // Queued packets vary run to run (see `floor_heap_bytes`), so the
+        // lowest PAG peak is held to the highest bin peak, alternating
+        // for up to five rounds.
+        let (mut bin, mut pag) = (0, usize::MAX);
+        for _ in 0..5 {
+            bin = bin.max(generate_peak_heap_bytes(engine, "bin"));
+            pag = pag.min(generate_peak_heap_bytes(engine, "pag"));
+            if pag <= bin + (1 << 20) {
+                break;
+            }
+        }
+        assert!(
+            pag <= bin + (1 << 20),
+            "engine {engine}: --format pag peaked at {pag} B of live heap, --format bin at {bin} B"
+        );
+    }
 }
 
 /// The plan `pagen info --n` prints must describe the process it plans:

@@ -3,12 +3,11 @@
 //! `pagen serve` turns the batch generator into a service: a client
 //! submits the full parameter tuple of a run and streams the resulting
 //! edge file back. The tuple itself, its canonical bytes and the job id
-//! are `pa_graph::job::JobSpec` (named [`RawJob`] here); this module
-//! owns its *meaning* on the engine side — which
-//! [`PaConfig`]/[`GenOptions`]/[`Scheme`]/engine a raw tuple selects, and
-//! which tuples are runnable at all. DESIGN.md "Run identity and wire
-//! formats" has the layering, resume tokens and the per-engine byte-order
-//! guarantees.
+//! are `pa_graph::job::JobSpec`; this module owns its *meaning* on the
+//! engine side — which [`PaConfig`]/[`GenOptions`]/[`Scheme`]/engine a
+//! raw tuple selects, and which tuples are runnable at all. DESIGN.md
+//! "Run identity and wire formats" has the layering, resume tokens and
+//! the per-engine byte-order guarantees.
 //!
 //! Note that `ranks` *is* part of the tuple: the generated edge **set**
 //! is independent of the rank count, but the on-disk byte order
@@ -19,12 +18,8 @@ use crate::partition::Scheme;
 use crate::{Engine, GenOptions, ModelKind, PaConfig};
 use pa_graph::io::EdgeFormat;
 
-/// The raw (wire-shaped) form of a job: the one run tuple, under the
-/// name the engine side has always used. [`JobDescriptor::from_raw`] is
-/// the *only* way back to typed form and rejects every invalid
-/// combination with a named error (never a panic — these fields arrive
-/// from the network).
-pub use pa_graph::job::{JobSpec as RawJob, JOB_CANONICAL_LEN};
+use pa_graph::job::JobSpec;
+pub use pa_graph::job::JOB_CANONICAL_LEN;
 
 /// A validated generation job: everything that determines the output
 /// bytes of a run, and nothing that does not (tuning knobs like buffer
@@ -83,19 +78,19 @@ impl JobDescriptor {
         base.with_engine(engine).with_model(self.model)
     }
 
-    /// [`RawJob::canonical_bytes`] of this job's tuple.
+    /// [`JobSpec::canonical_bytes`] of this job's tuple.
     pub fn canonical_bytes(&self) -> [u8; JOB_CANONICAL_LEN] {
         self.to_raw().canonical_bytes()
     }
 
-    /// Stable job identity: [`RawJob::job_id`] of this job's tuple.
+    /// Stable job identity: [`JobSpec::job_id`] of this job's tuple.
     pub fn job_id(&self) -> u64 {
         self.to_raw().job_id()
     }
 
     /// Lower to the raw wire-shaped form.
-    pub fn to_raw(&self) -> RawJob {
-        RawJob {
+    pub fn to_raw(&self) -> JobSpec {
+        JobSpec {
             n: self.cfg.n,
             x: self.cfg.x,
             p_bits: self.cfg.p.to_bits(),
@@ -117,7 +112,7 @@ impl JobDescriptor {
     /// model-parameter field inconsistent with its model (`pa` with
     /// nonzero `alpha_bits` would silently lose the parameter on the
     /// round trip), and everything [`JobDescriptor::validate`] rejects.
-    pub fn from_raw(raw: &RawJob) -> Result<Self, String> {
+    pub fn from_raw(raw: &JobSpec) -> Result<Self, String> {
         let scheme = Scheme::from_id(raw.scheme_id)
             .ok_or_else(|| format!("unknown scheme id {}", raw.scheme_id))?;
         let format = EdgeFormat::from_id(raw.format_id)
@@ -307,7 +302,7 @@ mod tests {
     #[test]
     fn from_raw_rejects_bad_discriminants() {
         let raw = sample().to_raw();
-        let bad = |f: fn(&mut RawJob), needle: &str| {
+        let bad = |f: fn(&mut JobSpec), needle: &str| {
             let mut r = raw;
             f(&mut r);
             let err = JobDescriptor::from_raw(&r).unwrap_err();

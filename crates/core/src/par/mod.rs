@@ -285,7 +285,7 @@ where
 /// common resume epoch across ranks (e.g. an `allreduce` over
 /// [`CheckpointStore::latest`]), truncating part files back to the saved
 /// `(edges, bytes)` watermark, and handing in a sink positioned at that
-/// watermark (see [`StreamingWriterSink::resume`]).
+/// watermark (see [`pa_graph::io::EdgeWriter::resume`]).
 ///
 /// # Panics
 ///

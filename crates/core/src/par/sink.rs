@@ -3,13 +3,14 @@
 //! The paper notes (§3.2) that "some network analysts may prefer to
 //! generate networks on the fly and analyze [them] without performing
 //! disk I/O". The engines are therefore generic over an [`EdgeSink`]:
-//! materialize an [`EdgeList`], stream into a closure, or fold into an
-//! online statistic without ever storing the edges.
+//! materialize an [`EdgeList`], stream to a file through an
+//! [`EdgeWriter`], stream into a closure, or fold into an online
+//! statistic without ever storing the edges.
 
 use crate::Node;
-use pa_graph::io::{EdgeFormat, EdgeWriter};
+use pa_graph::io::EdgeWriter;
 use pa_graph::EdgeList;
-use std::io::{self, Write};
+use std::io::Write;
 
 /// Receives every edge a rank creates, in creation order.
 pub trait EdgeSink {
@@ -115,60 +116,30 @@ impl DegreeCountSink {
     }
 }
 
-/// Sink that streams every edge straight to a writer through the chunked
-/// [`EdgeWriter`], so a rank's resident footprint stays one chunk no
-/// matter how many edges it generates — the piece that lets
-/// `pagen generate --out` emit `n = 10⁸`-scale networks in
-/// `O(n/P + buffer)` memory instead of materializing per-rank edge
-/// vectors.
+/// Streams every edge straight to a writer in bounded chunks, so a
+/// rank's resident footprint stays one chunk no matter how many edges it
+/// generates — the sink behind every `pagen generate` output, which
+/// emits `n = 10⁸`-scale networks in `O(n/P + buffer)` memory instead of
+/// materializing per-rank edge vectors.
 ///
 /// [`EdgeSink::emit`] is infallible by design (it is called from the hot
 /// per-node engine loops), so I/O errors are recorded and surfaced by
-/// [`StreamingWriterSink::finish`] after the run.
-#[derive(Debug)]
-pub struct StreamingWriterSink<W: Write> {
-    writer: EdgeWriter<W>,
-}
-
-impl<W: Write> StreamingWriterSink<W> {
-    /// Stream edges into `w` in the given on-disk format.
-    pub fn new(w: W, format: EdgeFormat) -> Self {
-        Self {
-            writer: EdgeWriter::new(w, format),
-        }
-    }
-
-    /// Continue an interrupted stream: `w` must already hold (and be
-    /// positioned after) `edges` edges in `bytes` bytes — a part file
-    /// truncated to a checkpoint watermark and seeked to its end.
-    pub fn resume(w: W, format: EdgeFormat, edges: u64, bytes: u64) -> Self {
-        Self {
-            writer: EdgeWriter::resume(w, format, edges, bytes),
-        }
-    }
-
-    /// Edges streamed so far.
-    pub fn count(&self) -> u64 {
-        self.writer.count()
-    }
-
-    /// Flush and return the total edge count, or the first I/O error
-    /// encountered during the run.
-    pub fn finish(self) -> io::Result<u64> {
-        self.writer.finish()
-    }
-}
-
-impl<W: Write> EdgeSink for StreamingWriterSink<W> {
+/// [`EdgeWriter::finish`] after the run.
+impl<W: Write> EdgeSink for EdgeWriter<W> {
     #[inline]
     fn emit(&mut self, u: Node, v: Node) {
-        self.writer.push(u, v);
+        self.push(u, v);
     }
 
     fn checkpoint_mark(&mut self) -> std::io::Result<(u64, u64)> {
-        self.writer.checkpoint()
+        self.checkpoint()
     }
 }
+
+/// The streaming sink's former name, kept for callers outside this
+/// workspace that still spell it.
+#[doc(hidden)]
+pub type StreamingWriterSink<W> = EdgeWriter<W>;
 
 impl EdgeSink for DegreeCountSink {
     #[inline]
@@ -181,6 +152,8 @@ impl EdgeSink for DegreeCountSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pa_graph::io::EdgeFormat;
+    use std::io;
 
     #[test]
     fn edge_list_sink_collects() {
@@ -238,7 +211,7 @@ mod tests {
         let err = deg.checkpoint_mark().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
         let mut buf = Vec::new();
-        let mut s = StreamingWriterSink::new(&mut buf, EdgeFormat::Binary);
+        let mut s = EdgeWriter::new(&mut buf, EdgeFormat::Binary);
         s.emit(1, 0);
         assert_eq!(s.checkpoint_mark().unwrap(), (1, 16));
     }
@@ -246,7 +219,7 @@ mod tests {
     #[test]
     fn streaming_writer_sink_round_trips() {
         let mut buf = Vec::new();
-        let mut sink = StreamingWriterSink::new(&mut buf, EdgeFormat::Binary);
+        let mut sink = EdgeWriter::new(&mut buf, EdgeFormat::Binary);
         sink.emit(1, 0);
         sink.emit(2, 1);
         assert_eq!(sink.count(), 2);

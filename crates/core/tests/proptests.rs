@@ -1,10 +1,11 @@
 //! Property-based tests for pa-core: partitioning contracts, model
 //! invariants, and cross-engine agreement on randomized configurations.
 
-use pa_core::job::{JobDescriptor, RawJob};
+use pa_core::job::JobDescriptor;
 use pa_core::partition::{build, check_contract, Partition, Scheme};
 use pa_core::{chains, par, seq, Engine, FaultPlan, GenOptions, ModelKind, PaConfig};
 use pa_graph::io::EdgeFormat;
+use pa_graph::job::JobSpec;
 use proptest::prelude::*;
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -332,7 +333,7 @@ proptest! {
         ranks in any::<u32>(),
         ids in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
     ) {
-        let tuple = RawJob {
+        let tuple = JobSpec {
             n: words.0,
             x: words.1,
             p_bits: words.2,
@@ -344,7 +345,7 @@ proptest! {
             model_id: ids.2,
             format_id: ids.3,
         };
-        prop_assert_eq!(RawJob::from_canonical(&tuple.canonical_bytes()), tuple);
+        prop_assert_eq!(JobSpec::from_canonical(&tuple.canonical_bytes()), tuple);
     }
 
     /// Lowering a valid descriptor to the raw tuple and lifting it back

@@ -1,13 +1,13 @@
 //! The streaming contract: a `generate_streaming` run must never
 //! materialize a rank's edge list. The engines' only edge exit is the
-//! [`pa_core::par::EdgeSink`], and [`pa_core::par::StreamingWriterSink`]
-//! forwards in bounded chunks — so the resident-edge high-water mark of a
+//! [`pa_core::par::EdgeSink`], and [`pa_graph::io::EdgeWriter`] forwards
+//! in bounded chunks — so the resident-edge high-water mark of a
 //! streaming run is one chunk per rank, independent of the edge count.
 
-use pa_core::par::{self, StreamingWriterSink};
+use pa_core::par;
 use pa_core::partition::Scheme;
 use pa_core::{GenOptions, PaConfig};
-use pa_graph::io::{EdgeFormat, EDGE_WRITER_CHUNK};
+use pa_graph::io::{EdgeFormat, EdgeWriter, EDGE_WRITER_CHUNK};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,7 +44,7 @@ fn streaming_run_never_materializes_a_rank_edge_vector() {
 
     let opts = GenOptions::default();
     let outs = par::generate_streaming(&cfg, Scheme::Rrp, nranks, &opts, |_rank| {
-        StreamingWriterSink::new(
+        EdgeWriter::new(
             ChunkProbe {
                 total_bytes: Arc::clone(&total_bytes),
                 max_write: Arc::clone(&max_write),

@@ -11,13 +11,16 @@
 //! | shard payloads: little-endian u64 pairs
 //! ```
 //!
-//! Shards map one-to-one to generator ranks, so a distributed run can be
-//! written shard-by-shard and later re-read as a whole or inspected via
-//! [`read_meta`] without touching the payload.
+//! The payload is exactly the `bin` encoding of [`crate::io::EdgeWriter`],
+//! shard after shard, so the container is a [`write_header`] in front of
+//! a streamed edge file. Shards map one-to-one to generator ranks, so a
+//! distributed run writes each shard as its own part, and the file can
+//! later be re-read as a whole or inspected via [`read_meta`] without
+//! touching the payload.
 
 use crate::{EdgeList, Node};
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 const MAGIC: &[u8; 8] = b"PAGRAPH1";
 const VERSION: u32 = 1;
@@ -98,28 +101,27 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Write a container with the given metadata and per-shard edge lists.
-pub fn write<W: Write>(w: W, meta: &Meta, shards: &[EdgeList]) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION)?;
-    write_u64(&mut w, meta.n)?;
-    write_u32(&mut w, shards.len() as u32)?;
-    write_u32(&mut w, meta.attrs.len() as u32)?;
+/// Write the header: metadata and one edge count per shard. The shard
+/// payloads follow it in the `bin` encoding, in shard order.
+///
+/// The header's length depends on `meta` and the number of shards only,
+/// never on the counts — so a writer that learns the counts after the
+/// edges can write zeros first and rewrite the header in place.
+pub fn write_header<W: Write>(mut w: W, meta: &Meta, shard_counts: &[u64]) -> io::Result<()> {
+    let mut head = Vec::new();
+    head.extend_from_slice(MAGIC);
+    write_u32(&mut head, VERSION)?;
+    write_u64(&mut head, meta.n)?;
+    write_u32(&mut head, shard_counts.len() as u32)?;
+    write_u32(&mut head, meta.attrs.len() as u32)?;
     for (k, v) in &meta.attrs {
-        write_str(&mut w, k)?;
-        write_str(&mut w, v)?;
+        write_str(&mut head, k)?;
+        write_str(&mut head, v)?;
     }
-    for shard in shards {
-        write_u64(&mut w, shard.len() as u64)?;
+    for &count in shard_counts {
+        write_u64(&mut head, count)?;
     }
-    for shard in shards {
-        for (u, v) in shard.iter() {
-            write_u64(&mut w, u)?;
-            write_u64(&mut w, v)?;
-        }
-    }
-    w.flush()
+    w.write_all(&head)
 }
 
 /// Read only the header: metadata and per-shard edge counts.
@@ -185,15 +187,6 @@ pub fn read<R: Read>(r: R) -> io::Result<(Meta, Vec<EdgeList>)> {
     Ok((meta, shards))
 }
 
-/// Convenience: write to a filesystem path.
-pub fn write_file<P: AsRef<std::path::Path>>(
-    path: P,
-    meta: &Meta,
-    shards: &[EdgeList],
-) -> io::Result<()> {
-    write(std::fs::File::create(path)?, meta, shards)
-}
-
 /// Convenience: read a container from a filesystem path.
 pub fn read_file<P: AsRef<std::path::Path>>(path: P) -> io::Result<(Meta, Vec<EdgeList>)> {
     read(std::fs::File::open(path)?)
@@ -219,6 +212,16 @@ mod tests {
             EdgeList::new(),
         ];
         (meta, shards)
+    }
+
+    /// A whole container: the header, then each shard's `bin` encoding.
+    fn write(buf: &mut Vec<u8>, meta: &Meta, shards: &[EdgeList]) -> io::Result<()> {
+        let counts: Vec<u64> = shards.iter().map(|s| s.len() as u64).collect();
+        write_header(&mut *buf, meta, &counts)?;
+        for shard in shards {
+            crate::io::write_binary(&mut *buf, shard)?;
+        }
+        Ok(())
     }
 
     #[test]
@@ -286,6 +289,18 @@ mod tests {
     }
 
     #[test]
+    fn header_length_does_not_depend_on_the_counts() {
+        let (meta, _) = sample();
+        let mut zeros = Vec::new();
+        write_header(&mut zeros, &meta, &[0, 0, 0]).unwrap();
+        let mut real = Vec::new();
+        write_header(&mut real, &meta, &[2, u64::MAX, 1]).unwrap();
+        assert_eq!(zeros.len(), real.len());
+        let (_, counts) = read_meta(&real[..]).unwrap();
+        assert_eq!(counts, vec![2, u64::MAX, 1]);
+    }
+
+    #[test]
     fn empty_container_roundtrips() {
         let meta = Meta::new(0);
         let mut buf = Vec::new();
@@ -301,7 +316,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.pag");
         let (meta, shards) = sample();
-        write_file(&path, &meta, &shards).unwrap();
+        let mut buf = Vec::new();
+        write(&mut buf, &meta, &shards).unwrap();
+        std::fs::write(&path, buf).unwrap();
         let (m2, s2) = read_file(&path).unwrap();
         assert_eq!((m2, s2), (meta.clone(), shards));
         let (m3, counts) = read_meta_file(&path).unwrap();

@@ -2,8 +2,8 @@
 //!
 //! The paper's processors "have a shared file system and read-write data
 //! files from the same external memory [...] independently". We mirror
-//! that: each rank may write its own partition's edges with
-//! [`write_text`] / [`write_binary`], and an analysis step reads the
+//! that: each rank streams its own partition's edges to its own part
+//! file through an [`EdgeWriter`], and an analysis step reads the
 //! concatenation back.
 
 use crate::{EdgeList, Node};
@@ -455,19 +455,9 @@ impl<W: Write> EdgeWriter<W> {
     }
 }
 
-/// Convenience: write a text edge list to a path.
-pub fn write_text_file<P: AsRef<Path>>(path: P, edges: &EdgeList) -> io::Result<()> {
-    write_text(File::create(path)?, edges)
-}
-
 /// Convenience: read a text edge list from a path.
 pub fn read_text_file<P: AsRef<Path>>(path: P) -> io::Result<EdgeList> {
     read_text(File::open(path)?)
-}
-
-/// Convenience: write a binary edge list to a path.
-pub fn write_binary_file<P: AsRef<Path>>(path: P, edges: &EdgeList) -> io::Result<()> {
-    write_binary(File::create(path)?, edges)
 }
 
 /// Convenience: read a binary edge list from a path.
@@ -847,10 +837,10 @@ mod tests {
         let dir = std::env::temp_dir().join("pa_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("edges.bin");
-        write_binary_file(&p, &sample()).unwrap();
+        write_binary(File::create(&p).unwrap(), &sample()).unwrap();
         assert_eq!(read_binary_file(&p).unwrap(), sample());
         let p = dir.join("edges.txt");
-        write_text_file(&p, &sample()).unwrap();
+        write_text(File::create(&p).unwrap(), &sample()).unwrap();
         assert_eq!(read_text_file(&p).unwrap(), sample());
         let _ = std::fs::remove_dir_all(&dir);
     }
