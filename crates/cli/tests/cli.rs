@@ -18,6 +18,19 @@ fn tmp(name: &str) -> String {
     dir.join(name).to_string_lossy().into_owned()
 }
 
+/// The `{name}.part*` files left in the test directory, for each name.
+fn parts_left(names: &[&str]) -> Vec<String> {
+    std::fs::read_dir(tmp(""))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|f| {
+            names
+                .iter()
+                .any(|name| f.starts_with(&format!("{name}.part")))
+        })
+        .collect()
+}
+
 #[test]
 fn generate_analyze_info_pipeline() {
     let path = tmp("pipeline.pag");
@@ -123,13 +136,7 @@ fn streamed_binary_output_matches_materialized_run() {
             .unwrap();
         assert_eq!(reported, streamed.len() as u64, "{case}");
 
-        let parts: Vec<String> = std::fs::read_dir(std::path::Path::new(&out).parent().unwrap())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|f| {
-                f.starts_with(&format!("{name}.part")) || f.starts_with(&format!("{pag_name}.part"))
-            })
-            .collect();
+        let parts = parts_left(&[&name, &pag_name]);
         assert!(
             parts.is_empty(),
             "{case}: part files left behind: {parts:?}"
@@ -163,11 +170,7 @@ fn out_symlink_is_replaced_not_written_through() {
             meta.file_type().is_file(),
             "{case}: --out is not a regular file"
         );
-        let parts: Vec<String> = std::fs::read_dir(std::path::Path::new(&link).parent().unwrap())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|f| f.starts_with(&format!("{name}.part")))
-            .collect();
+        let parts = parts_left(&[&name]);
         assert!(
             parts.is_empty(),
             "{case}: part files left behind: {parts:?}"

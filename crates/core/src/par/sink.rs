@@ -136,8 +136,8 @@ impl<W: Write> EdgeSink for EdgeWriter<W> {
     }
 }
 
-/// The streaming sink's former name, kept for callers outside this
-/// workspace that still spell it.
+/// The streaming sink's former name, kept only because the separately
+/// built benchmark crate under `perf/` still spells it.
 #[doc(hidden)]
 pub type StreamingWriterSink<W> = EdgeWriter<W>;
 
