@@ -12,7 +12,8 @@
 //!   is also proven across genuine process boundaries, where nothing can
 //!   accidentally share memory.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use pa_mpsim::conformance::{check_multi_rank, check_single_rank};
@@ -70,6 +71,9 @@ fn process_world_child_entry() {
 
 /// Spawn one OS process per rank (re-executing this test binary) and
 /// require every rank to pass the conformance suite.
+///
+/// Each rank's stdout is captured and passed on whole, rank by rank, so
+/// the ranks' test reports never interleave mid-line.
 fn run_process_world(world: usize) {
     // Allocate distinct loopback ports by bind-and-release; the children
     // re-bind them. (The tiny steal window is the same trade `palaunch`
@@ -87,12 +91,17 @@ fn run_process_world(world: usize) {
                 .args(["--exact", "process_world_child_entry", "--test-threads=1"])
                 .env("PA_NET_CHILD_RANK", rank.to_string())
                 .env("PA_NET_CHILD_PEERS", peers.join(","))
+                .stdout(Stdio::piped())
                 .spawn()
                 .expect("spawn child rank")
         })
         .collect();
     for (rank, child) in children.into_iter().enumerate() {
         let status = child.wait_with_output().expect("wait for child rank");
+        std::io::stdout()
+            .lock()
+            .write_all(&status.stdout)
+            .expect("pass on child rank output");
         assert!(
             status.status.success(),
             "rank {rank} failed the conformance suite: {status:?}"
