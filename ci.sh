@@ -236,27 +236,84 @@ if ls "$rec_ckpts"/*.ckpt* >/dev/null 2>&1; then
     exit 1
 fi
 
+echo "==> palaunch paged crash-recovery smoke run"
+# The same recovery with the F tables out of core: engine 3 under a
+# --memory-budget far below each rank's 16 MB F table, so its page files
+# (one per rank, beside the checkpoints) are written back all run long.
+# One rank is killed by kill -9 once it has checkpointed; the restarted
+# world resumes from the page files, and since engine 3 emits in label
+# order the recovered file must equal a fresh run's bytes.
+prec_dir="$scratch/prec"
+mkdir "$prec_dir"
+prec_job=(generate --model pa --n 2000000 --x 4 --scheme rrp --seed 7 --engine 3 --format bin)
+./target/release/palaunch -p 4 --restart-failed 2 \
+    --pagen ./target/release/pagen -- "${prec_job[@]}" \
+    --out "$prec_dir/recovered.bin" --memory-budget 1m \
+    --checkpoint-dir "$prec_dir/ckpts" --checkpoint-interval 100000 \
+    > "$prec_dir/log.txt" 2>&1 &
+launcher=$!
+victim=""
+for _ in $(seq 1 400); do
+    if ls "$prec_dir/ckpts"/rank2.epoch*.ckpt >/dev/null 2>&1; then
+        victim="$(pgrep -f "pagen.*$prec_dir/recovered.bin.*--rank 2" | head -n 1 || true)"
+        break
+    fi
+    sleep 0.025
+done
+if [ -z "$victim" ]; then
+    echo "paged recovery smoke: never saw rank 2 checkpoint while running" >&2
+    cat "$prec_dir/log.txt" >&2
+    exit 1
+fi
+kill -9 "$victim" 2>/dev/null || true
+if ! ls "$prec_dir/ckpts"/rank2.f.pages >/dev/null 2>&1 \
+    || ls "$prec_dir/ckpts"/*.pg >/dev/null 2>&1; then
+    echo "paged recovery smoke: expected one page file per rank and no per-page files" >&2
+    ls "$prec_dir/ckpts" >&2
+    exit 1
+fi
+if ! wait "$launcher"; then
+    echo "paged recovery smoke: palaunch did not recover from the killed rank" >&2
+    cat "$prec_dir/log.txt" >&2
+    exit 1
+fi
+if ! grep -q "restarting world" "$prec_dir/log.txt"; then
+    echo "paged recovery smoke: no restart happened (rank killed too late?)" >&2
+    cat "$prec_dir/log.txt" >&2
+    exit 1
+fi
+./target/release/palaunch -p 4 --pagen ./target/release/pagen -- \
+    "${prec_job[@]}" --out "$prec_dir/fresh.bin"
+if ! cmp -s "$prec_dir/recovered.bin" "$prec_dir/fresh.bin"; then
+    echo "paged recovery smoke mismatch: recovered run diverged from a fresh run" >&2
+    exit 1
+fi
+if [ -d "$prec_dir/ckpts" ] && [ -n "$(ls -A "$prec_dir/ckpts")" ]; then
+    echo "paged recovery smoke: finished job left checkpoints or page files behind" >&2
+    ls "$prec_dir/ckpts" >&2
+    exit 1
+fi
+
 echo "==> out-of-core smoke run"
 # The paged node-table store end to end through the binary: a 4-rank run
-# under a deliberately tiny --memory-budget (64 KiB: four pages of the
-# default 16 KiB — constant eviction traffic) must write the same network
+# under a deliberately tiny --memory-budget (64 KiB: sixteen pages of the
+# default 4 KiB — constant eviction traffic) must write the same network
 # as the unbudgeted in-memory run, and a successful non-checkpointing run
-# must clean its page files up. Both store-backed engines, each as
-# "<engine> <n>": engine 3 reads its table in sweep order, so it affords
-# a ~6 MiB F footprint and — emitting in label order — a byte-for-byte
-# comparison; engine 2 (only its F table is paged, under the whole
-# budget) looks slots up all over the table, nearly every lookup an
-# eviction, so it runs at 160 KiB of F per rank and, being edge-set-
-# not byte-deterministic, is compared as a sorted set.
+# must clean its page files up. Both store-backed engines, at n = 200000
+# (a ~1.6 MiB F table per rank, 25x the budget): engine 3 reads its table
+# in sweep order and — emitting in label order — is compared byte for
+# byte; engine 2 looks slots up all over the table, nearly every lookup
+# an eviction (a positioned read, and a journal and slot write when the
+# victim is dirty), and, being edge-set- not byte-deterministic, is
+# compared as a sorted set.
 oc_dir="$scratch/oc"
 mkdir "$oc_dir"
-for run in "3 200000" "2 20000"; do
-    read -r engine oc_n <<< "$run"
+for engine in 3 2; do
     cargo run -q -p pa-cli --release -- generate --model pa \
-        --n "$oc_n" --x 4 --ranks 4 --scheme rrp --seed 7 --engine "$engine" \
+        --n 200000 --x 4 --ranks 4 --scheme rrp --seed 7 --engine "$engine" \
         --out "$oc_dir/resident$engine.txt" --format txt
     cargo run -q -p pa-cli --release -- generate --model pa \
-        --n "$oc_n" --x 4 --ranks 4 --scheme rrp --seed 7 --engine "$engine" \
+        --n 200000 --x 4 --ranks 4 --scheme rrp --seed 7 --engine "$engine" \
         --out "$oc_dir/paged$engine.txt" --format txt \
         --memory-budget 64k --store-dir "$oc_dir/store$engine"
     if [ -d "$oc_dir/store$engine" ]; then

@@ -179,6 +179,24 @@ fn out_symlink_is_replaced_not_written_through() {
 }
 
 #[test]
+fn ws_output_is_byte_deterministic() {
+    // A fixed --seed names one file, byte for byte, on every run.
+    let runs: Vec<Vec<u8>> = (0..2)
+        .map(|i| {
+            let path = tmp(&format!("ws_seeded_{i}.txt"));
+            exec(&[
+                "generate", "--model", "ws", "--n", "3000", "--x", "2", "--p", "0.3", "--seed",
+                "5", "--out", &path, "--format", "txt",
+            ])
+            .unwrap();
+            std::fs::read(&path).unwrap()
+        })
+        .collect();
+    assert!(!runs[0].is_empty());
+    assert!(runs[0] == runs[1], "two ws runs with one seed differ");
+}
+
+#[test]
 fn all_models_generate() {
     for (model, extra) in [
         ("er", vec!["--p", "0.002"]),
@@ -709,14 +727,14 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
         "{paged}"
     );
     assert!(
-        paged.ends_with("total: 38.7 MiB resident | 16.2 MiB under --memory-budget 8.0 MiB\n"),
+        paged.ends_with("total: 38.7 MiB resident | 16.3 MiB under --memory-budget 8.0 MiB\n"),
         "{paged}"
     );
     assert_eq!(paged.matches("paged").count(), 1, "only F pages:\n{paged}");
 
     // Engine 1: the same shape at one slot per node. A 64 KiB budget is
-    // four 16 KiB pages; the paged line adds the page index, 5 B for
-    // each of the table's 489 pages.
+    // sixteen 4 KiB pages; the paged line adds the page index, 4 B for
+    // each of the table's 1954 pages.
     let x1_plan = |budget: &str| {
         exec(&[
             "info",
@@ -735,7 +753,7 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
     };
     let x1 = x1_plan("64k");
     assert!(
-        x1.contains("  F table (1 slot/node)               7.6 MiB         66.4 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               7.6 MiB         71.6 KiB paged\n"),
         "{x1}"
     );
     assert!(
@@ -743,17 +761,18 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
         "{x1}"
     );
     assert!(
-        x1.ends_with("total: 7.7 MiB resident | 188.5 KiB under --memory-budget 64.0 KiB\n"),
+        x1.ends_with("total: 7.7 MiB resident | 193.7 KiB under --memory-budget 64.0 KiB\n"),
         "{x1}"
     );
-    // A budget below two pages is raised to the cache's two-page minimum.
+    // A budget below two pages (8 KiB) is raised to the cache's
+    // two-page minimum.
     let x1 = x1_plan("6k");
     assert!(
-        x1.contains("  F table (1 slot/node)               7.6 MiB         34.4 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               7.6 MiB         15.6 KiB paged\n"),
         "{x1}"
     );
     assert!(
-        x1.ends_with("total: 7.7 MiB resident | 156.5 KiB under --memory-budget 6.0 KiB\n"),
+        x1.ends_with("total: 7.7 MiB resident | 137.7 KiB under --memory-budget 6.0 KiB\n"),
         "{x1}"
     );
 }

@@ -40,7 +40,7 @@ use super::checkpoint::{read_raw_checkpoint, CheckpointMeta, SavedCheckpoint};
 use super::output::EngineCounters;
 use super::sink::EdgeSink;
 use crate::partition::{self, AnyPartition, Partition, Scheme};
-use crate::store::{page_path, read_page_file, slots_fnv, TablePrefix};
+use crate::store::{slots_fnv, table_path, NodeTable, PagedSpec, PagedTable, TablePrefix};
 use crate::{Engine, Node, NILL};
 
 /// A saved world's committed state at its newest common checkpoint cut,
@@ -62,7 +62,7 @@ impl WorldCheckpoint {
     /// state at the newest epoch **every** rank holds.
     ///
     /// Paged (`--memory-budget`) checkpoints reference page files; those
-    /// must sit in the same directory (`rank{r}.f.p{i}.pg`) and are
+    /// must sit in the same directory (`rank{r}.f.pages`) and are
     /// re-verified against the payload's committed-prefix checksum.
     ///
     /// # Errors
@@ -262,7 +262,7 @@ impl WorldCheckpoint {
 /// files (re-verified against the payload's FNV) for the paged format.
 fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result<Vec<u64>, String> {
     let mut r = payload;
-    let header = TablePrefix::read(&mut r)?;
+    let header = TablePrefix::read(&mut r).map_err(|e| format!("rank {rank}: {e}"))?;
     let (TablePrefix::Resident { cnt: file_cnt } | TablePrefix::Paged { cnt: file_cnt, .. }) =
         header;
     if file_cnt != cnt {
@@ -272,43 +272,37 @@ fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result
         ));
     }
     let want = cnt * x;
-    let TablePrefix::Paged { fnv, .. } = header else {
+    let TablePrefix::Paged {
+        fnv, page_bytes, ..
+    } = header
+    else {
         let mut slots = Vec::with_capacity(want as usize);
         for _ in 0..want {
             slots.push(get_u64(&mut r).ok_or("truncated F table")?);
         }
         return Ok(slots);
     };
-    if want == 0 {
-        return Ok(Vec::new());
-    }
+    // Read the pages back the way a resuming run does: through a paged
+    // table, whose open applies the file's write-back journal first. A
+    // torn or foreign page reads as absent and fails the checksum below.
     let prefix = format!("rank{rank}.f");
-    let read = |page: u64| {
-        read_page_file(&page_path(dir, &prefix, page)).ok_or_else(|| {
-            format!(
-                "rank {rank}: page file {} is missing or torn (was this world \
-                 generated with --memory-budget and its store kept?)",
-                page_path(dir, &prefix, page).display()
-            )
-        })
+    let path = table_path(dir, &prefix);
+    if want > 0 && !path.is_file() {
+        return Err(format!(
+            "rank {rank}: page file {} is missing (was this world generated with \
+             --memory-budget by this build, and its store kept?)",
+            path.display()
+        ));
+    }
+    let resume = PagedSpec {
+        dir: dir.to_path_buf(),
+        budget_bytes: 0,
+        page_bytes,
+        resume: true,
     };
-    let mut slots = read(0)?;
-    let spp = slots.len() as u64;
-    if spp == 0 {
-        return Err(format!("rank {rank}: page 0 of table f is empty"));
-    }
-    for page in 1..want.div_ceil(spp) {
-        let data = read(page)?;
-        if data.len() as u64 != spp {
-            return Err(format!(
-                "rank {rank}: page {page} has {} slots where the table's \
-                 geometry says {spp}",
-                data.len()
-            ));
-        }
-        slots.extend_from_slice(&data);
-    }
-    slots.truncate(want as usize);
+    let mut table = PagedTable::open(&resume, &prefix, want, NILL)
+        .map_err(|e| format!("rank {rank}: {}: {e}", path.display()))?;
+    let slots: Vec<u64> = (0..want).map(|s| table.get(s)).collect();
     if slots_fnv(slots.iter().copied()) != fnv {
         return Err(format!(
             "rank {rank}: page files do not match the checkpoint's \
@@ -440,6 +434,33 @@ mod tests {
         // Restart reads F from page files; the new run runs resident.
         let restarted = restart(&cfg, Scheme::Rrp, 2, &o, &dir);
         assert_eq!(restarted, fresh);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_store_from_an_older_build_is_a_named_error() {
+        // Builds that kept a file per page marked their paged payloads
+        // with u64::MAX: the restart reader names them instead of reading
+        // files this build no longer writes.
+        let old = [u64::MAX, 4, 0].map(u64::to_le_bytes).concat();
+        let err = f_prefix(Path::new("/nonexistent"), 3, 4, 2, &old).unwrap_err();
+        assert!(
+            err.starts_with("rank 3: ") && err.contains("older build"),
+            "{err}"
+        );
+        // A directory holding per-page files where the page file should
+        // be fails by name too.
+        let cfg = PaConfig::new(2_000, 2).with_seed(7);
+        let o = opts(Engine::Chain, 400);
+        let dir = scratch("old_store");
+        let paged = StoreSpec::paged(&dir, 2 * 1024).with_page_bytes(256);
+        run_world(&cfg, Scheme::Rrp, 2, &o.with_store(paged), Some(&dir));
+        for rank in 0..2 {
+            let pages = table_path(&dir, &format!("rank{rank}.f"));
+            fs::rename(&pages, dir.join(format!("rank{rank}.f.p0.pg"))).unwrap();
+        }
+        let err = WorldCheckpoint::load(&dir).unwrap_err();
+        assert!(err.contains("rank0.f.pages is missing"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,67 +8,78 @@
 //!
 //! - [`ResidentTable`]: the classic `Vec<u64>` — everything in RAM,
 //!   `O(n/P)` words per rank.
-//! - [`PagedTable`]: fixed-size pages spilled to per-rank files under an
-//!   in-memory page cache bounded by a byte budget (`--memory-budget`),
-//!   so the largest generable `n` is bounded by disk, not RAM.
+//! - [`PagedTable`]: fixed-size pages spilled to one file per table
+//!   under an in-memory page cache bounded by a byte budget
+//!   (`--memory-budget`), so the largest generable `n` is bounded by
+//!   disk, not RAM.
 //!
-//! **Page files.** Each page is its own file, `{prefix}.p{index}.pg`:
-//! a magic/version header, the page index, the raw little-endian slot
-//! words, and a trailing word-wise FNV-1a checksum
-//! ([`Fnv1a::hash_words`]). Pages are written to a `.tmp` sibling,
-//! then renamed — the same atomicity discipline as
-//! [`crate::par::CheckpointStore`] — so a crash mid-write never leaves a
-//! half page under a valid name, and a torn, foreign or older-version
-//! page fails its checks and **reads as absent** (every slot the fill
-//! value) rather than as garbage. The `flush` barrier fsyncs every page
-//! written since the last one, then the directory, so the renames a
-//! checkpoint relies on are durable too.
+//! **The page file.** A table lives in one file, `{prefix}.pages`, of
+//! equal slots, each one sealed page image: a magic/version header, the
+//! page index, the raw little-endian slot words, and a trailing
+//! four-lane FNV-1a checksum ([`Fnv1a::hash_words`]). Page `p` lives in
+//! slot `p + 1`; slot 0 is a one-page **write-back journal**. A
+//! write-back writes the image to the journal, then to the page's slot,
+//! so a kill at any byte leaves one of the two whole, and a whole
+//! journal holds the newest image of its page: a resuming open applies
+//! it in place first, and a page reads back as its old or its new
+//! image, never as absent because of a torn write-back. A torn, foreign
+//! or older-version image fails its checks and **reads as absent**
+//! (every slot the fill value) rather than as garbage. The file is
+//! created at the first write-back; the `flush` barrier writes back the
+//! dirty frames, syncs the file once, then the directory.
 //!
 //! **Eviction.** The cache runs clock / second-chance: each frame has a
 //! reference bit set on access; the clock hand clears bits until it
 //! finds an unreferenced frame, writes it back if dirty, and reuses it.
 //! The budget buys `max(2, budget / page_bytes)` frames; the page index
 //! beside them ([`INDEX_BYTES_PER_PAGE`] per page of the whole table)
-//! is not counted against it. A fault reads
-//! the file into one reused page image and decodes it into the frame's
-//! own buffer, so once every frame exists a fault allocates nothing.
+//! is not counted against it. Each frame holds its page as the image
+//! the file slot holds: a fault is one positioned read into the frame,
+//! and a write-back seals the frame in place, so once every frame
+//! exists a fault neither allocates nor copies a page.
 //!
 //! **Checkpoints.** A resident table serializes its committed prefix
 //! into the checkpoint payload verbatim (the historical format). A
-//! paged table instead *references* its page files: the payload stores a
-//! sentinel, the node count, and an FNV-1a checksum over the committed
-//! prefix (see `write_table_prefix`). Committed slots are write-once,
-//! and page replacement is atomic, so a *newer* version of a page always
-//! agrees with an older epoch's checkpoint on every slot below that
-//! epoch's cut — the prefix checksum re-verified on restore
-//! (`read_table_prefix`) is exactly the torn-page detector.
+//! paged table instead *references* its page file: the payload stores a
+//! sentinel, the node count, an FNV-1a checksum over the committed
+//! prefix and the page size (see `write_table_prefix`). Committed slots
+//! are write-once, and a page reads back whole or as absent, so a
+//! *newer* image of a page always agrees with an older epoch's
+//! checkpoint on every slot below that epoch's cut — the prefix
+//! checksum re-verified on restore (`read_table_prefix`) is exactly the
+//! torn-page detector.
 
 use pa_graph::io::Fnv1a;
 use pa_mpsim::wire::{get_u32, get_u64, take};
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Magic number at the head of every page file (`"PAPG"`).
+/// Magic number at the head of every page image (`"PAPG"`).
 const PAGE_MAGIC: u32 = 0x4750_4150;
-/// Page-file format version. Version 2 seals pages with the word-wise
-/// [`Fnv1a::hash_words`]; a version-1 page (bytewise FNV-1a) reads as
-/// absent.
-const PAGE_VERSION: u32 = 2;
-/// Bytes of page-file framing around the slot words
-/// (magic + version + page index + trailing checksum).
-const PAGE_OVERHEAD: usize = 4 + 4 + 8 + 8;
+/// Page-image format version. Version 3 seals pages with the four-lane
+/// [`Fnv1a::hash_words`] in one file per table; a version-1 or -2 image
+/// reads as absent.
+const PAGE_VERSION: u32 = 3;
+/// Bytes of page-image header before the slot words
+/// (magic + version + page index).
+const PAGE_HEADER: usize = 4 + 4 + 8;
+/// Bytes of page-image framing around the slot words (header + trailing
+/// checksum).
+const PAGE_OVERHEAD: usize = PAGE_HEADER + 8;
 
-/// Page size when none is given. On a disk-backed store directory 16 KiB
-/// was the fastest page at every budget measured (1, 4 and 16 MiB):
-/// smaller pages pay a file create and rename per write-back more often,
-/// larger ones read more per fault than the cache uses.
-pub const DEFAULT_PAGE_BYTES: usize = 16 << 10;
+/// Page size when none is given. A fault reads one page and a
+/// write-back writes it twice, each one positioned call on an open
+/// file, so a page costs its bytes, not a file operation: 4 KiB (the OS
+/// page) beat 8 and 16 KiB on ext4 and on tmpfs at 1, 4 and 16 MiB
+/// budgets, and 2 KiB did no better (EXPERIMENTS.md, "One file per
+/// paged table").
+pub const DEFAULT_PAGE_BYTES: usize = 4 << 10;
 
 /// Bytes of page index a paged table keeps per page of its table, beside
-/// the budgeted frames: the page → frame map (`u32`) and the unsynced
-/// mark (`bool`).
-pub const INDEX_BYTES_PER_PAGE: u64 = (size_of::<u32>() + size_of::<bool>()) as u64;
+/// the budgeted frames: the page → frame map (`u32`).
+pub const INDEX_BYTES_PER_PAGE: u64 = size_of::<u32>() as u64;
 
 /// Fsync directory `dir`, so the renames and removals inside it survive
 /// a power loss — a file's own fsync does not cover its name.
@@ -83,8 +94,11 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
 
 /// First payload word of a paged-table checkpoint prefix. A resident
 /// payload starts with the committed node count, which is at most `n`,
-/// so `u64::MAX` can never be mistaken for one.
-const PAGED_PAYLOAD_MARK: u64 = u64::MAX;
+/// so neither mark can be mistaken for one.
+const PAGED_PAYLOAD_MARK: u64 = u64::MAX - 1;
+/// First payload word of a paged prefix from builds before the one-file
+/// layout: its slots are in per-page files, which this build cannot read.
+const PER_PAGE_FILES_PAYLOAD_MARK: u64 = u64::MAX;
 
 /// FNV-1a over the little-endian bytes of `slots` — the committed-prefix
 /// checksum a paged checkpoint records and elastic restart re-verifies.
@@ -223,8 +237,8 @@ pub trait NodeTable {
     }
 
     /// Reset every slot at or above `slot` to the fill value. A paged
-    /// table also *deletes* page files wholly above the boundary, so a
-    /// restore cannot observe stale state from a later epoch.
+    /// table also *cuts* the pages wholly above the boundary off its
+    /// file, so a restore cannot observe stale state from a later epoch.
     fn reset_from(&mut self, slot: u64);
 }
 
@@ -284,55 +298,33 @@ const NO_FRAME: u32 = u32::MAX;
 /// `PageFrame::page` of a frame that holds no page.
 const NO_PAGE: u64 = u64::MAX;
 
-/// One cached page. Its buffer lives as long as the table.
+/// One cached page. Its buffer, one file slot long, lives as long as the
+/// table: a load reads the page's image into it, a write-back seals it
+/// in place and writes it out.
 struct PageFrame {
     page: u64,
-    data: Vec<u64>,
+    image: Vec<u8>,
     dirty: bool,
     referenced: bool,
 }
 
-/// What a fault works in: one page-file image, reused by every
-/// write-back and load, and the paths of one page file and its `.tmp`
-/// sibling, rebuilt in place — so that a fault allocates nothing. Boxed
-/// in the table, since only a fault touches it.
-struct PageIo {
-    image: Vec<u8>,
-    name: String,
-    page: PathBuf,
-    tmp: PathBuf,
-}
-
-impl PageIo {
-    fn new(dir: &Path, prefix: &str, spp: usize) -> Self {
-        // Start from the longest name this table can have, so the
-        // buffers never grow.
-        let longest = format!("{prefix}.p{}.pg.tmp", u64::MAX);
-        PageIo {
-            image: Vec::with_capacity(PAGE_OVERHEAD + spp * 8),
-            page: dir.join(&longest),
-            tmp: dir.join(&longest),
-            name: longest,
-        }
-    }
-
-    /// Point both paths at page `page` of table `prefix`.
-    fn set(&mut self, prefix: &str, page: u64) {
-        use std::fmt::Write as _;
-        self.name.clear();
-        let _ = write!(self.name, "{prefix}.p{page}.pg");
-        self.page.set_file_name(&self.name);
-        self.name.push_str(".tmp");
-        self.tmp.set_file_name(&self.name);
+impl PageFrame {
+    /// The page's slot words, little-endian, between header and trailer.
+    fn words(&mut self) -> &mut [[u8; 8]] {
+        let end = self.image.len() - 8;
+        self.image[PAGE_HEADER..end].as_chunks_mut().0
     }
 }
 
-/// A node table spilled to fixed-size page files under a byte-budgeted
-/// clock cache (see the module docs for the layout and the durability
+/// A node table spilled to one page file under a byte-budgeted clock
+/// cache (see the module docs for the layout and the durability
 /// argument).
 pub struct PagedTable {
-    dir: PathBuf,
-    prefix: String,
+    /// The page file, `{dir}/{prefix}.pages`.
+    path: PathBuf,
+    /// Open once the file exists: at the first write-back, or at a
+    /// resuming open that finds it.
+    file: Option<fs::File>,
     len: u64,
     /// Slot words per page.
     spp: usize,
@@ -342,25 +334,17 @@ pub struct PagedTable {
     nframes: usize,
     frames: Vec<PageFrame>,
     /// `page_frame[page]`: the frame holding `page`, or [`NO_FRAME`].
-    /// Dense and sized at open: with `unsynced`, the
-    /// [`INDEX_BYTES_PER_PAGE`] a table keeps outside its budget.
+    /// Dense and sized at open: the [`INDEX_BYTES_PER_PAGE`] a table
+    /// keeps outside its budget.
     page_frame: Vec<u32>,
     /// Clock hand for second-chance eviction.
     hand: usize,
-    /// `unsynced[page]`: written back without fsync since the last
-    /// `flush` barrier. Eviction skips fsync — a torn eviction write
-    /// fails its checksum and reads as absent, which only matters once a
-    /// checkpoint references the page, so durability is settled
-    /// wholesale at the `flush` barrier instead of once per eviction.
-    unsynced: Vec<bool>,
-    io: Box<PageIo>,
 }
 
 impl std::fmt::Debug for PagedTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedTable")
-            .field("dir", &self.dir)
-            .field("prefix", &self.prefix)
+            .field("path", &self.path)
             .field("len", &self.len)
             .field("slots_per_page", &self.spp)
             .field("nframes", &self.nframes)
@@ -369,13 +353,13 @@ impl std::fmt::Debug for PagedTable {
     }
 }
 
-/// Path of page `page` of table `prefix` inside `dir`.
-pub fn page_path(dir: &Path, prefix: &str, page: u64) -> PathBuf {
-    dir.join(format!("{prefix}.p{page}.pg"))
+/// Path of table `prefix`'s page file inside `dir`.
+pub fn table_path(dir: &Path, prefix: &str) -> PathBuf {
+    dir.join(format!("{prefix}.pages"))
 }
 
 /// The body of a file sealed with a trailing `digest` of everything
-/// before it (page files: [`Fnv1a::hash_words`]; checkpoints:
+/// before it (page images: [`Fnv1a::hash_words`]; checkpoints:
 /// [`Fnv1a::hash`]); `None` if short or mismatched.
 pub(crate) fn checksummed_body(buf: &[u8], digest: fn(&[u8]) -> u64) -> Option<&[u8]> {
     let r = &mut &buf[..];
@@ -383,60 +367,80 @@ pub(crate) fn checksummed_body(buf: &[u8], digest: fn(&[u8]) -> u64) -> Option<&
     (digest(body) == get_u64(r)?).then_some(body)
 }
 
-/// The slot words of page image `buf`, or `None` unless its checksum,
-/// magic, version and header index (against `page`) all check out and
-/// the words fill the body exactly.
-fn page_words(buf: &[u8], page: u64) -> Option<&[[u8; 8]]> {
+/// The page index in the header of page image `buf`, or `None` unless
+/// its checksum, magic and version all check out.
+fn sealed_page(buf: &[u8]) -> Option<u64> {
     let mut r = checksummed_body(buf, Fnv1a::hash_words)?;
-    if get_u32(&mut r)? != PAGE_MAGIC
-        || get_u32(&mut r)? != PAGE_VERSION
-        || get_u64(&mut r)? != page
-    {
+    if get_u32(&mut r)? != PAGE_MAGIC || get_u32(&mut r)? != PAGE_VERSION {
         return None;
     }
-    let (words, rest) = r.as_chunks::<8>();
-    rest.is_empty().then_some(words)
+    get_u64(&mut r)
 }
 
-/// Fill `buf` from the file at `path`, which must hold exactly
-/// `buf.len()` bytes; `None` if it is missing, shorter or longer.
-fn read_exact_file(path: &Path, buf: &mut [u8]) -> Option<()> {
-    let mut f = fs::File::open(path).ok()?;
-    f.read_exact(buf).ok()?;
-    (f.read(&mut [0; 1]).ok()? == 0).then_some(())
+/// Open page file `path` for positioned reads and writes.
+fn open_rw(path: &Path, create: bool) -> io::Result<fs::File> {
+    let mut options = fs::File::options();
+    options
+        .read(true)
+        .write(true)
+        .create(create)
+        .truncate(false)
+        .open(path)
 }
 
-/// Read and verify one page file: `None` on any defect — missing file,
-/// short read, wrong magic/version, index mismatch with the file name's
-/// `pN`, or checksum failure. The slot count is derived from the file
-/// length, so foreign-geometry pages still parse (callers validate the
-/// count).
-pub fn read_page_file(path: &Path) -> Option<Vec<u64>> {
-    // The index in the header must agree with the one in the file name —
-    // a page renamed (or copied) under the wrong name must not load.
-    let page = path
-        .file_name()?
-        .to_str()?
-        .strip_suffix(".pg")
-        .and_then(|s| s.rsplit(".p").next())
-        .and_then(|s| s.parse().ok())?;
-    let buf = fs::read(path).ok()?;
-    let words = page_words(&buf, page)?;
-    Some(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+/// The page the write-back journal of page file `file` holds a whole
+/// image of, read into `image` (one slot long); `None` if it holds none.
+fn journal_page(file: &fs::File, image: &mut [u8]) -> Option<u64> {
+    file.read_exact_at(image, 0).ok()?;
+    sealed_page(image)
+}
+
+/// Apply the write-back journal of page file `file` in place: write a
+/// whole image of a page below `npages` to that page's slot. A whole
+/// journal holds the newest image of its page, so this only completes a
+/// write-back that a kill cut short.
+fn apply_journal(file: &fs::File, image: &mut [u8], npages: u64) -> io::Result<()> {
+    match journal_page(file, image) {
+        Some(page) if page < npages => file.write_all_at(image, (page + 1) * image.len() as u64),
+        _ => Ok(()),
+    }
+}
+
+/// Delete every page file in `dir` whose table prefix `owns` accepts,
+/// with the per-page `{prefix}.p{i}.pg` files (and their `.tmp`
+/// siblings) that builds before the one-file layout wrote.
+fn remove_table_files(dir: &Path, owns: impl Fn(&str) -> bool) -> io::Result<()> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Ok(());
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let table = name.strip_suffix(".pages").or_else(|| {
+            let page_file = name.strip_suffix(".pg").or(name.strip_suffix(".pg.tmp"))?;
+            let (table, page) = page_file.rsplit_once(".p")?;
+            page.parse::<u64>().is_ok().then_some(table)
+        });
+        if table.is_some_and(&owns) {
+            fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
 }
 
 impl PagedTable {
     /// Open (or create) a paged table of `len` slots filled with `fill`.
     ///
-    /// With `spec.resume == false`, any page files already under this
-    /// table's prefix are deleted first — a fresh run must not read a
-    /// previous run's spill. With `resume == true` they are kept and
-    /// will be re-verified page by page as the cache faults them in.
+    /// With `spec.resume == false`, any page file already under this
+    /// table's prefix is deleted first — a fresh run must not read a
+    /// previous run's spill. With `resume == true` it is kept, its
+    /// journal applied, and its pages re-verified one by one as the
+    /// cache faults them in.
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created or stale pages cannot
-    /// be removed.
+    /// Fails if the directory cannot be created, stale files cannot be
+    /// removed, or a kept page file cannot be opened or repaired.
     pub fn open(spec: &PagedSpec, prefix: &str, len: u64, fill: u64) -> io::Result<Self> {
         fs::create_dir_all(&spec.dir)?;
         let spp = (spec.page_bytes / 8).max(1);
@@ -444,9 +448,23 @@ impl PagedTable {
         let nframes = ((spec.budget_bytes / spec.page_bytes.max(1) as u64).max(2))
             .min(npages.max(1))
             .min(u64::from(NO_FRAME)) as usize;
-        let table = PagedTable {
-            dir: spec.dir.clone(),
-            prefix: prefix.to_string(),
+        let path = table_path(&spec.dir, prefix);
+        let file = if spec.resume {
+            match open_rw(&path, false) {
+                Ok(file) => {
+                    apply_journal(&file, &mut vec![0; PAGE_OVERHEAD + spp * 8], npages)?;
+                    Some(file)
+                }
+                Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+                Err(e) => return Err(e),
+            }
+        } else {
+            remove_table_files(&spec.dir, |table| table == prefix)?;
+            None
+        };
+        Ok(PagedTable {
+            path,
+            file,
             len,
             spp,
             fill,
@@ -454,13 +472,7 @@ impl PagedTable {
             frames: Vec::with_capacity(nframes),
             page_frame: vec![NO_FRAME; npages as usize],
             hand: 0,
-            unsynced: vec![false; npages as usize],
-            io: Box::new(PageIo::new(&spec.dir, prefix, spp)),
-        };
-        if !spec.resume {
-            table.remove_files()?;
-        }
-        Ok(table)
+        })
     }
 
     /// Number of pages this table spans.
@@ -468,74 +480,37 @@ impl PagedTable {
         self.len.div_ceil(self.spp as u64)
     }
 
-    /// Delete every file under this table's prefix (pages and temps).
-    fn remove_files(&self) -> io::Result<()> {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return Ok(());
+    /// Write frame `idx`'s page back: seal its image in place, write
+    /// that to the journal, then to the page's own slot, creating the
+    /// file on the first call.
+    fn write_page(&mut self, idx: usize) -> io::Result<()> {
+        let PageFrame { page, image, .. } = &mut self.frames[idx];
+        let body = image.len() - 8;
+        image[..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
+        image[4..8].copy_from_slice(&PAGE_VERSION.to_le_bytes());
+        image[8..PAGE_HEADER].copy_from_slice(&page.to_le_bytes());
+        let sum = Fnv1a::hash_words(&image[..body]);
+        image[body..].copy_from_slice(&sum.to_le_bytes());
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self.file.insert(open_rw(&self.path, true)?),
         };
-        let head = format!("{}.p", self.prefix);
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.strip_prefix(&head).is_some_and(|rest| {
-                rest.strip_suffix(".pg")
-                    .or_else(|| rest.strip_suffix(".pg.tmp"))
-                    .is_some_and(|num| num.parse::<u64>().is_ok())
-            }) {
-                fs::remove_file(entry.path())?;
-            }
-        }
-        Ok(())
+        file.write_all_at(image, 0)?;
+        file.write_all_at(image, (*page + 1) * image.len() as u64)
     }
 
-    /// Write frame `idx`'s page: encode into the page image, write
-    /// `.tmp`, rename. With `durable` the data is fsynced before the
-    /// rename; without it the page is marked `unsynced` and settled
-    /// wholesale at the next [`NodeTable::flush`] barrier — an eviction
-    /// write that tears on crash fails its checksum and reads as absent,
-    /// which only matters once a checkpoint references the page.
-    fn write_page(&mut self, idx: usize, durable: bool) -> io::Result<()> {
-        let frame = &self.frames[idx];
-        let io = &mut *self.io;
-        io.image.clear();
-        io.image.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
-        io.image.extend_from_slice(&PAGE_VERSION.to_le_bytes());
-        io.image.extend_from_slice(&frame.page.to_le_bytes());
-        for &v in &frame.data {
-            io.image.extend_from_slice(&v.to_le_bytes());
-        }
-        let sum = Fnv1a::hash_words(&io.image);
-        io.image.extend_from_slice(&sum.to_le_bytes());
-        io.set(&self.prefix, frame.page);
-        {
-            let mut f = fs::File::create(&io.tmp)?;
-            f.write_all(&io.image)?;
-            if durable {
-                f.sync_all()?;
-            }
-        }
-        fs::rename(&io.tmp, &io.page)?;
-        self.unsynced[frame.page as usize] = !durable;
-        Ok(())
-    }
-
-    /// Load page `page` into frame `idx`: its file's slots, or the fill
-    /// value when the file is absent, torn, of another version, or of
-    /// another geometry.
+    /// Load page `page` into frame `idx`: its slot's image, or the fill
+    /// value in every word when the slot is absent, torn, of another
+    /// version, or of another page.
     fn load_page(&mut self, page: u64, idx: usize) {
-        let io = &mut *self.io;
-        io.set(&self.prefix, page);
-        io.image.resize(PAGE_OVERHEAD + self.spp * 8, 0);
-        let data = &mut self.frames[idx].data;
-        let words =
-            read_exact_file(&io.page, &mut io.image).and_then(|()| page_words(&io.image, page));
-        match words {
-            Some(words) if words.len() == data.len() => {
-                for (slot, w) in data.iter_mut().zip(words) {
-                    *slot = u64::from_le_bytes(*w);
-                }
-            }
-            _ => data.fill(self.fill),
+        let frame = &mut self.frames[idx];
+        let at = (page + 1) * frame.image.len() as u64;
+        let loaded = self.file.as_ref().is_some_and(|file| {
+            file.read_exact_at(&mut frame.image, at).is_ok()
+                && sealed_page(&frame.image) == Some(page)
+        });
+        if !loaded {
+            frame.words().fill(self.fill.to_le_bytes());
         }
     }
 
@@ -559,7 +534,7 @@ impl PagedTable {
         let idx = if self.frames.len() < self.nframes {
             self.frames.push(PageFrame {
                 page: NO_PAGE,
-                data: vec![self.fill; self.spp],
+                image: vec![0; PAGE_OVERHEAD + self.spp * 8],
                 dirty: false,
                 referenced: false,
             });
@@ -581,9 +556,8 @@ impl PagedTable {
         let old = self.frames[idx].page;
         if old != NO_PAGE {
             if self.frames[idx].dirty {
-                self.write_page(idx, false).unwrap_or_else(|e| {
-                    panic!("paged table {}: writing page {old}: {e}", self.prefix)
-                });
+                self.write_page(idx)
+                    .unwrap_or_else(|e| panic!("{}: writing page {old}: {e}", self.path.display()));
             }
             self.page_frame[old as usize] = NO_FRAME;
         }
@@ -607,7 +581,7 @@ impl NodeTable for PagedTable {
         assert!(slot < self.len, "slot {slot} out of range {}", self.len);
         let (page, off) = (slot / self.spp as u64, (slot % self.spp as u64) as usize);
         let idx = self.frame_of(page);
-        self.frames[idx].data[off]
+        u64::from_le_bytes(self.frames[idx].words()[off])
     }
 
     #[inline]
@@ -616,32 +590,25 @@ impl NodeTable for PagedTable {
         let (page, off) = (slot / self.spp as u64, (slot % self.spp as u64) as usize);
         let idx = self.frame_of(page);
         let frame = &mut self.frames[idx];
-        frame.data[off] = v;
+        frame.words()[off] = v.to_le_bytes();
         frame.dirty = true;
     }
 
     fn flush(&mut self) -> io::Result<()> {
         for i in 0..self.frames.len() {
             if self.frames[i].dirty {
-                self.write_page(i, true)?;
+                self.write_page(i)?;
                 self.frames[i].dirty = false;
             }
         }
-        // Settle every page evicted without fsync since the last
-        // barrier, then the directory that names them, so a checkpoint
-        // taken after this flush references only durable pages.
-        for page in 0..self.unsynced.len() {
-            if !std::mem::take(&mut self.unsynced[page]) {
-                continue;
-            }
-            self.io.set(&self.prefix, page as u64);
-            match fs::File::open(&self.io.page) {
-                Ok(f) => f.sync_all()?,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        sync_dir(&self.dir)
+        // One sync settles every write-back since the last barrier, and
+        // the directory sync the file's name, so a checkpoint taken
+        // after this flush references only durable pages.
+        let Some(file) = &self.file else {
+            return Ok(());
+        };
+        file.sync_data()?;
+        sync_dir(self.path.parent().expect("a page file has a directory"))
     }
 
     fn reset_from(&mut self, slot: u64) {
@@ -650,27 +617,36 @@ impl NodeTable for PagedTable {
         let boundary = slot / spp;
         if !slot.is_multiple_of(spp) && boundary < self.npages() {
             let idx = self.frame_of(boundary);
-            let fill = self.fill;
+            let fill = self.fill.to_le_bytes();
             let frame = &mut self.frames[idx];
-            frame.data[(slot % spp) as usize..].fill(fill);
+            frame.words()[(slot % spp) as usize..].fill(fill);
             frame.dirty = true;
         }
-        // ... and delete every page wholly at or above the cut, both
-        // the cached frames and the files.
+        // ... and drop every page wholly at or above the cut: the
+        // cached frames, freed without write-back ...
         let first_dead = slot.div_ceil(spp);
         for page in first_dead..self.npages() {
             let idx = std::mem::replace(&mut self.page_frame[page as usize], NO_FRAME);
             if idx != NO_FRAME {
-                // Free the frame without write-back; the next fault
-                // into it overwrites its data.
                 let frame = &mut self.frames[idx as usize];
                 frame.dirty = false;
                 frame.referenced = false;
                 frame.page = NO_PAGE;
             }
-            self.io.set(&self.prefix, page);
-            let _ = fs::remove_file(&self.io.page);
-            self.unsynced[page as usize] = false;
+        }
+        // ... and their slots, cut off the file. A journal naming a cut
+        // page is cleared first: the next resume would write it back.
+        if let Some(file) = &self.file {
+            let slot_bytes = (PAGE_OVERHEAD + self.spp * 8) as u64;
+            let cleared = match journal_page(file, &mut vec![0; slot_bytes as usize]) {
+                Some(page) if page >= first_dead => file.write_all_at(&[0; 8], 0),
+                _ => Ok(()),
+            };
+            cleared
+                .and_then(|()| file.set_len((first_dead + 1) * slot_bytes))
+                .unwrap_or_else(|e| {
+                    panic!("{}: cutting page {first_dead}: {e}", self.path.display())
+                });
         }
     }
 }
@@ -775,9 +751,9 @@ impl NodeTable for AnyTable {
 /// node) into a checkpoint payload.
 ///
 /// Resident: `[cnt, slot values...]` — the historical format, unchanged.
-/// Paged: `[PAGED_PAYLOAD_MARK, cnt, prefix FNV]` — the slots stay in
-/// the page files; the table is flushed durably first so the checkpoint
-/// never references pages newer than disk.
+/// Paged: `[PAGED_PAYLOAD_MARK, cnt, prefix FNV, page bytes]` — the
+/// slots stay in the page file; the table is flushed durably first so
+/// the checkpoint never references pages newer than disk.
 pub(crate) fn write_table_prefix(t: &mut AnyTable, cnt: u64, spn: u64, out: &mut Vec<u8>) {
     let prefix = cnt * spn;
     match t {
@@ -787,37 +763,58 @@ pub(crate) fn write_table_prefix(t: &mut AnyTable, cnt: u64, spn: u64, out: &mut
                 out.extend_from_slice(&t.get(s).to_le_bytes());
             }
         }
-        AnyTable::Paged(_) => {
+        AnyTable::Paged(p) => {
+            let page_bytes = p.spp as u64 * 8;
             t.flush()
                 .unwrap_or_else(|e| panic!("paged table flush failed while checkpointing: {e}"));
-            out.extend_from_slice(&PAGED_PAYLOAD_MARK.to_le_bytes());
-            out.extend_from_slice(&cnt.to_le_bytes());
-            out.extend_from_slice(&t.prefix_fnv(prefix).to_le_bytes());
+            for word in [PAGED_PAYLOAD_MARK, cnt, t.prefix_fnv(prefix), page_bytes] {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
         }
     }
 }
 
 /// The header [`write_table_prefix`] opens a payload with: the committed
 /// node count, plus — for a paged table, whose slots stay in the page
-/// files — the FNV of the committed prefix.
+/// file — the FNV of the committed prefix and the page size.
 pub(crate) enum TablePrefix {
     /// `[cnt, slot values...]`: the slots follow inline.
     Resident { cnt: u64 },
-    /// `[PAGED_PAYLOAD_MARK, cnt, fnv]`.
-    Paged { cnt: u64, fnv: u64 },
+    /// `[PAGED_PAYLOAD_MARK, cnt, fnv, page_bytes]`.
+    Paged {
+        cnt: u64,
+        fnv: u64,
+        page_bytes: usize,
+    },
 }
 
 impl TablePrefix {
     /// Parse the header, advancing `r` past it.
     pub(crate) fn read(r: &mut &[u8]) -> Result<TablePrefix, String> {
         let first = get_u64(r).ok_or("truncated checkpoint payload")?;
+        if first == PER_PAGE_FILES_PAYLOAD_MARK {
+            return Err(
+                "the checkpoint references the per-page `.pg` files of an older \
+                        build, which this build does not read"
+                    .to_string(),
+            );
+        }
         if first != PAGED_PAYLOAD_MARK {
             return Ok(TablePrefix::Resident { cnt: first });
         }
-        Ok(TablePrefix::Paged {
-            cnt: get_u64(r).ok_or("truncated paged checkpoint payload")?,
-            fnv: get_u64(r).ok_or("truncated paged checkpoint checksum")?,
-        })
+        let cnt = get_u64(r).ok_or("truncated paged checkpoint payload")?;
+        let fnv = get_u64(r).ok_or("truncated paged checkpoint checksum")?;
+        let bytes = get_u64(r).ok_or("truncated paged checkpoint page size")?;
+        match usize::try_from(bytes) {
+            Ok(page_bytes) if page_bytes > 0 && page_bytes.is_multiple_of(8) => {
+                Ok(TablePrefix::Paged {
+                    cnt,
+                    fnv,
+                    page_bytes,
+                })
+            }
+            _ => Err(format!("paged checkpoint names a page size of {bytes} B")),
+        }
     }
 }
 
@@ -827,9 +824,10 @@ impl TablePrefix {
 ///
 /// A resident-format payload loads into **either** table kind (that is
 /// how elastic restart feeds re-partitioned state into a paged run). A
-/// paged-format payload requires a paged table over the same directory:
-/// the prefix is re-read through the cache and its FNV must match —
-/// a torn, lost, or foreign page surfaces here as a checksum mismatch.
+/// paged-format payload requires a paged table over the same directory
+/// and page size: the prefix is re-read through the cache and its FNV
+/// must match — a torn, lost, or foreign page surfaces here as a
+/// checksum mismatch.
 pub(crate) fn read_table_prefix(
     t: &mut AnyTable,
     expect_cnt: u64,
@@ -845,14 +843,21 @@ pub(crate) fn read_table_prefix(
     }
     let prefix = cnt * spn;
     match header {
-        TablePrefix::Paged { fnv, .. } => {
-            let AnyTable::Paged(_) = t else {
+        TablePrefix::Paged {
+            fnv, page_bytes, ..
+        } => {
+            let AnyTable::Paged(p) = t else {
                 return Err(
                     "checkpoint was taken with --memory-budget (it references page files); \
                      resume with the same --memory-budget/--store-dir"
                         .to_string(),
                 );
             };
+            if p.spp * 8 != page_bytes {
+                return Err(format!(
+                    "checkpoint's pages are {page_bytes} B; resume with --page-bytes {page_bytes}"
+                ));
+            }
             if t.prefix_fnv(prefix) != fnv {
                 return Err(
                     "page files do not match the checkpoint's committed-prefix checksum \
@@ -872,20 +877,12 @@ pub(crate) fn read_table_prefix(
     Ok(())
 }
 
-/// Delete every page file (and temp) belonging to `rank` inside `dir` —
-/// the page-file analogue of [`crate::par::CheckpointStore::clear`].
+/// Delete every page file belonging to `rank` inside `dir`, with the
+/// per-page files older builds left — the page-file analogue of
+/// [`crate::par::CheckpointStore::clear`].
 pub fn clean_rank_pages(dir: &Path, rank: usize) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
     let head = format!("rank{rank}.");
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with(&head) && (name.ends_with(".pg") || name.ends_with(".pg.tmp")) {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
+    let _ = remove_table_files(dir, |table| table.starts_with(&head));
 }
 
 #[cfg(test)]
@@ -893,6 +890,8 @@ mod tests {
     use super::*;
 
     const FILL: u64 = u64::MAX;
+    /// Bytes of one file slot under [`tiny_spec`]'s 4-slot pages.
+    const SLOT: usize = PAGE_OVERHEAD + 32;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pa_store_{tag}_{}", std::process::id()));
@@ -907,6 +906,18 @@ mod tests {
             page_bytes: 32, // 4 slots per page
             resume: false,
         }
+    }
+
+    fn resume(spec: PagedSpec) -> PagedSpec {
+        PagedSpec {
+            resume: true,
+            ..spec
+        }
+    }
+
+    /// File slot `slot` of page file `bytes` (slot 0 is the journal).
+    fn slot(bytes: &[u8], slot: usize) -> &[u8] {
+        &bytes[slot * SLOT..(slot + 1) * SLOT]
     }
 
     /// Deterministic LCG, good enough to drive access patterns.
@@ -955,14 +966,30 @@ mod tests {
         }
         t.flush().unwrap();
         drop(t);
-        let spec = PagedSpec {
-            resume: true,
-            ..tiny_spec(&dir, 64)
-        };
-        let mut t = PagedTable::open(&spec, "rank1.f", len, FILL).unwrap();
+        let mut t = PagedTable::open(&resume(tiny_spec(&dir, 64)), "rank1.f", len, FILL).unwrap();
         for s in 0..len {
             assert_eq!(t.get(s), s * 3 + 1);
         }
+        // One file for the whole table, no per-page files.
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, ["rank1.f.pages"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_table_that_never_evicts_writes_no_file() {
+        let dir = scratch("nofile");
+        let mut t = PagedTable::open(&tiny_spec(&dir, 1 << 10), "rank0.f", 16, FILL).unwrap();
+        for s in 0..16 {
+            t.set(s, s);
+        }
+        assert!(!table_path(&dir, "rank0.f").exists());
+        t.flush().unwrap();
+        assert!(table_path(&dir, "rank0.f").exists(), "flush writes back");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -974,13 +1001,23 @@ mod tests {
         t.set(3, 99);
         t.flush().unwrap();
         drop(t);
-        // resume: false wipes the prefix's files.
+        // What an older build left: a page file per page, and a temp.
+        let stale = ["rank0.f.p0.pg", "rank0.f.p3.pg.tmp"];
+        for name in stale {
+            fs::write(dir.join(name), b"old").unwrap();
+        }
+        fs::write(dir.join("rank0.g.p0.pg"), b"old").unwrap();
+        // resume: false wipes the prefix's files, old and new.
         let mut t = PagedTable::open(&tiny_spec(&dir, 64), "rank0.f", len, FILL).unwrap();
         assert_eq!(t.get(3), FILL, "stale page must not survive a fresh open");
+        for name in stale {
+            assert!(!dir.join(name).exists(), "{name} survived");
+        }
+        assert!(dir.join("rank0.g.p0.pg").exists(), "another table's file");
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A page file image built by hand: header, slots, and a trailer of
+    /// A page image built by hand: header, slots, and a trailer of
     /// `digest` over both.
     fn page_image(version: u32, page: u64, slots: &[u64], digest: fn(&[u8]) -> u64) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -995,42 +1032,132 @@ mod tests {
         buf
     }
 
-    #[test]
-    fn torn_page_reads_as_absent() {
-        let dir = scratch("torn");
-        let len = 12;
-        let mut t = PagedTable::open(&tiny_spec(&dir, 64), "rank0.f", len, FILL).unwrap();
-        for s in 0..len {
+    /// The single-lane word-wise FNV-1a that sealed version-2 pages.
+    fn single_lane_words(bytes: &[u8]) -> u64 {
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut h = Fnv1a::from_digest(words.iter().fold(Fnv1a::OFFSET_BASIS, |h, w| {
+            let h = (h ^ u64::from_le_bytes(*w)).wrapping_mul(Fnv1a::PRIME);
+            h ^ (h >> 32)
+        }));
+        h.update(tail);
+        h.digest()
+    }
+
+    /// Write the 12 slots `1000..1012` over three pages and flush, then
+    /// rewrite page 2 so the journal holds it; the file's bytes.
+    fn three_pages(dir: &Path) -> Vec<u8> {
+        let mut t = PagedTable::open(&tiny_spec(dir, 64), "rank0.f", 12, FILL).unwrap();
+        for s in 0..12 {
             t.set(s, 1000 + s);
         }
         t.flush().unwrap();
-        drop(t);
-        // Corrupt page 1 (slots 4..8) at every byte position in turn:
-        // header, slots and trailer alike.
-        let p1 = page_path(&dir, "rank0.f", 1);
-        let good = fs::read(&p1).unwrap();
-        assert_eq!(
-            good,
-            page_image(2, 1, &[1004, 1005, 1006, 1007], Fnv1a::hash_words)
-        );
-        let spec = PagedSpec {
-            resume: true,
-            ..tiny_spec(&dir, 64)
-        };
-        for at in 0..good.len() {
+        t.set(8, 1008);
+        t.flush().unwrap();
+        let bytes = fs::read(table_path(dir, "rank0.f")).unwrap();
+        assert_eq!(bytes.len(), 4 * SLOT);
+        for page in 0..3 {
+            let want: Vec<u64> = (0..4).map(|i| 1000 + 4 * page + i).collect();
+            let image = page_image(3, page, &want, Fnv1a::hash_words);
+            assert_eq!(slot(&bytes, page as usize + 1), image, "page {page}");
+        }
+        assert_eq!(slot(&bytes, 0), slot(&bytes, 3), "journal holds page 2");
+        bytes
+    }
+
+    /// Resume the table [`three_pages`] wrote after `bytes` replaced its
+    /// file, and read all 12 slots.
+    fn resumed_slots(dir: &Path, bytes: &[u8]) -> Vec<u64> {
+        fs::write(table_path(dir, "rank0.f"), bytes).unwrap();
+        let spec = resume(tiny_spec(dir, 64));
+        let mut t = PagedTable::open(&spec, "rank0.f", 12, FILL).unwrap();
+        (0..12).map(|s| t.get(s)).collect()
+    }
+
+    #[test]
+    fn torn_page_reads_as_absent() {
+        let dir = scratch("torn");
+        let good = three_pages(&dir);
+        // Corrupt page 1 (slots 4..8, file slot 2) at every byte position
+        // in turn: header, slots and trailer alike. The journal holds
+        // page 2, so nothing repairs it.
+        for at in 2 * SLOT..3 * SLOT {
             let mut bytes = good.clone();
             bytes[at] ^= 0xff;
-            fs::write(&p1, &bytes).unwrap();
-            let mut t = PagedTable::open(&spec, "rank0.f", len, FILL).unwrap();
-            for s in 0..4 {
-                assert_eq!(t.get(s), 1000 + s, "page 0 intact (flip at {at})");
+            let got = resumed_slots(&dir, &bytes);
+            for s in 0..12 {
+                let want = if (4..8).contains(&s) { FILL } else { 1000 + s };
+                assert_eq!(got[s as usize], want, "flip at byte {at}, slot {s}");
             }
-            for s in 4..8 {
-                assert_eq!(t.get(s), FILL, "flip at byte {at} reads as absent (fill)");
-            }
-            for s in 8..12 {
-                assert_eq!(t.get(s), 1000 + s, "page 2 intact (flip at {at})");
-            }
+        }
+        // A torn journal is not applied, and the pages stand.
+        for at in 0..SLOT {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0xff;
+            let got = resumed_slots(&dir, &bytes);
+            assert_eq!(
+                got,
+                (1000..1012).collect::<Vec<_>>(),
+                "journal flip at {at}"
+            );
+        }
+        // A torn slot of the page the journal holds is repaired.
+        let mut bytes = good.clone();
+        bytes[3 * SLOT + 20] ^= 0xff;
+        assert_eq!(
+            resumed_slots(&dir, &bytes),
+            (1000..1012).collect::<Vec<_>>()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Simulate a kill after the first `written` bytes of the write-back
+    /// that took page file `before` to `after`: the journal (file slot
+    /// 0) is written first, then file slot `target`.
+    fn killed_write_back(before: &[u8], after: &[u8], target: usize, written: usize) -> Vec<u8> {
+        let mut bytes = before.to_vec();
+        let journal = written.min(SLOT);
+        bytes[..journal].copy_from_slice(&after[..journal]);
+        let in_place = written.saturating_sub(SLOT);
+        let at = target * SLOT;
+        bytes[at..at + in_place].copy_from_slice(&after[at..at + in_place]);
+        bytes
+    }
+
+    /// Page 0 of [`three_pages`]' table rewritten to `2000..2004`: the
+    /// file before and after that write-back.
+    fn rewrite_page_0(dir: &Path) -> (Vec<u8>, Vec<u8>) {
+        let before = three_pages(dir);
+        let spec = resume(tiny_spec(dir, 64));
+        let mut t = PagedTable::open(&spec, "rank0.f", 12, FILL).unwrap();
+        for s in 0..4 {
+            t.set(s, 2000 + s);
+        }
+        t.flush().unwrap();
+        let after = fs::read(table_path(dir, "rank0.f")).unwrap();
+        assert_eq!(slot(&after, 0), slot(&after, 1), "journal holds page 0");
+        (before, after)
+    }
+
+    #[test]
+    fn whole_journal_over_a_torn_slot_resumes_the_new_image() {
+        let dir = scratch("kill_slot");
+        let (before, after) = rewrite_page_0(&dir);
+        let new: Vec<u64> = (2000..2004).chain(1004..1012).collect();
+        for written in SLOT..=2 * SLOT {
+            let bytes = killed_write_back(&before, &after, 1, written);
+            assert_eq!(resumed_slots(&dir, &bytes), new, "killed at byte {written}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_journal_over_a_whole_slot_resumes_the_old_image() {
+        let dir = scratch("kill_journal");
+        let (before, after) = rewrite_page_0(&dir);
+        let old: Vec<u64> = (1000..1012).collect();
+        for written in 0..SLOT {
+            let bytes = killed_write_back(&before, &after, 1, written);
+            assert_eq!(resumed_slots(&dir, &bytes), old, "killed at byte {written}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1039,16 +1166,17 @@ mod tests {
     fn every_one_and_two_bit_flip_of_a_page_fails_its_checks() {
         // Among the pairs: bit 63 of a slot with bit 63 of the trailer,
         // which a checksum fold that only carries upward cannot see.
-        let good = page_image(2, 1, &[1004, 1005, 1006, 1007], Fnv1a::hash_words);
-        assert!(page_words(&good, 1).is_some());
+        let good = page_image(3, 1, &[1004, 1005, 1006, 1007], Fnv1a::hash_words);
+        let loads = |buf: &[u8]| sealed_page(buf) == Some(1);
+        assert!(loads(&good));
         let bits = good.len() * 8;
         let mut bad = good.clone();
         for a in 0..bits {
             bad[a / 8] ^= 1 << (a % 8);
-            assert!(page_words(&bad, 1).is_none(), "bit {a}");
+            assert!(!loads(&bad), "bit {a}");
             for b in a + 1..bits {
                 bad[b / 8] ^= 1 << (b % 8);
-                assert!(page_words(&bad, 1).is_none(), "bits {a} and {b}");
+                assert!(!loads(&bad), "bits {a} and {b}");
                 bad[b / 8] ^= 1 << (b % 8);
             }
             bad[a / 8] ^= 1 << (a % 8);
@@ -1058,26 +1186,33 @@ mod tests {
     #[test]
     fn version_1_page_reads_as_absent() {
         let dir = scratch("v1");
-        let p0 = page_path(&dir, "rank0.f", 0);
-        fs::create_dir_all(&dir).unwrap();
         let slots = [5, 6, 7, 8];
-        // What an older build wrote: version 1 under a bytewise FNV-1a.
-        // Neither that, nor a version-1 header under a valid word-wise
-        // trailer, loads; the current format does.
+        // What older builds wrote: version 1 under a bytewise FNV-1a, and
+        // version 2 under the single-lane word-wise one. Neither those,
+        // nor an old version under a valid four-lane trailer, nor the
+        // current version under an old digest loads; the current format
+        // does — as the journal, or in page 0's own slot.
         for (version, digest, loads) in [
             (1, Fnv1a::hash as fn(&[u8]) -> u64, false),
             (1, Fnv1a::hash_words, false),
-            (2, Fnv1a::hash_words, true),
+            (2, single_lane_words, false),
+            (2, Fnv1a::hash_words, false),
+            (3, single_lane_words, false),
+            (3, Fnv1a::hash_words, true),
         ] {
-            fs::write(&p0, page_image(version, 0, &slots, digest)).unwrap();
-            assert_eq!(read_page_file(&p0).is_some(), loads, "version {version}");
-            let spec = PagedSpec {
-                resume: true,
-                ..tiny_spec(&dir, 64)
-            };
-            let mut t = PagedTable::open(&spec, "rank0.f", 4, FILL).unwrap();
-            let want = if loads { 5 } else { FILL };
-            assert_eq!(t.get(0), want, "version {version}");
+            let image = page_image(version, 0, &slots, digest);
+            assert_eq!(sealed_page(&image).is_some(), loads, "version {version}");
+            for file in [
+                [&image[..], &[0; SLOT]].concat(),
+                [&[0; SLOT], &image[..]].concat(),
+            ] {
+                fs::create_dir_all(&dir).unwrap();
+                fs::write(table_path(&dir, "rank0.f"), &file).unwrap();
+                let spec = resume(tiny_spec(&dir, 64));
+                let mut t = PagedTable::open(&spec, "rank0.f", 4, FILL).unwrap();
+                let want = if loads { 5 } else { FILL };
+                assert_eq!(t.get(0), want, "version {version}");
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1095,37 +1230,73 @@ mod tests {
         let mut payload = Vec::new();
         write_table_prefix(&mut t, cnt, spn, &mut payload);
         drop(t);
-        // The same slots, as an older build would have sealed page 0.
-        fs::write(
-            page_path(&dir, "rank0.f", 0),
+        // The same slots, as older builds would have sealed page 0, in
+        // page 0's slot (the journal holds page 1).
+        let path = table_path(&dir, "rank0.f");
+        let good = fs::read(&path).unwrap();
+        assert_eq!(slot(&good, 0), slot(&good, 2));
+        let old_images = [
             page_image(1, 0, &[30, 31, 32, 33], Fnv1a::hash),
-        )
-        .unwrap();
-        let spec = PagedSpec {
-            resume: true,
-            ..spec
-        };
-        let mut back = AnyTable::Paged(PagedTable::open(&spec, "rank0.f", len, FILL).unwrap());
-        let mut r: &[u8] = &payload;
-        let err = read_table_prefix(&mut back, cnt, spn, &mut r).unwrap_err();
-        assert!(err.contains("page files do not match"), "{err}");
+            page_image(2, 0, &[30, 31, 32, 33], single_lane_words),
+        ];
+        for image in old_images {
+            let mut bytes = good.clone();
+            bytes[SLOT..2 * SLOT].copy_from_slice(&image);
+            fs::write(&path, &bytes).unwrap();
+            let back = PagedTable::open(&resume(spec.clone()), "rank0.f", len, FILL).unwrap();
+            let mut r: &[u8] = &payload;
+            let err = read_table_prefix(&mut AnyTable::Paged(back), cnt, spn, &mut r).unwrap_err();
+            assert!(err.contains("page files do not match"), "{err}");
+        }
+        // A payload from a build that kept a file per page names them
+        // with the old mark, and is refused by name.
+        let mut old = payload.clone();
+        old[..8].copy_from_slice(&PER_PAGE_FILES_PAYLOAD_MARK.to_le_bytes());
+        let back = PagedTable::open(&resume(spec), "rank0.f", len, FILL).unwrap();
+        let mut r: &[u8] = &old;
+        let err = read_table_prefix(&mut AnyTable::Paged(back), cnt, spn, &mut r).unwrap_err();
+        assert!(err.contains("older build"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_or_extended_page_file_reads_as_none() {
         let dir = scratch("cut");
-        let mut t = PagedTable::open(&tiny_spec(&dir, 64), "rank0.f", 4, FILL).unwrap();
-        t.set(0, 7);
-        t.flush().unwrap();
-        let p0 = page_path(&dir, "rank0.f", 0);
-        let good = fs::read(&p0).unwrap();
-        assert!(read_page_file(&p0).is_some());
-        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
-        for bad in cuts.chain([[&good[..], &[0]].concat()]) {
-            fs::write(&p0, &bad).unwrap();
-            let got = read_page_file(&p0);
-            assert_eq!(got, None, "{} of {} bytes", bad.len(), good.len());
+        let mut good = three_pages(&dir);
+        // Without a journal to repair it, a page whose slot the file cuts
+        // short reads as absent, at every length, and the pages before
+        // it stand.
+        good[..SLOT].fill(0);
+        for cut in 0..good.len() {
+            let got = resumed_slots(&dir, &good[..cut]);
+            for s in 0..12u64 {
+                let whole = cut >= (s as usize / 4 + 2) * SLOT;
+                let want = if whole { 1000 + s } else { FILL };
+                assert_eq!(
+                    got[s as usize],
+                    want,
+                    "{cut} of {} bytes, slot {s}",
+                    good.len()
+                );
+            }
+        }
+        // Bytes past the last slot read nothing into the table.
+        let extended = [&good[..], &[0xff; SLOT + 3]].concat();
+        assert_eq!(
+            resumed_slots(&dir, &extended),
+            (1000..1012).collect::<Vec<_>>()
+        );
+        // Read under another page size, no slot lines up with an image.
+        fs::write(table_path(&dir, "rank0.f"), &good).unwrap();
+        for page_bytes in [24, 40] {
+            let spec = PagedSpec {
+                page_bytes,
+                ..resume(tiny_spec(&dir, 64))
+            };
+            let mut t = PagedTable::open(&spec, "rank0.f", 12, FILL).unwrap();
+            for s in 0..12 {
+                assert_eq!(t.get(s), FILL, "{page_bytes} B pages, slot {s}");
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1139,22 +1310,30 @@ mod tests {
             t.set(s, s + 7);
         }
         t.flush().unwrap();
-        // Cut mid-page: slot 6 is inside page 1 (slots 4..8).
+        // Rewrite page 4, so the journal names it.
+        t.set(17, 24);
+        t.flush().unwrap();
+        let path = table_path(&dir, "rank0.f");
+        assert_eq!(sealed_page(slot(&fs::read(&path).unwrap(), 0)).unwrap(), 4);
+        // Cut mid-page: slot 6 is inside page 1 (slots 4..8). Pages 2..5
+        // are cut off the file, and the journal naming page 4 is
+        // cleared, so a resume cannot bring page 4 back.
         t.reset_from(6);
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 3 * SLOT, "the file ends after page 1");
+        assert!(sealed_page(slot(&bytes, 0)).is_none());
         for s in 0..6 {
             assert_eq!(t.get(s), s + 7, "prefix survives");
         }
         for s in 6..len {
             assert_eq!(t.get(s), FILL, "tail cleared, slot {s}");
         }
-        assert!(
-            !page_path(&dir, "rank0.f", 2).exists(),
-            "pages wholly above the cut are deleted"
-        );
-        assert!(
-            !page_path(&dir, "rank0.f", 4).exists(),
-            "last page deleted too"
-        );
+        drop(t);
+        let mut t = PagedTable::open(&resume(tiny_spec(&dir, 64)), "rank0.f", len, FILL).unwrap();
+        for s in 8..len {
+            assert_eq!(t.get(s), FILL, "after resume, slot {s}");
+        }
+        assert_eq!(fs::metadata(&path).unwrap().len(), 3 * SLOT as u64);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1187,6 +1366,22 @@ mod tests {
             }
             for s in cnt * spn..len {
                 assert_eq!(back.get(s), FILL, "paged={paged} tail slot {s}");
+            }
+            if paged {
+                // Under another page size the same payload is refused.
+                let other = spec.clone().with_resume(true).with_page_bytes(64);
+                let mut back = AnyTable::build(&other, 0, "f", len, FILL).unwrap();
+                let mut r: &[u8] = &payload;
+                let err = read_table_prefix(&mut back, cnt, spn, &mut r).unwrap_err();
+                assert!(err.contains("--page-bytes 32"), "{err}");
+                // A page size no table can have is refused before any
+                // page is read.
+                for bad in [0u64, 12, u64::MAX] {
+                    let mut bytes = payload.clone();
+                    bytes[24..32].copy_from_slice(&bad.to_le_bytes());
+                    let err = TablePrefix::read(&mut &bytes[..]).err().unwrap();
+                    assert!(err.contains(&format!("page size of {bad} B")), "{err}");
+                }
             }
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1244,17 +1439,15 @@ mod tests {
         let mut payload = Vec::new();
         write_table_prefix(&mut any, cnt, spn, &mut payload);
         drop(any);
-        // Corrupt a page below the committed prefix, then restore.
-        let p0 = page_path(&dir, "rank0.f", 0);
-        let mut bytes = fs::read(&p0).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        fs::write(&p0, &bytes).unwrap();
-        let spec_r = PagedSpec {
-            resume: true,
-            ..spec_p
-        };
-        let mut back = AnyTable::Paged(PagedTable::open(&spec_r, "rank0.f", len, FILL).unwrap());
+        // Corrupt a page below the committed prefix that the journal
+        // does not hold, then restore.
+        let path = table_path(&dir, "rank0.f");
+        let mut bytes = fs::read(&path).unwrap();
+        assert_ne!(sealed_page(slot(&bytes, 0)), Some(0));
+        bytes[SLOT + SLOT / 2] ^= 0xff;
+        fs::write(&path, &bytes).unwrap();
+        let mut back =
+            AnyTable::Paged(PagedTable::open(&resume(spec_p), "rank0.f", len, FILL).unwrap());
         let mut r: &[u8] = &payload;
         let err = read_table_prefix(&mut back, cnt, spn, &mut r).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
@@ -1294,16 +1487,22 @@ mod tests {
         b.set(0, 2);
         a.flush().unwrap();
         b.flush().unwrap();
-        // A store directory left by an older build also holds engine 2's
-        // former `att`/`nxe` tables; the rank prefix sweeps those too.
-        let stale = ["rank0.att.p0.pg", "rank0.nxe.p3.pg", "rank0.att.p1.pg.tmp"];
+        // A store directory left by an older build holds a file per page,
+        // some of engine 2's former `att`/`nxe` tables; the rank prefix
+        // sweeps those too.
+        let stale = [
+            "rank0.f.p0.pg",
+            "rank0.att.p0.pg",
+            "rank0.nxe.p3.pg",
+            "rank0.att.p1.pg.tmp",
+        ];
         for name in stale {
             fs::write(dir.join(name), b"old").unwrap();
         }
         fs::write(dir.join("rank1.att.p0.pg"), b"old").unwrap();
         clean_rank_pages(&dir, 0);
-        assert!(!page_path(&dir, "rank0.f", 0).exists());
-        assert!(page_path(&dir, "rank1.f", 0).exists());
+        assert!(!table_path(&dir, "rank0.f").exists());
+        assert!(table_path(&dir, "rank1.f").exists());
         for name in stale {
             assert!(!dir.join(name).exists(), "{name} survived");
         }

@@ -54,10 +54,10 @@ impl WsConfig {
     }
 }
 
-/// Generate a Watts–Strogatz network.
+/// Generate a Watts–Strogatz network. Each edge is emitted once as
+/// `(lo, hi)`, in sorted order, so a fixed seed gives the same list.
 pub fn generate(cfg: &WsConfig, rng: &mut impl Rng64) -> EdgeList {
     let (n, half) = (cfg.n, cfg.k / 2);
-    let mut edges = EdgeList::with_capacity(cfg.num_edges() as usize);
     // Track adjacency for duplicate avoidance during rewiring.
     let mut adj: HashSet<(Node, Node)> = HashSet::with_capacity(2 * cfg.num_edges() as usize);
     let key = |a: Node, b: Node| if a < b { (a, b) } else { (b, a) };
@@ -91,10 +91,9 @@ pub fn generate(cfg: &WsConfig, rng: &mut impl Rng64) -> EdgeList {
             }
         }
     }
-    for &(a, b) in adj.iter() {
-        edges.push(a, b);
-    }
-    edges
+    let mut edges: Vec<(Node, Node)> = adj.into_iter().collect();
+    edges.sort_unstable();
+    EdgeList::from_vec(edges)
 }
 
 #[cfg(test)]
@@ -123,6 +122,17 @@ mod tests {
             assert_eq!(edges.len() as u64, cfg.num_edges(), "beta = {beta}");
             assert!(pa_graph::validate::check_simple(200, &edges).is_empty());
         }
+    }
+
+    #[test]
+    fn a_fixed_seed_gives_the_same_edge_order() {
+        // Two runs build two adjacency sets with different hash keys;
+        // the emitted list must not depend on either's iteration order.
+        let cfg = WsConfig::new(2_000, 4, 0.3).with_seed(5);
+        let a = generate(&cfg, &mut Xoshiro256pp::new(5));
+        let b = generate(&cfg, &mut Xoshiro256pp::new(5));
+        assert_eq!(a.as_slice(), b.as_slice());
+        assert!(a.as_slice().is_sorted());
     }
 
     #[test]

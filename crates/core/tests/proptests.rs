@@ -264,9 +264,11 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Tearing any single byte of any flushed page file never produces
-    /// wrong data: the checksum rejects the page and every slot on it
-    /// reads as the fill value, exactly as if the page was never written.
+    /// Tearing any single byte of a flushed page file never produces
+    /// wrong data: a torn journal is not applied and changes nothing; a
+    /// torn page slot is repaired when the journal holds that page's
+    /// image, and otherwise fails its checksum, so every slot on the
+    /// page reads as the fill value, exactly as if it was never written.
     #[test]
     fn torn_page_reads_as_absent(
         len in 8u64..200,
@@ -274,7 +276,7 @@ proptest! {
         torn_byte in any::<u64>(),
         flip in 1u8..=255,
     ) {
-        use pa_core::store::{NodeTable, PagedSpec, PagedTable};
+        use pa_core::store::{table_path, NodeTable, PagedSpec, PagedTable};
         const FILL: u64 = u64::MAX;
         let dir = store_scratch();
         let page_bytes = page_slots * 8;
@@ -290,32 +292,27 @@ proptest! {
         }
         paged.flush().unwrap();
         drop(paged);
-        // Corrupt one byte of one page file.
-        let pages: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".pg"))
-            .collect();
-        prop_assert!(!pages.is_empty());
-        let victim = pages[(torn_byte % pages.len() as u64) as usize].path();
-        let mut bytes = std::fs::read(&victim).unwrap();
+        // One file, no per-page files: a journal slot, then a slot per page.
+        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.file_name()).collect();
+        prop_assert_eq!(names, ["rank0.t.pages"]);
+        let path = table_path(&dir, "rank0.t");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let slot_bytes = 24 + page_bytes;
+        let spp = page_slots as u64;
+        prop_assert_eq!(bytes.len() as u64, (len.div_ceil(spp) + 1) * slot_bytes as u64);
+        // The journal's header names the page it holds.
+        let journal = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        // Corrupt one byte of the file.
         let pos = (torn_byte % bytes.len() as u64) as usize;
         bytes[pos] ^= flip;
-        std::fs::write(&victim, &bytes).unwrap();
-        // Which slots live on the torn page? Its index is in the name.
-        let name = victim.file_name().unwrap().to_string_lossy().into_owned();
-        let page: u64 = name
-            .trim_end_matches(".pg")
-            .rsplit(".p")
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        // Which page, if any, is lost: a torn slot the journal cannot repair.
+        let slot = (pos / slot_bytes) as u64;
+        let lost = (slot > 0 && slot - 1 != journal).then(|| slot - 1);
         let spec = PagedSpec { resume: true, ..spec };
         let mut reopened = PagedTable::open(&spec, "rank0.t", len, FILL).unwrap();
-        let spp = page_slots as u64;
         for s in 0..len {
-            let expect = if s / spp == page { FILL } else { s * 3 + 1 };
+            let expect = if Some(s / spp) == lost { FILL } else { s * 3 + 1 };
             prop_assert_eq!(reopened.get(s), expect, "slot {}", s);
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -171,16 +171,31 @@ impl Fnv1a {
     /// `hash`; page files seal with it because every page load checksums
     /// a whole page.
     ///
+    /// Word `i` goes to lane `i mod 4`: four independent multiply chains,
+    /// so a core overlaps their latencies instead of waiting on one. The
+    /// four lane digests are then folded, in order, with the same step.
+    ///
     /// Each step folds the high half of the product back into the low
     /// half. A multiply only carries upward, so without that a flip of
     /// bit 63 would stay a flip of bit 63 of the state, and two such
     /// flips (in two words, or in a word and the trailer) would cancel.
     pub fn hash_words(bytes: &[u8]) -> u64 {
-        let (words, tail) = bytes.as_chunks::<8>();
-        let mut h = Self::from_digest(words.iter().fold(Self::OFFSET_BASIS, |h, w| {
-            let h = (h ^ u64::from_le_bytes(*w)).wrapping_mul(Self::PRIME);
+        let step = |h: u64, w: u64| {
+            let h = (h ^ w).wrapping_mul(Self::PRIME);
             h ^ (h >> 32)
-        }));
+        };
+        let (words, tail) = bytes.as_chunks::<8>();
+        let (quads, rest) = words.as_chunks::<4>();
+        let mut lanes = [Self::OFFSET_BASIS; 4];
+        for quad in quads {
+            for (lane, w) in lanes.iter_mut().zip(quad) {
+                *lane = step(*lane, u64::from_le_bytes(*w));
+            }
+        }
+        for (lane, w) in lanes.iter_mut().zip(rest) {
+            *lane = step(*lane, u64::from_le_bytes(*w));
+        }
+        let mut h = Self::from_digest(lanes.into_iter().fold(Self::OFFSET_BASIS, step));
         h.update(tail);
         h.digest()
     }
@@ -757,17 +772,21 @@ mod tests {
 
     #[test]
     fn fnv1a_hash_words_is_pinned() {
-        // Shorter than a word: bytewise FNV-1a, so the published vectors.
-        assert_eq!(Fnv1a::hash_words(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(Fnv1a::hash_words(b"a"), 0xaf63_dc4c_8601_ec8c);
-        // One word, three words, and two words plus a 3-byte tail.
-        assert_eq!(Fnv1a::hash_words(b"foobar!!"), 0x536a_9086_0632_055f);
+        // No whole word: the four lane digests are the basis, folded,
+        // then a tail byte by byte.
+        assert_eq!(Fnv1a::hash_words(b""), 0x2a6b_ca99_0efa_1982);
+        assert_eq!(Fnv1a::hash_words(b"a"), 0x0f43_2514_72f9_fcb9);
+        // One word, three words, two words plus a 3-byte tail, then
+        // whole rounds of four lanes: two, and one plus a word and a tail.
+        assert_eq!(Fnv1a::hash_words(b"foobar!!"), 0xf0e1_ef6b_0c2e_ca36);
         assert_eq!(
             Fnv1a::hash_words(b"page files, word by word"),
-            0x92c2_aa47_491a_44b1
+            0xa071_7130_9819_f42d
         );
-        let ramp: Vec<u8> = (0..19).collect();
-        assert_eq!(Fnv1a::hash_words(&ramp), 0xb038_860f_a178_9409);
+        let ramp = |n: u8| (0..n).collect::<Vec<u8>>();
+        assert_eq!(Fnv1a::hash_words(&ramp(19)), 0x3bd5_76df_aaf3_2910);
+        assert_eq!(Fnv1a::hash_words(&ramp(64)), 0x2c8e_b789_073b_8a07);
+        assert_eq!(Fnv1a::hash_words(&ramp(43)), 0x9be5_f7ff_8eb6_7cf5);
         // A different digest from the bytewise one.
         assert_ne!(Fnv1a::hash_words(b"foobar!!"), Fnv1a::hash(b"foobar!!"));
     }
