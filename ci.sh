@@ -3,6 +3,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> non-test lines per crate (report only)"
+# ROADMAP's line budget counts, in every file under crates/*/src, the
+# lines above its first #[cfg(test)]. Printed for the record, not a gate.
+nontest_lines() {
+    find "$@" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { n++ }
+        END { print n + 0 }' | awk '{ total += $1 } END { print total + 0 }'
+}
+for src in crates/*/src; do
+    printf '    %-10s %6d\n' "$(basename "$(dirname "$src")")" "$(nontest_lines "$src")"
+done
+printf '    %-10s %6d\n' total "$(nontest_lines crates/*/src)"
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -15,6 +15,7 @@ use std::io::Write;
 use pa_core::par::{self, EdgeSink, Msg};
 use pa_core::{partition, Engine};
 use pa_graph::io::EdgeWriter;
+use pa_graph::job::JobSpec;
 use pa_mpsim::Transport;
 use pa_net::{TcpConfig, TcpTransport};
 
@@ -128,14 +129,19 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let w = par::WorldCheckpoint::load(std::path::Path::new(&restart_world))
             .map_err(|e| CliError::usage(format!("--restart-world {restart_world}: {e}")))?;
         let m = w.meta();
-        if (m.n, m.x, m.p_bits, m.seed) != (cfg.n, cfg.x, cfg.p.to_bits(), cfg.seed)
-            || m.model_id != opts.model.id()
-            || m.alpha_bits != opts.model.alpha_bits()
-        {
+        // The job tuple without the world's shape and the encoding.
+        let network = |j: JobSpec| JobSpec {
+            ranks: 0,
+            scheme_id: 0,
+            engine_id: 0,
+            format_id: 0,
+            ..j
+        };
+        if network(m.job) != network(job.to_raw()) {
             return Err(CliError::usage(format!(
                 "--restart-world: the saved world is a different network \
                  (saved n={} x={} seed={}; this command asks for n={} x={} seed={})",
-                m.n, m.x, m.seed, cfg.n, cfg.x, cfg.seed
+                m.job.n, m.job.x, m.job.seed, cfg.n, cfg.x, cfg.seed
             )));
         }
         // The epoch grid is part of the saved cut: adopt its interval so
@@ -205,7 +211,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let store = if ckpt_dir.is_empty() {
         None
     } else {
-        let meta = par::CheckpointMeta::for_run(&cfg, scheme, world, &opts);
+        let meta = par::CheckpointMeta::for_run(&cfg, scheme, world, &opts, job.format);
         Some(par::CheckpointStore::new(&ckpt_dir, rank as u32, meta).map_err(CliError::io)?)
     };
 

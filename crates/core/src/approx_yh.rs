@@ -25,7 +25,7 @@
 use crate::partition::{Partition, Rrp};
 use crate::{Node, PaConfig};
 use pa_graph::EdgeList;
-use pa_mpsim::{Comm, World};
+use pa_mpsim::{Comm, Transport, World};
 use pa_rng::{Rng64, Xoshiro256pp};
 use std::time::Duration;
 

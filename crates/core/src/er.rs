@@ -12,7 +12,7 @@
 use crate::partition::{Partition, Ucp};
 use crate::Node;
 use pa_graph::EdgeList;
-use pa_mpsim::World;
+use pa_mpsim::{Transport, World};
 use pa_rng::{CounterRng, Rng64};
 
 /// Configuration of a G(n, p) network.

@@ -11,20 +11,22 @@
 //! Files are written atomically (`rank{r}.epoch{e}.ckpt.tmp` → rename)
 //! so a crash mid-write never leaves a half checkpoint with a valid
 //! name, and every load re-verifies an FNV-1a checksum plus the full
-//! run identity (world size, model parameters, partition scheme,
-//! engine, epoch interval) so a checkpoint from a *different* run can
-//! never be resumed into this one. The store retains the last **two**
-//! epochs per rank: barrier structure bounds inter-rank epoch skew at
-//! one, so the globally agreed resume epoch (the minimum across ranks)
-//! is always still on disk.
+//! run identity (the job tuple — world size, model parameters,
+//! partition scheme, engine, edge format — and the epoch interval) so a
+//! checkpoint from a *different* run can never be resumed into this
+//! one. The store retains the last **two** epochs per rank: barrier
+//! structure bounds inter-rank epoch skew at one, so the globally agreed
+//! resume epoch (the minimum across ranks) is always still on disk.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use pa_graph::io::Fnv1a;
-use pa_mpsim::wire::{get_u32, get_u64, get_u8};
+use pa_graph::io::{EdgeFormat, Fnv1a};
+use pa_graph::job::{JobSpec, JOB_CANONICAL_LEN};
+use pa_mpsim::wire::{get_u32, get_u64, take};
 
+use crate::job::JobDescriptor;
 use crate::partition::Scheme;
 use crate::store::{checksummed_body, sync_dir};
 use crate::{GenOptions, PaConfig};
@@ -32,57 +34,47 @@ use crate::{GenOptions, PaConfig};
 /// Magic number at the head of every checkpoint file (`"PACK"`).
 const MAGIC: u32 = 0x4b43_4150;
 /// Checkpoint format version. Version 2 added the attachment-model
-/// identity (`model_id`, `alpha_bits`) to the header; version-1 files
-/// are rejected on load (treated as absent) rather than resumed under a
-/// guessed model.
-const VERSION: u32 = 2;
+/// identity; version 3 stores the identity as the job tuple's canonical
+/// bytes, which adds the edge format (a part file's byte watermark means
+/// nothing under another encoding). Files of older versions are
+/// rejected on load (treated as absent) rather than resumed under a
+/// guessed identity.
+const VERSION: u32 = 3;
 
 /// Identity of a run, embedded in every checkpoint and re-verified on
 /// load so stale or foreign checkpoints are rejected instead of
 /// silently corrupting a resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointMeta {
-    /// World size (number of ranks).
-    pub world: u32,
-    /// Model size `n`.
-    pub n: u64,
-    /// Edges per node `x`.
-    pub x: u64,
-    /// Copy-model probability `p`, as raw IEEE-754 bits (exact compare).
-    pub p_bits: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Partition-scheme discriminant ([`crate::partition::Scheme::id`]).
-    pub scheme_id: u8,
-    /// Engine discriminant ([`crate::Engine::id`]).
-    pub engine_id: u8,
-    /// Attachment-model discriminant ([`crate::ModelKind::id`]): a
-    /// checkpoint taken under one model must never resume under another.
-    pub model_id: u8,
+    /// The run tuple; its `ranks` is the world size that wrote the
+    /// checkpoint.
+    pub job: JobSpec,
     /// Epoch length in node labels ([`crate::GenOptions::checkpoint_interval`]).
     pub interval: u64,
-    /// Model parameter as raw IEEE-754 bits
-    /// ([`crate::ModelKind::alpha_bits`]; 0 for the parameter-free copy
-    /// model) — exact compare, like `p_bits`.
-    pub alpha_bits: u64,
 }
 
 impl CheckpointMeta {
     /// The identity of a run of `cfg` under `opts` on `world` ranks
-    /// partitioned by `scheme` (interval 0 when `opts` sets no
-    /// checkpoint epochs — such a run never saves).
-    pub fn for_run(cfg: &PaConfig, scheme: Scheme, world: usize, opts: &GenOptions) -> Self {
+    /// partitioned by `scheme`, writing `format` part files (interval 0
+    /// when `opts` sets no checkpoint epochs — such a run never saves).
+    pub fn for_run(
+        cfg: &PaConfig,
+        scheme: Scheme,
+        world: usize,
+        opts: &GenOptions,
+        format: EdgeFormat,
+    ) -> Self {
+        let job = JobDescriptor {
+            cfg: *cfg,
+            scheme,
+            engine: opts.engine.id(),
+            model: opts.model,
+            ranks: world as u32,
+            format,
+        };
         CheckpointMeta {
-            world: world as u32,
-            n: cfg.n,
-            x: cfg.x,
-            p_bits: cfg.p.to_bits(),
-            seed: cfg.seed,
-            scheme_id: scheme.id(),
-            engine_id: opts.engine.id(),
-            model_id: opts.model.id(),
+            job: job.to_raw(),
             interval: opts.checkpoint_interval.unwrap_or(0),
-            alpha_bits: opts.model.alpha_bits(),
         }
     }
 }
@@ -144,20 +136,12 @@ pub(crate) fn read_raw_checkpoint(path: &Path) -> Option<RawCheckpoint> {
         return None;
     }
     let rank = get_u32(&mut r)?;
-    let world = get_u32(&mut r)?;
     let epoch = get_u64(&mut r)?;
     let hi = get_u64(&mut r)?;
+    let job = take(&mut r, JOB_CANONICAL_LEN)?;
     let meta = CheckpointMeta {
-        world,
-        n: get_u64(&mut r)?,
-        x: get_u64(&mut r)?,
-        p_bits: get_u64(&mut r)?,
-        seed: get_u64(&mut r)?,
-        scheme_id: get_u8(&mut r)?,
-        engine_id: get_u8(&mut r)?,
-        model_id: get_u8(&mut r)?,
+        job: JobSpec::from_canonical(job.try_into().expect("canonical length")),
         interval: get_u64(&mut r)?,
-        alpha_bits: get_u64(&mut r)?,
     };
     let edges = get_u64(&mut r)?;
     let bytes = get_u64(&mut r)?;
@@ -219,18 +203,10 @@ impl CheckpointStore {
         put_u32(&mut buf, MAGIC);
         put_u32(&mut buf, VERSION);
         put_u32(&mut buf, self.rank);
-        put_u32(&mut buf, self.meta.world);
         put_u64(&mut buf, epoch);
         put_u64(&mut buf, hi);
-        put_u64(&mut buf, self.meta.n);
-        put_u64(&mut buf, self.meta.x);
-        put_u64(&mut buf, self.meta.p_bits);
-        put_u64(&mut buf, self.meta.seed);
-        buf.push(self.meta.scheme_id);
-        buf.push(self.meta.engine_id);
-        buf.push(self.meta.model_id);
+        buf.extend_from_slice(&self.meta.job.canonical_bytes());
         put_u64(&mut buf, self.meta.interval);
-        put_u64(&mut buf, self.meta.alpha_bits);
         put_u64(&mut buf, edges);
         put_u64(&mut buf, bytes);
         put_u64(&mut buf, payload.len() as u64);
@@ -318,17 +294,24 @@ mod tests {
 
     fn meta() -> CheckpointMeta {
         CheckpointMeta {
-            world: 4,
-            n: 3_000,
-            x: 4,
-            p_bits: 0.5f64.to_bits(),
-            seed: 41,
-            scheme_id: 1,
-            engine_id: 2,
-            model_id: 0,
+            job: JobSpec {
+                n: 3_000,
+                x: 4,
+                p_bits: 0.5f64.to_bits(),
+                seed: 41,
+                alpha_bits: 0,
+                ranks: 4,
+                scheme_id: 1,
+                engine_id: 2,
+                model_id: 0,
+                format_id: EdgeFormat::Binary.id(),
+            },
             interval: 500,
-            alpha_bits: 0,
         }
+    }
+
+    fn with_job(job: JobSpec) -> CheckpointMeta {
+        CheckpointMeta { job, ..meta() }
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -390,7 +373,11 @@ mod tests {
 
         // A checkpoint from a different run identity must not load.
         store.save(0, 500, 10, 0, &[1, 2, 3]).unwrap();
-        let other = CheckpointStore::new(&dir, 1, CheckpointMeta { seed: 99, ..meta() }).unwrap();
+        let seed_99 = with_job(JobSpec {
+            seed: 99,
+            ..meta().job
+        });
+        let other = CheckpointStore::new(&dir, 1, seed_99).unwrap();
         assert!(other.load(0).is_none(), "foreign seed rejected");
         assert!(store.load(0).is_some(), "matching identity still loads");
         let _ = fs::remove_dir_all(&dir);
@@ -406,25 +393,60 @@ mod tests {
         let nlpa = CheckpointStore::new(
             &dir,
             0,
-            CheckpointMeta {
+            with_job(JobSpec {
                 model_id: 1,
                 alpha_bits: 1.5f64.to_bits(),
-                ..meta()
-            },
+                ..meta().job
+            }),
         )
         .unwrap();
         assert!(nlpa.load(0).is_none(), "foreign model rejected");
         let other_alpha = CheckpointStore::new(
             &dir,
             0,
-            CheckpointMeta {
+            with_job(JobSpec {
                 alpha_bits: 0.5f64.to_bits(),
-                ..meta()
-            },
+                ..meta().job
+            }),
         )
         .unwrap();
         assert!(other_alpha.load(0).is_none(), "foreign alpha rejected");
         assert!(store.load(0).is_some(), "matching model still loads");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn foreign_edge_format_is_rejected() {
+        // A bin part file's byte watermark means nothing to a txt run:
+        // resuming it would truncate and append into a corrupt file.
+        let dir = scratch("format");
+        let bin = CheckpointStore::new(&dir, 0, meta()).unwrap();
+        bin.save(0, 500, 10, 160, &[1, 2, 3]).unwrap();
+        let txt_job = JobSpec {
+            format_id: EdgeFormat::Text.id(),
+            ..meta().job
+        };
+        let txt = CheckpointStore::new(&dir, 0, with_job(txt_job)).unwrap();
+        assert!(txt.load(0).is_none(), "a bin checkpoint resumed a txt run");
+        assert_eq!(txt.latest(), None);
+        assert!(bin.load(0).is_some(), "matching format still loads");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_version_reads_as_absent() {
+        let dir = scratch("version");
+        let store = CheckpointStore::new(&dir, 0, meta()).unwrap();
+        store.save(0, 500, 10, 0, &[1, 2, 3]).unwrap();
+        // Rewrite the file as version 2 with a valid checksum.
+        let path = dir.join("rank0.epoch0.ckpt");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() - 8);
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let sum = Fnv1a::hash(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.load(0).is_none(), "a version-2 file resumed");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@
 use crate::partition::Partition;
 use crate::Node;
 use pa_graph::EdgeList;
-use pa_mpsim::{BufferedComm, Comm, World};
+use pa_mpsim::{BufferedComm, Comm, Transport, World};
 
 /// Per-rank exact degrees of a distributed edge set.
 ///

@@ -363,6 +363,7 @@ pub fn generate_rank3_streaming<P: Partition, S: EdgeSink, T: Transport<Msg>>(
 mod tests {
     use super::*;
     use crate::seq;
+    use pa_graph::io::EdgeFormat;
     use pa_graph::validate::assert_valid_pa_network;
 
     fn opts() -> GenOptions {
@@ -693,7 +694,7 @@ mod tests {
         let part = partition::build(Scheme::Rrp, cfg.n, 3);
         let dir = std::env::temp_dir().join(format!("pa_core_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let meta = CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &epoch_opts);
+        let meta = CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &epoch_opts, EdgeFormat::Binary);
         let open = |rank: usize| CheckpointStore::new(&dir, rank as u32, meta).unwrap();
         let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
             let store = open(comm.rank());
@@ -784,7 +785,7 @@ mod tests {
         let cfg = PaConfig::new(100, 2).with_seed(1);
         let part = partition::build(Scheme::Ucp, cfg.n, 1);
         let dir = std::env::temp_dir().join(format!("pa_core_noint_{}", std::process::id()));
-        let meta = CheckpointMeta::for_run(&cfg, Scheme::Ucp, 1, &opts());
+        let meta = CheckpointMeta::for_run(&cfg, Scheme::Ucp, 1, &opts(), EdgeFormat::Binary);
         let store = CheckpointStore::new(&dir, 0, meta).unwrap();
         let mut t = LoopbackTransport::new();
         let _ = generate_rank_streaming_recoverable(

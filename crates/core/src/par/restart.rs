@@ -94,11 +94,12 @@ impl WorldCheckpoint {
                 dir.display()
             ));
         }
-        let world = meta.world as usize;
-        let scheme = Scheme::from_id(meta.scheme_id)
-            .ok_or_else(|| format!("unknown partition scheme id {}", meta.scheme_id))?;
-        if Engine::from_id(meta.engine_id).is_none() {
-            return Err(format!("unknown engine id {}", meta.engine_id));
+        let job = meta.job;
+        let world = job.ranks as usize;
+        let scheme = Scheme::from_id(job.scheme_id)
+            .ok_or_else(|| format!("unknown partition scheme id {}", job.scheme_id))?;
+        if Engine::from_id(job.engine_id).is_none() {
+            return Err(format!("unknown engine id {}", job.engine_id));
         }
         // The newest epoch every rank holds. Keep-last-two plus the
         // barrier-bounded epoch skew of one guarantees it exists on a
@@ -115,7 +116,7 @@ impl WorldCheckpoint {
                 .ok_or_else(|| format!("rank {rank} of {world} has no valid checkpoint"))?;
             common = common.min(newest);
         }
-        let part = partition::build(scheme, meta.n, world);
+        let part = partition::build(scheme, job.n, world);
         let mut hi = None;
         let mut f = Vec::with_capacity(world);
         for rank in 0..world {
@@ -136,10 +137,10 @@ impl WorldCheckpoint {
                 Some(_) => {}
             }
             let cnt = part.local_count_below(rank, raw.saved.hi);
-            f.push(f_prefix(dir, rank, cnt, meta.x, &raw.saved.payload)?);
+            f.push(f_prefix(dir, rank, cnt, job.x, &raw.saved.payload)?);
         }
         let hi = hi.expect("world >= 1, so hi was set");
-        let grid_hi = ((common + 1) * meta.interval).min(meta.n);
+        let grid_hi = ((common + 1) * meta.interval).min(job.n);
         if hi != grid_hi {
             return Err(format!(
                 "epoch {common} cut at label {hi} but the interval {} puts the \
@@ -175,7 +176,7 @@ impl WorldCheckpoint {
     /// identity attachment, stored like any other commit).
     fn committed(&self, t: Node, e: u64) -> Node {
         let rank = self.part.rank_of(t);
-        let slot = self.part.local_index(t) * self.meta.x + e;
+        let slot = self.part.local_index(t) * self.meta.job.x + e;
         self.f[rank][slot as usize]
     }
 
@@ -185,7 +186,7 @@ impl WorldCheckpoint {
     /// run's engine (it appends the general engine's empty hub section;
     /// a restored hub rebuilds through the request path).
     pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize, engine: Engine) -> Vec<u8> {
-        let x = self.meta.x;
+        let x = self.meta.job.x;
         let cnt = new_part.local_count_below(rank, self.hi);
         let mut out = Vec::with_capacity(8 * (1 + (cnt * x) as usize));
         out.extend_from_slice(&cnt.to_le_bytes());
@@ -222,7 +223,7 @@ impl WorldCheckpoint {
         rank: usize,
         sink: &mut S,
     ) -> u64 {
-        let x = self.meta.x;
+        let x = self.meta.job.x;
         let mut edges = 0u64;
         for t in new_part.nodes_of(rank) {
             if t >= self.hi {
@@ -318,8 +319,8 @@ mod tests {
     use crate::par::{generate_rank_streaming_recoverable, CheckpointStore};
     use crate::store::StoreSpec;
     use crate::{GenOptions, PaConfig};
-    use pa_graph::EdgeList;
-    use pa_mpsim::World;
+    use pa_graph::{io::EdgeFormat, EdgeList};
+    use pa_mpsim::{Transport, World};
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -349,7 +350,7 @@ mod tests {
         dir: Option<&Path>,
     ) -> Vec<EdgeList> {
         let part = partition::build(scheme, cfg.n, p_old);
-        let m = CheckpointMeta::for_run(cfg, scheme, p_old, run_opts);
+        let m = CheckpointMeta::for_run(cfg, scheme, p_old, run_opts, EdgeFormat::Binary);
         World::new(p_old).run(move |mut comm| {
             let ckpt = dir.map(|d| CheckpointStore::new(d, comm.rank() as u32, m).unwrap());
             generate_rank_streaming_recoverable(
@@ -376,7 +377,7 @@ mod tests {
         dir: &Path,
     ) -> Vec<EdgeList> {
         let world = WorldCheckpoint::load(dir).expect("world loads");
-        assert_eq!(world.meta().n, cfg.n);
+        assert_eq!(world.meta().job.n, cfg.n);
         let part = partition::build(scheme, cfg.n, p_new);
         World::new(p_new).run(move |mut comm| {
             let rank = comm.rank();
@@ -474,7 +475,7 @@ mod tests {
         let dir = scratch("cross2");
         run_world(&cfg, Scheme::Lcp, 3, &o, Some(&dir));
         let world = WorldCheckpoint::load(&dir).expect("world loads");
-        assert_eq!(world.meta().world, 3);
+        assert_eq!(world.meta().job.ranks, 3);
         let restarted = restart(&cfg, Scheme::Rrp, 2, &o, &dir);
         assert_eq!(
             EdgeList::concat(restarted).canonicalized(),

@@ -15,7 +15,7 @@
 
 use crate::Node;
 use pa_graph::EdgeList;
-use pa_mpsim::World;
+use pa_mpsim::{Transport, World};
 use pa_rng::{CounterRng, Rng64};
 
 /// Configuration of an R-MAT graph.

@@ -10,7 +10,7 @@
 //!   library rather than reported at the sender.
 //! * **Batched drain.** [`Receiver::drain_into`] moves every queued item
 //!   out under a single lock acquisition, which is what makes
-//!   `Comm::drain_recv` cheaper than a `try_recv` loop.
+//!   `Comm`'s `drain_recv` cheaper than a `try_recv` loop.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};

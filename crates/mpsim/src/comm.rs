@@ -3,9 +3,9 @@
 use std::time::Duration;
 
 use crate::channel::{channel, Receiver, Sender};
-use crate::control::{ControlPlane, ReduceOp};
+use crate::control::ControlPlane;
 use crate::stats::CommStats;
-use crate::TerminationHandle;
+use crate::{TerminationHandle, Transport};
 
 /// One physical transfer: a batch of logical messages from a single source.
 #[derive(Debug, Clone)]
@@ -128,38 +128,24 @@ pub struct Comm<M> {
     stats: CommStats,
 }
 
-impl<M: Send> Comm<M> {
-    /// This rank's id in `[0, nranks)`.
+/// `Comm` is the threaded-channel implementation of the engine-facing
+/// transport abstraction; the reductions, broadcast, prefix sum and
+/// single-message `send` are the trait's provided methods.
+impl<M: Send> Transport<M> for Comm<M> {
     #[inline]
-    pub fn rank(&self) -> usize {
+    fn rank(&self) -> usize {
         self.rank
     }
 
-    /// Number of ranks in the world.
     #[inline]
-    pub fn nranks(&self) -> usize {
+    fn nranks(&self) -> usize {
         self.senders.len()
     }
 
-    /// Send one logical message to `dest` as its own packet, drawing the
-    /// packet buffer from the pool so ad-hoc sends don't allocate in steady
-    /// state.
-    ///
-    /// For high-volume traffic prefer [`crate::BufferedComm`], which
-    /// aggregates messages per destination (the paper's message buffering).
-    pub fn send(&mut self, dest: usize, msg: M) {
-        let mut buf = self.acquire_buffer(dest);
-        buf.push(msg);
-        self.send_batch(dest, buf);
-    }
-
-    /// Send a batch of logical messages to `dest` as a single packet.
-    ///
-    /// Empty batches are dropped (no packet is transferred or counted).
     /// Sends to a rank that already returned are parked, not errors —
     /// mirroring MPI, where the library buffers such traffic rather than
     /// failing the sender.
-    pub fn send_batch(&mut self, dest: usize, msgs: Vec<M>) {
+    fn send_batch(&mut self, dest: usize, msgs: Vec<M>) {
         if msgs.is_empty() {
             return;
         }
@@ -170,9 +156,7 @@ impl<M: Send> Comm<M> {
         });
     }
 
-    /// Take a recycled send buffer for `dest` from the packet pool, or
-    /// allocate a fresh one on pool miss.
-    pub fn acquire_buffer(&mut self, dest: usize) -> Vec<M> {
+    fn acquire_buffer(&mut self, dest: usize) -> Vec<M> {
         match self.pool_rx[dest].try_recv() {
             Some(buf) => {
                 debug_assert!(buf.is_empty());
@@ -186,12 +170,9 @@ impl<M: Send> Comm<M> {
         }
     }
 
-    /// Return a drained packet buffer to the rank it came from, making its
-    /// allocation available to that rank's next send to us.
-    ///
-    /// Call this with `Packet::src` and the (consumed) `Packet::msgs` after
-    /// processing a received packet. Zero-capacity buffers are dropped.
-    pub fn recycle(&mut self, src: usize, mut buf: Vec<M>) {
+    /// Hands the allocation back to `src` for its next send to this
+    /// rank. Zero-capacity buffers are dropped uncounted.
+    fn recycle(&mut self, src: usize, mut buf: Vec<M>) {
         buf.clear();
         if buf.capacity() == 0 {
             return;
@@ -200,19 +181,14 @@ impl<M: Send> Comm<M> {
         self.pool_tx[src].send(buf);
     }
 
-    /// Non-blocking receive: the next pending packet, if any.
-    pub fn try_recv(&mut self) -> Option<Packet<M>> {
+    fn try_recv(&mut self) -> Option<Packet<M>> {
         let pkt = self.rx.try_recv()?;
         self.stats.on_recv(pkt.src, pkt.msgs.len() as u64);
         Some(pkt)
     }
 
-    /// Drain every packet currently queued into `out` under a single lock
-    /// acquisition; returns how many packets were appended.
-    ///
-    /// This is the batched receive the engines use in their service loops:
-    /// one lock per poll instead of one per packet.
-    pub fn drain_recv(&mut self, out: &mut Vec<Packet<M>>) -> usize {
+    /// One lock acquisition per poll instead of one per packet.
+    fn drain_recv(&mut self, out: &mut Vec<Packet<M>>) -> usize {
         let start = out.len();
         self.rx.drain_into(out);
         for pkt in &out[start..] {
@@ -221,151 +197,27 @@ impl<M: Send> Comm<M> {
         out.len() - start
     }
 
-    /// Blocking receive with a timeout; `None` on timeout.
-    ///
-    /// The PA engines use this instead of spinning when they run out of
-    /// local work, so oversubscribed hosts don't burn cycles polling.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet<M>> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet<M>> {
         let pkt = self.rx.recv_timeout(timeout)?;
         self.stats.on_recv(pkt.src, pkt.msgs.len() as u64);
         Some(pkt)
     }
 
-    /// Global barrier: returns once every rank has entered.
-    pub fn barrier(&self) {
-        let _ = self.plane.collective(self.rank, 0, ReduceOp::Sum);
-    }
-
-    /// All-reduce a `u64` by summation; every rank gets the global sum.
-    pub fn allreduce_sum(&self, val: u64) -> u64 {
-        self.plane.collective(self.rank, val, ReduceOp::Sum).0
-    }
-
-    /// All-reduce a `u64` by maximum.
-    pub fn allreduce_max(&self, val: u64) -> u64 {
-        self.plane.collective(self.rank, val, ReduceOp::Max).0
-    }
-
-    /// All-reduce a `u64` by minimum.
-    pub fn allreduce_min(&self, val: u64) -> u64 {
-        self.plane.collective(self.rank, val, ReduceOp::Min).0
-    }
-
-    /// All-gather: every rank receives the vector of all contributions,
-    /// indexed by rank.
-    pub fn allgather_u64(&self, val: u64) -> Vec<u64> {
-        self.plane.collective(self.rank, val, ReduceOp::Sum).1
-    }
-
-    /// Broadcast: every rank receives `root`'s contribution (non-root
-    /// ranks' `val` is ignored, but they must still call).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root` is out of range.
-    pub fn broadcast_u64(&self, root: usize, val: u64) -> u64 {
-        assert!(root < self.nranks(), "broadcast root out of range");
-        self.plane.collective(self.rank, val, ReduceOp::Sum).1[root]
-    }
-
-    /// Exclusive prefix sum: the sum of the contributions of all ranks
-    /// strictly below this one (rank 0 gets 0). The standard building
-    /// block for assigning disjoint global id ranges.
-    pub fn exclusive_prefix_sum(&self, val: u64) -> u64 {
-        let snapshot = self.plane.collective(self.rank, val, ReduceOp::Sum).1;
-        snapshot[..self.rank].iter().sum()
-    }
-
-    /// Handle to the global termination detector (see
-    /// [`TerminationHandle`] for the substitution rationale).
-    pub fn termination(&self) -> TerminationHandle {
-        self.plane.termination()
-    }
-
-    /// Snapshot of this rank's communication statistics.
-    pub fn stats(&self) -> &CommStats {
-        &self.stats
-    }
-
-    /// Consume the communicator, returning its final statistics.
-    pub fn into_stats(self) -> CommStats {
-        self.stats
-    }
-}
-
-/// `Comm` is the threaded-channel implementation of the engine-facing
-/// transport abstraction; every method delegates to the inherent one.
-impl<M: Send> crate::Transport<M> for Comm<M> {
-    fn rank(&self) -> usize {
-        Comm::rank(self)
-    }
-
-    fn nranks(&self) -> usize {
-        Comm::nranks(self)
-    }
-
-    fn send(&mut self, dest: usize, msg: M) {
-        Comm::send(self, dest, msg)
-    }
-
-    fn send_batch(&mut self, dest: usize, msgs: Vec<M>) {
-        Comm::send_batch(self, dest, msgs)
-    }
-
-    fn acquire_buffer(&mut self, dest: usize) -> Vec<M> {
-        Comm::acquire_buffer(self, dest)
-    }
-
-    fn recycle(&mut self, src: usize, buf: Vec<M>) {
-        Comm::recycle(self, src, buf)
-    }
-
-    fn try_recv(&mut self) -> Option<Packet<M>> {
-        Comm::try_recv(self)
-    }
-
-    fn drain_recv(&mut self, out: &mut Vec<Packet<M>>) -> usize {
-        Comm::drain_recv(self, out)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet<M>> {
-        Comm::recv_timeout(self, timeout)
-    }
-
     fn barrier(&self) {
-        Comm::barrier(self)
-    }
-
-    fn allreduce_sum(&self, val: u64) -> u64 {
-        Comm::allreduce_sum(self, val)
-    }
-
-    fn allreduce_max(&self, val: u64) -> u64 {
-        Comm::allreduce_max(self, val)
-    }
-
-    fn allreduce_min(&self, val: u64) -> u64 {
-        Comm::allreduce_min(self, val)
+        self.plane.collective(self.rank, 0);
     }
 
     fn allgather_u64(&self, val: u64) -> Vec<u64> {
-        Comm::allgather_u64(self, val)
+        self.plane.collective(self.rank, val)
     }
 
-    fn broadcast_u64(&self, root: usize, val: u64) -> u64 {
-        Comm::broadcast_u64(self, root, val)
-    }
-
-    fn exclusive_prefix_sum(&self, val: u64) -> u64 {
-        Comm::exclusive_prefix_sum(self, val)
-    }
-
-    fn termination(&self) -> crate::TerminationHandle {
-        Comm::termination(self)
+    /// See [`TerminationHandle`] for the substitution rationale.
+    fn termination(&self) -> TerminationHandle {
+        self.plane.termination()
     }
 
     fn stats(&self) -> &CommStats {
-        Comm::stats(self)
+        &self.stats
     }
 
     fn stats_mut(&mut self) -> &mut CommStats {
@@ -373,7 +225,7 @@ impl<M: Send> crate::Transport<M> for Comm<M> {
     }
 
     fn into_stats(self) -> CommStats {
-        Comm::into_stats(self)
+        self.stats
     }
 }
 

@@ -4,12 +4,13 @@
 //! must honour: `drain_recv` is the polling receive (returns immediately,
 //! even empty-handed) and `recv_timeout` is the parking receive (blocks
 //! until arrival or timeout, wakes promptly when traffic is already
-//! queued or arrives mid-wait) — plus per-pair FIFO delivery and
-//! world-wide collectives. These checks encode those assertions once so
-//! every backend runs the *same* suite: [`crate::Comm`] in a threaded
-//! world, [`crate::LoopbackTransport`], [`crate::FaultTransport`] over
-//! both, and out-of-crate backends such as `pa-net`'s `TcpTransport` —
-//! a new transport is conformance-tested by calling one function per
+//! queued or arrives mid-wait) — plus per-pair FIFO delivery, world-wide
+//! collectives whose sums wrap on overflow, and a packet pool that
+//! ignores zero-capacity buffers. These checks encode those assertions
+//! once so every backend runs the *same* suite: [`crate::Comm`] in a
+//! threaded world, [`crate::LoopbackTransport`], [`crate::FaultTransport`]
+//! over both, and out-of-crate backends such as `pa-net`'s `TcpTransport`
+//! — a new transport is conformance-tested by calling one function per
 //! rank.
 //!
 //! The functions panic (via `assert!`) on any contract violation, so
@@ -91,8 +92,25 @@ pub fn check_single_rank<T: Transport<u64>>(mut t: T) {
     // Collectives of one rank are identities, through any wrapper.
     t.barrier();
     assert_eq!(t.allreduce_sum(4), 4);
+    assert_eq!(t.allreduce_max(5), 5);
+    assert_eq!(t.allreduce_min(6), 6);
     assert_eq!(t.allgather_u64(9), vec![9]);
+    assert_eq!(t.broadcast_u64(0, 3), 3);
     assert_eq!(t.exclusive_prefix_sum(8), 0);
+
+    check_empty_recycle_is_uncounted(&mut t, 0);
+}
+
+/// Recycling a buffer with no allocation behind it is a no-op on every
+/// backend: nothing enters the pool and `bufs_recycled` does not move.
+fn check_empty_recycle_is_uncounted<T: Transport<u64>>(t: &mut T, src: usize) {
+    let before = t.stats().bufs_recycled;
+    t.recycle(src, Vec::new());
+    assert_eq!(
+        t.stats().bufs_recycled,
+        before,
+        "a zero-capacity buffer was counted as recycled"
+    );
 }
 
 /// Multi-rank half of the contract, for worlds of two or more ranks.
@@ -117,6 +135,7 @@ pub fn check_multi_rank<T: Transport<u64>>(mut t: T) {
     let expect: u64 = (1..=world as u64).sum();
     assert_eq!(t.allreduce_sum(t.rank() as u64 + 1), expect);
     assert_eq!(t.allreduce_max(t.rank() as u64), world as u64 - 1);
+    assert_eq!(t.allreduce_min(t.rank() as u64 + 3), 3);
     assert_eq!(
         t.allgather_u64(t.rank() as u64 * 10),
         (0..world as u64).map(|r| r * 10).collect::<Vec<_>>()
@@ -130,6 +149,19 @@ pub fn check_multi_rank<T: Transport<u64>>(mut t: T) {
         t.rank() as u64,
         "prefix sum must count the ranks below"
     );
+    // One overflow rule on every backend: sums wrap.
+    assert_eq!(
+        t.allreduce_sum(u64::MAX),
+        0u64.wrapping_sub(world as u64),
+        "allreduce_sum must wrap on overflow"
+    );
+    assert_eq!(
+        t.exclusive_prefix_sum(u64::MAX),
+        0u64.wrapping_sub(t.rank() as u64),
+        "exclusive_prefix_sum must wrap on overflow"
+    );
+    let next = (t.rank() + 1) % world;
+    check_empty_recycle_is_uncounted(&mut t, next);
     if t.rank() > 0 {
         for i in 0..N {
             t.send(0, i);

@@ -10,30 +10,21 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Reduction operators supported by [`ControlPlane::allreduce`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReduceOp {
-    Sum,
-    Max,
-    Min,
-}
-
 struct Rendezvous {
     /// Per-rank contribution slots for the current round.
     slots: Vec<u64>,
     /// Number of ranks that have deposited a value this round.
     arrived: usize,
-    /// Number of ranks that have picked up the result this round.
+    /// Number of ranks that have picked up the snapshot this round.
     departed: usize,
-    /// Combined value for the round, valid once `arrived == nranks`.
-    result: u64,
-    /// Full slot snapshot for allgather.
+    /// Every rank's contribution for the round, valid once
+    /// `arrived == nranks`.
     snapshot: Vec<u64>,
     /// Round parity: ranks may not start round r+1 until all left round r.
     round: u64,
 }
 
-/// Shared rendezvous state used to implement barrier/allreduce/allgather.
+/// Shared rendezvous state used to implement barrier and allgather.
 pub(crate) struct ControlPlane {
     nranks: usize,
     inner: Mutex<Rendezvous>,
@@ -49,7 +40,6 @@ impl ControlPlane {
                 slots: vec![0; nranks],
                 arrived: 0,
                 departed: 0,
-                result: 0,
                 snapshot: vec![0; nranks],
                 round: 0,
             }),
@@ -59,13 +49,13 @@ impl ControlPlane {
     }
 
     /// One collective round: deposit `val`, wait for everyone, read the
-    /// combined result, and wait until everyone has read it before the
-    /// next round can start. All ranks must call with the same `op`.
-    pub(crate) fn collective(&self, rank: usize, val: u64, op: ReduceOp) -> (u64, Vec<u64>) {
+    /// per-rank snapshot, and wait until everyone has read it before the
+    /// next round can start.
+    pub(crate) fn collective(&self, rank: usize, val: u64) -> Vec<u64> {
         let mut g = lock(&self.inner);
         // A rank may only enter while the round is in its gathering phase;
         // if the previous round is still draining (some ranks have not yet
-        // read the result), wait for it to complete.
+        // read the snapshot), wait for it to complete.
         while g.departed != 0 {
             g = wait(&self.cv, g);
         }
@@ -73,21 +63,15 @@ impl ControlPlane {
         g.slots[rank] = val;
         g.arrived += 1;
         if g.arrived == self.nranks {
-            g.result = match op {
-                ReduceOp::Sum => g.slots.iter().copied().fold(0u64, u64::wrapping_add),
-                ReduceOp::Max => g.slots.iter().copied().max().unwrap_or(0),
-                ReduceOp::Min => g.slots.iter().copied().min().unwrap_or(u64::MAX),
-            };
-            let slots = std::mem::take(&mut g.slots);
-            g.snapshot.clone_from(&slots);
-            g.slots = slots;
+            let rv = &mut *g;
+            rv.snapshot.clone_from(&rv.slots);
             self.cv.notify_all();
         } else {
             while g.arrived != self.nranks && g.round == my_round {
                 g = wait(&self.cv, g);
             }
         }
-        let out = (g.result, g.snapshot.clone());
+        let out = g.snapshot.clone();
         g.departed += 1;
         if g.departed == self.nranks {
             g.arrived = 0;
@@ -223,13 +207,11 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|r| {
                     let plane = Arc::clone(&plane);
-                    s.spawn(move || plane.collective(r, (r as u64 + 1) * 10, ReduceOp::Sum))
+                    s.spawn(move || plane.collective(r, (r as u64 + 1) * 10))
                 })
                 .collect();
             for h in handles {
-                let (sum, snap) = h.join().unwrap();
-                assert_eq!(sum, 10 + 20 + 30 + 40);
-                assert_eq!(snap, vec![10, 20, 30, 40]);
+                assert_eq!(h.join().unwrap(), vec![10, 20, 30, 40]);
             }
         });
     }
@@ -246,8 +228,8 @@ mod tests {
                     s.spawn(move || {
                         let mut results = Vec::new();
                         for round in 0..200u64 {
-                            let (sum, _) = plane.collective(r, round + r as u64, ReduceOp::Sum);
-                            results.push(sum);
+                            let snap = plane.collective(r, round + r as u64);
+                            results.push(snap.iter().sum::<u64>());
                         }
                         results
                     })
@@ -260,27 +242,6 @@ mod tests {
                     assert_eq!(res[round], expect, "round {round}");
                 }
             }
-        });
-    }
-
-    #[test]
-    fn max_and_min_ops() {
-        let plane = ControlPlane::new(2);
-        thread::scope(|s| {
-            let p1 = Arc::clone(&plane);
-            let a = s.spawn(move || p1.collective(0, 7, ReduceOp::Max).0);
-            let p2 = Arc::clone(&plane);
-            let b = s.spawn(move || p2.collective(1, 3, ReduceOp::Max).0);
-            assert_eq!(a.join().unwrap(), 7);
-            assert_eq!(b.join().unwrap(), 7);
-        });
-        thread::scope(|s| {
-            let p1 = Arc::clone(&plane);
-            let a = s.spawn(move || p1.collective(0, 7, ReduceOp::Min).0);
-            let p2 = Arc::clone(&plane);
-            let b = s.spawn(move || p2.collective(1, 3, ReduceOp::Min).0);
-            assert_eq!(a.join().unwrap(), 3);
-            assert_eq!(b.join().unwrap(), 3);
         });
     }
 

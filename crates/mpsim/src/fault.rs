@@ -456,11 +456,6 @@ impl<M: Clone + Send, T: Transport<M>> FaultTransport<M, T> {
     fn has_pending(&self) -> bool {
         !self.side.is_empty() || self.srcq.iter().any(|q| !q.is_empty())
     }
-
-    /// Final statistics of the wrapped transport.
-    pub fn into_stats(self) -> CommStats {
-        self.inner.into_stats()
-    }
 }
 
 fn clone_packet<M: Clone>(pkt: &Packet<M>) -> Packet<M> {
@@ -477,10 +472,6 @@ impl<M: Clone + Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
 
     fn nranks(&self) -> usize {
         self.inner.nranks()
-    }
-
-    fn send(&mut self, dest: usize, msg: M) {
-        self.inner.send(dest, msg);
     }
 
     fn send_batch(&mut self, dest: usize, msgs: Vec<M>) {
@@ -542,28 +533,8 @@ impl<M: Clone + Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
         self.inner.barrier();
     }
 
-    fn allreduce_sum(&self, val: u64) -> u64 {
-        self.inner.allreduce_sum(val)
-    }
-
-    fn allreduce_max(&self, val: u64) -> u64 {
-        self.inner.allreduce_max(val)
-    }
-
-    fn allreduce_min(&self, val: u64) -> u64 {
-        self.inner.allreduce_min(val)
-    }
-
     fn allgather_u64(&self, val: u64) -> Vec<u64> {
         self.inner.allgather_u64(val)
-    }
-
-    fn broadcast_u64(&self, root: usize, val: u64) -> u64 {
-        self.inner.broadcast_u64(root, val)
-    }
-
-    fn exclusive_prefix_sum(&self, val: u64) -> u64 {
-        self.inner.exclusive_prefix_sum(val)
     }
 
     fn termination(&self) -> TerminationHandle {
@@ -579,7 +550,7 @@ impl<M: Clone + Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
     }
 
     fn into_stats(self) -> CommStats {
-        FaultTransport::into_stats(self)
+        self.inner.into_stats()
     }
 }
 

@@ -10,17 +10,18 @@
 //!   [`Comm`] handle. Rank state is strictly private — the only data paths
 //!   between ranks are typed channels (point-to-point, per-pair FIFO,
 //!   asynchronous), mirroring MPI two-sided semantics.
-//! * [`Comm`] offers point-to-point sends ([`Comm::send`],
-//!   [`Comm::send_batch`]) and receives ([`Comm::try_recv`],
-//!   [`Comm::recv_timeout`], batched [`Comm::drain_recv`]), plus
-//!   collectives ([`Comm::barrier`], [`Comm::allreduce_sum`],
-//!   [`Comm::allgather_u64`]) implemented on a shared control plane —
-//!   semantically the same global operations MPI provides, kept separate
-//!   from the data plane so they cannot leak algorithm state.
+//! * [`Comm`] implements [`Transport`]: point-to-point sends
+//!   ([`Transport::send`], [`Transport::send_batch`]) and receives
+//!   ([`Transport::try_recv`], [`Transport::recv_timeout`], batched
+//!   [`Transport::drain_recv`]), plus collectives ([`Transport::barrier`],
+//!   [`Transport::allgather_u64`] and the reductions the trait folds from
+//!   it) on a shared control plane — semantically the same global
+//!   operations MPI provides, kept separate from the data plane so they
+//!   cannot leak algorithm state.
 //! * A **packet pool** recycles send-buffer allocations between each
 //!   (sender, receiver) pair: receivers hand drained packet buffers back
-//!   via [`Comm::recycle`] and senders reuse them through
-//!   [`Comm::acquire_buffer`], so steady-state traffic runs
+//!   via [`Transport::recycle`] and senders reuse them through
+//!   [`Transport::acquire_buffer`], so steady-state traffic runs
 //!   allocation-free. [`CommStats`] counts pool hits and misses.
 //! * [`Transport`] abstracts the communicator surface the engines are
 //!   written against (see the [`transport`] module docs for the receive
@@ -52,7 +53,7 @@
 //! # Example
 //!
 //! ```
-//! use pa_mpsim::World;
+//! use pa_mpsim::{Transport, World};
 //!
 //! // Every rank sends its rank number to rank 0, which sums them.
 //! let world = World::new(4);

@@ -6,8 +6,9 @@
 //! that is pure overhead (thread spawn/join, channel locks, condvars).
 //! [`LoopbackTransport`] instead runs the engine *on the calling thread*:
 //! sends to rank 0 loop back into a local queue, the packet pool is a
-//! plain freelist, collectives are identities, and the termination
-//! counter is a private [`ControlPlane`] of one rank.
+//! plain freelist, the gather is one word (so every collective is an
+//! identity), and the termination counter is a private [`ControlPlane`]
+//! of one rank.
 //!
 //! It is also the natural transport for unit tests that want to drive a
 //! message-handling path deterministically without any concurrency.
@@ -39,11 +40,6 @@ impl<M> LoopbackTransport<M> {
             stats: CommStats::new(1),
         }
     }
-
-    /// Consume the transport, returning its final statistics.
-    pub fn into_stats(self) -> CommStats {
-        self.stats
-    }
 }
 
 impl<M> Default for LoopbackTransport<M> {
@@ -59,12 +55,6 @@ impl<M> Transport<M> for LoopbackTransport<M> {
 
     fn nranks(&self) -> usize {
         1
-    }
-
-    fn send(&mut self, dest: usize, msg: M) {
-        let mut buf = self.acquire_buffer(dest);
-        buf.push(msg);
-        self.send_batch(dest, buf);
     }
 
     fn send_batch(&mut self, dest: usize, msgs: Vec<M>) {
@@ -123,29 +113,8 @@ impl<M> Transport<M> for LoopbackTransport<M> {
 
     fn barrier(&self) {}
 
-    fn allreduce_sum(&self, val: u64) -> u64 {
-        val
-    }
-
-    fn allreduce_max(&self, val: u64) -> u64 {
-        val
-    }
-
-    fn allreduce_min(&self, val: u64) -> u64 {
-        val
-    }
-
     fn allgather_u64(&self, val: u64) -> Vec<u64> {
         vec![val]
-    }
-
-    fn broadcast_u64(&self, root: usize, val: u64) -> u64 {
-        assert_eq!(root, 0, "broadcast root out of range");
-        val
-    }
-
-    fn exclusive_prefix_sum(&self, _val: u64) -> u64 {
-        0
     }
 
     fn termination(&self) -> TerminationHandle {
@@ -161,7 +130,7 @@ impl<M> Transport<M> for LoopbackTransport<M> {
     }
 
     fn into_stats(self) -> CommStats {
-        LoopbackTransport::into_stats(self)
+        self.stats
     }
 }
 

@@ -2,7 +2,7 @@
 
 /// Communication statistics for a single rank.
 ///
-/// A *message* is one logical unit handed to [`crate::Comm::send`] or
+/// A *message* is one logical unit handed to [`crate::Transport::send`] or
 /// aggregated by [`crate::BufferedComm`]; a *packet* is one physical
 /// channel transfer (one "MPI send" in the paper's terms). The paper's
 /// load-balance study (Figure 7) plots, per processor, the number of

@@ -7,6 +7,17 @@
 //! FIFO point-to-point sends, batched receives, a handful of `u64`
 //! collectives, and the outstanding-work termination predicate.
 //!
+//! # What an implementor writes
+//!
+//! One collective primitive and the point-to-point plumbing: `rank`,
+//! `nranks`, `send_batch`, `acquire_buffer`, `recycle`, the three
+//! receives, [`Transport::barrier`], [`Transport::allgather_u64`],
+//! `termination` and the three statistics accessors. Every other
+//! collective — the sum, max and min reductions, the broadcast and the
+//! exclusive prefix sum — and the single-message [`Transport::send`] are
+//! provided methods folded from those, so all backends share one
+//! definition of each; in particular, sums wrap on overflow everywhere.
+//!
 //! # Receive contract: `drain_recv` vs `recv_timeout`
 //!
 //! The two receive calls serve different phases of the engine loop and
@@ -98,12 +109,18 @@ pub trait Transport<M> {
     /// Number of ranks in the world.
     fn nranks(&self) -> usize;
 
-    /// Send one logical message to `dest` as its own packet.
+    /// Send one logical message to `dest` as its own packet, drawing the
+    /// packet buffer from the pool so ad-hoc sends do not allocate in
+    /// steady state.
     ///
     /// For high-volume traffic prefer [`crate::BufferedComm`], which
     /// aggregates messages per destination (the paper's message
     /// buffering, §3.5).
-    fn send(&mut self, dest: usize, msg: M);
+    fn send(&mut self, dest: usize, msg: M) {
+        let mut buf = self.acquire_buffer(dest);
+        buf.push(msg);
+        self.send_batch(dest, buf);
+    }
 
     /// Send a batch of logical messages to `dest` as a single packet.
     /// Empty batches are dropped (no packet transferred or counted).
@@ -132,23 +149,49 @@ pub trait Transport<M> {
     /// Global barrier: returns once every rank has entered.
     fn barrier(&self);
 
-    /// All-reduce a `u64` by summation; every rank gets the global sum.
-    fn allreduce_sum(&self, val: u64) -> u64;
-
-    /// All-reduce a `u64` by maximum.
-    fn allreduce_max(&self, val: u64) -> u64;
-
-    /// All-reduce a `u64` by minimum.
-    fn allreduce_min(&self, val: u64) -> u64;
-
-    /// All-gather: every rank receives all contributions, by rank.
+    /// All-gather: every rank receives the vector of all contributions,
+    /// indexed by rank. The one collective the provided reductions,
+    /// broadcast and prefix sum are folded from.
     fn allgather_u64(&self, val: u64) -> Vec<u64>;
 
-    /// Broadcast: every rank receives `root`'s contribution.
-    fn broadcast_u64(&self, root: usize, val: u64) -> u64;
+    /// All-reduce a `u64` by summation, wrapping on overflow; every rank
+    /// gets the global sum.
+    fn allreduce_sum(&self, val: u64) -> u64 {
+        self.allgather_u64(val)
+            .into_iter()
+            .fold(0, u64::wrapping_add)
+    }
 
-    /// Exclusive prefix sum of the ranks' contributions.
-    fn exclusive_prefix_sum(&self, val: u64) -> u64;
+    /// All-reduce a `u64` by maximum.
+    fn allreduce_max(&self, val: u64) -> u64 {
+        self.allgather_u64(val).into_iter().max().unwrap_or(val)
+    }
+
+    /// All-reduce a `u64` by minimum.
+    fn allreduce_min(&self, val: u64) -> u64 {
+        self.allgather_u64(val).into_iter().min().unwrap_or(val)
+    }
+
+    /// Broadcast: every rank receives `root`'s contribution (non-root
+    /// ranks' `val` is ignored, but they must still call).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not a rank of the world.
+    fn broadcast_u64(&self, root: usize, val: u64) -> u64 {
+        assert!(root < self.nranks(), "broadcast root out of range");
+        self.allgather_u64(val)[root]
+    }
+
+    /// Exclusive prefix sum, wrapping on overflow: the sum of the
+    /// contributions of all ranks strictly below this one (rank 0 gets
+    /// 0). The standard building block for assigning disjoint global id
+    /// ranges.
+    fn exclusive_prefix_sum(&self, val: u64) -> u64 {
+        self.allgather_u64(val)[..self.rank()]
+            .iter()
+            .fold(0, |acc, &v| acc.wrapping_add(v))
+    }
 
     /// Handle to the global outstanding-work termination detector.
     fn termination(&self) -> TerminationHandle;

@@ -1,7 +1,7 @@
 //! Integration and property tests for the message-passing runtime:
 //! randomized traffic patterns, collective stress and buffering.
 
-use pa_mpsim::{BufferedComm, Comm, World};
+use pa_mpsim::{BufferedComm, Comm, Transport, World};
 use pa_rng::{Rng64, Xoshiro256pp};
 use proptest::prelude::*;
 use std::time::Duration;

@@ -20,9 +20,10 @@
 //! * **Collectives** run on a binary tree (children of rank `r` are
 //!   `2r+1`, `2r+2`): contributions flow leaf-to-root as `COLL_UP`
 //!   frames, rank 0 assembles the per-rank snapshot, and the snapshot
-//!   flows root-to-leaf as `COLL_DOWN`. Every collective in the trait is
-//!   one tree round over the snapshot (sum, max, min, gather, broadcast,
-//!   prefix sum), so `P` ranks need `O(log P)` hops, not `O(P)`.
+//!   flows root-to-leaf as `COLL_DOWN`. The transport implements the
+//!   gather and the barrier as one such round each; the trait folds the
+//!   sum, max, min, broadcast and prefix sum from the gathered snapshot,
+//!   so every collective costs `O(log P)` hops, not `O(P)`.
 //! * **Termination** is a distributed ledger. `add` only stages work
 //!   locally; the next [`Transport::barrier`] folds every rank's staged
 //!   adds into the collective and all ranks grow the global *target* by
@@ -626,12 +627,6 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         self.shared.world
     }
 
-    fn send(&mut self, dest: usize, msg: M) {
-        let mut buf = self.acquire_buffer(dest);
-        buf.push(msg);
-        self.send_batch(dest, buf);
-    }
-
     fn send_batch(&mut self, dest: usize, msgs: Vec<M>) {
         if msgs.is_empty() {
             return;
@@ -669,7 +664,12 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         }
     }
 
+    /// Zero-capacity buffers are dropped uncounted, as on the
+    /// in-process transports.
     fn recycle(&mut self, _src: usize, buf: Vec<M>) {
+        if buf.capacity() == 0 {
+            return;
+        }
         self.stats.bufs_recycled += 1;
         self.shared.pool_put(buf);
     }
@@ -723,28 +723,8 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         self.shared.barrier_publish();
     }
 
-    fn allreduce_sum(&self, val: u64) -> u64 {
-        self.shared.collective(val).iter().sum()
-    }
-
-    fn allreduce_max(&self, val: u64) -> u64 {
-        self.shared.collective(val).into_iter().max().unwrap_or(val)
-    }
-
-    fn allreduce_min(&self, val: u64) -> u64 {
-        self.shared.collective(val).into_iter().min().unwrap_or(val)
-    }
-
     fn allgather_u64(&self, val: u64) -> Vec<u64> {
         self.shared.collective(val)
-    }
-
-    fn broadcast_u64(&self, root: usize, val: u64) -> u64 {
-        self.shared.collective(val)[root]
-    }
-
-    fn exclusive_prefix_sum(&self, val: u64) -> u64 {
-        self.shared.collective(val)[..self.shared.rank].iter().sum()
     }
 
     fn termination(&self) -> TerminationHandle {

@@ -12,8 +12,9 @@
 use std::time::Duration;
 
 use pa_core::{par, partition, partition::Scheme, seq, Engine, FaultPlan, GenOptions, PaConfig};
-use pa_graph::{io::Fnv1a, EdgeList};
-use pa_mpsim::World;
+use pa_graph::io::{EdgeFormat, Fnv1a};
+use pa_graph::EdgeList;
+use pa_mpsim::{Transport, World};
 
 /// The PR-1 PA fingerprints (see `tests/determinism.rs`): nlpa at
 /// `α = 1.0` must land on these, not merely on a self-consistent hash.
@@ -196,9 +197,9 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
     let part = partition::build(Scheme::Rrp, cfg.n, 3);
     let dir = std::env::temp_dir().join(format!("pa_models_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let meta = par::CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &opts);
-    assert_eq!(meta.model_id, 1, "nlpa must not masquerade as pa");
-    assert_eq!(meta.alpha_bits, alpha.to_bits());
+    let meta = par::CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &opts, EdgeFormat::Binary);
+    assert_eq!(meta.job.model_id, 1, "nlpa must not masquerade as pa");
+    assert_eq!(meta.job.alpha_bits, alpha.to_bits());
 
     let ckpt_dir = dir.clone();
     let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
