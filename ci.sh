@@ -17,6 +17,10 @@ for src in crates/*/src; do
     printf '    %-10s %6d\n' "$(basename "$(dirname "$src")")" "$(nontest_lines "$src")"
 done
 printf '    %-10s %6d\n' total "$(nontest_lines crates/*/src)"
+# ROADMAP 8(a) tracks the library's documented panics; also report only.
+echo "==> '# Panics' doc sections under crates/*/src (report only)"
+printf '    %-10s %6d\n' panics \
+    "$({ grep -rhE '^[[:space:]]*//[/!] # Panics' crates/*/src || true; } | wc -l)"
 
 echo "==> cargo build --release"
 cargo build --release --workspace

@@ -58,7 +58,7 @@ fn main() {
             a.u64("x", 4)?,
             a.f64("p", 0.5)?,
             a.u64("seed", 1)?,
-            a.u64("ranks", 4)? as usize,
+            a.int("ranks", 4usize)?,
         ))
     });
 

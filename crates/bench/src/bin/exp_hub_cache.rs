@@ -28,7 +28,7 @@ fn main() {
         Ok((
             n,
             a.u64("x", 4)?,
-            a.u64("ranks", 8)? as usize,
+            a.int("ranks", 8usize)?,
             a.u64("seed", 1)?,
             a.u64("hub", n / 4)?,
         ))

@@ -31,7 +31,7 @@ fn main() {
         Ok((
             a.u64("n", 1_000_000)?,
             a.u64("x", 6)?,
-            a.u64("ranks", 32)? as usize,
+            a.int("ranks", 32usize)?,
             a.u64("seed", 1)?,
         ))
     });

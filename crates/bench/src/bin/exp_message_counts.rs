@@ -27,7 +27,7 @@ fn main() {
             a.u64("n", 1_000_000)?,
             a.f64("p", 0.5)?,
             a.u64("seed", 1)?,
-            a.u64("ranks", 16)? as usize,
+            a.int("ranks", 16usize)?,
         ))
     });
 

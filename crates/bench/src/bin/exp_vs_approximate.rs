@@ -21,7 +21,7 @@ fn main() {
         Ok((
             a.u64("n", 200_000)?,
             a.u64("x", 4)?,
-            a.u64("ranks", 8)? as usize,
+            a.int("ranks", 8usize)?,
             a.u64("seed", 1)?,
         ))
     });

@@ -14,7 +14,7 @@ fn main() {
     let (n, ranks, b) = flags(|a| {
         Ok((
             a.u64("n", 1_000_000)?,
-            a.u64("ranks", 100)? as usize,
+            a.int("ranks", 100usize)?,
             a.f64("b", eq10::DEFAULT_B)?,
         ))
     });

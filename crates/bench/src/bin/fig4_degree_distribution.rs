@@ -17,7 +17,7 @@ fn main() {
             a.u64("n", 1_000_000)?,
             a.u64("x", 4)?,
             a.f64("p", 0.5)?,
-            a.u64("ranks", 8)? as usize,
+            a.int("ranks", 8usize)?,
             a.u64("seed", 1)?,
         ))
     });

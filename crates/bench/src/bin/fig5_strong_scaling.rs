@@ -19,7 +19,7 @@ fn main() {
         Ok((
             a.u64("n", 2_000_000)?,
             a.u64("x", 6)?,
-            a.u64("maxp", 32)? as usize,
+            a.int("maxp", 32usize)?,
             a.u64("seed", 1)?,
         ))
     });

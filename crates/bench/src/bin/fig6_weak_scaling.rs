@@ -20,8 +20,8 @@ fn main() {
         Ok((
             a.u64("nodes-per-rank", 100_000)?,
             a.u64("x", 6)?,
-            a.u64("minp", 4)? as usize,
-            a.u64("maxp", 32)? as usize,
+            a.int("minp", 4usize)?,
+            a.int("maxp", 32usize)?,
             a.u64("seed", 1)?,
         ))
     });

@@ -20,7 +20,7 @@ fn main() {
         Ok((
             a.u64("n", 1_000_000)?,
             a.u64("x", 10)?,
-            a.u64("ranks", 160)? as usize,
+            a.int("ranks", 160usize)?,
             a.u64("seed", 1)?,
         ))
     });

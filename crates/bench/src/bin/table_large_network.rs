@@ -19,7 +19,7 @@ fn main() {
         Ok((
             a.u64("n", 10_000_000)?,
             a.u64("x", 5)?,
-            a.u64("ranks", 8)? as usize,
+            a.int("ranks", 8usize)?,
             a.u64("seed", 1)?,
         ))
     });

@@ -117,12 +117,50 @@ impl Args {
     ///
     /// Errors when the value does not parse.
     pub fn u64(&self, key: &str, default: u64) -> Result<u64, CliError> {
-        match self.raw(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("--{key} must be an integer, got {v:?}"))),
-        }
+        self.int(key, default)
+    }
+
+    /// Unsigned integer flag with default, read at the width of the type
+    /// it lands in: a value too large for `T` is an error naming the flag
+    /// and `T`'s largest value, never a silent wrap.
+    ///
+    /// # Errors
+    ///
+    /// Errors when the value does not parse or does not fit `T`.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, CliError> {
+        let Some(v) = self.raw(key) else {
+            return Ok(default);
+        };
+        let wide: u64 = v
+            .parse()
+            .map_err(|_| CliError::usage(format!("--{key} must be an integer, got {v:?}")))?;
+        T::try_from(wide).map_err(|_| {
+            let max = u64::MAX >> (64 - 8 * std::mem::size_of::<T>());
+            CliError::usage(format!("--{key} must be at most {max}, got {v}"))
+        })
+    }
+
+    /// Flag that must be one of `choices` (default `default`).
+    ///
+    /// # Errors
+    ///
+    /// Errors naming every choice when the value is none of them.
+    pub fn choice<'a>(
+        &self,
+        key: &str,
+        default: &'a str,
+        choices: &[&'a str],
+    ) -> Result<&'a str, CliError> {
+        let Some(v) = self.raw(key) else {
+            return Ok(default);
+        };
+        choices.iter().find(|c| *c == v).copied().ok_or_else(|| {
+            let (last, rest) = choices.split_last().expect("at least one choice");
+            CliError::usage(format!(
+                "--{key} must be {} or {last}, got {v:?}",
+                rest.join(", ")
+            ))
+        })
     }
 
     /// `f64` flag with default.
@@ -182,6 +220,39 @@ mod tests {
         assert_eq!(a.str("scheme", ""), "rrp");
         let err = parse(&["--n", "abc"]).u64("n", 0).unwrap_err();
         assert!(err.message().contains("--n must be an integer"), "{err}");
+    }
+
+    #[test]
+    fn int_reads_at_the_target_width() {
+        let a = parse(&["--p", "4294967295", "--q", "4294967296", "--r", "-1"]);
+        assert_eq!(a.int::<u32>("p", 0).unwrap(), u32::MAX);
+        let err = a.int::<u32>("q", 0).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "--q must be at most 4294967295, got 4294967296"
+        );
+        assert_eq!(a.int::<u64>("q", 0).unwrap(), 1 << 32);
+        let err = a.int::<u8>("p", 0).unwrap_err();
+        assert!(err.message().contains("at most 255"), "{err}");
+        let err = a.int::<usize>("r", 0).unwrap_err();
+        assert!(err.message().contains("--r must be an integer"), "{err}");
+        assert_eq!(a.int::<u32>("absent", 7).unwrap(), 7);
+    }
+
+    #[test]
+    fn choice_names_every_option() {
+        let a = parse(&["--two", "on", "--three", "loud"]);
+        assert_eq!(a.choice("two", "off", &["on", "off"]).unwrap(), "on");
+        assert_eq!(a.choice("absent", "off", &["on", "off"]).unwrap(), "off");
+        let err = a
+            .choice("three", "off", &["off", "light", "aggressive"])
+            .unwrap_err();
+        assert_eq!(
+            err.message(),
+            "--three must be off, light or aggressive, got \"loud\""
+        );
+        let err = a.choice("three", "auto", &["auto", "off"]).unwrap_err();
+        assert_eq!(err.message(), "--three must be auto or off, got \"loud\"");
     }
 
     #[test]

@@ -25,16 +25,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     })?;
     let job = parse_job(args, None, encoding)?;
     let mut opts = FetchOptions::new(&addr, job.to_raw(), &out_path);
-    opts.resume = match args.str("resume", "off").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::usage(format!(
-                "--resume must be on or off, got {other:?}"
-            )))
-        }
-    };
-    opts.max_attempts = args.u64("max-attempts", u64::from(opts.max_attempts))? as u32;
+    opts.resume = args.choice("resume", "off", &["on", "off"])? == "on";
+    opts.max_attempts = args.int("max-attempts", opts.max_attempts)?;
     if opts.max_attempts == 0 {
         return Err(CliError::usage("--max-attempts must be positive"));
     }

@@ -90,7 +90,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "er" => {
             let n = args.u64("n", 100_000)?;
             let p = args.f64("p", 0.0001)?;
-            let ranks = args.u64("ranks", 4)? as usize;
+            let ranks: usize = args.int("ranks", 4)?;
             let cfg = er::ErConfig::new(n, p).with_seed(seed);
             let edges = er::generate_par(&cfg, ranks.max(1));
             (
@@ -111,21 +111,21 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let n = args.u64("n", 100_000)?;
             let mean = args.u64("x", 4)? as f64;
             let gamma = args.f64("gamma", 2.8)?;
-            let ranks = args.u64("ranks", 4)? as usize;
+            let ranks: usize = args.int("ranks", 4)?;
             let cfg = cl::ClConfig::new(cl::power_law_weights(n, gamma, mean), seed);
             let edges = cl::generate_par(&cfg, ranks.max(1));
             let meta = Meta::new(n).with("model", "chung-lu");
             (edges, meta.with("gamma", gamma).with("mean_degree", mean))
         }
         "rmat" => {
-            let scale = args.u64("scale", 18)? as u32;
+            let scale: u32 = args.int("scale", 18)?;
             if scale == 0 || scale > 62 {
                 return Err(CliError::usage("--scale must be in 1..=62"));
             }
             let mut cfg = rmat::RmatConfig::graph500(scale).with_seed(seed);
             let edges_flag = args.u64("edges", cfg.edges)?;
             cfg = cfg.with_edges(edges_flag);
-            let ranks = args.u64("ranks", 4)? as usize;
+            let ranks: usize = args.int("ranks", 4)?;
             let edges = rmat::generate_par(&cfg, ranks.max(1));
             (
                 edges,
@@ -486,11 +486,11 @@ pub(crate) fn stream_pa_to_disk(
 /// watchdog.
 pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
     let mut opts = GenOptions::default();
-    opts.buffer_capacity = args.u64("buffer-cap", opts.buffer_capacity as u64)? as usize;
+    opts.buffer_capacity = args.int("buffer-cap", opts.buffer_capacity)?;
     if opts.buffer_capacity == 0 {
         return Err(CliError::usage("--buffer-cap must be positive"));
     }
-    opts.service_interval = args.u64("service-interval", opts.service_interval as u64)? as usize;
+    opts.service_interval = args.int("service-interval", opts.service_interval)?;
     if opts.service_interval == 0 {
         return Err(CliError::usage("--service-interval must be positive"));
     }
@@ -498,15 +498,10 @@ pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
         opts = opts.without_hub_cache();
     }
     let chaos_seed = args.u64("chaos-seed", 0)?;
-    match args.str("chaos-profile", "off").as_str() {
-        "off" => {}
+    match args.choice("chaos-profile", "off", &["off", "light", "aggressive"])? {
         "light" => opts = opts.with_fault_plan(pa_core::FaultPlan::light(chaos_seed)),
         "aggressive" => opts = opts.with_fault_plan(pa_core::FaultPlan::aggressive(chaos_seed)),
-        other => {
-            return Err(CliError::usage(format!(
-                "--chaos-profile must be off, light or aggressive, got {other:?}"
-            )))
-        }
+        _ => {}
     }
     let stall_ms = args.u64("stall-timeout-ms", 0)?;
     if stall_ms > 0 {
@@ -525,13 +520,7 @@ pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
 /// [`pa_core::DEFAULT_HUB_CACHE_NODES`] hub rows (`auto`) or runs the
 /// paper's pure request protocol (`off`).
 pub(crate) fn parse_hub_cache(args: &Args) -> Result<bool, CliError> {
-    match args.str("hub-cache", "auto").as_str() {
-        "auto" => Ok(true),
-        "off" => Ok(false),
-        other => Err(CliError::usage(format!(
-            "--hub-cache must be auto or off, got {other:?}"
-        ))),
-    }
+    Ok(args.choice("hub-cache", "auto", &["auto", "off"])? == "auto")
 }
 
 pub(crate) fn parse_scheme(s: &str) -> Result<Scheme, CliError> {

@@ -59,7 +59,7 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         n => n,
     };
     let x = args.u64("x", 4)?;
-    let ranks = args.u64("ranks", 4)? as usize;
+    let ranks: usize = args.int("ranks", 4)?;
     if ranks == 0 {
         return Err(CliError::usage("--ranks must be positive"));
     }

@@ -88,28 +88,15 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // attempt cannot wire into the restarted world.
     let ckpt_dir = args.str("checkpoint-dir", "");
     let mut ckpt_interval = args.u64("checkpoint-interval", n.div_ceil(8).max(1))?;
-    let resume_mode = args.str("resume", "off");
+    let resume = args.choice("resume", "off", &["auto", "off"])? == "auto";
     let restart_epoch = args.u64("restart-epoch", 0)?;
-    if !matches!(resume_mode.as_str(), "auto" | "off") {
-        return Err(CliError::usage(format!(
-            "--resume must be auto or off, got {resume_mode:?}"
-        )));
-    }
-    if ckpt_dir.is_empty() && resume_mode == "auto" {
+    if ckpt_dir.is_empty() && resume {
         return Err(CliError::usage("--resume auto needs --checkpoint-dir"));
     }
     // `--keep-checkpoints on` leaves the finished run's checkpoints (and
     // a paged store's page files) on disk — the saved world a later
     // `--restart-world` run re-partitions.
-    let keep_checkpoints = match args.str("keep-checkpoints", "off").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::usage(format!(
-                "--keep-checkpoints must be on or off, got {other:?}"
-            )))
-        }
-    };
+    let keep_checkpoints = args.choice("keep-checkpoints", "off", &["on", "off"])? == "on";
 
     // Elastic gang restart: `--restart-world <dir>` names a saved
     // world's kept checkpoint directory; its committed prefix is
@@ -220,8 +207,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // votes `e + 1`; the world-wide minimum picks an epoch every rank
     // can replay from (epoch skew across ranks is at most 1, and each
     // rank retains its last two epochs).
-    let vote = match (&store, resume_mode.as_str()) {
-        (Some(s), "auto") => s.latest().map_or(0, |e| e + 1),
+    let vote = match &store {
+        Some(s) if resume => s.latest().map_or(0, |e| e + 1),
         _ => 0,
     };
     let agreed = t.allreduce_min(vote);

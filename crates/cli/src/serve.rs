@@ -61,13 +61,18 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = args.str("addr", "127.0.0.1:9900");
     let jobs_dir = args.str("jobs-dir", "pagen-jobs");
     let mut cfg = ServeConfig::new(&jobs_dir);
-    cfg.queue_cap = args.u64("queue-cap", cfg.queue_cap as u64)? as usize;
-    cfg.workers = args.u64("workers", cfg.workers as u64)? as usize;
-    let chunk_kb = args.u64("chunk-kb", (cfg.chunk_bytes >> 10) as u64)?;
+    cfg.queue_cap = args.int("queue-cap", cfg.queue_cap)?;
+    cfg.workers = args.int("workers", cfg.workers)?;
+    let chunk_kb: usize = args.int("chunk-kb", cfg.chunk_bytes >> 10)?;
     if chunk_kb == 0 {
         return Err(CliError::usage("--chunk-kb must be positive"));
     }
-    cfg.chunk_bytes = (chunk_kb << 10) as usize;
+    cfg.chunk_bytes = chunk_kb.checked_mul(1024).ok_or_else(|| {
+        CliError::usage(format!(
+            "--chunk-kb must be at most {}, got {chunk_kb}",
+            usize::MAX >> 10
+        ))
+    })?;
     cfg.retry_after = Duration::from_millis(args.u64("retry-after-ms", 200)?);
     cfg.request_timeout = Duration::from_millis(args.u64("request-timeout-ms", 10_000)?);
     if cfg.request_timeout.is_zero() {
@@ -80,7 +85,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if job_timeout != 0 {
         cfg.job_timeout = Some(Duration::from_millis(job_timeout));
     }
-    cfg.max_conns = args.u64("max-conns", cfg.max_conns as u64)? as usize;
+    cfg.max_conns = args.int("max-conns", cfg.max_conns)?;
     if cfg.max_conns == 0 {
         return Err(CliError::usage("--max-conns must be positive"));
     }
@@ -91,9 +96,9 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             return Err(CliError::usage("--cache-bytes must be positive"));
         }
     }
-    cfg.max_job_failures = args.u64("max-job-failures", u64::from(cfg.max_job_failures))? as u32;
+    cfg.max_job_failures = args.int("max-job-failures", cfg.max_job_failures)?;
     let runner = EngineRunner {
-        max_ranks: args.u64("max-ranks", 64)? as u32,
+        max_ranks: args.int("max-ranks", 64)?,
         max_nodes: args.u64("max-nodes", 1 << 32)?,
     };
     args.finish()?;

@@ -3,9 +3,10 @@
 //!
 //! The in-process backends hand the CLI every rank's [`CommStats`]
 //! directly; the TCP backend cannot (each rank is its own process), so
-//! the totals travel through the transport's allreduce/allgather — the
-//! same collectives the engines already rely on. Either way the result
-//! is a [`MergedStats`], rendered as a human summary and, with
+//! each rank's ledger travels through the transport's allgather — the
+//! same collective the engines already rely on — and is folded the same
+//! way. Either way the result is a [`MergedStats`], rendered as a human
+//! summary and, with
 //! `--stats-json`, as a hand-written JSON object (no serialization
 //! dependency in this workspace).
 
@@ -26,15 +27,7 @@ pub(crate) struct StatsFlags {
 impl StatsFlags {
     /// Read `--stats` / `--stats-json`.
     pub fn parse(args: &Args) -> Result<Self, CliError> {
-        let summary = match args.str("stats", "off").as_str() {
-            "on" => true,
-            "off" => false,
-            other => {
-                return Err(CliError::usage(format!(
-                    "--stats must be on or off, got {other:?}"
-                )))
-            }
-        };
+        let summary = args.choice("stats", "off", &["on", "off"])? == "on";
         let json = match args.str("stats-json", "") {
             p if p.is_empty() => None,
             p => Some(p),
@@ -88,22 +81,12 @@ impl MergedStats {
     /// this**, in the same program position (it is a collective); each
     /// gets the same totals back.
     pub fn over_transport<M>(t: &impl Transport<M>, own: &CommStats) -> Self {
-        let mut totals = CommStats::new(t.nranks());
-        totals.msgs_sent = t.allreduce_sum(own.msgs_sent);
-        totals.msgs_recv = t.allreduce_sum(own.msgs_recv);
-        totals.packets_sent = t.allreduce_sum(own.packets_sent);
-        totals.packets_recv = t.allreduce_sum(own.packets_recv);
-        totals.pool_hits = t.allreduce_sum(own.pool_hits);
-        totals.pool_misses = t.allreduce_sum(own.pool_misses);
-        totals.bufs_recycled = t.allreduce_sum(own.bufs_recycled);
-        totals.faults_injected = t.allreduce_sum(own.faults_injected);
-        totals.retransmitted = t.allreduce_sum(own.retransmitted);
-        totals.deduped = t.allreduce_sum(own.deduped);
-        MergedStats {
-            world: t.nranks(),
-            totals,
-            per_rank_msgs: t.allgather_u64(own.total_msgs()),
-        }
+        // One allgather per counter; rank r's ledger is entry r of each.
+        let gathered = own.to_words().map(|w| t.allgather_u64(w));
+        let ledgers: Vec<CommStats> = (0..t.nranks())
+            .map(|r| CommStats::from_words(std::array::from_fn(|i| gathered[i][r])))
+            .collect();
+        Self::from_local(&ledgers)
     }
 
     /// Human-readable summary (one block, stable line prefixes so tests
@@ -144,41 +127,16 @@ impl MergedStats {
         )
     }
 
-    /// The merged stats as a JSON object (hand-written; the workspace
-    /// has no serialization dependency).
+    /// The merged stats as a JSON object: `world`, every [`CommStats`]
+    /// counter in declaration order, then `per_rank_msgs` (hand-written;
+    /// the workspace has no serialization dependency).
     pub fn to_json(&self) -> String {
-        let t = &self.totals;
+        let mut j = format!("{{\n  \"world\": {},\n", self.world);
+        for (name, v) in CommStats::NAMES.iter().zip(self.totals.to_words()) {
+            j += &format!("  \"{name}\": {v},\n");
+        }
         let per_rank: Vec<String> = self.per_rank_msgs.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"world\": {},\n",
-                "  \"msgs_sent\": {},\n",
-                "  \"msgs_recv\": {},\n",
-                "  \"packets_sent\": {},\n",
-                "  \"packets_recv\": {},\n",
-                "  \"pool_hits\": {},\n",
-                "  \"pool_misses\": {},\n",
-                "  \"bufs_recycled\": {},\n",
-                "  \"faults_injected\": {},\n",
-                "  \"retransmitted\": {},\n",
-                "  \"deduped\": {},\n",
-                "  \"per_rank_msgs\": [{}]\n",
-                "}}\n"
-            ),
-            self.world,
-            t.msgs_sent,
-            t.msgs_recv,
-            t.packets_sent,
-            t.packets_recv,
-            t.pool_hits,
-            t.pool_misses,
-            t.bufs_recycled,
-            t.faults_injected,
-            t.retransmitted,
-            t.deduped,
-            per_rank.join(", ")
-        )
+        j + &format!("  \"per_rank_msgs\": [{}]\n}}\n", per_rank.join(", "))
     }
 }
 
@@ -226,6 +184,44 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(!j.contains(",\n}"), "{j}");
+    }
+
+    /// The `--stats-json` document, byte for byte: `world`, the ten
+    /// counters in declaration order, `per_rank_msgs`.
+    #[test]
+    fn json_document_is_pinned() {
+        let a = CommStats {
+            msgs_sent: 1,
+            msgs_recv: 2,
+            packets_sent: 3,
+            packets_recv: 4,
+            pool_hits: 5,
+            pool_misses: 6,
+            bufs_recycled: 7,
+            faults_injected: 8,
+            retransmitted: 9,
+            deduped: 10,
+            ..CommStats::new(2)
+        };
+        let mut b = CommStats::new(2);
+        b.msgs_sent = 100;
+        let golden = concat!(
+            "{\n",
+            "  \"world\": 2,\n",
+            "  \"msgs_sent\": 101,\n",
+            "  \"msgs_recv\": 2,\n",
+            "  \"packets_sent\": 3,\n",
+            "  \"packets_recv\": 4,\n",
+            "  \"pool_hits\": 5,\n",
+            "  \"pool_misses\": 6,\n",
+            "  \"bufs_recycled\": 7,\n",
+            "  \"faults_injected\": 8,\n",
+            "  \"retransmitted\": 9,\n",
+            "  \"deduped\": 10,\n",
+            "  \"per_rank_msgs\": [3, 100]\n",
+            "}\n",
+        );
+        assert_eq!(MergedStats::from_local(&[a, b]).to_json(), golden);
     }
 
     #[test]

@@ -262,6 +262,23 @@ fn error_paths_are_user_facing() {
 }
 
 #[test]
+fn scale_too_wide_for_its_u32_is_refused_not_wrapped() {
+    // 2^32 + 1 wrapped to scale 1 (a 2-node graph) while 63 was refused.
+    let out = tmp("wide_scale.bin");
+    let err = exec(&[
+        "generate",
+        "--model",
+        "rmat",
+        "--scale",
+        "4294967297",
+        "--out",
+        &out,
+    ])
+    .unwrap_err();
+    assert_eq!(err, "--scale must be at most 4294967295, got 4294967297");
+}
+
+#[test]
 fn analyze_rejects_undersized_n() {
     let path = tmp("undersized.bin");
     exec(&[

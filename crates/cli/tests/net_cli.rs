@@ -202,6 +202,44 @@ fn palaunch_merges_stats_from_all_ranks() {
 }
 
 #[test]
+fn both_merge_paths_write_the_same_stats_document() {
+    // The in-process fold (`generate --ranks 2`) and the collectives over
+    // TCP (`palaunch -p 2`) must merge an engine-3 run into the same
+    // bytes: engine 3 sends no algorithm message, so both worlds count
+    // the same (zero) traffic.
+    let job = [
+        "generate", "--model", "pa", "--n", "20000", "--x", "4", "--seed", "3", "--engine", "3",
+        "--format", "bin",
+    ];
+    let (local_json, tcp_json) = (tmp("merge_local.json"), tmp("merge_tcp.json"));
+    let local = Command::new(PAGEN)
+        .args(job)
+        .args(["--ranks", "2", "--out", &tmp("merge_local.bin")])
+        .args(["--stats-json", &local_json])
+        .output()
+        .unwrap();
+    assert!(
+        local.status.success(),
+        "{}",
+        String::from_utf8_lossy(&local.stderr)
+    );
+    let tcp = Command::new(PALAUNCH)
+        .args(["-p", "2", "--pagen", PAGEN, "--"])
+        .args(job)
+        .args(["--out", &tmp("merge_tcp.bin"), "--stats-json", &tcp_json])
+        .output()
+        .unwrap();
+    assert!(
+        tcp.status.success(),
+        "{}",
+        String::from_utf8_lossy(&tcp.stderr)
+    );
+    let local = std::fs::read_to_string(&local_json).unwrap();
+    assert_eq!(local, std::fs::read_to_string(&tcp_json).unwrap());
+    assert!(local.contains("\"per_rank_msgs\": [0, 0]"), "{local}");
+}
+
+#[test]
 fn in_process_backend_reports_stats_too() {
     let out_path = tmp("local_stats.pag");
     let json_path = tmp("local_stats.json");

@@ -57,6 +57,30 @@ fn pagen(args: &[&str]) -> std::process::Output {
     Command::new(PAGEN).args(args).output().unwrap()
 }
 
+#[test]
+fn fetch_max_attempts_too_wide_for_its_u32_exits_2() {
+    // 2^32 + 1 wrapped to a single attempt; it must be a usage error
+    // before any connection is tried.
+    let dir = tmp_dir("wide_attempts");
+    let out_path = dir.join("out.bin");
+    let out = pagen(&[
+        "fetch",
+        "--addr",
+        &free_addr(),
+        "--out",
+        out_path.to_str().unwrap(),
+        "--max-attempts",
+        "4294967297",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--max-attempts must be at most 4294967295, got 4294967297"),
+        "{stderr}"
+    );
+    assert!(!out_path.exists(), "a refused fetch must not touch --out");
+}
+
 fn assert_ok(out: &std::process::Output, what: &str) -> String {
     assert!(
         out.status.success(),

@@ -25,6 +25,7 @@ use std::path::{Path, PathBuf};
 use pa_graph::io::{EdgeFormat, Fnv1a};
 use pa_graph::job::{JobSpec, JOB_CANONICAL_LEN};
 use pa_mpsim::wire::{get_u32, get_u64, take};
+use pa_mpsim::Wire;
 
 use crate::job::JobDescriptor;
 use crate::partition::Scheme;
@@ -101,14 +102,6 @@ pub struct CheckpointStore {
     dir: PathBuf,
     rank: u32,
     meta: CheckpointMeta,
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// A checkpoint file parsed **without** a run identity to compare
@@ -200,19 +193,14 @@ impl CheckpointStore {
         payload: &[u8],
     ) -> io::Result<()> {
         let mut buf = Vec::with_capacity(128 + payload.len());
-        put_u32(&mut buf, MAGIC);
-        put_u32(&mut buf, VERSION);
-        put_u32(&mut buf, self.rank);
-        put_u64(&mut buf, epoch);
-        put_u64(&mut buf, hi);
+        for word in [MAGIC, VERSION, self.rank] {
+            word.encode(&mut buf);
+        }
+        [epoch, hi].encode(&mut buf);
         buf.extend_from_slice(&self.meta.job.canonical_bytes());
-        put_u64(&mut buf, self.meta.interval);
-        put_u64(&mut buf, edges);
-        put_u64(&mut buf, bytes);
-        put_u64(&mut buf, payload.len() as u64);
+        [self.meta.interval, edges, bytes, payload.len() as u64].encode(&mut buf);
         buf.extend_from_slice(payload);
-        let sum = Fnv1a::hash(&buf);
-        put_u64(&mut buf, sum);
+        Fnv1a::hash(&buf).encode(&mut buf);
 
         let tmp = self
             .dir

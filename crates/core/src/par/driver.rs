@@ -39,7 +39,7 @@
 //! Epoch boundaries are pure functions of `(n, interval)`, so the cut —
 //! and the output — is bit-identical with and without checkpointing.
 
-use pa_mpsim::{BufferedComm, Packet, Transport};
+use pa_mpsim::{BufferedComm, CommStats, Packet, Transport};
 
 use super::checkpoint::{CheckpointStore, SavedCheckpoint};
 use super::strategy::Strategy;
@@ -271,17 +271,15 @@ where
                         *last_outstanding = outstanding;
                         *last_progress = std::time::Instant::now();
                     } else if last_progress.elapsed() >= *limit {
-                        let stats = net.comm.stats();
+                        let comm: String = CommStats::NAMES
+                            .iter()
+                            .zip(net.comm.stats().to_words())
+                            .map(|(name, v)| format!(" {name}={v}"))
+                            .collect();
                         eprintln!(
                             "stall watchdog: rank {rank} made no progress for {limit:?}; \
-                             outstanding={outstanding} {} msgs_sent={} msgs_recv={} \
-                             faults_injected={} retransmitted={} deduped={}",
+                             outstanding={outstanding} {}{comm}",
                             algo.stall_report(),
-                            stats.msgs_sent,
-                            stats.msgs_recv,
-                            stats.faults_injected,
-                            stats.retransmitted,
-                            stats.deduped,
                         );
                         panic!(
                             "stall watchdog fired on rank {rank}: no progress for {limit:?} \

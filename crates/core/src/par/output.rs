@@ -5,119 +5,59 @@ use crate::PaConfig;
 use pa_graph::EdgeList;
 use pa_mpsim::CommStats;
 
-/// Algorithm-level event counters for one rank.
-///
-/// These are the quantities behind the paper's load-balance study
-/// (Figure 7): nodes per processor, outgoing request messages, incoming
-/// request messages — plus extra visibility into the dependency-wait and
-/// duplicate-retry machinery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineCounters {
-    /// Local nodes processed (the rank's partition size).
-    pub nodes: u64,
-    /// Edges committed through the direct branch (probability `p`).
-    pub direct_edges: u64,
-    /// Edges committed through the copy branch (probability `1 − p`).
-    pub copy_edges: u64,
-    /// Copy lookups answered locally without waiting (`F_k` was already
-    /// known on this rank).
-    pub local_immediate: u64,
-    /// Copy lookups queued locally (`k` local but `F_k` still pending).
-    pub local_deferred: u64,
-    /// Request messages sent to other ranks.
-    pub requests_sent: u64,
-    /// Incoming requests answered immediately.
-    pub requests_served: u64,
-    /// Incoming requests parked in a queue until the slot resolves.
-    pub requests_queued: u64,
-    /// Duplicate-edge retries (both the early check of Alg. 3.2 line 7
-    /// and the late check of line 22).
-    pub duplicate_retries: u64,
-    /// Peak number of waiters parked in this rank's queues.
-    pub max_queued_waiters: u64,
-    /// Copy lookups answered by the replicated hub cache (each one is a
-    /// request/resolved round trip that never hit the network).
-    pub hub_hits: u64,
-    /// Of those, lookups that arrived before the owner's broadcast and
-    /// parked for it instead of sending a request.
-    pub hub_deferred: u64,
-    /// Hub broadcast entries installed into this rank's replica.
-    pub hub_updates: u64,
-    /// Incoming `resolved` messages discarded as stale — duplicates of
-    /// answers already consumed, or answers to superseded draw attempts.
-    /// Always zero on a clean transport; nonzero only under fault
-    /// injection (duplication / retransmission).
-    pub stale_resolutions: u64,
-    /// Remote rows re-derived locally by engine3's chain walk (each one
-    /// is a request/resolved round trip that never existed).
-    pub chain_rows_recomputed: u64,
-    /// Chain lookups answered by the per-rank memo of recently
-    /// recomputed rows (engine3 only).
-    pub chain_memo_hits: u64,
-    /// Deepest dependency chain engine3 walked on this rank — the
-    /// empirical counterpart of the paper's Lemma 3.1 O(log n) bound.
-    pub chain_peak_depth: u64,
-}
-
-impl EngineCounters {
-    /// Field count of the checkpoint encoding (one `u64` per field, in
-    /// declaration order).
-    pub(super) const ENCODED_FIELDS: usize = 17;
-
-    /// Append the checkpoint encoding: every field as a little-endian
-    /// `u64`, in declaration order.
-    pub(super) fn encode(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.nodes,
-            self.direct_edges,
-            self.copy_edges,
-            self.local_immediate,
-            self.local_deferred,
-            self.requests_sent,
-            self.requests_served,
-            self.requests_queued,
-            self.duplicate_retries,
-            self.max_queued_waiters,
-            self.hub_hits,
-            self.hub_deferred,
-            self.hub_updates,
-            self.stale_resolutions,
-            self.chain_rows_recomputed,
-            self.chain_memo_hits,
-            self.chain_peak_depth,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decode the [`EngineCounters::encode`] layout from the front of
-    /// `input`, advancing it; `None` on truncation.
-    pub(super) fn decode(input: &mut &[u8]) -> Option<Self> {
-        let mut fields = [0u64; Self::ENCODED_FIELDS];
-        for f in &mut fields {
-            *f = pa_mpsim::wire::get_u64(input)?;
-        }
-        let [nodes, direct_edges, copy_edges, local_immediate, local_deferred, requests_sent, requests_served, requests_queued, duplicate_retries, max_queued_waiters, hub_hits, hub_deferred, hub_updates, stale_resolutions, chain_rows_recomputed, chain_memo_hits, chain_peak_depth] =
-            fields;
-        Some(Self {
-            nodes,
-            direct_edges,
-            copy_edges,
-            local_immediate,
-            local_deferred,
-            requests_sent,
-            requests_served,
-            requests_queued,
-            duplicate_retries,
-            max_queued_waiters,
-            hub_hits,
-            hub_deferred,
-            hub_updates,
-            stale_resolutions,
-            chain_rows_recomputed,
-            chain_memo_hits,
-            chain_peak_depth,
-        })
+pa_mpsim::counters! {
+    /// Algorithm-level event counters for one rank.
+    ///
+    /// These are the quantities behind the paper's load-balance study
+    /// (Figure 7): nodes per processor, outgoing request messages, incoming
+    /// request messages — plus extra visibility into the dependency-wait and
+    /// duplicate-retry machinery.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineCounters {
+        /// Local nodes processed (the rank's partition size).
+        nodes: sum,
+        /// Edges committed through the direct branch (probability `p`).
+        direct_edges: sum,
+        /// Edges committed through the copy branch (probability `1 − p`).
+        copy_edges: sum,
+        /// Copy lookups answered locally without waiting (`F_k` was already
+        /// known on this rank).
+        local_immediate: sum,
+        /// Copy lookups queued locally (`k` local but `F_k` still pending).
+        local_deferred: sum,
+        /// Request messages sent to other ranks.
+        requests_sent: sum,
+        /// Incoming requests answered immediately.
+        requests_served: sum,
+        /// Incoming requests parked in a queue until the slot resolves.
+        requests_queued: sum,
+        /// Duplicate-edge retries (both the early check of Alg. 3.2 line 7
+        /// and the late check of line 22).
+        duplicate_retries: sum,
+        /// Peak number of waiters parked in this rank's queues.
+        max_queued_waiters: max,
+        /// Copy lookups answered by the replicated hub cache (each one is a
+        /// request/resolved round trip that never hit the network).
+        hub_hits: sum,
+        /// Of those, lookups that arrived before the owner's broadcast and
+        /// parked for it instead of sending a request.
+        hub_deferred: sum,
+        /// Hub broadcast entries installed into this rank's replica.
+        hub_updates: sum,
+        /// Incoming `resolved` messages discarded as stale — duplicates of
+        /// answers already consumed, or answers to superseded draw attempts.
+        /// Always zero on a clean transport; nonzero only under fault
+        /// injection (duplication / retransmission).
+        stale_resolutions: sum,
+        /// Remote rows re-derived locally by engine3's chain walk (each one
+        /// is a request/resolved round trip that never existed).
+        chain_rows_recomputed: sum,
+        /// Chain lookups answered by the per-rank memo of recently
+        /// recomputed rows (engine3 only).
+        chain_memo_hits: sum,
+        /// Deepest dependency chain engine3 walked on this rank — the
+        /// empirical counterpart of the paper's Lemma 3.1 O(log n) bound.
+        chain_peak_depth: max,
     }
 }
 
@@ -172,28 +112,12 @@ impl ParallelOutput {
         self.ranks.iter().map(|r| r.edges.len()).sum()
     }
 
-    /// Sum of all ranks' algorithm counters.
+    /// All ranks' algorithm counters, merged (peaks by maximum, the
+    /// rest summed).
     pub fn total_counters(&self) -> EngineCounters {
         let mut total = EngineCounters::default();
         for r in &self.ranks {
-            let c = &r.counters;
-            total.nodes += c.nodes;
-            total.direct_edges += c.direct_edges;
-            total.copy_edges += c.copy_edges;
-            total.local_immediate += c.local_immediate;
-            total.local_deferred += c.local_deferred;
-            total.requests_sent += c.requests_sent;
-            total.requests_served += c.requests_served;
-            total.requests_queued += c.requests_queued;
-            total.duplicate_retries += c.duplicate_retries;
-            total.max_queued_waiters = total.max_queued_waiters.max(c.max_queued_waiters);
-            total.hub_hits += c.hub_hits;
-            total.hub_deferred += c.hub_deferred;
-            total.hub_updates += c.hub_updates;
-            total.stale_resolutions += c.stale_resolutions;
-            total.chain_rows_recomputed += c.chain_rows_recomputed;
-            total.chain_memo_hits += c.chain_memo_hits;
-            total.chain_peak_depth = total.chain_peak_depth.max(c.chain_peak_depth);
+            total.merge(&r.counters);
         }
         total
     }
@@ -202,6 +126,7 @@ impl ParallelOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pa_mpsim::Wire;
 
     #[test]
     fn load_maps_counters_and_comm() {
@@ -249,41 +174,91 @@ mod tests {
         assert_eq!(out.paper_load(), 17);
     }
 
+    /// Hex of `bytes`, for golden comparisons.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The checkpoint's counter section, byte for byte: 17 little-endian
+    /// words in declaration order (checkpoint `VERSION` 3). A reordered,
+    /// added or dropped counter changes these bytes.
+    #[test]
+    fn counters_checkpoint_bytes_are_pinned() {
+        let c = EngineCounters {
+            nodes: 0x01,
+            direct_edges: 0x02,
+            copy_edges: 0x03,
+            local_immediate: 0x04,
+            local_deferred: 0x05,
+            requests_sent: 0x06,
+            requests_served: 0x07,
+            requests_queued: 0x08,
+            duplicate_retries: 0x09,
+            max_queued_waiters: 0x0a,
+            hub_hits: 0x0b,
+            hub_deferred: 0x0c,
+            hub_updates: 0x0d,
+            stale_resolutions: 0x0e,
+            chain_rows_recomputed: 0x0f,
+            chain_memo_hits: 0x10,
+            chain_peak_depth: 0x0102_0304_0506_0708,
+        };
+        let mut bytes = Vec::new();
+        c.to_words().encode(&mut bytes);
+        let golden: String = (1..=16u8)
+            .map(|i| format!("{i:02x}00000000000000"))
+            .chain(["0807060504030201".to_string()])
+            .collect();
+        assert_eq!(hex(&bytes), golden);
+    }
+
     #[test]
     fn counters_checkpoint_encoding_round_trips() {
-        let mut c = EngineCounters::default();
         // Distinct values per field so a transposed decode cannot pass.
-        for (i, f) in [
-            &mut c.nodes,
-            &mut c.direct_edges,
-            &mut c.copy_edges,
-            &mut c.local_immediate,
-            &mut c.local_deferred,
-            &mut c.requests_sent,
-            &mut c.requests_served,
-            &mut c.requests_queued,
-            &mut c.duplicate_retries,
-            &mut c.max_queued_waiters,
-            &mut c.hub_hits,
-            &mut c.hub_deferred,
-            &mut c.hub_updates,
-            &mut c.stale_resolutions,
-            &mut c.chain_rows_recomputed,
-            &mut c.chain_memo_hits,
-            &mut c.chain_peak_depth,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            *f = (i as u64 + 1) * 1_000;
-        }
+        let c = EngineCounters::from_words(std::array::from_fn(|i| (i as u64 + 1) * 1_000));
         let mut bytes = Vec::new();
-        c.encode(&mut bytes);
-        assert_eq!(bytes.len(), 8 * EngineCounters::ENCODED_FIELDS);
+        c.to_words().encode(&mut bytes);
+        assert_eq!(bytes.len(), 8 * EngineCounters::NAMES.len());
         let mut r: &[u8] = &bytes;
-        assert_eq!(EngineCounters::decode(&mut r), Some(c));
+        assert_eq!(
+            Wire::decode(&mut r).map(EngineCounters::from_words),
+            Some(c)
+        );
         assert!(r.is_empty(), "decode consumes exactly the encoding");
         let mut short: &[u8] = &bytes[..bytes.len() - 1];
-        assert_eq!(EngineCounters::decode(&mut short), None);
+        assert_eq!(<[u64; 17]>::decode(&mut short), None);
+    }
+
+    #[test]
+    fn total_counters_sums_and_keeps_peaks() {
+        let rank = |c: EngineCounters| RankOutput {
+            rank: 0,
+            edges: EdgeList::new(),
+            comm: CommStats::new(1),
+            counters: c,
+            cpu_ns: None,
+        };
+        let a = EngineCounters {
+            nodes: 3,
+            max_queued_waiters: 9,
+            chain_peak_depth: 2,
+            ..Default::default()
+        };
+        let b = EngineCounters {
+            nodes: 4,
+            max_queued_waiters: 5,
+            chain_peak_depth: 7,
+            ..Default::default()
+        };
+        let out = ParallelOutput {
+            cfg: PaConfig::new(10, 1),
+            scheme: None,
+            ranks: vec![rank(a), rank(b)],
+        };
+        let t = out.total_counters();
+        assert_eq!(
+            (t.nodes, t.max_queued_waiters, t.chain_peak_depth),
+            (7, 9, 7)
+        );
     }
 }

@@ -35,6 +35,7 @@ use std::fs;
 use std::path::Path;
 
 use pa_mpsim::wire::get_u64;
+use pa_mpsim::Wire;
 
 use super::checkpoint::{read_raw_checkpoint, CheckpointMeta, SavedCheckpoint};
 use super::output::EngineCounters;
@@ -203,6 +204,7 @@ impl WorldCheckpoint {
             nodes: new_part.size_of(rank),
             ..Default::default()
         }
+        .to_words()
         .encode(&mut out);
         if engine == Engine::General {
             // Empty hub section: the fresh replica plus request-path
@@ -396,6 +398,46 @@ mod tests {
             )
             .0
         })
+    }
+
+    /// Every truncation and every single-byte flip of a saved
+    /// checkpoint file must read as absent: `CheckpointStore::load`
+    /// returns `None` and `WorldCheckpoint::load` a named error.
+    #[test]
+    fn every_truncation_and_byte_flip_reads_as_absent() {
+        let cfg = PaConfig::new(64, 2).with_seed(5);
+        let run_opts = opts(Engine::General, 32);
+        let src = scratch("fuzz_src");
+        run_world(&cfg, Scheme::Rrp, 1, &run_opts, Some(&src));
+        let good = fs::read(src.join("rank0.epoch0.ckpt")).unwrap();
+        let dir = scratch("fuzz");
+        let meta = CheckpointMeta::for_run(&cfg, Scheme::Rrp, 1, &run_opts, EdgeFormat::Binary);
+        let store = CheckpointStore::new(&dir, 0, meta).unwrap();
+        let file = dir.join("rank0.epoch0.ckpt");
+        fs::write(&file, &good).unwrap();
+        assert!(store.load(0).is_some(), "the intact file loads");
+        assert!(
+            WorldCheckpoint::load(&dir).is_ok(),
+            "the intact world loads"
+        );
+        let absent = |bytes: &[u8], what: &str| {
+            fs::write(&file, bytes).unwrap();
+            assert!(store.load(0).is_none(), "{what}: CheckpointStore::load");
+            let err = WorldCheckpoint::load(&dir).expect_err(what);
+            assert!(!err.is_empty(), "{what}");
+        };
+        for len in 0..good.len() {
+            absent(&good[..len], &format!("truncated to {len} bytes"));
+        }
+        for i in 0..good.len() {
+            for mask in [0x01, 0xff] {
+                let mut bytes = good.clone();
+                bytes[i] ^= mask;
+                absent(&bytes, &format!("byte {i} xor {mask:#04x}"));
+            }
+        }
+        let _ = fs::remove_dir_all(&src);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use pa_mpsim::Transport;
+use pa_mpsim::{Transport, Wire};
 
 use super::waiters::{Taken, WaiterTable};
 use super::Strategy;
@@ -230,14 +230,15 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
         // holds NILL — it never attaches and is never queried).
         let cnt = self.part.local_count_below(self.rank, hi);
         store::write_table_prefix(&mut self.f, cnt, 1, out);
-        self.counters.encode(out);
+        self.counters.to_words().encode(out);
     }
 
     fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String> {
         let mut r = payload;
         let expect = self.part.local_count_below(self.rank, hi);
         store::read_table_prefix(&mut self.f, expect, 1, &mut r)?;
-        self.counters = EngineCounters::decode(&mut r).ok_or("truncated engine counters")?;
+        self.counters =
+            EngineCounters::from_words(Wire::decode(&mut r).ok_or("truncated engine counters")?);
         if !r.is_empty() {
             return Err(format!("{} trailing bytes after the counters", r.len()));
         }

@@ -31,7 +31,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use pa_mpsim::Transport;
+use pa_mpsim::{Transport, Wire};
 
 use super::hub::HubCache;
 use super::waiters::{Taken, WaiterTable};
@@ -511,7 +511,7 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         let x = self.cfg.x;
         let cnt = self.part.local_count_below(self.rank, hi);
         store::write_table_prefix(&mut self.f, cnt, x, out);
-        self.counters.encode(out);
+        self.counters.to_words().encode(out);
         let vals = self.hub.vals();
         out.extend_from_slice(&(vals.len() as u64).to_le_bytes());
         for &v in vals {
@@ -532,15 +532,18 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         let (below, above) = self.cursors.split_at_mut(expect as usize);
         below.fill(committed);
         above.fill(Cursor::default());
-        self.counters = EngineCounters::decode(&mut r).ok_or("truncated engine counters")?;
-        let hub_len = get_u64(&mut r).ok_or("truncated hub-cache length")? as usize;
-        let mut vals = Vec::with_capacity(hub_len);
-        for _ in 0..hub_len {
-            vals.push(get_u64(&mut r).ok_or("truncated hub cache")?);
+        self.counters =
+            EngineCounters::from_words(Wire::decode(&mut r).ok_or("truncated engine counters")?);
+        let hub_len = get_u64(&mut r).ok_or("truncated hub-cache length")?;
+        // The length is read from disk: check it against the bytes that
+        // follow before sizing anything by it.
+        if hub_len.checked_mul(8) != Some(r.len() as u64) {
+            return Err(format!(
+                "hub section claims {hub_len} slots but {} bytes follow",
+                r.len()
+            ));
         }
-        if !r.is_empty() {
-            return Err(format!("{} trailing bytes after the hub cache", r.len()));
-        }
+        let vals: Vec<u64> = std::iter::from_fn(|| get_u64(&mut r)).collect();
         if hub_len == 0 {
             // An elastic-restart payload carries no hub section: keep
             // the fresh pre-seeded replica. Correct because every hub

@@ -51,7 +51,7 @@
 //! relying on a memo hit, so overwriting (or a disabled memo) can never
 //! stall a walk.
 
-use pa_mpsim::Transport;
+use pa_mpsim::{Transport, Wire};
 use pa_rng::EventKeys;
 
 use super::Strategy;
@@ -608,7 +608,7 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
         let x = self.cfg.x;
         let cnt = self.part.local_count_below(self.rank, hi);
         store::write_table_prefix(&mut self.f, cnt, x, out);
-        self.counters.encode(out);
+        self.counters.to_words().encode(out);
     }
 
     fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String> {
@@ -620,7 +620,8 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
         for e in self.next_e.iter_mut().take(expect as usize) {
             *e = x as u32;
         }
-        self.counters = EngineCounters::decode(&mut r).ok_or("truncated engine counters")?;
+        self.counters =
+            EngineCounters::from_words(Wire::decode(&mut r).ok_or("truncated engine counters")?);
         if !r.is_empty() {
             return Err(format!("{} trailing bytes after the counters", r.len()));
         }

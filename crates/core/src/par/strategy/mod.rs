@@ -214,3 +214,74 @@ pub(super) fn register_clique<P: Partition, S: EdgeSink>(
     let pending_nodes = part.local_count_below(rank, hi) - part.local_count_below(rank, start);
     pending_nodes * x
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::par::CheckpointMeta;
+    use crate::partition::{self, Scheme};
+    use pa_graph::{io::EdgeFormat, EdgeList};
+
+    /// Take a real snapshot from `fresh()`, cut or extend its counter
+    /// section, re-seal each variant through a checkpoint store (so the
+    /// checksum holds) and restore it into another `fresh()` engine:
+    /// every variant must be a named error, never a panic or a success.
+    fn damaged_counters_fail_restore<A: Strategy>(
+        tag: &str,
+        meta: CheckpointMeta,
+        fresh: impl Fn() -> A,
+    ) {
+        let mut payload = Vec::new();
+        fresh().snapshot(0, &mut payload);
+        // A cut at label 0: `[cnt = 0][counter words][engine tail]`.
+        let end = 8 + 8 * EngineCounters::NAMES.len();
+        let dir =
+            std::env::temp_dir().join(format!("pa_core_restore_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir, 0, meta).unwrap();
+        let restore = |bytes: &[u8]| {
+            store.save(0, 0, 0, 0, bytes).unwrap();
+            let saved = store.load(0).expect("a re-sealed checkpoint loads");
+            fresh().restore(saved.hi, &saved.payload)
+        };
+        assert_eq!(restore(&payload), Ok(()), "{tag}: the intact payload");
+        for cut in 1..=end - 8 {
+            let mut bytes = payload.clone();
+            bytes.drain(end - cut..end);
+            let err = restore(&bytes).expect_err("a cut counter section restores");
+            assert!(!err.is_empty(), "{tag}: cut {cut}");
+        }
+        for fill in [0x00, 0xff] {
+            for extra in 1..=16 {
+                let mut bytes = payload.clone();
+                bytes.splice(end..end, vec![fill; extra]);
+                let err = restore(&bytes).expect_err("an extended counter section restores");
+                assert!(!err.is_empty(), "{tag}: {extra} extra {fill:#04x} bytes");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_counter_sections_are_named_restore_errors_on_every_engine() {
+        let opts = GenOptions::default();
+        let meta = |cfg: &PaConfig, engine: Engine| {
+            let opts = opts.clone().with_engine(engine);
+            CheckpointMeta::for_run(cfg, Scheme::Rrp, 2, &opts, EdgeFormat::Binary)
+        };
+        let cfg1 = PaConfig::new(400, 1).with_seed(3);
+        let cfg = PaConfig::new(400, 2).with_seed(3);
+        let part = partition::build(Scheme::Rrp, cfg.n, 2);
+        damaged_counters_fail_restore("e1", meta(&cfg1, Engine::X1), || {
+            X1::new(&cfg1, &part, 0, &opts, EdgeList::new())
+        });
+        // Two ranks, so engine 2's snapshot carries a hub section after
+        // the counters.
+        damaged_counters_fail_restore("e2", meta(&cfg, Engine::General), || {
+            General::new(&cfg, &part, 0, 2, &opts, EdgeList::new())
+        });
+        damaged_counters_fail_restore("e3", meta(&cfg, Engine::Chain), || {
+            Chain::new(&cfg, &part, 0, &opts, EdgeList::new())
+        });
+    }
+}

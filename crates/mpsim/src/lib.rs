@@ -48,7 +48,9 @@
 //! * [`CommStats`] counts logical messages and physical packets per rank —
 //!   exactly the quantities Figure 7 of the paper plots — and
 //!   [`thread_cpu_ns`] reads a rank thread's on-CPU time, the measured
-//!   work behind the scaling experiments (Figures 5 and 6).
+//!   work behind the scaling experiments (Figures 5 and 6). Like every
+//!   counter set in the workspace it is declared through [`counters!`],
+//!   which derives its names, word layout and merge from one list.
 //!
 //! # Example
 //!
@@ -84,6 +86,7 @@ mod channel;
 mod comm;
 pub mod conformance;
 mod control;
+pub mod counters;
 mod cpu;
 pub mod fault;
 mod loopback;

@@ -1,42 +1,46 @@
 //! Per-rank communication accounting.
 
-/// Communication statistics for a single rank.
-///
-/// A *message* is one logical unit handed to [`crate::Transport::send`] or
-/// aggregated by [`crate::BufferedComm`]; a *packet* is one physical
-/// channel transfer (one "MPI send" in the paper's terms). The paper's
-/// load-balance study (Figure 7) plots, per processor, the number of
-/// outgoing and incoming messages together with the node count; this
-/// struct captures the message/packet half of that.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CommStats {
-    /// Logical messages sent to other ranks.
-    pub msgs_sent: u64,
-    /// Logical messages received from other ranks.
-    pub msgs_recv: u64,
-    /// Physical packets (channel transfers) sent.
-    pub packets_sent: u64,
-    /// Physical packets received.
-    pub packets_recv: u64,
-    /// Logical messages sent, broken down by destination rank.
-    pub sent_to: Vec<u64>,
-    /// Logical messages received, broken down by source rank.
-    pub recv_from: Vec<u64>,
-    /// Send-buffer acquisitions served from the packet pool.
-    pub pool_hits: u64,
-    /// Send-buffer acquisitions that had to allocate (pool empty).
-    pub pool_misses: u64,
-    /// Received packet buffers returned to their sender's pool.
-    pub bufs_recycled: u64,
-    /// Faults injected by a perturbing transport layer (delays, reorders,
-    /// duplicates, drops) — zero on a clean transport.
-    pub faults_injected: u64,
-    /// Packets re-delivered by the ack/retransmit recovery sublayer after
-    /// a simulated drop or lost acknowledgement.
-    pub retransmitted: u64,
-    /// Redundant retransmissions discarded by sequence-number
-    /// deduplication before the engine could observe them.
-    pub deduped: u64,
+crate::counters! {
+    /// Communication statistics for a single rank.
+    ///
+    /// A *message* is one logical unit handed to [`crate::Transport::send`] or
+    /// aggregated by [`crate::BufferedComm`]; a *packet* is one physical
+    /// channel transfer (one "MPI send" in the paper's terms). The paper's
+    /// load-balance study (Figure 7) plots, per processor, the number of
+    /// outgoing and incoming messages together with the node count; this
+    /// struct captures the message/packet half of that.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct CommStats {
+        /// Logical messages sent to other ranks.
+        msgs_sent: sum,
+        /// Logical messages received from other ranks.
+        msgs_recv: sum,
+        /// Physical packets (channel transfers) sent.
+        packets_sent: sum,
+        /// Physical packets received.
+        packets_recv: sum,
+        /// Send-buffer acquisitions served from the packet pool.
+        pool_hits: sum,
+        /// Send-buffer acquisitions that had to allocate (pool empty).
+        pool_misses: sum,
+        /// Received packet buffers returned to their sender's pool.
+        bufs_recycled: sum,
+        /// Faults injected by a perturbing transport layer (delays, reorders,
+        /// duplicates, drops) — zero on a clean transport.
+        faults_injected: sum,
+        /// Packets re-delivered by the ack/retransmit recovery sublayer after
+        /// a simulated drop or lost acknowledgement.
+        retransmitted: sum,
+        /// Redundant retransmissions discarded by sequence-number
+        /// deduplication before the engine could observe them.
+        deduped: sum,
+    }
+    plus {
+        /// Logical messages sent, broken down by destination rank.
+        sent_to: Vec<u64> = sum,
+        /// Logical messages received, broken down by source rank.
+        recv_from: Vec<u64> = sum,
+    }
 }
 
 impl CommStats {
@@ -71,31 +75,6 @@ impl CommStats {
     /// part of the paper's per-processor load measure (§4.6.3).
     pub fn total_msgs(&self) -> u64 {
         self.msgs_sent + self.msgs_recv
-    }
-
-    /// Merge another rank's statistics into this one (used when
-    /// aggregating whole-world totals).
-    pub fn merge(&mut self, other: &CommStats) {
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_recv += other.msgs_recv;
-        self.packets_sent += other.packets_sent;
-        self.packets_recv += other.packets_recv;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.bufs_recycled += other.bufs_recycled;
-        self.faults_injected += other.faults_injected;
-        self.retransmitted += other.retransmitted;
-        self.deduped += other.deduped;
-        if self.sent_to.len() < other.sent_to.len() {
-            self.sent_to.resize(other.sent_to.len(), 0);
-            self.recv_from.resize(other.recv_from.len(), 0);
-        }
-        for (a, b) in self.sent_to.iter_mut().zip(&other.sent_to) {
-            *a += b;
-        }
-        for (a, b) in self.recv_from.iter_mut().zip(&other.recv_from) {
-            *a += b;
-        }
     }
 }
 

@@ -102,6 +102,24 @@ impl Wire for (u64, u64) {
     }
 }
 
+/// Fixed-length words back to back — a counter set's `to_words` layout
+/// (see [`crate::counters!`]).
+impl<const N: usize> Wire for [u64; N] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for w in self {
+            w.encode(out);
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let mut words = [0; N];
+        for w in &mut words {
+            *w = get_u64(input)?;
+        }
+        Some(words)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +139,7 @@ mod tests {
         round_trip(0xdead_beefu32);
         round_trip(u64::MAX);
         round_trip((7u64, u64::MAX));
+        round_trip([3u64, 0, u64::MAX]);
     }
 
     #[test]

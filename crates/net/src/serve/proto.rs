@@ -30,6 +30,7 @@ use std::time::Duration;
 use crate::frame::{build_raw_frame, read_raw_frame, MAGIC, MAX_FRAME};
 use pa_graph::job::JOB_CANONICAL_LEN;
 use pa_mpsim::wire::{get_u32, get_u64, get_u8, take};
+use pa_mpsim::Wire;
 
 /// Serve protocol version, negotiated in every `SUBMIT`/`DRAIN_REQ`/
 /// `STATUS_REQ`; bumped on any incompatible change to message layouts
@@ -158,45 +159,49 @@ impl std::fmt::Display for RejectCode {
     }
 }
 
-/// Counters reported by `Server::stats`, `Server::join` and the
-/// `STATUS_ACK` frame. Monotonic over a daemon's lifetime; after a
-/// quiesced drain they reconcile as
-/// `jobs_admitted == jobs_run + jobs_failed + jobs_drained`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Jobs admitted to the queue (each admission leads to exactly one
-    /// run attempt; lets tests sequence submissions deterministically).
-    pub jobs_admitted: u64,
-    /// Jobs actually executed to completion (coalesced/cached submits
-    /// don't re-run).
-    pub jobs_run: u64,
-    /// Submits served from an existing entry — a run in flight or a
-    /// cached artifact — instead of a fresh run.
-    pub jobs_coalesced: u64,
-    /// Rejections sent, of any code (see [`ServeStats::rejects_by`]).
-    pub rejects: u64,
-    /// Queued jobs cancelled by a drain.
-    pub jobs_drained: u64,
-    /// Artifact bytes streamed to completion (suffix length on resume).
-    pub bytes_streamed: u64,
-    /// Run attempts that ended in failure of any kind (runner error,
-    /// runner panic, deadline timeout, publish error).
-    pub jobs_failed: u64,
-    /// The subset of [`ServeStats::jobs_failed`] abandoned at the
-    /// per-job deadline.
-    pub jobs_timed_out: u64,
-    /// Runner panics caught by worker supervision (the pool survives
-    /// each one).
-    pub worker_panics: u64,
-    /// Artifacts rebuilt into the cache by the startup recovery scan.
-    pub jobs_recovered: u64,
-    /// Stale `*.tmp` files deleted by the startup recovery scan.
-    pub tmp_cleaned: u64,
-    /// Completed artifacts evicted to hold the cache byte quota.
-    pub jobs_evicted: u64,
-    /// Rejections by code, indexed `code as u8 - 1` (see
-    /// [`RejectCode::ALL`]); sums to [`ServeStats::rejects`].
-    pub rejects_by: [u64; REJECT_CODE_COUNT],
+pa_mpsim::counters! {
+    /// Counters reported by `Server::stats`, `Server::join` and the
+    /// `STATUS_ACK` frame. Monotonic over a daemon's lifetime; after a
+    /// quiesced drain they reconcile as
+    /// `jobs_admitted == jobs_run + jobs_failed + jobs_drained`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServeStats {
+        /// Jobs admitted to the queue (each admission leads to exactly one
+        /// run attempt; lets tests sequence submissions deterministically).
+        jobs_admitted: sum,
+        /// Jobs actually executed to completion (coalesced/cached submits
+        /// don't re-run).
+        jobs_run: sum,
+        /// Submits served from an existing entry — a run in flight or a
+        /// cached artifact — instead of a fresh run.
+        jobs_coalesced: sum,
+        /// Rejections sent, of any code (see [`ServeStats::rejects_by`]).
+        rejects: sum,
+        /// Queued jobs cancelled by a drain.
+        jobs_drained: sum,
+        /// Artifact bytes streamed to completion (suffix length on resume).
+        bytes_streamed: sum,
+        /// Run attempts that ended in failure of any kind (runner error,
+        /// runner panic, deadline timeout, publish error).
+        jobs_failed: sum,
+        /// The subset of [`ServeStats::jobs_failed`] abandoned at the
+        /// per-job deadline.
+        jobs_timed_out: sum,
+        /// Runner panics caught by worker supervision (the pool survives
+        /// each one).
+        worker_panics: sum,
+        /// Artifacts rebuilt into the cache by the startup recovery scan.
+        jobs_recovered: sum,
+        /// Stale `*.tmp` files deleted by the startup recovery scan.
+        tmp_cleaned: sum,
+        /// Completed artifacts evicted to hold the cache byte quota.
+        jobs_evicted: sum,
+    }
+    plus {
+        /// Rejections by code, indexed `code as u8 - 1` (see
+        /// [`RejectCode::ALL`]); sums to [`ServeStats::rejects`].
+        rejects_by: [u64; REJECT_CODE_COUNT] = sum,
+    }
 }
 
 impl ServeStats {
@@ -210,47 +215,7 @@ impl ServeStats {
     pub fn rejects_for(&self, code: RejectCode) -> u64 {
         self.rejects_by[(code as u8 - 1) as usize]
     }
-
-    /// The scalar counters in wire order.
-    fn to_words(self) -> [u64; STAT_WORDS] {
-        [
-            self.jobs_admitted,
-            self.jobs_run,
-            self.jobs_coalesced,
-            self.rejects,
-            self.jobs_drained,
-            self.bytes_streamed,
-            self.jobs_failed,
-            self.jobs_timed_out,
-            self.worker_panics,
-            self.jobs_recovered,
-            self.tmp_cleaned,
-            self.jobs_evicted,
-        ]
-    }
-
-    fn from_words(w: &[u64; STAT_WORDS], rejects_by: [u64; REJECT_CODE_COUNT]) -> ServeStats {
-        ServeStats {
-            jobs_admitted: w[0],
-            jobs_run: w[1],
-            jobs_coalesced: w[2],
-            rejects: w[3],
-            jobs_drained: w[4],
-            bytes_streamed: w[5],
-            jobs_failed: w[6],
-            jobs_timed_out: w[7],
-            worker_panics: w[8],
-            jobs_recovered: w[9],
-            tmp_cleaned: w[10],
-            jobs_evicted: w[11],
-            rejects_by,
-        }
-    }
 }
-
-/// Scalar `u64` counters in a `STATUS_ACK`, excluding the per-code
-/// reject array.
-const STAT_WORDS: usize = 12;
 
 /// A point-in-time health snapshot of a serve daemon, carried by
 /// `STATUS_ACK` and returned by `Server::status` / [`super::status`].
@@ -280,7 +245,7 @@ pub struct ServeStatus {
 
 /// `STATUS_ACK` payload length: six `u32` gauges, a drain flag byte,
 /// the cache byte gauge, the scalar counters, the per-code rejects.
-const STATUS_ACK_LEN: usize = 6 * 4 + 1 + 8 + STAT_WORDS * 8 + REJECT_CODE_COUNT * 8;
+const STATUS_ACK_LEN: usize = 6 * 4 + 1 + 8 + ServeStats::NAMES.len() * 8 + REJECT_CODE_COUNT * 8;
 
 /// A parsed serve message (either direction).
 #[derive(Debug, Clone, PartialEq)]
@@ -483,12 +448,8 @@ pub fn write_status_ack(w: &mut impl Write, status: &ServeStatus) -> io::Result<
         }
         b.push(u8::from(status.draining));
         b.extend_from_slice(&status.cache_bytes.to_le_bytes());
-        for word in status.stats.to_words() {
-            b.extend_from_slice(&word.to_le_bytes());
-        }
-        for count in status.stats.rejects_by {
-            b.extend_from_slice(&count.to_le_bytes());
-        }
+        status.stats.to_words().encode(b);
+        status.stats.rejects_by.encode(b);
     });
     w.write_all(&buf)
 }
@@ -630,15 +591,9 @@ fn parse_reply(kind: u8, payload: &[u8]) -> Result<ServeMsg, String> {
             draining: get_u8(r).ok_or_else(bad_len)? != 0,
             cache_bytes: u64_of(r)?,
             stats: {
-                let mut words = [0u64; STAT_WORDS];
-                for w in &mut words {
-                    *w = u64_of(r)?;
-                }
-                let mut rejects_by = [0u64; REJECT_CODE_COUNT];
-                for c in &mut rejects_by {
-                    *c = u64_of(r)?;
-                }
-                ServeStats::from_words(&words, rejects_by)
+                let mut stats = ServeStats::from_words(Wire::decode(r).ok_or_else(bad_len)?);
+                stats.rejects_by = Wire::decode(r).ok_or_else(bad_len)?;
+                stats
             },
         }),
     })
@@ -892,8 +847,9 @@ mod tests {
         assert_eq!(RejectCode::from_byte(REJECT_CODE_COUNT as u8 + 1), None);
     }
 
-    #[test]
-    fn status_round_trips_with_every_field_distinct() {
+    /// A status whose every counter and gauge is distinct, so a
+    /// transposed field cannot round-trip or match the golden bytes.
+    fn distinct_status() -> ServeStatus {
         let mut stats = ServeStats {
             jobs_admitted: 101,
             jobs_run: 102,
@@ -912,7 +868,7 @@ mod tests {
         for (i, c) in stats.rejects_by.iter_mut().enumerate() {
             *c = 200 + i as u64;
         }
-        let status = ServeStatus {
+        ServeStatus {
             queued: 1,
             running: 2,
             active_conns: 3,
@@ -922,7 +878,12 @@ mod tests {
             draining: true,
             cache_bytes: 7_000_000_007,
             stats,
-        };
+        }
+    }
+
+    #[test]
+    fn status_round_trips_with_every_field_distinct() {
+        let status = distinct_status();
         let mut wire = Vec::new();
         write_status_ack(&mut wire, &status).unwrap();
         assert_eq!(wire.len(), 5 + STATUS_ACK_LEN);
@@ -930,6 +891,30 @@ mod tests {
             read_reply(&mut &wire[..]).unwrap(),
             ServeMsg::Status(status)
         );
+    }
+
+    /// The whole `STATUS_ACK` frame, byte for byte, at this
+    /// `SERVE_VERSION`: header, six gauges, drain flag, cache bytes, the
+    /// twelve counters in declaration order, the eight per-code rejects.
+    #[test]
+    fn status_ack_bytes_are_pinned() {
+        let mut wire = Vec::new();
+        write_status_ack(&mut wire, &distinct_status()).unwrap();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            "c200000049", // frame length (kind + payload), kind
+            "010000000200000003000000040000000500000006000000", // gauges
+            "01",         // draining
+            "07863ba101000000", // cache bytes
+            // the twelve counters, 101..=112
+            "6500000000000000660000000000000067000000000000006800000000000000",
+            "69000000000000006a000000000000006b000000000000006c00000000000000",
+            "6d000000000000006e000000000000006f000000000000007000000000000000",
+            // rejects by code, 200..=207
+            "c800000000000000c900000000000000ca00000000000000cb00000000000000",
+            "cc00000000000000cd00000000000000ce00000000000000cf00000000000000",
+        );
+        assert_eq!(hex, golden);
     }
 
     #[test]
