@@ -21,6 +21,25 @@ printf '    %-10s %6d\n' total "$(nontest_lines crates/*/src)"
 echo "==> '# Panics' doc sections under crates/*/src (report only)"
 printf '    %-10s %6d\n' panics \
     "$({ grep -rhE '^[[:space:]]*//[/!] # Panics' crates/*/src || true; } | wc -l)"
+# ROADMAP item 3: a wait ends on its event, not on a timer. Count the
+# timed-wait call sites in the non-test lines (above each file's first
+# #[cfg(test)]), skipping comments and method definitions, and list the
+# sleeps: the ones left should all be backoffs (the dial, the launcher's
+# restart, the fetch client). The transport contract suite
+# (mpsim/src/conformance.rs) is test code that other crates' tests call,
+# so its deliberate delays are not counted. Report only.
+echo "==> timed waits under crates/*/src (report only)"
+timed_waits() {
+    find crates/*/src -name '*.rs' ! -name conformance.rs -print0 | xargs -0 awk -v pat="$1" '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*\/\// || /fn [a-z_]+\(/ { next }
+        $0 ~ pat { sub(/^[[:space:]]+/, ""); print FILENAME ":" FNR ": " $0 }'
+}
+for pat in 'thread::sleep' 'recv_timeout\(' 'wait_timeout\('; do
+    printf '    %-14s %4d\n' "${pat%\\(}" "$(timed_waits "$pat" | wc -l)"
+done
+timed_waits 'thread::sleep' | sed 's/^/        /'
 
 echo "==> cargo build --release"
 cargo build --release --workspace

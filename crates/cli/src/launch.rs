@@ -11,11 +11,22 @@
 //! `[rank R]`, and waits. The first child to fail gets the remaining
 //! children killed and the job exits nonzero naming the failed rank —
 //! a dead rank never leaves the launcher hanging.
+//!
+//! The wait polls nothing. Each rank's two output forwarders see EOF
+//! when the child exits and report it on a channel; once both of a
+//! rank's streams have closed, the launcher reaps that rank with a
+//! blocking `wait`. So the launcher learns of every exit as it happens,
+//! in the order the children die, and the first failure it reports is
+//! the first one that happened. A rank killed by signal `N` is reported
+//! the way a shell reports it, as exit code `128 + N`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::args::CliError;
@@ -180,12 +191,14 @@ fn allocate_ports(n: usize) -> Result<Vec<String>, CliError> {
 }
 
 /// Forward every line of `reader` to our own stream, prefixed with the
-/// rank. Stdout and stderr each get one forwarding thread per child.
+/// rank, then report the stream's end on `closed`. Stdout and stderr
+/// each get one forwarding thread per child.
 fn prefix_lines(
     rank: usize,
     reader: impl std::io::Read + Send + 'static,
     to_stderr: bool,
-) -> std::thread::JoinHandle<()> {
+    closed: mpsc::Sender<usize>,
+) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut lines = BufReader::new(reader).lines();
         while let Some(Ok(line)) = lines.next() {
@@ -195,7 +208,51 @@ fn prefix_lines(
                 println!("[rank {rank}] {line}");
             }
         }
+        let _ = closed.send(rank);
     })
+}
+
+/// A rank's exit status as a shell reports it: the exit code, or
+/// `128 + N` when signal `N` killed it. Returns that code and its
+/// description, e.g. `code 137 (signal 9)`.
+fn exit_report(status: ExitStatus) -> (i32, String) {
+    match (status.code(), status.signal()) {
+        (Some(code), _) => (code, format!("code {code}")),
+        (None, Some(signal)) => (
+            128 + signal,
+            format!("code {} (signal {signal})", 128 + signal),
+        ),
+        (None, None) => (1, format!("code 1 ({status})")),
+    }
+}
+
+/// One attempt's processes. Dropping it kills and reaps every child not
+/// yet reaped and joins the output forwarders, so every way out of
+/// [`run_world_once`] — success, failure, error — leaves nothing behind.
+struct RankProcs {
+    /// `None` once reaped.
+    children: Vec<Option<Child>>,
+    forwarders: Vec<JoinHandle<()>>,
+}
+
+impl RankProcs {
+    fn kill_all(&mut self) {
+        for child in self.children.iter_mut().flatten() {
+            let _ = child.kill();
+        }
+    }
+}
+
+impl Drop for RankProcs {
+    fn drop(&mut self) {
+        self.kill_all();
+        for child in self.children.iter_mut().flatten() {
+            let _ = child.wait();
+        }
+        for f in self.forwarders.drain(..) {
+            let _ = f.join();
+        }
+    }
 }
 
 /// Execute a launch plan; returns the job's exit code (0 iff every rank
@@ -234,8 +291,11 @@ fn run_world_once(plan: &LaunchPlan, attempt: usize) -> Result<i32, CliError> {
     // still sit in TIME_WAIT, and a straggler child could otherwise
     // squat on an address the new world needs.
     let peers = allocate_ports(plan.ranks)?;
-    let mut children: Vec<Option<Child>> = Vec::with_capacity(plan.ranks);
-    let mut forwarders = Vec::new();
+    let mut procs = RankProcs {
+        children: Vec::with_capacity(plan.ranks),
+        forwarders: Vec::with_capacity(2 * plan.ranks),
+    };
+    let (closed_tx, closed_rx) = mpsc::channel();
     for rank in 0..plan.ranks {
         let mut cmd = Command::new(&plan.pagen);
         cmd.args(&plan.child_args)
@@ -263,76 +323,52 @@ fn run_world_once(plan: &LaunchPlan, attempt: usize) -> Result<i32, CliError> {
         cmd.stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
+        // A failed spawn drops `procs`, which reaps the earlier ranks.
         let mut child = cmd.spawn().map_err(|e| {
-            // A failed spawn leaves earlier ranks running; reap them.
-            for c in children.iter_mut().flatten() {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
             CliError::usage(format!("spawning {} failed: {e}", plan.pagen.display()))
         })?;
-        forwarders.push(prefix_lines(
-            rank,
-            child.stdout.take().expect("piped"),
-            false,
-        ));
-        forwarders.push(prefix_lines(
-            rank,
-            child.stderr.take().expect("piped"),
-            true,
-        ));
-        children.push(Some(child));
+        let stdout = child.stdout.take().expect("piped");
+        let stderr = child.stderr.take().expect("piped");
+        procs.children.push(Some(child));
+        procs
+            .forwarders
+            .push(prefix_lines(rank, stdout, false, closed_tx.clone()));
+        procs
+            .forwarders
+            .push(prefix_lines(rank, stderr, true, closed_tx.clone()));
     }
+    drop(closed_tx);
 
-    // Wait for all ranks; on the first failure, kill the survivors.
-    let mut exit_code = 0i32;
-    let mut failed_rank: Option<usize> = None;
-    let mut remaining = plan.ranks;
-    while remaining > 0 {
-        for rank in 0..plan.ranks {
-            let Some(child) = children[rank].as_mut() else {
-                continue;
-            };
-            match child.try_wait() {
-                Ok(Some(status)) => {
-                    if !status.success() && failed_rank.is_none() {
-                        failed_rank = Some(rank);
-                        exit_code = status.code().unwrap_or(1);
-                        for (other, slot) in children.iter_mut().enumerate() {
-                            if other != rank {
-                                if let Some(c) = slot.as_mut() {
-                                    let _ = c.kill();
-                                }
-                            }
-                        }
-                    }
-                    children[rank] = None;
-                    remaining -= 1;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    return Err(CliError::usage(format!("waiting on rank {rank}: {e}")));
-                }
-            }
+    // Reap each rank once both its output streams have closed; on the
+    // first failure, kill the survivors.
+    let mut open_streams = vec![2u8; plan.ranks];
+    let mut failure: Option<(usize, i32, String)> = None;
+    for rank in closed_rx.iter() {
+        open_streams[rank] -= 1;
+        if open_streams[rank] > 0 {
+            continue;
         }
-        if remaining > 0 {
-            std::thread::sleep(Duration::from_millis(20));
+        let mut child = procs.children[rank]
+            .take()
+            .expect("each rank is reaped once");
+        let status = child
+            .wait()
+            .map_err(|e| CliError::usage(format!("waiting on rank {rank}: {e}")))?;
+        if !status.success() && failure.is_none() {
+            let (code, report) = exit_report(status);
+            failure = Some((rank, code, report));
+            procs.kill_all();
         }
     }
-    for f in forwarders {
-        let _ = f.join();
-    }
-    if let Some(rank) = failed_rank {
-        let mut err = std::io::stderr().lock();
-        let _ = writeln!(
-            err,
-            "palaunch: rank {rank} exited with code {exit_code}; remaining ranks killed"
-        );
-        if exit_code == 0 {
-            exit_code = 1;
-        }
-    }
-    Ok(exit_code)
+    drop(procs);
+    let Some((rank, code, report)) = failure else {
+        return Ok(0);
+    };
+    let _ = writeln!(
+        std::io::stderr().lock(),
+        "palaunch: rank {rank} exited with {report}; remaining ranks killed"
+    );
+    Ok(code)
 }
 
 /// Entry point for the `palaunch` binary.
@@ -422,6 +458,28 @@ mod tests {
         assert!(parse(&argv(&["-p", "2", "--"])).is_err());
         assert!(parse(&argv(&["-p", "0", "--", "x"])).is_err());
         assert!(parse(&argv(&["--bogus", "1", "--", "x"])).is_err());
+    }
+
+    #[test]
+    fn exit_report_follows_the_shell_convention() {
+        // A wait status holds the exit code in bits 8..16, or the signal
+        // that killed the process in bits 0..7.
+        assert_eq!(
+            exit_report(ExitStatus::from_raw(0)),
+            (0, "code 0".to_string())
+        );
+        assert_eq!(
+            exit_report(ExitStatus::from_raw(3 << 8)),
+            (3, "code 3".to_string())
+        );
+        assert_eq!(
+            exit_report(ExitStatus::from_raw(9)),
+            (137, "code 137 (signal 9)".to_string())
+        );
+        assert_eq!(
+            exit_report(ExitStatus::from_raw(15)),
+            (143, "code 143 (signal 15)".to_string())
+        );
     }
 
     #[test]

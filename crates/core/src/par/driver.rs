@@ -2,10 +2,9 @@
 //!
 //! Algorithms 3.1 and 3.2 are one message-driven state machine: sweep the
 //! rank's nodes in ascending order, service incoming traffic every few
-//! nodes, flush `resolved` buffers promptly (§3.5.2), park on an empty
-//! queue instead of spinning, and loop until the global outstanding-work
-//! detector reports quiescence. PR-1 carried that loop twice — once per
-//! engine, copy-pasted and hard-wired to the concrete `pa_mpsim::Comm`.
+//! nodes, flush `resolved` buffers promptly (§3.5.2), flush everything and
+//! block on an empty queue instead of spinning or polling, and loop until
+//! the global outstanding-work detector reports quiescence.
 //!
 //! [`run`] is that loop written once, generic over
 //!
@@ -110,15 +109,6 @@ impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
         self.res.flush_all(&mut *self.comm);
     }
 }
-
-/// How long the completion loop blocks on an empty message queue before
-/// re-checking the termination predicate (a zero wait would busy-spin).
-const IDLE_WAIT: std::time::Duration = std::time::Duration::from_micros(200);
-
-/// The completion loop re-scans its outgoing buffers after this many
-/// consecutive *idle* iterations (iterations that saw traffic always
-/// flush), sparing quiescent ranks the per-iteration flush scan.
-const IDLE_FLUSH_INTERVAL: usize = 16;
 
 /// Run `algo` to global quiescence on this rank; returns it with every
 /// local slot committed and every waiter drained.
@@ -225,68 +215,70 @@ where
         net.publish();
 
         // --- Completion loop: service traffic until global quiescence. ---
-        // Iterations that made progress flush immediately; quiescent ranks
-        // only re-scan their buffers every `IDLE_FLUSH_INTERVAL` waits, and
-        // park on the transport instead of spinning (see the Transport
-        // receive contract).
+        // Iterations that made progress flush immediately. A quiescent rank
+        // flushes every buffer and then blocks on the transport with no
+        // timer: it wakes on a packet, on the termination ledger reaching
+        // done (the receive contract's one early `None`), or at the stall
+        // watchdog's deadline. Flush-before-block is what makes the
+        // unbounded block safe: nothing this rank owes anyone is left in a
+        // buffer while it sleeps, so every rank it waits on can progress.
         //
         // The stall watchdog measures *global* progress through the shared
         // outstanding-work counter: as long as any rank commits slots the
         // counter moves and every rank's timer resets, so only a genuinely
         // wedged world (e.g. a message lost by an unreliable transport with
         // recovery off) trips it — and then it trips on every rank, which is
-        // what lets the scoped world join instead of hanging.
+        // what lets the scoped world join instead of hanging. The counter
+        // only falls within an epoch, so comparing it at each deadline sees
+        // every change: the watchdog fires between one and two limits after
+        // the world's last progress.
         let mut watchdog = opts
             .stall_timeout
             .map(|limit| (std::time::Instant::now(), net.term.outstanding(), limit));
-        let mut idle_iters = 0usize;
         while !net.is_done() {
             if service(&mut algo, &mut net, &mut rxq) {
-                idle_iters = 0;
                 net.flush_all();
                 if let Some((last_progress, _, _)) = &mut watchdog {
                     *last_progress = std::time::Instant::now();
                 }
-            } else if !net.is_done() {
-                idle_iters += 1;
-                if idle_iters >= IDLE_FLUSH_INTERVAL {
-                    idle_iters = 0;
-                    net.flush_all();
+                continue;
+            }
+            net.flush_all();
+            let wait = watchdog.map_or(std::time::Duration::MAX, |(last_progress, _, limit)| {
+                limit.saturating_sub(last_progress.elapsed())
+            });
+            if let Some(pkt) = net.comm.recv_timeout(wait) {
+                let mut msgs = pkt.msgs;
+                algo.handle_msgs(&mut net, pkt.src, &mut msgs);
+                net.comm.recycle(pkt.src, msgs);
+                algo.drain_local(&mut net);
+                net.flush_all();
+                if let Some((last_progress, _, _)) = &mut watchdog {
+                    *last_progress = std::time::Instant::now();
                 }
-                if let Some(pkt) = net.comm.recv_timeout(IDLE_WAIT) {
-                    idle_iters = 0;
-                    let mut msgs = pkt.msgs;
-                    algo.handle_msgs(&mut net, pkt.src, &mut msgs);
-                    net.comm.recycle(pkt.src, msgs);
-                    algo.drain_local(&mut net);
-                    net.flush_all();
-                    if let Some((last_progress, _, _)) = &mut watchdog {
-                        *last_progress = std::time::Instant::now();
-                    }
-                } else if let Some((last_progress, last_outstanding, limit)) = &mut watchdog {
-                    // Nothing is unpublished here: the `is_done` above
-                    // published, and an empty receive commits nothing.
-                    let outstanding = net.term.outstanding();
-                    if outstanding != *last_outstanding {
-                        *last_outstanding = outstanding;
-                        *last_progress = std::time::Instant::now();
-                    } else if last_progress.elapsed() >= *limit {
-                        let comm: String = CommStats::NAMES
-                            .iter()
-                            .zip(net.comm.stats().to_words())
-                            .map(|(name, v)| format!(" {name}={v}"))
-                            .collect();
-                        eprintln!(
-                            "stall watchdog: rank {rank} made no progress for {limit:?}; \
-                             outstanding={outstanding} {}{comm}",
-                            algo.stall_report(),
-                        );
-                        panic!(
-                            "stall watchdog fired on rank {rank}: no progress for {limit:?} \
-                             (outstanding work = {outstanding}; {})",
-                            algo.stall_report()
-                        );
-                    }
+            } else if let Some((last_progress, last_outstanding, limit)) = &mut watchdog {
+                // Nothing is unpublished here: the `is_done` above
+                // published, and an empty receive commits nothing.
+                let outstanding = net.term.outstanding();
+                if outstanding != *last_outstanding {
+                    *last_outstanding = outstanding;
+                    *last_progress = std::time::Instant::now();
+                } else if last_progress.elapsed() >= *limit {
+                    let comm: String = CommStats::NAMES
+                        .iter()
+                        .zip(net.comm.stats().to_words())
+                        .map(|(name, v)| format!(" {name}={v}"))
+                        .collect();
+                    eprintln!(
+                        "stall watchdog: rank {rank} made no progress for {limit:?}; \
+                         outstanding={outstanding} {}{comm}",
+                        algo.stall_report(),
+                    );
+                    panic!(
+                        "stall watchdog fired on rank {rank}: no progress for {limit:?} \
+                         (outstanding work = {outstanding}; {})",
+                        algo.stall_report()
+                    );
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Internal MPSC channel backing the data plane and the packet pool.
 //!
-//! A thin `Mutex<VecDeque>` + `Condvar` queue. Two properties matter to the
+//! A thin `Mutex<VecDeque>` + `Condvar` queue. Three properties matter to the
 //! runtime and differ from `std::sync::mpsc`:
 //!
 //! * **Send never fails.** The queue lives as long as any endpoint handle,
@@ -11,20 +11,54 @@
 //! * **Batched drain.** [`Receiver::drain_into`] moves every queued item
 //!   out under a single lock acquisition, which is what makes
 //!   `Comm`'s `drain_recv` cheaper than a `try_recv` loop.
+//! * **Wakeable.** [`Wake::wake`] ends the receiver's current (or next)
+//!   [`Receiver::recv_timeout`] early, once, with no item. The control
+//!   plane calls it when the termination counter reaches zero, so a rank
+//!   parked on an empty inbox learns of quiescence without polling.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+struct Queue<T> {
+    items: VecDeque<T>,
+    /// A pending [`Wake::wake`], consumed by the next `recv_timeout`
+    /// that finds no item.
+    woken: bool,
+}
+
 struct Shared<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: Mutex<Queue<T>>,
     ready: Condvar,
+}
+
+impl<T> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Something a parked receiver can be woken through, independent of its
+/// item type.
+pub(crate) trait Wake: Send + Sync {
+    /// End the receiver's current or next empty-handed wait, once.
+    fn wake(&self);
+}
+
+impl<T: Send> Wake for Shared<T> {
+    fn wake(&self) {
+        self.lock().woken = true;
+        self.ready.notify_one();
+    }
 }
 
 /// Create a connected sender/receiver pair.
 pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue {
+            items: VecDeque::new(),
+            woken: false,
+        }),
         ready: Condvar::new(),
     });
     (
@@ -51,14 +85,15 @@ impl<T> Clone for Sender<T> {
 impl<T> Sender<T> {
     /// Enqueue `item`. Infallible by design (see module docs).
     pub fn send(&self, item: T) {
-        let mut q = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        q.push_back(item);
-        drop(q);
+        self.shared.lock().items.push_back(item);
         self.shared.ready.notify_one();
+    }
+}
+
+impl<T: Send + 'static> Sender<T> {
+    /// A handle that wakes this channel's receiver (see [`Wake`]).
+    pub fn waker(&self) -> Arc<dyn Wake> {
+        Arc::clone(&self.shared) as Arc<dyn Wake>
     }
 }
 
@@ -70,47 +105,48 @@ pub(crate) struct Receiver<T> {
 impl<T> Receiver<T> {
     /// Pop the next item without blocking.
     pub fn try_recv(&self) -> Option<T> {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
+        self.shared.lock().items.pop_front()
     }
 
-    /// Pop the next item, blocking up to `timeout`; `None` on timeout.
+    /// Pop the next item, blocking up to `timeout` (a timeout too large
+    /// for an `Instant` waits without a deadline). `None` when the
+    /// timeout elapses, or earlier, once, after a [`Wake::wake`].
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let deadline = Instant::now().checked_add(timeout);
+        let mut q = self.shared.lock();
         loop {
-            if let Some(item) = q.pop_front() {
+            if let Some(item) = q.items.pop_front() {
                 return Some(item);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if std::mem::take(&mut q.woken) {
                 return None;
             }
-            let (guard, _timed_out) = self
-                .shared
-                .ready
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
+            q = match deadline {
+                None => self
+                    .shared
+                    .ready
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.shared
+                        .ready
+                        .wait_timeout(q, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
     }
 
     /// Move every queued item into `out` under one lock; returns the count.
     pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
-        let mut q = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let n = q.len();
-        out.extend(q.drain(..));
+        let mut q = self.shared.lock();
+        let n = q.items.len();
+        out.extend(q.items.drain(..));
         n
     }
 }
@@ -156,6 +192,30 @@ mod tests {
             });
             assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Some(42));
         });
+    }
+
+    #[test]
+    fn wake_ends_one_empty_wait_early() {
+        let (tx, rx) = channel::<u8>();
+        let waker = tx.waker();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                waker.wake();
+            });
+            let start = Instant::now();
+            assert_eq!(rx.recv_timeout(Duration::from_secs(30)), None);
+            assert!(start.elapsed() < Duration::from_secs(10), "wake was missed");
+        });
+        // Consumed: the next wait runs to its timeout.
+        let start = Instant::now();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), None);
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        // A queued item wins over a pending wake, which then stays pending.
+        waker.wake();
+        tx.send(7);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Some(7));
+        assert_eq!(rx.recv_timeout(Duration::MAX), None);
     }
 
     #[test]

@@ -54,9 +54,9 @@ impl World {
         T: Send,
         F: Fn(Comm<M>) -> T + Send + Sync,
     {
-        let plane = ControlPlane::new(self.nranks);
         type Channels<M> = (Vec<Sender<Packet<M>>>, Vec<Receiver<Packet<M>>>);
         let (senders, receivers): Channels<M> = (0..self.nranks).map(|_| channel()).unzip();
+        let plane = ControlPlane::new(self.nranks, senders.iter().map(Sender::waker).collect());
 
         // Packet-pool freelists, one channel per ordered (src, dest) pair:
         // rank `src` *acquires* buffers destined for `dest` from its end,

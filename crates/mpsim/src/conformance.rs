@@ -4,9 +4,11 @@
 //! must honour: `drain_recv` is the polling receive (returns immediately,
 //! even empty-handed) and `recv_timeout` is the parking receive (blocks
 //! until arrival or timeout, wakes promptly when traffic is already
-//! queued or arrives mid-wait) — plus per-pair FIFO delivery, world-wide
-//! collectives whose sums wrap on overflow, and a packet pool that
-//! ignores zero-capacity buffers. These checks encode those assertions
+//! queued or arrives mid-wait, and returns early only after a
+//! termination event) — plus per-pair FIFO delivery, world-wide
+//! collectives whose sums wrap on overflow, a termination ledger whose
+//! completion wakes every parked rank, and a packet pool that ignores
+//! zero-capacity buffers. These checks encode those assertions
 //! once so every backend runs the *same* suite: [`crate::Comm`] in a
 //! threaded world, [`crate::LoopbackTransport`], [`crate::FaultTransport`]
 //! over both, and out-of-crate backends such as `pa-net`'s `TcpTransport`
@@ -116,11 +118,15 @@ fn check_empty_recycle_is_uncounted<T: Transport<u64>>(t: &mut T, src: usize) {
 /// Multi-rank half of the contract, for worlds of two or more ranks.
 /// Call from *every* rank with that rank's transport.
 ///
-/// Every rank above 0 floods rank 0 with numbered messages; rank 0
-/// checks non-blocking drains and per-source FIFO delivery. A second
-/// stage checks that a parked receive wakes on arrival instead of
-/// sleeping out its timeout, and the collectives are exercised
-/// world-wide throughout.
+/// Every rank first checks that a parked receive with nothing in flight
+/// and no termination event sleeps out its timeout (callers such as a
+/// sample exchange read `None` as "timed out"). Every rank above 0 then
+/// floods rank 0 with numbered messages; rank 0 checks non-blocking
+/// drains and per-source FIFO delivery. Later stages check that a parked
+/// receive wakes on arrival instead of sleeping out its timeout, that
+/// the termination detector reaches quiescence world-wide, and that the
+/// completion which takes it there ends every other rank's parked
+/// receive at once. The collectives are exercised world-wide throughout.
 ///
 /// # Panics
 ///
@@ -130,6 +136,18 @@ pub fn check_multi_rank<T: Transport<u64>>(mut t: T) {
     let world = t.nranks();
     assert!(world >= 2, "multi-rank check needs at least two ranks");
     assert!(t.rank() < world);
+
+    // Stage 0: no early `None` without a termination event. Nothing has
+    // been sent yet and the ledger is untouched.
+    let timeout = Duration::from_millis(50);
+    let start = Instant::now();
+    assert!(t.recv_timeout(timeout).is_none(), "no traffic was sent");
+    assert!(
+        start.elapsed() >= timeout,
+        "recv_timeout returned None after {:?} of its {timeout:?} with no \
+         termination event",
+        start.elapsed()
+    );
 
     // Stage 1: FIFO under load. Collectives must also agree world-wide.
     let expect: u64 = (1..=world as u64).sum();
@@ -266,4 +284,34 @@ pub fn check_multi_rank<T: Transport<u64>>(mut t: T) {
         std::thread::sleep(Duration::from_millis(1));
     }
     t.barrier();
+
+    // Stage 4: quiescence wakes a parked rank. Rank 0 registers one unit
+    // of work, rank 1 completes it after everyone else has parked with a
+    // 30 s timeout, and every rank must see the ledger done within 2 s:
+    // the completion, not a timer, ends the wait. An earlier stage's
+    // event may still be pending and end the first wait at once; the
+    // loop parks again until the ledger is really done.
+    if t.rank() == 0 {
+        term.add(1);
+    }
+    t.barrier();
+    let start = Instant::now();
+    if t.rank() == 1 {
+        std::thread::sleep(Duration::from_millis(100));
+        term.complete(1);
+    }
+    while !term.is_done() {
+        if let Some(pkt) = t.recv_timeout(Duration::from_secs(30)) {
+            panic!("unexpected traffic from rank {} while idle", pkt.src);
+        }
+    }
+    let waited = start.elapsed();
+    // Every rank leaves the barrier before any asserts, so a failure
+    // panics its own rank instead of stranding the others in it.
+    t.barrier();
+    assert!(
+        waited < Duration::from_secs(2),
+        "rank {} slept {waited:?} past the ledger's last completion",
+        t.rank()
+    );
 }

@@ -10,6 +10,8 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use crate::channel::Wake;
+
 struct Rendezvous {
     /// Per-rank contribution slots for the current round.
     slots: Vec<u64>,
@@ -30,10 +32,16 @@ pub(crate) struct ControlPlane {
     inner: Mutex<Rendezvous>,
     cv: Condvar,
     outstanding: AtomicI64,
+    /// Every rank's inbox, woken when `outstanding` reaches zero so a
+    /// rank parked in `recv_timeout` observes quiescence at once.
+    inboxes: Vec<Arc<dyn Wake>>,
 }
 
 impl ControlPlane {
-    pub(crate) fn new(nranks: usize) -> Arc<Self> {
+    /// A plane for `nranks` ranks; `inboxes` are woken by the completion
+    /// that takes the termination counter to zero (empty where no rank
+    /// ever parks, as on the loopback transport).
+    pub(crate) fn new(nranks: usize, inboxes: Vec<Arc<dyn Wake>>) -> Arc<Self> {
         Arc::new(Self {
             nranks,
             inner: Mutex::new(Rendezvous {
@@ -45,6 +53,7 @@ impl ControlPlane {
             }),
             cv: Condvar::new(),
             outstanding: AtomicI64::new(0),
+            inboxes,
         })
     }
 
@@ -95,6 +104,11 @@ impl TerminationBackend for ControlPlane {
     fn complete(&self, n: u64) {
         let prev = self.outstanding.fetch_sub(n as i64, Ordering::AcqRel);
         debug_assert!(prev >= n as i64, "termination counter went negative");
+        if n > 0 && prev == n as i64 {
+            for inbox in &self.inboxes {
+                inbox.wake();
+            }
+        }
     }
 
     fn is_done(&self) -> bool {
@@ -131,7 +145,13 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 ///   transport barrier (the registration pattern is always
 ///   `add → barrier → observe`; see the `Transport` contract). The
 ///   shared-memory backend happens to publish immediately, but callers
-///   must not rely on that.
+///   must not rely on that;
+/// * the event that makes `is_done` true on a rank — on the shared-memory
+///   backend the `complete` that takes the counter to zero, on the TCP
+///   ledger the arrival of the count that balances it — ends that rank's
+///   parked [`crate::Transport::recv_timeout`] early, once (the
+///   "early `None`" of the receive contract). A rank with nothing left to
+///   do can therefore block without a timer and still stop at once.
 pub trait TerminationBackend: Send + Sync {
     /// Register `n` units of outstanding work.
     fn add(&self, n: u64);
@@ -202,7 +222,7 @@ mod tests {
 
     #[test]
     fn collective_sum_across_threads() {
-        let plane = ControlPlane::new(4);
+        let plane = ControlPlane::new(4, Vec::new());
         thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|r| {
@@ -220,7 +240,7 @@ mod tests {
     fn collective_rounds_do_not_interleave() {
         // Run many back-to-back rounds; every rank must observe the same
         // per-round result even with heavy contention.
-        let plane = ControlPlane::new(3);
+        let plane = ControlPlane::new(3, Vec::new());
         thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|r| {
@@ -247,7 +267,7 @@ mod tests {
 
     #[test]
     fn termination_counter_tracks_work() {
-        let plane = ControlPlane::new(1);
+        let plane = ControlPlane::new(1, Vec::new());
         let t = plane.termination();
         assert!(t.is_done());
         t.add(3);
@@ -261,7 +281,7 @@ mod tests {
 
     #[test]
     fn termination_shared_across_clones() {
-        let plane = ControlPlane::new(2);
+        let plane = ControlPlane::new(2, Vec::new());
         let a = plane.termination();
         let b = plane.termination();
         a.add(1);

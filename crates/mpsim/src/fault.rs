@@ -31,7 +31,8 @@
 //! jitter and lets the parking receive honour the [`Transport`] contract:
 //! [`FaultTransport::recv_timeout`] parks on the inner transport in short
 //! slices while deliveries are pending and delegates the full wait when
-//! nothing is staged.
+//! nothing is staged; an inner wait ended early by a termination event is
+//! handed on once the staged countdowns are spent.
 //!
 //! The send path, packet pool, collectives, and termination detector pass
 //! straight through to the inner transport.
@@ -499,24 +500,37 @@ impl<M: Clone + Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet<M>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
+        // An inner wait that ended early: a termination event (the
+        // receive contract), handed on once the staged countdowns are
+        // spent.
+        let mut woken = false;
         loop {
             self.tick();
             if let Some(pkt) = self.ready.pop_front() {
                 return Some(pkt);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let remaining = deadline - now;
+            let remaining = match deadline {
+                None => Duration::MAX,
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    deadline - now
+                }
+            };
             if self.has_pending() {
                 // Staged countdowns need poll ticks to progress: park in
                 // short slices so a held packet releases promptly.
                 let slice = remaining.min(TICK_SLICE);
-                if let Some(pkt) = self.inner.recv_timeout(slice) {
-                    self.stage(pkt);
+                let start = Instant::now();
+                match self.inner.recv_timeout(slice) {
+                    Some(pkt) => self.stage(pkt),
+                    None => woken |= start.elapsed() < slice,
                 }
+            } else if woken {
+                return None;
             } else {
                 // Nothing staged: delegate the whole wait. The inner
                 // transport wakes promptly on arrival (its contract), and

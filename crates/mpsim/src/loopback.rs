@@ -36,7 +36,7 @@ impl<M> LoopbackTransport<M> {
         Self {
             queue: VecDeque::new(),
             pool: Vec::new(),
-            plane: ControlPlane::new(1),
+            plane: ControlPlane::new(1, Vec::new()),
             stats: CommStats::new(1),
         }
     }

@@ -35,6 +35,20 @@
 //!   conforming implementation wakes promptly on arrival; it must not
 //!   poll-sleep for the full timeout when traffic is already queued.
 //!
+//! **When `recv_timeout` may return `None` early.** Only after a
+//! termination event: the ledger behind [`Transport::termination`]
+//! reaching done on this rank (see [`crate::TerminationBackend`]). Each
+//! such event ends one empty-handed wait — the one in progress, or else
+//! the next — and is then consumed. Without one, `None` means the full
+//! timeout elapsed, so a caller that never touches the ledger (a sample
+//! exchange, a test) may read `None` as "timed out". A timeout too large
+//! to add to an [`std::time::Instant`] (e.g. [`Duration::MAX`]) waits
+//! without a deadline. This is what lets the engine driver flush its
+//! buffers and then block with no timer at all: it wakes on a packet, on
+//! quiescence, or at its stall-watchdog deadline. The single-rank
+//! [`crate::LoopbackTransport`] is the documented exception: nobody else
+//! can send to it, so it returns at once.
+//!
 //! The idiomatic completion loop therefore drains while progress lasts
 //! and parks when quiescent — never spins:
 //!
@@ -60,8 +74,9 @@
 //!             }
 //!             continue; // progress: poll again before parking
 //!         }
-//!         // Phase 2: quiescent — park instead of spinning.
-//!         if let Some(pkt) = comm.recv_timeout(Duration::from_millis(1)) {
+//!         // Phase 2: quiescent — park instead of spinning. Rank 1's
+//!         // final `complete` ends rank 0's wait; no timer runs out.
+//!         if let Some(pkt) = comm.recv_timeout(Duration::from_secs(30)) {
 //!             term.complete(pkt.msgs.len() as u64);
 //!             comm.recycle(pkt.src, pkt.msgs);
 //!         }
@@ -142,8 +157,9 @@ pub trait Transport<M> {
     fn drain_recv(&mut self, out: &mut Vec<Packet<M>>) -> usize;
 
     /// Blocking receive: park until a packet arrives or `timeout`
-    /// elapses; `None` on timeout. **Must not busy-wait** (the parking
-    /// receive — see the [module docs](self)).
+    /// elapses; `None` on timeout, or earlier, once, after the
+    /// termination ledger reaches done. **Must not busy-wait** (the
+    /// parking receive — see the [module docs](self)).
     fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet<M>>;
 
     /// Global barrier: returns once every rank has entered.

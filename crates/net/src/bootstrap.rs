@@ -17,13 +17,20 @@
 //! 3. **Accept up.** Rank `r` then accepts the dials from every rank
 //!    *above* itself, validating their `HELLO`s the same way, until the
 //!    mesh is complete or the timeout expires
-//!    ([`NetError::AcceptTimeout`] lists who is missing).
+//!    ([`NetError::AcceptTimeout`] lists who is missing). The accept
+//!    blocks: each dial is taken the moment it lands, with no poll
+//!    interval. A deadline helper thread waits on a condvar until the
+//!    mesh completes or the timeout expires; only at expiry does it
+//!    connect to the listener itself, which ends the blocked `accept` so
+//!    the timeout is raised on time.
 //!
 //! Ranks only ever *wait* on lower ranks (rank 0 waits on nobody to
 //! dial), so the wait graph is acyclic and the whole mesh settles in one
 //! pass.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pa_mpsim::Wire;
@@ -246,6 +253,76 @@ fn remaining(deadline: Instant) -> Duration {
         .max(Duration::from_millis(1))
 }
 
+/// The address a process dials to reach its own listener bound at
+/// `addr`: the wildcard address (`0.0.0.0`, `::`) becomes loopback. The
+/// serve daemon uses it to wake its blocked accept loop.
+pub(crate) fn self_dial_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// Ends a blocking `accept` at a deadline: a helper thread waits on a
+/// condvar until the owner disarms it (dropping it) or the deadline
+/// passes, and only then connects to the listener, so the blocked
+/// `accept` returns and the owner sees [`AcceptDeadline::expired`].
+struct AcceptDeadline {
+    /// `Some(expired)` while armed; `None` once disarmed.
+    state: Arc<(Mutex<Option<bool>>, Condvar)>,
+    helper: Option<JoinHandle<()>>,
+}
+
+/// Lock the deadline state; every update leaves it valid, so a poisoned
+/// lock is still usable (and `Drop` must not panic on one).
+fn lock_state(state: &Mutex<Option<bool>>) -> MutexGuard<'_, Option<bool>> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl AcceptDeadline {
+    fn arm(listener: &TcpListener, deadline: Instant) -> std::io::Result<Self> {
+        let addr = self_dial_addr(listener.local_addr()?);
+        let state = Arc::new((Mutex::new(Some(false)), Condvar::new()));
+        let shared = Arc::clone(&state);
+        let helper = std::thread::Builder::new()
+            .name("pa-net-accept-deadline".into())
+            .spawn(move || {
+                let (lock, cv) = &*shared;
+                let wait = deadline.saturating_duration_since(Instant::now());
+                let (mut armed, _) = cv
+                    .wait_timeout_while(lock_state(lock), wait, |armed| armed.is_some())
+                    .unwrap_or_else(PoisonError::into_inner);
+                if let Some(expired) = armed.as_mut() {
+                    *expired = true;
+                    drop(armed);
+                    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+                }
+            })?;
+        Ok(AcceptDeadline {
+            state,
+            helper: Some(helper),
+        })
+    }
+
+    /// Whether the deadline has passed (and the helper broke the accept).
+    fn expired(&self) -> bool {
+        *lock_state(&self.state.0) == Some(true)
+    }
+}
+
+impl Drop for AcceptDeadline {
+    fn drop(&mut self) {
+        *lock_state(&self.state.0) = None;
+        self.state.1.notify_all();
+        if let Some(helper) = self.helper.take() {
+            let _ = helper.join();
+        }
+    }
+}
+
 impl<M: Wire + Send + 'static> TcpTransport<M> {
     /// Join the world described by `cfg`: bind `peers[rank]`, run the
     /// dial/accept bootstrap (see the [module docs](crate::bootstrap)),
@@ -276,49 +353,39 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
             *slot = Some(stream);
         }
 
-        // Accept up.
-        listener.set_nonblocking(true).map_err(|e| NetError::Bind {
+        // Accept up, blocking; the deadline helper breaks the accept only
+        // if the mesh is still incomplete when the timeout expires.
+        let bind_err = |what: &str, e: std::io::Error| NetError::Bind {
             addr: cfg.peers[cfg.rank].clone(),
-            detail: format!("set_nonblocking: {e}"),
-        })?;
+            detail: format!("{what}: {e}"),
+        };
         let mut missing = cfg.world - cfg.rank - 1;
-        while missing > 0 {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream
-                        .set_nonblocking(false)
-                        .map_err(|e| NetError::Handshake {
-                            peer: "<accepted connection>".into(),
-                            detail: format!("set_nonblocking: {e}"),
-                        })?;
-                    let rank = handshake_in(&mut stream, &cfg, deadline)?;
-                    if streams[rank].is_some() {
-                        return Err(NetError::Handshake {
-                            peer: format!("rank {rank}"),
-                            detail: "rank connected twice — duplicate launch?".into(),
-                        });
-                    }
-                    streams[rank] = Some(stream);
-                    missing -= 1;
+        if missing > 0 {
+            listener
+                .set_nonblocking(false)
+                .map_err(|e| bind_err("set_nonblocking", e))?;
+            let expiry = AcceptDeadline::arm(&listener, deadline)
+                .map_err(|e| bind_err("arm deadline", e))?;
+            while missing > 0 {
+                let (mut stream, _) = listener.accept().map_err(|e| bind_err("accept", e))?;
+                if expiry.expired() {
+                    let absent: Vec<usize> = (cfg.rank + 1..cfg.world)
+                        .filter(|&r| streams[r].is_none())
+                        .collect();
+                    return Err(NetError::AcceptTimeout {
+                        missing: absent,
+                        waited: start.elapsed(),
+                    });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        let absent: Vec<usize> = (cfg.rank + 1..cfg.world)
-                            .filter(|&r| streams[r].is_none())
-                            .collect();
-                        return Err(NetError::AcceptTimeout {
-                            missing: absent,
-                            waited: start.elapsed(),
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
+                let rank = handshake_in(&mut stream, &cfg, deadline)?;
+                if streams[rank].is_some() {
+                    return Err(NetError::Handshake {
+                        peer: format!("rank {rank}"),
+                        detail: "rank connected twice — duplicate launch?".into(),
+                    });
                 }
-                Err(e) => {
-                    return Err(NetError::Bind {
-                        addr: cfg.peers[cfg.rank].clone(),
-                        detail: format!("accept: {e}"),
-                    })
-                }
+                streams[rank] = Some(stream);
+                missing -= 1;
             }
         }
 
@@ -362,6 +429,29 @@ mod tests {
         unique.sort();
         unique.dedup();
         assert_eq!(unique.len(), 3, "ports must be distinct");
+    }
+
+    #[test]
+    fn accept_times_out_on_time_naming_the_missing_ranks() {
+        // Rank 0 of a 3-rank world whose ranks 1 and 2 never dial: the
+        // blocked accept must be broken at the deadline, not hang.
+        let mut world = TcpConfig::local_world(3).unwrap();
+        let (mut cfg, listener) = world.remove(0);
+        cfg.connect_timeout = Duration::from_millis(300);
+        let start = Instant::now();
+        let err = TcpTransport::<u64>::connect_with_listener(cfg, listener)
+            .map(|_| ())
+            .unwrap_err();
+        let waited = start.elapsed();
+        assert!(
+            waited >= Duration::from_millis(300),
+            "gave up early: {waited:?}"
+        );
+        assert!(waited < Duration::from_secs(10), "accept hung: {waited:?}");
+        match err {
+            NetError::AcceptTimeout { missing, .. } => assert_eq!(missing, vec![1, 2]),
+            other => panic!("expected AcceptTimeout, got {other}"),
+        }
     }
 
     #[test]

@@ -72,6 +72,7 @@ use super::proto::{
     write_status_ack, JobSpec, RejectCode, RequestError, ServeMsg, ServeStats, ServeStatus,
     MAX_REQUEST_FRAME,
 };
+use crate::bootstrap::self_dial_addr;
 use crate::frame::read_raw_frame;
 use pa_graph::io::{stream_file_from, Fnv1a};
 
@@ -216,6 +217,12 @@ impl Inner {
         self.touch_clock += 1;
         self.touch_clock
     }
+
+    /// The accept loop's exit condition: draining, nothing queued or
+    /// running, no connection open.
+    fn drained(&self) -> bool {
+        self.draining && self.queue.is_empty() && self.running == 0 && self.active_conns == 0
+    }
 }
 
 struct Shared {
@@ -223,6 +230,10 @@ struct Shared {
     runner: Arc<dyn JobRunner>,
     inner: Mutex<Inner>,
     cond: Condvar,
+    /// Where the accept loop listens, as a client dials it: the one
+    /// connection that breaks its blocking `accept` (see
+    /// [`Shared::notify`]).
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
@@ -248,6 +259,20 @@ impl Shared {
             .wait_timeout(guard, dur)
             .unwrap_or_else(PoisonError::into_inner)
             .0
+    }
+
+    /// Release `inner` and wake every condvar waiter. The accept loop
+    /// blocks in `accept`, not on the condvar: when this change made the
+    /// drain condition true, connect to the listener once so the loop
+    /// wakes, sees it, and exits. Every state change that can complete
+    /// a drain goes through here.
+    fn notify(&self, inner: MutexGuard<'_, Inner>) {
+        let drained = inner.drained();
+        drop(inner);
+        self.cond.notify_all();
+        if drained {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     fn artifact_path(&self, id: u64) -> PathBuf {
@@ -277,8 +302,9 @@ impl Shared {
             dropped += 1;
         }
         inner.stats.jobs_drained += u64::from(dropped);
-        self.cond.notify_all();
-        (inner.running as u32, dropped)
+        let running = inner.running as u32;
+        self.notify(inner);
+        (running, dropped)
     }
 
     /// Snapshot the daemon's health for `STATUS_ACK` / [`Server::status`].
@@ -330,7 +356,7 @@ impl Server {
     /// # Errors
     ///
     /// A jobs-directory that cannot be created, or a listener that
-    /// cannot report its local address / switch to non-blocking mode.
+    /// cannot report its local address / switch to blocking mode.
     pub fn start(
         listener: TcpListener,
         cfg: ServeConfig,
@@ -338,7 +364,7 @@ impl Server {
     ) -> io::Result<Server> {
         std::fs::create_dir_all(&cfg.jobs_dir)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             cfg,
@@ -359,6 +385,7 @@ impl Server {
                 stats: ServeStats::default(),
             }),
             cond: Condvar::new(),
+            wake_addr: self_dial_addr(addr),
         });
         {
             let mut inner = shared.lock();
@@ -468,8 +495,7 @@ fn spawn_worker(shared: &Arc<Shared>) -> io::Result<()> {
     if let Err(e) = spawned {
         let mut inner = shared.lock();
         inner.workers_live -= 1;
-        drop(inner);
-        shared.cond.notify_all();
+        shared.notify(inner);
         return Err(e);
     }
     Ok(())
@@ -494,8 +520,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
                 if inner.draining {
                     inner.workers_live -= 1;
-                    drop(inner);
-                    shared.cond.notify_all();
+                    shared.notify(inner);
                     return;
                 }
                 inner = shared.wait(inner);
@@ -523,9 +548,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             // retire so the pool returns to its configured size.
             inner.workers_wedged = inner.workers_wedged.saturating_sub(1);
             inner.workers_live -= 1;
-            drop(inner);
+            shared.notify(inner);
             let _ = std::fs::remove_file(&tmp);
-            shared.cond.notify_all();
             return;
         }
         inner.running -= 1;
@@ -570,11 +594,10 @@ fn worker_loop(shared: &Arc<Shared>) {
                 cleanup_tmp = true;
             }
         }
-        drop(inner);
+        shared.notify(inner);
         if cleanup_tmp {
             let _ = std::fs::remove_file(&tmp);
         }
-        shared.cond.notify_all();
     }
 }
 
@@ -751,8 +774,7 @@ fn monitor_loop(shared: &Arc<Shared>) {
             inner.workers_wedged += 1;
         }
         if replacements > 0 {
-            drop(inner);
-            shared.cond.notify_all();
+            shared.notify(inner);
             for _ in 0..replacements {
                 let _ = spawn_worker(shared);
             }
@@ -762,57 +784,59 @@ fn monitor_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Accept connections until a drain completes. `accept` blocks; the
+/// thread that makes the drain condition true connects once to break it
+/// ([`Shared::notify`]), and whatever connection the loop then holds is
+/// dropped unanswered.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        {
-            let inner = shared.lock();
-            if inner.draining
-                && inner.queue.is_empty()
-                && inner.running == 0
-                && inner.active_conns == 0
-            {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                // A connection reset before it was taken, or descriptor
+                // exhaustion: wait for a state change (a closing
+                // connection frees a descriptor and notifies), with a
+                // backstop so a transient error is not waited out long.
+                let inner = shared.lock();
+                if inner.drained() {
+                    return;
+                }
+                drop(shared.wait_timeout(inner, Duration::from_millis(50)));
+                continue;
+            }
+        };
+        let admitted = {
+            let mut inner = shared.lock();
+            if inner.drained() {
                 return;
             }
+            if inner.active_conns >= shared.cfg.max_conns.max(1) {
+                false
+            } else {
+                inner.active_conns += 1;
+                true
+            }
+        };
+        if !admitted {
+            reject_overloaded(shared, stream);
+            continue;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let admitted = {
-                    let mut inner = shared.lock();
-                    if inner.active_conns >= shared.cfg.max_conns.max(1) {
-                        false
-                    } else {
-                        inner.active_conns += 1;
-                        true
-                    }
-                };
-                if !admitted {
-                    reject_overloaded(shared, stream);
-                    continue;
-                }
-                let sh = Arc::clone(shared);
-                let spawned = thread::Builder::new()
-                    .name("serve-conn".into())
-                    .spawn(move || {
-                        handle_conn(&sh, stream);
-                        let mut inner = sh.lock();
-                        inner.active_conns -= 1;
-                        drop(inner);
-                        sh.cond.notify_all();
-                    });
-                if spawned.is_err() {
-                    // The closure never ran (the stream dropped with
-                    // it): undo the admission here, or `join` would
-                    // wait forever on a count that can't reach zero.
-                    let mut inner = shared.lock();
-                    inner.active_conns -= 1;
-                    drop(inner);
-                    shared.cond.notify_all();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
+        let sh = Arc::clone(shared);
+        let spawned = thread::Builder::new()
+            .name("serve-conn".into())
+            .spawn(move || {
+                handle_conn(&sh, stream);
+                let mut inner = sh.lock();
+                inner.active_conns -= 1;
+                sh.notify(inner);
+            });
+        if spawned.is_err() {
+            // The closure never ran (the stream dropped with it): undo
+            // the admission here, or `join` would wait forever on a
+            // count that can't reach zero.
+            let mut inner = shared.lock();
+            inner.active_conns -= 1;
+            shared.notify(inner);
         }
     }
 }

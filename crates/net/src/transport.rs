@@ -16,7 +16,8 @@
 //!   the channel backend. Self-sends short-circuit through the inbox.
 //! * **Receives** pop a single inbox (`Mutex<VecDeque>` + condvar) that
 //!   all reader threads feed. `drain_recv` never blocks; `recv_timeout`
-//!   parks on the condvar and is woken by the first arrival.
+//!   parks on the condvar and is woken by the first arrival, or by the
+//!   `TERM` frame that balances the termination ledger (see below).
 //! * **Collectives** run on a binary tree (children of rank `r` are
 //!   `2r+1`, `2r+2`): contributions flow leaf-to-root as `COLL_UP`
 //!   frames, rank 0 assembles the per-rank snapshot, and the snapshot
@@ -33,7 +34,10 @@
 //!   counts piggyback on the engine's existing service cadence), and
 //!   `is_done` holds when `target` equals the sum of every rank's last
 //!   known counter. Counters are monotone, so stale `TERM` frames are
-//!   harmless (`fetch_max`).
+//!   harmless (`fetch_max`). The reader thread that applies the `TERM`
+//!   frame balancing the ledger also flags the inbox, which ends the
+//!   engine's parked `recv_timeout` early, once — an idle rank blocks
+//!   with no timer and still stops the moment the world is quiescent.
 //!
 //! # Failure semantics
 //!
@@ -63,6 +67,14 @@ use crate::frame::{self, Kind};
 /// late a *missed* signal (or a crash flag set without one) is noticed.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
+/// What the reader threads hand the engine thread.
+struct Inbox<M> {
+    packets: VecDeque<Packet<M>>,
+    /// Set by the reader that saw the ledger balance; consumed by the
+    /// next `recv_timeout` that finds no packet (its early `None`).
+    ledger_done: bool,
+}
+
 /// Send-buffer pool cap: beyond this many parked buffers, recycled
 /// buffers are dropped instead of hoarded.
 const POOL_CAP: usize = 256;
@@ -77,7 +89,7 @@ pub(crate) struct Shared<M> {
     /// flushes can race engine-side sends only through this lock).
     writers: Vec<Option<Mutex<TcpStream>>>,
     /// Packets parsed by reader threads, awaiting the engine.
-    inbox: Mutex<VecDeque<Packet<M>>>,
+    inbox: Mutex<Inbox<M>>,
     inbox_cv: Condvar,
     /// Recycled send buffers; readers also draw decode buffers from
     /// here, closing the acquire → send → decode → recycle loop.
@@ -145,7 +157,10 @@ impl<M: Wire + Send + 'static> Shared<M> {
             rank,
             world,
             writers,
-            inbox: Mutex::new(VecDeque::new()),
+            inbox: Mutex::new(Inbox {
+                packets: VecDeque::new(),
+                ledger_done: false,
+            }),
             inbox_cv: Condvar::new(),
             pool: Mutex::new(Vec::new()),
             coll: Mutex::new(CollState::default()),
@@ -231,8 +246,9 @@ impl<M: Wire + Send + 'static> Shared<M> {
         }
     }
 
-    /// The global quiescence predicate; see [`TermState`].
-    fn term_done(&self) -> bool {
+    /// Every registered unit of work is known to be completed; see
+    /// [`TermState`].
+    fn ledger_balanced(&self) -> bool {
         if self.term.staged.load(Ordering::Acquire) != 0 {
             return false; // unpublished local work
         }
@@ -243,7 +259,12 @@ impl<M: Wire + Send + 'static> Shared<M> {
             .iter()
             .map(|c| c.load(Ordering::Acquire))
             .sum();
-        if done < target {
+        done >= target
+    }
+
+    /// The global quiescence predicate.
+    fn term_done(&self) -> bool {
+        if !self.ledger_balanced() {
             return false;
         }
         // Our own final count must reach the other ranks or they will
@@ -396,9 +417,11 @@ impl<M: Wire + Send + 'static> Shared<M> {
                         };
                         msgs.push(m);
                     }
-                    let mut q = self.inbox.lock().unwrap();
-                    q.push_back(Packet { src: peer, msgs });
-                    drop(q);
+                    self.inbox
+                        .lock()
+                        .unwrap()
+                        .packets
+                        .push_back(Packet { src: peer, msgs });
                     self.inbox_cv.notify_all();
                 }
                 Kind::Term => {
@@ -407,9 +430,13 @@ impl<M: Wire + Send + 'static> Shared<M> {
                         self.mark_peer_down(peer, "corrupt TERM frame");
                         return;
                     };
-                    self.term.completed[peer].fetch_max(v, Ordering::AcqRel);
-                    // Wake parked ranks so `is_done` pollers notice.
-                    self.inbox_cv.notify_all();
+                    let prev = self.term.completed[peer].fetch_max(v, Ordering::AcqRel);
+                    // The count that balances the ledger ends the
+                    // engine's parked wait: it is quiescent now.
+                    if v > prev && self.ledger_balanced() {
+                        self.inbox.lock().unwrap().ledger_done = true;
+                        self.inbox_cv.notify_all();
+                    }
                 }
                 Kind::CollUp => {
                     let mut input = payload.as_slice();
@@ -633,9 +660,12 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         }
         self.stats.on_send(dest, msgs.len() as u64);
         if dest == self.shared.rank {
-            let mut q = self.shared.inbox.lock().unwrap();
-            q.push_back(Packet { src: dest, msgs });
-            drop(q);
+            self.shared
+                .inbox
+                .lock()
+                .unwrap()
+                .packets
+                .push_back(Packet { src: dest, msgs });
             self.shared.inbox_cv.notify_all();
             return;
         }
@@ -677,7 +707,7 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
     fn try_recv(&mut self) -> Option<Packet<M>> {
         self.shared.flush_term();
         self.shared.check_alive("a receive");
-        let pkt = self.shared.inbox.lock().unwrap().pop_front()?;
+        let pkt = self.shared.inbox.lock().unwrap().packets.pop_front()?;
         self.stats.on_recv(pkt.src, pkt.msgs.len() as u64);
         Some(pkt)
     }
@@ -688,7 +718,7 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         let start = out.len();
         {
             let mut q = self.shared.inbox.lock().unwrap();
-            out.extend(q.drain(..));
+            out.extend(q.packets.drain(..));
         }
         for pkt in &out[start..] {
             self.stats.on_recv(pkt.src, pkt.msgs.len() as u64);
@@ -698,24 +728,31 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet<M>> {
         self.shared.flush_term();
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut q = self.shared.inbox.lock().unwrap();
         loop {
-            if let Some(pkt) = q.pop_front() {
+            if let Some(pkt) = q.packets.pop_front() {
                 drop(q);
                 self.stats.on_recv(pkt.src, pkt.msgs.len() as u64);
                 return Some(pkt);
             }
+            if std::mem::take(&mut q.ledger_done) {
+                return None;
+            }
             drop(q);
             self.shared.check_alive("a receive");
             let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
+            let wait = match deadline {
+                Some(deadline) if now >= deadline => return None,
+                Some(deadline) => (deadline - now).min(WAIT_SLICE),
+                None => WAIT_SLICE,
+            };
             q = self.shared.inbox.lock().unwrap();
-            let wait = (deadline - now).min(WAIT_SLICE);
-            let (nq, _) = self.shared.inbox_cv.wait_timeout(q, wait).unwrap();
-            q = nq;
+            // Re-checked under the lock: an arrival between the unlock
+            // above and here has already notified.
+            if q.packets.is_empty() && !q.ledger_done {
+                q = self.shared.inbox_cv.wait_timeout(q, wait).unwrap().0;
+            }
         }
     }
 
