@@ -44,6 +44,18 @@ timed_waits 'thread::sleep' | sed 's/^/        /'
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# What each engine plans to keep per rank, for the benchmark's three
+# generation tuples (P = 2, x = 4, RRP): printed so each change shows its
+# planned bytes beside the line counts above; not a gate. The paged one
+# plans with its page size as well as its budget.
+echo "==> planned per-rank memory (report only)"
+plan() {
+    ./target/release/pagen info --x 4 --ranks 2 --scheme rrp "$@" | sed 's/^/    /'
+}
+plan --n 2000000 --engine 2
+plan --n 2000000 --engine 3
+plan --n 500000 --engine 3 --memory-budget 4194304 --page-bytes 16384
+
 echo "==> cargo test"
 cargo test -q --workspace
 
@@ -276,7 +288,7 @@ fi
 
 echo "==> palaunch paged crash-recovery smoke run"
 # The same recovery with the F tables out of core: engine 3 under a
-# --memory-budget far below each rank's 16 MB F table, so its page files
+# --memory-budget far below each rank's 8 MB F table, so its page files
 # (one per rank, beside the checkpoints) are written back all run long.
 # One rank is killed by kill -9 once it has checkpointed; the restarted
 # world resumes from the page files, and since engine 3 emits in label
@@ -338,7 +350,7 @@ echo "==> out-of-core smoke run"
 # default 4 KiB — constant eviction traffic) must write the same network
 # as the unbudgeted in-memory run, and a successful non-checkpointing run
 # must clean its page files up. Both store-backed engines, at n = 200000
-# (a ~1.6 MiB F table per rank, 25x the budget): engine 3 reads its table
+# (a ~0.8 MiB F table per rank, 12.5x the budget): engine 3 reads its table
 # in sweep order and — emitting in label order — is compared byte for
 # byte; engine 2 looks slots up all over the table, nearly every lookup
 # an eviction (a positioned read, and a journal and slot write when the

@@ -262,8 +262,10 @@ pub(crate) fn parse_store_spec(
     let page = args.str("page-bytes", "");
     if !page.is_empty() {
         let page_bytes = parse_byte_size("page-bytes", &page)?;
-        if page_bytes < 8 {
-            return Err(CliError::usage("--page-bytes must be at least 8"));
+        if page_bytes == 0 || !page_bytes.is_multiple_of(8) {
+            return Err(CliError::usage(
+                "--page-bytes must be a positive multiple of 8",
+            ));
         }
         spec = spec.with_page_bytes(page_bytes as usize);
     }

@@ -3,6 +3,7 @@
 
 use crate::args::{Args, CliError};
 use pa_core::partition::{self, Partition};
+use pa_core::store::{self, StoreSpec};
 use pa_core::Engine;
 use pa_graph::container;
 use std::io::Write;
@@ -45,9 +46,9 @@ struct TableLine {
 
 /// `pagen info --n <N>` (no `--in`): per-rank resident-memory estimate
 /// for a planned `(n, x, ranks, scheme, engine)` run, and what
-/// `--memory-budget` would cap the pageable share at. The estimate
-/// covers the engines' per-node state — the `O(n/P)` term that dominates
-/// at scale — not transient message buffers.
+/// `--memory-budget` (and `--page-bytes`) would cap the pageable share
+/// at. The estimate covers the engines' per-node state — the `O(n/P)`
+/// term that dominates at scale — not transient message buffers.
 fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let n = match args.u64("n", 0)? {
         0 => {
@@ -74,12 +75,9 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     any.check().map_err(CliError::usage)?;
     engine.check(x).map_err(CliError::usage)?;
-    let budget = args.str("memory-budget", "");
-    let budget_bytes = if budget.is_empty() {
-        None
-    } else {
-        Some(crate::generate::parse_byte_size("memory-budget", &budget)?)
-    };
+    // `generate`'s own parse of `--memory-budget`, `--page-bytes` and
+    // `--store-dir`, so a tuple it would run is a tuple this plans.
+    let spec = crate::generate::parse_store_spec(args, "")?;
     let hub_nodes = if crate::generate::parse_hub_cache(args)? {
         pa_core::DEFAULT_HUB_CACHE_NODES.min(n)
     } else {
@@ -94,17 +92,14 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let slots = size * x;
 
     // The F table is the one store-backed table of every engine, so it
-    // takes the whole budget: `budget/page` cache frames, never fewer
-    // than two pages (`PagedTable::open`), never more than the table —
-    // plus the page index, a few bytes per page of the whole table.
-    let page_bytes = pa_core::store::DEFAULT_PAGE_BYTES as u64;
+    // takes the whole budget, in the cells and frames the run allocates
+    // (`store::table_bytes`).
     let f_table = |name, f_slots: u64| TableLine {
         name,
-        resident: f_slots * 8,
-        budgeted: budget_bytes.map(|b| {
-            let index = (f_slots * 8).div_ceil(page_bytes) * pa_core::store::INDEX_BYTES_PER_PAGE;
-            b.max(2 * page_bytes).min(f_slots * 8) + index
-        }),
+        resident: store::table_bytes(n, f_slots, &StoreSpec::Resident),
+        budgeted: spec
+            .is_paged()
+            .then(|| store::table_bytes(n, f_slots, &spec)),
     };
     let resident = |name, bytes| TableLine {
         name,
@@ -159,15 +154,15 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         .map_err(CliError::io)?;
     }
-    match budget_bytes {
-        Some(b) => writeln!(
+    match &spec {
+        StoreSpec::Paged(p) => writeln!(
             out,
             "total: {} resident | {} under --memory-budget {}",
             human(resident_total),
             human(budgeted_total),
-            human(b)
+            human(p.budget_bytes)
         ),
-        None => writeln!(
+        StoreSpec::Resident => writeln!(
             out,
             "total: {} resident (add --memory-budget <bytes[k|m|g]> to see the paged plan)",
             human(resident_total)

@@ -719,10 +719,11 @@ fn info_plans_engine3_chain_memo_as_allocated() {
 #[test]
 fn info_plans_engine2_memory_from_its_actual_state() {
     // The estimate mode, pinned by value: engine 2 keeps the F table
-    // (the only table `--memory-budget` pages, so it gets the whole
-    // budget), 8 B/node of cursor + attempt counter, one waiter bit per
-    // slot and the hub replica. `tests/heap.rs` holds the total to the
-    // heap the engine really uses.
+    // (4-byte cells, as every label fits; the only table
+    // `--memory-budget` pages, so it gets the whole budget), 8 B/node of
+    // cursor + attempt counter, one waiter bit per slot and the hub
+    // replica. `tests/heap.rs` holds the total to the heap the engine
+    // really uses.
     let plan = [
         "info", "--n", "2000000", "--x", "4", "--ranks", "2", "--engine", "2",
     ];
@@ -730,28 +731,28 @@ fn info_plans_engine2_memory_from_its_actual_state() {
     let want = "\
 per-rank memory estimate: n=2000000 x=4 ranks=2 scheme=RRP engine=2
 largest rank: 1000000 nodes (4000000 F slots)
-  F table (x slots/node)             30.5 MiB
+  F table (x slots/node)             15.3 MiB
   node cursors + attempts (u32)        7.6 MiB
   waiter bitmap (1 bit/slot)        488.3 KiB
   hub cache (replicated)            128.0 KiB
-total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged plan)
+total: 23.5 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged plan)
 ";
     assert_eq!(resident, want);
 
     let paged = exec(&[&plan[..], &["--memory-budget", "8m"]].concat()).unwrap();
     assert!(
-        paged.contains("  F table (x slots/node)             30.5 MiB          8.0 MiB paged\n"),
+        paged.contains("  F table (x slots/node)             15.3 MiB          8.1 MiB paged\n"),
         "{paged}"
     );
     assert!(
-        paged.ends_with("total: 38.7 MiB resident | 16.3 MiB under --memory-budget 8.0 MiB\n"),
+        paged.ends_with("total: 23.5 MiB resident | 16.3 MiB under --memory-budget 8.0 MiB\n"),
         "{paged}"
     );
     assert_eq!(paged.matches("paged").count(), 1, "only F pages:\n{paged}");
 
     // Engine 1: the same shape at one slot per node. A 64 KiB budget is
-    // sixteen 4 KiB pages; the paged line adds the page index, 4 B for
-    // each of the table's 1954 pages.
+    // sixteen frames of a 4 KiB page and its 24 B of framing; the paged
+    // line adds the page index, 4 B for each of the table's 977 pages.
     let x1_plan = |budget: &str| {
         exec(&[
             "info",
@@ -770,7 +771,7 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
     };
     let x1 = x1_plan("64k");
     assert!(
-        x1.contains("  F table (1 slot/node)               7.6 MiB         71.6 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               3.8 MiB         68.2 KiB paged\n"),
         "{x1}"
     );
     assert!(
@@ -778,18 +779,65 @@ total: 38.7 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
         "{x1}"
     );
     assert!(
-        x1.ends_with("total: 7.7 MiB resident | 193.7 KiB under --memory-budget 64.0 KiB\n"),
+        x1.ends_with("total: 3.9 MiB resident | 190.3 KiB under --memory-budget 64.0 KiB\n"),
         "{x1}"
     );
     // A budget below two pages (8 KiB) is raised to the cache's
     // two-page minimum.
     let x1 = x1_plan("6k");
     assert!(
-        x1.contains("  F table (1 slot/node)               7.6 MiB         15.6 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               3.8 MiB         11.9 KiB paged\n"),
         "{x1}"
     );
     assert!(
-        x1.ends_with("total: 7.7 MiB resident | 137.7 KiB under --memory-budget 6.0 KiB\n"),
+        x1.ends_with("total: 3.9 MiB resident | 133.9 KiB under --memory-budget 6.0 KiB\n"),
         "{x1}"
     );
+}
+
+#[test]
+fn info_plans_a_paged_run_with_its_page_size() {
+    // The gen-e3-paged tuple, `--page-bytes` and all. The paged line
+    // counts whole frames of one 16 KiB page and its 24 B of framing
+    // each: its 4 MiB budget buys 256, of which the 3.8 MiB table of
+    // 4-byte cells fills 245, plus 4 B of page index per page —
+    // 245 · 16408 + 245 · 4 = 4020940 B, just over the table itself.
+    let plan = |budget: &str, page: &str| {
+        exec(&[
+            "info",
+            "--n",
+            "500000",
+            "--x",
+            "4",
+            "--ranks",
+            "2",
+            "--engine",
+            "3",
+            "--memory-budget",
+            budget,
+            "--page-bytes",
+            page,
+        ])
+    };
+    let want = "\
+per-rank memory estimate: n=500000 x=4 ranks=2 scheme=RRP engine=3
+largest rank: 250000 nodes (1000000 F slots)
+  F table (x slots/node)              3.8 MiB          3.8 MiB paged
+  node cursors (u32)                976.6 KiB
+  chain memo (allocated)             10.0 MiB
+total: 14.8 MiB resident | 14.8 MiB under --memory-budget 4.0 MiB
+";
+    assert_eq!(plan("4194304", "16384").unwrap(), want);
+    // A budget that is not a whole number of frames rounds down:
+    // 100000 B buys six, 6 · 16408 + 245 · 4 = 99428 B.
+    let part = plan("100000", "16k").unwrap();
+    assert!(
+        part.contains("  F table (x slots/node)              3.8 MiB         97.1 KiB paged\n"),
+        "{part}"
+    );
+    // A page size `generate` would refuse is refused here too.
+    for bad in ["0", "12"] {
+        let err = plan("4m", bad).unwrap_err();
+        assert!(err.contains("--page-bytes must be"), "{bad}: {err}");
+    }
 }

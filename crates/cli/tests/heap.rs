@@ -3,9 +3,11 @@
 //! A counting `#[global_allocator]` (this test binary only — the library
 //! crates stay `forbid(unsafe_code)`) records the peak of live heap bytes
 //! across an in-process P = 2 run into a `CountSink`, so nothing but the
-//! engines' own state is allocated. Engine 2 keeps 40.5 B/node at x = 4
-//! (F table 32, cursor + attempt 8, one waiter bit per slot); the dense
-//! waiter table and per-slot attempt counters it replaced made that 200.
+//! engines' own state is allocated. Engine 2 keeps 24.5 B/node at x = 4
+//! (F table 16 in 4-byte cells, cursor + attempt 8, one waiter bit per
+//! slot); 8-byte cells made that 40.5, and the dense waiter table and
+//! per-slot attempt counters before them 200. Engine 1 keeps 4.1 B/node
+//! and engine 3 20 B/node plus its fixed-size chain memo.
 //! The same run is what `pagen info --n` claims to predict, so the
 //! estimate is held to the measurement here. And `pagen generate` itself
 //! streams every output format: its default PAG container costs no more
@@ -75,13 +77,20 @@ static TURN: Mutex<()> = Mutex::new(());
 
 const N: u64 = 200_000;
 const NRANKS: usize = 2;
+/// Engine 3's chain-memo rows in every measured run: below both sizes the
+/// slope is taken between, so the memo (whose bytes
+/// `chain_memo_bytes_is_what_the_memo_allocates` pins) is the same at
+/// both and cancels. Turning it off instead can blow chain walks up.
+const MEMO_NODES: u64 = 1 << 16;
 
 /// Peak live heap, over what was live before, of one in-process run of
 /// `engine` on `n` nodes with `x` edges each.
 fn peak_heap_bytes(engine: Engine, x: u64, n: u64) -> usize {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = PaConfig::new(n, x).with_seed(7);
-    let opts = GenOptions::default().with_engine(engine);
+    let opts = GenOptions::default()
+        .with_engine(engine)
+        .with_chain_memo(MEMO_NODES);
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let outs = par::generate_streaming(&cfg, Scheme::Rrp, NRANKS, &opts, |_| CountSink::default());
@@ -106,6 +115,17 @@ fn floor_heap_bytes(engine: Engine, x: u64, n: u64, enough: usize) -> usize {
         }
     }
     floor
+}
+
+/// What `engine`'s peak heap grows by per node between `N` and `4N`
+/// nodes, so that what does not grow with n cancels; the larger floor
+/// stops early once the slope is under `bound`.
+fn heap_bytes_per_node(engine: Engine, x: u64, bound: f64) -> f64 {
+    let big = 4 * N;
+    let small = floor_heap_bytes(engine, x, N, 0);
+    let enough = small + (bound * (big - N) as f64) as usize;
+    let large = floor_heap_bytes(engine, x, big, enough);
+    large.saturating_sub(small) as f64 / (big - N) as f64
 }
 
 /// `pagen info`'s resident total for an engine-2 run on `n` nodes, summed
@@ -147,8 +167,9 @@ fn engine2_peak_heap_stays_under_64_bytes_per_node() {
     // pooled, the hub replicas — peaks at 4.5–6.5 MB on this tuple.
     let bound = 64 * N as usize + (8 << 20);
     let peak = floor_heap_bytes(Engine::General, 4, N, bound);
-    // Measured 12.9–14.6 MB (≥ 25 % under the bound); the dense waiter
-    // table and per-slot attempt counters measured 43.6 MB = 218 B/node.
+    // Measured 9.5–10.0 MB with 4-byte cells (12.9–14.6 MB with 8-byte
+    // ones); the dense waiter table and per-slot attempt counters
+    // measured 43.6 MB = 218 B/node.
     assert!(
         peak <= bound,
         "engine 2 peak live heap {peak} B = {:.1} B/node",
@@ -160,13 +181,37 @@ fn engine2_peak_heap_stays_under_64_bytes_per_node() {
 fn engine1_peak_heap_stays_under_16_bytes_per_node() {
     let bound = 16 * N as usize + (1 << 20);
     let peak = floor_heap_bytes(Engine::X1, 1, N, bound);
-    // 8 B/node of F table plus a waiter bit: measured 2.8 MB. The dense
-    // waiter table added 32 B/node (19.2 MB with its traffic).
+    // 4 B/node of F table plus a waiter bit: measured 2.0–2.1 MB (2.8 MB
+    // with 8-byte cells). The dense waiter table added 32 B/node (19.2 MB
+    // with its traffic).
     assert!(
         peak <= bound,
         "engine 1 peak live heap {peak} B = {:.1} B/node",
         peak as f64 / N as f64
     );
+}
+
+#[test]
+fn engine2_heap_grows_at_most_28_bytes_per_node() {
+    // F table 16 (four 4-byte cells), cursor + attempt 8, waiter bits
+    // 0.5: 24.5 B/node. With 8-byte cells it was 40.5.
+    let slope = heap_bytes_per_node(Engine::General, 4, 28.0);
+    assert!(slope <= 28.0, "engine 2 heap grows by {slope:.1} B/node");
+}
+
+#[test]
+fn engine1_heap_grows_at_most_6_bytes_per_node() {
+    // One 4-byte cell and a waiter bit: 4.1 B/node; 8.1 with 8-byte cells.
+    let slope = heap_bytes_per_node(Engine::X1, 1, 6.0);
+    assert!(slope <= 6.0, "engine 1 heap grows by {slope:.1} B/node");
+}
+
+#[test]
+fn engine3_heap_grows_at_most_24_bytes_per_node() {
+    // F table 16 and a u32 cursor: 20 B/node beside the fixed memo; 36
+    // with 8-byte cells.
+    let slope = heap_bytes_per_node(Engine::Chain, 4, 24.0);
+    assert!(slope <= 24.0, "engine 3 heap grows by {slope:.1} B/node");
 }
 
 /// Peak live heap, over what was live before, of one `pagen generate`

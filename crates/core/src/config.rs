@@ -180,23 +180,22 @@ pub const DEFAULT_CHAIN_MEMO_NODES: u64 = 1 << 20;
 /// `n`-node network with `x` slots per node: what every rank allocates,
 /// up front. The budget is clamped to `n` and rounded up to a power of
 /// two (the memo is direct-mapped); each slot holds `1 + x` cells (a tag
-/// and the row), compact `u32`s while every label fits below the
-/// `u32::MAX` sentinel, `u64`s otherwise. `cap = 0` is no memo, 0 B.
+/// and the row), of the node tables' width
+/// ([`crate::store::cell_bytes`]). `cap = 0` is no memo, 0 B.
 pub fn chain_memo_bytes(cap: u64, n: u64, x: u64) -> u64 {
-    let (slots, compact) = chain_memo_shape(cap, n);
-    let cell = if compact { 4 } else { 8 };
-    slots * (1 + x) * cell
+    let (slots, _) = chain_memo_shape(cap, n);
+    slots * (1 + x) * crate::store::cell_bytes(n)
 }
 
 /// The chain memo's slot count and whether its cells are compact `u32`s
-/// (see [`chain_memo_bytes`]).
+/// (see [`chain_memo_bytes`] and [`crate::store::compact_cells`]).
 pub(crate) fn chain_memo_shape(cap: u64, n: u64) -> (u64, bool) {
     let slots = if cap == 0 {
         0
     } else {
         cap.min(n).next_power_of_two()
     };
-    (slots, n < u64::from(u32::MAX))
+    (slots, crate::store::compact_cells(n))
 }
 
 /// Tuning knobs for the parallel engines.

@@ -41,7 +41,7 @@ use super::checkpoint::{read_raw_checkpoint, CheckpointMeta, SavedCheckpoint};
 use super::output::EngineCounters;
 use super::sink::EdgeSink;
 use crate::partition::{self, AnyPartition, Partition, Scheme};
-use crate::store::{slots_fnv, table_path, NodeTable, PagedSpec, PagedTable, TablePrefix};
+use crate::store::{slots_fnv, table_path, AnyTable, NodeTable, PagedSpec, StoreSpec, TablePrefix};
 use crate::{Engine, Node, NILL};
 
 /// A saved world's committed state at its newest common checkpoint cut,
@@ -138,7 +138,7 @@ impl WorldCheckpoint {
                 Some(_) => {}
             }
             let cnt = part.local_count_below(rank, raw.saved.hi);
-            f.push(f_prefix(dir, rank, cnt, job.x, &raw.saved.payload)?);
+            f.push(f_prefix(dir, job.n, rank, cnt, job.x, &raw.saved.payload)?);
         }
         let hi = hi.expect("world >= 1, so hi was set");
         let grid_hi = ((common + 1) * meta.interval).min(job.n);
@@ -260,10 +260,18 @@ impl WorldCheckpoint {
     }
 }
 
-/// Extract one old rank's committed `F` prefix (`cnt · x` slots) from
-/// its checkpoint payload: inline for the resident format, from the page
-/// files (re-verified against the payload's FNV) for the paged format.
-fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result<Vec<u64>, String> {
+/// Extract one old rank's committed `F` prefix (`cnt · x` slots) of an
+/// `n`-node world from its checkpoint payload: inline for the resident
+/// format, from the page files (in the cells the run kept them in,
+/// re-verified against the payload's FNV) for the paged format.
+fn f_prefix(
+    dir: &Path,
+    n: u64,
+    rank: usize,
+    cnt: u64,
+    x: u64,
+    payload: &[u8],
+) -> Result<Vec<u64>, String> {
     let mut r = payload;
     let header = TablePrefix::read(&mut r).map_err(|e| format!("rank {rank}: {e}"))?;
     let (TablePrefix::Resident { cnt: file_cnt } | TablePrefix::Paged { cnt: file_cnt, .. }) =
@@ -286,10 +294,10 @@ fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result
         return Ok(slots);
     };
     // Read the pages back the way a resuming run does: through a paged
-    // table, whose open applies the file's write-back journal first. A
-    // torn or foreign page reads as absent and fails the checksum below.
-    let prefix = format!("rank{rank}.f");
-    let path = table_path(dir, &prefix);
+    // table of the run's cell width, whose open applies the file's
+    // write-back journal first. A torn or foreign page reads as absent
+    // and fails the checksum below.
+    let path = table_path(dir, &format!("rank{rank}.f"));
     if want > 0 && !path.is_file() {
         return Err(format!(
             "rank {rank}: page file {} is missing (was this world generated with \
@@ -297,13 +305,13 @@ fn f_prefix(dir: &Path, rank: usize, cnt: u64, x: u64, payload: &[u8]) -> Result
             path.display()
         ));
     }
-    let resume = PagedSpec {
+    let resume = StoreSpec::Paged(PagedSpec {
         dir: dir.to_path_buf(),
         budget_bytes: 0,
         page_bytes,
         resume: true,
-    };
-    let mut table = PagedTable::open(&resume, &prefix, want, NILL)
+    });
+    let mut table = AnyTable::build_for(n, &resume, rank, "f", want, NILL)
         .map_err(|e| format!("rank {rank}: {}: {e}", path.display()))?;
     let slots: Vec<u64> = (0..want).map(|s| table.get(s)).collect();
     if slots_fnv(slots.iter().copied()) != fnv {
@@ -486,7 +494,7 @@ mod tests {
         // with u64::MAX: the restart reader names them instead of reading
         // files this build no longer writes.
         let old = [u64::MAX, 4, 0].map(u64::to_le_bytes).concat();
-        let err = f_prefix(Path::new("/nonexistent"), 3, 4, 2, &old).unwrap_err();
+        let err = f_prefix(Path::new("/nonexistent"), 2_000, 3, 4, 2, &old).unwrap_err();
         assert!(
             err.starts_with("rank 3: ") && err.contains("older build"),
             "{err}"

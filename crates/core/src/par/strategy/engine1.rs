@@ -56,7 +56,7 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
     ) -> Self {
         debug_assert_eq!(Engine::X1.check(cfg.x), Ok(()));
         let size = part.size_of(rank);
-        let f = AnyTable::build(&opts.store, rank, "f", size, NILL)
+        let f = AnyTable::build_for(cfg.n, &opts.store, rank, "f", size, NILL)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         X1 {
             part,

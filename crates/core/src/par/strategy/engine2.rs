@@ -130,7 +130,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         } else {
             HubCache::disabled(cfg)
         };
-        let f = AnyTable::build(&opts.store, rank, "f", slots, NILL)
+        let f = AnyTable::build_for(cfg.n, &opts.store, rank, "f", slots, NILL)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         General {
             cfg,

@@ -61,7 +61,7 @@ use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::seq::Choice;
-use crate::store::{self, AnyTable, NodeTable};
+use crate::store::{self, AnyTable, Cell, NodeTable};
 use crate::{GenOptions, Model, Node, PaConfig, NILL};
 
 /// One suspended row recomputation in the chain walk: node `k`'s
@@ -92,40 +92,6 @@ enum Step {
     NeedChild(Node),
     /// The frame's row is complete.
     Done,
-}
-
-/// One memo cell: a node label or the empty/undrawn sentinel. `u32`
-/// when every label fits (the common case — half the memory, and a
-/// slot's tag + row share a cache line), `u64` otherwise.
-trait Cell: Copy + Eq {
-    /// The sentinel (empty tag / undrawn row slot).
-    const NIL: Self;
-    fn from_node(v: Node) -> Self;
-    fn to_node(self) -> Node;
-}
-
-impl Cell for u32 {
-    const NIL: Self = u32::MAX;
-    #[inline]
-    fn from_node(v: Node) -> Self {
-        v as u32
-    }
-    #[inline]
-    fn to_node(self) -> Node {
-        Node::from(self)
-    }
-}
-
-impl Cell for u64 {
-    const NIL: Self = NILL;
-    #[inline]
-    fn from_node(v: Node) -> Self {
-        v
-    }
-    #[inline]
-    fn to_node(self) -> Node {
-        self
-    }
 }
 
 /// Direct-mapped slot table: `2^b` slots of `1 + x` cells each
@@ -167,7 +133,7 @@ impl<C: Cell> Slots<C> {
     #[inline]
     fn get_slot(&self, k: Node, l: u64) -> Option<Node> {
         let base = self.base(k);
-        if self.entries[base] != C::from_node(k) {
+        if self.entries[base].to_node() != k {
             return None;
         }
         let v = self.entries[base + 1 + l as usize];
@@ -176,7 +142,7 @@ impl<C: Cell> Slots<C> {
 
     fn copy_prefix_into(&self, k: Node, out: &mut Vec<Node>) {
         let base = self.base(k);
-        if self.entries[base] != C::from_node(k) {
+        if self.entries[base].to_node() != k {
             return;
         }
         out.extend(
@@ -194,7 +160,7 @@ impl<C: Cell> Slots<C> {
             .iter_mut()
             .zip(row.iter().chain(std::iter::repeat(&NILL)))
         {
-            *cell = if v == NILL { C::NIL } else { C::from_node(v) };
+            *cell = C::from_node(v);
         }
     }
 
@@ -211,8 +177,8 @@ impl<C: Cell> Slots<C> {
 }
 
 /// Direct-mapped cache of recomputed remote row prefixes. Disabled when
-/// the configured size is 0; compact (`u32` cells) whenever every label
-/// fits. When the budget covers every node the slot index is the label
+/// the configured size is 0; in compact (`u32`) [`Cell`]s whenever every
+/// label fits, as the node table is. When the budget covers every node the slot index is the label
 /// itself — no hashing, no collisions, so each remote row slot is
 /// recomputed at most once between checkpoint restores.
 enum Memo {
@@ -322,7 +288,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
     ) -> Self {
         let size = part.size_of(rank);
         let slots = size * cfg.x;
-        let f = AnyTable::build(&opts.store, rank, "f", slots, NILL)
+        let f = AnyTable::build_for(cfg.n, &opts.store, rank, "f", slots, NILL)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         Chain {
             cfg,

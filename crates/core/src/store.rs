@@ -2,23 +2,35 @@
 //! implementations.
 //!
 //! Every engine keeps its committed `F` slots in a *node table* — a
-//! flat array of `u64` slots addressed by `local_index(t) · x + e`, the
-//! one `O(x·n/P)` structure a rank owns. This module puts that array
-//! behind a trait with two backends:
+//! flat array of slots addressed by `local_index(t) · x + e`, the one
+//! `O(x·n/P)` structure a rank owns. This module puts that array behind
+//! a trait with two backends:
 //!
-//! - [`ResidentTable`]: the classic `Vec<u64>` — everything in RAM,
-//!   `O(n/P)` words per rank.
+//! - [`ResidentTable`]: a `Vec` of cells — everything in RAM, `O(n/P)`
+//!   cells per rank.
 //! - [`PagedTable`]: fixed-size pages spilled to one file per table
 //!   under an in-memory page cache bounded by a byte budget
 //!   (`--memory-budget`), so the largest generable `n` is bounded by
 //!   disk, not RAM.
 //!
+//! **Cells.** A slot holds a node label or the empty sentinel `NILL`,
+//! in a [`Cell`]: a compact 4-byte `u32` whenever every label of the
+//! network fits below the `u32::MAX` sentinel ([`compact_cells`]: `n <
+//! u32::MAX`, every network the paper generates), the 8-byte `u64`
+//! otherwise. [`AnyTable::build_for`] decides the width once, from `n`;
+//! engine 3's chain memo uses the same cells and the same rule. A
+//! compact `get` widens; a compact `set` narrows through a checked
+//! conversion that panics naming a label too wide for the cell, never
+//! truncating. The table's API speaks `u64` labels at either width.
+//!
 //! **The page file.** A table lives in one file, `{prefix}.pages`, of
 //! equal slots, each one sealed page image: a magic/version header, the
-//! page index, the raw little-endian slot words, and a trailing
-//! four-lane FNV-1a checksum ([`Fnv1a::hash_words`]). Page `p` lives in
-//! slot `p + 1`; slot 0 is a one-page **write-back journal**. A
-//! write-back writes the image to the journal, then to the page's slot,
+//! page index, the raw little-endian cells (`page_bytes / 4` compact or
+//! `page_bytes / 8` wide ones), and a trailing four-lane FNV-1a checksum
+//! ([`Fnv1a::hash_words`]). Wide images are version 3, compact ones
+//! version 4, so a page of the other width reads as absent. Page `p`
+//! lives in slot `p + 1`; slot 0 is a one-page **write-back journal**.
+//! A write-back writes the image to the journal, then to the page's slot,
 //! so a kill at any byte leaves one of the two whole, and a whole
 //! journal holds the newest image of its page: a resuming open applies
 //! it in place first, and a page reads back as its old or its new
@@ -31,23 +43,25 @@
 //! **Eviction.** The cache runs clock / second-chance: each frame has a
 //! reference bit set on access; the clock hand clears bits until it
 //! finds an unreferenced frame, writes it back if dirty, and reuses it.
-//! The budget buys `max(2, budget / page_bytes)` frames; the page index
-//! beside them ([`INDEX_BYTES_PER_PAGE`] per page of the whole table)
-//! is not counted against it. Each frame holds its page as the image
-//! the file slot holds: a fault is one positioned read into the frame,
-//! and a write-back seals the frame in place, so once every frame
-//! exists a fault neither allocates nor copies a page.
+//! The budget buys `max(2, budget / page_bytes)` frames of one page
+//! image each ([`PAGE_OVERHEAD`]` + page_bytes`); the page index beside
+//! them ([`INDEX_BYTES_PER_PAGE`] per page of the whole table) is not
+//! counted against it ([`table_bytes`] plans both). Each frame holds
+//! its page as the image the file slot holds: a fault is one positioned
+//! read into the frame, and a write-back seals the frame in place, so
+//! once every frame exists a fault neither allocates nor copies a page.
 //!
 //! **Checkpoints.** A resident table serializes its committed prefix
-//! into the checkpoint payload verbatim (the historical format). A
-//! paged table instead *references* its page file: the payload stores a
-//! sentinel, the node count, an FNV-1a checksum over the committed
-//! prefix and the page size (see `write_table_prefix`). Committed slots
-//! are write-once, and a page reads back whole or as absent, so a
-//! *newer* image of a page always agrees with an older epoch's
-//! checkpoint on every slot below that epoch's cut — the prefix
-//! checksum re-verified on restore (`read_table_prefix`) is exactly the
-//! torn-page detector.
+//! into the checkpoint payload as `u64` words at either cell width (the
+//! historical format), and the prefix checksum hashes widened slots, so
+//! neither depends on the width. A paged table instead *references* its
+//! page file: the payload stores a sentinel, the node count, an FNV-1a
+//! checksum over the committed prefix and the page size (see
+//! `write_table_prefix`). Committed slots are write-once, and a page
+//! reads back whole or as absent, so a *newer* image of a page always
+//! agrees with an older epoch's checkpoint on every slot below that
+//! epoch's cut — the prefix checksum re-verified on restore
+//! (`read_table_prefix`) is exactly the torn-page detector.
 
 use pa_graph::io::Fnv1a;
 use pa_mpsim::wire::{get_u32, get_u64, take};
@@ -56,18 +70,16 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
+use crate::{Node, NILL};
+
 /// Magic number at the head of every page image (`"PAPG"`).
 const PAGE_MAGIC: u32 = 0x4750_4150;
-/// Page-image format version. Version 3 seals pages with the four-lane
-/// [`Fnv1a::hash_words`] in one file per table; a version-1 or -2 image
-/// reads as absent.
-const PAGE_VERSION: u32 = 3;
-/// Bytes of page-image header before the slot words
+/// Bytes of page-image header before the cells
 /// (magic + version + page index).
 const PAGE_HEADER: usize = 4 + 4 + 8;
-/// Bytes of page-image framing around the slot words (header + trailing
-/// checksum).
-const PAGE_OVERHEAD: usize = PAGE_HEADER + 8;
+/// Bytes of page-image framing around the cells (header + trailing
+/// checksum): a cached frame is `PAGE_OVERHEAD + page_bytes` long.
+pub const PAGE_OVERHEAD: usize = PAGE_HEADER + 8;
 
 /// Page size when none is given. A fault reads one page and a
 /// write-back writes it twice, each one positioned call on an open
@@ -80,6 +92,175 @@ pub const DEFAULT_PAGE_BYTES: usize = 4 << 10;
 /// Bytes of page index a paged table keeps per page of its table, beside
 /// the budgeted frames: the page → frame map (`u32`).
 pub const INDEX_BYTES_PER_PAGE: u64 = size_of::<u32>() as u64;
+
+/// Does every label of an `n`-node network fit a compact [`Cell`]? Labels
+/// run to `n − 1` and `u32::MAX` is the compact sentinel. The one rule
+/// for the node tables' and the chain memo's width.
+pub fn compact_cells(n: u64) -> bool {
+    n < u64::from(u32::MAX)
+}
+
+/// Bytes of one node-table or chain-memo cell for an `n`-node network.
+pub fn cell_bytes(n: u64) -> u64 {
+    if compact_cells(n) {
+        4
+    } else {
+        8
+    }
+}
+
+/// Bytes of RAM a table of `len` slots for an `n`-node network holds under
+/// `spec`: every cell when resident; when paged, its frames — `max(2,
+/// budget / page_bytes)` of them, never more than the table has pages,
+/// each a page image of [`PAGE_OVERHEAD`]` + page_bytes` — and its page
+/// index. What [`AnyTable::build_for`] allocates once every frame exists,
+/// and what `pagen info` plans.
+pub fn table_bytes(n: u64, len: u64, spec: &StoreSpec) -> u64 {
+    let cell = cell_bytes(n);
+    match spec {
+        StoreSpec::Resident => len * cell,
+        StoreSpec::Paged(p) => {
+            let npages = len.div_ceil(cells_per_page(p.page_bytes, cell as usize) as u64);
+            let frames = frame_count(p.budget_bytes, p.page_bytes, npages);
+            frames * (PAGE_OVERHEAD + p.page_bytes) as u64 + npages * INDEX_BYTES_PER_PAGE
+        }
+    }
+}
+
+/// Cells of `cell` bytes in a page of `page_bytes`.
+fn cells_per_page(page_bytes: usize, cell: usize) -> usize {
+    (page_bytes / cell).max(1)
+}
+
+/// Frames a paged table of `npages` pages caches under `budget_bytes`:
+/// `max(2, budget / page_bytes)`, clamped to the page count (no point
+/// caching more frames than pages exist) and to what the page index can
+/// name.
+fn frame_count(budget_bytes: u64, page_bytes: usize, npages: u64) -> u64 {
+    (budget_bytes / page_bytes.max(1) as u64)
+        .max(2)
+        .min(npages.max(1))
+        .min(u64::from(NO_FRAME))
+}
+
+/// One node-table or chain-memo cell: a node label, or the sentinel
+/// [`Cell::NIL`] standing for `NILL` (an empty slot, tag or row entry).
+/// `u32` when [`compact_cells`] holds — half the memory, and a memo
+/// slot's tag and row share a cache line — `u64` otherwise.
+pub trait Cell: Copy + Eq + std::fmt::Debug {
+    /// The sentinel: `NILL` in a table, an empty memo tag or an undrawn
+    /// memo row slot.
+    const NIL: Self;
+    /// Version a page image of these cells is sealed with: the width is
+    /// part of the format, so an image of the other width reads as
+    /// absent.
+    const PAGE_VERSION: u32;
+    /// One cell's little-endian bytes in a page image.
+    type Le: Copy;
+
+    /// `v` as a cell (`NILL` as [`Cell::NIL`]), or `None` when the label
+    /// does not fit.
+    fn narrow(v: Node) -> Option<Self>;
+
+    /// The label (or `NILL`) this cell holds.
+    fn to_node(self) -> Node;
+
+    /// `v` as a cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming `v` when the label does not fit — a cell never
+    /// truncates.
+    #[inline]
+    fn from_node(v: Node) -> Self {
+        Self::narrow(v).unwrap_or_else(|| {
+            panic!(
+                "label {v} does not fit a {}-byte node-table cell",
+                size_of::<Self>()
+            )
+        })
+    }
+
+    /// The cell of little-endian bytes `le`.
+    fn from_le(le: Self::Le) -> Self;
+
+    /// This cell's little-endian bytes.
+    fn to_le(self) -> Self::Le;
+
+    /// The cells of a page image's body, as little-endian byte arrays.
+    fn le_cells(body: &mut [u8]) -> &mut [Self::Le];
+}
+
+impl Cell for u32 {
+    const NIL: Self = u32::MAX;
+    /// Version 3's format with 4-byte cells.
+    const PAGE_VERSION: u32 = 4;
+    type Le = [u8; 4];
+
+    /// `NILL + 1` wraps to 0, which fits and wraps back to `u32::MAX`; a
+    /// label `≥ u32::MAX` does not fit.
+    #[inline]
+    fn narrow(v: Node) -> Option<Self> {
+        u32::try_from(v.wrapping_add(1))
+            .ok()
+            .map(|c| c.wrapping_sub(1))
+    }
+
+    /// `u32::MAX` widens to `NILL` (`u64::MAX`) by the same wrap, without
+    /// a branch.
+    #[inline]
+    fn to_node(self) -> Node {
+        Node::from(self.wrapping_add(1)).wrapping_sub(1)
+    }
+
+    #[inline]
+    fn from_le(le: [u8; 4]) -> Self {
+        u32::from_le_bytes(le)
+    }
+
+    #[inline]
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+
+    #[inline]
+    fn le_cells(body: &mut [u8]) -> &mut [[u8; 4]] {
+        body.as_chunks_mut().0
+    }
+}
+
+impl Cell for u64 {
+    const NIL: Self = NILL;
+    /// Version 3 seals pages with the four-lane [`Fnv1a::hash_words`] in
+    /// one file per table; a version-1 or -2 image reads as absent.
+    const PAGE_VERSION: u32 = 3;
+    type Le = [u8; 8];
+
+    #[inline]
+    fn narrow(v: Node) -> Option<Self> {
+        Some(v)
+    }
+
+    #[inline]
+    fn to_node(self) -> Node {
+        self
+    }
+
+    #[inline]
+    fn from_le(le: [u8; 8]) -> Self {
+        u64::from_le_bytes(le)
+    }
+
+    #[inline]
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+
+    #[inline]
+    fn le_cells(body: &mut [u8]) -> &mut [[u8; 8]] {
+        body.as_chunks_mut().0
+    }
+}
 
 /// Fsync directory `dir`, so the renames and removals inside it survive
 /// a power loss — a file's own fsync does not cover its name.
@@ -131,7 +312,7 @@ pub struct PagedSpec {
     /// Page-cache budget in bytes. Every engine pages exactly one table
     /// (`F`), which takes the whole budget.
     pub budget_bytes: u64,
-    /// Page size in bytes (slot words per page × 8).
+    /// Page size in bytes (cells per page × the cell's 4 or 8 bytes).
     pub page_bytes: usize,
     /// `true` when resuming from a checkpoint that references this
     /// directory's pages: existing page files are kept and re-verified.
@@ -185,7 +366,7 @@ impl StoreSpec {
     /// # Panics
     ///
     /// Panics on a zero budget or a page size that is not a positive
-    /// multiple of 8 bytes (one slot word).
+    /// multiple of 8 bytes (one wide cell).
     pub fn validate(&self) {
         if let StoreSpec::Paged(p) = self {
             assert!(p.budget_bytes > 0, "paged store budget must be positive");
@@ -198,7 +379,8 @@ impl StoreSpec {
     }
 }
 
-/// A flat array of `u64` slots that an engine reads and writes by index.
+/// A flat array of slots that an engine reads and writes by index, as
+/// `u64` labels whatever its [`Cell`] width.
 ///
 /// `get`/`set` take `&mut self` because a paged implementation mutates
 /// its cache on every access. Out-of-range slots panic (like slice
@@ -242,16 +424,29 @@ pub trait NodeTable {
     fn reset_from(&mut self, slot: u64);
 }
 
-/// The classic in-RAM table.
+/// The classic in-RAM table: a `Vec` of cells, wide (`u64`) unless
+/// built [`ResidentTable::with_cells`] of another [`Cell`].
 #[derive(Debug)]
-pub struct ResidentTable {
-    slots: Vec<u64>,
-    fill: u64,
+pub struct ResidentTable<C: Cell = u64> {
+    slots: Vec<C>,
+    fill: C,
 }
 
 impl ResidentTable {
-    /// A table of `len` slots, all holding `fill`.
+    /// A table of `len` wide slots, all holding `fill`.
     pub fn new(len: u64, fill: u64) -> Self {
+        Self::with_cells(len, fill)
+    }
+}
+
+impl<C: Cell> ResidentTable<C> {
+    /// A table of `len` slots in cells of type `C`, all holding `fill`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fill` does not fit the cell.
+    pub fn with_cells(len: u64, fill: u64) -> Self {
+        let fill = C::from_node(fill);
         ResidentTable {
             slots: vec![fill; len as usize],
             fill,
@@ -259,24 +454,26 @@ impl ResidentTable {
     }
 }
 
-impl NodeTable for ResidentTable {
+impl<C: Cell> NodeTable for ResidentTable<C> {
     fn len(&self) -> u64 {
         self.slots.len() as u64
     }
 
     #[inline]
     fn get(&mut self, slot: u64) -> u64 {
-        self.slots[slot as usize]
+        self.slots[slot as usize].to_node()
     }
 
     #[inline]
     fn set(&mut self, slot: u64, v: u64) {
-        self.slots[slot as usize] = v;
+        self.slots[slot as usize] = C::from_node(v);
     }
 
+    /// A value no cell can hold is in no row.
     #[inline]
     fn row_contains(&mut self, start: u64, len: u64, v: u64) -> bool {
-        self.slots[start as usize..(start + len) as usize].contains(&v)
+        let row = &self.slots[start as usize..(start + len) as usize];
+        C::narrow(v).is_some_and(|c| row.contains(&c))
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -284,7 +481,7 @@ impl NodeTable for ResidentTable {
     }
 
     fn prefix_fnv(&mut self, len: u64) -> u64 {
-        slots_fnv(self.slots[..len as usize].iter().copied())
+        slots_fnv(self.slots[..len as usize].iter().map(|c| c.to_node()))
     }
 
     fn reset_from(&mut self, slot: u64) {
@@ -309,28 +506,28 @@ struct PageFrame {
 }
 
 impl PageFrame {
-    /// The page's slot words, little-endian, between header and trailer.
-    fn words(&mut self) -> &mut [[u8; 8]] {
+    /// The page's cells, little-endian, between header and trailer.
+    fn cells<C: Cell>(&mut self) -> &mut [C::Le] {
         let end = self.image.len() - 8;
-        self.image[PAGE_HEADER..end].as_chunks_mut().0
+        C::le_cells(&mut self.image[PAGE_HEADER..end])
     }
 }
 
 /// A node table spilled to one page file under a byte-budgeted clock
 /// cache (see the module docs for the layout and the durability
-/// argument).
-pub struct PagedTable {
+/// argument), in wide (`u64`) cells unless opened
+/// [`PagedTable::with_cells`] of another [`Cell`].
+pub struct PagedTable<C: Cell = u64> {
     /// The page file, `{dir}/{prefix}.pages`.
     path: PathBuf,
     /// Open once the file exists: at the first write-back, or at a
     /// resuming open that finds it.
     file: Option<fs::File>,
     len: u64,
-    /// Slot words per page.
+    /// Cells per page.
     spp: usize,
-    fill: u64,
-    /// Frame cap: `max(2, budget / page_bytes)`, clamped to the page
-    /// count (no point caching more frames than pages exist).
+    fill: C,
+    /// Frame cap (see `frame_count`).
     nframes: usize,
     frames: Vec<PageFrame>,
     /// `page_frame[page]`: the frame holding `page`, or [`NO_FRAME`].
@@ -341,12 +538,12 @@ pub struct PagedTable {
     hand: usize,
 }
 
-impl std::fmt::Debug for PagedTable {
+impl<C: Cell> std::fmt::Debug for PagedTable<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedTable")
             .field("path", &self.path)
             .field("len", &self.len)
-            .field("slots_per_page", &self.spp)
+            .field("cells_per_page", &self.spp)
             .field("nframes", &self.nframes)
             .field("resident", &self.frames.len())
             .finish()
@@ -367,11 +564,11 @@ pub(crate) fn checksummed_body(buf: &[u8], digest: fn(&[u8]) -> u64) -> Option<&
     (digest(body) == get_u64(r)?).then_some(body)
 }
 
-/// The page index in the header of page image `buf`, or `None` unless
-/// its checksum, magic and version all check out.
-fn sealed_page(buf: &[u8]) -> Option<u64> {
+/// The page index in the header of page image `buf` of cells `C`, or
+/// `None` unless its checksum, magic and version all check out.
+fn sealed_image<C: Cell>(buf: &[u8]) -> Option<u64> {
     let mut r = checksummed_body(buf, Fnv1a::hash_words)?;
-    if get_u32(&mut r)? != PAGE_MAGIC || get_u32(&mut r)? != PAGE_VERSION {
+    if get_u32(&mut r)? != PAGE_MAGIC || get_u32(&mut r)? != C::PAGE_VERSION {
         return None;
     }
     get_u64(&mut r)
@@ -389,18 +586,19 @@ fn open_rw(path: &Path, create: bool) -> io::Result<fs::File> {
 }
 
 /// The page the write-back journal of page file `file` holds a whole
-/// image of, read into `image` (one slot long); `None` if it holds none.
-fn journal_page(file: &fs::File, image: &mut [u8]) -> Option<u64> {
+/// image of cells `C`, read into `image` (one slot long); `None` if it
+/// holds none.
+fn journal_page<C: Cell>(file: &fs::File, image: &mut [u8]) -> Option<u64> {
     file.read_exact_at(image, 0).ok()?;
-    sealed_page(image)
+    sealed_image::<C>(image)
 }
 
 /// Apply the write-back journal of page file `file` in place: write a
 /// whole image of a page below `npages` to that page's slot. A whole
 /// journal holds the newest image of its page, so this only completes a
 /// write-back that a kill cut short.
-fn apply_journal(file: &fs::File, image: &mut [u8], npages: u64) -> io::Result<()> {
-    match journal_page(file, image) {
+fn apply_journal<C: Cell>(file: &fs::File, image: &mut [u8], npages: u64) -> io::Result<()> {
+    match journal_page::<C>(file, image) {
         Some(page) if page < npages => file.write_all_at(image, (page + 1) * image.len() as u64),
         _ => Ok(()),
     }
@@ -429,7 +627,21 @@ fn remove_table_files(dir: &Path, owns: impl Fn(&str) -> bool) -> io::Result<()>
 }
 
 impl PagedTable {
-    /// Open (or create) a paged table of `len` slots filled with `fill`.
+    /// Open (or create) a paged table of `len` wide slots filled with
+    /// `fill` (see [`PagedTable::with_cells`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`PagedTable::with_cells`].
+    pub fn open(spec: &PagedSpec, prefix: &str, len: u64, fill: u64) -> io::Result<Self> {
+        Self::with_cells(spec, prefix, len, fill)
+    }
+}
+
+impl<C: Cell> PagedTable<C> {
+    /// Open (or create) a paged table of `len` slots in cells of type
+    /// `C`, filled with `fill`: a page of `page_bytes` holds
+    /// `page_bytes / size_of::<C>()` cells.
     ///
     /// With `spec.resume == false`, any page file already under this
     /// table's prefix is deleted first — a fresh run must not read a
@@ -441,18 +653,21 @@ impl PagedTable {
     ///
     /// Fails if the directory cannot be created, stale files cannot be
     /// removed, or a kept page file cannot be opened or repaired.
-    pub fn open(spec: &PagedSpec, prefix: &str, len: u64, fill: u64) -> io::Result<Self> {
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fill` does not fit the cell.
+    pub fn with_cells(spec: &PagedSpec, prefix: &str, len: u64, fill: u64) -> io::Result<Self> {
+        let fill = C::from_node(fill);
         fs::create_dir_all(&spec.dir)?;
-        let spp = (spec.page_bytes / 8).max(1);
+        let spp = cells_per_page(spec.page_bytes, size_of::<C>());
         let npages = len.div_ceil(spp as u64);
-        let nframes = ((spec.budget_bytes / spec.page_bytes.max(1) as u64).max(2))
-            .min(npages.max(1))
-            .min(u64::from(NO_FRAME)) as usize;
+        let nframes = frame_count(spec.budget_bytes, spec.page_bytes, npages) as usize;
         let path = table_path(&spec.dir, prefix);
         let file = if spec.resume {
             match open_rw(&path, false) {
                 Ok(file) => {
-                    apply_journal(&file, &mut vec![0; PAGE_OVERHEAD + spp * 8], npages)?;
+                    apply_journal::<C>(&file, &mut vec![0; Self::slot_bytes(spp)], npages)?;
                     Some(file)
                 }
                 Err(e) if e.kind() == io::ErrorKind::NotFound => None,
@@ -480,6 +695,16 @@ impl PagedTable {
         self.len.div_ceil(self.spp as u64)
     }
 
+    /// Bytes of one page of this table.
+    pub(crate) fn page_bytes(&self) -> usize {
+        self.spp * size_of::<C>()
+    }
+
+    /// Bytes of one file slot (and one frame) of `spp`-cell pages.
+    fn slot_bytes(spp: usize) -> usize {
+        PAGE_OVERHEAD + spp * size_of::<C>()
+    }
+
     /// Write frame `idx`'s page back: seal its image in place, write
     /// that to the journal, then to the page's own slot, creating the
     /// file on the first call.
@@ -487,7 +712,7 @@ impl PagedTable {
         let PageFrame { page, image, .. } = &mut self.frames[idx];
         let body = image.len() - 8;
         image[..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
-        image[4..8].copy_from_slice(&PAGE_VERSION.to_le_bytes());
+        image[4..8].copy_from_slice(&C::PAGE_VERSION.to_le_bytes());
         image[8..PAGE_HEADER].copy_from_slice(&page.to_le_bytes());
         let sum = Fnv1a::hash_words(&image[..body]);
         image[body..].copy_from_slice(&sum.to_le_bytes());
@@ -500,17 +725,17 @@ impl PagedTable {
     }
 
     /// Load page `page` into frame `idx`: its slot's image, or the fill
-    /// value in every word when the slot is absent, torn, of another
-    /// version, or of another page.
+    /// value in every cell when the slot is absent, torn, of another
+    /// version (or cell width), or of another page.
     fn load_page(&mut self, page: u64, idx: usize) {
         let frame = &mut self.frames[idx];
         let at = (page + 1) * frame.image.len() as u64;
         let loaded = self.file.as_ref().is_some_and(|file| {
             file.read_exact_at(&mut frame.image, at).is_ok()
-                && sealed_page(&frame.image) == Some(page)
+                && sealed_image::<C>(&frame.image) == Some(page)
         });
         if !loaded {
-            frame.words().fill(self.fill.to_le_bytes());
+            frame.cells::<C>().fill(self.fill.to_le());
         }
     }
 
@@ -534,7 +759,7 @@ impl PagedTable {
         let idx = if self.frames.len() < self.nframes {
             self.frames.push(PageFrame {
                 page: NO_PAGE,
-                image: vec![0; PAGE_OVERHEAD + self.spp * 8],
+                image: vec![0; Self::slot_bytes(self.spp)],
                 dirty: false,
                 referenced: false,
             });
@@ -571,7 +796,7 @@ impl PagedTable {
     }
 }
 
-impl NodeTable for PagedTable {
+impl<C: Cell> NodeTable for PagedTable<C> {
     fn len(&self) -> u64 {
         self.len
     }
@@ -581,16 +806,17 @@ impl NodeTable for PagedTable {
         assert!(slot < self.len, "slot {slot} out of range {}", self.len);
         let (page, off) = (slot / self.spp as u64, (slot % self.spp as u64) as usize);
         let idx = self.frame_of(page);
-        u64::from_le_bytes(self.frames[idx].words()[off])
+        C::from_le(self.frames[idx].cells::<C>()[off]).to_node()
     }
 
     #[inline]
     fn set(&mut self, slot: u64, v: u64) {
         assert!(slot < self.len, "slot {slot} out of range {}", self.len);
+        let cell = C::from_node(v);
         let (page, off) = (slot / self.spp as u64, (slot % self.spp as u64) as usize);
         let idx = self.frame_of(page);
         let frame = &mut self.frames[idx];
-        frame.words()[off] = v.to_le_bytes();
+        frame.cells::<C>()[off] = cell.to_le();
         frame.dirty = true;
     }
 
@@ -617,9 +843,9 @@ impl NodeTable for PagedTable {
         let boundary = slot / spp;
         if !slot.is_multiple_of(spp) && boundary < self.npages() {
             let idx = self.frame_of(boundary);
-            let fill = self.fill.to_le_bytes();
+            let fill = self.fill.to_le();
             let frame = &mut self.frames[idx];
-            frame.words()[(slot % spp) as usize..].fill(fill);
+            frame.cells::<C>()[(slot % spp) as usize..].fill(fill);
             frame.dirty = true;
         }
         // ... and drop every page wholly at or above the cut: the
@@ -637,8 +863,8 @@ impl NodeTable for PagedTable {
         // ... and their slots, cut off the file. A journal naming a cut
         // page is cleared first: the next resume would write it back.
         if let Some(file) = &self.file {
-            let slot_bytes = (PAGE_OVERHEAD + self.spp * 8) as u64;
-            let cleared = match journal_page(file, &mut vec![0; slot_bytes as usize]) {
+            let slot_bytes = Self::slot_bytes(self.spp) as u64;
+            let cleared = match journal_page::<C>(file, &mut vec![0; slot_bytes as usize]) {
                 Some(page) if page >= first_dead => file.write_all_at(&[0; 8], 0),
                 _ => Ok(()),
             };
@@ -651,19 +877,68 @@ impl NodeTable for PagedTable {
     }
 }
 
-/// Enum dispatch over the two table kinds — engines hold this directly
-/// so the per-slot hot path is a branch, not a virtual call.
+/// Enum dispatch over the two table kinds at the two cell widths —
+/// engines hold this directly so the per-slot hot path is a branch, not
+/// a virtual call, and the width costs no branch of its own.
 #[derive(Debug)]
 pub enum AnyTable {
-    /// RAM-resident.
+    /// RAM-resident, wide cells.
     Resident(ResidentTable),
-    /// Disk-paged.
+    /// RAM-resident, compact cells.
+    CompactResident(ResidentTable<u32>),
+    /// Disk-paged, wide cells.
     Paged(PagedTable),
+    /// Disk-paged, compact cells.
+    CompactPaged(PagedTable<u32>),
+}
+
+/// `$body` with `$t` bound to whichever table `$table` holds.
+macro_rules! each_table {
+    ($table:expr, $t:ident => $body:expr) => {
+        match $table {
+            AnyTable::Resident($t) => $body,
+            AnyTable::CompactResident($t) => $body,
+            AnyTable::Paged($t) => $body,
+            AnyTable::CompactPaged($t) => $body,
+        }
+    };
 }
 
 impl AnyTable {
-    /// Build a table of `len` slots filled with `fill` per `spec`.
-    /// Paged tables get the file prefix `rank{rank}.{name}`.
+    /// Build a table of `len` slots filled with `fill` per `spec`, in
+    /// cells wide enough for every label of an `n`-node network
+    /// ([`compact_cells`]). Paged tables get the file prefix
+    /// `rank{rank}.{name}`.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces [`PagedTable::with_cells`] failures.
+    pub fn build_for(
+        n: u64,
+        spec: &StoreSpec,
+        rank: usize,
+        name: &str,
+        len: u64,
+        fill: u64,
+    ) -> io::Result<AnyTable> {
+        let compact = compact_cells(n);
+        Ok(match spec {
+            StoreSpec::Resident if compact => {
+                AnyTable::CompactResident(ResidentTable::with_cells(len, fill))
+            }
+            StoreSpec::Resident => AnyTable::Resident(ResidentTable::new(len, fill)),
+            StoreSpec::Paged(p) => {
+                let prefix = format!("rank{rank}.{name}");
+                if compact {
+                    AnyTable::CompactPaged(PagedTable::with_cells(p, &prefix, len, fill)?)
+                } else {
+                    AnyTable::Paged(PagedTable::open(p, &prefix, len, fill)?)
+                }
+            }
+        })
+    }
+
+    /// [`AnyTable::build_for`] in wide cells, which hold any `u64`.
     ///
     /// # Errors
     ///
@@ -675,96 +950,77 @@ impl AnyTable {
         len: u64,
         fill: u64,
     ) -> io::Result<AnyTable> {
-        Ok(match spec {
-            StoreSpec::Resident => AnyTable::Resident(ResidentTable::new(len, fill)),
-            StoreSpec::Paged(p) => AnyTable::Paged(PagedTable::open(
-                p,
-                &format!("rank{rank}.{name}"),
-                len,
-                fill,
-            )?),
-        })
+        Self::build_for(u64::MAX, spec, rank, name, len, fill)
     }
 
     /// Is this table disk-paged?
     pub fn is_paged(&self) -> bool {
-        matches!(self, AnyTable::Paged(_))
+        self.page_bytes().is_some()
+    }
+
+    /// Bytes of one page of a paged table; `None` when resident.
+    pub(crate) fn page_bytes(&self) -> Option<usize> {
+        match self {
+            AnyTable::Resident(_) | AnyTable::CompactResident(_) => None,
+            AnyTable::Paged(t) => Some(t.page_bytes()),
+            AnyTable::CompactPaged(t) => Some(t.page_bytes()),
+        }
     }
 }
 
 impl NodeTable for AnyTable {
     #[inline]
     fn len(&self) -> u64 {
-        match self {
-            AnyTable::Resident(t) => t.len(),
-            AnyTable::Paged(t) => t.len(),
-        }
+        each_table!(self, t => t.len())
     }
 
     #[inline]
     fn get(&mut self, slot: u64) -> u64 {
-        match self {
-            AnyTable::Resident(t) => t.get(slot),
-            AnyTable::Paged(t) => t.get(slot),
-        }
+        each_table!(self, t => t.get(slot))
     }
 
     #[inline]
     fn set(&mut self, slot: u64, v: u64) {
-        match self {
-            AnyTable::Resident(t) => t.set(slot, v),
-            AnyTable::Paged(t) => t.set(slot, v),
-        }
+        each_table!(self, t => t.set(slot, v))
     }
 
     #[inline]
     fn row_contains(&mut self, start: u64, len: u64, v: u64) -> bool {
-        match self {
-            AnyTable::Resident(t) => t.row_contains(start, len, v),
-            AnyTable::Paged(t) => t.row_contains(start, len, v),
-        }
+        each_table!(self, t => t.row_contains(start, len, v))
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            AnyTable::Resident(t) => t.flush(),
-            AnyTable::Paged(t) => t.flush(),
-        }
+        each_table!(self, t => t.flush())
     }
 
     fn prefix_fnv(&mut self, len: u64) -> u64 {
-        match self {
-            AnyTable::Resident(t) => t.prefix_fnv(len),
-            AnyTable::Paged(t) => t.prefix_fnv(len),
-        }
+        each_table!(self, t => t.prefix_fnv(len))
     }
 
     fn reset_from(&mut self, slot: u64) {
-        match self {
-            AnyTable::Resident(t) => t.reset_from(slot),
-            AnyTable::Paged(t) => t.reset_from(slot),
-        }
+        each_table!(self, t => t.reset_from(slot))
     }
 }
 
 /// Serialize a table's committed prefix (`cnt` nodes × `spn` slots per
 /// node) into a checkpoint payload.
 ///
-/// Resident: `[cnt, slot values...]` — the historical format, unchanged.
+/// Resident: `[cnt, slot values...]` — the historical format, unchanged,
+/// in `u64` words at either cell width.
 /// Paged: `[PAGED_PAYLOAD_MARK, cnt, prefix FNV, page bytes]` — the
 /// slots stay in the page file; the table is flushed durably first so
 /// the checkpoint never references pages newer than disk.
 pub(crate) fn write_table_prefix(t: &mut AnyTable, cnt: u64, spn: u64, out: &mut Vec<u8>) {
     let prefix = cnt * spn;
-    match t {
-        AnyTable::Resident(_) => {
+    match t.page_bytes() {
+        None => {
             out.extend_from_slice(&cnt.to_le_bytes());
             for s in 0..prefix {
                 out.extend_from_slice(&t.get(s).to_le_bytes());
             }
         }
-        AnyTable::Paged(p) => {
-            let page_bytes = p.spp as u64 * 8;
+        Some(page_bytes) => {
+            let page_bytes = page_bytes as u64;
             t.flush()
                 .unwrap_or_else(|e| panic!("paged table flush failed while checkpointing: {e}"));
             for word in [PAGED_PAYLOAD_MARK, cnt, t.prefix_fnv(prefix), page_bytes] {
@@ -826,8 +1082,8 @@ impl TablePrefix {
 /// how elastic restart feeds re-partitioned state into a paged run). A
 /// paged-format payload requires a paged table over the same directory
 /// and page size: the prefix is re-read through the cache and its FNV
-/// must match — a torn, lost, or foreign page surfaces here as a
-/// checksum mismatch.
+/// must match — a torn, lost, or foreign page (one of the other cell
+/// width among them) surfaces here as a checksum mismatch.
 pub(crate) fn read_table_prefix(
     t: &mut AnyTable,
     expect_cnt: u64,
@@ -846,14 +1102,14 @@ pub(crate) fn read_table_prefix(
         TablePrefix::Paged {
             fnv, page_bytes, ..
         } => {
-            let AnyTable::Paged(p) = t else {
+            let Some(table_page_bytes) = t.page_bytes() else {
                 return Err(
                     "checkpoint was taken with --memory-budget (it references page files); \
                      resume with the same --memory-budget/--store-dir"
                         .to_string(),
                 );
             };
-            if p.spp * 8 != page_bytes {
+            if table_page_bytes != page_bytes {
                 return Err(format!(
                     "checkpoint's pages are {page_bytes} B; resume with --page-bytes {page_bytes}"
                 ));
@@ -906,6 +1162,11 @@ mod tests {
             page_bytes: 32, // 4 slots per page
             resume: false,
         }
+    }
+
+    /// The page index of a sealed wide (version-3) page image.
+    fn sealed_page(buf: &[u8]) -> Option<u64> {
+        sealed_image::<u64>(buf)
     }
 
     fn resume(spec: PagedSpec) -> PagedSpec {
@@ -1507,6 +1768,121 @@ mod tests {
             assert!(!dir.join(name).exists(), "{name} survived");
         }
         assert!(dir.join("rank1.att.p0.pg").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cells_are_compact_below_u32_max_for_tables_and_memo() {
+        let wide_n = u64::from(u32::MAX);
+        for (n, compact) in [(wide_n - 1, true), (wide_n, false)] {
+            assert_eq!(compact_cells(n), compact, "n = {n}");
+            let t = AnyTable::build_for(n, &StoreSpec::Resident, 0, "f", 10, FILL).unwrap();
+            assert_eq!(
+                matches!(t, AnyTable::CompactResident(_)),
+                compact,
+                "n = {n}"
+            );
+            let cell = if compact { 4 } else { 8 };
+            assert_eq!(table_bytes(n, 10, &StoreSpec::Resident), 10 * cell);
+            assert_eq!(crate::config::chain_memo_shape(1, n), (1, compact));
+            assert_eq!(crate::chain_memo_bytes(1, n, 3), 4 * cell);
+        }
+        let dir = scratch("width");
+        let paged = StoreSpec::Paged(tiny_spec(&dir, 64));
+        let t = AnyTable::build_for(wide_n - 1, &paged, 0, "f", 10, FILL).unwrap();
+        assert!(matches!(t, AnyTable::CompactPaged(_)));
+        assert_eq!(t.page_bytes(), Some(32));
+        let t = AnyTable::build_for(wide_n, &paged, 0, "f", 10, FILL).unwrap();
+        assert!(matches!(t, AnyTable::Paged(_)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_set_of_a_wide_label_panics_naming_it_and_writes_nothing() {
+        let dir = scratch("narrow");
+        let paged = StoreSpec::Paged(tiny_spec(&dir, 64));
+        for spec in [StoreSpec::Resident, paged] {
+            let mut t = AnyTable::build_for(1000, &spec, 0, "f", 8, FILL).unwrap();
+            t.set(0, u64::from(u32::MAX) - 1);
+            for label in [u64::from(u32::MAX), 1 << 40] {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    t.set(1, label);
+                }))
+                .unwrap_err();
+                let msg = err.downcast_ref::<String>().unwrap();
+                assert!(
+                    msg.contains(&format!("label {label} does not fit")),
+                    "{msg}"
+                );
+                assert_eq!(t.get(1), FILL, "{spec:?}: a failed set truncated {label}");
+            }
+            assert_eq!(t.get(0), u64::from(u32::MAX) - 1);
+            assert!(!t.row_contains(0, 8, u64::from(u32::MAX)));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_pages_are_version_4_images_of_u32_cells() {
+        // 32-byte pages hold eight compact cells, so 12 slots span two
+        // pages; the journal holds the last one written back.
+        let dir = scratch("v4");
+        let spec = tiny_spec(&dir, 64);
+        let mut t = PagedTable::<u32>::with_cells(&spec, "rank0.f", 12, FILL).unwrap();
+        for s in 0..12 {
+            t.set(s, 1000 + s);
+        }
+        t.flush().unwrap();
+        let bytes = fs::read(table_path(&dir, "rank0.f")).unwrap();
+        assert_eq!(bytes.len(), 3 * SLOT);
+        for page in 0..2u64 {
+            let mut image = Vec::new();
+            image.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
+            image.extend_from_slice(&4u32.to_le_bytes());
+            image.extend_from_slice(&page.to_le_bytes());
+            for i in 0..8 {
+                let s = 8 * page + i;
+                let cell = if s < 12 { 1000 + s as u32 } else { u32::MAX };
+                image.extend_from_slice(&cell.to_le_bytes());
+            }
+            let sum = Fnv1a::hash_words(&image);
+            image.extend_from_slice(&sum.to_le_bytes());
+            assert_eq!(slot(&bytes, page as usize + 1), image, "page {page}");
+            assert_eq!(sealed_image::<u32>(&image), Some(page));
+            assert_eq!(sealed_page(&image), None, "a wide table reads it as absent");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn paged_checkpoint_resumed_at_the_other_width_is_refused() {
+        let dir = scratch("xwidth");
+        let spec = StoreSpec::Paged(tiny_spec(&dir, 64));
+        let (cnt, spn) = (5u64, 2u64);
+        let len = 8 * spn;
+        let (compact, wide) = (u64::from(u32::MAX) - 1, u64::from(u32::MAX));
+        for (from, to) in [(compact, wide), (wide, compact)] {
+            let mut t = AnyTable::build_for(from, &spec, 0, "f", len, FILL).unwrap();
+            for s in 0..len {
+                t.set(s, 100 + s);
+            }
+            let mut payload = Vec::new();
+            write_table_prefix(&mut t, cnt, spn, &mut payload);
+            drop(t);
+            let resume = spec.clone().with_resume(true);
+            let mut back = AnyTable::build_for(to, &resume, 0, "f", len, FILL).unwrap();
+            let mut r: &[u8] = &payload;
+            let err = read_table_prefix(&mut back, cnt, spn, &mut r).unwrap_err();
+            assert!(err.contains("page files do not match"), "{err}");
+            for s in 0..len {
+                assert_eq!(back.get(s), FILL, "slot {s} read across widths");
+            }
+            // At its own width the same payload resumes.
+            let mut back = AnyTable::build_for(from, &resume, 0, "f", len, FILL).unwrap();
+            let mut r: &[u8] = &payload;
+            read_table_prefix(&mut back, cnt, spn, &mut r).unwrap();
+            assert_eq!(back.get(cnt * spn - 1), 100 + cnt * spn - 1);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -216,19 +216,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A paged table under an adversarially small cache budget (down to
-    /// the 2-page minimum, with pages as small as one slot) is
+    /// the 2-page minimum, with pages as small as one wide slot) is
     /// observation-equivalent to a resident table over an arbitrary
-    /// read/write sequence: every read agrees, the final contents agree,
-    /// the committed-prefix checksum agrees — and after a flush the same
-    /// bytes come back from a resume-mode reopen.
+    /// read/write sequence, in wide and in compact cells alike (`n` on
+    /// either side of the width boundary): every read agrees, the final
+    /// contents agree, the committed-prefix checksum agrees — and after
+    /// a flush the same bytes come back from a resume-mode reopen, while
+    /// a reopen at the other width reads every slot as absent.
     #[test]
     fn paged_table_equals_resident_under_tiny_budget(
         len in 1u64..300,
         page_slots in 1usize..9,
         budget_pages in 0u64..5,
+        compact in any::<bool>(),
         ops in prop_vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..250),
     ) {
-        use pa_core::store::{NodeTable, PagedSpec, PagedTable, ResidentTable};
+        use pa_core::store::{AnyTable, NodeTable, PagedSpec, StoreSpec};
         const FILL: u64 = u64::MAX;
         let dir = store_scratch();
         let page_bytes = page_slots * 8;
@@ -238,10 +241,17 @@ proptest! {
             page_bytes,
             resume: false,
         };
-        let mut paged = PagedTable::open(&spec, "rank0.t", len, FILL).unwrap();
-        let mut resident = ResidentTable::new(len, FILL);
+        let wide_n = u64::from(u32::MAX);
+        let n = if compact { wide_n - 1 } else { wide_n };
+        let open = |n: u64, spec: &PagedSpec| {
+            AnyTable::build_for(n, &StoreSpec::Paged(spec.clone()), 0, "t", len, FILL).unwrap()
+        };
+        let mut paged = open(n, &spec);
+        let mut resident = AnyTable::build_for(n, &StoreSpec::Resident, 0, "t", len, FILL).unwrap();
         for &(slot, val, is_write) in &ops {
             let s = slot % len;
+            // Compact cells hold the labels of an n-node network.
+            let val = if compact { val % n } else { val };
             if is_write {
                 paged.set(s, val);
                 resident.set(s, val);
@@ -257,7 +267,12 @@ proptest! {
         paged.flush().unwrap();
         drop(paged);
         let spec = PagedSpec { resume: true, ..spec };
-        let mut reopened = PagedTable::open(&spec, "rank0.t", len, FILL).unwrap();
+        let mut other = open(if compact { wide_n } else { wide_n - 1 }, &spec);
+        for s in 0..len {
+            prop_assert_eq!(other.get(s), FILL, "slot {} at the other width", s);
+        }
+        drop(other);
+        let mut reopened = open(n, &spec);
         for s in 0..len {
             prop_assert_eq!(reopened.get(s), resident.get(s), "reopened slot {}", s);
         }

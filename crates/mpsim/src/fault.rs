@@ -523,11 +523,14 @@ impl<M: Clone + Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
             if self.has_pending() {
                 // Staged countdowns need poll ticks to progress: park in
                 // short slices so a held packet releases promptly.
-                let slice = remaining.min(TICK_SLICE);
-                let start = Instant::now();
-                match self.inner.recv_timeout(slice) {
+                match self.inner.recv_timeout(remaining.min(TICK_SLICE)) {
                     Some(pkt) => self.stage(pkt),
-                    None => woken |= start.elapsed() < slice,
+                    // The slice may have ended on the ledger's event,
+                    // consuming the inner wake. Which it was is read off
+                    // the ledger, not the clock: a thread descheduled past
+                    // the slice would take an early `None` for a timeout
+                    // and then park for the whole wait.
+                    None => woken |= self.inner.termination().is_done(),
                 }
             } else if woken {
                 return None;
@@ -739,6 +742,100 @@ mod tests {
         let start = Instant::now();
         assert!(t.recv_timeout(Duration::from_secs(60)).is_none());
         assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    /// A loopback whose first empty wait ends as an early `None` that
+    /// returns only after the thread sat descheduled past a poll slice;
+    /// every later wait runs to its timeout (capped, so a regression
+    /// fails instead of hanging).
+    struct LateWake {
+        inner: LoopbackTransport<u64>,
+        wake: bool,
+    }
+
+    impl Transport<u64> for LateWake {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn nranks(&self) -> usize {
+            self.inner.nranks()
+        }
+        fn send_batch(&mut self, dest: usize, msgs: Vec<u64>) {
+            self.inner.send_batch(dest, msgs);
+        }
+        fn acquire_buffer(&mut self, dest: usize) -> Vec<u64> {
+            self.inner.acquire_buffer(dest)
+        }
+        fn recycle(&mut self, src: usize, buf: Vec<u64>) {
+            self.inner.recycle(src, buf);
+        }
+        fn try_recv(&mut self) -> Option<Packet<u64>> {
+            self.inner.try_recv()
+        }
+        fn drain_recv(&mut self, out: &mut Vec<Packet<u64>>) -> usize {
+            self.inner.drain_recv(out)
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet<u64>> {
+            if let Some(pkt) = self.inner.try_recv() {
+                return Some(pkt);
+            }
+            let wait = if std::mem::take(&mut self.wake) {
+                2 * TICK_SLICE
+            } else {
+                timeout.min(Duration::from_secs(2))
+            };
+            std::thread::sleep(wait);
+            None
+        }
+        fn barrier(&self) {}
+        fn allgather_u64(&self, val: u64) -> Vec<u64> {
+            self.inner.allgather_u64(val)
+        }
+        fn termination(&self) -> TerminationHandle {
+            self.inner.termination()
+        }
+        fn stats(&self) -> &CommStats {
+            self.inner.stats()
+        }
+        fn stats_mut(&mut self) -> &mut CommStats {
+            self.inner.stats_mut()
+        }
+        fn into_stats(self) -> CommStats {
+            self.inner.into_stats()
+        }
+    }
+
+    #[test]
+    fn a_wake_taken_late_while_packets_are_staged_is_not_lost() {
+        // Every packet's ack is lost, so after delivery a spurious
+        // retransmission stays staged for a few polls. The ledger is done
+        // (nothing was ever registered) and its wake ends the first
+        // slice, late; the wait must end once the staging drains, not
+        // park for the caller's whole timeout.
+        let plan = FaultPlan {
+            p_ack_loss: 1.0,
+            retransmit_polls: 3,
+            ..FaultPlan::none(5)
+        };
+        let inner = LateWake {
+            inner: LoopbackTransport::new(),
+            wake: false,
+        };
+        let mut t = FaultTransport::new(inner, plan);
+        t.send(0, 8);
+        assert_eq!(
+            t.recv_timeout(Duration::ZERO).map(|p| p.msgs),
+            Some(vec![8])
+        );
+        assert!(t.has_pending(), "the retransmission is staged");
+        t.inner.wake = true;
+        let start = Instant::now();
+        assert!(t.recv_timeout(Duration::from_secs(30)).is_none());
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the wake was lost: waited {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
