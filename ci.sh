@@ -141,6 +141,18 @@ if ! grep -q "^edges:  $(($(stat -c %s "$pag_bin") / 16)) in 4 shard(s)$" <<< "$
     exit 1
 fi
 
+echo "==> pagen Chung-Lu rank-count smoke run"
+# Chung-Lu streams a contiguous block of rows per rank, so its bytes do
+# not depend on --ranks: one rank and four must write the same file.
+for ranks in 1 4; do
+    ./target/release/pagen generate --model cl --n 20000 --x 3 --gamma 3.0 \
+        --seed 7 --ranks "$ranks" --out "$scratch/cl_p$ranks.bin" --format bin >/dev/null
+done
+if ! cmp -s "$scratch/cl_p1.bin" "$scratch/cl_p4.bin"; then
+    echo "Chung-Lu smoke mismatch: --ranks 4 wrote other bytes than --ranks 1" >&2
+    exit 1
+fi
+
 echo "==> pagen chaos smoke run"
 # The fault layer's headline invariant, end to end through the binary: a
 # run with aggressive fault injection must produce exactly the clean

@@ -4,11 +4,9 @@ use crate::args::{Args, CliError};
 use crate::stats::{MergedStats, StatsFlags};
 use pa_core::job::JobDescriptor;
 use pa_core::partition::Scheme;
-use pa_core::{cl, er, par, rmat, ws, Engine, GenOptions, PaConfig};
+use pa_core::{cl, par, Engine, GenOptions, PaConfig};
 use pa_graph::container::{self, Meta};
 use pa_graph::io::{self, EdgeWriter};
-use pa_graph::EdgeList;
-use pa_rng::Xoshiro256pp;
 use std::fs::File;
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
@@ -43,9 +41,10 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let started = std::time::Instant::now();
 
-    // PA streams from its ranks and returns; every other model yields its
-    // edges and the PAG header's provenance (`seed` is added below).
-    let (edges, meta): (EdgeList, Meta) = match model.as_str() {
+    // Every model streams each rank's edges into its own part; only PA
+    // and NLPA name a job (a PAG file never does: it is not a served
+    // artifact) and carry engine counters.
+    let (n, total_edges, job_id, stats) = match model.as_str() {
         "pa" | "nlpa" => {
             let job = parse_job(args, None, encoding)?;
             let ranks = job.ranks as usize;
@@ -71,94 +70,66 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let (total_edges, comms) =
                 stream_pa_to_disk(&job, tuning, Path::new(&path), header.as_ref())?;
             cleanup_store(&store, ranks);
-            // A PAG file is never a served artifact, so it names no job.
             let job_id = if pag {
                 String::new()
             } else {
                 format!(", job {:016x}", job.job_id())
             };
-            writeln!(
-                out,
-                "generated {model}: {} nodes, {total_edges} edges in {:.2}s -> {path} \
-                 ({format}, streamed{job_id})",
-                job.cfg.n,
-                started.elapsed().as_secs_f64(),
-            )
-            .map_err(CliError::io)?;
-            return flags.emit(&MergedStats::from_local(&comms), out);
-        }
-        "er" => {
-            let n = args.u64("n", 100_000)?;
-            let p = args.f64("p", 0.0001)?;
-            let ranks: usize = args.int("ranks", 4)?;
-            let cfg = er::ErConfig::new(n, p).with_seed(seed);
-            let edges = er::generate_par(&cfg, ranks.max(1));
-            (
-                edges,
-                Meta::new(n).with("model", "erdos-renyi").with("p", p),
-            )
-        }
-        "ws" => {
-            let n = args.u64("n", 100_000)?;
-            let x = args.u64("x", 2)?;
-            let beta = args.f64("p", 0.1)?;
-            let cfg = ws::WsConfig::new(n, 2 * x, beta).with_seed(seed);
-            let edges = ws::generate(&cfg, &mut Xoshiro256pp::new(seed));
-            let meta = Meta::new(n).with("model", "watts-strogatz");
-            (edges, meta.with("k", 2 * x).with("beta", beta))
+            (job.cfg.n, total_edges, job_id, Some((flags, comms)))
         }
         "cl" => {
             let n = args.u64("n", 100_000)?;
-            let mean = args.u64("x", 4)? as f64;
+            let mean = args.u64("x", 4)?;
             let gamma = args.f64("gamma", 2.8)?;
             let ranks: usize = args.int("ranks", 4)?;
-            let cfg = cl::ClConfig::new(cl::power_law_weights(n, gamma, mean), seed);
-            let edges = cl::generate_par(&cfg, ranks.max(1));
-            let meta = Meta::new(n).with("model", "chung-lu");
-            (edges, meta.with("gamma", gamma).with("mean_degree", mean))
-        }
-        "rmat" => {
-            let scale: u32 = args.int("scale", 18)?;
-            if scale == 0 || scale > 62 {
-                return Err(CliError::usage("--scale must be in 1..=62"));
+            args.finish()?;
+            let refusals = [
+                (n == 0, "--n must be at least 1"),
+                (mean == 0, "--x (cl's mean degree) must be at least 1"),
+                (
+                    gamma.is_nan() || gamma <= 2.0,
+                    "--gamma must be above 2 (finite mean)",
+                ),
+                (ranks == 0, "--ranks must be at least 1"),
+            ];
+            if let Some((_, why)) = refusals.into_iter().find(|(bad, _)| *bad) {
+                return Err(CliError::usage(why));
             }
-            let mut cfg = rmat::RmatConfig::graph500(scale).with_seed(seed);
-            let edges_flag = args.u64("edges", cfg.edges)?;
-            cfg = cfg.with_edges(edges_flag);
-            let ranks: usize = args.int("ranks", 4)?;
-            let edges = rmat::generate_par(&cfg, ranks.max(1));
-            (
-                edges,
-                Meta::new(cfg.n())
-                    .with("model", "rmat")
-                    .with("scale", scale),
-            )
+            let mean = mean as f64;
+            let cfg = cl::ClConfig::new(cl::power_law_weights(n, gamma, mean), seed);
+            let header = pag.then(|| {
+                Meta::new(n)
+                    .with("model", "chung-lu")
+                    .with("gamma", gamma)
+                    .with("mean_degree", mean)
+                    .with("seed", seed)
+            });
+            let (total_edges, ()) = write_parts(
+                Path::new(&path),
+                encoding,
+                header.as_ref(),
+                ranks,
+                |writers| (cl::generate_par(&cfg, writers), ()),
+            )?;
+            (n, total_edges, String::new(), None)
         }
         other => {
             return Err(CliError::usage(format!(
-                "unknown model {other:?} (expected pa, nlpa, er, ws, cl or rmat)"
+                "unknown model {other:?} (expected pa, nlpa or cl)"
             )))
         }
     };
-    args.finish()?;
-
-    // The extension models build their network whole; it leaves as one
-    // part (one PAG shard).
-    let n = meta.n;
-    let header = pag.then(|| meta.with("seed", seed));
-    let (total_edges, ()) =
-        write_parts(Path::new(&path), encoding, header.as_ref(), 1, |mut w| {
-            for (u, v) in edges.iter() {
-                w[0].push(u, v);
-            }
-            (w, ())
-        })?;
     writeln!(
         out,
-        "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} ({format})",
-        started.elapsed().as_secs_f64()
+        "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} \
+         ({format}, streamed{job_id})",
+        started.elapsed().as_secs_f64(),
     )
-    .map_err(CliError::io)
+    .map_err(CliError::io)?;
+    match stats {
+        Some((flags, comms)) => flags.emit(&MergedStats::from_local(&comms), out),
+        None => Ok(()),
+    }
 }
 
 /// `--format bin|txt` as the streamed edge encoding; `None` for anything

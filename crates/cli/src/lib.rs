@@ -73,7 +73,7 @@ USAGE:
 
 COMMANDS:
     generate   Generate a network and write it to disk
-               --model pa|nlpa|er|ws|cl|rmat (default pa)
+               --model pa|nlpa|cl (default pa)
                --n <nodes> (default 100000)      --x <edges/node> (default 4)
                --p <copy prob> (default 0.5)     --seed <u64> (default 0)
                --ranks <P> (default 4)           --scheme ucp|lcp|rrp|bcp (default rrp)
@@ -102,10 +102,8 @@ COMMANDS:
                           --checkpoint-interval <labels> (default n/8)
                           --resume auto|off (default off)
                           --restart-epoch <k> (injected by palaunch restarts)
-               er:   --p is the edge probability
-               ws:   --x is half the lattice degree, --p the rewiring beta
-               cl:   --gamma <exponent> (default 2.8), --x the mean degree
-               rmat: --scale <log2 n>, --edges <m> (defaults 18, 16n)
+               cl:        --gamma <exponent> (default 2.8, above 2), --x the
+                          mean degree; the same bytes at every --ranks
     analyze    Structural report of a stored network
                --in <file>  --format pag|bin|txt (default pag)
                --n <nodes>  (required for bin/txt; inferred for pag)

@@ -148,7 +148,7 @@ fn streamed_binary_output_matches_materialized_run() {
 fn out_symlink_is_replaced_not_written_through() {
     // `--out` names the finished file: a symlink already there is
     // replaced by it, and the file the link pointed at is left alone.
-    for (model, format) in [("pa", "pag"), ("er", "pag"), ("er", "bin"), ("ws", "txt")] {
+    for (model, format) in [("pa", "pag"), ("cl", "pag"), ("cl", "bin"), ("cl", "txt")] {
         let case = format!("{model} {format}");
         let target = tmp(&format!("link_target_{model}_{format}"));
         let name = format!("link_{model}.{format}");
@@ -179,28 +179,10 @@ fn out_symlink_is_replaced_not_written_through() {
 }
 
 #[test]
-fn ws_output_is_byte_deterministic() {
-    // A fixed --seed names one file, byte for byte, on every run.
-    let runs: Vec<Vec<u8>> = (0..2)
-        .map(|i| {
-            let path = tmp(&format!("ws_seeded_{i}.txt"));
-            exec(&[
-                "generate", "--model", "ws", "--n", "3000", "--x", "2", "--p", "0.3", "--seed",
-                "5", "--out", &path, "--format", "txt",
-            ])
-            .unwrap();
-            std::fs::read(&path).unwrap()
-        })
-        .collect();
-    assert!(!runs[0].is_empty());
-    assert!(runs[0] == runs[1], "two ws runs with one seed differ");
-}
-
-#[test]
 fn all_models_generate() {
     for (model, extra) in [
-        ("er", vec!["--p", "0.002"]),
-        ("ws", vec!["--x", "2", "--p", "0.1"]),
+        ("pa", vec!["--x", "3"]),
+        ("nlpa", vec!["--x", "3", "--alpha", "0.5"]),
         ("cl", vec!["--gamma", "3.0", "--x", "3"]),
     ] {
         let path = tmp(&format!("{model}.pag"));
@@ -210,14 +192,77 @@ fn all_models_generate() {
         assert!(msg.contains("2000 nodes"), "{model}: {msg}");
         let info = exec(&["info", "--in", &path]).unwrap();
         assert!(info.contains("attr:   model"), "{model}: {info}");
+        assert!(info.contains("in 4 shard(s)"), "{model}: {info}");
     }
-    // R-MAT sizes by scale.
-    let path = tmp("rmat.pag");
-    let msg = exec(&[
-        "generate", "--model", "rmat", "--scale", "10", "--edges", "4000", "--out", &path,
-    ])
-    .unwrap();
-    assert!(msg.contains("1024 nodes"), "{msg}");
+}
+
+/// `--model cl` at n = 20 000, mean degree 3, gamma 3, seed 7.
+const CL_TUPLE: [&str; 12] = [
+    "generate", "--model", "cl", "--n", "20000", "--x", "3", "--gamma", "3.0", "--seed", "7",
+    "--out",
+];
+
+#[test]
+fn cl_bytes_are_pinned_and_independent_of_ranks() {
+    // Each rank samples a contiguous block of rows in row order, so the
+    // parts joined in rank order are the sequential row order.
+    let files: Vec<Vec<u8>> = ["1", "3", "8"]
+        .iter()
+        .map(|ranks| {
+            let path = tmp(&format!("cl_pinned_{ranks}.bin"));
+            let mut args = CL_TUPLE.to_vec();
+            args.extend([path.as_str(), "--format", "bin", "--ranks", ranks]);
+            exec(&args).unwrap();
+            std::fs::read(&path).unwrap()
+        })
+        .collect();
+    assert_eq!(files[0].len(), 481_888);
+    assert!(files[1] == files[0], "--ranks 3 differs from --ranks 1");
+    assert!(files[2] == files[0], "--ranks 8 differs from --ranks 1");
+    assert_eq!(
+        pa_graph::io::Fnv1a::hash(&files[0]),
+        0xae39_1a2a_aefd_569c,
+        "cl bytes moved"
+    );
+
+    // A PAG container holds one shard per rank, the bin bytes behind it.
+    let pag = tmp("cl_pinned_3.pag");
+    let mut args = CL_TUPLE.to_vec();
+    args.extend([pag.as_str(), "--format", "pag", "--ranks", "3"]);
+    exec(&args).unwrap();
+    let (_, shards) = pa_graph::container::read_file(&pag).unwrap();
+    assert_eq!(shards.len(), 3);
+    let pag_bytes = std::fs::read(&pag).unwrap();
+    assert!(pag_bytes.len() > files[0].len());
+    assert!(
+        pag_bytes[pag_bytes.len() - files[0].len()..] == files[0][..],
+        "PAG payload is not the bin file"
+    );
+}
+
+#[test]
+fn bad_cl_flags_are_usage_errors_not_panics() {
+    let out = tmp("bad_cl.bin");
+    for (flag, value, needle) in [
+        ("--gamma", "2.0", "--gamma must be above 2"),
+        ("--gamma", "nan", "--gamma must be above 2"),
+        ("--x", "0", "--x (cl's mean degree) must be at least 1"),
+        ("--n", "0", "--n must be at least 1"),
+        ("--ranks", "0", "--ranks must be at least 1"),
+    ] {
+        let args = [
+            "generate", "--model", "cl", "--n", "1000", flag, value, "--out", &out, "--format",
+            "bin",
+        ];
+        let outcome = std::panic::catch_unwind(|| exec(&args));
+        let err = match outcome {
+            Ok(Err(err)) => err,
+            Ok(Ok(msg)) => panic!("{flag} {value} was accepted: {msg}"),
+            Err(_) => panic!("{flag} {value} panicked"),
+        };
+        assert!(err.contains(needle), "{flag} {value}: {err:?}");
+    }
+    assert!(parts_left(&["bad_cl.bin"]).is_empty());
 }
 
 #[test]
@@ -259,23 +304,6 @@ fn error_paths_are_user_facing() {
     // Missing file.
     let err = exec(&["info", "--in", &tmp("does_not_exist.pag")]).unwrap_err();
     assert!(err.contains("i/o error"));
-}
-
-#[test]
-fn scale_too_wide_for_its_u32_is_refused_not_wrapped() {
-    // 2^32 + 1 wrapped to scale 1 (a 2-node graph) while 63 was refused.
-    let out = tmp("wide_scale.bin");
-    let err = exec(&[
-        "generate",
-        "--model",
-        "rmat",
-        "--scale",
-        "4294967297",
-        "--out",
-        &out,
-    ])
-    .unwrap_err();
-    assert_eq!(err, "--scale must be at most 4294967295, got 4294967297");
 }
 
 #[test]

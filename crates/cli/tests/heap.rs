@@ -10,8 +10,9 @@
 //! and engine 3 20 B/node plus its fixed-size chain memo.
 //! The same run is what `pagen info --n` claims to predict, so the
 //! estimate is held to the measurement here. And `pagen generate` itself
-//! streams every output format: its default PAG container costs no more
-//! heap than a raw `bin` file of the same run.
+//! streams every output format and model: its default PAG container costs
+//! no more heap than a raw `bin` file of the same run, and a Chung–Lu run
+//! holds its weights, never its edges.
 
 use pa_core::par::{self, CountSink};
 use pa_core::partition::Scheme;
@@ -215,28 +216,21 @@ fn engine3_heap_grows_at_most_24_bytes_per_node() {
 }
 
 /// Peak live heap, over what was live before, of one `pagen generate`
-/// at the P = 2 test tuple, written in `format`.
-fn generate_peak_heap_bytes(engine: &str, format: &str) -> usize {
+/// of `n` nodes at x = 4 and P = 2 with the extra `flags`, written in
+/// `format`.
+fn generate_peak_heap_bytes(n: u64, flags: &[&str], format: &str) -> usize {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let path = std::env::temp_dir().join(format!("pagen_heap_e{engine}.{format}"));
-    let argv = [
-        "generate",
-        "--n",
-        &N.to_string(),
-        "--x",
-        "4",
-        "--ranks",
-        &NRANKS.to_string(),
-        "--seed",
-        "7",
-        "--engine",
-        engine,
-        "--format",
-        format,
-        "--out",
-        &path.to_string_lossy(),
+    let path = std::env::temp_dir().join(format!("pagen_heap_{}.{format}", flags.concat()));
+    let n = n.to_string();
+    let ranks = NRANKS.to_string();
+    let path_arg = path.to_string_lossy();
+    let mut argv: Vec<String> = [
+        "generate", "--n", &n, "--x", "4", "--ranks", &ranks, "--seed", "7", "--format", format,
+        "--out", &path_arg,
     ]
-    .map(String::from);
+    .map(String::from)
+    .to_vec();
+    argv.extend(flags.iter().map(|f| f.to_string()));
     let mut out = Vec::new();
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
@@ -256,8 +250,8 @@ fn pag_output_peaks_no_higher_than_bin() {
         // for up to five rounds.
         let (mut bin, mut pag) = (0, usize::MAX);
         for _ in 0..5 {
-            bin = bin.max(generate_peak_heap_bytes(engine, "bin"));
-            pag = pag.min(generate_peak_heap_bytes(engine, "pag"));
+            bin = bin.max(generate_peak_heap_bytes(N, &["--engine", engine], "bin"));
+            pag = pag.min(generate_peak_heap_bytes(N, &["--engine", engine], "pag"));
             if pag <= bin + (1 << 20) {
                 break;
             }
@@ -267,6 +261,18 @@ fn pag_output_peaks_no_higher_than_bin() {
             "engine {engine}: --format pag peaked at {pag} B of live heap, --format bin at {bin} B"
         );
     }
+}
+
+#[test]
+fn cl_heap_grows_at_most_17_bytes_per_node() {
+    // The sorted weight vector is 8 B/node; the edges stream to the part
+    // files. A network held whole would add 16 B/edge, 32 B/node at mean
+    // degree 4. Chung–Lu sends no messages, so one run per size suffices.
+    let cl = ["--model", "cl"];
+    let small = generate_peak_heap_bytes(N, &cl, "bin");
+    let large = generate_peak_heap_bytes(4 * N, &cl, "bin");
+    let slope = large.saturating_sub(small) as f64 / (3 * N) as f64;
+    assert!(slope <= 17.0, "cl heap grows by {slope:.1} B/node");
 }
 
 /// The plan `pagen info --n` prints must describe the process it plans:

@@ -9,14 +9,16 @@
 //! is non-increasing along the row, so one can skip with the current
 //! probability bound and accept with the true-to-bound ratio.
 //!
-//! Like the Erdős–Rényi extension, rows draw from per-row counter
-//! streams, so row partitioning parallelizes with zero communication and
-//! the output is independent of the rank count.
+//! Rows draw from per-row counter streams, so row partitioning
+//! parallelizes with zero communication. [`generate_par`] feeds each
+//! rank's UCP rows, in row order, into that rank's [`EdgeSink`]; the UCP
+//! blocks are contiguous, so the sinks concatenated in rank order hold
+//! exactly [`generate_seq`]'s edges in its order, at any rank count.
 
+use crate::par::EdgeSink;
 use crate::partition::{Partition, Ucp};
 use crate::Node;
 use pa_graph::EdgeList;
-use pa_mpsim::{Transport, World};
 use pa_rng::{CounterRng, Rng64};
 
 /// Configuration of a Chung–Lu network.
@@ -121,8 +123,9 @@ pub fn power_law_weights(n: u64, gamma: f64, mean_deg: f64) -> Vec<f64> {
     raw.into_iter().map(|w| w * mean_deg / mean).collect()
 }
 
-/// Sample row `i` (edges `(i, j)` for `j > i`): Miller–Hagberg skipping.
-fn sample_row(cfg: &ClConfig, i: usize, edges: &mut EdgeList) {
+/// Sample row `i` (edges `(i, j)` for `j > i`) into `sink`:
+/// Miller–Hagberg skipping.
+fn sample_row(cfg: &ClConfig, i: usize, sink: &mut impl EdgeSink) {
     let n = cfg.weights.len();
     let wi = cfg.weights[i];
     if wi == 0.0 || i + 1 >= n {
@@ -146,7 +149,7 @@ fn sample_row(cfg: &ClConfig, i: usize, edges: &mut EdgeList) {
         // Accept with the true probability relative to the bound.
         let q = (wi * cfg.weights[j] / cfg.total).min(1.0);
         if rng.next_f64() < q / p {
-            edges.push(i as Node, j as Node);
+            sink.emit(i as Node, j as Node);
         }
         p = q;
         j += 1;
@@ -162,23 +165,35 @@ pub fn generate_seq(cfg: &ClConfig) -> EdgeList {
     edges
 }
 
-/// Generate on `nranks` ranks (row-partitioned, zero communication);
-/// equal to [`generate_seq`] up to edge order.
+/// Generate on one rank per sink (row-partitioned by [`Ucp`], zero
+/// communication, one scoped thread per rank): rank `r` samples its rows
+/// in order into `sinks[r]`, and the sinks come back in rank order.
+/// Concatenated, they equal [`generate_seq`] edge for edge.
 ///
 /// # Panics
 ///
-/// Panics if `nranks == 0`.
-pub fn generate_par(cfg: &ClConfig, nranks: usize) -> EdgeList {
-    let part = Ucp::new(cfg.n(), nranks);
-    let world = World::new(nranks);
-    let parts: Vec<EdgeList> = world.run(|comm: pa_mpsim::Comm<()>| {
-        let mut edges = EdgeList::new();
-        for u in part.nodes_of(comm.rank()) {
-            sample_row(cfg, u as usize, &mut edges);
-        }
-        edges
-    });
-    EdgeList::concat(parts)
+/// Panics if `sinks` is empty; a rank's panic is resumed on the caller.
+pub fn generate_par<S: EdgeSink + Send>(cfg: &ClConfig, sinks: Vec<S>) -> Vec<S> {
+    let part = Ucp::new(cfg.n(), sinks.len());
+    std::thread::scope(|s| {
+        let ranks: Vec<_> = sinks
+            .into_iter()
+            .enumerate()
+            .map(|(rank, mut sink)| {
+                let part = &part;
+                s.spawn(move || {
+                    for u in part.nodes_of(rank) {
+                        sample_row(cfg, u as usize, &mut sink);
+                    }
+                    sink
+                })
+            })
+            .collect();
+        ranks
+            .into_iter()
+            .map(|rank| rank.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -190,9 +205,10 @@ mod tests {
     fn parallel_equals_sequential() {
         let cfg = ClConfig::new(power_law_weights(2_000, 2.5, 4.0), 3);
         assert!(!cfg.is_degree_faithful(), "heavy-tailed weights get capped");
-        let reference = generate_seq(&cfg).canonicalized();
+        let reference = generate_seq(&cfg);
         for nranks in [1usize, 3, 8] {
-            assert_eq!(generate_par(&cfg, nranks).canonicalized(), reference);
+            let parts = generate_par(&cfg, vec![EdgeList::new(); nranks]);
+            assert_eq!(EdgeList::concat(parts), reference, "{nranks} ranks");
         }
     }
 

@@ -39,10 +39,11 @@
 //! * [`chains`] — selection/dependency-chain analytics (Theorem 3.3).
 //! * [`approx_yh`] — a Yoo–Henderson-style *approximate* distributed
 //!   baseline, reproducing the prior work the paper argues against.
-//! * [`er`], [`ws`], [`cl`], [`rmat`] — extension generators (parallel
-//!   Erdős–Rényi, Watts–Strogatz, Chung–Lu, R-MAT) reusing the same
-//!   substrates, answering the paper's closing call for "other classes
-//!   of random networks".
+//! * [`cl`] — Chung–Lu graphs with given expected degrees, the nearest
+//!   model to Alam–Khan's given-degree-sequence generators: per-row
+//!   counter streams, zero communication, one edge sink per rank,
+//!   answering the paper's closing call for "other classes of random
+//!   networks".
 //!
 //! # Quick start
 //!
@@ -63,16 +64,13 @@ pub mod approx_yh;
 pub mod chains;
 pub mod cl;
 mod config;
-pub mod er;
 pub mod job;
 pub mod math;
 mod model;
 pub mod par;
 pub mod partition;
-pub mod rmat;
 pub mod seq;
 pub mod store;
-pub mod ws;
 
 pub use config::{
     chain_memo_bytes, Engine, GenOptions, PaConfig, DEFAULT_CHAIN_MEMO_NODES,

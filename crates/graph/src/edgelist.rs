@@ -101,16 +101,6 @@ impl EdgeList {
         c.canonicalize();
         c
     }
-
-    /// Reduce to a simple undirected graph: canonicalize, drop
-    /// self-loops, and deduplicate parallel edges. Useful for models
-    /// with multigraph semantics (e.g. R-MAT).
-    pub fn simplify(&self) -> Self {
-        let mut c = self.canonicalized();
-        c.edges.retain(|&(u, v)| u != v);
-        c.edges.dedup();
-        c
-    }
 }
 
 impl FromIterator<Edge> for EdgeList {
@@ -163,13 +153,6 @@ mod tests {
         assert_eq!(EdgeList::new().max_node(), None);
         let el = EdgeList::from_vec(vec![(0, 7), (3, 2)]);
         assert_eq!(el.max_node(), Some(7));
-    }
-
-    #[test]
-    fn simplify_removes_loops_and_duplicates() {
-        let el = EdgeList::from_vec(vec![(1, 0), (0, 1), (2, 2), (3, 1), (1, 3)]);
-        let s = el.simplify();
-        assert_eq!(s.as_slice(), &[(0, 1), (1, 3)]);
     }
 
     #[test]

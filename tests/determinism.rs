@@ -1,6 +1,6 @@
 //! Reproducibility guarantees across the whole stack.
 
-use pa_core::{er, par, partition::Scheme, seq, ws, Engine, GenOptions, PaConfig};
+use pa_core::{par, partition::Scheme, seq, Engine, GenOptions, PaConfig};
 use pa_graph::io::Fnv1a;
 use pa_rng::Xoshiro256pp;
 
@@ -134,21 +134,6 @@ fn sequential_generators_are_deterministic() {
     assert_eq!(
         seq::naive(&cfg, &mut Xoshiro256pp::new(1)),
         seq::naive(&cfg, &mut Xoshiro256pp::new(1))
-    );
-}
-
-#[test]
-fn extension_generators_are_deterministic() {
-    let ercfg = er::ErConfig::new(3_000, 0.01).with_seed(4);
-    assert_eq!(er::generate_seq(&ercfg), er::generate_seq(&ercfg));
-    assert_eq!(
-        er::generate_par(&ercfg, 4).canonicalized(),
-        er::generate_seq(&ercfg).canonicalized()
-    );
-    let wscfg = ws::WsConfig::new(1_000, 4, 0.3);
-    assert_eq!(
-        ws::generate(&wscfg, &mut Xoshiro256pp::new(2)).canonicalized(),
-        ws::generate(&wscfg, &mut Xoshiro256pp::new(2)).canonicalized()
     );
 }
 

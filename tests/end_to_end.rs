@@ -91,18 +91,3 @@ fn analysis_pipeline_on_all_three_generators() {
         );
     }
 }
-
-#[test]
-fn extension_generators_compose_with_the_same_toolkit() {
-    // Erdős–Rényi and Watts–Strogatz share the substrates.
-    let er = pa_core::er::generate_par(&pa_core::er::ErConfig::new(2_000, 0.005).with_seed(3), 4);
-    assert!(validate::check_simple(2_000, &er).is_empty());
-
-    let ws = pa_core::ws::generate(
-        &pa_core::ws::WsConfig::new(2_000, 6, 0.1),
-        &mut pa_rng::Xoshiro256pp::new(1),
-    );
-    assert!(validate::check_simple(2_000, &ws).is_empty());
-    let csr = Csr::from_edges(2_000, &ws);
-    assert_eq!(csr.connected_components(), 1);
-}
