@@ -125,7 +125,7 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             resident("node cursors (u32)", size * 4),
             resident(
                 "chain memo (allocated)",
-                pa_core::chain_memo_bytes(memo_nodes, n, x),
+                pa_core::chain_memo_bytes(memo_nodes, n, x, ranks),
             ),
         ],
     };

@@ -88,7 +88,8 @@ COMMANDS:
                pa tuning: --buffer-cap <msgs> (default 4096)
                           --service-interval <nodes> (default 4096)
                           --hub-cache auto|off (default auto)
-                          --chain-memo <nodes> (engine 3 memo rows; default 1048576, 0 off)
+                          --chain-memo <nodes> (engine 3 memoizes the rows of the
+                          lowest <nodes> labels; default 1048576, 0 off)
                pa chaos:  --chaos-profile off|light|aggressive (default off)
                           --chaos-seed <u64> (default 0)
                           --stall-timeout-ms <ms> (default: off; 120000 under chaos)

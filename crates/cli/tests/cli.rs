@@ -717,11 +717,12 @@ fn chain_memo_rejects_non_integer_values() {
 
 #[test]
 fn info_plans_engine3_chain_memo_as_allocated() {
-    // Engine 3's memo is allocated up front on every rank at its full
-    // shape: next_pow2(min(cap, n)) slots of 1 + x u32 cells. At the
-    // gen-e3-paged tuple that is 2^19 · 5 · 4 B = 10 MiB, whatever the
-    // rank's own size.
-    let plan = |memo: &str| {
+    // Engine 3's memo is allocated up front on every rank of a
+    // multi-rank world: the lowest min(cap, n) labels' rows of x u32
+    // cells. At the gen-e3-paged tuple that is 500 000 · 4 · 4 B =
+    // 8 000 000 B, whatever the rank's own size; a single rank reads no
+    // remote row and allocates none.
+    let plan = |memo: &str, ranks: &str| {
         exec(&[
             "info",
             "--n",
@@ -729,7 +730,7 @@ fn info_plans_engine3_chain_memo_as_allocated() {
             "--x",
             "4",
             "--ranks",
-            "2",
+            ranks,
             "--engine",
             "3",
             "--chain-memo",
@@ -738,10 +739,14 @@ fn info_plans_engine3_chain_memo_as_allocated() {
         .unwrap()
     };
     let line = |bytes: &str| format!("  {:<28} {:>14}\n", "chain memo (allocated)", bytes);
-    let default = plan("1048576");
-    assert!(default.contains(&line("10.0 MiB")), "{default}");
-    let off = plan("0");
+    let default = plan("1048576", "2");
+    assert!(default.contains(&line("7.6 MiB")), "{default}");
+    let prefix = plan("100000", "2");
+    assert!(prefix.contains(&line("1.5 MiB")), "{prefix}");
+    let off = plan("0", "2");
     assert!(off.contains(&line("0 B")), "{off}");
+    let single = plan("1048576", "1");
+    assert!(single.contains(&line("0 B")), "{single}");
 }
 
 #[test]
@@ -852,8 +857,8 @@ per-rank memory estimate: n=500000 x=4 ranks=2 scheme=RRP engine=3
 largest rank: 250000 nodes (1000000 F slots)
   F table (x slots/node)              3.8 MiB          3.8 MiB paged
   node cursors (u32)                976.6 KiB
-  chain memo (allocated)             10.0 MiB
-total: 14.8 MiB resident | 14.8 MiB under --memory-budget 4.0 MiB
+  chain memo (allocated)              7.6 MiB
+total: 12.4 MiB resident | 12.4 MiB under --memory-budget 4.0 MiB
 ";
     assert_eq!(plan("4194304", "16384").unwrap(), want);
     // A budget that is not a whole number of frames rounds down:

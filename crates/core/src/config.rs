@@ -167,35 +167,32 @@ impl std::fmt::Display for Engine {
 pub const DEFAULT_HUB_CACHE_NODES: u64 = 4096;
 
 /// Default chain-memo capacity in *nodes* for the communication-free
-/// engine (engine3): roughly how many recomputed rows each rank keeps
-/// to deduplicate shared chain suffixes (the engine clamps it to `n`
-/// and rounds up to a power of two — direct-mapped slots). The memo is
-/// a pure-function cache, so its size never affects the generated
-/// network — only the amount of redundant recomputation, which grows
-/// steeply once hot low-label rows stop fitting; hence a generous
-/// default (`x = 4` at the full default size costs ~40 MB per rank).
+/// engine (engine3): the memo caches the recomputed rows of the lowest
+/// this-many labels, where chains end (the engine clamps it to `n`). The
+/// memo is a pure-function cache, so its size never affects the
+/// generated network — only the amount of redundant recomputation, which
+/// grows steeply once the hot low-label rows stop fitting; hence a
+/// generous default (`x = 4` at the full default size costs 16 MiB per
+/// rank, and `n · x · 4` B below it).
 pub const DEFAULT_CHAIN_MEMO_NODES: u64 = 1 << 20;
 
 /// Bytes of engine 3's chain memo for a `cap`-row budget over an
-/// `n`-node network with `x` slots per node: what every rank allocates,
-/// up front. The budget is clamped to `n` and rounded up to a power of
-/// two (the memo is direct-mapped); each slot holds `1 + x` cells (a tag
-/// and the row), of the node tables' width
-/// ([`crate::store::cell_bytes`]). `cap = 0` is no memo, 0 B.
-pub fn chain_memo_bytes(cap: u64, n: u64, x: u64) -> u64 {
-    let (slots, _) = chain_memo_shape(cap, n);
-    slots * (1 + x) * crate::store::cell_bytes(n)
+/// `n`-node network with `x` slots per node on `ranks` ranks: what every
+/// rank allocates, up front — [`chain_memo_rows`] rows of `x` 4-byte
+/// cells. `cap = 0` or a single rank is no memo, 0 B.
+pub fn chain_memo_bytes(cap: u64, n: u64, x: u64, ranks: usize) -> u64 {
+    chain_memo_rows(cap, n, ranks) * x * 4
 }
 
-/// The chain memo's slot count and whether its cells are compact `u32`s
-/// (see [`chain_memo_bytes`] and [`crate::store::compact_cells`]).
-pub(crate) fn chain_memo_shape(cap: u64, n: u64) -> (u64, bool) {
-    let slots = if cap == 0 {
-        0
+/// Rows of the chain memo: the lowest `min(cap, n)` labels (clamped
+/// below `u32::MAX`, so every cached label fits a 4-byte cell), and
+/// none on a single rank, which recomputes no remote row.
+pub(crate) fn chain_memo_rows(cap: u64, n: u64, ranks: usize) -> u64 {
+    if ranks > 1 {
+        cap.min(n).min(u64::from(u32::MAX))
     } else {
-        cap.min(n).next_power_of_two()
-    };
-    (slots, crate::store::compact_cells(n))
+        0
+    }
 }
 
 /// Tuning knobs for the parallel engines.
@@ -244,9 +241,10 @@ pub struct GenOptions {
     /// runs the whole range as a single epoch (no extra barriers).
     pub checkpoint_interval: Option<u64>,
     /// Chain-memo capacity in *nodes* for engine3's local recomputation:
-    /// each rank memoizes this many recently resolved remote rows
-    /// (FIFO-evicted) so chains sharing a suffix are walked once, not
-    /// once per referencing edge. `0` disables the memo. Because every
+    /// each rank memoizes the recomputed rows of the lowest this-many
+    /// labels (where chains end), so chains sharing a suffix are walked
+    /// once, not once per referencing edge; higher labels are always
+    /// recomputed. `0` disables the memo. Because every
     /// memoized row is a pure function of the seed, the memo size cannot
     /// change the generated network (pinned by the determinism suite).
     pub chain_memo_nodes: u64,

@@ -665,22 +665,64 @@ mod tests {
     #[test]
     fn engine3_memo_size_never_changes_the_network() {
         // The chain memo caches values of a pure function, so any
-        // capacity — including 0 (disabled) and 1 (constant eviction) —
-        // must yield the identical edge set.
+        // capacity — 0 (disabled), 1, a prefix strictly inside the label
+        // range, or every label — must yield the identical edge set.
         let cfg = PaConfig::new(2_000, 3).with_seed(19);
         let reference = seq::copy_model(&cfg).canonicalized();
         let chain = engine_opts(Engine::Chain);
-        for memo in [0u64, 1, 16, 1 << 20] {
-            let out = generate(&cfg, Scheme::Ucp, 4, &chain.clone().with_chain_memo(memo));
-            assert_eq!(
-                out.edge_list().canonicalized(),
-                reference,
-                "chain_memo_nodes = {memo}"
-            );
+        for scheme in [Scheme::Ucp, Scheme::Rrp, Scheme::Lcp] {
+            for memo in [0u64, 1, 16, cfg.n / 3, 1 << 20] {
+                let out = generate(&cfg, scheme, 4, &chain.clone().with_chain_memo(memo));
+                assert_eq!(
+                    out.edge_list().canonicalized(),
+                    reference,
+                    "{scheme:?}, chain_memo_nodes = {memo}"
+                );
+            }
         }
         // A warm memo must actually be hit at these sizes.
         let out = generate(&cfg, Scheme::Ucp, 4, &chain);
         assert!(out.total_counters().chain_memo_hits > 0, "memo never hit");
+    }
+
+    #[test]
+    fn engine3_memo_only_prunes_recomputation() {
+        // A memo can only cut walks short, so no rank recomputes more
+        // rows with a partial memo than with none. Covering every label,
+        // each recomputed frame extends a stored prefix by at least one
+        // slot and nothing is evicted, so a rank recomputes at most `x`
+        // frames per remote node.
+        let cfg = PaConfig::new(20_000, 4).with_seed(23);
+        let chain = engine_opts(Engine::Chain);
+        let recomputed = |memo: u64| -> Vec<u64> {
+            generate(&cfg, Scheme::Rrp, 4, &chain.clone().with_chain_memo(memo))
+                .ranks
+                .iter()
+                .map(|r| r.counters.chain_rows_recomputed)
+                .collect()
+        };
+        let off = recomputed(0);
+        let partial = recomputed(cfg.n / 3);
+        let full = recomputed(cfg.n);
+        let part = crate::partition::build(Scheme::Rrp, cfg.n, 4);
+        for rank in 0..4 {
+            assert!(
+                partial[rank] <= off[rank],
+                "rank {rank}: {} rows with a partial memo, {} with none",
+                partial[rank],
+                off[rank]
+            );
+            let bound = cfg.x * (cfg.n - part.size_of(rank));
+            assert!(
+                full[rank] <= bound,
+                "rank {rank}: {} rows with a full memo, bound {bound}",
+                full[rank]
+            );
+        }
+        assert!(
+            partial.iter().sum::<u64>() < off.iter().sum::<u64>(),
+            "a partial memo pruned nothing"
+        );
     }
 
     /// Run a checkpointing 3-rank world to completion, then gang-restart

@@ -37,19 +37,18 @@
 //! resume state).
 //!
 //! **Chain memo.** High-`x` runs repeatedly walk chains that share a
-//! suffix (hubs are referenced over and over — Lemma 3.4). A bounded
-//! *direct-mapped* memo of recomputed rows deduplicates those shared
-//! suffixes: `2^b` slots, each holding one node's full row; a colliding
-//! insert simply overwrites (losing a cached pure-function value is
-//! harmless). That shape keeps the hot path allocation- and hash-free —
-//! one multiply, one shift, one tag compare — where a `HashMap` memo
-//! spends more time hashing than recomputing. The memo caches values of
-//! a pure function, so its size — including 0 — cannot change the
-//! output, only the amount of redundant recomputation; a determinism
-//! test sweeps memo sizes to pin that invariant. Completed chain frames
-//! hand their value *directly* to the waiting parent frame rather than
-//! relying on a memo hit, so overwriting (or a disabled memo) can never
-//! stall a walk.
+//! suffix: every step lands on a uniformly random lower label, so chains
+//! end among the low-labelled hubs (Lemmas 3.1 and 3.4). The memo keeps
+//! the recomputed row prefixes of the lowest `cap` labels in one flat
+//! array indexed by the label itself — no hash, no tag, no collisions,
+//! and the hot rows sit together at the front. A higher label is simply
+//! recomputed. A single rank reads no remote row and allocates no memo.
+//! The memo caches values of a pure function, so its size — including
+//! 0 — cannot change the output, only the amount of redundant
+//! recomputation; a determinism test sweeps memo sizes to pin that
+//! invariant. Completed chain frames hand their value *directly* to the
+//! waiting parent frame rather than relying on a memo hit, so an
+//! uncovered label (or a disabled memo) can never stall a walk.
 
 use pa_mpsim::{Transport, Wire};
 use pa_rng::EventKeys;
@@ -61,7 +60,7 @@ use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::seq::Choice;
-use crate::store::{self, AnyTable, Cell, NodeTable};
+use crate::store::{self, AnyTable, NodeTable};
 use crate::{GenOptions, Model, Node, PaConfig, NILL};
 
 /// One suspended row recomputation in the chain walk: node `k`'s
@@ -94,157 +93,86 @@ enum Step {
     Done,
 }
 
-/// Direct-mapped slot table: `2^b` slots of `1 + x` cells each
-/// (`[tag, row...]`, interleaved so a hit costs one memory access), one
-/// cached row prefix per slot, collision = overwrite.
-struct Slots<C: Cell> {
-    entries: Vec<C>,
-    /// Slot count minus one (slot count is a power of two).
-    mask: usize,
-    /// Identity indexing (budget ≥ n): `slot = k`, collision-free.
-    direct: bool,
-    /// Cells per slot: `1 + x`.
-    stride: usize,
-}
-
-impl<C: Cell> Slots<C> {
-    fn new(slots: usize, n: u64, x: u64) -> Self {
-        Slots {
-            entries: vec![C::NIL; slots * (1 + x as usize)],
-            mask: slots - 1,
-            direct: slots as u64 >= n,
-            stride: 1 + x as usize,
-        }
-    }
-
-    /// Base cell of node `k`'s slot: indexed by the label itself when
-    /// every node fits, else by the middle bits of a golden-ratio
-    /// product (multiplicative hashing).
-    #[inline]
-    fn base(&self, k: Node) -> usize {
-        let i = if self.direct {
-            k as usize
-        } else {
-            ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & self.mask
-        };
-        i * self.stride
-    }
-
-    #[inline]
-    fn get_slot(&self, k: Node, l: u64) -> Option<Node> {
-        let base = self.base(k);
-        if self.entries[base].to_node() != k {
-            return None;
-        }
-        let v = self.entries[base + 1 + l as usize];
-        (v != C::NIL).then(|| v.to_node())
-    }
-
-    fn copy_prefix_into(&self, k: Node, out: &mut Vec<Node>) {
-        let base = self.base(k);
-        if self.entries[base].to_node() != k {
-            return;
-        }
-        out.extend(
-            self.entries[base + 1..base + self.stride]
-                .iter()
-                .take_while(|&&v| v != C::NIL)
-                .map(|v| v.to_node()),
-        );
-    }
-
-    fn insert(&mut self, k: Node, row: &[Node]) {
-        let base = self.base(k);
-        self.entries[base] = C::from_node(k);
-        for (cell, &v) in self.entries[base + 1..base + self.stride]
-            .iter_mut()
-            .zip(row.iter().chain(std::iter::repeat(&NILL)))
-        {
-            *cell = C::from_node(v);
-        }
-    }
-
-    fn occupied(&self) -> usize {
-        self.entries
-            .chunks_exact(self.stride)
-            .filter(|e| e[0] != C::NIL)
-            .count()
-    }
-
-    fn clear(&mut self) {
-        self.entries.fill(C::NIL);
-    }
-}
-
-/// Direct-mapped cache of recomputed remote row prefixes. Disabled when
-/// the configured size is 0; in compact (`u32`) [`Cell`]s whenever every
-/// label fits, as the node table is. When the budget covers every node the slot index is the label
-/// itself — no hashing, no collisions, so each remote row slot is
-/// recomputed at most once between checkpoint restores.
-enum Memo {
-    Off,
-    Compact(Slots<u32>),
-    Wide(Slots<u64>),
+/// Cache of recomputed remote row prefixes, indexed by label: row `k`
+/// of the lowest `rows` labels lives at `cells[k·x .. k·x + x]`, with
+/// [`Memo::NIL`] marking an undrawn slot. Chains end among the low
+/// labels (Lemma 3.4), so the prefix holds the rows they keep
+/// re-walking; a higher label is never cached and is always recomputed.
+/// Nothing is evicted, so each cached row slot is recomputed at most
+/// once between checkpoint restores. Row `k` holds labels below
+/// `k < rows ≤ u32::MAX`, so `u32` cells always suffice.
+struct Memo {
+    cells: Vec<u32>,
+    /// Labels covered: `0..rows`.
+    rows: u64,
+    /// Cells per row: `x`.
+    x: usize,
 }
 
 impl Memo {
-    /// `cap` is the configured row budget, shaped by
-    /// [`crate::config::chain_memo_shape`] — the sizing `pagen info`
-    /// plans with ([`crate::chain_memo_bytes`]).
-    fn new(cap: u64, n: u64, x: u64) -> Memo {
-        match crate::config::chain_memo_shape(cap, n) {
-            (0, _) => Memo::Off,
-            (slots, true) => Memo::Compact(Slots::new(slots as usize, n, x)),
-            (slots, false) => Memo::Wide(Slots::new(slots as usize, n, x)),
+    const NIL: u32 = u32::MAX;
+
+    /// `rows` from [`crate::config::chain_memo_rows`] — the sizing
+    /// `pagen info` plans with ([`crate::chain_memo_bytes`]).
+    fn new(rows: u64, x: u64) -> Memo {
+        Memo {
+            cells: vec![Self::NIL; (rows * x) as usize],
+            rows,
+            x: x as usize,
         }
+    }
+
+    /// Node `k`'s cached row, if `k` is covered.
+    #[inline]
+    fn row(&self, k: Node) -> Option<&[u32]> {
+        if k >= self.rows {
+            return None;
+        }
+        let base = k as usize * self.x;
+        Some(&self.cells[base..base + self.x])
     }
 
     /// Cached value of slot `l` of `k`'s row, if that prefix has been
     /// computed.
     #[inline]
     fn get_slot(&self, k: Node, l: u64) -> Option<Node> {
-        match self {
-            Memo::Off => None,
-            Memo::Compact(s) => s.get_slot(k, l),
-            Memo::Wide(s) => s.get_slot(k, l),
-        }
+        let v = self.row(k)?[l as usize];
+        (v != Self::NIL).then_some(Node::from(v))
     }
 
-    /// Append the committed prefix cached for `k` to `out` (nothing when
-    /// another node occupies the slot) — the complete resume state for
-    /// extending the row to a higher slot.
+    /// Append the committed prefix cached for `k` to `out` — the
+    /// complete resume state for extending the row to a higher slot.
     fn copy_prefix_into(&self, k: Node, out: &mut Vec<Node>) {
-        match self {
-            Memo::Off => {}
-            Memo::Compact(s) => s.copy_prefix_into(k, out),
-            Memo::Wide(s) => s.copy_prefix_into(k, out),
+        if let Some(row) = self.row(k) {
+            out.extend(
+                row.iter()
+                    .take_while(|&&v| v != Self::NIL)
+                    .map(|&v| Node::from(v)),
+            );
         }
     }
 
-    /// Cache `row` (a true prefix of `k`'s full row); slots beyond it
-    /// are marked undrawn in case a colliding row is being overwritten.
+    /// Cache `row` (a true prefix of `k`'s full row, never shorter than
+    /// the prefix already cached) when `k` is covered.
     fn insert(&mut self, k: Node, row: &[Node]) {
-        match self {
-            Memo::Off => {}
-            Memo::Compact(s) => s.insert(k, row),
-            Memo::Wide(s) => s.insert(k, row),
+        if k < self.rows {
+            let base = k as usize * self.x;
+            for (cell, &v) in self.cells[base..].iter_mut().zip(row) {
+                debug_assert!(v < k, "row {k} holds label {v}");
+                *cell = u32::try_from(v).expect("a covered row holds labels below u32::MAX");
+            }
         }
     }
 
     fn occupied(&self) -> usize {
-        match self {
-            Memo::Off => 0,
-            Memo::Compact(s) => s.occupied(),
-            Memo::Wide(s) => s.occupied(),
-        }
+        self.cells
+            .chunks_exact(self.x)
+            .filter(|r| r[0] != Self::NIL)
+            .count()
     }
 
     fn clear(&mut self) {
-        match self {
-            Memo::Off => {}
-            Memo::Compact(s) => s.clear(),
-            Memo::Wide(s) => s.clear(),
-        }
+        self.cells.fill(Self::NIL);
     }
 }
 
@@ -265,7 +193,7 @@ pub(crate) struct Chain<'a, P: Partition, S: EdgeSink> {
     /// and the stall report; the sweep itself never parks). One word per
     /// node — small enough to stay resident under any budget.
     next_e: Vec<u32>,
-    /// Direct-mapped cache of recomputed remote rows. Pure-function
+    /// Label-indexed cache of recomputed remote rows. Pure-function
     /// cache: its size cannot affect the output.
     memo: Memo,
     /// Recycled frame allocations (row capacity reuse).
@@ -297,7 +225,10 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             model: Model::resolve(cfg, opts.model),
             f,
             next_e: vec![0; size as usize],
-            memo: Memo::new(opts.chain_memo_nodes, cfg.n, cfg.x),
+            memo: Memo::new(
+                crate::config::chain_memo_rows(opts.chain_memo_nodes, cfg.n, part.nranks()),
+                cfg.x,
+            ),
             frame_pool: Vec::new(),
             stack: Vec::new(),
             scratch: Vec::new(),
@@ -440,7 +371,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                     self.counters.chain_rows_recomputed += 1;
                     // Hand the value straight to the parent (or the
                     // caller): the memo is an optimization, never load-
-                    // bearing, so eviction cannot stall the walk.
+                    // bearing, so an uncovered label cannot stall the walk.
                     let l = match stack.last() {
                         Some(parent) => {
                             parent
@@ -613,43 +544,48 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
 mod tests {
     use super::*;
 
-    /// Bytes the memo's cells really occupy.
-    fn allocated(memo: &Memo) -> u64 {
-        match memo {
-            Memo::Off => 0,
-            Memo::Compact(s) => std::mem::size_of_val(s.entries.as_slice()) as u64,
-            Memo::Wide(s) => std::mem::size_of_val(s.entries.as_slice()) as u64,
-        }
-    }
-
     #[test]
     fn chain_memo_bytes_is_what_the_memo_allocates() {
-        // (cap, n, x): the gen-e3-paged and gen-e3-mpsim tuples at the
-        // default budget, a budget that does not fill a power of two, the
-        // memo off, and labels too wide for the compact cell.
+        // (cap, n, x, ranks): the gen-e3-paged and gen-e3-mpsim tuples at
+        // the default budget, a budget inside the label range, the memo
+        // off, a single rank, and labels too wide for a compact F table.
         let wide_n = u64::from(u32::MAX);
-        for (cap, n, x) in [
-            (crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4),
-            (crate::DEFAULT_CHAIN_MEMO_NODES, 2_000_000, 4),
-            (1000, 10_000, 3),
-            (0, 10_000, 3),
-            (1000, wide_n, 3),
+        for (cap, n, x, ranks) in [
+            (crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4, 2),
+            (crate::DEFAULT_CHAIN_MEMO_NODES, 2_000_000, 4, 2),
+            (1000, 10_000, 3, 4),
+            (0, 10_000, 3, 4),
+            (1000, 10_000, 3, 1),
+            (1000, wide_n, 3, 2),
         ] {
-            let memo = Memo::new(cap, n, x);
+            let memo = Memo::new(crate::config::chain_memo_rows(cap, n, ranks), x);
             assert_eq!(
-                matches!(memo, Memo::Wide(_)),
-                n == wide_n,
-                "cell width at n = {n}"
-            );
-            assert_eq!(
-                allocated(&memo),
-                crate::chain_memo_bytes(cap, n, x),
-                "cap = {cap}, n = {n}, x = {x}"
+                std::mem::size_of_val(memo.cells.as_slice()) as u64,
+                crate::chain_memo_bytes(cap, n, x, ranks),
+                "cap = {cap}, n = {n}, x = {x}, ranks = {ranks}"
             );
         }
         assert_eq!(
-            crate::chain_memo_bytes(crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4),
-            10 << 20
+            crate::chain_memo_bytes(crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4, 2),
+            8_000_000
         );
+        assert_eq!(crate::chain_memo_bytes(1000, 10_000, 3, 1), 0);
+    }
+
+    #[test]
+    fn memo_covers_only_the_label_prefix() {
+        let mut memo = Memo::new(10, 3);
+        memo.insert(9, &[4, 7]);
+        memo.insert(10, &[1, 2, 3]);
+        assert_eq!(memo.get_slot(9, 1), Some(7));
+        assert_eq!(memo.get_slot(9, 2), None, "undrawn slot");
+        assert_eq!(memo.get_slot(10, 0), None, "label above the prefix");
+        let mut row = vec![];
+        memo.copy_prefix_into(9, &mut row);
+        memo.copy_prefix_into(10, &mut row);
+        assert_eq!(row, [4, 7]);
+        assert_eq!(memo.occupied(), 1);
+        memo.clear();
+        assert_eq!(memo.occupied(), 0);
     }
 }

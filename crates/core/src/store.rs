@@ -17,9 +17,8 @@
 //! in a [`Cell`]: a compact 4-byte `u32` whenever every label of the
 //! network fits below the `u32::MAX` sentinel ([`compact_cells`]: `n <
 //! u32::MAX`, every network the paper generates), the 8-byte `u64`
-//! otherwise. [`AnyTable::build_for`] decides the width once, from `n`;
-//! engine 3's chain memo uses the same cells and the same rule. A
-//! compact `get` widens; a compact `set` narrows through a checked
+//! otherwise. [`AnyTable::build_for`] decides the width once, from `n`.
+//! A compact `get` widens; a compact `set` narrows through a checked
 //! conversion that panics naming a label too wide for the cell, never
 //! truncating. The table's API speaks `u64` labels at either width.
 //!
@@ -95,12 +94,12 @@ pub const INDEX_BYTES_PER_PAGE: u64 = size_of::<u32>() as u64;
 
 /// Does every label of an `n`-node network fit a compact [`Cell`]? Labels
 /// run to `n − 1` and `u32::MAX` is the compact sentinel. The one rule
-/// for the node tables' and the chain memo's width.
+/// for the node tables' width.
 pub fn compact_cells(n: u64) -> bool {
     n < u64::from(u32::MAX)
 }
 
-/// Bytes of one node-table or chain-memo cell for an `n`-node network.
+/// Bytes of one node-table cell for an `n`-node network.
 pub fn cell_bytes(n: u64) -> u64 {
     if compact_cells(n) {
         4
@@ -143,13 +142,11 @@ fn frame_count(budget_bytes: u64, page_bytes: usize, npages: u64) -> u64 {
         .min(u64::from(NO_FRAME))
 }
 
-/// One node-table or chain-memo cell: a node label, or the sentinel
-/// [`Cell::NIL`] standing for `NILL` (an empty slot, tag or row entry).
-/// `u32` when [`compact_cells`] holds — half the memory, and a memo
-/// slot's tag and row share a cache line — `u64` otherwise.
+/// One node-table cell: a node label, or the sentinel [`Cell::NIL`]
+/// standing for `NILL` (an empty slot). `u32` when [`compact_cells`]
+/// holds — half the memory — `u64` otherwise.
 pub trait Cell: Copy + Eq + std::fmt::Debug {
-    /// The sentinel: `NILL` in a table, an empty memo tag or an undrawn
-    /// memo row slot.
+    /// The sentinel: `NILL` in a table.
     const NIL: Self;
     /// Version a page image of these cells is sealed with: the width is
     /// part of the format, so an image of the other width reads as
@@ -1784,8 +1781,10 @@ mod tests {
             );
             let cell = if compact { 4 } else { 8 };
             assert_eq!(table_bytes(n, 10, &StoreSpec::Resident), 10 * cell);
-            assert_eq!(crate::config::chain_memo_shape(1, n), (1, compact));
-            assert_eq!(crate::chain_memo_bytes(1, n, 3), 4 * cell);
+            // The chain memo holds only labels below its rows, so its
+            // cells stay 4 bytes at every n.
+            assert_eq!(crate::config::chain_memo_rows(1, n, 2), 1);
+            assert_eq!(crate::chain_memo_bytes(1, n, 3, 2), 3 * 4);
         }
         let dir = scratch("width");
         let paged = StoreSpec::Paged(tiny_spec(&dir, 64));
