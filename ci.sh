@@ -219,6 +219,20 @@ cargo run -q -p pa-cli --release -- generate --model pa \
 same_edge_set "$e3_multi" "$e3_single" \
     "engine3 smoke mismatch: 4-process run diverged from single-process run"
 
+echo "==> engine1 net smoke run"
+# Algorithm 3.1 speaks Algorithm 3.2's messages at e = l = 0, so it runs
+# over the TCP backend too: a 3-process world on engine 1 must produce
+# exactly the edge set of a same-seed single-process engine-1 run.
+e1_multi="$scratch/e1_multi.txt"
+e1_single="$scratch/e1_single.txt"
+./target/release/palaunch -p 3 --pagen ./target/release/pagen -- \
+    generate --model pa --n 20000 --x 1 --scheme rrp --seed 7 --engine 1 \
+    --out "$e1_multi" --format txt
+./target/release/pagen generate --model pa --n 20000 --x 1 --ranks 3 \
+    --scheme rrp --seed 7 --engine 1 --out "$e1_single" --format txt >/dev/null
+same_edge_set "$e1_multi" "$e1_single" \
+    "engine1 smoke mismatch: 3-process run diverged from single-process run"
+
 echo "==> nlpa net smoke run"
 # The nonlinear-PA model end to end through the real binaries: a
 # 4-process TCP world running --model nlpa --alpha 1.5 must produce

@@ -122,7 +122,6 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ],
         Engine::Chain => vec![
             f_table("F table (x slots/node)", slots),
-            resident("node cursors (u32)", size * 4),
             resident(
                 "chain memo (allocated)",
                 pa_core::chain_memo_bytes(memo_nodes, n, x, ranks),

@@ -81,10 +81,8 @@ COMMANDS:
                --alpha <f64> (nlpa exponent, default 1.0; 1.0 is exactly pa)
                --engine 1|2|3 (default 2; 1 needs x=1, 3 recomputes
                           dependency chains locally and sends no messages)
-               engine/model support: engines 2 and 3 run pa and nlpa on
-                          every backend; engine 1 runs pa and nlpa with
-                          x=1 on mpsim only (the tcp wire format does
-                          not carry its x=1 messages)
+               engine/model support: every engine runs pa and nlpa on
+                          every backend (engine 1 with x=1)
                pa tuning: --buffer-cap <msgs> (default 4096)
                           --service-interval <nodes> (default 4096)
                           --hub-cache auto|off (default auto)

@@ -13,7 +13,7 @@
 use std::io::Write;
 
 use pa_core::par::{self, EdgeSink, Msg};
-use pa_core::{partition, Engine};
+use pa_core::partition;
 use pa_graph::io::EdgeWriter;
 use pa_graph::job::JobSpec;
 use pa_mpsim::Transport;
@@ -60,12 +60,6 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let job = parse_job(args, Some(world), encoding)?;
     let (cfg, scheme, n) = (job.cfg, job.scheme, job.cfg.n);
     let mut opts = job.gen_options(parse_gen_options(args)?);
-    if opts.engine == Engine::X1 {
-        return Err(CliError::usage(
-            "--backend tcp supports --engine 2 or 3 (engine 1 uses the \
-             x = 1 wire format, which the TCP rank path does not carry)",
-        ));
-    }
     if opts.fault_plan.is_some() {
         return Err(CliError::usage(
             "--chaos-profile is not supported with --backend tcp \
@@ -226,7 +220,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 // above comes back nonzero and this branch is skipped.)
                 w.write_part_prefix(&part, rank, &mut sink);
                 let (edges, bytes) = sink.checkpoint_mark().map_err(CliError::io)?;
-                let payload = w.payload_for(&part, rank, opts.engine);
+                let payload = w.payload_for(&part, rank);
                 let saved = w.resume_point(payload, edges, bytes);
                 (sink, Some(saved))
             }

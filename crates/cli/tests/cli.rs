@@ -856,9 +856,8 @@ fn info_plans_a_paged_run_with_its_page_size() {
 per-rank memory estimate: n=500000 x=4 ranks=2 scheme=RRP engine=3
 largest rank: 250000 nodes (1000000 F slots)
   F table (x slots/node)              3.8 MiB          3.8 MiB paged
-  node cursors (u32)                976.6 KiB
   chain memo (allocated)              7.6 MiB
-total: 12.4 MiB resident | 12.4 MiB under --memory-budget 4.0 MiB
+total: 11.4 MiB resident | 11.5 MiB under --memory-budget 4.0 MiB
 ";
     assert_eq!(plan("4194304", "16384").unwrap(), want);
     // A budget that is not a whole number of frames rounds down:

@@ -103,8 +103,8 @@ impl PaConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
 pub enum Engine {
-    /// Algorithm 3.1: the dedicated `x = 1` protocol with the paper's
-    /// two-field messages. In-process worlds only.
+    /// Algorithm 3.1: the dedicated `x = 1` protocol, one slot per node;
+    /// its messages are Algorithm 3.2's at `e = l = 0`.
     X1 = 1,
     /// Algorithm 3.2: in-order slots with request/resolved messages,
     /// any `x ≥ 1`.
@@ -145,7 +145,7 @@ impl Engine {
     /// # Errors
     ///
     /// [`Engine::X1`] implements Algorithm 3.1, whose one-slot node
-    /// state and two-field messages only exist for `x = 1`.
+    /// state only exists for `x = 1`.
     pub fn check(&self, x: u64) -> Result<(), String> {
         if *self == Engine::X1 && x != 1 {
             return Err(format!(
@@ -178,8 +178,9 @@ pub const DEFAULT_CHAIN_MEMO_NODES: u64 = 1 << 20;
 
 /// Bytes of engine 3's chain memo for a `cap`-row budget over an
 /// `n`-node network with `x` slots per node on `ranks` ranks: what every
-/// rank allocates, up front — [`chain_memo_rows`] rows of `x` 4-byte
-/// cells. `cap = 0` or a single rank is no memo, 0 B.
+/// rank allocates, up front — `min(cap, n)` rows (clamped below
+/// `u32::MAX`) of `x` 4-byte cells. `cap = 0` or a single rank is no
+/// memo, 0 B.
 pub fn chain_memo_bytes(cap: u64, n: u64, x: u64, ranks: usize) -> u64 {
     chain_memo_rows(cap, n, ranks) * x * 4
 }

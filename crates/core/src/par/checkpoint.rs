@@ -37,10 +37,11 @@ const MAGIC: u32 = 0x4b43_4150;
 /// Checkpoint format version. Version 2 added the attachment-model
 /// identity; version 3 stores the identity as the job tuple's canonical
 /// bytes, which adds the edge format (a part file's byte watermark means
-/// nothing under another encoding). Files of older versions are
-/// rejected on load (treated as absent) rather than resumed under a
-/// guessed identity.
-const VERSION: u32 = 3;
+/// nothing under another encoding); version 4 gives every engine the one
+/// payload `[F prefix][counter words]`, dropping engine 2's hub section.
+/// Files of older versions are rejected on load (treated as absent)
+/// rather than resumed under a guessed identity or layout.
+const VERSION: u32 = 4;
 
 /// Identity of a run, embedded in every checkpoint and re-verified on
 /// load so stale or foreign checkpoints are rejected instead of
@@ -425,16 +426,24 @@ mod tests {
     fn older_version_reads_as_absent() {
         let dir = scratch("version");
         let store = CheckpointStore::new(&dir, 0, meta()).unwrap();
-        store.save(0, 500, 10, 0, &[1, 2, 3]).unwrap();
-        // Rewrite the file as version 2 with a valid checksum.
         let path = dir.join("rank0.epoch0.ckpt");
-        let mut bytes = fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 8);
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let sum = Fnv1a::hash(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.load(0).is_none(), "a version-2 file resumed");
+        for version in 2..VERSION {
+            store.save(0, 500, 10, 0, &[1, 2, 3]).unwrap();
+            assert!(store.load(0).is_some(), "the current version loads");
+            // Rewrite the file as `version` with a valid checksum.
+            let mut bytes = fs::read(&path).unwrap();
+            bytes.truncate(bytes.len() - 8);
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let sum = Fnv1a::hash(&bytes);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            assert!(store.load(0).is_none(), "a version-{version} file resumed");
+            assert_eq!(
+                store.latest(),
+                None,
+                "a version-{version} file is the latest"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

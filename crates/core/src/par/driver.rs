@@ -11,9 +11,10 @@
 //! * the [`Transport`] carrying the messages (threaded world, loopback,
 //!   eventually a real MPI binding), and
 //! * a [`Strategy`] supplying the algorithm-specific state machine — the
-//!   strategies, their wire schemas, and their private state (hub
-//!   replica, waiter tables) all live in [`super::strategy`]; this
-//!   module knows nothing about any particular algorithm or model.
+//!   strategies and their private state (hub replica, waiter tables)
+//!   all live in [`super::strategy`]; this module knows nothing about
+//!   any particular algorithm or model. Every strategy speaks the one
+//!   wire vocabulary, [`Msg`].
 //!
 //! The loop structure — and with it the determinism argument (in-order
 //! slot commits giving every attempt the sequential generator's exact
@@ -30,19 +31,26 @@
 //! quiescence means every node below the epoch's upper label `hi` is
 //! committed *world-wide* and all waiter structures are provably empty —
 //! a consistent cut with no tracked traffic in flight. That cut is where
-//! [`Strategy::snapshot`] captures the engine for a crash-recoverable
-//! checkpoint ([`super::checkpoint`]). The only messages that may
-//! straddle the cut are untracked hub broadcasts; a restored engine
-//! compensates by falling back to request/resolved for pre-cut hub
-//! misses (the values are committed, so answers are identical).
+//! the driver captures the engine's [`Strategy::state`] for a
+//! crash-recoverable checkpoint ([`super::checkpoint`]): every engine
+//! writes the same payload, the committed `F` prefix and the counters,
+//! so any engine restores any other's snapshot at the same `x`. The
+//! only messages that may straddle the cut are untracked hub
+//! broadcasts, and no hub replica is saved; a restored engine 2 starts
+//! from a fresh replica and falls back to request/resolved for hub
+//! misses below the cut (the values are committed, so answers are
+//! identical).
 //! Epoch boundaries are pure functions of `(n, interval)`, so the cut —
 //! and the output — is bit-identical with and without checkpointing.
 
 use pa_mpsim::{BufferedComm, CommStats, Packet, Transport};
 
 use super::checkpoint::{CheckpointStore, SavedCheckpoint};
+use super::msg::Msg;
+use super::output::EngineCounters;
 use super::strategy::Strategy;
 use crate::partition::Partition;
+use crate::store;
 use crate::GenOptions;
 
 /// The driver's communication bundle, handed to every [`Strategy`] hook.
@@ -50,27 +58,27 @@ use crate::GenOptions;
 /// Owns the two outgoing message buffers of §3.5 (requests and
 /// resolutions, with their distinct flush disciplines) and the
 /// termination handle; borrows the transport.
-pub(super) struct Net<'t, M, T: Transport<M>> {
+pub(super) struct Net<'t, T: Transport<Msg>> {
     pub comm: &'t mut T,
-    req: BufferedComm<M>,
-    res: BufferedComm<M>,
+    req: BufferedComm<Msg>,
+    res: BufferedComm<Msg>,
     term: pa_mpsim::TerminationHandle,
     /// Slots committed since the last [`Net::publish`]. Rank-private:
     /// the per-edge path never touches the world-wide ledger.
     completed: u64,
 }
 
-impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
+impl<'t, T: Transport<Msg>> Net<'t, T> {
     /// Queue a `request`-class message for `dest` (flushed at sweep end).
     #[inline]
-    pub fn send_req(&mut self, dest: usize, msg: M) {
+    pub fn send_req(&mut self, dest: usize, msg: Msg) {
         self.req.push(&mut *self.comm, dest, msg);
     }
 
     /// Queue a `resolved`-class message for `dest` (flushed after every
     /// processed batch — the §3.5.2 no-linger rule).
     #[inline]
-    pub fn send_res(&mut self, dest: usize, msg: M) {
+    pub fn send_res(&mut self, dest: usize, msg: Msg) {
         self.res.push(&mut *self.comm, dest, msg);
     }
 
@@ -130,7 +138,7 @@ pub(super) fn run<P, T, A>(
 ) -> A
 where
     P: Partition,
-    T: Transport<A::Msg>,
+    T: Transport<Msg>,
     A: Strategy,
 {
     let rank = comm.rank();
@@ -154,8 +162,12 @@ where
              configured interval — resuming would corrupt the output",
             saved.epoch
         );
-        algo.restore(saved.hi, &saved.payload)
+        let cnt = part.local_count_below(rank, saved.hi);
+        let (f, counters) = algo.state();
+        let words = store::read_checkpoint_payload(f, cnt, x, &saved.payload)
             .unwrap_or_else(|why| panic!("rank {rank}: checkpoint restore failed: {why}"));
+        *counters = EngineCounters::from_words(words);
+        algo.restored(saved.hi);
         start_epoch = saved.epoch + 1;
         resume_hi = saved.hi;
     }
@@ -175,7 +187,7 @@ where
         .nodes_of(rank)
         .filter(|&t| t > x && t >= resume_hi)
         .peekable();
-    let mut rxq: Vec<Packet<A::Msg>> = Vec::new();
+    let mut rxq: Vec<Packet<Msg>> = Vec::new();
 
     for epoch in start_epoch..nepochs {
         let (lo, hi) = (epoch_lo(epoch), epoch_hi(epoch));
@@ -298,8 +310,10 @@ where
                 let (edges, bytes) = algo
                     .sink_mark()
                     .unwrap_or_else(|e| panic!("rank {rank}: checkpoint sink flush failed: {e}"));
+                let cnt = part.local_count_below(rank, hi);
+                let (f, counters) = algo.state();
                 let mut payload = Vec::new();
-                algo.snapshot(hi, &mut payload);
+                store::write_checkpoint_payload(f, cnt, x, counters.to_words(), &mut payload);
                 store
                     .save(epoch, hi, edges, bytes, &payload)
                     .unwrap_or_else(|e| {
@@ -315,9 +329,9 @@ where
 /// whether any arrived. Packet buffers go back to their senders' pools.
 /// Publishes first, so a distributed transport's receive path (which
 /// broadcasts the rank's ledger entry) carries the current count.
-fn service<T, A>(algo: &mut A, net: &mut Net<'_, A::Msg, T>, rxq: &mut Vec<Packet<A::Msg>>) -> bool
+fn service<T, A>(algo: &mut A, net: &mut Net<'_, T>, rxq: &mut Vec<Packet<Msg>>) -> bool
 where
-    T: Transport<A::Msg>,
+    T: Transport<Msg>,
     A: Strategy,
 {
     net.publish();

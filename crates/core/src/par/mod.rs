@@ -1,10 +1,12 @@
 //! Distributed-memory parallel PA generation (paper §3.2–§3.3).
 //!
 //! Which algorithm runs is a value, [`crate::Engine`], carried in
-//! [`GenOptions::engine`]: Algorithm 3.1 (`x = 1`, two-field messages),
+//! [`GenOptions::engine`]: Algorithm 3.1 (`x = 1`, one slot per node),
 //! Algorithm 3.2 (the default; any `x ≥ 1`), or communication-free local
-//! chain recomputation. All three generate the same edge set. The entry
-//! points differ only in *where the ranks live* and *where edges go*:
+//! chain recomputation. All three generate the same edge set, speak the
+//! one wire vocabulary [`Msg`], checkpoint the same payload, and run
+//! through every entry point on every transport. The entry points differ
+//! only in *where the ranks live* and *where edges go*:
 //!
 //! * [`generate`] — an in-process world over one of the standard
 //!   partitioning schemes, materializing per-rank edge lists.
@@ -49,10 +51,8 @@ pub use sink::{CountSink, DegreeCountSink, EdgeSink, StreamingWriterSink};
 
 use crate::partition::{self, Partition, Scheme};
 use crate::{Engine, GenOptions, PaConfig};
-use msg::Msg1;
 use pa_graph::EdgeList;
 use pa_mpsim::{thread_cpu_ns, CommStats, FaultTransport, LoopbackTransport, Transport, World};
-use strategy::Protocol;
 
 /// The checks every entry point runs before any rank spawns.
 fn validate_run<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) {
@@ -71,7 +71,7 @@ fn validate_run<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) {
 /// Run one rank of an in-process world over `comm`, wrapping it in a
 /// fault-injecting decorator first when `opts.fault_plan` asks for one,
 /// and measure the rank's on-CPU time around the run.
-fn in_process_rank<M: Protocol, P: Partition, S: EdgeSink, T: Transport<M>>(
+fn in_process_rank<P: Partition, S: EdgeSink, T: Transport<Msg>>(
     cfg: &PaConfig,
     part: &P,
     opts: &GenOptions,
@@ -83,11 +83,11 @@ fn in_process_rank<M: Protocol, P: Partition, S: EdgeSink, T: Transport<M>>(
     let ((sink, counters), comm) = match opts.fault_plan {
         Some(plan) => {
             let mut faulty = FaultTransport::new(comm, plan);
-            let parts = M::run_rank(cfg, part, opts, &mut faulty, sink, None, None);
+            let parts = strategy::run_rank(cfg, part, opts, &mut faulty, sink, None, None);
             (parts, faulty.into_stats())
         }
         None => {
-            let parts = M::run_rank(cfg, part, opts, &mut comm, sink, None, None);
+            let parts = strategy::run_rank(cfg, part, opts, &mut comm, sink, None, None);
             (parts, comm.into_stats())
         }
     };
@@ -103,28 +103,9 @@ fn in_process_rank<M: Protocol, P: Partition, S: EdgeSink, T: Transport<M>>(
     }
 }
 
-/// Run every rank of `part` in this process, in rank order. `P = 1` runs
-/// on the calling thread over a loopback transport; larger worlds spawn
-/// one thread per rank.
-fn in_process<M: Protocol, P: Partition, S: EdgeSink + Send>(
-    cfg: &PaConfig,
-    part: &P,
-    opts: &GenOptions,
-    make_sink: impl Fn(usize) -> S + Send + Sync,
-) -> Vec<StreamRankOutput<S>> {
-    if part.nranks() == 1 {
-        let comm = LoopbackTransport::<M>::new();
-        vec![in_process_rank(cfg, part, opts, comm, make_sink(0))]
-    } else {
-        World::new(part.nranks()).run(|comm: pa_mpsim::Comm<M>| {
-            let sink = make_sink(comm.rank());
-            in_process_rank(cfg, part, opts, comm, sink)
-        })
-    }
-}
-
-/// Validate, then run `opts.engine` on every rank of `part` over the
-/// wire vocabulary that engine speaks.
+/// Validate, then run `opts.engine` on every rank of `part` in this
+/// process, in rank order. `P = 1` runs on the calling thread over a
+/// loopback transport; larger worlds spawn one thread per rank.
 fn run_world<P: Partition, S: EdgeSink + Send>(
     cfg: &PaConfig,
     part: &P,
@@ -132,9 +113,14 @@ fn run_world<P: Partition, S: EdgeSink + Send>(
     make_sink: impl Fn(usize) -> S + Send + Sync,
 ) -> Vec<StreamRankOutput<S>> {
     validate_run(cfg, part, opts);
-    match opts.engine {
-        Engine::X1 => in_process::<Msg1, _, _>(cfg, part, opts, make_sink),
-        Engine::General | Engine::Chain => in_process::<Msg, _, _>(cfg, part, opts, make_sink),
+    if part.nranks() == 1 {
+        let comm = LoopbackTransport::new();
+        vec![in_process_rank(cfg, part, opts, comm, make_sink(0))]
+    } else {
+        World::new(part.nranks()).run(|comm| {
+            let sink = make_sink(comm.rank());
+            in_process_rank(cfg, part, opts, comm, sink)
+        })
     }
 }
 
@@ -248,18 +234,17 @@ where
 /// `sink` exactly as in [`generate_streaming`]. The transport is
 /// borrowed, not consumed, so the caller can keep using its collectives
 /// afterwards (stats aggregation, output coordination); read the final
-/// traffic counts from [`Transport::stats`]. Under [`Engine::Chain`] the
-/// transport only ever carries the driver's collectives (barriers,
-/// termination counting): it sends zero algorithm messages.
+/// traffic counts from [`Transport::stats`]. Every engine runs here;
+/// under [`Engine::Chain`] the transport only ever carries the driver's
+/// collectives (barriers, termination counting): it sends zero algorithm
+/// messages.
 ///
 /// # Panics
 ///
-/// Panics on invalid `cfg`/`opts`, a partition/transport shape mismatch,
-/// when `opts.fault_plan` is set (fault injection wraps a transport
-/// whole — apply it outside before calling), or when `opts.engine` is
-/// [`Engine::X1`] (Algorithm 3.1 speaks its own two-field messages,
-/// which external transports do not carry; it runs on in-process worlds
-/// only).
+/// Panics on invalid `cfg`/`opts` (including [`Engine::X1`] with
+/// `cfg.x != 1`), a partition/transport shape mismatch, or when
+/// `opts.fault_plan` is set (fault injection wraps a transport whole —
+/// apply it outside before calling).
 pub fn generate_rank_streaming<P, S, T>(
     cfg: &PaConfig,
     part: &P,
@@ -324,7 +309,7 @@ where
     // fresh run must start from clean pages.
     let mut opts = opts.clone();
     opts.store = opts.store.with_resume(resume.is_some());
-    Msg::run_rank(cfg, part, &opts, comm, sink, store, resume)
+    strategy::run_rank(cfg, part, &opts, comm, sink, store, resume)
 }
 
 /// `perf/src/layers.rs` still calls the engine-3 entry points by name and
@@ -594,16 +579,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Engine::X1")]
-    fn rank_entry_point_rejects_engine_x1_by_name() {
-        let cfg = PaConfig::new(100, 1).with_seed(1);
-        let part = partition::build(Scheme::Ucp, cfg.n, 1);
-        let mut t = LoopbackTransport::new();
-        let o = engine_opts(Engine::X1);
-        let _ = generate_rank_streaming(&cfg, &part, &o, &mut t, EdgeList::new());
-    }
-
-    #[test]
     fn perf_shims_equal_with_engine_chain() {
         // Engine 3 emits in label order, so equality is exact, per rank.
         let cfg = PaConfig::new(1_500, 3).with_seed(13);
@@ -725,25 +700,26 @@ mod tests {
         );
     }
 
-    /// Run a checkpointing 3-rank world to completion, then gang-restart
-    /// it from the older of the two surviving epochs: each rank reloads
-    /// its engine state, hands in a sink truncated to the saved edge
-    /// watermark, and replays the remaining epochs. The stitched output
-    /// must equal the uninterrupted run's and the sequential oracle.
-    fn checkpoint_resume_round_trip(engine: Engine, tag: &str) {
-        let cfg = PaConfig::new(2_400, 3).with_seed(29);
-        let epoch_opts = engine_opts(engine).with_checkpoint_interval(500);
+    /// Run a checkpointing 3-rank world of `cfg` under engine `from` to
+    /// completion, then gang-restart it under engine `to` from the older
+    /// of the two surviving epochs: each rank reloads its engine state,
+    /// hands in a sink truncated to the saved edge watermark, and replays
+    /// the remaining epochs. The stitched output must equal the
+    /// uninterrupted run's and the sequential oracle.
+    fn checkpoint_resume_round_trip(cfg: &PaConfig, from: Engine, to: Engine, tag: &str) {
+        let epoch_opts = |engine| engine_opts(engine).with_checkpoint_interval(500);
         let part = partition::build(Scheme::Rrp, cfg.n, 3);
         let dir = std::env::temp_dir().join(format!("pa_core_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let meta = CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &epoch_opts, EdgeFormat::Binary);
+        let meta =
+            CheckpointMeta::for_run(cfg, Scheme::Rrp, 3, &epoch_opts(from), EdgeFormat::Binary);
         let open = |rank: usize| CheckpointStore::new(&dir, rank as u32, meta).unwrap();
         let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
             let store = open(comm.rank());
             generate_rank_streaming_recoverable(
-                &cfg,
+                cfg,
                 &part,
-                &epoch_opts,
+                &epoch_opts(from),
                 &mut comm,
                 EdgeList::new(),
                 Some(&store),
@@ -754,8 +730,8 @@ mod tests {
         let reference = EdgeList::concat(full.clone()).canonicalized();
         assert_eq!(
             reference,
-            seq::copy_model(&cfg).canonicalized(),
-            "checkpointed {engine} run drifted from the sequential oracle"
+            seq::copy_model(cfg).canonicalized(),
+            "checkpointed {from} run drifted from the sequential oracle"
         );
 
         let resumed: Vec<EdgeList> = World::new(3).run(|mut comm| {
@@ -765,9 +741,9 @@ mod tests {
             let prefix = &full[rank].as_slice()[..saved.edges as usize];
             let sink = EdgeList::from_vec(prefix.to_vec());
             generate_rank_streaming_recoverable(
-                &cfg,
+                cfg,
                 &part,
-                &epoch_opts,
+                &epoch_opts(to),
                 &mut comm,
                 sink,
                 None,
@@ -775,18 +751,38 @@ mod tests {
             )
             .0
         });
-        assert_eq!(EdgeList::concat(resumed).canonicalized(), reference);
+        assert_eq!(
+            EdgeList::concat(resumed).canonicalized(),
+            reference,
+            "{from} snapshot resumed under {to}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_resume_reproduces_the_uninterrupted_run() {
-        checkpoint_resume_round_trip(Engine::General, "resume");
+        let cfg = PaConfig::new(2_400, 3).with_seed(29);
+        checkpoint_resume_round_trip(&cfg, Engine::General, Engine::General, "resume");
     }
 
     #[test]
     fn engine3_checkpoint_resume_reproduces_the_uninterrupted_run() {
-        checkpoint_resume_round_trip(Engine::Chain, "resume3");
+        let cfg = PaConfig::new(2_400, 3).with_seed(29);
+        checkpoint_resume_round_trip(&cfg, Engine::Chain, Engine::Chain, "resume3");
+    }
+
+    #[test]
+    fn every_engine_resumes_every_engines_snapshot() {
+        // One payload for all engines: at x = 1, where all three run, a
+        // snapshot taken under any engine restores into any other at the
+        // same cut and the resumed world lands on the oracle.
+        let cfg = PaConfig::new(2_400, 1).with_seed(29);
+        for from in Engine::ALL {
+            for to in Engine::ALL {
+                let tag = format!("cross_{}_{}", from.id(), to.id());
+                checkpoint_resume_round_trip(&cfg, from, to, &tag);
+            }
+        }
     }
 
     #[test]

@@ -1,36 +1,19 @@
-//! Message types exchanged by the parallel engines.
+//! The one message type every parallel engine speaks.
 //!
 //! [`Msg`] implements [`pa_mpsim::Wire`] so byte-stream transports (the
 //! TCP backend) can carry it: a one-byte variant tag followed by fixed
-//! little-endian fields, identical on every host. [`Msg1`] only ever
-//! crosses in-process channels (Algorithm 3.1 runs on in-process worlds
-//! only), so it has no byte encoding.
+//! little-endian fields, identical on every host. Algorithm 3.1 is
+//! Algorithm 3.2 at `x = 1`, so its `⟨request, t, k⟩` and
+//! `⟨resolved, t, v⟩` travel as `Request { t, e: 0, k, l: 0, a: 0 }` and
+//! `Resolved { t, e: 0, v, a: 0 }`; the communication-free engine sends
+//! none at all.
 
 use crate::Node;
 use pa_mpsim::wire::{get_u32, get_u64, get_u8, Wire};
 
-/// Messages of Algorithm 3.1 (`x = 1`): a request asks the owner of `k`
-/// for `F_k`; a resolved message carries the answer back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Msg1 {
-    /// `⟨request, t, k⟩` — node `t` needs `F_k` (line 9 of Alg. 3.1).
-    Request {
-        /// The waiting node.
-        t: Node,
-        /// The node whose attachment is requested.
-        k: Node,
-    },
-    /// `⟨resolved, t, v⟩` — `F_t` should be set to `v` (line 16).
-    Resolved {
-        /// The waiting node.
-        t: Node,
-        /// The resolved attachment target.
-        v: Node,
-    },
-}
-
-/// Messages of Algorithm 3.2 (`x ≥ 1`): requests and answers now carry
-/// the requesting edge index `e` and the requested edge index `l`.
+/// Messages of Algorithm 3.2 (`x ≥ 1`, and Algorithm 3.1 as its `x = 1`
+/// case): requests and answers carry the requesting edge index `e` and
+/// the requested edge index `l`.
 ///
 /// Requests additionally carry the requester's *attempt* counter, echoed
 /// back verbatim in the answer. Under reliable delivery the tag is
@@ -188,10 +171,8 @@ mod tests {
     fn messages_are_small() {
         // Traffic volume matters: the attempt tag (exactly-once retry
         // semantics under duplication faults) costs one alignment word,
-        // so the general message is five words; `x = 1` needs no tag
-        // (single slot, no retries) and stays at three.
+        // so the message is five words.
         assert!(std::mem::size_of::<Msg>() <= 40);
-        assert!(std::mem::size_of::<Msg1>() <= 24);
     }
 
     #[test]

@@ -180,7 +180,7 @@ mod tests {
     }
 
     /// The checkpoint's counter section, byte for byte: 17 little-endian
-    /// words in declaration order (checkpoint `VERSION` 3). A reordered,
+    /// words in declaration order (checkpoint `VERSION` 4). A reordered,
     /// added or dropped counter changes these bytes.
     #[test]
     fn counters_checkpoint_bytes_are_pinned() {

@@ -21,10 +21,11 @@
 //! (re-verified against the payload's prefix checksum, so torn pages
 //! surface before any edge is emitted). [`WorldCheckpoint::payload_for`]
 //! then produces a per-new-rank resume payload in the resident
-//! checkpoint format, which every engine's `restore` accepts into either
-//! table backend, and [`WorldCheckpoint::write_part_prefix`] replays the
-//! deterministic pre-cut emission order through the new rank's sink so
-//! its part file begins exactly as a never-killed `P_new` run's would.
+//! checkpoint format — the one payload every engine writes — which every
+//! engine restores into either table backend, and
+//! [`WorldCheckpoint::write_part_prefix`] replays the deterministic
+//! pre-cut emission order through the new rank's sink so its part file
+//! begins exactly as a never-killed `P_new` run's would.
 //!
 //! What may change across the restart: the rank count, the partition
 //! scheme, the engine, the store backend. What must not: `(n, x, p,
@@ -35,13 +36,14 @@ use std::fs;
 use std::path::Path;
 
 use pa_mpsim::wire::get_u64;
-use pa_mpsim::Wire;
 
 use super::checkpoint::{read_raw_checkpoint, CheckpointMeta, SavedCheckpoint};
 use super::output::EngineCounters;
 use super::sink::EdgeSink;
 use crate::partition::{self, AnyPartition, Partition, Scheme};
-use crate::store::{slots_fnv, table_path, AnyTable, NodeTable, PagedSpec, StoreSpec, TablePrefix};
+use crate::store::{
+    self, slots_fnv, table_path, AnyTable, NodeTable, PagedSpec, StoreSpec, TablePrefix,
+};
 use crate::{Engine, Node, NILL};
 
 /// A saved world's committed state at its newest common checkpoint cut,
@@ -181,36 +183,32 @@ impl WorldCheckpoint {
         self.f[rank][slot as usize]
     }
 
-    /// Synthesize new rank `rank`'s resume payload over `new_part` — the
-    /// resident checkpoint format, which every engine's `restore`
-    /// accepts into either store backend. `engine` names the **new**
-    /// run's engine (it appends the general engine's empty hub section;
-    /// a restored hub rebuilds through the request path).
-    pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize, engine: Engine) -> Vec<u8> {
+    /// Synthesize new rank `rank`'s resume payload over `new_part`: the
+    /// one payload every engine writes and restores (its `F` prefix and
+    /// counters), written from a resident table, so it resumes any
+    /// engine into either store backend.
+    pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize) -> Vec<u8> {
         let x = self.meta.job.x;
+        let n = self.meta.job.n;
         let cnt = new_part.local_count_below(rank, self.hi);
-        let mut out = Vec::with_capacity(8 * (1 + (cnt * x) as usize));
-        out.extend_from_slice(&cnt.to_le_bytes());
+        let mut f = AnyTable::build_for(n, &StoreSpec::Resident, rank, "f", cnt * x, NILL)
+            .expect("a resident table opens no file");
         for li in 0..cnt {
             let t = new_part.node_at(rank, li);
-            for e in 0..x {
-                // Clique rows (t < x) legitimately hold NILL: their
-                // slots are never drawn or queried.
-                let v = if t < x { NILL } else { self.committed(t, e) };
-                out.extend_from_slice(&v.to_le_bytes());
+            // Clique rows (t < x) legitimately hold NILL: their slots are
+            // never drawn or queried.
+            if t >= x {
+                for e in 0..x {
+                    f.set(li * x + e, self.committed(t, e));
+                }
             }
         }
-        EngineCounters {
+        let counters = EngineCounters {
             nodes: new_part.size_of(rank),
             ..Default::default()
-        }
-        .to_words()
-        .encode(&mut out);
-        if engine == Engine::General {
-            // Empty hub section: the fresh replica plus request-path
-            // fallback below the committed base is always correct.
-            out.extend_from_slice(&0u64.to_le_bytes());
-        }
+        };
+        let mut out = Vec::new();
+        store::write_checkpoint_payload(&mut f, cnt, x, counters.to_words(), &mut out);
         out
     }
 
@@ -393,7 +391,7 @@ mod tests {
             let rank = comm.rank();
             let mut sink = EdgeList::new();
             let edges = world.write_part_prefix(&part, rank, &mut sink);
-            let payload = world.payload_for(&part, rank, run_opts.engine);
+            let payload = world.payload_for(&part, rank);
             let saved = world.resume_point(payload, edges, 0);
             generate_rank_streaming_recoverable(
                 cfg,

@@ -1,11 +1,13 @@
 //! The `x = 1` strategy — Algorithm 3.1, exactly as the paper states it.
 //!
 //! Structurally a simplification of the general strategy: one attachment
-//! slot per node, no duplicate checks (a single edge cannot collide), and
-//! the two-field message types `⟨request, t, k⟩` / `⟨resolved, t, v⟩`.
-//! Because no retries exist, the generated edge set is a pure function of
-//! the seed — bit-identical for every rank count and partitioning scheme
-//! — which the test suite exploits heavily.
+//! slot per node and no duplicate checks (a single edge cannot collide).
+//! Its `⟨request, t, k⟩` / `⟨resolved, t, v⟩` are Algorithm 3.2's
+//! messages at `e = l = 0` with attempt tag 0 ([`Msg`]), so it runs over
+//! every transport the other engines do. Because no retries exist, the
+//! generated edge set is a pure function of the seed — bit-identical for
+//! every rank count and partitioning scheme — which the test suite
+//! exploits heavily.
 //!
 //! The service/flush/park/termination loop lives in
 //! [`crate::par::driver`]; this module only supplies the per-node state
@@ -14,16 +16,16 @@
 
 use std::collections::VecDeque;
 
-use pa_mpsim::{Transport, Wire};
+use pa_mpsim::Transport;
 
 use super::waiters::{Taken, WaiterTable};
 use super::Strategy;
 use crate::par::driver::Net;
-use crate::par::msg::Msg1;
+use crate::par::msg::Msg;
 use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
-use crate::store::{self, AnyTable, NodeTable};
+use crate::store::{AnyTable, NodeTable};
 use crate::{Engine, GenOptions, Model, Node, PaConfig, NILL};
 
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +86,7 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
     }
 
     /// Set `F_t = v`, emit the edge and notify waiters (lines 16–19).
-    fn commit<T: Transport<Msg1>>(&mut self, net: &mut Net<'_, Msg1, T>, t: Node, v: Node) {
+    fn commit<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node, v: Node) {
         let slot = self.part.local_index(t);
         debug_assert_eq!(self.f.get(slot), NILL);
         self.f.set(slot, v);
@@ -103,10 +105,10 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
     }
 
     #[inline]
-    fn notify<T: Transport<Msg1>>(&mut self, net: &mut Net<'_, Msg1, T>, w: Waiter, v: Node) {
+    fn notify<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, w: Waiter, v: Node) {
         match w {
             Waiter::Remote { t, src } => {
-                net.send_res(src, Msg1::Resolved { t, v });
+                net.send_res(src, Msg::Resolved { t, e: 0, v, a: 0 });
             }
             Waiter::Local { t } => self.local_events.push_back((t, v)),
         }
@@ -114,8 +116,6 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
 }
 
 impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
-    type Msg = Msg1;
-
     fn register(&mut self, lo: Node, hi: Node) -> u64 {
         // Node 0 contributes no slot; every other local node in `[lo, hi)`
         // one.
@@ -125,12 +125,7 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
             - seeds_here
     }
 
-    fn attach_seed_node<T: Transport<Msg1>>(
-        &mut self,
-        net: &mut Net<'_, Msg1, T>,
-        lo: Node,
-        hi: Node,
-    ) {
+    fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node) {
         // Node 1 attaches to node 0 (the x = 1 boundary case), in the
         // epoch containing label 1.
         if self.part.num_nodes() > 1 && (lo..hi).contains(&1) && self.part.rank_of(1) == self.rank {
@@ -139,7 +134,7 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
     }
 
     /// Algorithm 3.1 lines 3–9 for node `t`.
-    fn start_node<T: Transport<Msg1>>(&mut self, net: &mut Net<'_, Msg1, T>, t: Node) {
+    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
         let c = self.model.draw(t, 0, 0);
         if c.direct {
             self.counters.direct_edges += 1;
@@ -161,27 +156,37 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
             }
         } else {
             self.counters.requests_sent += 1;
-            net.send_req(owner, Msg1::Request { t, k: c.k });
+            net.send_req(
+                owner,
+                Msg::Request {
+                    t,
+                    e: 0,
+                    k: c.k,
+                    l: 0,
+                    a: 0,
+                },
+            );
         }
     }
 
-    fn drain_local<T: Transport<Msg1>>(&mut self, net: &mut Net<'_, Msg1, T>) {
+    fn drain_local<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>) {
         while let Some((t, v)) = self.local_events.pop_front() {
             self.counters.copy_edges += 1;
             self.commit(net, t, v);
         }
     }
 
-    fn handle_msgs<T: Transport<Msg1>>(
+    fn handle_msgs<T: Transport<Msg>>(
         &mut self,
-        net: &mut Net<'_, Msg1, T>,
+        net: &mut Net<'_, T>,
         src: usize,
-        msgs: &mut Vec<Msg1>,
+        msgs: &mut Vec<Msg>,
     ) {
         for msg in msgs.drain(..) {
             match msg {
-                Msg1::Request { t, k } => {
+                Msg::Request { t, e, k, l, a } => {
                     // Lines 11–15.
+                    debug_assert_eq!((e, l, a), (0, 0, 0), "a slot-addressed x = 1 request");
                     debug_assert_eq!(self.part.rank_of(k), self.rank);
                     let kslot = self.part.local_index(k);
                     let fk = self.f.get(kslot);
@@ -191,10 +196,19 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
                         self.note_waiter_high_water();
                     } else {
                         self.counters.requests_served += 1;
-                        net.send_res(src, Msg1::Resolved { t, v: fk });
+                        net.send_res(
+                            src,
+                            Msg::Resolved {
+                                t,
+                                e: 0,
+                                v: fk,
+                                a: 0,
+                            },
+                        );
                     }
                 }
-                Msg1::Resolved { t, v } => {
+                Msg::Resolved { t, e, v, a } => {
+                    debug_assert_eq!((e, a), (0, 0), "a slot-addressed x = 1 answer");
                     debug_assert_eq!(self.part.rank_of(t), self.rank);
                     // Idempotence under faulty delivery: a duplicated
                     // `resolved` must not commit (and decrement the
@@ -211,6 +225,9 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
                         self.commit(net, t, v);
                     }
                 }
+                Msg::Hub { k, .. } => {
+                    unreachable!("engine 1 keeps no hub replica, yet a hub slot of {k} arrived")
+                }
             }
         }
     }
@@ -223,26 +240,12 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
         self.edges.checkpoint_mark()
     }
 
-    fn snapshot(&mut self, hi: Node, out: &mut Vec<u8>) {
-        // At the epoch cut every local node below `hi` is committed, so
-        // the prefix of `f` plus the counters is the whole engine (the
-        // waiter table is provably empty; node 0's slot legitimately
-        // holds NILL — it never attaches and is never queried).
-        let cnt = self.part.local_count_below(self.rank, hi);
-        store::write_table_prefix(&mut self.f, cnt, 1, out);
-        self.counters.to_words().encode(out);
-    }
-
-    fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String> {
-        let mut r = payload;
-        let expect = self.part.local_count_below(self.rank, hi);
-        store::read_table_prefix(&mut self.f, expect, 1, &mut r)?;
-        self.counters =
-            EngineCounters::from_words(Wire::decode(&mut r).ok_or("truncated engine counters")?);
-        if !r.is_empty() {
-            return Err(format!("{} trailing bytes after the counters", r.len()));
-        }
-        Ok(())
+    fn state(&mut self) -> (&mut AnyTable, &mut EngineCounters) {
+        // Every local node below a cut is committed, so the prefix of `f`
+        // plus the counters is the whole engine (the waiter table is
+        // provably empty; node 0's slot legitimately holds NILL — it
+        // never attaches and is never queried).
+        (&mut self.f, &mut self.counters)
     }
 
     fn stall_report(&mut self) -> String {

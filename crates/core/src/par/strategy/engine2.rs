@@ -31,7 +31,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use pa_mpsim::{Transport, Wire};
+use pa_mpsim::Transport;
 
 use super::hub::HubCache;
 use super::waiters::{Taken, WaiterTable};
@@ -41,7 +41,7 @@ use crate::par::msg::Msg;
 use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
-use crate::store::{self, AnyTable, NodeTable};
+use crate::store::{AnyTable, NodeTable};
 use crate::{GenOptions, Model, Node, PaConfig, NILL};
 
 /// Someone waiting for a local slot to resolve.
@@ -173,7 +173,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
 
     /// Drive node `t` forward: run each slot from `next_e` in order until
     /// one parks (local wait or remote request) or the node completes.
-    fn advance_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node) {
+    fn advance_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
         let li = self.part.local_index(t) as usize;
         while u64::from(self.cursors[li].next_e) < self.cfg.x {
             let e = self.cursors[li].next_e;
@@ -187,7 +187,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     /// 5–15, under the in-order discipline).
     fn try_slot<T: Transport<Msg>>(
         &mut self,
-        net: &mut Net<'_, Msg, T>,
+        net: &mut Net<'_, T>,
         t: Node,
         e: u32,
     ) -> SlotOutcome {
@@ -296,7 +296,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
 
     /// Record `F_t(e) = v`, emit the edge, broadcast hub commits, and
     /// notify waiters.
-    fn commit<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node, e: u32, v: Node) {
+    fn commit<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node, e: u32, v: Node) {
         let li = self.part.local_index(t);
         let slot = li * self.cfg.x + u64::from(e);
         let cursor = &mut self.cursors[li as usize];
@@ -332,7 +332,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     }
 
     #[inline]
-    fn notify<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, w: Waiter, v: Node) {
+    fn notify<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, w: Waiter, v: Node) {
         match w {
             Waiter::Remote { t, e, a, src } => {
                 net.send_res(src, Msg::Resolved { t, e, v, a });
@@ -354,7 +354,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     /// set from the sequential generator's.
     fn handle_resolved_msg<T: Transport<Msg>>(
         &mut self,
-        net: &mut Net<'_, Msg, T>,
+        net: &mut Net<'_, T>,
         t: Node,
         e: u32,
         v: Node,
@@ -385,7 +385,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     /// current draw, and parked slots draw nothing new until woken).
     fn handle_resolved<T: Transport<Msg>>(
         &mut self,
-        net: &mut Net<'_, Msg, T>,
+        net: &mut Net<'_, T>,
         t: Node,
         e: u32,
         v: Node,
@@ -407,18 +407,11 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
 }
 
 impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
-    type Msg = Msg;
-
     fn register(&mut self, lo: Node, hi: Node) -> u64 {
         super::register_clique(self.part, self.rank, self.cfg.x, lo, hi, &mut self.edges)
     }
 
-    fn attach_seed_node<T: Transport<Msg>>(
-        &mut self,
-        net: &mut Net<'_, Msg, T>,
-        lo: Node,
-        hi: Node,
-    ) {
+    fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node) {
         // Node x attaches deterministically to all seed nodes (gated on
         // its label's epoch, so its slots complete exactly the work the
         // same epoch registered).
@@ -430,11 +423,11 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         }
     }
 
-    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node) {
+    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
         self.advance_node(net, t);
     }
 
-    fn drain_local<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>) {
+    fn drain_local<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>) {
         while let Some((t, e, v)) = self.local_events.pop_front() {
             self.handle_resolved(net, t, e, v);
         }
@@ -442,7 +435,7 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
 
     fn handle_msgs<T: Transport<Msg>>(
         &mut self,
-        net: &mut Net<'_, Msg, T>,
+        net: &mut Net<'_, T>,
         src: usize,
         msgs: &mut Vec<Msg>,
     ) {
@@ -500,64 +493,30 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         self.edges.checkpoint_mark()
     }
 
-    fn snapshot(&mut self, hi: Node, out: &mut Vec<u8>) {
-        // At the epoch cut every local node below `hi` is fully
-        // committed and everything at or above it is untouched, so the
-        // prefix of `f` plus the counters and the hub replica is the
-        // whole engine (a committed node's attempt counter is dead and
-        // its cursor is reconstructed; waiter tables are provably empty —
-        // `finish` just asserted it). Clique-node rows (labels < x)
+    fn state(&mut self) -> (&mut AnyTable, &mut EngineCounters) {
+        // At the epoch cut every local node below it is fully committed
+        // and everything at or above it is untouched, so the prefix of
+        // `f` plus the counters is the whole engine: a committed node's
+        // attempt counter is dead and its cursor is rebuilt, waiter
+        // tables are provably empty (`finish` just asserted it), and the
+        // hub replica is a cache. Clique-node rows (labels < x)
         // legitimately hold NILL: their slots are never drawn or queried.
-        let x = self.cfg.x;
-        let cnt = self.part.local_count_below(self.rank, hi);
-        store::write_table_prefix(&mut self.f, cnt, x, out);
-        self.counters.to_words().encode(out);
-        let vals = self.hub.vals();
-        out.extend_from_slice(&(vals.len() as u64).to_le_bytes());
-        for &v in vals {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        (&mut self.f, &mut self.counters)
     }
 
-    fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String> {
-        use pa_mpsim::wire::get_u64;
-        let x = self.cfg.x;
-        let mut r = payload;
-        let expect = self.part.local_count_below(self.rank, hi);
-        store::read_table_prefix(&mut self.f, expect, x, &mut r)?;
+    fn restored(&mut self, hi: Node) {
+        // The hub replica stays the fresh, pre-seeded one: every hub
+        // miss below `committed_base` falls back to the request path,
+        // which returns the same committed value.
+        let below = self.part.local_count_below(self.rank, hi) as usize;
         let committed = Cursor {
-            next_e: x as u32,
+            next_e: self.cfg.x as u32,
             attempt: 0,
         };
-        let (below, above) = self.cursors.split_at_mut(expect as usize);
-        below.fill(committed);
-        above.fill(Cursor::default());
-        self.counters =
-            EngineCounters::from_words(Wire::decode(&mut r).ok_or("truncated engine counters")?);
-        let hub_len = get_u64(&mut r).ok_or("truncated hub-cache length")?;
-        // The length is read from disk: check it against the bytes that
-        // follow before sizing anything by it.
-        if hub_len.checked_mul(8) != Some(r.len() as u64) {
-            return Err(format!(
-                "hub section claims {hub_len} slots but {} bytes follow",
-                r.len()
-            ));
-        }
-        let vals: Vec<u64> = std::iter::from_fn(|| get_u64(&mut r)).collect();
-        if hub_len == 0 {
-            // An elastic-restart payload carries no hub section: keep
-            // the fresh pre-seeded replica. Correct because every hub
-            // miss below `committed_base` falls back to the request
-            // path, which returns the same committed value.
-        } else if !self.hub.load_vals(&vals) {
-            return Err(format!(
-                "hub cache holds {hub_len} slots but this run's cache has {} \
-                 (hub_cache_nodes changed between runs?)",
-                self.hub.vals().len()
-            ));
-        }
+        let (done, fresh) = self.cursors.split_at_mut(below);
+        done.fill(committed);
+        fresh.fill(Cursor::default());
         self.committed_base = hi;
-        Ok(())
     }
 
     fn stall_report(&mut self) -> String {

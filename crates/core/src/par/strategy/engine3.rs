@@ -50,7 +50,7 @@
 //! waiting parent frame rather than relying on a memo hit, so an
 //! uncovered label (or a disabled memo) can never stall a walk.
 
-use pa_mpsim::{Transport, Wire};
+use pa_mpsim::Transport;
 use pa_rng::EventKeys;
 
 use super::Strategy;
@@ -60,7 +60,7 @@ use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::seq::Choice;
-use crate::store::{self, AnyTable, NodeTable};
+use crate::store::{AnyTable, NodeTable};
 use crate::{GenOptions, Model, Node, PaConfig, NILL};
 
 /// One suspended row recomputation in the chain walk: node `k`'s
@@ -189,10 +189,6 @@ pub(crate) struct Chain<'a, P: Partition, S: EdgeSink> {
     /// engine's only `O(n/P)`-slot structure, so it takes the whole
     /// memory budget.
     f: AnyTable,
-    /// Next edge index each local node must commit (restore bookkeeping
-    /// and the stall report; the sweep itself never parks). One word per
-    /// node — small enough to stay resident under any budget.
-    next_e: Vec<u32>,
     /// Label-indexed cache of recomputed remote rows. Pure-function
     /// cache: its size cannot affect the output.
     memo: Memo,
@@ -224,7 +220,6 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             rank,
             model: Model::resolve(cfg, opts.model),
             f,
-            next_e: vec![0; size as usize],
             memo: Memo::new(
                 crate::config::chain_memo_rows(opts.chain_memo_nodes, cfg.n, part.nranks()),
                 cfg.x,
@@ -256,7 +251,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
     /// partition arithmetic.
     fn commit<T: Transport<Msg>>(
         &mut self,
-        net: &mut Net<'_, Msg, T>,
+        net: &mut Net<'_, T>,
         t: Node,
         e: u32,
         li: usize,
@@ -265,9 +260,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         debug_assert_eq!(li, self.part.local_index(t) as usize, "wrong local index");
         let slot = li as u64 * self.cfg.x + u64::from(e);
         debug_assert_eq!(self.f.get(slot), NILL, "double commit of ({t},{e})");
-        debug_assert_eq!(self.next_e[li], e, "out-of-order commit of ({t},{e})");
         self.f.set(slot, v);
-        self.next_e[li] = e + 1;
         self.edges.emit(t, v);
         net.complete(1);
     }
@@ -397,7 +390,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
 
     /// Generate local node `t`'s whole row — engine3 never parks, so one
     /// call commits all `x` slots.
-    fn generate_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node) {
+    fn generate_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
         let x = self.cfg.x;
         let keys = self.model.keys_for(t);
         let mut choices0 = std::mem::take(&mut self.scratch);
@@ -441,18 +434,11 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
 }
 
 impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
-    type Msg = Msg;
-
     fn register(&mut self, lo: Node, hi: Node) -> u64 {
         super::register_clique(self.part, self.rank, self.cfg.x, lo, hi, &mut self.edges)
     }
 
-    fn attach_seed_node<T: Transport<Msg>>(
-        &mut self,
-        net: &mut Net<'_, Msg, T>,
-        lo: Node,
-        hi: Node,
-    ) {
+    fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node) {
         // Node x attaches deterministically to all seed nodes. No hub
         // broadcast: every other rank derives F_x analytically.
         let x = self.cfg.x;
@@ -464,17 +450,17 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
         }
     }
 
-    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node) {
+    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
         self.generate_node(net, t);
     }
 
-    fn drain_local<T: Transport<Msg>>(&mut self, _net: &mut Net<'_, Msg, T>) {
+    fn drain_local<T: Transport<Msg>>(&mut self, _net: &mut Net<'_, T>) {
         // Nothing ever parks: every node completes inside start_node.
     }
 
     fn handle_msgs<T: Transport<Msg>>(
         &mut self,
-        _net: &mut Net<'_, Msg, T>,
+        _net: &mut Net<'_, T>,
         src: usize,
         msgs: &mut Vec<Msg>,
     ) {
@@ -498,42 +484,20 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
         self.edges.checkpoint_mark()
     }
 
-    fn snapshot(&mut self, hi: Node, out: &mut Vec<u8>) {
-        // Same epoch-cut argument as engine2, minus the hub replica: the
-        // committed prefix of `f` plus the counters is the whole engine
-        // (the memo is a pure-function cache and rebuilds itself).
-        let x = self.cfg.x;
-        let cnt = self.part.local_count_below(self.rank, hi);
-        store::write_table_prefix(&mut self.f, cnt, x, out);
-        self.counters.to_words().encode(out);
+    fn state(&mut self) -> (&mut AnyTable, &mut EngineCounters) {
+        // Every local node below a cut is committed (`generate_node`
+        // commits whole rows), so the prefix of `f` plus the counters is
+        // the whole engine; the memo is a pure-function cache.
+        (&mut self.f, &mut self.counters)
     }
 
-    fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String> {
-        let x = self.cfg.x;
-        let mut r = payload;
-        let expect = self.part.local_count_below(self.rank, hi);
-        store::read_table_prefix(&mut self.f, expect, x, &mut r)?;
-        self.next_e.fill(0);
-        for e in self.next_e.iter_mut().take(expect as usize) {
-            *e = x as u32;
-        }
-        self.counters =
-            EngineCounters::from_words(Wire::decode(&mut r).ok_or("truncated engine counters")?);
-        if !r.is_empty() {
-            return Err(format!("{} trailing bytes after the counters", r.len()));
-        }
+    fn restored(&mut self, _hi: Node) {
         self.memo.clear();
-        Ok(())
     }
 
     fn stall_report(&mut self) -> String {
-        let uncommitted = self
-            .next_e
-            .iter()
-            .filter(|&&e| u64::from(e) < self.cfg.x)
-            .count();
         format!(
-            "uncommitted_nodes={uncommitted} memo_rows={} rows_recomputed={}",
+            "memo_rows={} rows_recomputed={}",
             self.memo.occupied(),
             self.counters.chain_rows_recomputed,
         )

@@ -15,6 +15,10 @@
 //! request/resolved round trip would have produced — only sooner — so the
 //! generated edge set is unchanged (see DESIGN.md). A miss (slot not yet
 //! broadcast, or `k ≥ H`) falls back to the request path unchanged.
+//!
+//! The replica is never checkpointed. A restored rank starts from the
+//! fresh, pre-seeded one; broadcasts sent before the cut are gone, so a
+//! miss on a label below the cut asks the owner instead of waiting.
 
 use crate::{Node, PaConfig, NILL};
 
@@ -72,24 +76,6 @@ impl HubCache {
         }
         let v = self.vals[(k * self.x) as usize + l as usize];
         (v != NILL).then_some(v)
-    }
-
-    /// The raw slot array, for checkpoint serialization (`NILL` entries
-    /// included — the layout is part of the snapshot format).
-    pub fn vals(&self) -> &[Node] {
-        &self.vals
-    }
-
-    /// Replace the slot array from a checkpoint payload. `false` when
-    /// the length does not match this cache's shape (e.g. the snapshot
-    /// was taken under a different hub-cache size).
-    #[must_use]
-    pub fn load_vals(&mut self, vals: &[Node]) -> bool {
-        if vals.len() != self.vals.len() {
-            return false;
-        }
-        self.vals.copy_from_slice(vals);
-        true
     }
 
     /// Install a broadcast commit `F_k(l) = v`.
@@ -153,18 +139,5 @@ mod tests {
         let c = HubCache::new(&cfg(), 2);
         assert_eq!(c.get(1, 0), None);
         assert!(!c.covers(3));
-    }
-
-    #[test]
-    fn vals_round_trip_through_load() {
-        let mut a = HubCache::new(&cfg(), 10);
-        a.insert(5, 1, 2);
-        let snapshot = a.vals().to_vec();
-        let mut b = HubCache::new(&cfg(), 10);
-        assert!(b.load_vals(&snapshot));
-        assert_eq!(b.get(5, 1), Some(2));
-        assert_eq!(b.get(3, 0), Some(0), "pre-seed survives the round trip");
-        let mut wrong = HubCache::new(&cfg(), 20);
-        assert!(!wrong.load_vals(&snapshot), "shape mismatch rejected");
     }
 }

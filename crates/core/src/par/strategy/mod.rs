@@ -5,17 +5,22 @@
 //! Everything a particular algorithm needs beyond that loop lives *here*,
 //! owned by the strategy that uses it rather than wired into the driver:
 //!
-//! * the [`Strategy`] trait — the seam itself, with the wire-message
-//!   schema as an associated type (`Strategy::Msg`), so each strategy
-//!   picks its own message vocabulary;
-//! * the three shipped strategies — [`X1`] (Algorithm 3.1's two-field
-//!   `x = 1` protocol), [`General`] (Algorithm 3.2's in-order slots with
-//!   request/resolved), and [`Chain`] (communication-free local chain
-//!   recomputation);
+//! * the [`Strategy`] trait — the seam itself;
+//! * [`run_rank`] — the one place an [`Engine`] value becomes a running
+//!   strategy, over any transport that carries [`Msg`];
+//! * the three shipped strategies — [`X1`] (Algorithm 3.1: one slot per
+//!   node, Algorithm 3.2's messages at `e = l = 0`), [`General`]
+//!   (Algorithm 3.2's in-order slots with request/resolved), and
+//!   [`Chain`] (communication-free local chain recomputation);
 //! * their private state machinery — the [`hub`] replica (only
 //!   [`General`] broadcasts hub commits; no other strategy ever touches
 //!   the hub path, which a conformance test pins) and the [`waiters`]
 //!   tables (only the message-passing strategies park work).
+//!
+//! Every strategy checkpoints the same payload — its committed `F`
+//! prefix and its counters ([`crate::store::write_checkpoint_payload`])
+//! — so a snapshot taken under one engine restores into any other at
+//! the same `x`.
 //!
 //! Model-genericity comes from one further cut: strategies draw
 //! attachment randomness exclusively through [`crate::Model`], which
@@ -39,76 +44,40 @@ use engine3::Chain;
 
 use super::checkpoint::{CheckpointStore, SavedCheckpoint};
 use super::driver::{self, Net};
-use super::msg::{Msg, Msg1};
+use super::msg::Msg;
 use super::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
+use crate::store::AnyTable;
 use crate::{Engine, GenOptions, Node, PaConfig};
 use pa_mpsim::Transport;
 
-/// A wire vocabulary and the engines that speak it.
-///
-/// [`Protocol::run_rank`] is the one place an [`Engine`] value becomes a
-/// running strategy: it builds the strategy `opts.engine` names for this
-/// rank, drives it to global quiescence over `comm` (checkpointing into
-/// `store` and resuming from `resume` as [`driver::run`] describes) and
-/// returns the sink and counters. [`Msg`] carries Algorithm 3.2 and the
-/// communication-free engine (whose transport only ever sees the
-/// driver's collectives); [`Msg1`] carries Algorithm 3.1's two-field
-/// protocol.
-pub(super) trait Protocol: Clone + Send + Sized + 'static {
-    fn run_rank<P: Partition, S: EdgeSink, T: Transport<Self>>(
-        cfg: &PaConfig,
-        part: &P,
-        opts: &GenOptions,
-        comm: &mut T,
-        sink: S,
-        store: Option<&CheckpointStore>,
-        resume: Option<&SavedCheckpoint>,
-    ) -> (S, EngineCounters);
-}
-
-impl Protocol for Msg1 {
-    fn run_rank<P: Partition, S: EdgeSink, T: Transport<Self>>(
-        cfg: &PaConfig,
-        part: &P,
-        opts: &GenOptions,
-        comm: &mut T,
-        sink: S,
-        store: Option<&CheckpointStore>,
-        resume: Option<&SavedCheckpoint>,
-    ) -> (S, EngineCounters) {
-        assert_eq!(opts.engine, Engine::X1, "Msg1 carries only Engine::X1");
-        let algo = X1::new(cfg, part, comm.rank(), opts, sink);
-        driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
-    }
-}
-
-impl Protocol for Msg {
-    fn run_rank<P: Partition, S: EdgeSink, T: Transport<Self>>(
-        cfg: &PaConfig,
-        part: &P,
-        opts: &GenOptions,
-        comm: &mut T,
-        sink: S,
-        store: Option<&CheckpointStore>,
-        resume: Option<&SavedCheckpoint>,
-    ) -> (S, EngineCounters) {
-        let (rank, nranks) = (comm.rank(), comm.nranks());
-        match opts.engine {
-            Engine::X1 => panic!(
-                "Engine::X1 (Algorithm 3.1) speaks the two-field Msg1 protocol and runs on \
-                 in-process worlds only (par::generate / par::generate_streaming); \
-                 use Engine::General or Engine::Chain over an external transport"
-            ),
-            Engine::General => {
-                let algo = General::new(cfg, part, rank, nranks, opts, sink);
-                driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
-            }
-            Engine::Chain => {
-                let algo = Chain::new(cfg, part, rank, opts, sink);
-                driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
-            }
+/// Build the strategy `opts.engine` names for this rank, drive it to
+/// global quiescence over `comm` (checkpointing into `store` and
+/// resuming from `resume` as [`driver::run`] describes) and return the
+/// sink and counters.
+pub(super) fn run_rank<P: Partition, S: EdgeSink, T: Transport<Msg>>(
+    cfg: &PaConfig,
+    part: &P,
+    opts: &GenOptions,
+    comm: &mut T,
+    sink: S,
+    store: Option<&CheckpointStore>,
+    resume: Option<&SavedCheckpoint>,
+) -> (S, EngineCounters) {
+    let (rank, nranks) = (comm.rank(), comm.nranks());
+    match opts.engine {
+        Engine::X1 => {
+            let algo = X1::new(cfg, part, rank, opts, sink);
+            driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+        }
+        Engine::General => {
+            let algo = General::new(cfg, part, rank, nranks, opts, sink);
+            driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+        }
+        Engine::Chain => {
+            let algo = Chain::new(cfg, part, rank, opts, sink);
+            driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
         }
     }
 }
@@ -124,9 +93,6 @@ impl Protocol for Msg {
 /// → completion loop ([`Strategy::handle_msgs`] on traffic) →
 /// [`Strategy::finish`]. Un-epoched runs are the single epoch `[0, n)`.
 pub(crate) trait Strategy {
-    /// The wire message type of this algorithm.
-    type Msg: Send + 'static;
-
     /// Emit this rank's deterministic seed edges whose owner label lies
     /// in `[lo, hi)` and return the number of *pending slots* the epoch
     /// registers with the termination detector.
@@ -136,25 +102,20 @@ pub(crate) trait Strategy {
     /// rank owns it and its label lies in `[lo, hi)`. Runs after the
     /// registration barrier, so completions are never observed before
     /// every rank has added its work.
-    fn attach_seed_node<T: Transport<Self::Msg>>(
-        &mut self,
-        net: &mut Net<'_, Self::Msg, T>,
-        lo: Node,
-        hi: Node,
-    );
+    fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node);
 
     /// Drive node `t` as far as it goes without remote answers.
-    fn start_node<T: Transport<Self::Msg>>(&mut self, net: &mut Net<'_, Self::Msg, T>, t: Node);
+    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node);
 
     /// Cascade locally produced resolutions until quiescent.
-    fn drain_local<T: Transport<Self::Msg>>(&mut self, net: &mut Net<'_, Self::Msg, T>);
+    fn drain_local<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>);
 
     /// Process one received batch of messages (drain `msgs`).
-    fn handle_msgs<T: Transport<Self::Msg>>(
+    fn handle_msgs<T: Transport<Msg>>(
         &mut self,
-        net: &mut Net<'_, Self::Msg, T>,
+        net: &mut Net<'_, T>,
         src: usize,
-        msgs: &mut Vec<Self::Msg>,
+        msgs: &mut Vec<Msg>,
     );
 
     /// Post-quiescence invariant checks (debug assertions), run at the
@@ -166,17 +127,17 @@ pub(crate) trait Strategy {
     /// a checkpoint (see [`crate::par::sink::EdgeSink::checkpoint_mark`]).
     fn sink_mark(&mut self) -> std::io::Result<(u64, u64)>;
 
-    /// Serialize the committed engine state below label `hi` into `out`
-    /// (the epoch-cut invariants guarantee this is the *whole* state).
-    fn snapshot(&mut self, hi: Node, out: &mut Vec<u8>);
+    /// The state a checkpoint captures
+    /// ([`crate::store::write_checkpoint_payload`]): the `F` table (`x` slots
+    /// per local node) and the counters. At an epoch cut every local
+    /// node below the cut is committed and nothing above it is touched,
+    /// so these two are the whole engine.
+    fn state(&mut self) -> (&mut AnyTable, &mut EngineCounters);
 
-    /// Rebuild the engine from a [`Strategy::snapshot`] taken at `hi`.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason when the payload does not match this
-    /// rank's shape (truncation, foreign partition, hub-size mismatch).
-    fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String>;
+    /// Rebuild whatever the engine derives from its table (cursors, the
+    /// committed base, caches) after a payload — written by this engine
+    /// or any other — was loaded into [`Strategy::state`] at cut `hi`.
+    fn restored(&mut self, _hi: Node) {}
 
     /// One-line progress summary (uncommitted slots, waiter-table depths)
     /// for the stall watchdog's report. Takes `&mut self` because a
@@ -220,6 +181,7 @@ mod tests {
     use super::*;
     use crate::par::CheckpointMeta;
     use crate::partition::{self, Scheme};
+    use crate::store;
     use pa_graph::{io::EdgeFormat, EdgeList};
 
     /// Take a real snapshot from `fresh()`, cut or extend its counter
@@ -231,18 +193,34 @@ mod tests {
         meta: CheckpointMeta,
         fresh: impl Fn() -> A,
     ) {
+        let x = meta.job.x;
         let mut payload = Vec::new();
-        fresh().snapshot(0, &mut payload);
-        // A cut at label 0: `[cnt = 0][counter words][engine tail]`.
+        let mut engine = fresh();
+        let (f, counters) = engine.state();
+        store::write_checkpoint_payload(f, 0, x, counters.to_words(), &mut payload);
+        // A cut at label 0: `[cnt = 0][counter words]`, nothing after.
         let end = 8 + 8 * EngineCounters::NAMES.len();
+        assert_eq!(
+            payload.len(),
+            end,
+            "{tag}: the payload ends at the counters"
+        );
         let dir =
             std::env::temp_dir().join(format!("pa_core_restore_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(&dir, 0, meta).unwrap();
+        let ckpt = CheckpointStore::new(&dir, 0, meta).unwrap();
         let restore = |bytes: &[u8]| {
-            store.save(0, 0, 0, 0, bytes).unwrap();
-            let saved = store.load(0).expect("a re-sealed checkpoint loads");
-            fresh().restore(saved.hi, &saved.payload)
+            ckpt.save(0, 0, 0, 0, bytes).unwrap();
+            let saved = ckpt.load(0).expect("a re-sealed checkpoint loads");
+            let mut engine = fresh();
+            let (f, _) = engine.state();
+            store::read_checkpoint_payload::<{ EngineCounters::NAMES.len() }>(
+                f,
+                0,
+                x,
+                &saved.payload,
+            )
+            .map(drop)
         };
         assert_eq!(restore(&payload), Ok(()), "{tag}: the intact payload");
         for cut in 1..=end - 8 {
@@ -275,8 +253,8 @@ mod tests {
         damaged_counters_fail_restore("e1", meta(&cfg1, Engine::X1), || {
             X1::new(&cfg1, &part, 0, &opts, EdgeList::new())
         });
-        // Two ranks, so engine 2's snapshot carries a hub section after
-        // the counters.
+        // Two ranks, so engine 2 holds a hub replica; it is not part of
+        // the payload.
         damaged_counters_fail_restore("e2", meta(&cfg, Engine::General), || {
             General::new(&cfg, &part, 0, 2, &opts, EdgeList::new())
         });

@@ -64,6 +64,7 @@
 
 use pa_graph::io::Fnv1a;
 use pa_mpsim::wire::{get_u32, get_u64, take};
+use pa_mpsim::Wire;
 use std::fs;
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -1128,6 +1129,46 @@ pub(crate) fn read_table_prefix(
     }
     t.reset_from(prefix);
     Ok(())
+}
+
+/// Serialize one rank's engine at a checkpoint cut — the same payload for
+/// every engine: the committed prefix of its `F` table (`cnt` nodes ×
+/// `spn` slots, [`write_table_prefix`]) followed by its counter words.
+/// Nothing else survives a cut: waiter tables are provably empty there,
+/// and cursors and caches are rebuilt from the table after
+/// [`read_checkpoint_payload`].
+pub(crate) fn write_checkpoint_payload<const N: usize>(
+    t: &mut AnyTable,
+    cnt: u64,
+    spn: u64,
+    counters: [u64; N],
+    out: &mut Vec<u8>,
+) {
+    write_table_prefix(t, cnt, spn, out);
+    counters.encode(out);
+}
+
+/// Load a [`write_checkpoint_payload`] into `t` and return its counter
+/// words.
+///
+/// # Errors
+///
+/// A human-readable reason when the payload does not match this rank's
+/// shape: a foreign prefix length, a truncated table or counter
+/// section, or bytes left over after the counters.
+pub(crate) fn read_checkpoint_payload<const N: usize>(
+    t: &mut AnyTable,
+    cnt: u64,
+    spn: u64,
+    payload: &[u8],
+) -> Result<[u64; N], String> {
+    let mut r = payload;
+    read_table_prefix(t, cnt, spn, &mut r)?;
+    let counters = <[u64; N]>::decode(&mut r).ok_or("truncated engine counters")?;
+    if !r.is_empty() {
+        return Err(format!("{} trailing bytes after the counters", r.len()));
+    }
+    Ok(counters)
 }
 
 /// Delete every page file belonging to `rank` inside `dir`, with the

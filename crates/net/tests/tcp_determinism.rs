@@ -59,18 +59,23 @@ fn tcp_backend_reproduces_the_oracles_for_every_scheme() {
     let cfg4 = PaConfig::new(3_000, 4).with_seed(41);
     for world in [2usize, 4] {
         for scheme in Scheme::ALL {
-            // General engine, x = 4, and on the x = 1 config.
-            for (cfg, oracle) in [(&cfg4, ORACLE_X4), (&cfg1, ORACLE_X1)] {
+            // General engine, x = 4, and on the x = 1 config; Algorithm
+            // 3.1 on the x = 1 config, its messages crossing as bytes too.
+            for (cfg, oracle, engine) in [
+                (&cfg4, ORACLE_X4, Engine::General),
+                (&cfg1, ORACLE_X1, Engine::General),
+                (&cfg1, ORACLE_X1, Engine::X1),
+            ] {
+                let opts = GenOptions::default().with_engine(engine);
                 let shards = run_world(world, |rank, t| {
                     let part = partition::build(scheme, cfg.n, world);
                     assert_eq!(rank, t.rank());
-                    generate_rank_streaming(cfg, &part, &GenOptions::default(), t, EdgeList::new())
-                        .0
+                    generate_rank_streaming(cfg, &part, &opts, t, EdgeList::new()).0
                 });
                 assert_eq!(
                     fnv1a(shards),
                     oracle,
-                    "x={} drifted over TCP: P={world} {scheme}",
+                    "{engine}, x={} drifted over TCP: P={world} {scheme}",
                     cfg.x
                 );
             }
