@@ -417,9 +417,13 @@ fn hub_cache_flag_accepts_off_and_rejects_garbage() {
 #[test]
 fn chaos_profile_does_not_change_the_network() {
     // The acceptance invariant of the fault layer, end to end through the
-    // CLI: a chaos run writes exactly the edges of the clean run.
+    // CLI: a chaos run writes exactly the edges of the clean run. Every
+    // rank computes engine 2's hub replica, and at n = 3000 the default
+    // one covers every label, so the chaos run turns it off to put
+    // request/resolved traffic on the wire for the faults to perturb.
     let clean = tmp("chaos_clean.pag");
     let chaos = tmp("chaos_faulty.pag");
+    let stats = tmp("chaos_faulty.json");
     exec(&[
         "generate", "--model", "pa", "--n", "3000", "--x", "3", "--seed", "29", "--ranks", "4",
         "--out", &clean,
@@ -443,10 +447,18 @@ fn chaos_profile_does_not_change_the_network() {
         "5",
         "--stall-timeout-ms",
         "60000",
+        "--hub-cache",
+        "off",
+        "--stats-json",
+        &stats,
         "--out",
         &chaos,
     ])
     .unwrap();
+    let json = std::fs::read_to_string(&stats).unwrap();
+    for zero in ["\"msgs_sent\": 0,", "\"faults_injected\": 0,"] {
+        assert!(!json.contains(zero), "{zero} in {json}");
+    }
     let (_, sa) = pa_graph::container::read_file(&clean).unwrap();
     let (_, sb) = pa_graph::container::read_file(&chaos).unwrap();
     assert_eq!(

@@ -214,8 +214,8 @@ pub struct GenOptions {
     /// incoming-message queue. Small values favour latency (shorter
     /// dependency waits), large values favour throughput.
     pub service_interval: usize,
-    /// Number of low-label "hub" nodes whose committed `F` slots every
-    /// rank replicates (general engine only). Lemma 3.4 concentrates
+    /// Number of low-label "hub" nodes whose `F` slots every rank computes
+    /// for itself (general engine only). Lemma 3.4 concentrates
     /// request traffic on exactly these nodes, so a small cache absorbs a
     /// large share of remote lookups without changing the output. `None`
     /// uses [`DEFAULT_HUB_CACHE_NODES`]; `Some(0)` disables the cache.

@@ -38,10 +38,11 @@ const MAGIC: u32 = 0x4b43_4150;
 /// identity; version 3 stores the identity as the job tuple's canonical
 /// bytes, which adds the edge format (a part file's byte watermark means
 /// nothing under another encoding); version 4 gives every engine the one
-/// payload `[F prefix][counter words]`, dropping engine 2's hub section.
+/// payload `[F prefix][counter words]`, dropping engine 2's hub section;
+/// version 5 drops the two hub-broadcast counters from those words.
 /// Files of older versions are rejected on load (treated as absent)
 /// rather than resumed under a guessed identity or layout.
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// Identity of a run, embedded in every checkpoint and re-verified on
 /// load so stale or foreign checkpoints are rejected instead of

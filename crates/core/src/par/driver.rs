@@ -30,16 +30,14 @@
 //! (`k ∈ [x, t)`), requests never reference a later epoch, so epoch-`i`
 //! quiescence means every node below the epoch's upper label `hi` is
 //! committed *world-wide* and all waiter structures are provably empty —
-//! a consistent cut with no tracked traffic in flight. That cut is where
+//! a consistent cut with no message in flight. That cut is where
 //! the driver captures the engine's [`Strategy::state`] for a
 //! crash-recoverable checkpoint ([`super::checkpoint`]): every engine
 //! writes the same payload, the committed `F` prefix and the counters,
-//! so any engine restores any other's snapshot at the same `x`. The
-//! only messages that may straddle the cut are untracked hub
-//! broadcasts, and no hub replica is saved; a restored engine 2 starts
-//! from a fresh replica and falls back to request/resolved for hub
-//! misses below the cut (the values are committed, so answers are
-//! identical).
+//! so any engine restores any other's snapshot at the same `x`. Every
+//! message is a `request` or a `resolved` belonging to an uncommitted
+//! slot, so none straddles the cut; engine 2's hub replica is not saved
+//! either, since a restored rank recomputes it.
 //! Epoch boundaries are pure functions of `(n, interval)`, so the cut —
 //! and the output — is bit-identical with and without checkpointing.
 
@@ -295,9 +293,7 @@ where
             }
         }
         // Requests and resolved messages are always flushed before the slot
-        // they belong to can commit, so termination implies both are gone
-        // (only untracked hub broadcasts may remain buffered; with every slot
-        // below `hi` committed everywhere they carry no information).
+        // they belong to can commit, so termination implies both are gone.
         debug_assert_eq!(net.req.pending_total(), 0);
         algo.finish();
 

@@ -351,10 +351,17 @@ mod tests {
     use pa_graph::io::EdgeFormat;
     use pa_graph::validate::assert_valid_pa_network;
 
+    /// Engine 2's hub replica in these tests. Every rank computes its
+    /// replica, so under the default size (4096 nodes, more than every
+    /// `n` here) engine 2 would send no message; 64 nodes keep real
+    /// request/resolved traffic beside the hub hits.
+    const HUB_NODES: u64 = 64;
+
     fn opts() -> GenOptions {
         GenOptions {
             buffer_capacity: 16,
             service_interval: 8,
+            hub_cache_nodes: Some(HUB_NODES),
             ..GenOptions::default()
         }
     }
@@ -527,7 +534,7 @@ mod tests {
     #[test]
     fn degenerate_two_node_network() {
         let cfg = PaConfig::new(2, 1).with_seed(1);
-        let out = generate(&cfg, Scheme::Ucp, 2, &opts());
+        let out = generate(&cfg, Scheme::Ucp, 2, &opts().without_hub_cache());
         assert_eq!(out.edge_list().as_slice(), &[(1, 0)]);
     }
 
@@ -541,6 +548,7 @@ mod tests {
             &GenOptions {
                 buffer_capacity: 512,
                 service_interval: 64,
+                hub_cache_nodes: Some(HUB_NODES),
                 ..GenOptions::default()
             },
         );
@@ -551,6 +559,7 @@ mod tests {
             &GenOptions {
                 buffer_capacity: 1,
                 service_interval: 1,
+                hub_cache_nodes: Some(HUB_NODES),
                 ..GenOptions::default()
             },
         );
@@ -560,14 +569,32 @@ mod tests {
         );
         // Unbuffered sends at least as many packets.
         let pk = |o: &ParallelOutput| o.ranks.iter().map(|r| r.comm.packets_sent).sum::<u64>();
+        assert!(pk(&buffered) > 0, "the buffered run sent nothing");
         assert!(pk(&unbuffered) >= pk(&buffered));
+    }
+
+    #[test]
+    fn message_ledgers_balance_under_default_options() {
+        // Every message is a request or a resolved belonging to a slot
+        // that has not committed, so quiescence means every message sent
+        // has been received: the world-wide ledgers balance exactly. At
+        // an `n` above the default hub size, so messages are sent.
+        let cfg = PaConfig::new(8_000, 4).with_seed(5);
+        let out = generate(&cfg, Scheme::Rrp, 4, &GenOptions::default());
+        let sent: u64 = out.ranks.iter().map(|r| r.comm.msgs_sent).sum();
+        let recv: u64 = out.ranks.iter().map(|r| r.comm.msgs_recv).sum();
+        assert!(
+            out.total_counters().requests_sent > 0,
+            "no request was sent"
+        );
+        assert_eq!(sent, recv, "sent and received message totals differ");
     }
 
     #[test]
     fn many_ranks_for_few_nodes() {
         // More ranks than busy nodes: empty partitions must not hang.
         let cfg = PaConfig::new(10, 2).with_seed(2);
-        let out = generate(&cfg, Scheme::Rrp, 8, &opts());
+        let out = generate(&cfg, Scheme::Rrp, 8, &opts().without_hub_cache());
         assert_valid_pa_network(10, 2, &out.edge_list());
     }
 
@@ -575,7 +602,12 @@ mod tests {
     #[should_panic(expected = "Algorithm 3.1")]
     fn generate_x1_rejects_larger_x() {
         let cfg = PaConfig::new(10, 2);
-        let _ = generate(&cfg, Scheme::Ucp, 2, &engine_opts(Engine::X1));
+        let _ = generate(
+            &cfg,
+            Scheme::Ucp,
+            2,
+            &GenOptions::default().with_engine(Engine::X1),
+        );
     }
 
     #[test]
@@ -627,7 +659,7 @@ mod tests {
             );
             assert_eq!(r.comm.msgs_recv, 0, "rank {} received messages", r.rank);
             assert_eq!(r.counters.requests_sent, 0);
-            assert_eq!(r.counters.hub_updates, 0);
+            assert_eq!(r.counters.hub_hits, 0);
         }
         let totals = out.total_counters();
         assert!(
@@ -714,19 +746,25 @@ mod tests {
         let meta =
             CheckpointMeta::for_run(cfg, Scheme::Rrp, 3, &epoch_opts(from), EdgeFormat::Binary);
         let open = |rank: usize| CheckpointStore::new(&dir, rank as u32, meta).unwrap();
-        let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
-            let store = open(comm.rank());
-            generate_rank_streaming_recoverable(
-                cfg,
-                &part,
-                &epoch_opts(from),
-                &mut comm,
-                EdgeList::new(),
-                Some(&store),
-                None,
-            )
-            .0
-        });
+        let (full, counters): (Vec<EdgeList>, Vec<EngineCounters>) = World::new(3)
+            .run(|mut comm| {
+                let store = open(comm.rank());
+                generate_rank_streaming_recoverable(
+                    cfg,
+                    &part,
+                    &epoch_opts(from),
+                    &mut comm,
+                    EdgeList::new(),
+                    Some(&store),
+                    None,
+                )
+            })
+            .into_iter()
+            .unzip();
+        if from != Engine::Chain {
+            let requests: u64 = counters.iter().map(|c| c.requests_sent).sum();
+            assert!(requests > 0, "the checkpointed {from} run sent no request");
+        }
         let reference = EdgeList::concat(full.clone()).canonicalized();
         assert_eq!(
             reference,

@@ -11,9 +11,10 @@
 use crate::Node;
 use pa_mpsim::wire::{get_u32, get_u64, get_u8, Wire};
 
-/// Messages of Algorithm 3.2 (`x ≥ 1`, and Algorithm 3.1 as its `x = 1`
-/// case): requests and answers carry the requesting edge index `e` and
-/// the requested edge index `l`.
+/// The two messages of Algorithm 3.2 (`x ≥ 1`, and Algorithm 3.1 as its
+/// `x = 1` case): requests and answers carry the requesting edge index
+/// `e` and the requested edge index `l`. There is no third: engine 2's
+/// hub replica is computed on every rank, not sent.
 ///
 /// Requests additionally carry the requester's *attempt* counter, echoed
 /// back verbatim in the answer. Under reliable delivery the tag is
@@ -51,18 +52,6 @@ pub enum Msg {
         /// the slot's latest outstanding attempt are stale and ignored.
         a: u32,
     },
-    /// `⟨hub, k, l, v⟩` — owner broadcast of a committed hub slot:
-    /// `F_k(l) = v`, for the receivers' replicated hub caches. Carries
-    /// exactly the committed value a `resolved` for `(k, l)` would carry,
-    /// which is why consuming it preserves the output bit-for-bit.
-    Hub {
-        /// The hub node whose slot committed.
-        k: Node,
-        /// Which of `k`'s edges committed.
-        l: u32,
-        /// The committed attachment target.
-        v: Node,
-    },
 }
 
 impl Wire for Msg {
@@ -83,12 +72,6 @@ impl Wire for Msg {
                 out.extend_from_slice(&v.to_le_bytes());
                 out.extend_from_slice(&a.to_le_bytes());
             }
-            Msg::Hub { k, l, v } => {
-                out.push(2);
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&l.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
-            }
         }
     }
 
@@ -106,11 +89,6 @@ impl Wire for Msg {
                 e: get_u32(input)?,
                 v: get_u64(input)?,
                 a: get_u32(input)?,
-            }),
-            2 => Some(Msg::Hub {
-                k: get_u64(input)?,
-                l: get_u32(input)?,
-                v: get_u64(input)?,
             }),
             _ => None,
         }
@@ -144,7 +122,6 @@ mod tests {
             v: 1 << 50,
             a: 2,
         });
-        round_trip(Msg::Hub { k: 8, l: 1, v: 0 });
     }
 
     #[test]
@@ -168,17 +145,24 @@ mod tests {
     }
 
     #[test]
+    fn retired_hub_tag_decodes_to_none() {
+        // Tag 2 was an owner's hub broadcast `⟨hub, k, l, v⟩` (u64, u32,
+        // u64); every rank now computes its hub replica instead, and a
+        // stream carrying one is rejected rather than misread.
+        let mut buf = vec![2u8];
+        buf.extend_from_slice(&8u64.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        let mut cursor = &buf[..];
+        assert_eq!(Msg::decode(&mut cursor), None);
+    }
+
+    #[test]
     fn messages_are_small() {
         // Traffic volume matters: the attempt tag (exactly-once retry
         // semantics under duplication faults) costs one alignment word,
         // so the message is five words.
         assert!(std::mem::size_of::<Msg>() <= 40);
-    }
-
-    #[test]
-    fn hub_broadcast_fits_the_packet_word_budget() {
-        let m = Msg::Hub { k: 1, l: 0, v: 0 };
-        assert!(std::mem::size_of_val(&m) <= 40);
     }
 
     #[test]

@@ -39,11 +39,6 @@ pa_mpsim::counters! {
         /// Copy lookups answered by the replicated hub cache (each one is a
         /// request/resolved round trip that never hit the network).
         hub_hits: sum,
-        /// Of those, lookups that arrived before the owner's broadcast and
-        /// parked for it instead of sending a request.
-        hub_deferred: sum,
-        /// Hub broadcast entries installed into this rank's replica.
-        hub_updates: sum,
         /// Incoming `resolved` messages discarded as stale — duplicates of
         /// answers already consumed, or answers to superseded draw attempts.
         /// Always zero on a clean transport; nonzero only under fault
@@ -179,8 +174,8 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The checkpoint's counter section, byte for byte: 17 little-endian
-    /// words in declaration order (checkpoint `VERSION` 4). A reordered,
+    /// The checkpoint's counter section, byte for byte: 15 little-endian
+    /// words in declaration order (checkpoint `VERSION` 5). A reordered,
     /// added or dropped counter changes these bytes.
     #[test]
     fn counters_checkpoint_bytes_are_pinned() {
@@ -196,16 +191,14 @@ mod tests {
             duplicate_retries: 0x09,
             max_queued_waiters: 0x0a,
             hub_hits: 0x0b,
-            hub_deferred: 0x0c,
-            hub_updates: 0x0d,
-            stale_resolutions: 0x0e,
-            chain_rows_recomputed: 0x0f,
-            chain_memo_hits: 0x10,
+            stale_resolutions: 0x0c,
+            chain_rows_recomputed: 0x0d,
+            chain_memo_hits: 0x0e,
             chain_peak_depth: 0x0102_0304_0506_0708,
         };
         let mut bytes = Vec::new();
         c.to_words().encode(&mut bytes);
-        let golden: String = (1..=16u8)
+        let golden: String = (1..=14u8)
             .map(|i| format!("{i:02x}00000000000000"))
             .chain(["0807060504030201".to_string()])
             .collect();
@@ -226,7 +219,7 @@ mod tests {
         );
         assert!(r.is_empty(), "decode consumes exactly the encoding");
         let mut short: &[u8] = &bytes[..bytes.len() - 1];
-        assert_eq!(<[u64; 17]>::decode(&mut short), None);
+        assert_eq!(<[u64; 15]>::decode(&mut short), None);
     }
 
     #[test]

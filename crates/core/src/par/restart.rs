@@ -6,11 +6,11 @@
 //! (DESIGN.md §5f). The committed state below the cut is therefore a
 //! pure function of the model — `F_t(e)` values addressed by label, with
 //! no per-rank residue (waiter tables provably empty, attempt counters
-//! dead, the hub replica reconstructible on demand). That makes the cut
-//! *re-partitionable*: a world saved by `P_old` ranks can restart on
-//! `P_new` ranks by routing each committed label through the **new**
-//! partition's closed-form owner lookup and synthesizing each new rank's
-//! resume payload from the old ranks' tables.
+//! dead, engine 2's hub replica recomputed by its constructor). That
+//! makes the cut *re-partitionable*: a world saved by `P_old` ranks can
+//! restart on `P_new` ranks by routing each committed label through the
+//! **new** partition's closed-form owner lookup and synthesizing each new
+//! rank's resume payload from the old ranks' tables.
 //!
 //! [`WorldCheckpoint::load`] scans a checkpoint directory without fixing
 //! the world size in advance (the per-file identity check that
@@ -337,29 +337,34 @@ mod tests {
         dir
     }
 
+    /// Small buffers, and a hub replica of 64 nodes: every rank computes
+    /// engine 2's replica, so under the default size (4096, more than
+    /// `n`) an engine-2 world here would send no request at all.
     fn opts(engine: Engine, interval: u64) -> GenOptions {
         GenOptions {
             engine,
             buffer_capacity: 16,
             service_interval: 8,
             checkpoint_interval: Some(interval),
+            hub_cache_nodes: Some(64),
             ..GenOptions::default()
         }
     }
 
-    /// Run a full world of `p_old` ranks under `run_opts`; with `dir`
-    /// set it leaves its last two checkpoint epochs (and, when the
-    /// store is paged, its page files) behind there.
+    /// Run a full world of `p_old` ranks under `run_opts` and return its
+    /// per-rank edge lists and its total requests sent; with `dir` set it
+    /// leaves its last two checkpoint epochs (and, when the store is
+    /// paged, its page files) behind there.
     fn run_world(
         cfg: &PaConfig,
         scheme: Scheme,
         p_old: usize,
         run_opts: &GenOptions,
         dir: Option<&Path>,
-    ) -> Vec<EdgeList> {
+    ) -> (Vec<EdgeList>, u64) {
         let part = partition::build(scheme, cfg.n, p_old);
         let m = CheckpointMeta::for_run(cfg, scheme, p_old, run_opts, EdgeFormat::Binary);
-        World::new(p_old).run(move |mut comm| {
+        let ranks = World::new(p_old).run(move |mut comm| {
             let ckpt = dir.map(|d| CheckpointStore::new(d, comm.rank() as u32, m).unwrap());
             generate_rank_streaming_recoverable(
                 cfg,
@@ -370,8 +375,12 @@ mod tests {
                 ckpt.as_ref(),
                 None,
             )
-            .0
-        })
+        });
+        let requests = ranks.iter().map(|(_, c)| c.requests_sent).sum();
+        (
+            ranks.into_iter().map(|(edges, _)| edges).collect(),
+            requests,
+        )
     }
 
     /// Restart the world in `dir` on `p_new` ranks under `run_opts` and
@@ -455,7 +464,7 @@ mod tests {
         for p_new in [2usize, 8] {
             // Byte-identity oracle: a fresh never-killed P_new run. The
             // per-rank part bytes must match exactly, not just as sets.
-            let fresh = run_world(&cfg, Scheme::Rrp, p_new, &o, None);
+            let (fresh, _) = run_world(&cfg, Scheme::Rrp, p_new, &o, None);
             let restarted = restart(&cfg, Scheme::Rrp, p_new, &o, &dir);
             assert_eq!(
                 restarted, fresh,
@@ -479,7 +488,7 @@ mod tests {
             &o.clone().with_store(paged),
             Some(&dir),
         );
-        let fresh = run_world(&cfg, Scheme::Rrp, 2, &o, None);
+        let (fresh, _) = run_world(&cfg, Scheme::Rrp, 2, &o, None);
         // Restart reads F from page files; the new run runs resident.
         let restarted = restart(&cfg, Scheme::Rrp, 2, &o, &dir);
         assert_eq!(restarted, fresh);
@@ -521,7 +530,8 @@ mod tests {
         let cfg = PaConfig::new(2_400, 3).with_seed(11);
         let o = opts(Engine::General, 500);
         let dir = scratch("cross2");
-        run_world(&cfg, Scheme::Lcp, 3, &o, Some(&dir));
+        let (_, requests) = run_world(&cfg, Scheme::Lcp, 3, &o, Some(&dir));
+        assert!(requests > 0, "the saved engine-2 world sent no request");
         let world = WorldCheckpoint::load(&dir).expect("world loads");
         assert_eq!(world.meta().job.ranks, 3);
         let restarted = restart(&cfg, Scheme::Rrp, 2, &o, &dir);

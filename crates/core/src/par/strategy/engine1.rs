@@ -225,9 +225,6 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
                         self.commit(net, t, v);
                     }
                 }
-                Msg::Hub { k, .. } => {
-                    unreachable!("engine 1 keeps no hub replica, yet a hub slot of {k} arrived")
-                }
             }
         }
     }

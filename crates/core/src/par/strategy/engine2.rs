@@ -29,7 +29,7 @@
 //! in [`crate::par::driver`]; this module only supplies the per-slot state
 //! machine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use pa_mpsim::Transport;
 
@@ -82,7 +82,6 @@ pub(crate) struct General<'a, P: Partition, S: EdgeSink> {
     cfg: &'a PaConfig,
     part: &'a P,
     rank: usize,
-    nranks: usize,
     /// The resolved attachment model this rank draws from.
     model: Model,
     /// Flattened `F_t(e)` slots for local nodes: `local_index(t)·x + e`.
@@ -93,21 +92,11 @@ pub(crate) struct General<'a, P: Partition, S: EdgeSink> {
     cursors: Vec<Cursor>,
     /// Waiters per local slot index.
     waiters: WaiterTable<Waiter>,
-    /// Replicated low-label slots (see [`super::hub`]).
+    /// Replicated low-label rows, computed at construction (see
+    /// [`super::hub`]).
     hub: HubCache,
-    /// Slots parked for a hub broadcast that has not arrived yet, keyed
-    /// by the hub slot `k·x + l`. Sparse by construction — only slots a
-    /// lookup raced ahead of — so a map beats a dense table here.
-    hub_waiters: HashMap<u64, Vec<(Node, u32)>>,
     /// Locally produced resolutions awaiting processing `(t, e, v)`.
     local_events: VecDeque<(Node, u32, Node)>,
-    /// Every node below this label is committed world-wide (0 on a fresh
-    /// run; the checkpoint cut `hi` after a restore). Hub *misses* below
-    /// the base fall back to the request path: the owner's broadcast was
-    /// sent before the crash and will never be retransmitted, but a
-    /// request returns the same committed value, so the output is
-    /// unchanged.
-    committed_base: Node,
     edges: S,
     counters: EngineCounters,
 }
@@ -124,27 +113,21 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         let x = cfg.x;
         let size = part.size_of(rank);
         let slots = size * x;
+        let model = Model::resolve(cfg, opts.model);
         // A single rank resolves everything locally; skip the replica.
-        let hub = if nranks > 1 {
-            HubCache::new(cfg, opts.hub_nodes(cfg.n))
-        } else {
-            HubCache::disabled(cfg)
-        };
+        let hub_nodes = if nranks > 1 { opts.hub_nodes(cfg.n) } else { 0 };
         let f = AnyTable::build_for(cfg.n, &opts.store, rank, "f", slots, NILL)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         General {
             cfg,
             part,
             rank,
-            nranks,
-            model: Model::resolve(cfg, opts.model),
+            model,
             f,
             cursors: vec![Cursor::default(); size as usize],
             waiters: WaiterTable::new(slots as usize),
-            hub,
-            hub_waiters: HashMap::new(),
+            hub: HubCache::new(cfg, &model, hub_nodes),
             local_events: VecDeque::new(),
-            committed_base: 0,
             edges: sink,
             counters: EngineCounters {
                 nodes: size,
@@ -191,7 +174,6 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         t: Node,
         e: u32,
     ) -> SlotOutcome {
-        let x = self.cfg.x;
         // Hoist the (seed, t) key prefix: every re-draw of this slot then
         // pays one key mix instead of three (the high-x duplicate-retry
         // hot spot).
@@ -218,45 +200,10 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
                     }
                     self.counters.local_immediate += 1;
                     (fk, false)
-                } else if self.hub.covers(c.k) {
-                    match self.hub.get(c.k, c.l as u32) {
-                        Some(v) => {
-                            // Hub hit: the committed value, no round trip.
-                            self.counters.hub_hits += 1;
-                            (v, false)
-                        }
-                        None if c.k < self.committed_base => {
-                            // The slot committed before the checkpoint cut
-                            // we restored from, so its broadcast predates
-                            // the crash and may be lost forever — parking
-                            // would deadlock. Ask the owner instead; the
-                            // answer is the same committed value.
-                            self.counters.requests_sent += 1;
-                            net.send_req(
-                                owner,
-                                Msg::Request {
-                                    t,
-                                    e,
-                                    k: c.k,
-                                    l: c.l as u32,
-                                    a: attempt,
-                                },
-                            );
-                            return SlotOutcome::Waiting;
-                        }
-                        None => {
-                            // The owner broadcasts every covered commit,
-                            // so the value is already on its way; park for
-                            // it rather than duplicating it with a
-                            // request/resolved round trip.
-                            self.counters.hub_deferred += 1;
-                            self.hub_waiters
-                                .entry(c.k * x + c.l)
-                                .or_default()
-                                .push((t, e));
-                            return SlotOutcome::Waiting;
-                        }
-                    }
+                } else if let Some(v) = self.hub.get(c.k, c.l as u32) {
+                    // Hub hit: the committed value, no round trip.
+                    self.counters.hub_hits += 1;
+                    (v, false)
                 } else {
                     // Alg. 3.2 line 14: ask the owner of k. The attempt
                     // tag comes back with the answer, so stale duplicates
@@ -294,8 +241,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         self.counters.max_queued_waiters = self.counters.max_queued_waiters.max(self.waiters.len());
     }
 
-    /// Record `F_t(e) = v`, emit the edge, broadcast hub commits, and
-    /// notify waiters.
+    /// Record `F_t(e) = v`, emit the edge, and notify waiters.
     fn commit<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node, e: u32, v: Node) {
         let li = self.part.local_index(t);
         let slot = li * self.cfg.x + u64::from(e);
@@ -310,15 +256,6 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         self.f.set(slot, v);
         self.edges.emit(t, v);
         net.complete(1);
-        // Replicate committed hub slots to every other rank (node x's row
-        // is pre-seeded in every cache, so it needs no traffic).
-        if t > self.cfg.x && self.hub.covers(t) {
-            for dest in 0..self.nranks {
-                if dest != self.rank {
-                    net.send_res(dest, Msg::Hub { k: t, l: e, v });
-                }
-            }
-        }
         match self.waiters.take(slot as usize) {
             Taken::None => {}
             Taken::One(w) => self.notify(net, w, v),
@@ -381,8 +318,8 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     /// (Alg. 3.2 lines 21–29), then push the node onward. Callers must
     /// have established that the value answers the slot's latest draw
     /// (wire answers go through [`Self::handle_resolved_msg`]; local
-    /// events and hub wake-ups are generated at commit time for a parked
-    /// current draw, and parked slots draw nothing new until woken).
+    /// events are generated at commit time for a parked current draw,
+    /// and parked slots draw nothing new until woken).
     fn handle_resolved<T: Transport<Msg>>(
         &mut self,
         net: &mut Net<'_, T>,
@@ -464,29 +401,12 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
                     debug_assert_eq!(self.part.rank_of(t), self.rank);
                     self.handle_resolved_msg(net, t, e, v, a);
                 }
-                Msg::Hub { k, l, v } => {
-                    self.counters.hub_updates += 1;
-                    self.hub.insert(k, l, v);
-                    // Wake every slot that raced ahead of this broadcast;
-                    // the value is exactly what a `resolved` would carry.
-                    if let Some(parked) = self.hub_waiters.remove(&(k * self.cfg.x + u64::from(l)))
-                    {
-                        for (t, e) in parked {
-                            self.counters.hub_hits += 1;
-                            self.handle_resolved(net, t, e, v);
-                        }
-                    }
-                }
             }
         }
     }
 
     fn finish(&mut self) {
         debug_assert!(self.waiters.is_empty(), "waiters left after termination");
-        debug_assert!(
-            self.hub_waiters.is_empty(),
-            "hub waiters left after termination"
-        );
     }
 
     fn sink_mark(&mut self) -> std::io::Result<(u64, u64)> {
@@ -499,15 +419,12 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         // `f` plus the counters is the whole engine: a committed node's
         // attempt counter is dead and its cursor is rebuilt, waiter
         // tables are provably empty (`finish` just asserted it), and the
-        // hub replica is a cache. Clique-node rows (labels < x)
+        // hub replica is recomputed by `new`. Clique-node rows (labels < x)
         // legitimately hold NILL: their slots are never drawn or queried.
         (&mut self.f, &mut self.counters)
     }
 
     fn restored(&mut self, hi: Node) {
-        // The hub replica stays the fresh, pre-seeded one: every hub
-        // miss below `committed_base` falls back to the request path,
-        // which returns the same committed value.
         let below = self.part.local_count_below(self.rank, hi) as usize;
         let committed = Cursor {
             next_e: self.cfg.x as u32,
@@ -516,7 +433,6 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         let (done, fresh) = self.cursors.split_at_mut(below);
         done.fill(committed);
         fresh.fill(Cursor::default());
-        self.committed_base = hi;
     }
 
     fn stall_report(&mut self) -> String {
@@ -526,9 +442,8 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
             .filter(|c| u64::from(c.next_e) < self.cfg.x)
             .count();
         format!(
-            "uncommitted_nodes={uncommitted} waiters={} hub_waiters={} stale_resolutions={}",
+            "uncommitted_nodes={uncommitted} waiters={} stale_resolutions={}",
             self.waiters.len(),
-            self.hub_waiters.len(),
             self.counters.stale_resolutions,
         )
     }

@@ -13,7 +13,7 @@
 //! remote nodes — a dependency chain that bottoms out at a direct choice
 //! or at node `x` (whose row is the identity `F_x(l) = l`) after an
 //! expected O(log n) steps (the paper's Lemma 3.1). No `request`, no
-//! `resolved`, no hub broadcast: the only things left on the wire are the
+//! `resolved`: the only things left on the wire are the
 //! collectives the driver itself uses (barriers, termination counting).
 //!
 //! **Determinism.** The recomputed rows replay the sequential generator's
@@ -439,8 +439,8 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
     }
 
     fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node) {
-        // Node x attaches deterministically to all seed nodes. No hub
-        // broadcast: every other rank derives F_x analytically.
+        // Node x attaches deterministically to all seed nodes; every other
+        // rank derives F_x analytically.
         let x = self.cfg.x;
         if self.part.num_nodes() > x && (lo..hi).contains(&x) && self.part.rank_of(x) == self.rank {
             let li = self.part.local_index(x) as usize;

@@ -13,9 +13,9 @@
 //!   (Algorithm 3.2's in-order slots with request/resolved), and
 //!   [`Chain`] (communication-free local chain recomputation);
 //! * their private state machinery — the [`hub`] replica (only
-//!   [`General`] broadcasts hub commits; no other strategy ever touches
-//!   the hub path, which a conformance test pins) and the [`waiters`]
-//!   tables (only the message-passing strategies park work).
+//!   [`General`] computes one and looks hubs up in it; no other strategy
+//!   ever touches the hub path, which a conformance test pins) and the
+//!   [`waiters`] tables (only the message-passing strategies park work).
 //!
 //! Every strategy checkpoints the same payload — its committed `F`
 //! prefix and its counters ([`crate::store::write_checkpoint_payload`])

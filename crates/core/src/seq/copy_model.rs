@@ -118,8 +118,7 @@ pub(crate) fn generate_with_model(cfg: &PaConfig, model: crate::Model) -> EdgeLi
     cfg.validate();
     let (n, x) = (cfg.n, cfg.x);
     let mut edges = EdgeList::with_capacity(cfg.expected_edges() as usize);
-    // F_t(e) for every node, flattened; seed-clique rows stay NILL (they
-    // are never copied from: k is drawn from [x, t)).
+    // F_t(e) for every node, flattened.
     let mut f = vec![NILL; (n * x) as usize];
 
     // Seed clique over 0 .. x.
@@ -128,13 +127,34 @@ pub(crate) fn generate_with_model(cfg: &PaConfig, model: crate::Model) -> EdgeLi
             edges.push(i, j);
         }
     }
-    // Node x attaches to every seed node.
+    fill_rows(&model, x, &mut f, |t, v| edges.push(t, v));
+    edges
+}
+
+/// Fill `f`, the flattened `F` rows of the labels below `f.len() / x`
+/// (all `NILL` on entry), exactly as the sequential generator does: node
+/// `x` attaches to every seed node, and every later node runs the
+/// duplicate-avoiding attempt loop against the rows below it. `emit(t,
+/// v)` sees each committed slot in label order; the seed clique's rows
+/// stay `NILL` (`k` is drawn from `[x, t)`, so they are never copied
+/// from). Every row is a pure function of the model, so any rank can
+/// fill any prefix without a message: the oracle fills all `n` rows,
+/// engine 2's hub replica the first `H`.
+pub(crate) fn fill_rows(
+    model: &crate::Model,
+    x: u64,
+    f: &mut [Node],
+    mut emit: impl FnMut(Node, Node),
+) {
+    let nodes = f.len() as u64 / x;
+    if nodes <= x {
+        return;
+    }
     for e in 0..x {
         f[(x * x + e) as usize] = e;
-        edges.push(x, e);
+        emit(x, e);
     }
-    // Every later node draws x targets via the model's choice stream.
-    for t in (x + 1)..n {
+    for t in (x + 1)..nodes {
         let keys = model.keys_for(t);
         let row = (t * x) as usize;
         for e in 0..x {
@@ -154,10 +174,9 @@ pub(crate) fn generate_with_model(cfg: &PaConfig, model: crate::Model) -> EdgeLi
                 attempt += 1;
             };
             f[row + e as usize] = v;
-            edges.push(t, v);
+            emit(t, v);
         }
     }
-    edges
 }
 
 #[cfg(test)]

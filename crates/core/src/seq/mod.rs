@@ -28,6 +28,7 @@ mod naive;
 mod nlpa;
 
 pub use batagelj_brandes::generate as batagelj_brandes;
+pub(crate) use copy_model::fill_rows;
 pub use copy_model::{
     draw_choice, draw_choice_keyed, draw_row_choices, generate as copy_model, target_for, Choice,
 };

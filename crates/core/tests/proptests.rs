@@ -90,7 +90,7 @@ proptest! {
     ) {
         prop_assume!(n > x);
         let cfg = PaConfig::new(n, x).with_seed(seed);
-        let opts = GenOptions { buffer_capacity: 8, service_interval: 4, ..GenOptions::default() };
+        let opts = small_world_opts(n);
         let out = par::generate(&cfg, scheme, nranks, &opts);
         let edges = out.edge_list();
         prop_assert_eq!(edges.len() as u64, cfg.expected_edges());
@@ -129,7 +129,7 @@ proptest! {
     ) {
         prop_assume!(n > x);
         let cfg = PaConfig::new(n, x).with_seed(seed);
-        let opts = GenOptions { buffer_capacity: 8, service_interval: 4, ..GenOptions::default() };
+        let opts = small_world_opts(n);
         let outs = par::generate_streaming(&cfg, scheme, nranks, &opts,
             |_rank| par::DegreeCountSink::new(cfg.n));
         let streamed = par::DegreeCountSink::merge(outs.into_iter().map(|o| o.sink));
@@ -169,7 +169,7 @@ proptest! {
             retransmit_polls: 4,
             ..FaultPlan::none(fault_seed)
         };
-        let opts = GenOptions { buffer_capacity: 8, service_interval: 4, ..GenOptions::default() }
+        let opts = small_world_opts(n)
             .with_fault_plan(plan)
             .with_stall_timeout(std::time::Duration::from_secs(30));
         let outs = par::generate_streaming(&cfg, scheme, nranks, &opts,
@@ -194,6 +194,18 @@ proptest! {
         for (t, &d) in deg.iter().enumerate().skip(x as usize) {
             prop_assert!(d >= x, "node {t} degree {d} < x");
         }
+    }
+}
+
+/// Small buffers, and an engine-2 hub replica of a quarter of the
+/// labels: every rank computes its replica, so under the default size
+/// (4096 nodes, more than every `n` here) engine 2 would send nothing.
+fn small_world_opts(n: u64) -> GenOptions {
+    GenOptions {
+        buffer_capacity: 8,
+        service_interval: 4,
+        hub_cache_nodes: Some(n / 4),
+        ..GenOptions::default()
     }
 }
 
@@ -381,5 +393,49 @@ proptest! {
         };
         prop_assume!(desc.validate().is_ok());
         prop_assert_eq!(JobDescriptor::from_raw(&desc.to_raw()), Ok(desc));
+    }
+
+    /// Byte-mutated `Msg` streams never panic the decoder. A stream of
+    /// encoded messages with bytes flipped, inserted and removed, then
+    /// truncated, decodes to messages until the first undecodable one,
+    /// then to `None`; every message it yields re-encodes to exactly the
+    /// bytes it consumed.
+    #[test]
+    fn mutated_msg_streams_decode_or_stop(
+        words in prop_vec(any::<u64>(), 1..24),
+        edits in prop_vec((any::<u64>(), any::<u8>(), 0u8..3), 0..6),
+        cut in any::<u64>(),
+    ) {
+        use pa_mpsim::Wire;
+        let mut bytes = Vec::new();
+        for &w in &words {
+            let (t, e, a) = (w, (w >> 7) as u32, (w >> 40) as u32);
+            let msg = if w & 1 == 0 {
+                par::Msg::Request { t, e, k: w.rotate_left(13), l: (w >> 33) as u32, a }
+            } else {
+                par::Msg::Resolved { t, e, v: w.rotate_right(29), a }
+            };
+            msg.encode(&mut bytes);
+        }
+        for (pos, byte, kind) in edits {
+            let at = (pos % (bytes.len() as u64 + 1)) as usize;
+            match kind {
+                0 if at < bytes.len() => bytes[at] ^= byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
+        let mut cursor: &[u8] = &bytes;
+        loop {
+            let before = cursor;
+            let Some(msg) = par::Msg::decode(&mut cursor) else { break };
+            let mut again = Vec::new();
+            msg.encode(&mut again);
+            prop_assert_eq!(&before[..before.len() - cursor.len()], &again[..]);
+        }
     }
 }

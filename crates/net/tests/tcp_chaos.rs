@@ -6,6 +6,7 @@
 //! suite: the merged edge set must reproduce the fault-free FNV-1a
 //! oracles bit-for-bit.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use pa_core::par::{generate_rank_streaming, Msg};
@@ -20,13 +21,17 @@ const ORACLE_X1: u64 = 0xdefa6458a590e3ba;
 const ORACLE_X4: u64 = 0x66b9ce422f65dc31;
 
 /// Small buffers for plentiful packets (more fault opportunities) and a
-/// watchdog generous enough that recovering plans never trip it.
+/// watchdog generous enough that recovering plans never trip it. Every
+/// rank computes engine 2's hub replica, so under the default size (4096
+/// nodes, more than `n`) it would send nothing to fault; a replica of
+/// the lowest 256 labels keeps request/resolved traffic on the wire.
 fn chaos_opts() -> GenOptions {
     GenOptions {
         buffer_capacity: 32,
         service_interval: 16,
         ..GenOptions::default()
     }
+    .with_hub_cache(256)
     .with_stall_timeout(Duration::from_secs(120))
 }
 
@@ -83,14 +88,23 @@ fn chaos_over_tcp(world: usize) {
             (&cfg4, Scheme::Rrp, ORACLE_X4),
             (&cfg1, Scheme::Lcp, ORACLE_X1),
         ] {
+            let requests = AtomicU64::new(0);
             let shards = run_faulty_world(world, plan, |_, t| {
                 let part = partition::build(scheme, cfg.n, world);
-                generate_rank_streaming(cfg, &part, &chaos_opts(), t, EdgeList::new()).0
+                let (shard, counters) =
+                    generate_rank_streaming(cfg, &part, &chaos_opts(), t, EdgeList::new());
+                requests.fetch_add(counters.requests_sent, Ordering::Relaxed);
+                shard
             });
             assert_eq!(
                 Fnv1a::hash_edges(&EdgeList::concat(shards).canonicalized()),
                 oracle,
                 "x={} diverged under faults over TCP: P={world} fault_seed={fault_seed}",
+                cfg.x
+            );
+            assert!(
+                requests.into_inner() > 0,
+                "x={} sent no request to fault over TCP: P={world}",
                 cfg.x
             );
         }

@@ -5,6 +5,8 @@
 //! sockets, messages crossing as bytes) must reproduce them for every
 //! partition scheme at 2 and 4 ranks.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use pa_core::par::{generate_rank_streaming, Msg};
 use pa_core::partition::{self, Scheme};
 use pa_core::{Engine, GenOptions, PaConfig};
@@ -16,6 +18,12 @@ use pa_net::{TcpConfig, TcpTransport};
 /// `tests/determinism.rs` at the repo root).
 const ORACLE_X1: u64 = 0xdefa6458a590e3ba;
 const ORACLE_X4: u64 = 0x66b9ce422f65dc31;
+
+/// Engine 2's hub replica size for the oracle runs. Every rank computes
+/// its replica, so under the default size (4096 nodes, more than `n`)
+/// engine 2 would send nothing over the sockets; a replica of the lowest
+/// 256 labels keeps request/resolved messages crossing as bytes.
+const HUB_NODES: u64 = 256;
 
 /// FNV-1a over the canonicalized merge of the per-rank shards.
 fn fnv1a(shards: Vec<EdgeList>) -> u64 {
@@ -66,16 +74,27 @@ fn tcp_backend_reproduces_the_oracles_for_every_scheme() {
                 (&cfg1, ORACLE_X1, Engine::General),
                 (&cfg1, ORACLE_X1, Engine::X1),
             ] {
-                let opts = GenOptions::default().with_engine(engine);
+                let opts = GenOptions::default()
+                    .with_engine(engine)
+                    .with_hub_cache(HUB_NODES);
+                let requests = AtomicU64::new(0);
                 let shards = run_world(world, |rank, t| {
                     let part = partition::build(scheme, cfg.n, world);
                     assert_eq!(rank, t.rank());
-                    generate_rank_streaming(cfg, &part, &opts, t, EdgeList::new()).0
+                    let (shard, counters) =
+                        generate_rank_streaming(cfg, &part, &opts, t, EdgeList::new());
+                    requests.fetch_add(counters.requests_sent, Ordering::Relaxed);
+                    shard
                 });
                 assert_eq!(
                     fnv1a(shards),
                     oracle,
                     "{engine}, x={} drifted over TCP: P={world} {scheme}",
+                    cfg.x
+                );
+                assert!(
+                    requests.into_inner() > 0,
+                    "{engine}, x={} sent no request over TCP: P={world} {scheme}",
                     cfg.x
                 );
             }
@@ -128,7 +147,10 @@ fn tcp_backend_reproduces_the_nlpa_oracles() {
     const NLPA_X4_A15: u64 = 0x5fd6a4040af24989;
     for (alpha, oracle) in [(1.0f64, ORACLE_X4), (1.5, NLPA_X4_A15)] {
         for engine in [Engine::General, Engine::Chain] {
-            let opts = GenOptions::default().with_engine(engine).with_alpha(alpha);
+            let opts = GenOptions::default()
+                .with_engine(engine)
+                .with_alpha(alpha)
+                .with_hub_cache(HUB_NODES);
             for world in [2usize, 4] {
                 for scheme in Scheme::ALL {
                     let shards = run_world(world, |_, t| {
@@ -152,17 +174,13 @@ fn tcp_stats_allreduce_agrees_with_local_totals() {
     // rank allreduces its message counters; the global totals must agree
     // on every rank and match the sum of the per-rank ledgers. Sent and
     // received totals must also balance world-wide (nothing lost on the
-    // wire, nothing double-counted).
-    //
-    // The hub cache is off because its broadcasts are *untracked*: a
-    // rank's run can finish while a peer's broadcast to it is still in
-    // flight, so a ledger read right after generation may see a send
-    // without its receive. Request/resolved traffic is tracked by the
-    // termination detector — every message sent has been received by
-    // the time any rank returns — which is the invariant this test
-    // states.
-    let opts = GenOptions::default().without_hub_cache();
-    let cfg = PaConfig::new(2_000, 4).with_seed(7);
+    // wire, nothing double-counted). Every message is a request or a
+    // resolved belonging to an uncommitted slot, so the termination
+    // detector tracks it: every message sent has been received by the
+    // time any rank returns. Under the default options, at an `n` above
+    // the default hub size so that messages are actually sent.
+    let opts = GenOptions::default();
+    let cfg = PaConfig::new(8_000, 4).with_seed(7);
     let world = 4;
     let ranks = TcpConfig::local_world(world).expect("loopback world");
     std::thread::scope(|s| {
@@ -177,6 +195,7 @@ fn tcp_stats_allreduce_agrees_with_local_totals() {
                 let recv = t.stats().msgs_recv;
                 let global_sent = t.allreduce_sum(sent);
                 let global_recv = t.allreduce_sum(recv);
+                assert!(global_sent > 0, "the world sent no message");
                 assert_eq!(
                     global_sent, global_recv,
                     "world-wide sent and received message totals must balance"

@@ -30,6 +30,13 @@ fn cfg_x4() -> PaConfig {
     PaConfig::new(3_000, 4).with_seed(41)
 }
 
+/// Engine 2's hub replica size here. Every rank computes its replica, so
+/// under the default size (4096 nodes, more than `n`) engine 2 would
+/// send no message at all and the fault layer would have nothing to
+/// perturb; a replica of the lowest 256 labels keeps request/resolved
+/// traffic on the wire beside the hub hits.
+const HUB_NODES: u64 = 256;
+
 /// FNV-1a over the canonicalized edge list (same as `determinism.rs`).
 fn fnv1a(edges: &pa_graph::EdgeList) -> u64 {
     Fnv1a::hash_edges(&edges.canonicalized())
@@ -38,13 +45,14 @@ fn fnv1a(edges: &pa_graph::EdgeList) -> u64 {
 /// Chaos runs use small buffers and a short service interval so packets
 /// are plentiful (more fault opportunities), plus a generous watchdog:
 /// recovering plans must never stall, and if one does we want a report
-/// rather than a hung CI job.
+/// rather than a hung CI job. Engine 2 runs with a [`HUB_NODES`] replica.
 fn chaos_opts(plan: FaultPlan) -> GenOptions {
     GenOptions {
         buffer_capacity: 32,
         service_interval: 16,
         ..GenOptions::default()
     }
+    .with_hub_cache(HUB_NODES)
     .with_fault_plan(plan)
     .with_stall_timeout(Duration::from_secs(120))
 }
@@ -78,6 +86,10 @@ fn chaos_matrix(nranks: usize) {
                     "{engine} (x={}) edge set diverged under faults: P={nranks} {scheme} \
                      fault_seed={fault_seed}",
                     cfg.x
+                );
+                assert!(
+                    out.total_counters().requests_sent > 0,
+                    "{engine} sent no request for the faults to perturb: P={nranks} {scheme}"
                 );
             }
         }
@@ -131,10 +143,9 @@ fn faults_are_actually_injected_and_recovered() {
     // Guard against the suite silently testing nothing: an aggressive
     // plan over a multi-rank run must inject faults, recover drops, and
     // dedup spurious retransmissions — and the engines must see (and
-    // discard) stale duplicates. The hub cache is disabled because at
-    // n = 3000 every node is a hub under the default cache size, so
-    // nearly all traffic would be broadcast messages whose duplicates
-    // are absorbed without ever hitting the stale-resolution guards.
+    // discard) stale duplicates. The hub cache is disabled so every copy
+    // lookup of a remote label is a request/resolved round trip: the
+    // most answers for duplication to turn into stale resolutions.
     let opts = chaos_opts(FaultPlan::aggressive(3)).without_hub_cache();
     let out = par::generate(&cfg_x4(), Scheme::Rrp, 4, &opts);
     let comm: pa_mpsim::CommStats =
@@ -156,7 +167,12 @@ fn faults_are_actually_injected_and_recovered() {
 
 #[test]
 fn clean_runs_report_zero_fault_counters() {
-    let out = par::generate(&cfg_x4(), Scheme::Rrp, 4, &GenOptions::default());
+    let opts = GenOptions::default().with_hub_cache(HUB_NODES);
+    let out = par::generate(&cfg_x4(), Scheme::Rrp, 4, &opts);
+    assert!(
+        out.total_counters().requests_sent > 0,
+        "the clean run sent nothing"
+    );
     for r in &out.ranks {
         assert_eq!(r.comm.faults_injected, 0);
         assert_eq!(r.comm.retransmitted, 0);

@@ -68,7 +68,11 @@ fn assert_nlpa_pins(runs: &[(Engine, u64)], schemes: &[Scheme]) {
                 1 => (cfg_x1(), pin1),
                 _ => (cfg_x4(), pin4),
             };
-            let opts = GenOptions::default().with_engine(engine).with_alpha(alpha);
+            // A hub replica below n, so engine 2 sends requests too.
+            let opts = GenOptions::default()
+                .with_engine(engine)
+                .with_alpha(alpha)
+                .with_hub_cache(256);
             for nranks in [1usize, 2, 4] {
                 for &scheme in schemes {
                     let out = par::generate(&cfg, scheme, nranks, &opts);
@@ -94,12 +98,10 @@ fn nlpa_communication_free_engine_matches_the_oracle_for_every_world() {
 }
 
 #[test]
-fn strategies_without_hub_broadcasts_never_touch_the_hub_cache_path() {
-    // The hub cache is engine2's private optimization, owned by its
-    // strategy since the strategy refactor. A strategy that never
-    // broadcasts hub commits must report a completely untouched hub
-    // path — hits, deferrals, and updates all zero — no matter how much
-    // other traffic the run generates.
+fn only_engine2_touches_the_hub_cache_path() {
+    // The hub cache is engine 2's private optimization, owned by its
+    // strategy. Every other strategy must report an untouched hub path
+    // no matter how much other work the run does.
     let cfg = cfg_x4();
 
     // Engine 3 exchanges no algorithm messages at all; engine 1 predates
@@ -109,13 +111,11 @@ fn strategies_without_hub_broadcasts_never_touch_the_hub_cache_path() {
         let out = par::generate(&cfg, Scheme::Rrp, 4, &opts);
         for r in &out.ranks {
             assert_eq!(r.counters.hub_hits, 0, "{engine} rank {} hub hit", r.rank);
-            assert_eq!(r.counters.hub_deferred, 0);
-            assert_eq!(r.counters.hub_updates, 0);
         }
     }
 
     // Engine 2 with the cache disabled must fall back to pure
-    // request/resolved traffic: real remote requests, zero hub activity.
+    // request/resolved traffic: real remote requests, zero hub hits.
     let out = par::generate(
         &cfg,
         Scheme::Rrp,
@@ -128,26 +128,23 @@ fn strategies_without_hub_broadcasts_never_touch_the_hub_cache_path() {
         "hub-off multi-rank run sent no requests — the conformance check is vacuous"
     );
     assert_eq!(totals.hub_hits, 0);
-    assert_eq!(totals.hub_deferred, 0);
-    assert_eq!(totals.hub_updates, 0);
 
     // And with the cache on, the same workload must actually use it —
-    // guarding against the counters being dead weight.
+    // guarding against the counter being dead weight.
     let out = par::generate(&cfg, Scheme::Rrp, 4, &GenOptions::default());
-    assert!(
-        out.total_counters().hub_updates > 0,
-        "hub cache never updated"
-    );
+    assert!(out.total_counters().hub_hits > 0, "hub cache never hit");
 }
 
 /// Chaos runs use small buffers and a short service interval so packets
-/// are plentiful, plus a generous watchdog (same as `tests/chaos.rs`).
+/// are plentiful, plus a generous watchdog and a hub replica below `n`,
+/// so engine 2 still sends requests to fault (same as `tests/chaos.rs`).
 fn chaos_opts(plan: FaultPlan) -> GenOptions {
     GenOptions {
         buffer_capacity: 32,
         service_interval: 16,
         ..GenOptions::default()
     }
+    .with_hub_cache(256)
     .with_fault_plan(plan)
     .with_stall_timeout(Duration::from_secs(120))
 }
