@@ -155,21 +155,25 @@ fi
 
 echo "==> pagen chain-memo invariance smoke run"
 # Engine 3's chain memo caches a pure function, so its size changes how
-# much is recomputed, never the network: off, a prefix covering a quarter
-# of the labels, and the default must write the same bytes (engine 3
-# emits in label order).
-for memo in 0 50000 default; do
-    memo_flag=()
-    [ "$memo" = default ] || memo_flag=(--chain-memo "$memo")
-    ./target/release/pagen generate --model pa --n 200000 --x 4 --ranks 4 \
-        --scheme rrp --seed 7 --engine 3 "${memo_flag[@]}" \
-        --out "$scratch/memo_$memo.bin" --format bin >/dev/null
-done
-for memo in 0 50000; do
-    if ! cmp -s "$scratch/memo_$memo.bin" "$scratch/memo_default.bin"; then
-        echo "chain-memo smoke mismatch: --chain-memo $memo changed engine 3's output bytes" >&2
-        exit 1
-    fi
+# much is recomputed, never the network: off, the lowest 50 000 labels a
+# rank does not own, and the default must write the same bytes (engine 3
+# emits in label order). A memo row is indexed by the label's ordinal
+# among the rank's remote labels, which the partition decides, so the
+# check runs under a round-robin, a consecutive and a block-cyclic one.
+for scheme in rrp ucp bcp; do
+    for memo in 0 50000 default; do
+        memo_flag=()
+        [ "$memo" = default ] || memo_flag=(--chain-memo "$memo")
+        ./target/release/pagen generate --model pa --n 200000 --x 4 --ranks 4 \
+            --scheme "$scheme" --seed 7 --engine 3 "${memo_flag[@]}" \
+            --out "$scratch/memo_${scheme}_$memo.bin" --format bin >/dev/null
+    done
+    for memo in 0 50000; do
+        if ! cmp -s "$scratch/memo_${scheme}_$memo.bin" "$scratch/memo_${scheme}_default.bin"; then
+            echo "chain-memo smoke mismatch: --chain-memo $memo changed engine 3's output bytes under --scheme $scheme" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "==> pagen chaos smoke run"

@@ -116,15 +116,20 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ],
         Engine::General => vec![
             f_table("F table (x slots/node)", slots),
-            resident("node cursors + attempts (u32)", size * 8),
+            resident("request tags (1 B/node)", size),
             resident("waiter bitmap (1 bit/slot)", slots.div_ceil(8)),
             resident("hub cache (replicated)", hub_nodes * x * 8),
         ],
         Engine::Chain => vec![
             f_table("F table (x slots/node)", slots),
+            // Rows for remote labels only: the rank owning the fewest
+            // labels allocates the most.
             resident(
                 "chain memo (allocated)",
-                pa_core::chain_memo_bytes(memo_nodes, n, x, ranks),
+                (0..ranks)
+                    .map(|r| pa_core::chain_memo_bytes(memo_nodes, x, &part, r))
+                    .max()
+                    .unwrap_or(0),
             ),
         ],
     };

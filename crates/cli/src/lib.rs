@@ -87,7 +87,8 @@ COMMANDS:
                           --service-interval <nodes> (default 4096)
                           --hub-cache auto|off (default auto)
                           --chain-memo <nodes> (engine 3 memoizes the rows of the
-                          lowest <nodes> labels; default 1048576, 0 off)
+                          lowest <nodes> labels this rank does not own;
+                          default 1048576, 0 off)
                pa chaos:  --chaos-profile off|light|aggressive (default off)
                           --chaos-seed <u64> (default 0)
                           --stall-timeout-ms <ms> (default: off; 120000 under chaos)

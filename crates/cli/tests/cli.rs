@@ -730,9 +730,10 @@ fn chain_memo_rejects_non_integer_values() {
 #[test]
 fn info_plans_engine3_chain_memo_as_allocated() {
     // Engine 3's memo is allocated up front on every rank of a
-    // multi-rank world: the lowest min(cap, n) labels' rows of x u32
-    // cells. At the gen-e3-paged tuple that is 500 000 · 4 · 4 B =
-    // 8 000 000 B, whatever the rank's own size; a single rank reads no
+    // multi-rank world: rows of x u32 cells for the lowest `cap` labels
+    // the rank does not own, planned for the rank that owns the fewest.
+    // At the gen-e3-paged tuple that is each rank's 250 000 remote
+    // labels, 250 000 · 4 · 4 B = 4 000 000 B; a single rank reads no
     // remote row and allocates none.
     let plan = |memo: &str, ranks: &str| {
         exec(&[
@@ -752,7 +753,7 @@ fn info_plans_engine3_chain_memo_as_allocated() {
     };
     let line = |bytes: &str| format!("  {:<28} {:>14}\n", "chain memo (allocated)", bytes);
     let default = plan("1048576", "2");
-    assert!(default.contains(&line("7.6 MiB")), "{default}");
+    assert!(default.contains(&line("3.8 MiB")), "{default}");
     let prefix = plan("100000", "2");
     assert!(prefix.contains(&line("1.5 MiB")), "{prefix}");
     let off = plan("0", "2");
@@ -765,9 +766,9 @@ fn info_plans_engine3_chain_memo_as_allocated() {
 fn info_plans_engine2_memory_from_its_actual_state() {
     // The estimate mode, pinned by value: engine 2 keeps the F table
     // (4-byte cells, as every label fits; the only table
-    // `--memory-budget` pages, so it gets the whole budget), 8 B/node of
-    // cursor + attempt counter, one waiter bit per slot and the hub
-    // replica. `tests/heap.rs` holds the total to the heap the engine
+    // `--memory-budget` pages, so it gets the whole budget), a one-byte
+    // outstanding-request tag per node, one waiter bit per slot and the
+    // hub replica. `tests/heap.rs` holds the total to the heap the engine
     // really uses.
     let plan = [
         "info", "--n", "2000000", "--x", "4", "--ranks", "2", "--engine", "2",
@@ -777,10 +778,10 @@ fn info_plans_engine2_memory_from_its_actual_state() {
 per-rank memory estimate: n=2000000 x=4 ranks=2 scheme=RRP engine=2
 largest rank: 1000000 nodes (4000000 F slots)
   F table (x slots/node)             15.3 MiB
-  node cursors + attempts (u32)        7.6 MiB
+  request tags (1 B/node)           976.6 KiB
   waiter bitmap (1 bit/slot)        488.3 KiB
   hub cache (replicated)            128.0 KiB
-total: 23.5 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged plan)
+total: 16.8 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged plan)
 ";
     assert_eq!(resident, want);
 
@@ -790,7 +791,7 @@ total: 23.5 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
         "{paged}"
     );
     assert!(
-        paged.ends_with("total: 23.5 MiB resident | 16.3 MiB under --memory-budget 8.0 MiB\n"),
+        paged.ends_with("total: 16.8 MiB resident | 9.6 MiB under --memory-budget 8.0 MiB\n"),
         "{paged}"
     );
     assert_eq!(paged.matches("paged").count(), 1, "only F pages:\n{paged}");
@@ -868,8 +869,8 @@ fn info_plans_a_paged_run_with_its_page_size() {
 per-rank memory estimate: n=500000 x=4 ranks=2 scheme=RRP engine=3
 largest rank: 250000 nodes (1000000 F slots)
   F table (x slots/node)              3.8 MiB          3.8 MiB paged
-  chain memo (allocated)              7.6 MiB
-total: 11.4 MiB resident | 11.5 MiB under --memory-budget 4.0 MiB
+  chain memo (allocated)              3.8 MiB
+total: 7.6 MiB resident | 7.6 MiB under --memory-budget 4.0 MiB
 ";
     assert_eq!(plan("4194304", "16384").unwrap(), want);
     // A budget that is not a whole number of frames rounds down:

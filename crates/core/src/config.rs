@@ -1,5 +1,7 @@
 //! Model and engine configuration.
 
+use crate::partition::Partition;
+
 /// Parameters of a preferential-attachment network.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaConfig {
@@ -168,32 +170,32 @@ pub const DEFAULT_HUB_CACHE_NODES: u64 = 4096;
 
 /// Default chain-memo capacity in *nodes* for the communication-free
 /// engine (engine3): the memo caches the recomputed rows of the lowest
-/// this-many labels, where chains end (the engine clamps it to `n`). The
-/// memo is a pure-function cache, so its size never affects the
-/// generated network — only the amount of redundant recomputation, which
-/// grows steeply once the hot low-label rows stop fitting; hence a
-/// generous default (`x = 4` at the full default size costs 16 MiB per
-/// rank, and `n · x · 4` B below it).
+/// this-many labels the rank does not own, where chains end (the engine
+/// clamps it to the rank's remote labels). The memo is a pure-function
+/// cache, so its size never affects the generated network — only the
+/// amount of redundant recomputation, which grows steeply once the hot
+/// low-label rows stop fitting; hence a generous default (`x = 4` at the
+/// full default size costs 16 MiB per rank, and `(n − n/P) · x · 4` B
+/// below it on a balanced partition).
 pub const DEFAULT_CHAIN_MEMO_NODES: u64 = 1 << 20;
 
-/// Bytes of engine 3's chain memo for a `cap`-row budget over an
-/// `n`-node network with `x` slots per node on `ranks` ranks: what every
-/// rank allocates, up front — `min(cap, n)` rows (clamped below
-/// `u32::MAX`) of `x` 4-byte cells. `cap = 0` or a single rank is no
-/// memo, 0 B.
-pub fn chain_memo_bytes(cap: u64, n: u64, x: u64, ranks: usize) -> u64 {
-    chain_memo_rows(cap, n, ranks) * x * 4
+/// Bytes of engine 3's chain memo on `rank` of `part` for a `cap`-row
+/// budget with `x` slots per node: what the rank allocates, up front —
+/// a row of `x` 4-byte cells for each of the lowest `cap` labels the rank
+/// does not own, below `min(n, u32::MAX)`. `cap = 0` or a single rank is
+/// no memo, 0 B.
+pub fn chain_memo_bytes<P: Partition>(cap: u64, x: u64, part: &P, rank: usize) -> u64 {
+    chain_memo_rows(cap, part, rank) * x * 4
 }
 
-/// Rows of the chain memo: the lowest `min(cap, n)` labels (clamped
-/// below `u32::MAX`, so every cached label fits a 4-byte cell), and
-/// none on a single rank, which recomputes no remote row.
-pub(crate) fn chain_memo_rows(cap: u64, n: u64, ranks: usize) -> u64 {
-    if ranks > 1 {
-        cap.min(n).min(u64::from(u32::MAX))
-    } else {
-        0
-    }
+/// Rows of `rank`'s chain memo: one for each of the lowest `cap` labels
+/// the rank does not own — it reads its own rows from `F` and never
+/// caches them — among the labels below `min(n, u32::MAX)`, so every
+/// cached value fits a 4-byte cell. A single rank owns every label and
+/// has no memo.
+pub(crate) fn chain_memo_rows<P: Partition>(cap: u64, part: &P, rank: usize) -> u64 {
+    let bound = part.num_nodes().min(u64::from(u32::MAX));
+    cap.min(bound - part.local_count_below(rank, bound))
 }
 
 /// Tuning knobs for the parallel engines.
@@ -243,11 +245,12 @@ pub struct GenOptions {
     pub checkpoint_interval: Option<u64>,
     /// Chain-memo capacity in *nodes* for engine3's local recomputation:
     /// each rank memoizes the recomputed rows of the lowest this-many
-    /// labels (where chains end), so chains sharing a suffix are walked
-    /// once, not once per referencing edge; higher labels are always
-    /// recomputed. `0` disables the memo. Because every
-    /// memoized row is a pure function of the seed, the memo size cannot
-    /// change the generated network (pinned by the determinism suite).
+    /// labels it does not own (where chains end; its own rows it reads
+    /// from `F`), so chains sharing a suffix are walked once, not once
+    /// per referencing edge; higher labels are always recomputed. `0`
+    /// disables the memo. Because every memoized row is a pure function
+    /// of the seed, the memo size cannot change the generated network
+    /// (pinned by the determinism suite).
     pub chain_memo_nodes: u64,
     /// Which attachment model to generate (see [`crate::ModelKind`]).
     /// The default is the paper's copy model; `Nlpa { alpha }` re-weights

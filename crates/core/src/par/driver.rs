@@ -106,6 +106,20 @@ impl<'t, T: Transport<Msg>> Net<'t, T> {
         self.term.is_done()
     }
 
+    /// A bundle over `comm` with buffers for `nranks` destinations, for
+    /// unit tests that drive a strategy's hooks by hand: what is sent
+    /// stays buffered until 4096 messages fill a buffer.
+    #[cfg(test)]
+    pub fn for_test(comm: &'t mut T, nranks: usize) -> Self {
+        Net {
+            req: BufferedComm::new(nranks, 4096),
+            res: BufferedComm::new(nranks, 4096),
+            term: comm.termination(),
+            completed: 0,
+            comm,
+        }
+    }
+
     fn flush_res(&mut self) {
         self.res.flush_all(&mut *self.comm);
     }

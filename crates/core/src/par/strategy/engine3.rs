@@ -39,10 +39,13 @@
 //! **Chain memo.** High-`x` runs repeatedly walk chains that share a
 //! suffix: every step lands on a uniformly random lower label, so chains
 //! end among the low-labelled hubs (Lemmas 3.1 and 3.4). The memo keeps
-//! the recomputed row prefixes of the lowest `cap` labels in one flat
-//! array indexed by the label itself — no hash, no tag, no collisions,
-//! and the hot rows sit together at the front. A higher label is simply
-//! recomputed. A single rank reads no remote row and allocates no memo.
+//! the recomputed row prefixes of the lowest `cap` labels this rank does
+//! not own in one flat array indexed by the label's ordinal among them
+//! (`k − local_count_below(rank, k)`, O(1) in every scheme) — no hash, no
+//! tag, no collisions, no row spent on a local label (those are read
+//! from `F`), and the hot rows sit together at the front. A higher label
+//! is simply recomputed. A single rank reads no remote row and allocates
+//! no memo.
 //! The memo caches values of a pure function, so its size — including
 //! 0 — cannot change the output, only the amount of redundant
 //! recomputation; a determinism test sweeps memo sizes to pin that
@@ -70,6 +73,8 @@ struct Frame {
     /// The node whose row this frame is recomputing (always `> x` and
     /// remote to this rank).
     k: Node,
+    /// `k`'s memo ordinal ([`Chain::ordinal`]).
+    o: u64,
     /// Hoisted key prefix for `k`'s draws.
     keys: EventKeys,
     /// Committed row values so far (`len()` is the current slot; may
@@ -87,23 +92,26 @@ struct Frame {
 
 /// What one stepping of the top frame concluded.
 enum Step {
-    /// The frame needs node `k`'s row recomputed first.
-    NeedChild(Node),
+    /// The frame needs node `k` (memo ordinal `o`) recomputed first.
+    NeedChild { k: Node, o: u64 },
     /// The frame's row is complete.
     Done,
 }
 
-/// Cache of recomputed remote row prefixes, indexed by label: row `k`
-/// of the lowest `rows` labels lives at `cells[k·x .. k·x + x]`, with
+/// Cache of recomputed remote row prefixes, indexed by a remote label's
+/// *ordinal* `o` — its position among the labels this rank does not own
+/// ([`Chain::ordinal`]): row `o` lives at `cells[o·x .. o·x + x]`, with
 /// [`Memo::NIL`] marking an undrawn slot. Chains end among the low
 /// labels (Lemma 3.4), so the prefix holds the rows they keep
 /// re-walking; a higher label is never cached and is always recomputed.
-/// Nothing is evicted, so each cached row slot is recomputed at most
-/// once between checkpoint restores. Row `k` holds labels below
-/// `k < rows ≤ u32::MAX`, so `u32` cells always suffice.
+/// The rank's own labels take no row: it reads them from `F`. Nothing is
+/// evicted, so each cached row slot is recomputed at most once between
+/// checkpoint restores. Covered labels lie below `u32::MAX`
+/// ([`crate::config::chain_memo_rows`]), and a row holds labels below
+/// its own, so `u32` cells always suffice.
 struct Memo {
     cells: Vec<u32>,
-    /// Labels covered: `0..rows`.
+    /// Ordinals covered: `0..rows`.
     rows: u64,
     /// Cells per row: `x`.
     x: usize,
@@ -122,28 +130,28 @@ impl Memo {
         }
     }
 
-    /// Node `k`'s cached row, if `k` is covered.
+    /// The cached row at ordinal `o`, if `o` is covered.
     #[inline]
-    fn row(&self, k: Node) -> Option<&[u32]> {
-        if k >= self.rows {
+    fn row(&self, o: u64) -> Option<&[u32]> {
+        if o >= self.rows {
             return None;
         }
-        let base = k as usize * self.x;
+        let base = o as usize * self.x;
         Some(&self.cells[base..base + self.x])
     }
 
-    /// Cached value of slot `l` of `k`'s row, if that prefix has been
-    /// computed.
+    /// Cached value of slot `l` of the row at ordinal `o`, if that prefix
+    /// has been computed.
     #[inline]
-    fn get_slot(&self, k: Node, l: u64) -> Option<Node> {
-        let v = self.row(k)?[l as usize];
+    fn get_slot(&self, o: u64, l: u64) -> Option<Node> {
+        let v = self.row(o)?[l as usize];
         (v != Self::NIL).then_some(Node::from(v))
     }
 
-    /// Append the committed prefix cached for `k` to `out` — the
+    /// Append the committed prefix cached at ordinal `o` to `out` — the
     /// complete resume state for extending the row to a higher slot.
-    fn copy_prefix_into(&self, k: Node, out: &mut Vec<Node>) {
-        if let Some(row) = self.row(k) {
+    fn copy_prefix_into(&self, o: u64, out: &mut Vec<Node>) {
+        if let Some(row) = self.row(o) {
             out.extend(
                 row.iter()
                     .take_while(|&&v| v != Self::NIL)
@@ -152,13 +160,13 @@ impl Memo {
         }
     }
 
-    /// Cache `row` (a true prefix of `k`'s full row, never shorter than
-    /// the prefix already cached) when `k` is covered.
-    fn insert(&mut self, k: Node, row: &[Node]) {
-        if k < self.rows {
-            let base = k as usize * self.x;
+    /// Cache `row` (a true prefix of the full row of the label at ordinal
+    /// `o`, never shorter than the prefix already cached) when `o` is
+    /// covered.
+    fn insert(&mut self, o: u64, row: &[Node]) {
+        if o < self.rows {
+            let base = o as usize * self.x;
             for (cell, &v) in self.cells[base..].iter_mut().zip(row) {
-                debug_assert!(v < k, "row {k} holds label {v}");
                 *cell = u32::try_from(v).expect("a covered row holds labels below u32::MAX");
             }
         }
@@ -189,8 +197,8 @@ pub(crate) struct Chain<'a, P: Partition, S: EdgeSink> {
     /// engine's only `O(n/P)`-slot structure, so it takes the whole
     /// memory budget.
     f: AnyTable,
-    /// Label-indexed cache of recomputed remote rows. Pure-function
-    /// cache: its size cannot affect the output.
+    /// Cache of recomputed remote rows, indexed by remote ordinal.
+    /// Pure-function cache: its size cannot affect the output.
     memo: Memo,
     /// Recycled frame allocations (row capacity reuse).
     frame_pool: Vec<Frame>,
@@ -221,7 +229,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             model: Model::resolve(cfg, opts.model),
             f,
             memo: Memo::new(
-                crate::config::chain_memo_rows(opts.chain_memo_nodes, cfg.n, part.nranks()),
+                crate::config::chain_memo_rows(opts.chain_memo_nodes, part, rank),
                 cfg.x,
             ),
             frame_pool: Vec::new(),
@@ -246,6 +254,13 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         self.part.local_index(t) * self.cfg.x + u64::from(e)
     }
 
+    /// Remote label `k`'s memo ordinal: how many labels below `k` this
+    /// rank does not own.
+    #[inline]
+    fn ordinal(&self, k: Node) -> u64 {
+        k - self.part.local_count_below(self.rank, k)
+    }
+
     /// Record `F_t(e) = v` and emit the edge. `li` is `t`'s local index,
     /// hoisted by the caller so per-slot commits don't redo the
     /// partition arithmetic.
@@ -265,13 +280,14 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         net.complete(1);
     }
 
-    /// A frame primed to recompute node `k`'s row up to slot `goal`,
-    /// resuming from the memoized prefix (if any) and reusing pooled
-    /// allocations when available.
-    fn new_frame(&mut self, k: Node, goal: u64) -> Frame {
+    /// A frame primed to recompute node `k`'s (memo ordinal `o`) row up
+    /// to slot `goal`, resuming from the memoized prefix (if any) and
+    /// reusing pooled allocations when available.
+    fn new_frame(&mut self, k: Node, o: u64, goal: u64) -> Frame {
         let keys = self.model.keys_for(k);
         let mut frame = self.frame_pool.pop().unwrap_or(Frame {
             k,
+            o,
             keys,
             row: Vec::new(),
             goal: 0,
@@ -279,10 +295,11 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             pending: None,
         });
         frame.k = k;
+        frame.o = o;
         frame.keys = keys;
         frame.goal = goal as usize;
         frame.row.clear();
-        self.memo.copy_prefix_into(k, &mut frame.row);
+        self.memo.copy_prefix_into(o, &mut frame.row);
         debug_assert!(frame.row.len() <= frame.goal, "memo hit routed to a walk");
         frame.attempt = 0;
         frame.pending = None;
@@ -314,12 +331,15 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                     let v = self.f.get(self.slot(c.k, c.l as u32));
                     debug_assert_ne!(v, NILL, "chain read an uncommitted local slot");
                     v
-                } else if let Some(v) = self.memo.get_slot(c.k, c.l) {
-                    self.counters.chain_memo_hits += 1;
-                    v
                 } else {
-                    frame.pending = Some(c);
-                    return Step::NeedChild(c.k);
+                    let o = self.ordinal(c.k);
+                    if let Some(v) = self.memo.get_slot(o, c.l) {
+                        self.counters.chain_memo_hits += 1;
+                        v
+                    } else {
+                        frame.pending = Some(c);
+                        return Step::NeedChild { k: c.k, o };
+                    }
                 }
             };
             if frame.row.contains(&cand) {
@@ -337,11 +357,12 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
     /// decrease down the stack, so the walk terminates and never
     /// references a node that is itself mid-recomputation).
     fn chain_value(&mut self, k0: Node, l0: u64) -> Node {
-        if let Some(v) = self.memo.get_slot(k0, l0) {
+        let o0 = self.ordinal(k0);
+        if let Some(v) = self.memo.get_slot(o0, l0) {
             self.counters.chain_memo_hits += 1;
             return v;
         }
-        let root = self.new_frame(k0, l0);
+        let root = self.new_frame(k0, o0, l0);
         let mut stack = std::mem::take(&mut self.stack);
         debug_assert!(stack.is_empty(), "chain walks never nest");
         stack.push(root);
@@ -350,13 +371,13 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             self.counters.chain_peak_depth = self.counters.chain_peak_depth.max(stack.len() as u64);
             let mut frame = stack.pop().expect("chain walk on an empty stack");
             match self.step_frame(&mut frame, &mut delivered) {
-                Step::NeedChild(k) => {
+                Step::NeedChild { k, o } => {
                     let goal = frame
                         .pending
                         .as_ref()
                         .expect("child requested without a pending choice")
                         .l;
-                    let child = self.new_frame(k, goal);
+                    let child = self.new_frame(k, o, goal);
                     stack.push(frame);
                     stack.push(child);
                 }
@@ -376,7 +397,12 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                         None => l0,
                     };
                     let value = frame.row[l as usize];
-                    self.memo.insert(frame.k, &frame.row);
+                    debug_assert!(
+                        frame.row.iter().all(|&v| v < frame.k),
+                        "row {} holds a higher label",
+                        frame.k
+                    );
+                    self.memo.insert(frame.o, &frame.row);
                     self.frame_pool.push(frame);
                     if stack.is_empty() {
                         self.stack = stack;
@@ -507,33 +533,59 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::{self, Scheme};
+    use pa_graph::EdgeList;
 
     #[test]
     fn chain_memo_bytes_is_what_the_memo_allocates() {
-        // (cap, n, x, ranks): the gen-e3-paged and gen-e3-mpsim tuples at
-        // the default budget, a budget inside the label range, the memo
-        // off, a single rank, and labels too wide for a compact F table.
-        let wide_n = u64::from(u32::MAX);
-        for (cap, n, x, ranks) in [
-            (crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4, 2),
-            (crate::DEFAULT_CHAIN_MEMO_NODES, 2_000_000, 4, 2),
-            (1000, 10_000, 3, 4),
-            (0, 10_000, 3, 4),
-            (1000, 10_000, 3, 1),
-            (1000, wide_n, 3, 2),
+        // (scheme, cap, n, x, ranks, rank): the gen-e3-paged and
+        // gen-e3-mpsim tuples at the default budget, budgets inside the
+        // remote label range, the memo off, and a single rank.
+        let cap = crate::DEFAULT_CHAIN_MEMO_NODES;
+        for (scheme, cap, n, x, ranks, rank) in [
+            (Scheme::Rrp, cap, 500_000, 4, 2, 0),
+            (Scheme::Rrp, cap, 2_000_000, 4, 2, 1),
+            (Scheme::Ucp, 1000, 10_000, 3, 4, 0),
+            (Scheme::Lcp, 1000, 10_000, 3, 4, 3),
+            (Scheme::Bcp, 0, 10_000, 3, 4, 2),
+            (Scheme::Rrp, 1000, 10_000, 3, 1, 0),
         ] {
-            let memo = Memo::new(crate::config::chain_memo_rows(cap, n, ranks), x);
+            let cfg = PaConfig::new(n, x);
+            let part = partition::build(scheme, n, ranks);
+            let opts = GenOptions::default().with_chain_memo(cap);
+            let chain = Chain::new(&cfg, &part, rank, &opts, EdgeList::new());
             assert_eq!(
-                std::mem::size_of_val(memo.cells.as_slice()) as u64,
-                crate::chain_memo_bytes(cap, n, x, ranks),
-                "cap = {cap}, n = {n}, x = {x}, ranks = {ranks}"
+                std::mem::size_of_val(chain.memo.cells.as_slice()) as u64,
+                crate::chain_memo_bytes(cap, x, &part, rank),
+                "{scheme}, cap = {cap}, n = {n}, x = {x}, ranks = {ranks}, rank = {rank}"
             );
         }
-        assert_eq!(
-            crate::chain_memo_bytes(crate::DEFAULT_CHAIN_MEMO_NODES, 500_000, 4, 2),
-            8_000_000
-        );
-        assert_eq!(crate::chain_memo_bytes(1000, 10_000, 3, 1), 0);
+        // gen-e3-paged: a row for each of the 250 000 remote labels, half
+        // of the 500 000 rows a label-indexed memo reserved.
+        let paged = partition::build(Scheme::Rrp, 500_000, 2);
+        assert_eq!(crate::chain_memo_bytes(cap, 4, &paged, 0), 4_000_000);
+        // n = 2·10⁶: every one of the 10⁶ remote labels fits the default.
+        let big = partition::build(Scheme::Rrp, 2_000_000, 2);
+        assert_eq!(crate::chain_memo_bytes(cap, 4, &big, 1), 16_000_000);
+        let single = partition::build(Scheme::Rrp, 10_000, 1);
+        assert_eq!(crate::chain_memo_bytes(1000, 3, &single, 0), 0);
+    }
+
+    #[test]
+    fn memo_rows_are_the_remote_labels_in_order() {
+        let cfg = PaConfig::new(1000, 3);
+        let opts = GenOptions::default().with_chain_memo(100);
+        for scheme in Scheme::EXTENDED {
+            let part = partition::build(scheme, cfg.n, 3);
+            for rank in 0..3 {
+                let chain = Chain::new(&cfg, &part, rank, &opts, EdgeList::new());
+                let remote = (0..cfg.n).filter(|&k| part.rank_of(k) != rank);
+                for (o, k) in remote.enumerate() {
+                    assert_eq!(chain.ordinal(k), o as u64, "{scheme} rank {rank} label {k}");
+                }
+                assert_eq!(chain.memo.rows, 100, "{scheme} rank {rank}");
+            }
+        }
     }
 
     #[test]
@@ -543,7 +595,7 @@ mod tests {
         memo.insert(10, &[1, 2, 3]);
         assert_eq!(memo.get_slot(9, 1), Some(7));
         assert_eq!(memo.get_slot(9, 2), None, "undrawn slot");
-        assert_eq!(memo.get_slot(10, 0), None, "label above the prefix");
+        assert_eq!(memo.get_slot(10, 0), None, "ordinal above the prefix");
         let mut row = vec![];
         memo.copy_prefix_into(9, &mut row);
         memo.copy_prefix_into(10, &mut row);

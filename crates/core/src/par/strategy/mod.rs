@@ -134,9 +134,9 @@ pub(crate) trait Strategy {
     /// so these two are the whole engine.
     fn state(&mut self) -> (&mut AnyTable, &mut EngineCounters);
 
-    /// Rebuild whatever the engine derives from its table (cursors, the
-    /// committed base, caches) after a payload — written by this engine
-    /// or any other — was loaded into [`Strategy::state`] at cut `hi`.
+    /// Reset whatever the engine caches beside its table (engine 3's
+    /// chain memo) after a payload — written by this engine or any
+    /// other — was loaded into [`Strategy::state`] at cut `hi`.
     fn restored(&mut self, _hi: Node) {}
 
     /// One-line progress summary (uncommitted slots, waiter-table depths)

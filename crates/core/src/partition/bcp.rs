@@ -88,6 +88,16 @@ impl Partition for Bcp {
         let within = idx % self.block;
         super_row * self.block * self.nranks as u64 + rank as u64 * self.block + within
     }
+
+    #[inline]
+    fn local_count_below(&self, rank: usize, bound: Node) -> u64 {
+        // A whole block per full stripe below the bound, plus the part
+        // of the rank's block in the last, partial stripe.
+        let bound = bound.min(self.n);
+        let stripe = self.block * self.nranks as u64;
+        let tail = (bound % stripe).saturating_sub(rank as u64 * self.block);
+        bound / stripe * self.block + tail.min(self.block)
+    }
 }
 
 #[cfg(test)]

@@ -123,6 +123,11 @@ impl Partition for Lcp {
         debug_assert!(idx < self.size_of(rank));
         self.bounds[rank] + idx
     }
+
+    #[inline]
+    fn local_count_below(&self, rank: usize, bound: Node) -> u64 {
+        bound.clamp(self.bounds[rank], self.bounds[rank + 1]) - self.bounds[rank]
+    }
 }
 
 #[cfg(test)]

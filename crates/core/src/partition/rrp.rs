@@ -65,6 +65,15 @@ impl Partition for Rrp {
         debug_assert!(idx < self.size_of(rank));
         rank as u64 + idx * self.nranks as u64
     }
+
+    #[inline]
+    fn local_count_below(&self, rank: usize, bound: Node) -> u64 {
+        // Nodes rank, rank+P, … below min(bound, n).
+        bound
+            .min(self.n)
+            .saturating_sub(rank as u64)
+            .div_ceil(self.nranks as u64)
+    }
 }
 
 #[cfg(test)]

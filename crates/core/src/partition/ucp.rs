@@ -85,6 +85,12 @@ impl Partition for Ucp {
         debug_assert!(idx < self.size_of(rank));
         self.block_start(rank) + idx
     }
+
+    #[inline]
+    fn local_count_below(&self, rank: usize, bound: Node) -> u64 {
+        let start = self.block_start(rank);
+        bound.clamp(start, start + self.size_of(rank)) - start
+    }
 }
 
 #[cfg(test)]

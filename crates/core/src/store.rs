@@ -1822,10 +1822,11 @@ mod tests {
             );
             let cell = if compact { 4 } else { 8 };
             assert_eq!(table_bytes(n, 10, &StoreSpec::Resident), 10 * cell);
-            // The chain memo holds only labels below its rows, so its
+            // The chain memo covers only labels below `u32::MAX`, so its
             // cells stay 4 bytes at every n.
-            assert_eq!(crate::config::chain_memo_rows(1, n, 2), 1);
-            assert_eq!(crate::chain_memo_bytes(1, n, 3, 2), 3 * 4);
+            let part = crate::partition::build(crate::partition::Scheme::Rrp, n, 2);
+            assert_eq!(crate::config::chain_memo_rows(1, &part, 0), 1);
+            assert_eq!(crate::chain_memo_bytes(1, 3, &part, 0), 3 * 4);
         }
         let dir = scratch("width");
         let paged = StoreSpec::Paged(tiny_spec(&dir, 64));

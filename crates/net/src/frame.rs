@@ -112,11 +112,22 @@ pub(crate) fn read_raw_frame(
     }
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
+    // Grow with the bytes that arrive, not with what the prefix claims:
+    // each step at most doubles what was read, so a garbled length on a
+    // short stream costs about twice the bytes sent, not the cap.
     payload.clear();
-    payload.resize(len - 1, 0);
-    r.read_exact(payload)?;
+    let want = len - 1;
+    while payload.len() < want {
+        let filled = payload.len();
+        payload.resize(filled + (want - filled).min(filled.max(READ_STEP)), 0);
+        r.read_exact(&mut payload[filled..])?;
+    }
     Ok(kind[0])
 }
+
+/// The first payload bytes [`read_raw_frame`] reserves before any
+/// arrive.
+const READ_STEP: usize = 64 << 10;
 
 /// Read one frame: returns its kind and fills `payload` with the bytes
 /// after the kind byte. Errors on EOF, short reads, unknown kinds, and
@@ -207,6 +218,7 @@ pub(crate) fn read_hello(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frame_round_trips() {
@@ -274,6 +286,133 @@ mod tests {
             let err = read_hello(&mut &framed[..], 4, 7).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains("HELLO payload of"), "{err}");
+        }
+    }
+
+    /// A reader that hands out at most `chunk` bytes per call, so frames
+    /// arrive split the way a socket splits them.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.chunk).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_garbled_length_allocates_what_arrives_not_what_it_claims() {
+        let mut buf = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        buf.push(Kind::Data as u8);
+        buf.extend_from_slice(&[7; 100]);
+        let mut payload = Vec::new();
+        let err = read_frame(&mut &buf[..], &mut payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            payload.capacity() <= 2 * READ_STEP,
+            "{}",
+            payload.capacity()
+        );
+        // A frame longer than one step still reads whole.
+        let body: Vec<u8> = (0..3 * READ_STEP + 5).map(|i| i as u8).collect();
+        let mut framed = Vec::new();
+        build_frame(&mut framed, Kind::Data, |b| b.extend_from_slice(&body));
+        let mut r = Trickle {
+            bytes: &framed,
+            chunk: 9000,
+        };
+        assert_eq!(read_frame(&mut r, &mut payload).unwrap(), Kind::Data);
+        assert_eq!(payload, body);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Byte-mutation fuzz of the frame header and body: a stream of
+        /// valid frames with length fields overwritten by oversized
+        /// values, then bytes flipped, inserted and removed, then cut,
+        /// read through a reader that splits it at every `chunk` bytes.
+        /// Every read ends in a frame (each consuming at least its five
+        /// header bytes, so the loop ends) or in a named `InvalidData` or
+        /// `UnexpectedEof` error; no payload exceeds the cap, and no read
+        /// reserves more than one step past twice the bytes available.
+        #[test]
+        fn mutated_frame_streams_end_in_frames_or_named_errors(
+            frames in prop_vec((0u8..8, 0usize..40), 1..6),
+            oversize in prop_vec((any::<u64>(), 0u8..4), 0..3),
+            edits in prop_vec((any::<u64>(), any::<u8>(), 0u8..3), 0..6),
+            cut in any::<u64>(),
+            chunk in 1usize..9,
+            typed in any::<bool>(),
+            small_max in 1usize..48,
+        ) {
+            let mut bytes = Vec::new();
+            let mut starts = Vec::new();
+            for &(kind, len) in &frames {
+                starts.push(bytes.len());
+                let mut one = Vec::new();
+                build_raw_frame(&mut one, kind, |b| b.extend((0..len).map(|i| i as u8)));
+                bytes.extend_from_slice(&one);
+            }
+            let max = if typed { MAX_FRAME } else { small_max };
+            for (pick, size) in oversize {
+                let at = starts[(pick % starts.len() as u64) as usize];
+                let len = match size {
+                    0 => max as u32 + 1,
+                    1 => u32::MAX,
+                    2 => max as u32,
+                    _ => (bytes.len() - at) as u32,
+                };
+                bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            }
+            for (pos, byte, kind) in edits {
+                let at = (pos % (bytes.len() as u64 + 1)) as usize;
+                match kind {
+                    0 if at < bytes.len() => bytes[at] ^= byte,
+                    1 => bytes.insert(at, byte),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
+            let mut r = Trickle { bytes: &bytes, chunk };
+            let mut payload = Vec::new();
+            loop {
+                let before = r.bytes.len();
+                let read = if typed {
+                    read_frame(&mut r, &mut payload).map(|k| k as u8)
+                } else {
+                    read_raw_frame(&mut r, &mut payload, max)
+                };
+                prop_assert!(payload.capacity() <= READ_STEP + 2 * bytes.len());
+                match read {
+                    Ok(kind) => {
+                        prop_assert!(payload.len() < max);
+                        prop_assert_eq!(before - r.bytes.len(), 5 + payload.len());
+                        if typed {
+                            prop_assert!(Kind::from_byte(kind).is_some());
+                        }
+                    }
+                    Err(e) => {
+                        prop_assert!(
+                            matches!(
+                                e.kind(),
+                                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                            ),
+                            "{e}"
+                        );
+                        prop_assert!(!e.to_string().is_empty());
+                        break;
+                    }
+                }
+            }
         }
     }
 
