@@ -153,7 +153,7 @@ if ! cmp -s "$scratch/cl_p1.bin" "$scratch/cl_p4.bin"; then
     exit 1
 fi
 
-echo "==> pagen chain-memo invariance smoke run"
+echo "==> pagen chain-memo and block invariance smoke run"
 # Engine 3's chain memo caches a pure function, so its size changes how
 # much is recomputed, never the network: off, the lowest 50 000 labels a
 # rank does not own, and the default must write the same bytes (engine 3
@@ -171,6 +171,20 @@ for scheme in rrp ucp bcp; do
     for memo in 0 50000; do
         if ! cmp -s "$scratch/memo_${scheme}_$memo.bin" "$scratch/memo_${scheme}_default.bin"; then
             echo "chain-memo smoke mismatch: --chain-memo $memo changed engine 3's output bytes under --scheme $scheme" >&2
+            exit 1
+        fi
+    done
+done
+# The sweep hands engine 3 blocks of up to 64 nodes, cut at every service
+# point: --service-interval 1 makes every block one node, 7 cuts them
+# short, and neither may change the bytes.
+for scheme in rrp bcp; do
+    for interval in 1 7; do
+        ./target/release/pagen generate --model pa --n 200000 --x 4 --ranks 4 \
+            --scheme "$scheme" --seed 7 --engine 3 --service-interval "$interval" \
+            --out "$scratch/block_${scheme}_$interval.bin" --format bin >/dev/null
+        if ! cmp -s "$scratch/block_${scheme}_$interval.bin" "$scratch/memo_${scheme}_default.bin"; then
+            echo "block smoke mismatch: --service-interval $interval changed engine 3's output bytes under --scheme $scheme" >&2
             exit 1
         fi
     done

@@ -113,25 +113,6 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
             Waiter::Local { t } => self.local_events.push_back((t, v)),
         }
     }
-}
-
-impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
-    fn register(&mut self, lo: Node, hi: Node) -> u64 {
-        // Node 0 contributes no slot; every other local node in `[lo, hi)`
-        // one.
-        let seeds_here = u64::from(lo == 0 && self.part.rank_of(0) == self.rank);
-        self.part.local_count_below(self.rank, hi)
-            - self.part.local_count_below(self.rank, lo)
-            - seeds_here
-    }
-
-    fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node) {
-        // Node 1 attaches to node 0 (the x = 1 boundary case), in the
-        // epoch containing label 1.
-        if self.part.num_nodes() > 1 && (lo..hi).contains(&1) && self.part.rank_of(1) == self.rank {
-            self.commit(net, 1, 0);
-        }
-    }
 
     /// Algorithm 3.1 lines 3–9 for node `t`.
     fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
@@ -166,6 +147,32 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
                     a: 0,
                 },
             );
+        }
+    }
+}
+
+impl<'a, P: Partition, S: EdgeSink> Strategy for X1<'a, P, S> {
+    fn register(&mut self, lo: Node, hi: Node) -> u64 {
+        // Node 0 contributes no slot; every other local node in `[lo, hi)`
+        // one.
+        let seeds_here = u64::from(lo == 0 && self.part.rank_of(0) == self.rank);
+        self.part.local_count_below(self.rank, hi)
+            - self.part.local_count_below(self.rank, lo)
+            - seeds_here
+    }
+
+    fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node) {
+        // Node 1 attaches to node 0 (the x = 1 boundary case), in the
+        // epoch containing label 1.
+        if self.part.num_nodes() > 1 && (lo..hi).contains(&1) && self.part.rank_of(1) == self.rank {
+            self.commit(net, 1, 0);
+        }
+    }
+
+    fn start_nodes<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, ts: &[Node]) {
+        for &t in ts {
+            self.start_node(net, t);
+            self.drain_local(net);
         }
     }
 

@@ -406,8 +406,11 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
         }
     }
 
-    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
-        self.advance_node(net, t, 0, 0);
+    fn start_nodes<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, ts: &[Node]) {
+        for &t in ts {
+            self.advance_node(net, t, 0, 0);
+            self.drain_local(net);
+        }
     }
 
     fn drain_local<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>) {

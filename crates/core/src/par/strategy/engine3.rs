@@ -24,14 +24,25 @@
 //! every rank count, scheme, transport, and fault schedule; the
 //! determinism and chaos suites pin it to the PR-1 FNV oracles.
 //!
-//! **Batching and partial rows.** Local nodes generate their whole row
-//! of attempt-0 choices in one tight loop over the hoisted per-node key
-//! prefix ([`pa_rng::EventKeys`]); retries (rare) re-draw individually
-//! but still reuse the hoisted prefix. Recomputed chain frames go the
-//! other way: a walk that needs `F_k(l)` computes only slots `0..=l` of
-//! `k`'s row — the counter-based RNG addresses each `(edge, attempt)`
-//! draw independently, so later slots never have to be touched — and the
-//! memo stores the resulting *prefix*. A later reference to a higher
+//! **Batching and partial rows.** The driver hands the engine a block of
+//! up to 64 ascending local nodes, and the block runs in three passes
+//! ([`Chain::generate_block`]): draw every slot's attempt-0 choice over
+//! the hoisted per-node key prefixes ([`pa_rng::EventKeys`]); read, in
+//! one pass of mutually independent loads, every value those choices
+//! name that can already be read — a committed `F` slot of a local label
+//! below the block, or a memo cell of a remote one; then commit slot
+//! after slot in label order, reading the rest (a local label inside the
+//! block, a memo miss, any retry) as a node-by-node sweep would. At the
+//! sizes where the tables leave the cache, each lookup is a cache miss;
+//! issued together they overlap instead of stalling one node at a time
+//! (Allendorf et al.'s batched lookups, one level up from pages). The
+//! values and the counters are the node-by-node sweep's, block size 1
+//! included. Retries (rare) re-draw individually but still reuse the
+//! hoisted prefix. Recomputed chain frames go the other way: a walk that
+//! needs `F_k(l)` computes only slots `0..=l` of `k`'s row — the
+//! counter-based RNG addresses each `(edge, attempt)` draw independently,
+//! so later slots never have to be touched — and the memo stores the
+//! resulting *prefix*. A later reference to a higher
 //! slot resumes from the cached prefix instead of starting over (between
 //! slots the attempt counter is 0, so a committed prefix is the complete
 //! resume state).
@@ -57,7 +68,7 @@ use pa_mpsim::Transport;
 use pa_rng::EventKeys;
 
 use super::Strategy;
-use crate::par::driver::Net;
+use crate::par::driver::{Net, BLOCK};
 use crate::par::msg::Msg;
 use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
@@ -184,6 +195,31 @@ impl Memo {
     }
 }
 
+/// One block's attempt-0 draws and the values gathered for them
+/// ([`Chain::generate_block`]): `x` entries per node, node after node.
+#[derive(Default)]
+struct Block {
+    /// Each node's hoisted key prefix (for retries).
+    keys: Vec<EventKeys>,
+    /// Attempt-0 choice of every slot.
+    choices: Vec<Choice>,
+    /// The candidate each choice names when it could be read before the
+    /// block commits, else [`NILL`].
+    ready: Vec<Node>,
+}
+
+impl Block {
+    /// Room for the largest block the driver hands over ([`BLOCK`]
+    /// nodes), so a run never grows it.
+    fn new(x: u64) -> Block {
+        Block {
+            keys: Vec::with_capacity(BLOCK),
+            choices: Vec::with_capacity(BLOCK * x as usize),
+            ready: Vec::with_capacity(BLOCK * x as usize),
+        }
+    }
+}
+
 pub(crate) struct Chain<'a, P: Partition, S: EdgeSink> {
     cfg: &'a PaConfig,
     part: &'a P,
@@ -204,8 +240,8 @@ pub(crate) struct Chain<'a, P: Partition, S: EdgeSink> {
     frame_pool: Vec<Frame>,
     /// Reusable chain-walk stack (empty between walks).
     stack: Vec<Frame>,
-    /// Scratch for the local node's batched attempt-0 choices.
-    scratch: Vec<Choice>,
+    /// Scratch for the block being generated ([`Chain::generate_block`]).
+    block: Block,
     edges: S,
     counters: EngineCounters,
 }
@@ -220,6 +256,8 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
     ) -> Self {
         let size = part.size_of(rank);
         let slots = size * cfg.x;
+        // Before the table, like every buffer the run keeps ([`BLOCK`]).
+        let block = Block::new(cfg.x);
         let f = AnyTable::build_for(cfg.n, &opts.store, rank, "f", slots, NILL)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         Chain {
@@ -234,7 +272,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             ),
             frame_pool: Vec::new(),
             stack: Vec::new(),
-            scratch: Vec::new(),
+            block,
             edges: sink,
             counters: EngineCounters {
                 nodes: size,
@@ -285,7 +323,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
     /// reusing pooled allocations when available.
     fn new_frame(&mut self, k: Node, o: u64, goal: u64) -> Frame {
         let keys = self.model.keys_for(k);
-        let mut frame = self.frame_pool.pop().unwrap_or(Frame {
+        let mut frame = self.frame_pool.pop().unwrap_or_else(|| Frame {
             k,
             o,
             keys,
@@ -352,25 +390,23 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         Step::Done
     }
 
-    /// Recompute `F_k0(l0)` for a remote node `k0 > x` by walking the
-    /// dependency chain with an explicit frame stack (labels strictly
-    /// decrease down the stack, so the walk terminates and never
-    /// references a node that is itself mid-recomputation).
+    /// Recompute `F_k0(l0)` for a remote node `k0 > x` whose slot `l0`
+    /// the memo does not hold, by walking the dependency chain with an
+    /// explicit frame stack (labels strictly decrease down the stack, so
+    /// the walk terminates and never references a node that is itself
+    /// mid-recomputation).
     fn chain_value(&mut self, k0: Node, l0: u64) -> Node {
-        let o0 = self.ordinal(k0);
-        if let Some(v) = self.memo.get_slot(o0, l0) {
-            self.counters.chain_memo_hits += 1;
-            return v;
-        }
-        let root = self.new_frame(k0, o0, l0);
+        let root = self.new_frame(k0, self.ordinal(k0), l0);
         let mut stack = std::mem::take(&mut self.stack);
         debug_assert!(stack.is_empty(), "chain walks never nest");
         stack.push(root);
         let mut delivered: Option<Node> = None;
         loop {
             self.counters.chain_peak_depth = self.counters.chain_peak_depth.max(stack.len() as u64);
-            let mut frame = stack.pop().expect("chain walk on an empty stack");
-            match self.step_frame(&mut frame, &mut delivered) {
+            // The top frame steps in place: it stays on the stack while
+            // its child runs.
+            let frame = stack.last_mut().expect("chain walk on an empty stack");
+            match self.step_frame(frame, &mut delivered) {
                 Step::NeedChild { k, o } => {
                     let goal = frame
                         .pending
@@ -378,10 +414,10 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                         .expect("child requested without a pending choice")
                         .l;
                     let child = self.new_frame(k, o, goal);
-                    stack.push(frame);
                     stack.push(child);
                 }
                 Step::Done => {
+                    let frame = stack.pop().expect("a done frame is on the stack");
                     self.counters.chain_rows_recomputed += 1;
                     // Hand the value straight to the parent (or the
                     // caller): the memo is an optimization, never load-
@@ -414,48 +450,106 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         }
     }
 
-    /// Generate local node `t`'s whole row — engine3 never parks, so one
-    /// call commits all `x` slots.
-    fn generate_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
+    /// The candidate choice `c` names, where it can be read without a
+    /// walk: a direct edge, node `x`'s identity row, the `F` slot of a
+    /// local label below `below` (committed: the sweep is ascending and
+    /// commits whole rows), or a memo cell. Otherwise [`NILL`]: a local
+    /// label at or above `below`, or a memo miss.
+    #[inline]
+    fn ready(&mut self, c: Choice, below: Node) -> Node {
         let x = self.cfg.x;
-        let keys = self.model.keys_for(t);
-        let mut choices0 = std::mem::take(&mut self.scratch);
-        self.model.draw_row(&keys, t, &mut choices0);
-        let li = self.part.local_index(t) as usize;
-        let row0 = li as u64 * x;
-        for e in 0..x as u32 {
-            let mut attempt = 0u32;
-            let (v, direct) = loop {
-                let c = if attempt == 0 {
-                    choices0[e as usize]
-                } else {
-                    self.model.draw_keyed(&keys, t, e, attempt)
-                };
-                let (cand, direct) = if c.direct {
-                    (c.k, true)
-                } else if c.k == x {
-                    (c.l, false)
-                } else if self.part.rank_of(c.k) == self.rank {
-                    self.counters.local_immediate += 1;
-                    (self.f.get(self.slot(c.k, c.l as u32)), false)
-                } else {
-                    (self.chain_value(c.k, c.l), false)
-                };
-                if self.f.row_contains(row0, x, cand) {
+        if c.direct {
+            c.k
+        } else if c.k == x {
+            c.l
+        } else if self.part.rank_of(c.k) == self.rank {
+            if c.k >= below {
+                return NILL;
+            }
+            self.counters.local_immediate += 1;
+            self.f.get(self.slot(c.k, c.l as u32))
+        } else if let Some(v) = self.memo.get_slot(self.ordinal(c.k), c.l) {
+            self.counters.chain_memo_hits += 1;
+            v
+        } else {
+            NILL
+        }
+    }
+
+    /// The candidate choice `c` of local node `t` names: every label it
+    /// can name lies below `t`, so it is [`Chain::ready`] or, on a memo
+    /// miss, a chain walk.
+    fn resolve(&mut self, c: Choice, t: Node) -> Node {
+        match self.ready(c, t) {
+            NILL => self.chain_value(c.k, c.l),
+            v => v,
+        }
+    }
+
+    /// Generate the whole rows of `ts` (ascending local labels) in three
+    /// passes — engine3 never parks, so one call commits every slot:
+    ///
+    /// 1. draw every slot's attempt-0 choice (pure and independent);
+    /// 2. read what those choices name where it can already be read
+    ///    ([`Chain::ready`]) — loads that do not depend on each other, so
+    ///    their cache misses overlap instead of queueing one node at a
+    ///    time;
+    /// 3. commit slot after slot in label order, taking a ready value
+    ///    where there is one and [`Chain::resolve`] otherwise (a local
+    ///    label inside the block, a memo miss — the memo is checked
+    ///    again, since an earlier node of the block may have filled it —
+    ///    and any retry).
+    ///
+    /// Values and counters are those of committing node after node: a
+    /// ready value is immutable (a committed slot, or a cached value of
+    /// a pure function) and is counted once, as its commit would count
+    /// it.
+    fn generate_block<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, ts: &[Node]) {
+        let x = self.cfg.x;
+        let mut block = std::mem::take(&mut self.block);
+        block.keys.clear();
+        block.choices.clear();
+        block.ready.clear();
+        for &t in ts {
+            let keys = self.model.keys_for(t);
+            for e in 0..x as u32 {
+                block.choices.push(self.model.draw_keyed(&keys, t, e, 0));
+            }
+            block.keys.push(keys);
+        }
+        let first = ts[0];
+        for &c in &block.choices {
+            let v = self.ready(c, first);
+            block.ready.push(v);
+        }
+        for (i, (&t, keys)) in ts.iter().zip(&block.keys).enumerate() {
+            let li = self.part.local_index(t) as usize;
+            let row0 = li as u64 * x;
+            for e in 0..x as u32 {
+                let j = i * x as usize + e as usize;
+                let (mut c, mut v) = (block.choices[j], block.ready[j]);
+                let mut attempt = 0u32;
+                loop {
+                    if v == NILL {
+                        v = self.resolve(c, t);
+                    }
+                    if !self.f.row_contains(row0, x, v) {
+                        break;
+                    }
                     self.counters.duplicate_retries += 1;
                     attempt += 1;
-                    continue;
+                    c = self.model.draw_keyed(keys, t, e, attempt);
+                    v = NILL;
                 }
-                break (cand, direct);
-            };
-            if direct {
-                self.counters.direct_edges += 1;
-            } else {
-                self.counters.copy_edges += 1;
+                if c.direct {
+                    self.counters.direct_edges += 1;
+                } else {
+                    self.counters.copy_edges += 1;
+                }
+                self.commit(net, t, e, li, v);
             }
-            self.commit(net, t, e, li, v);
         }
-        self.scratch = choices0;
+        self.block = block;
     }
 }
 
@@ -476,12 +570,12 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
         }
     }
 
-    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node) {
-        self.generate_node(net, t);
+    fn start_nodes<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, ts: &[Node]) {
+        self.generate_block(net, ts);
     }
 
     fn drain_local<T: Transport<Msg>>(&mut self, _net: &mut Net<'_, T>) {
-        // Nothing ever parks: every node completes inside start_node.
+        // Nothing ever parks: every node completes inside start_nodes.
     }
 
     fn handle_msgs<T: Transport<Msg>>(
@@ -511,9 +605,10 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
     }
 
     fn state(&mut self) -> (&mut AnyTable, &mut EngineCounters) {
-        // Every local node below a cut is committed (`generate_node`
-        // commits whole rows), so the prefix of `f` plus the counters is
-        // the whole engine; the memo is a pure-function cache.
+        // Every local node below a cut is committed (`generate_block`
+        // commits whole rows, and no block straddles a cut), so the
+        // prefix of `f` plus the counters is the whole engine; the memo
+        // is a pure-function cache.
         (&mut self.f, &mut self.counters)
     }
 
@@ -533,8 +628,66 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{self, Scheme};
+    use crate::partition::{self, AnyPartition, Scheme};
     use pa_graph::EdgeList;
+    use pa_mpsim::LoopbackTransport;
+
+    /// `rank`'s whole sweep on a fresh engine, fed in blocks whose sizes
+    /// cycle through `sizes`: the emitted edges in order, and the
+    /// counters.
+    fn sweep_in_blocks(
+        cfg: &PaConfig,
+        part: &AnyPartition,
+        rank: usize,
+        opts: &GenOptions,
+        sizes: &[usize],
+    ) -> (EdgeList, EngineCounters) {
+        let mut chain = Chain::new(cfg, part, rank, opts, EdgeList::new());
+        let mut comm = LoopbackTransport::<Msg>::new();
+        let mut net = Net::for_test(&mut comm, 1);
+        chain.register(0, cfg.n);
+        chain.attach_seed_node(&mut net, 0, cfg.n);
+        let nodes: Vec<Node> = part.nodes_of(rank).filter(|&t| t > cfg.x).collect();
+        let mut rest = &nodes[..];
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (block, tail) = rest.split_at(size.min(rest.len()));
+            chain.start_nodes(&mut net, block);
+            rest = tail;
+        }
+        chain.into_parts()
+    }
+
+    #[test]
+    fn blocks_emit_and_count_what_single_nodes_do() {
+        // (x, memo cap): the default memo, one that covers a few hundred
+        // remote labels, and none — a memo-off walk grows exponentially
+        // in x, so that case keeps x = 3.
+        let cells = [(4, crate::DEFAULT_CHAIN_MEMO_NODES), (4, 300), (3, 0)];
+        let (mut memo_hits, mut gathered_local) = (0, 0);
+        for (x, cap) in cells {
+            let cfg = PaConfig::new(3000, x).with_seed(11);
+            let opts = GenOptions::default().with_chain_memo(cap);
+            for ranks in 1..=3 {
+                for scheme in Scheme::EXTENDED {
+                    let part = partition::build(scheme, cfg.n, ranks);
+                    let rank = ranks - 1;
+                    let one = sweep_in_blocks(&cfg, &part, rank, &opts, &[1]);
+                    for sizes in [&[64][..], &[7], &[63], &[64, 7, 63]] {
+                        let tag = format!("x {x} memo {cap} P {ranks} {scheme} blocks {sizes:?}");
+                        let blocks = sweep_in_blocks(&cfg, &part, rank, &opts, sizes);
+                        assert!(blocks.0 == one.0, "{tag}: the edges differ");
+                        assert_eq!(blocks.1, one.1, "{tag}");
+                    }
+                    memo_hits += one.1.chain_memo_hits;
+                    gathered_local += one.1.local_immediate;
+                }
+            }
+        }
+        assert!(memo_hits > 0 && gathered_local > 0, "the gather paths ran");
+    }
 
     #[test]
     fn chain_memo_bytes_is_what_the_memo_allocates() {

@@ -89,8 +89,11 @@ pub(super) fn run_rank<P: Partition, S: EdgeSink, T: Transport<Msg>>(
 /// [`Strategy::register`] (seed edges + pending-slot count for the
 /// epoch's labels) → barrier → [`Strategy::attach_seed_node`] (the
 /// deterministic first attachment, when its label falls in the epoch) →
-/// sweep ([`Strategy::start_node`] + [`Strategy::drain_local`] per node)
-/// → completion loop ([`Strategy::handle_msgs`] on traffic) →
+/// sweep ([`Strategy::start_nodes`] per block of ascending local nodes,
+/// a block never straddling a service point or the epoch bound; the
+/// driver services traffic between blocks, as
+/// [`crate::GenOptions::service_interval`] says) → completion loop
+/// ([`Strategy::handle_msgs`] + [`Strategy::drain_local`] on traffic) →
 /// [`Strategy::finish`]. Un-epoched runs are the single epoch `[0, n)`.
 pub(crate) trait Strategy {
     /// Emit this rank's deterministic seed edges whose owner label lies
@@ -104,8 +107,11 @@ pub(crate) trait Strategy {
     /// every rank has added its work.
     fn attach_seed_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, lo: Node, hi: Node);
 
-    /// Drive node `t` as far as it goes without remote answers.
-    fn start_node<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, t: Node);
+    /// Drive each node of `ts` (ascending local labels, never empty) as
+    /// far as it goes without remote answers, cascading local
+    /// resolutions as it goes: when this returns, nothing that needs no
+    /// message is left pending.
+    fn start_nodes<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, ts: &[Node]);
 
     /// Cascade locally produced resolutions until quiescent.
     fn drain_local<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>);

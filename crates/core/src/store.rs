@@ -966,23 +966,29 @@ impl AnyTable {
     }
 }
 
+// `get`, `set` and `row_contains` are every engine's per-slot path, and
+// `#[inline]` alone leaves the call to the inliner of each codegen unit:
+// when engine 3 gained more call sites, engine 2's `advance_node` and
+// `handle_msgs` started calling `get` out of line, costing engine 2
+// 6–8 % of its CPU on `gen-e2-mpsim`. The dispatch is a four-arm match;
+// forcing it inline keeps the resident arms a load or a store.
 impl NodeTable for AnyTable {
     #[inline]
     fn len(&self) -> u64 {
         each_table!(self, t => t.len())
     }
 
-    #[inline]
+    #[inline(always)]
     fn get(&mut self, slot: u64) -> u64 {
         each_table!(self, t => t.get(slot))
     }
 
-    #[inline]
+    #[inline(always)]
     fn set(&mut self, slot: u64, v: u64) {
         each_table!(self, t => t.set(slot, v))
     }
 
-    #[inline]
+    #[inline(always)]
     fn row_contains(&mut self, start: u64, len: u64, v: u64) -> bool {
         each_table!(self, t => t.row_contains(start, len, v))
     }

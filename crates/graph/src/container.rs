@@ -92,8 +92,11 @@ fn read_str<R: Read>(r: &mut R) -> io::Result<String> {
     if len > MAX_STRING {
         return Err(bad("attribute string length out of bounds"));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    // Grow with the bytes that arrive, not with what the prefix claims.
+    let mut buf = Vec::new();
+    if r.take(u64::from(len)).read_to_end(&mut buf)? < len as usize {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     String::from_utf8(buf).map_err(|_| bad("attribute is not UTF-8"))
 }
 
@@ -155,7 +158,7 @@ fn read_meta_inner<R: Read>(r: &mut R) -> io::Result<(Meta, Vec<u64>)> {
         let v = read_str(r)?;
         meta.attrs.insert(k, v);
     }
-    let mut counts = Vec::with_capacity(num_shards as usize);
+    let mut counts = Vec::new();
     for _ in 0..num_shards {
         counts.push(read_u64(r)?);
     }
@@ -163,12 +166,22 @@ fn read_meta_inner<R: Read>(r: &mut R) -> io::Result<(Meta, Vec<u64>)> {
 }
 
 /// Read a whole container: metadata plus every shard.
+///
+/// Nothing is reserved from a count field: every list grows with the
+/// bytes that arrive, so a garbled header costs at most a constant times
+/// the input's size before it ends in an error.
+///
+/// # Errors
+///
+/// `UnexpectedEof` when the input ends before the counts say it should,
+/// `InvalidData` for a bad magic, version, bound or trailing byte, and
+/// whatever the reader itself fails with.
 pub fn read<R: Read>(r: R) -> io::Result<(Meta, Vec<EdgeList>)> {
     let mut r = BufReader::new(r);
     let (meta, counts) = read_meta_inner(&mut r)?;
     let mut shards = Vec::with_capacity(counts.len());
     for &count in &counts {
-        let mut shard = EdgeList::with_capacity(count as usize);
+        let mut shard = EdgeList::new();
         for _ in 0..count {
             let u: Node = read_u64(&mut r)?;
             let v: Node = read_u64(&mut r)?;
@@ -286,6 +299,50 @@ mod tests {
         write(&mut buf, &meta, &shards).unwrap();
         let err = read(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("beyond declared"));
+    }
+
+    /// A 100-node container whose shard 0 claims `count` edges.
+    fn with_shard0_count(count: u64) -> Vec<u8> {
+        let meta = Meta::new(100).with("model", "pa");
+        let shards = vec![
+            EdgeList::from_vec((1..40).map(|t| (t, t - 1)).collect()),
+            EdgeList::from_vec((40..100).map(|t| (t, t / 2)).collect()),
+        ];
+        let mut buf = Vec::new();
+        write(&mut buf, &meta, &shards).unwrap();
+        let mut head = Vec::new();
+        write_header(&mut head, &meta, &[0, 0]).unwrap();
+        let at = head.len() - 16;
+        buf[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn garbled_shard_counts_are_named_errors_not_reservations() {
+        // 2⁴⁰ edges once aborted the process reserving 16 TiB, and 2⁶²
+        // overflowed the capacity computation.
+        for count in [1 << 40, 1 << 62, u64::MAX] {
+            let err = read(&with_shard0_count(count)[..]).unwrap_err();
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "count {count}: {err}"
+            );
+        }
+        assert!(read(&with_shard0_count(39)[..]).is_ok());
+    }
+
+    #[test]
+    fn a_garbled_string_length_is_a_named_error() {
+        let mut buf = Vec::new();
+        write_header(&mut buf, &Meta::new(3).with("k", "v"), &[]).unwrap();
+        // The key's length prefix follows magic, version, n, shards and
+        // attribute count; claim the cap on a 2-byte remainder.
+        buf[28..32].copy_from_slice(&MAX_STRING.to_le_bytes());
+        let err = read_meta(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 
     #[test]
