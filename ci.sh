@@ -159,8 +159,9 @@ echo "==> pagen chain-memo and block invariance smoke run"
 # rank does not own, and the default must write the same bytes (engine 3
 # emits in label order). A memo row is indexed by the label's ordinal
 # among the rank's remote labels, which the partition decides, so the
-# check runs under a round-robin, a consecutive and a block-cyclic one.
-for scheme in rrp ucp bcp; do
+# check runs under every scheme: each has its own `local_count_below`,
+# which both the memo ordinal and engine 3's gather pass go through.
+for scheme in rrp ucp lcp bcp; do
     for memo in 0 50000 default; do
         memo_flag=()
         [ "$memo" = default ] || memo_flag=(--chain-memo "$memo")

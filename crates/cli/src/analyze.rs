@@ -11,7 +11,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let (n, edges) = match format.as_str() {
         "pag" => {
-            let (meta, shards) = container::read_file(&path).map_err(CliError::io)?;
+            let (meta, shards) = container::read_file(&path)
+                .map_err(|e| CliError::io(std::io::Error::new(e.kind(), format!("{path}: {e}"))))?;
             let edges = EdgeList::concat(shards);
             let n = if meta.n > 0 {
                 meta.n

@@ -318,6 +318,26 @@ fn analyze_rejects_undersized_n() {
 }
 
 #[test]
+fn analyze_names_the_container_and_the_shard_that_runs_short() {
+    let path = tmp("truncated.pag");
+    exec(&[
+        "generate", "--model", "pa", "--n", "1000", "--x", "2", "--ranks", "2", "--out", &path,
+    ])
+    .unwrap();
+    let (_, counts) = pa_graph::container::read_meta_file(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    // Half of the last edge goes missing.
+    std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
+    let err = exec(&["analyze", "--in", &path]).unwrap_err();
+    let want = format!(
+        "i/o error: {path}: shard 1 ends after {} of its {} edges",
+        counts[1] - 1,
+        counts[1]
+    );
+    assert_eq!(err, want);
+}
+
+#[test]
 fn pa_generation_via_cli_is_reproducible() {
     let a = tmp("repro_a.pag");
     let b = tmp("repro_b.pag");

@@ -194,7 +194,8 @@ impl Model {
     }
 
     /// Batch-draw the attempt-0 [`Choice`]s for node `t`'s whole edge
-    /// row into `out` (cleared first) — the engines' hot path.
+    /// row into `out` (cleared first) — engine 3's draw pass, once per
+    /// node of a block.
     pub fn draw_row(&self, keys: &EventKeys, t: Node, out: &mut Vec<Choice>) {
         debug_assert!(t > self.x, "node {t} does not draw (x = {})", self.x);
         out.clear();

@@ -168,7 +168,8 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     }
 
     /// Record that local node `li` has a request out for draw `attempt`.
-    #[inline]
+    /// Forced inline for the reason [`WaiterTable::take`] is.
+    #[inline(always)]
     fn set_outstanding(&mut self, li: usize, attempt: u32) {
         debug_assert_eq!(self.tags[li], 0, "two requests out for one node");
         match u8::try_from(attempt + 1) {

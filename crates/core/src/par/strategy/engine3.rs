@@ -26,19 +26,24 @@
 //!
 //! **Batching and partial rows.** The driver hands the engine a block of
 //! up to 64 ascending local nodes, and the block runs in three passes
-//! ([`Chain::generate_block`]): draw every slot's attempt-0 choice over
-//! the hoisted per-node key prefixes ([`pa_rng::EventKeys`]); read, in
-//! one pass of mutually independent loads, every value those choices
-//! name that can already be read — a committed `F` slot of a local label
-//! below the block, or a memo cell of a remote one; then commit slot
-//! after slot in label order, reading the rest (a local label inside the
-//! block, a memo miss, any retry) as a node-by-node sweep would. At the
-//! sizes where the tables leave the cache, each lookup is a cache miss;
-//! issued together they overlap instead of stalling one node at a time
-//! (Allendorf et al.'s batched lookups, one level up from pages). The
-//! values and the counters are the node-by-node sweep's, block size 1
-//! included. Retries (rare) re-draw individually but still reuse the
-//! hoisted prefix. Recomputed chain frames go the other way: a walk that
+//! ([`Chain::generate_block`]): draw every node's attempt-0 row
+//! ([`Model::draw_row`] over the hoisted key prefix,
+//! [`pa_rng::EventKeys`]); gather every value those choices name that
+//! can already be read — a committed `F` slot of a local label below the
+//! block, or a memo cell of a remote one; then commit slot after slot in
+//! label order, reading the rest (a local label inside the block, a memo
+//! miss, any retry) as a node-by-node sweep would. The gather
+//! ([`Chain::gather`]) itself runs in two passes: an address pass
+//! classifies each choice and lists the `F` slot or memo cell it needs,
+//! and a read pass loads each list in one tight loop that does not
+//! branch on the kind of choice. At the sizes where the tables leave the
+//! cache each lookup is a cache miss; listed first and read together,
+//! many are in flight at once instead of one node's, or one loop
+//! iteration's, at a time (Allendorf et al.'s batched lookups, one level
+//! up from pages). The values and the counters are the node-by-node
+//! sweep's, block size 1 included. Retries (rare) re-draw individually
+//! but still reuse the hoisted prefix. Recomputed chain frames go the
+//! other way: a walk that
 //! needs `F_k(l)` computes only slots `0..=l` of `k`'s row — the
 //! counter-based RNG addresses each `(edge, attempt)` draw independently,
 //! so later slots never have to be touched — and the memo stores the
@@ -147,8 +152,18 @@ impl Memo {
         if o >= self.rows {
             return None;
         }
-        let base = o as usize * self.x;
+        let base = self.cell(o, 0);
         Some(&self.cells[base..base + self.x])
+    }
+
+    /// Index in `cells` of slot `l` of the row at covered ordinal `o`.
+    #[inline]
+    fn cell(&self, o: u64, l: u64) -> usize {
+        debug_assert!(
+            o < self.rows && l < self.x as u64,
+            "cell ({o}, {l}) uncovered"
+        );
+        o as usize * self.x + l as usize
     }
 
     /// Cached value of slot `l` of the row at ordinal `o`, if that prefix
@@ -176,7 +191,7 @@ impl Memo {
     /// covered.
     fn insert(&mut self, o: u64, row: &[Node]) {
         if o < self.rows {
-            let base = o as usize * self.x;
+            let base = self.cell(o, 0);
             for (cell, &v) in self.cells[base..].iter_mut().zip(row) {
                 *cell = u32::try_from(v).expect("a covered row holds labels below u32::MAX");
             }
@@ -201,22 +216,48 @@ impl Memo {
 struct Block {
     /// Each node's hoisted key prefix (for retries).
     keys: Vec<EventKeys>,
+    /// One node's attempt-0 choices, as [`Model::draw_row`] writes them.
+    row: Vec<Choice>,
     /// Attempt-0 choice of every slot.
     choices: Vec<Choice>,
     /// The candidate each choice names when it could be read before the
     /// block commits, else [`NILL`].
     ready: Vec<Node>,
+    /// `(position, F slot)` of every choice naming a local label below
+    /// the block.
+    f_reads: Vec<(usize, u64)>,
+    /// `(position, memo cell)` of every choice naming a remote label the
+    /// memo covers.
+    memo_reads: Vec<(usize, usize)>,
 }
 
 impl Block {
     /// Room for the largest block the driver hands over ([`BLOCK`]
     /// nodes), so a run never grows it.
     fn new(x: u64) -> Block {
+        let slots = BLOCK * x as usize;
         Block {
             keys: Vec::with_capacity(BLOCK),
-            choices: Vec::with_capacity(BLOCK * x as usize),
-            ready: Vec::with_capacity(BLOCK * x as usize),
+            row: Vec::with_capacity(x as usize),
+            choices: Vec::with_capacity(slots),
+            ready: Vec::with_capacity(slots),
+            f_reads: Vec::with_capacity(slots),
+            memo_reads: Vec::with_capacity(slots),
         }
+    }
+
+    /// Does every vector still hold exactly what [`Block::new`] gave it?
+    /// (`Vec::with_capacity` allocates exactly the capacity asked for.)
+    fn has_its_capacity(&self, x: u64) -> bool {
+        let slots = BLOCK * x as usize;
+        self.keys.capacity() == BLOCK
+            && self.row.capacity() == x as usize
+            && [
+                self.choices.capacity(),
+                self.ready.capacity(),
+                self.f_reads.capacity(),
+                self.memo_reads.capacity(),
+            ] == [slots; 4]
     }
 }
 
@@ -450,78 +491,116 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         }
     }
 
-    /// The candidate choice `c` names, where it can be read without a
-    /// walk: a direct edge, node `x`'s identity row, the `F` slot of a
-    /// local label below `below` (committed: the sweep is ascending and
-    /// commits whole rows), or a memo cell. Otherwise [`NILL`]: a local
-    /// label at or above `below`, or a memo miss.
-    #[inline]
-    fn ready(&mut self, c: Choice, below: Node) -> Node {
-        let x = self.cfg.x;
+    /// The candidate choice `c` of local node `t` names: a direct edge,
+    /// node `x`'s identity row, the `F` slot of a local label (committed:
+    /// every label `c` can name lies below `t`, and the sweep is
+    /// ascending and commits whole rows), a memo cell, or on a memo miss
+    /// a chain walk.
+    fn resolve(&mut self, c: Choice, t: Node) -> Node {
+        debug_assert!(c.k < t, "node {t} drew label {}", c.k);
         if c.direct {
             c.k
-        } else if c.k == x {
+        } else if c.k == self.cfg.x {
             c.l
         } else if self.part.rank_of(c.k) == self.rank {
-            if c.k >= below {
-                return NILL;
-            }
             self.counters.local_immediate += 1;
             self.f.get(self.slot(c.k, c.l as u32))
         } else if let Some(v) = self.memo.get_slot(self.ordinal(c.k), c.l) {
             self.counters.chain_memo_hits += 1;
             v
         } else {
-            NILL
+            self.chain_value(c.k, c.l)
         }
     }
 
-    /// The candidate choice `c` of local node `t` names: every label it
-    /// can name lies below `t`, so it is [`Chain::ready`] or, on a memo
-    /// miss, a chain walk.
-    fn resolve(&mut self, c: Choice, t: Node) -> Node {
-        match self.ready(c, t) {
-            NILL => self.chain_value(c.k, c.l),
-            v => v,
+    /// Empty `block` and draw the attempt-0 row of every node of `ts`
+    /// into it, with each node's key prefix.
+    fn draw(&self, block: &mut Block, ts: &[Node]) {
+        block.keys.clear();
+        block.choices.clear();
+        block.ready.clear();
+        block.f_reads.clear();
+        block.memo_reads.clear();
+        for &t in ts {
+            let keys = self.model.keys_for(t);
+            self.model.draw_row(&keys, t, &mut block.row);
+            block.choices.extend_from_slice(&block.row);
+            block.keys.push(keys);
         }
+    }
+
+    /// Fill `block.ready` for the choices in `block.choices`, whose first
+    /// node is `first`, in two passes:
+    ///
+    /// 1. *address*: a value known without a read (a direct edge, node
+    ///    `x`'s identity row) goes straight into `ready`; a local label
+    ///    below `first` lists its `F` slot in `f_reads`, a remote label
+    ///    the memo covers lists its cell in `memo_reads`; the rest (a
+    ///    local label inside the block, a remote label above the memo)
+    ///    stays [`NILL`];
+    /// 2. *read*: one loop over each list, with no branch on the kind of
+    ///    choice, so the loads' cache misses overlap. An unset memo cell
+    ///    leaves [`NILL`].
+    ///
+    /// Each value read is counted as [`Chain::resolve`] would count it
+    /// (`local_immediate`, `chain_memo_hits`).
+    fn gather(&mut self, block: &mut Block, first: Node) {
+        let x = self.cfg.x;
+        for (j, &c) in block.choices.iter().enumerate() {
+            let v = if c.direct {
+                c.k
+            } else if c.k == x {
+                c.l
+            } else if self.part.rank_of(c.k) == self.rank {
+                if c.k < first {
+                    block.f_reads.push((j, self.slot(c.k, c.l as u32)));
+                }
+                NILL
+            } else {
+                let o = self.ordinal(c.k);
+                if o < self.memo.rows {
+                    block.memo_reads.push((j, self.memo.cell(o, c.l)));
+                }
+                NILL
+            };
+            block.ready.push(v);
+        }
+        for &(j, slot) in &block.f_reads {
+            block.ready[j] = self.f.get(slot);
+        }
+        self.counters.local_immediate += block.f_reads.len() as u64;
+        let mut hits = 0;
+        for &(j, cell) in &block.memo_reads {
+            let v = self.memo.cells[cell];
+            let set = v != Memo::NIL;
+            hits += u64::from(set);
+            block.ready[j] = if set { Node::from(v) } else { NILL };
+        }
+        self.counters.chain_memo_hits += hits;
     }
 
     /// Generate the whole rows of `ts` (ascending local labels) in three
     /// passes — engine3 never parks, so one call commits every slot:
     ///
-    /// 1. draw every slot's attempt-0 choice (pure and independent);
-    /// 2. read what those choices name where it can already be read
-    ///    ([`Chain::ready`]) — loads that do not depend on each other, so
-    ///    their cache misses overlap instead of queueing one node at a
-    ///    time;
-    /// 3. commit slot after slot in label order, taking a ready value
+    /// 1. [`Chain::draw`] every node's attempt-0 row (pure and
+    ///    independent);
+    /// 2. [`Chain::gather`] what those choices name where it can already
+    ///    be read;
+    /// 3. commit slot after slot in label order, taking a gathered value
     ///    where there is one and [`Chain::resolve`] otherwise (a local
     ///    label inside the block, a memo miss — the memo is checked
     ///    again, since an earlier node of the block may have filled it —
     ///    and any retry).
     ///
     /// Values and counters are those of committing node after node: a
-    /// ready value is immutable (a committed slot, or a cached value of
-    /// a pure function) and is counted once, as its commit would count
-    /// it.
+    /// gathered value is immutable (a committed slot, or a cached value
+    /// of a pure function) and is counted once, as its commit would
+    /// count it.
     fn generate_block<T: Transport<Msg>>(&mut self, net: &mut Net<'_, T>, ts: &[Node]) {
         let x = self.cfg.x;
         let mut block = std::mem::take(&mut self.block);
-        block.keys.clear();
-        block.choices.clear();
-        block.ready.clear();
-        for &t in ts {
-            let keys = self.model.keys_for(t);
-            for e in 0..x as u32 {
-                block.choices.push(self.model.draw_keyed(&keys, t, e, 0));
-            }
-            block.keys.push(keys);
-        }
-        let first = ts[0];
-        for &c in &block.choices {
-            let v = self.ready(c, first);
-            block.ready.push(v);
-        }
+        self.draw(&mut block, ts);
+        self.gather(&mut block, ts[0]);
         for (i, (&t, keys)) in ts.iter().zip(&block.keys).enumerate() {
             let li = self.part.local_index(t) as usize;
             let row0 = li as u64 * x;
@@ -549,6 +628,9 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                 self.commit(net, t, e, li, v);
             }
         }
+        // Scratch allocated after the `F` table can keep a finished job's
+        // freed tables resident in a long-lived process (`pagen serve`).
+        debug_assert!(block.has_its_capacity(x), "the block scratch grew");
         self.block = block;
     }
 }
@@ -662,21 +744,36 @@ mod tests {
 
     #[test]
     fn blocks_emit_and_count_what_single_nodes_do() {
-        // (x, memo cap): the default memo, one that covers a few hundred
-        // remote labels, and none — a memo-off walk grows exponentially
-        // in x, so that case keeps x = 3.
-        let cells = [(4, crate::DEFAULT_CHAIN_MEMO_NODES), (4, 300), (3, 0)];
+        // (x, memo cap, store): the default memo, one that covers a few
+        // hundred remote labels, and none — a memo-off walk grows
+        // exponentially in x, so that case keeps x = 3 — all resident;
+        // then the small memo over an `F` table paged through four
+        // 256-byte frames, so the gather's `F` reads fault.
+        let dir = std::env::temp_dir().join(format!("pa_core_e3_blocks_{}", std::process::id()));
+        let paged = crate::store::StoreSpec::paged(&dir, 1024).with_page_bytes(256);
+        let resident = crate::store::StoreSpec::Resident;
+        let cells = [
+            (4, crate::DEFAULT_CHAIN_MEMO_NODES, &resident),
+            (4, 300, &resident),
+            (3, 0, &resident),
+            (4, 300, &paged),
+        ];
         let (mut memo_hits, mut gathered_local) = (0, 0);
-        for (x, cap) in cells {
+        for (x, cap, store) in cells {
             let cfg = PaConfig::new(3000, x).with_seed(11);
-            let opts = GenOptions::default().with_chain_memo(cap);
+            let opts = GenOptions::default()
+                .with_chain_memo(cap)
+                .with_store(store.clone());
             for ranks in 1..=3 {
                 for scheme in Scheme::EXTENDED {
                     let part = partition::build(scheme, cfg.n, ranks);
                     let rank = ranks - 1;
                     let one = sweep_in_blocks(&cfg, &part, rank, &opts, &[1]);
                     for sizes in [&[64][..], &[7], &[63], &[64, 7, 63]] {
-                        let tag = format!("x {x} memo {cap} P {ranks} {scheme} blocks {sizes:?}");
+                        let tag = format!(
+                            "x {x} memo {cap} paged {} P {ranks} {scheme} blocks {sizes:?}",
+                            store.is_paged()
+                        );
                         let blocks = sweep_in_blocks(&cfg, &part, rank, &opts, sizes);
                         assert!(blocks.0 == one.0, "{tag}: the edges differ");
                         assert_eq!(blocks.1, one.1, "{tag}");
@@ -686,7 +783,87 @@ mod tests {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
         assert!(memo_hits > 0 && gathered_local > 0, "the gather paths ran");
+    }
+
+    #[test]
+    fn the_gather_reads_every_value_a_block_can_name() {
+        // Half of a rank's nodes committed one by one, so F holds their
+        // rows and the memo holds what their walks cached; then one
+        // block of 64 gathered against what each choice names.
+        let cfg = PaConfig::new(3000, 4).with_seed(11);
+        let x = cfg.x;
+        let (mut from_f, mut hits, mut misses) = (0, 0, 0);
+        for cap in [300, crate::DEFAULT_CHAIN_MEMO_NODES] {
+            let opts = GenOptions::default().with_chain_memo(cap);
+            for ranks in 2..=3 {
+                for scheme in Scheme::EXTENDED {
+                    let part = partition::build(scheme, cfg.n, ranks);
+                    let tag = format!("memo {cap} P {ranks} {scheme}");
+                    let mut chain = Chain::new(&cfg, &part, 0, &opts, EdgeList::new());
+                    let mut comm = LoopbackTransport::<Msg>::new();
+                    let mut net = Net::for_test(&mut comm, 1);
+                    chain.register(0, cfg.n);
+                    chain.attach_seed_node(&mut net, 0, cfg.n);
+                    let nodes: Vec<Node> = part.nodes_of(0).filter(|&t| t > x).collect();
+                    let (done, rest) = nodes.split_at(nodes.len() / 2);
+                    for &t in done {
+                        chain.start_nodes(&mut net, &[t]);
+                    }
+                    let ts = &rest[..BLOCK];
+                    let mut block = Block::new(x);
+                    chain.draw(&mut block, ts);
+                    let before = chain.counters;
+                    chain.gather(&mut block, ts[0]);
+                    let (mut local, mut memo) = (0, 0);
+                    for (j, &c) in block.choices.iter().enumerate() {
+                        let want = if c.direct {
+                            c.k
+                        } else if c.k == x {
+                            c.l
+                        } else if part.rank_of(c.k) == 0 {
+                            if c.k < ts[0] {
+                                local += 1;
+                                chain.f.get(chain.slot(c.k, c.l as u32))
+                            } else {
+                                NILL
+                            }
+                        } else {
+                            let o = chain.ordinal(c.k);
+                            match chain.memo.get_slot(o, c.l) {
+                                Some(v) => {
+                                    memo += 1;
+                                    v
+                                }
+                                None if o < chain.memo.rows => {
+                                    misses += 1;
+                                    NILL
+                                }
+                                None => NILL,
+                            }
+                        };
+                        assert_eq!(block.ready[j], want, "{tag}: choice {j} {c:?}");
+                    }
+                    assert_eq!(
+                        chain.counters.local_immediate - before.local_immediate,
+                        local,
+                        "{tag}"
+                    );
+                    assert_eq!(
+                        chain.counters.chain_memo_hits - before.chain_memo_hits,
+                        memo,
+                        "{tag}"
+                    );
+                    assert!(block.has_its_capacity(x), "{tag}");
+                    (from_f, hits) = (from_f + local, hits + memo);
+                }
+            }
+        }
+        assert!(
+            from_f > 0 && hits > 0 && misses > 0,
+            "F reads {from_f}, memo hits {hits}, listed unset cells {misses}"
+        );
     }
 
     #[test]

@@ -87,6 +87,10 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
+fn read_edge<R: Read>(r: &mut R) -> io::Result<(Node, Node)> {
+    Ok((read_u64(r)?, read_u64(r)?))
+}
+
 fn read_str<R: Read>(r: &mut R) -> io::Result<String> {
     let len = read_u32(r)?;
     if len > MAX_STRING {
@@ -173,18 +177,24 @@ fn read_meta_inner<R: Read>(r: &mut R) -> io::Result<(Meta, Vec<u64>)> {
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` when the input ends before the counts say it should,
+/// `UnexpectedEof` when the input ends before the counts say it should
+/// (naming the shard that runs short and how many of its edges arrived),
 /// `InvalidData` for a bad magic, version, bound or trailing byte, and
 /// whatever the reader itself fails with.
 pub fn read<R: Read>(r: R) -> io::Result<(Meta, Vec<EdgeList>)> {
     let mut r = BufReader::new(r);
     let (meta, counts) = read_meta_inner(&mut r)?;
     let mut shards = Vec::with_capacity(counts.len());
-    for &count in &counts {
+    for (i, &count) in counts.iter().enumerate() {
         let mut shard = EdgeList::new();
-        for _ in 0..count {
-            let u: Node = read_u64(&mut r)?;
-            let v: Node = read_u64(&mut r)?;
+        for got in 0..count {
+            let (u, v) = read_edge(&mut r).map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => io::Error::new(
+                    e.kind(),
+                    format!("shard {i} ends after {got} of its {count} edges"),
+                ),
+                _ => e,
+            })?;
             if meta.n > 0 && (u >= meta.n || v >= meta.n) {
                 return Err(bad("edge endpoint beyond declared node count"));
             }
@@ -279,6 +289,23 @@ mod tests {
         write(&mut buf, &meta, &shards).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn a_short_shard_is_named_with_the_edges_that_arrived() {
+        // Shards of 2, 1 and 0 edges, 16 bytes each; cut 8 bytes (half
+        // of shard 1's edge) and 24 (shard 1 and half of shard 0's last).
+        let (meta, shards) = sample();
+        let mut buf = Vec::new();
+        write(&mut buf, &meta, &shards).unwrap();
+        for (cut, want) in [
+            (8, "shard 1 ends after 0 of its 1 edges"),
+            (24, "shard 0 ends after 1 of its 2 edges"),
+        ] {
+            let err = read(&buf[..buf.len() - cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+            assert_eq!(err.to_string(), want);
+        }
     }
 
     #[test]
