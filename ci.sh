@@ -64,8 +64,9 @@ echo "==> perf/ builds against the crates and passes its tests"
 # build above never compiles it: an API change that breaks it must fail
 # here, not in the pipeline. Its smoke run asserts cpu_s_per_medge > 0 on
 # a child that burns 7-9 ms of CPU against a 10 ms clock tick, which
-# reads 0 about one run in eight at any commit, so the step gets three
-# attempts; a compile break fails all three.
+# reads 0 about one run in five at any commit (4 of 20 runs, measured on
+# a 2-core host), so the step gets three attempts and all three fail
+# about once in 125 runs; a compile break fails all three.
 perf_ok=0
 for _ in 1 2 3; do
     if cargo test -q --offline --manifest-path perf/Cargo.toml; then
@@ -353,10 +354,12 @@ fi
 echo "==> palaunch paged crash-recovery smoke run"
 # The same recovery with the F tables out of core: engine 3 under a
 # --memory-budget far below each rank's 8 MB F table, so its page files
-# (one per rank, beside the checkpoints) are written back all run long.
-# One rank is killed by kill -9 once it has checkpointed; the restarted
-# world resumes from the page files, and since engine 3 emits in label
-# order the recovered file must equal a fresh run's bytes.
+# (one per rank, beside the checkpoints and parts) are written back all
+# run long. One rank is killed by kill -9 once it has checkpointed; the
+# restarted world reads each rank's committed rows back out of its part
+# into fresh page files (the old ones are a cache and are discarded),
+# and since engine 3 emits in label order the recovered file must equal
+# a fresh run's bytes.
 prec_dir="$scratch/prec"
 mkdir "$prec_dir"
 prec_job=(generate --model pa --n 2000000 --x 4 --scheme rrp --seed 7 --engine 3 --format bin)
@@ -417,9 +420,9 @@ echo "==> out-of-core smoke run"
 # (a ~0.8 MiB F table per rank, 12.5x the budget): engine 3 reads its table
 # in sweep order and — emitting in label order — is compared byte for
 # byte; engine 2 looks slots up all over the table, nearly every lookup
-# an eviction (a positioned read, and a journal and slot write when the
-# victim is dirty), and, being edge-set- not byte-deterministic, is
-# compared as a sorted set.
+# an eviction (a positioned read, and a positioned write when the victim
+# is dirty), and, being edge-set- not byte-deterministic, is compared as
+# a sorted set.
 oc_dir="$scratch/oc"
 mkdir "$oc_dir"
 for engine in 3 2; do

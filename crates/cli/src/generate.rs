@@ -244,9 +244,7 @@ pub(crate) fn parse_store_spec(
 }
 
 /// Remove the page files a paged run left behind (and its directory, if
-/// now empty). Runs that checkpoint keep their pages — a saved world's
-/// paged checkpoints reference them — so only non-checkpointing paths
-/// call this.
+/// now empty): they are a cache no later run reads.
 pub(crate) fn cleanup_store(store: &pa_core::store::StoreSpec, ranks: usize) {
     if let pa_core::store::StoreSpec::Paged(spec) = store {
         for rank in 0..ranks {
@@ -294,10 +292,15 @@ pub(crate) fn part_path(path: &Path, rank: usize) -> PathBuf {
     PathBuf::from(p)
 }
 
-/// Delete every `{path}.part{0..ranks}` that exists.
-fn remove_parts(path: &Path, ranks: usize) {
-    for rank in 0..ranks {
-        let _ = std::fs::remove_file(part_path(path, rank));
+/// `{path}.part{0..ranks}`: where the ranks of a streamed run write.
+fn part_paths(path: &Path, ranks: usize) -> Vec<PathBuf> {
+    (0..ranks).map(|rank| part_path(path, rank)).collect()
+}
+
+/// Delete every one of `parts` that exists.
+fn remove_parts(parts: &[PathBuf]) {
+    for part in parts {
+        let _ = std::fs::remove_file(part);
     }
 }
 
@@ -312,7 +315,7 @@ impl PartFiles<'_> {
     /// Disarm the guard and [`merge_parts`], which cleans up after its
     /// own failures.
     fn merge(self) -> std::io::Result<()> {
-        let merged = merge_parts(self.path, self.ranks);
+        let merged = merge_parts(self.path, &part_paths(self.path, self.ranks), false);
         std::mem::forget(self);
         merged
     }
@@ -320,53 +323,69 @@ impl PartFiles<'_> {
 
 impl Drop for PartFiles<'_> {
     fn drop(&mut self) {
-        remove_parts(self.path, self.ranks);
+        remove_parts(&part_paths(self.path, self.ranks));
     }
 }
 
-/// Append `{path}.part{1..ranks}` in rank order onto rank 0's part, fsync
-/// it, rename it to `path` and delete the other parts — the one merge
-/// behind in-process streamed runs, the serve runner and rank 0 of a TCP
-/// world. Rank 0's bytes are never copied (at one rank nothing is), and
-/// `path` only ever names a complete file: the rename replaces whatever
-/// was there, a symlink included, rather than writing through it. A
-/// failed merge removes the parts (best effort).
+/// Append `parts[1..]` in rank order onto rank 0's bytes at
+/// `{path}.part0`, fsync it, rename it to `path` and delete the parts —
+/// the one merge behind in-process streamed runs, the serve runner and
+/// rank 0 of a TCP world. A rank-0 part elsewhere (a checkpointing TCP
+/// rank's) is copied there first, so the rename never crosses a
+/// filesystem; one already there is merged in place. `path` only ever
+/// names a complete file: the rename replaces whatever was there, a
+/// symlink included, rather than writing through it. A failed merge
+/// removes the copy, or else every part (best effort). With `keep`
+/// every part, never at `{path}.part{r}`, stays where it is.
 ///
 /// # Errors
 ///
 /// Any I/O failure; a part that cannot be opened is named with the hint
 /// that multi-host worlds need a shared filesystem.
-pub(crate) fn merge_parts(path: &Path, ranks: usize) -> std::io::Result<()> {
-    let open = |rank: usize, opts: &std::fs::OpenOptions| {
-        let part = part_path(path, rank);
-        opts.open(&part).map_err(|e| {
+pub(crate) fn merge_parts(path: &Path, parts: &[PathBuf], keep: bool) -> std::io::Result<()> {
+    let hint = |rank: usize| {
+        move |e: std::io::Error| {
             std::io::Error::new(
                 e.kind(),
                 format!(
                     "{} (rank {rank}'s part not visible to the merging rank — \
                      distributed runs need a shared filesystem to merge): {e}",
-                    part.display()
+                    parts[rank].display()
                 ),
             )
-        })
+        }
     };
+    let first = part_path(path, 0);
+    let in_place = parts[0] == first;
+    debug_assert!(!(keep && in_place), "a kept part would be renamed away");
     let merge = || {
+        if !in_place {
+            std::fs::copy(&parts[0], &first).map_err(hint(0))?;
+        }
         // Positioned at the end rather than opened O_APPEND: the kernel's
         // copy_file_range, which io::copy uses between two files, refuses
         // an append-mode destination.
-        let mut merged = open(0, std::fs::OpenOptions::new().write(true))?;
+        let mut merged = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&first)
+            .map_err(hint(0))?;
         merged.seek(std::io::SeekFrom::End(0))?;
-        for rank in 1..ranks {
-            std::io::copy(
-                &mut open(rank, std::fs::OpenOptions::new().read(true))?,
-                &mut merged,
-            )?;
+        for (rank, part) in parts.iter().enumerate().skip(1) {
+            std::io::copy(&mut File::open(part).map_err(hint(rank))?, &mut merged)?;
         }
         merged.sync_all()?;
-        std::fs::rename(part_path(path, 0), path)?;
-        (1..ranks).try_for_each(|rank| std::fs::remove_file(part_path(path, rank)))
+        std::fs::rename(&first, path)?;
+        match keep {
+            true => Ok(()),
+            false => parts[usize::from(in_place)..]
+                .iter()
+                .try_for_each(std::fs::remove_file),
+        }
     };
-    merge().inspect_err(|_| remove_parts(path, ranks))
+    merge().inspect_err(|_| match in_place {
+        true => remove_parts(parts),
+        false => remove_parts(std::slice::from_ref(&first)),
+    })
 }
 
 /// How `generate` turns edges into a file — its one output path. Creates
@@ -505,4 +524,67 @@ pub(crate) fn parse_scheme(s: &str) -> Result<Scheme, CliError> {
                 "unknown scheme {s:?} (expected ucp, lcp, rrp or bcp)"
             ))
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::fs::MetadataExt;
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pagen_merge_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Three parts in one directory (a checkpoint directory's
+    /// `rank{r}.part`), and an output path in another.
+    fn parts_elsewhere(tag: &str) -> (PathBuf, Vec<PathBuf>) {
+        let dir = scratch(tag);
+        std::fs::create_dir_all(dir.join("ckpts")).unwrap();
+        let parts = (0..3u8)
+            .map(|r| {
+                let part = dir.join(format!("ckpts/rank{r}.part"));
+                std::fs::write(&part, [b'a' + r; 3]).unwrap();
+                part
+            })
+            .collect();
+        (dir, parts)
+    }
+
+    #[test]
+    fn a_part_outside_the_outputs_directory_is_copied_never_renamed() {
+        for keep in [false, true] {
+            let (dir, parts) = parts_elsewhere(&format!("copied_{keep}"));
+            let out = dir.join("edges.bin");
+            let rank0 = std::fs::metadata(&parts[0]).unwrap().ino();
+            merge_parts(&out, &parts, keep).unwrap();
+            assert_eq!(std::fs::read(&out).unwrap(), b"aaabbbccc");
+            // A rename of rank 0's part would carry its inode, and fail
+            // outright across filesystems.
+            assert_ne!(std::fs::metadata(&out).unwrap().ino(), rank0);
+            assert!(!part_path(&out, 0).exists());
+            assert!(
+                parts.iter().all(|part| part.exists() == keep),
+                "keep {keep}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_failed_merge_leaves_parts_outside_the_outputs_directory_whole() {
+        let (dir, parts) = parts_elsewhere("failed");
+        // An occupied directory at the output path: the rename fails
+        // after the copy and the appends.
+        let out = dir.join("edges.bin");
+        std::fs::create_dir_all(out.join("occupied")).unwrap();
+        assert!(merge_parts(&out, &parts, false).is_err());
+        for (r, part) in (0..3u8).zip(&parts) {
+            assert_eq!(std::fs::read(part).unwrap(), [b'a' + r; 3]);
+        }
+        assert!(!part_path(&out, 0).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -3,18 +3,18 @@
 //! Every process runs the same command line plus its own `--rank`; the
 //! world is described by `--world` and the `--peers` table (normally
 //! injected by `palaunch`, or written by hand for multi-host runs).
-//! Each rank streams its partition's edges to `{out}.part{rank}`; after
+//! Each rank streams its partition's edges to `{out}.part{rank}`, or to
+//! `rank{rank}.part` beside its checkpoints when it checkpoints; after
 //! the final barrier rank 0 appends the other parts onto its own in rank
 //! order and renames it to `{out}` — byte-identical to what a
 //! single-process streamed run of the same seed writes — and prints the
-//! one summary line. Ranks above 0
-//! print nothing on success.
+//! one summary line. Ranks above 0 print nothing on success.
 
-use std::io::Write;
+use std::io::{Read, Write};
 
-use pa_core::par::{self, EdgeSink, Msg};
+use pa_core::par::{self, Msg};
 use pa_core::partition;
-use pa_graph::io::EdgeWriter;
+use pa_graph::io::{EdgeReader, EdgeWriter};
 use pa_graph::job::JobSpec;
 use pa_mpsim::Transport;
 use pa_net::{TcpConfig, TcpTransport};
@@ -87,8 +87,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if ckpt_dir.is_empty() && resume {
         return Err(CliError::usage("--resume auto needs --checkpoint-dir"));
     }
-    // `--keep-checkpoints on` leaves the finished run's checkpoints (and
-    // a paged store's page files) on disk — the saved world a later
+    // `--keep-checkpoints on` leaves the finished run's checkpoints and
+    // parts in --checkpoint-dir — the saved world a later
     // `--restart-world` run re-partitions.
     let keep_checkpoints = args.choice("keep-checkpoints", "off", &["on", "off"])? == "on";
 
@@ -110,7 +110,9 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let w = par::WorldCheckpoint::load(std::path::Path::new(&restart_world))
             .map_err(|e| CliError::usage(format!("--restart-world {restart_world}: {e}")))?;
         let m = w.meta();
-        // The job tuple without the world's shape and the encoding.
+        // The job tuple without the world's shape and the encoding:
+        // the saved parts are read in theirs, the new ones written in
+        // this run's.
         let network = |j: JobSpec| JobSpec {
             ranks: 0,
             scheme_id: 0,
@@ -138,33 +140,13 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         opts = opts.with_checkpoint_interval(ckpt_interval);
     }
 
-    // Out-of-core node tables. When checkpointing, the page files must
-    // live with the checkpoints — a saved world's paged checkpoints
-    // reference them by directory — so the store dir is pinned there.
-    let store_spec = {
-        let default_dir = if ckpt_dir.is_empty() {
-            format!("{path}.store")
-        } else {
-            ckpt_dir.clone()
-        };
-        let spec = crate::generate::parse_store_spec(args, &default_dir)?;
-        if let pa_core::store::StoreSpec::Paged(p) = &spec {
-            if !ckpt_dir.is_empty() && p.dir != std::path::Path::new(&ckpt_dir) {
-                return Err(CliError::usage(
-                    "--store-dir must equal --checkpoint-dir when checkpointing (a \
-                     saved world's checkpoints reference its page files)",
-                ));
-            }
-            if !restart_world.is_empty() && p.dir == std::path::Path::new(&restart_world) {
-                return Err(CliError::usage(
-                    "--store-dir must differ from --restart-world (the new run's \
-                     pages would clobber the saved world's)",
-                ));
-            }
-        }
-        spec
+    // Out-of-core node tables: a run-private cache, beside the
+    // checkpoints unless --store-dir says otherwise.
+    let default_store = match ckpt_dir.as_str() {
+        "" => format!("{path}.store"),
+        dir => dir.to_string(),
     };
-    opts = opts.with_store(store_spec);
+    opts = opts.with_store(crate::generate::parse_store_spec(args, &default_store)?);
 
     let stats_flags = StatsFlags::parse(args)?;
     args.finish()?;
@@ -187,7 +169,13 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let part = partition::build(scheme, cfg.n, world);
     let out_path = std::path::Path::new(&path);
-    let my_part = part_path(out_path, rank);
+    // A checkpointing rank's part lives with its checkpoints: the two
+    // together are a saved world.
+    let part_of = |rank: usize| match ckpt_dir.as_str() {
+        "" => part_path(out_path, rank),
+        dir => std::path::Path::new(dir).join(format!("rank{rank}.part")),
+    };
+    let my_part = part_of(rank);
 
     let store = if ckpt_dir.is_empty() {
         None
@@ -206,22 +194,22 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         _ => 0,
     };
     let agreed = t.allreduce_min(vote);
+    let durable = store.is_some();
     let (sink, saved) = if agreed == 0 {
         let file = std::fs::File::create(&my_part).map_err(CliError::io)?;
-        let mut sink = EdgeWriter::new(file, job.format);
+        let mut sink = EdgeWriter::new(PartFile { file, durable }, job.format);
         match &world_ckpt {
             None => (sink, None),
             Some(w) => {
                 // Elastic restart: replay this rank's share of the saved
                 // world's committed prefix in deterministic order, then
-                // resume generation from the synthesized cut. (A crash
-                // *after* the restart checkpoints under its own
-                // --checkpoint-dir resumes from those instead: the vote
-                // above comes back nonzero and this branch is skipped.)
-                w.write_part_prefix(&part, rank, &mut sink);
-                let (edges, bytes) = sink.checkpoint_mark().map_err(CliError::io)?;
-                let payload = w.payload_for(&part, rank);
-                let saved = w.resume_point(payload, edges, bytes);
+                // resume generation from that cut. (A crash *after* the
+                // restart checkpoints under its own --checkpoint-dir
+                // resumes from those instead: the vote above comes back
+                // nonzero and this branch is skipped.)
+                let saved = w
+                    .replay(&part, rank, &opts.store, &mut sink)
+                    .map_err(CliError::usage)?;
                 (sink, Some(saved))
             }
         }
@@ -237,18 +225,43 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         })?;
         // Truncate the part file back to the committed byte watermark
         // (dropping whatever a crashed epoch half-wrote) and append.
+        let cannot = |why: String| {
+            CliError::usage(format!(
+                "rank {rank}: cannot resume — {}: {why}",
+                my_part.display()
+            ))
+        };
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(&my_part)
-            .map_err(CliError::io)?;
+            .map_err(|e| cannot(e.to_string()))?;
+        let len = file.metadata().map_err(CliError::io)?.len();
+        if len < saved.bytes {
+            return Err(cannot(format!(
+                "{len} bytes, fewer than the {} that epoch {epoch}'s checkpoint committed",
+                saved.bytes
+            )));
+        }
         file.set_len(saved.bytes).map_err(CliError::io)?;
         file.seek(std::io::SeekFrom::End(0)).map_err(CliError::io)?;
+        let file = PartFile { file, durable };
         (
             EdgeWriter::resume(file, job.format, saved.edges, saved.bytes),
             Some(saved),
         )
     };
+    // A resuming rank's committed edges: its part up to the watermark.
+    let mut committed = match &saved {
+        None => None,
+        Some(saved) => {
+            let file = std::fs::File::open(&my_part).map_err(CliError::io)?;
+            let prefix = std::io::BufReader::new(file.take(saved.bytes));
+            Some(EdgeReader::new(prefix, job.format))
+        }
+    };
+    let resume =
+        (saved.as_ref().zip(committed.as_mut())).map(|(saved, edges)| par::Resume { saved, edges });
 
     let (sink, _counters) = par::generate_rank_streaming_recoverable(
         &cfg,
@@ -257,26 +270,19 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         &mut t,
         sink,
         store.as_ref(),
-        saved.as_ref(),
-    );
+        resume,
+    )
+    .map_err(CliError::usage)?;
     let edges = sink.finish().map_err(CliError::io)?;
 
     // Publish completion before anyone merges, then merge the ledgers.
     // Every rank runs the same flags (palaunch injects one command
     // line), so skipping the stats collectives is uniform.
     t.barrier();
-    // The job is complete world-wide: drop this rank's checkpoints so a
-    // later launch in the same directory cannot resume a finished run —
-    // unless the user asked to keep the saved world for a later
-    // `--restart-world` resize.
-    if !keep_checkpoints {
-        if let Some(store) = &store {
-            store.clear();
-        }
-        if let pa_core::store::StoreSpec::Paged(spec) = &opts.store {
-            pa_core::store::clean_rank_pages(&spec.dir, rank);
-            let _ = std::fs::remove_dir(&spec.dir);
-        }
+    // Page files are a cache: they always go.
+    if let pa_core::store::StoreSpec::Paged(spec) = &opts.store {
+        pa_core::store::clean_rank_pages(&spec.dir, rank);
+        let _ = std::fs::remove_dir(&spec.dir);
     }
     let total_edges = t.allreduce_sum(edges);
     let merged = stats_flags
@@ -286,7 +292,15 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if rank == 0 {
         // Merging needs every part visible on rank 0's filesystem —
         // true for palaunch (one host) and shared-filesystem clusters.
-        merge_parts(out_path, world).map_err(CliError::io)?;
+        let parts: Vec<_> = (0..world).map(part_of).collect();
+        let keep = keep_checkpoints && store.is_some();
+        merge_parts(out_path, &parts, keep).map_err(CliError::io)?;
+        // Only once the merged file exists do every rank's checkpoints
+        // go (unless kept for `--restart-world`): a failed merge leaves
+        // a world `--resume auto` finishes.
+        if let (Some(store), false) = (&store, keep_checkpoints) {
+            store.clear();
+        }
         writeln!(
             out,
             "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} \
@@ -299,4 +313,26 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// A rank's part file. When the rank checkpoints, `flush` syncs the
+/// file's data to disk: [`EdgeWriter::checkpoint`] flushes before it
+/// reports the watermark a checkpoint then names, so a checkpoint never
+/// names bytes a power loss can take back.
+struct PartFile {
+    file: std::fs::File,
+    durable: bool,
+}
+
+impl Write for PartFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self.durable {
+            true => self.file.sync_data(),
+            false => Ok(()),
+        }
+    }
 }

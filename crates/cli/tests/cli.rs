@@ -807,7 +807,7 @@ total: 16.8 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
 
     let paged = exec(&[&plan[..], &["--memory-budget", "8m"]].concat()).unwrap();
     assert!(
-        paged.contains("  F table (x slots/node)             15.3 MiB          8.1 MiB paged\n"),
+        paged.contains("  F table (x slots/node)             15.3 MiB          8.0 MiB paged\n"),
         "{paged}"
     );
     assert!(
@@ -817,8 +817,8 @@ total: 16.8 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
     assert_eq!(paged.matches("paged").count(), 1, "only F pages:\n{paged}");
 
     // Engine 1: the same shape at one slot per node. A 64 KiB budget is
-    // sixteen frames of a 4 KiB page and its 24 B of framing; the paged
-    // line adds the page index, 4 B for each of the table's 977 pages.
+    // sixteen frames of one 4 KiB page each; the paged line adds the page
+    // index, 4 B for each of the table's 977 pages.
     let x1_plan = |budget: &str| {
         exec(&[
             "info",
@@ -837,7 +837,7 @@ total: 16.8 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
     };
     let x1 = x1_plan("64k");
     assert!(
-        x1.contains("  F table (1 slot/node)               3.8 MiB         68.2 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               3.8 MiB         67.8 KiB paged\n"),
         "{x1}"
     );
     assert!(
@@ -845,14 +845,14 @@ total: 16.8 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
         "{x1}"
     );
     assert!(
-        x1.ends_with("total: 3.9 MiB resident | 190.3 KiB under --memory-budget 64.0 KiB\n"),
+        x1.ends_with("total: 3.9 MiB resident | 189.9 KiB under --memory-budget 64.0 KiB\n"),
         "{x1}"
     );
     // A budget below two pages (8 KiB) is raised to the cache's
     // two-page minimum.
     let x1 = x1_plan("6k");
     assert!(
-        x1.contains("  F table (1 slot/node)               3.8 MiB         11.9 KiB paged\n"),
+        x1.contains("  F table (1 slot/node)               3.8 MiB         11.8 KiB paged\n"),
         "{x1}"
     );
     assert!(
@@ -864,10 +864,10 @@ total: 16.8 MiB resident (add --memory-budget <bytes[k|m|g]> to see the paged pl
 #[test]
 fn info_plans_a_paged_run_with_its_page_size() {
     // The gen-e3-paged tuple, `--page-bytes` and all. The paged line
-    // counts whole frames of one 16 KiB page and its 24 B of framing
-    // each: its 4 MiB budget buys 256, of which the 3.8 MiB table of
-    // 4-byte cells fills 245, plus 4 B of page index per page —
-    // 245 · 16408 + 245 · 4 = 4020940 B, just over the table itself.
+    // counts whole frames of one 16 KiB page each: its 4 MiB budget buys
+    // 256, of which the 3.8 MiB table of 4-byte cells fills 245, plus
+    // 4 B of page index per page — 245 · 16384 + 245 · 4 = 4015060 B,
+    // just over the table itself.
     let plan = |budget: &str, page: &str| {
         exec(&[
             "info",
@@ -894,10 +894,10 @@ total: 7.6 MiB resident | 7.6 MiB under --memory-budget 4.0 MiB
 ";
     assert_eq!(plan("4194304", "16384").unwrap(), want);
     // A budget that is not a whole number of frames rounds down:
-    // 100000 B buys six, 6 · 16408 + 245 · 4 = 99428 B.
+    // 100000 B buys six, 6 · 16384 + 245 · 4 = 99284 B.
     let part = plan("100000", "16k").unwrap();
     assert!(
-        part.contains("  F table (x slots/node)              3.8 MiB         97.1 KiB paged\n"),
+        part.contains("  F table (x slots/node)              3.8 MiB         97.0 KiB paged\n"),
         "{part}"
     );
     // A page size `generate` would refuse is refused here too.

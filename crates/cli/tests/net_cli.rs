@@ -384,6 +384,145 @@ fn killing_a_rank_mid_run_fails_the_survivor_with_a_diagnostic() {
 }
 
 #[test]
+fn resuming_from_a_part_shorter_than_its_checkpoint_fails_naming_the_rank() {
+    // A 2-rank checkpointing world is killed once both ranks have
+    // checkpointed; rank 1's part (beside its checkpoints) then loses
+    // its bytes. The relaunched world must refuse to resume over rows
+    // that are gone, naming rank 1.
+    let out_path = tmp("short_part.bin");
+    let ckpt_dir = tmp("short_part_ckpts");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    std::fs::create_dir_all(&ckpt_dir).unwrap();
+    let spawn = |peers: &str, rank: &str, resume: &str| {
+        Command::new(PAGEN)
+            .args(["generate", "--model", "pa", "--n", KILL_N, "--x", "4"])
+            .args(["--scheme", "rrp", "--checkpoint-dir", &ckpt_dir])
+            .args(["--checkpoint-interval", "30000", "--resume", resume])
+            .args(["--backend", "tcp", "--rank", rank, "--world", "2"])
+            .args(["--peers", peers, "--out", &out_path, "--format", "bin"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let peers = ports(2).join(",");
+    let mut ranks = [spawn(&peers, "0", "off"), spawn(&peers, "1", "off")];
+    // Both ranks hold a checkpoint, so the relaunch agrees to resume.
+    wait_for_first_checkpoint(&ckpt_dir, 0);
+    wait_for_first_checkpoint(&ckpt_dir, 1);
+    for rank in &mut ranks {
+        let _ = rank.kill();
+        let _ = rank.wait();
+    }
+    let part = format!("{ckpt_dir}/rank1.part");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&part)
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+
+    // Rank 1 fails once the world has agreed to resume. Its survivor
+    // is left to the launcher, which kills it (`palaunch` does).
+    let peers = ports(2).join(",");
+    let [mut rank0, mut rank1] = [spawn(&peers, "0", "auto"), spawn(&peers, "1", "auto")];
+    let status = wait_bounded(&mut rank1, "relaunched rank 1", Duration::from_secs(60));
+    let _ = rank0.kill();
+    let _ = rank0.wait();
+    assert!(!status.success(), "rank 1 resumed over a short part");
+    let stderr = String::from_utf8_lossy(&rank1.wait_with_output().unwrap().stderr).into_owned();
+    assert!(
+        stderr.contains("rank 1: cannot resume") && stderr.contains("fewer than"),
+        "rank 1's diagnostic: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+/// A scratch directory on another filesystem than [`tmp`]'s where the
+/// host has one (tmpfs at `/dev/shm`), else beside it.
+fn tmp_on_another_filesystem(name: &str) -> String {
+    use std::os::unix::fs::MetadataExt;
+    let dev = |p: &std::path::Path| std::fs::metadata(p).map(|m| m.dev()).ok();
+    let shm = std::path::Path::new("/dev/shm");
+    match (dev(shm), dev(&std::env::temp_dir())) {
+        (Some(a), Some(b)) if a != b => shm
+            .join(format!("pagen_net_cli_{name}_{}", std::process::id()))
+            .to_string_lossy()
+            .into_owned(),
+        _ => tmp(name),
+    }
+}
+
+#[test]
+fn a_failed_merge_keeps_the_world_and_the_relaunch_merges_across_filesystems() {
+    // A checkpointing world writes its parts beside its checkpoints, here
+    // on another filesystem than --out's. The first launch cannot merge
+    // (--out is an occupied directory): every part and checkpoint must
+    // survive it. The relaunch resumes from them and merges.
+    let out_path = tmp("xfs.bin");
+    let single = tmp("xfs_single.bin");
+    let ckpt_dir = tmp_on_another_filesystem("xfs_ckpts");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let _ = std::fs::remove_file(&out_path);
+    let _ = std::fs::remove_dir_all(&out_path);
+    std::fs::create_dir_all(format!("{out_path}/occupied")).unwrap();
+    let common = [
+        "generate", "--model", "pa", "--n", "20000", "--x", "4", "--scheme", "rrp", "--seed", "5",
+        "--format", "bin",
+    ];
+    let launch = |resume: &str| {
+        Command::new(PALAUNCH)
+            .args(["-p", "2", "--pagen", PAGEN, "--"])
+            .args(common)
+            .args(["--out", &out_path, "--checkpoint-dir", &ckpt_dir])
+            .args(["--checkpoint-interval", "5000", "--resume", resume])
+            .output()
+            .unwrap()
+    };
+    let names = || -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&ckpt_dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".part") || name.ends_with(".ckpt"))
+            .collect();
+        names.sort();
+        names
+    };
+
+    let out = launch("off");
+    assert!(
+        !out.status.success(),
+        "the merge onto a directory succeeded"
+    );
+    let kept = names();
+    for want in ["rank0.part", "rank1.part", "rank0.epoch", "rank1.epoch"] {
+        assert!(
+            kept.iter().any(|name| name.starts_with(want)),
+            "{want}* gone after the failed merge: {kept:?}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    std::fs::remove_dir_all(&out_path).unwrap();
+    let out = launch("auto");
+    assert!(
+        out.status.success(),
+        "the relaunch failed\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = Command::new(PAGEN)
+        .args(common)
+        .args(["--ranks", "2", "--out", &single])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "single-process reference run failed");
+    assert_eq!(read_canonical(&out_path), read_canonical(&single));
+    assert_eq!(names(), Vec::<String>::new(), "left in the checkpoint dir");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+#[test]
 fn palaunch_kills_survivors_when_one_rank_fails() {
     // Rank processes that fail fast (unknown flag) must take the job
     // down: nonzero exit plus a supervisor line naming a failed rank.

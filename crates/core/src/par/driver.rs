@@ -30,25 +30,24 @@
 //! (`k ∈ [x, t)`), requests never reference a later epoch, so epoch-`i`
 //! quiescence means every node below the epoch's upper label `hi` is
 //! committed *world-wide* and all waiter structures are provably empty —
-//! a consistent cut with no message in flight. That cut is where
-//! the driver captures the engine's [`Strategy::state`] for a
-//! crash-recoverable checkpoint ([`super::checkpoint`]): every engine
-//! writes the same payload, the committed `F` prefix and the counters,
-//! so any engine restores any other's snapshot at the same `x`. Every
-//! message is a `request` or a `resolved` belonging to an uncommitted
-//! slot, so none straddles the cut; engine 2's hub replica is not saved
-//! either, since a restored rank recomputes it.
+//! a consistent cut with no message in flight. That cut is where the
+//! driver checkpoints ([`super::checkpoint`]): the sink's watermark, a
+//! digest of the `F` rows committed below the cut, and the counters. A
+//! resume loads the rows back from the rank's committed edges before the
+//! first epoch it runs, so any engine resumes any other's checkpoint at
+//! the same `x`. Every message is a `request` or a `resolved` belonging
+//! to an uncommitted slot, so none straddles the cut; engine 2's hub
+//! replica is not saved either, since a restored rank recomputes it.
 //! Epoch boundaries are pure functions of `(n, interval)`, so the cut —
 //! and the output — is bit-identical with and without checkpointing.
 
 use pa_mpsim::{BufferedComm, CommStats, Packet, Transport};
 
-use super::checkpoint::{CheckpointStore, SavedCheckpoint};
+use super::checkpoint::{restore_rows, rows_digest, CheckpointStore, Resume, SavedCheckpoint};
 use super::msg::Msg;
-use super::output::EngineCounters;
 use super::strategy::Strategy;
 use crate::partition::Partition;
-use crate::store;
+use crate::store::NodeTable;
 use crate::{GenOptions, Node};
 
 /// The driver's communication bundle, handed to every [`Strategy`] hook.
@@ -143,11 +142,18 @@ pub(super) const BLOCK: usize = 64;
 /// local slot committed and every waiter drained.
 ///
 /// When `store` is set, every epoch boundary (except the final one)
-/// writes an atomic checkpoint of the engine + sink watermark; when
-/// `resume` is set, the engine state is restored first and generation
-/// continues from the epoch after the saved one. Callers are responsible
-/// for positioning the sink at the saved watermark (truncating part
-/// files) before calling.
+/// writes an atomic checkpoint of the sink watermark, the rows digest
+/// and the counters; when `resume` is set, its committed edges are
+/// loaded into the engine's table first and generation continues from
+/// the epoch after the saved one. Callers are responsible for
+/// positioning the sink at the saved watermark (truncating part files)
+/// before calling.
+///
+/// # Errors
+///
+/// Only a resume fails: when its checkpoint does not lie on this run's
+/// epoch grid, or its edges are not the rank's committed rows below the
+/// cut ([`restore_rows`]). The reason names the rank.
 pub(super) fn run<P, T, A>(
     part: &P,
     x: u64,
@@ -155,8 +161,8 @@ pub(super) fn run<P, T, A>(
     comm: &mut T,
     mut algo: A,
     store: Option<&CheckpointStore>,
-    resume: Option<&SavedCheckpoint>,
-) -> A
+    resume: Option<Resume<'_>>,
+) -> Result<A, String>
 where
     P: Partition,
     T: Transport<Msg>,
@@ -171,26 +177,23 @@ where
 
     let mut start_epoch = 0u64;
     let mut resume_hi = 0u64;
-    if let Some(saved) = resume {
-        assert!(
-            interval.is_some(),
-            "resume requires GenOptions::checkpoint_interval"
-        );
-        assert_eq!(
-            saved.hi,
-            epoch_hi(saved.epoch),
-            "rank {rank}: checkpoint epoch {} boundary disagrees with the \
-             configured interval — resuming would corrupt the output",
-            saved.epoch
-        );
-        let cnt = part.local_count_below(rank, saved.hi);
+    // The rows digest of the last checkpoint, and the slots it covers.
+    let (mut digest, mut digested) = (0u64, 0u64);
+    if let Some(Resume { saved, edges }) = resume {
+        let why = |why: String| format!("rank {rank}: resuming after epoch {}: {why}", saved.epoch);
+        if interval.is_none() || saved.hi != epoch_hi(saved.epoch) {
+            return Err(why(format!(
+                "its cut {} is not on this run's epoch grid",
+                saved.hi
+            )));
+        }
         let (f, counters) = algo.state();
-        let words = store::read_checkpoint_payload(f, cnt, x, &saved.payload)
-            .unwrap_or_else(|why| panic!("rank {rank}: checkpoint restore failed: {why}"));
-        *counters = EngineCounters::from_words(words);
+        restore_rows(f, part, rank, x, saved, edges).map_err(why)?;
+        *counters = saved.counters;
         algo.restored(saved.hi);
         start_epoch = saved.epoch + 1;
         resume_hi = saved.hi;
+        (digest, digested) = (saved.digest, part.local_count_below(rank, saved.hi) * x);
     }
 
     let mut net = Net {
@@ -346,19 +349,31 @@ where
                 let (edges, bytes) = algo
                     .sink_mark()
                     .unwrap_or_else(|e| panic!("rank {rank}: checkpoint sink flush failed: {e}"));
-                let cnt = part.local_count_below(rank, hi);
+                let slots = part.local_count_below(rank, hi) * x;
                 let (f, counters) = algo.state();
-                let mut payload = Vec::new();
-                store::write_checkpoint_payload(f, cnt, x, counters.to_words(), &mut payload);
-                store
-                    .save(epoch, hi, edges, bytes, &payload)
-                    .unwrap_or_else(|e| {
-                        panic!("rank {rank}: writing checkpoint for epoch {epoch} failed: {e}")
-                    });
+                // The table's pages go back to its file at the cut as the
+                // sink's chunk goes to the part: a paged rank's spill file
+                // exists from its first checkpoint on. Nothing reads it
+                // back, so nothing syncs it.
+                f.flush()
+                    .unwrap_or_else(|e| panic!("rank {rank}: writing pages back failed: {e}"));
+                digest = digest.wrapping_add(rows_digest(f, digested..slots));
+                digested = slots;
+                let saved = SavedCheckpoint {
+                    epoch,
+                    hi,
+                    edges,
+                    bytes,
+                    digest,
+                    counters: *counters,
+                };
+                store.save(&saved).unwrap_or_else(|e| {
+                    panic!("rank {rank}: writing checkpoint for epoch {epoch} failed: {e}")
+                });
             }
         }
     }
-    algo
+    Ok(algo)
 }
 
 /// Drain all currently pending packets in one batched receive; returns
@@ -384,6 +399,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::EngineCounters;
     use crate::partition::{self, Scheme};
     use crate::store::{AnyTable, StoreSpec};
     use crate::NILL;
@@ -497,7 +513,7 @@ mod tests {
                         counters: EngineCounters::default(),
                     };
                     let mut comm = LoopbackTransport::<Msg>::new();
-                    let algo = run(&part, x, &opts, &mut comm, algo, None, None);
+                    let algo = run(&part, x, &opts, &mut comm, algo, None, None).unwrap();
                     let tag = format!("{scheme} interval {interval} epochs {epochs:?}");
                     assert_eq!(algo.blocks.concat(), want, "{tag}");
                     // Without epochs the sweep is one run of nodes, so it

@@ -4,7 +4,7 @@
 //! [`GenOptions::engine`]: Algorithm 3.1 (`x = 1`, one slot per node),
 //! Algorithm 3.2 (the default; any `x ≥ 1`), or communication-free local
 //! chain recomputation. All three generate the same edge set, speak the
-//! one wire vocabulary [`Msg`], checkpoint the same payload, and run
+//! one wire vocabulary [`Msg`], resume each other's checkpoints, and run
 //! through every entry point on every transport. The entry points differ
 //! only in *where the ranks live* and *where edges go*:
 //!
@@ -42,7 +42,7 @@ mod restart;
 mod sink;
 mod strategy;
 
-pub use checkpoint::{CheckpointMeta, CheckpointStore, SavedCheckpoint};
+pub use checkpoint::{CheckpointMeta, CheckpointStore, Resume, SavedCheckpoint};
 pub use degrees::{distributed_degrees, merge_degrees};
 pub use msg::Msg;
 pub use output::{EngineCounters, ParallelOutput, RankOutput};
@@ -80,15 +80,16 @@ fn in_process_rank<P: Partition, S: EdgeSink, T: Transport<Msg>>(
 ) -> StreamRankOutput<S> {
     let rank = comm.rank();
     let cpu_start = thread_cpu_ns();
+    let fresh = "a run that resumes nothing cannot fail";
     let ((sink, counters), comm) = match opts.fault_plan {
         Some(plan) => {
             let mut faulty = FaultTransport::new(comm, plan);
             let parts = strategy::run_rank(cfg, part, opts, &mut faulty, sink, None, None);
-            (parts, faulty.into_stats())
+            (parts.expect(fresh), faulty.into_stats())
         }
         None => {
             let parts = strategy::run_rank(cfg, part, opts, &mut comm, sink, None, None);
-            (parts, comm.into_stats())
+            (parts.expect(fresh), comm.into_stats())
         }
     };
     let cpu_ns = cpu_start
@@ -258,25 +259,35 @@ where
     T: Transport<Msg>,
 {
     generate_rank_streaming_recoverable(cfg, part, opts, comm, sink, None, None)
+        .expect("a run that resumes nothing cannot fail")
 }
 
 /// [`generate_rank_streaming`] with coordinated checkpoint/restart: when
 /// `store` is given and `opts.checkpoint_interval` is set, every epoch
 /// boundary writes an atomic per-rank checkpoint into the store; when
-/// `resume` is given, the engine is restored from that saved epoch and
-/// generation continues from the first label after its watermark.
+/// `resume` is given, the rank's committed edges below its checkpoint's
+/// cut are loaded into the engine's table (a paged table stays within
+/// its budget: they stream in one at a time) and generation continues
+/// from the first label after the cut.
 ///
 /// The caller owns the surrounding recovery protocol: agreeing on a
 /// common resume epoch across ranks (e.g. an `allreduce` over
 /// [`CheckpointStore::latest`]), truncating part files back to the saved
-/// `(edges, bytes)` watermark, and handing in a sink positioned at that
-/// watermark (see [`pa_graph::io::EdgeWriter::resume`]).
+/// `(edges, bytes)` watermark, handing in a sink positioned at that
+/// watermark (see [`pa_graph::io::EdgeWriter::resume`]), and making the
+/// sink's [`EdgeSink::checkpoint_mark`] durable.
+///
+/// # Errors
+///
+/// A failed resume, naming the rank: a checkpoint off this run's epoch
+/// grid, or edges that are not exactly the rank's committed rows below
+/// the cut (too few or too many, a foreign node, a row too long, or rows
+/// that do not match the checkpoint's digest).
 ///
 /// # Panics
 ///
 /// Panics as [`generate_rank_streaming`] does, and additionally when
-/// `store`/`resume` are supplied without `opts.checkpoint_interval`, or
-/// when the resumed checkpoint does not line up with the epoch grid.
+/// `store`/`resume` are supplied without `opts.checkpoint_interval`.
 pub fn generate_rank_streaming_recoverable<P, S, T>(
     cfg: &PaConfig,
     part: &P,
@@ -284,8 +295,8 @@ pub fn generate_rank_streaming_recoverable<P, S, T>(
     comm: &mut T,
     sink: S,
     store: Option<&CheckpointStore>,
-    resume: Option<&SavedCheckpoint>,
-) -> (S, EngineCounters)
+    resume: Option<Resume<'_>>,
+) -> Result<(S, EngineCounters), String>
 where
     P: Partition,
     S: EdgeSink,
@@ -305,11 +316,7 @@ where
         comm.nranks(),
         "partition rank count does not match the transport world"
     );
-    // Resuming keeps (and re-verifies) a paged store's spill files; a
-    // fresh run must start from clean pages.
-    let mut opts = opts.clone();
-    opts.store = opts.store.with_resume(resume.is_some());
-    strategy::run_rank(cfg, part, &opts, comm, sink, store, resume)
+    strategy::run_rank(cfg, part, opts, comm, sink, store, resume)
 }
 
 /// `perf/src/layers.rs` still calls the engine-3 entry points by name and
@@ -733,12 +740,19 @@ mod tests {
     }
 
     /// Run a checkpointing 3-rank world of `cfg` under engine `from` to
-    /// completion, then gang-restart it under engine `to` from the older
-    /// of the two surviving epochs: each rank reloads its engine state,
-    /// hands in a sink truncated to the saved edge watermark, and replays
-    /// the remaining epochs. The stitched output must equal the
-    /// uninterrupted run's and the sequential oracle.
-    fn checkpoint_resume_round_trip(cfg: &PaConfig, from: Engine, to: Engine, tag: &str) {
+    /// completion, then gang-restart it under engine `to` over tables
+    /// `to_store` from the older of the two surviving epochs: each rank
+    /// hands in its committed edges below the cut and a sink truncated
+    /// to the saved edge watermark, and replays the remaining epochs.
+    /// The stitched output must equal the uninterrupted run's and the
+    /// sequential oracle.
+    fn checkpoint_resume_round_trip(
+        cfg: &PaConfig,
+        from: Engine,
+        to: Engine,
+        to_store: &crate::store::StoreSpec,
+        tag: &str,
+    ) {
         let epoch_opts = |engine| engine_opts(engine).with_checkpoint_interval(500);
         let part = partition::build(Scheme::Rrp, cfg.n, 3);
         let dir = std::env::temp_dir().join(format!("pa_core_{tag}_{}", std::process::id()));
@@ -758,6 +772,7 @@ mod tests {
                     Some(&store),
                     None,
                 )
+                .unwrap()
             })
             .into_iter()
             .unzip();
@@ -777,16 +792,20 @@ mod tests {
             let store = open(rank);
             let saved = store.load(store.latest().unwrap() - 1).unwrap();
             let prefix = &full[rank].as_slice()[..saved.edges as usize];
-            let sink = EdgeList::from_vec(prefix.to_vec());
+            let edges = &mut prefix.iter().map(|&e| Ok(e));
             generate_rank_streaming_recoverable(
                 cfg,
                 &part,
-                &epoch_opts(to),
+                &epoch_opts(to).with_store(to_store.clone()),
                 &mut comm,
-                sink,
+                EdgeList::from_vec(prefix.to_vec()),
                 None,
-                Some(&saved),
+                Some(Resume {
+                    saved: &saved,
+                    edges,
+                }),
             )
+            .unwrap()
             .0
         });
         assert_eq!(
@@ -800,13 +819,68 @@ mod tests {
     #[test]
     fn checkpoint_resume_reproduces_the_uninterrupted_run() {
         let cfg = PaConfig::new(2_400, 3).with_seed(29);
-        checkpoint_resume_round_trip(&cfg, Engine::General, Engine::General, "resume");
+        let resident = crate::store::StoreSpec::Resident;
+        checkpoint_resume_round_trip(&cfg, Engine::General, Engine::General, &resident, "resume");
     }
 
     #[test]
     fn engine3_checkpoint_resume_reproduces_the_uninterrupted_run() {
         let cfg = PaConfig::new(2_400, 3).with_seed(29);
-        checkpoint_resume_round_trip(&cfg, Engine::Chain, Engine::Chain, "resume3");
+        let resident = crate::store::StoreSpec::Resident;
+        checkpoint_resume_round_trip(&cfg, Engine::Chain, Engine::Chain, &resident, "resume3");
+    }
+
+    #[test]
+    fn a_paged_table_resumes_within_its_budget() {
+        // The committed edges stream into a table of 512-byte pages
+        // under a 2 KiB budget, far below each rank's F table.
+        let cfg = PaConfig::new(2_400, 3).with_seed(29);
+        let dir = std::env::temp_dir().join(format!("pa_core_paged_resume_{}", std::process::id()));
+        let paged = crate::store::StoreSpec::paged(&dir, 2 * 1024).with_page_bytes(512);
+        for (from, to) in [
+            (Engine::Chain, Engine::General),
+            (Engine::General, Engine::Chain),
+        ] {
+            let tag = format!("paged_resume_{}_{}", from.id(), to.id());
+            checkpoint_resume_round_trip(&cfg, from, to, &paged, &tag);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_checkpoint_of_a_run_has_the_same_length() {
+        // A checkpoint holds no F slot, so its size does not grow with
+        // its cut: every rank's files of a resident 3-rank run, at every
+        // cut they were taken at, are one length.
+        let cfg = PaConfig::new(3_000, 4).with_seed(5);
+        let opts = opts().with_checkpoint_interval(300);
+        let part = partition::build(Scheme::Rrp, cfg.n, 3);
+        let dir = std::env::temp_dir().join(format!("pa_core_ckpt_len_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &opts, EdgeFormat::Binary);
+        World::new(3).run(|mut comm| {
+            let store = CheckpointStore::new(&dir, comm.rank() as u32, meta).unwrap();
+            generate_rank_streaming_recoverable(
+                &cfg,
+                &part,
+                &opts,
+                &mut comm,
+                EdgeList::new(),
+                Some(&store),
+                None,
+            )
+            .unwrap();
+        });
+        // Each rank keeps its last two epochs: cuts 2 400 and 2 700.
+        let mut lens = std::collections::BTreeSet::new();
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+            lens.insert(entry.metadata().unwrap().len());
+            files += 1;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(files, 6);
+        assert_eq!(lens.len(), 1, "checkpoint lengths {lens:?}");
     }
 
     #[test]
@@ -818,7 +892,13 @@ mod tests {
         for from in Engine::ALL {
             for to in Engine::ALL {
                 let tag = format!("cross_{}_{}", from.id(), to.id());
-                checkpoint_resume_round_trip(&cfg, from, to, &tag);
+                checkpoint_resume_round_trip(
+                    &cfg,
+                    from,
+                    to,
+                    &crate::store::StoreSpec::Resident,
+                    &tag,
+                );
             }
         }
     }

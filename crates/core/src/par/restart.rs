@@ -3,78 +3,76 @@
 //!
 //! A checkpoint cut is a *label threshold*: every node below `hi` is
 //! committed world-wide and nothing at or above it has been touched
-//! (DESIGN.md §5f). The committed state below the cut is therefore a
-//! pure function of the model — `F_t(e)` values addressed by label, with
-//! no per-rank residue (waiter tables provably empty, attempt counters
-//! dead, engine 2's hub replica recomputed by its constructor). That
-//! makes the cut *re-partitionable*: a world saved by `P_old` ranks can
-//! restart on `P_new` ranks by routing each committed label through the
-//! **new** partition's closed-form owner lookup and synthesizing each new
-//! rank's resume payload from the old ranks' tables.
+//! (DESIGN.md, "Recovery"). The committed state below the cut is
+//! therefore a pure function of the model — `F_t(e)` values addressed by
+//! label, with no per-rank residue (waiter tables provably empty,
+//! attempt counters dead, engine 2's hub replica recomputed by its
+//! constructor). That makes the cut *re-partitionable*: a world saved by
+//! `P_old` ranks can restart on `P_new` ranks by routing each committed
+//! label through the **new** partition's closed-form owner lookup.
 //!
-//! [`WorldCheckpoint::load`] scans a checkpoint directory without fixing
-//! the world size in advance (the per-file identity check that
-//! [`super::CheckpointStore::load`] performs would reject the resize),
-//! validates that every rank of the saved world left a checkpoint at a
-//! common epoch, and assembles the committed `F` prefix — from inline
-//! payloads, or from the page files a `--memory-budget` run left behind
-//! (re-verified against the payload's prefix checksum, so torn pages
-//! surface before any edge is emitted). [`WorldCheckpoint::payload_for`]
-//! then produces a per-new-rank resume payload in the resident
-//! checkpoint format — the one payload every engine writes — which every
-//! engine restores into either table backend, and
-//! [`WorldCheckpoint::write_part_prefix`] replays the deterministic
-//! pre-cut emission order through the new rank's sink so its part file
-//! begins exactly as a never-killed `P_new` run's would.
+//! A saved world is a directory holding, for every old rank `r`, its
+//! checkpoints and its part file `rank{r}.part` — what a checkpointing
+//! run kept with `--keep-checkpoints on` leaves behind. The part is the
+//! one durable record of the rank's rows: a checkpoint only names how
+//! much of it is committed. [`WorldCheckpoint::load`] scans the
+//! checkpoints without fixing the world size in advance (the per-file
+//! identity check that [`super::CheckpointStore::load`] performs would
+//! reject the resize) and validates that every rank of the saved world
+//! left a checkpoint at a common epoch. [`WorldCheckpoint::replay`] then
+//! reads each old rank's committed prefix back, checked as a crash
+//! resume checks it, and writes a new rank's rows through its sink in
+//! the deterministic pre-cut emission order, so its part file begins
+//! exactly as a never-killed `P_new` run's would; the new rank resumes
+//! from those rows.
 //!
 //! What may change across the restart: the rank count, the partition
 //! scheme, the engine, the store backend. What must not: `(n, x, p,
-//! seed)`, the attachment model, and the epoch interval — those define
-//! the network itself.
+//! seed)`, the attachment model, the epoch interval and the edge format
+//! — the first four define the network itself, the last the parts.
 
-use std::fs;
-use std::path::Path;
+use std::fs::File;
+use std::io::{BufReader, Read};
+use std::path::{Path, PathBuf};
 
-use pa_mpsim::wire::get_u64;
+use pa_graph::io::{EdgeFormat, EdgeReader};
 
-use super::checkpoint::{read_raw_checkpoint, CheckpointMeta, SavedCheckpoint};
+use super::checkpoint::{
+    read_raw_checkpoint, restore_rows, rows_digest, CheckpointMeta, SavedCheckpoint,
+};
 use super::output::EngineCounters;
 use super::sink::EdgeSink;
 use crate::partition::{self, AnyPartition, Partition, Scheme};
-use crate::store::{
-    self, slots_fnv, table_path, AnyTable, NodeTable, PagedSpec, StoreSpec, TablePrefix,
-};
-use crate::{Engine, Node, NILL};
+use crate::store::{AnyTable, NodeTable, StoreSpec};
+use crate::{Engine, NILL};
 
-/// A saved world's committed state at its newest common checkpoint cut,
-/// re-partitionable onto any new rank count.
+/// A saved world at its newest common checkpoint cut, re-partitionable
+/// onto any new rank count.
 #[derive(Debug)]
 pub struct WorldCheckpoint {
+    dir: PathBuf,
     meta: CheckpointMeta,
+    format: EdgeFormat,
     epoch: u64,
     hi: u64,
     /// The **old** partition (scheme and world size from the files).
     part: AnyPartition,
-    /// Per old rank: the committed `F` prefix,
-    /// `local_count_below(rank, hi) · x` slots.
-    f: Vec<Vec<u64>>,
+    /// Per old rank: its checkpoint at the common epoch.
+    saved: Vec<SavedCheckpoint>,
 }
 
 impl WorldCheckpoint {
-    /// Scan `dir` for one world's checkpoints and load the committed
-    /// state at the newest epoch **every** rank holds.
-    ///
-    /// Paged (`--memory-budget`) checkpoints reference page files; those
-    /// must sit in the same directory (`rank{r}.f.pages`) and are
-    /// re-verified against the payload's committed-prefix checksum.
+    /// Scan `dir` for one world's checkpoints and pick the newest epoch
+    /// **every** rank holds.
     ///
     /// # Errors
     ///
     /// A human-readable reason: no checkpoints, ranks missing, files
-    /// disagreeing on the run identity, an unknown scheme or engine, or
-    /// page files that are torn, missing, or fail the prefix checksum.
+    /// disagreeing on the run identity or the cut, or an unknown scheme,
+    /// engine or edge format.
     pub fn load(dir: &Path) -> Result<WorldCheckpoint, String> {
-        let entries = fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
+        let entries =
+            std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
         // Collect every valid checkpoint file, keyed by (rank, epoch).
         let mut raws: Vec<super::checkpoint::RawCheckpoint> = Vec::new();
         for entry in entries.flatten() {
@@ -104,6 +102,8 @@ impl WorldCheckpoint {
         if Engine::from_id(job.engine_id).is_none() {
             return Err(format!("unknown engine id {}", job.engine_id));
         }
+        let format = EdgeFormat::from_id(job.format_id)
+            .ok_or_else(|| format!("unknown edge format id {}", job.format_id))?;
         // The newest epoch every rank holds. Keep-last-two plus the
         // barrier-bounded epoch skew of one guarantees it exists on a
         // crashed-but-uncorrupted world.
@@ -119,9 +119,7 @@ impl WorldCheckpoint {
                 .ok_or_else(|| format!("rank {rank} of {world} has no valid checkpoint"))?;
             common = common.min(newest);
         }
-        let part = partition::build(scheme, job.n, world);
-        let mut hi = None;
-        let mut f = Vec::with_capacity(world);
+        let mut saved = Vec::with_capacity(world);
         for rank in 0..world {
             let raw = raws
                 .iter()
@@ -129,20 +127,15 @@ impl WorldCheckpoint {
                 .ok_or_else(|| {
                     format!("rank {rank} has no checkpoint at the common epoch {common}")
                 })?;
-            match hi {
-                None => hi = Some(raw.saved.hi),
-                Some(h) if h != raw.saved.hi => {
-                    return Err(format!(
-                        "ranks disagree on the cut label at epoch {common}: {h} vs {}",
-                        raw.saved.hi
-                    ));
-                }
-                Some(_) => {}
-            }
-            let cnt = part.local_count_below(rank, raw.saved.hi);
-            f.push(f_prefix(dir, job.n, rank, cnt, job.x, &raw.saved.payload)?);
+            saved.push(raw.saved.clone());
         }
-        let hi = hi.expect("world >= 1, so hi was set");
+        let hi = saved[0].hi;
+        if let Some(other) = saved.iter().find(|s| s.hi != hi) {
+            return Err(format!(
+                "ranks disagree on the cut label at epoch {common}: {hi} vs {}",
+                other.hi
+            ));
+        }
         let grid_hi = ((common + 1) * meta.interval).min(job.n);
         if hi != grid_hi {
             return Err(format!(
@@ -152,11 +145,13 @@ impl WorldCheckpoint {
             ));
         }
         Ok(WorldCheckpoint {
+            dir: dir.to_path_buf(),
             meta,
+            format,
             epoch: common,
             hi,
-            part,
-            f,
+            part: partition::build(scheme, job.n, world),
+            saved,
         })
     }
 
@@ -165,171 +160,117 @@ impl WorldCheckpoint {
         &self.meta
     }
 
-    /// The common epoch the restart resumes after.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The cut label: every node below it is committed.
-    pub fn hi(&self) -> u64 {
-        self.hi
-    }
-
-    /// The committed `F_t(e)` for `x ≤ t < hi` (node `x`'s row is its
-    /// identity attachment, stored like any other commit).
-    fn committed(&self, t: Node, e: u64) -> Node {
-        let rank = self.part.rank_of(t);
-        let slot = self.part.local_index(t) * self.meta.job.x + e;
-        self.f[rank][slot as usize]
-    }
-
-    /// Synthesize new rank `rank`'s resume payload over `new_part`: the
-    /// one payload every engine writes and restores (its `F` prefix and
-    /// counters), written from a resident table, so it resumes any
-    /// engine into either store backend.
-    pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize) -> Vec<u8> {
-        let x = self.meta.job.x;
-        let n = self.meta.job.n;
-        let cnt = new_part.local_count_below(rank, self.hi);
-        let mut f = AnyTable::build_for(n, &StoreSpec::Resident, rank, "f", cnt * x, NILL)
-            .expect("a resident table opens no file");
-        for li in 0..cnt {
-            let t = new_part.node_at(rank, li);
-            // Clique rows (t < x) legitimately hold NILL: their slots are
-            // never drawn or queried.
-            if t >= x {
-                for e in 0..x {
-                    f.set(li * x + e, self.committed(t, e));
-                }
-            }
-        }
-        let counters = EngineCounters {
-            nodes: new_part.size_of(rank),
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        store::write_checkpoint_payload(&mut f, cnt, x, counters.to_words(), &mut out);
-        out
-    }
-
-    /// Replay new rank `rank`'s pre-cut edges through `sink` in the
-    /// deterministic per-rank emission order (clique rows ascending,
-    /// node `x`'s identity row, then one committed row per swept node) —
-    /// exactly the byte stream a never-killed `P_new` engine3 run writes
-    /// below the cut. Returns the number of edges emitted.
-    pub fn write_part_prefix<P: Partition, S: EdgeSink>(
+    /// Write new rank `rank`'s committed edges below the cut over
+    /// `new_part` through `sink`, in the deterministic per-rank emission
+    /// order (clique rows ascending, node `x`'s identity row, then one
+    /// committed row per swept node) — exactly the byte stream a
+    /// never-killed `P_new` engine-3 run writes below the cut — and
+    /// return the checkpoint the rank resumes after, its watermark the
+    /// sink's [`EdgeSink::checkpoint_mark`].
+    ///
+    /// The rows come from the saved world's parts: each old rank's
+    /// committed prefix is read back and checked as a crash resume
+    /// checks it, one old rank at a time, so the replay holds two
+    /// tables, one old rank's rows and the new rank's, each built per
+    /// `store` (under a paged spec, each within its budget, as
+    /// `rank{rank}.replay*` page files deleted before it returns).
+    ///
+    /// # Errors
+    ///
+    /// A reason naming the old rank whose part is missing, shorter than
+    /// its checkpoint's watermark, or not its committed rows; or the
+    /// sink's failure.
+    pub fn replay<P: Partition, S: EdgeSink>(
         &self,
         new_part: &P,
         rank: usize,
+        store: &StoreSpec,
         sink: &mut S,
-    ) -> u64 {
-        let x = self.meta.job.x;
-        let mut edges = 0u64;
-        for t in new_part.nodes_of(rank) {
-            if t >= self.hi {
-                break;
+    ) -> Result<SavedCheckpoint, String> {
+        let saved = self.replay_rows(new_part, rank, store, sink);
+        if let StoreSpec::Paged(spec) = store {
+            crate::store::clean_rank_pages(&spec.dir, rank);
+        }
+        saved
+    }
+
+    fn replay_rows<P: Partition, S: EdgeSink>(
+        &self,
+        new_part: &P,
+        rank: usize,
+        store: &StoreSpec,
+        sink: &mut S,
+    ) -> Result<SavedCheckpoint, String> {
+        let (n, x, hi) = (self.meta.job.n, self.meta.job.x, self.hi);
+        let table = |name, len| {
+            AnyTable::build_for(n, store, rank, name, len, NILL)
+                .map_err(|e| format!("rank {rank}: opening its replay table: {e}"))
+        };
+        let slots = new_part.local_count_below(rank, hi) * x;
+        let mut rows = table("replay", slots)?;
+        for (old, saved) in self.saved.iter().enumerate() {
+            let path = self.dir.join(format!("rank{old}.part"));
+            let named = |e: String| format!("rank {old}: {}: {e}", path.display());
+            let file = File::open(&path).map_err(|e| named(e.to_string()))?;
+            let len = file.metadata().map_err(|e| named(e.to_string()))?.len();
+            if len < saved.bytes {
+                return Err(named(format!(
+                    "{len} bytes, fewer than the {} its checkpoint committed",
+                    saved.bytes
+                )));
             }
+            let cnt = self.part.local_count_below(old, hi);
+            let mut old_rows = table("replay-old", cnt * x)?;
+            let edges = &mut EdgeReader::new(BufReader::new(file.take(saved.bytes)), self.format);
+            restore_rows(&mut old_rows, &self.part, old, x, saved, edges).map_err(named)?;
+            for li in 0..cnt {
+                let t = self.part.node_at(old, li);
+                if t >= x && new_part.rank_of(t) == rank {
+                    let row = new_part.local_index(t) * x;
+                    for e in 0..x {
+                        rows.set(row + e, old_rows.get(li * x + e));
+                    }
+                }
+            }
+        }
+        for t in new_part.nodes_of(rank).take_while(|&t| t < hi) {
             if t < x {
                 for j in 0..t {
                     sink.emit(t, j);
                 }
-                edges += t;
             } else {
+                let row = new_part.local_index(t) * x;
                 for e in 0..x {
-                    // Node x's committed row is the identity F_x(e) = e.
-                    sink.emit(t, self.committed(t, e));
+                    sink.emit(t, rows.get(row + e));
                 }
-                edges += x;
             }
         }
-        edges
-    }
-
-    /// Bundle a synthesized payload and a sink watermark into the
-    /// [`SavedCheckpoint`] the recoverable entry points resume from.
-    pub fn resume_point(&self, payload: Vec<u8>, edges: u64, bytes: u64) -> SavedCheckpoint {
-        SavedCheckpoint {
+        let (edges, bytes) = sink
+            .checkpoint_mark()
+            .map_err(|e| format!("rank {rank}: writing the replayed rows: {e}"))?;
+        Ok(SavedCheckpoint {
             epoch: self.epoch,
-            hi: self.hi,
+            hi,
             edges,
             bytes,
-            payload,
-        }
+            digest: rows_digest(&mut rows, 0..slots),
+            counters: EngineCounters {
+                nodes: new_part.size_of(rank),
+                ..Default::default()
+            },
+        })
     }
-}
-
-/// Extract one old rank's committed `F` prefix (`cnt · x` slots) of an
-/// `n`-node world from its checkpoint payload: inline for the resident
-/// format, from the page files (in the cells the run kept them in,
-/// re-verified against the payload's FNV) for the paged format.
-fn f_prefix(
-    dir: &Path,
-    n: u64,
-    rank: usize,
-    cnt: u64,
-    x: u64,
-    payload: &[u8],
-) -> Result<Vec<u64>, String> {
-    let mut r = payload;
-    let header = TablePrefix::read(&mut r).map_err(|e| format!("rank {rank}: {e}"))?;
-    let (TablePrefix::Resident { cnt: file_cnt } | TablePrefix::Paged { cnt: file_cnt, .. }) =
-        header;
-    if file_cnt != cnt {
-        return Err(format!(
-            "rank {rank}: committed prefix holds {file_cnt} nodes but the \
-             partition puts {cnt} below the cut"
-        ));
-    }
-    let want = cnt * x;
-    let TablePrefix::Paged {
-        fnv, page_bytes, ..
-    } = header
-    else {
-        let mut slots = Vec::with_capacity(want as usize);
-        for _ in 0..want {
-            slots.push(get_u64(&mut r).ok_or("truncated F table")?);
-        }
-        return Ok(slots);
-    };
-    // Read the pages back the way a resuming run does: through a paged
-    // table of the run's cell width, whose open applies the file's
-    // write-back journal first. A torn or foreign page reads as absent
-    // and fails the checksum below.
-    let path = table_path(dir, &format!("rank{rank}.f"));
-    if want > 0 && !path.is_file() {
-        return Err(format!(
-            "rank {rank}: page file {} is missing (was this world generated with \
-             --memory-budget by this build, and its store kept?)",
-            path.display()
-        ));
-    }
-    let resume = StoreSpec::Paged(PagedSpec {
-        dir: dir.to_path_buf(),
-        budget_bytes: 0,
-        page_bytes,
-        resume: true,
-    });
-    let mut table = AnyTable::build_for(n, &resume, rank, "f", want, NILL)
-        .map_err(|e| format!("rank {rank}: {}: {e}", path.display()))?;
-    let slots: Vec<u64> = (0..want).map(|s| table.get(s)).collect();
-    if slots_fnv(slots.iter().copied()) != fnv {
-        return Err(format!(
-            "rank {rank}: page files do not match the checkpoint's \
-             committed-prefix checksum"
-        ));
-    }
-    Ok(slots)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::{generate_rank_streaming_recoverable, CheckpointStore};
-    use crate::store::StoreSpec;
+    use crate::par::{generate_rank_streaming_recoverable, CheckpointStore, Resume};
     use crate::{GenOptions, PaConfig};
-    use pa_graph::{io::EdgeFormat, EdgeList};
+    use pa_graph::io::{read_binary_file, EdgeWriter, Fnv1a};
+    use pa_graph::EdgeList;
     use pa_mpsim::{Transport, World};
-    use std::path::PathBuf;
+    use std::fs;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pa_restart_{tag}_{}", std::process::id()));
@@ -352,9 +293,9 @@ mod tests {
     }
 
     /// Run a full world of `p_old` ranks under `run_opts` and return its
-    /// per-rank edge lists and its total requests sent; with `dir` set it
-    /// leaves its last two checkpoint epochs (and, when the store is
-    /// paged, its page files) behind there.
+    /// per-rank edge lists and its total requests sent; with `dir` set
+    /// it leaves a saved world there: each rank's `bin` part and its last
+    /// two checkpoint epochs.
     fn run_world(
         cfg: &PaConfig,
         scheme: Scheme,
@@ -365,16 +306,34 @@ mod tests {
         let part = partition::build(scheme, cfg.n, p_old);
         let m = CheckpointMeta::for_run(cfg, scheme, p_old, run_opts, EdgeFormat::Binary);
         let ranks = World::new(p_old).run(move |mut comm| {
-            let ckpt = dir.map(|d| CheckpointStore::new(d, comm.rank() as u32, m).unwrap());
-            generate_rank_streaming_recoverable(
+            let rank = comm.rank();
+            let Some(dir) = dir else {
+                return generate_rank_streaming_recoverable(
+                    cfg,
+                    &part,
+                    run_opts,
+                    &mut comm,
+                    EdgeList::new(),
+                    None,
+                    None,
+                )
+                .unwrap();
+            };
+            let ckpt = CheckpointStore::new(dir, rank as u32, m).unwrap();
+            let path = dir.join(format!("rank{rank}.part"));
+            let sink = EdgeWriter::new(File::create(&path).unwrap(), EdgeFormat::Binary);
+            let (sink, counters) = generate_rank_streaming_recoverable(
                 cfg,
                 &part,
                 run_opts,
                 &mut comm,
-                EdgeList::new(),
-                ckpt.as_ref(),
+                sink,
+                Some(&ckpt),
                 None,
             )
+            .unwrap();
+            sink.finish().unwrap();
+            (read_binary_file(&path).unwrap(), counters)
         });
         let requests = ranks.iter().map(|(_, c)| c.requests_sent).sum();
         (
@@ -399,9 +358,11 @@ mod tests {
         World::new(p_new).run(move |mut comm| {
             let rank = comm.rank();
             let mut sink = EdgeList::new();
-            let edges = world.write_part_prefix(&part, rank, &mut sink);
-            let payload = world.payload_for(&part, rank);
-            let saved = world.resume_point(payload, edges, 0);
+            let saved = world
+                .replay(&part, rank, &run_opts.store, &mut sink)
+                .unwrap();
+            let committed = sink.clone();
+            let edges = &mut committed.iter().map(Ok);
             generate_rank_streaming_recoverable(
                 cfg,
                 &part,
@@ -409,8 +370,12 @@ mod tests {
                 &mut comm,
                 sink,
                 None,
-                Some(&saved),
+                Some(Resume {
+                    saved: &saved,
+                    edges,
+                }),
             )
+            .unwrap()
             .0
         })
     }
@@ -475,11 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn paged_world_restarts_from_its_page_files() {
+    fn paged_world_restarts_from_its_parts() {
         let cfg = PaConfig::new(2_000, 2).with_seed(7);
         let o = opts(Engine::Chain, 400);
         let dir = scratch("paged_resize");
-        // The old world spills its F tables into the checkpoint dir.
+        // The old world pages its F tables beside its checkpoints ...
         let paged = StoreSpec::paged(&dir, 2 * 1024).with_page_bytes(256);
         run_world(
             &cfg,
@@ -488,37 +453,78 @@ mod tests {
             &o.clone().with_store(paged),
             Some(&dir),
         );
+        // ... which are a cache: the restart reads the parts alone, and
+        // replays them through paged tables of its own.
+        for rank in 0..4 {
+            crate::store::clean_rank_pages(&dir, rank);
+        }
         let (fresh, _) = run_world(&cfg, Scheme::Rrp, 2, &o, None);
-        // Restart reads F from page files; the new run runs resident.
-        let restarted = restart(&cfg, Scheme::Rrp, 2, &o, &dir);
+        let pages = scratch("paged_resize_pages");
+        let paged = StoreSpec::paged(&pages, 2 * 1024).with_page_bytes(256);
+        let restarted = restart(&cfg, Scheme::Rrp, 2, &o.clone().with_store(paged), &dir);
         assert_eq!(restarted, fresh);
         let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&pages);
     }
 
     #[test]
     fn a_store_from_an_older_build_is_a_named_error() {
-        // Builds that kept a file per page marked their paged payloads
-        // with u64::MAX: the restart reader names them instead of reading
-        // files this build no longer writes.
-        let old = [u64::MAX, 4, 0].map(u64::to_le_bytes).concat();
-        let err = f_prefix(Path::new("/nonexistent"), 2_000, 3, 4, 2, &old).unwrap_err();
-        assert!(
-            err.starts_with("rank 3: ") && err.contains("older build"),
-            "{err}"
-        );
-        // A directory holding per-page files where the page file should
-        // be fails by name too.
+        // A world an older build kept holds checkpoints of an older
+        // version: they read as absent, and the restart names the
+        // directory instead of guessing at their layout.
         let cfg = PaConfig::new(2_000, 2).with_seed(7);
         let o = opts(Engine::Chain, 400);
         let dir = scratch("old_store");
-        let paged = StoreSpec::paged(&dir, 2 * 1024).with_page_bytes(256);
-        run_world(&cfg, Scheme::Rrp, 2, &o.with_store(paged), Some(&dir));
-        for rank in 0..2 {
-            let pages = table_path(&dir, &format!("rank{rank}.f"));
-            fs::rename(&pages, dir.join(format!("rank{rank}.f.p0.pg"))).unwrap();
+        run_world(&cfg, Scheme::Rrp, 2, &o, Some(&dir));
+        assert!(WorldCheckpoint::load(&dir).is_ok());
+        for entry in fs::read_dir(&dir).unwrap().flatten() {
+            if entry.file_name().to_string_lossy().ends_with(".ckpt") {
+                let mut bytes = fs::read(entry.path()).unwrap();
+                bytes.truncate(bytes.len() - 8);
+                bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+                let sum = Fnv1a::hash(&bytes);
+                bytes.extend_from_slice(&sum.to_le_bytes());
+                fs::write(entry.path(), &bytes).unwrap();
+            }
         }
         let err = WorldCheckpoint::load(&dir).unwrap_err();
-        assert!(err.contains("rank0.f.pages is missing"), "{err}");
+        assert!(err.contains("no valid checkpoints"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_missing_short_or_damaged_part_is_a_named_error() {
+        let cfg = PaConfig::new(1_200, 2).with_seed(3);
+        let o = opts(Engine::Chain, 300);
+        let dir = scratch("bad_part");
+        run_world(&cfg, Scheme::Rrp, 2, &o, Some(&dir));
+        let part = dir.join("rank1.part");
+        let good = fs::read(&part).unwrap();
+        let world = WorldCheckpoint::load(&dir).unwrap();
+        let new_part = partition::build(Scheme::Rrp, cfg.n, 3);
+        let replay = || {
+            world
+                .replay(&new_part, 0, &StoreSpec::Resident, &mut EdgeList::new())
+                .unwrap_err()
+        };
+        let committed = world.saved[1].bytes as usize;
+        // Shorter than the watermark.
+        fs::write(&part, &good[..committed - 1]).unwrap();
+        let err = replay();
+        assert!(
+            err.starts_with("rank 1: ") && err.contains("fewer than"),
+            "{err}"
+        );
+        // A record below the watermark changed.
+        let mut bytes = good.clone();
+        bytes[committed - 3] ^= 1;
+        fs::write(&part, &bytes).unwrap();
+        let err = replay();
+        assert!(err.starts_with("rank 1: "), "{err}");
+        // Gone.
+        fs::remove_file(&part).unwrap();
+        let err = replay();
+        assert!(err.contains("rank1.part"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -565,13 +571,11 @@ mod tests {
         let cfg2 = PaConfig::new(1_200, 2).with_seed(4);
         let dir2 = scratch("reject_other");
         run_world(&cfg2, Scheme::Rrp, 2, &o, Some(&dir2));
-        let foreign = fs::read_dir(&dir2)
-            .unwrap()
-            .flatten()
-            .next()
-            .unwrap()
-            .path();
-        fs::copy(&foreign, dir.join("rank0.epoch99.ckpt")).unwrap();
+        fs::copy(
+            dir2.join("rank0.epoch2.ckpt"),
+            dir.join("rank0.epoch99.ckpt"),
+        )
+        .unwrap();
         let err = WorldCheckpoint::load(&dir).unwrap_err();
         let _ = fs::remove_dir_all(&dir2);
         assert!(err.contains("more than one run identity"), "{err}");

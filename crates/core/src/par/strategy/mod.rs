@@ -17,10 +17,9 @@
 //!   ever touches the hub path, which a conformance test pins) and the
 //!   [`waiters`] tables (only the message-passing strategies park work).
 //!
-//! Every strategy checkpoints the same payload — its committed `F`
-//! prefix and its counters ([`crate::store::write_checkpoint_payload`])
-//! — so a snapshot taken under one engine restores into any other at
-//! the same `x`.
+//! Every strategy commits a node's slots and emits them in slot order,
+//! and exposes the same state — its `F` table and its counters — so a
+//! checkpoint taken under one engine resumes any other at the same `x`.
 //!
 //! Model-genericity comes from one further cut: strategies draw
 //! attachment randomness exclusively through [`crate::Model`], which
@@ -42,7 +41,7 @@ use engine1::X1;
 use engine2::General;
 use engine3::Chain;
 
-use super::checkpoint::{CheckpointStore, SavedCheckpoint};
+use super::checkpoint::{CheckpointStore, Resume};
 use super::driver::{self, Net};
 use super::msg::Msg;
 use super::output::EngineCounters;
@@ -56,6 +55,10 @@ use pa_mpsim::Transport;
 /// global quiescence over `comm` (checkpointing into `store` and
 /// resuming from `resume` as [`driver::run`] describes) and return the
 /// sink and counters.
+///
+/// # Errors
+///
+/// A failed resume, as [`driver::run`] says.
 pub(super) fn run_rank<P: Partition, S: EdgeSink, T: Transport<Msg>>(
     cfg: &PaConfig,
     part: &P,
@@ -63,23 +66,23 @@ pub(super) fn run_rank<P: Partition, S: EdgeSink, T: Transport<Msg>>(
     comm: &mut T,
     sink: S,
     store: Option<&CheckpointStore>,
-    resume: Option<&SavedCheckpoint>,
-) -> (S, EngineCounters) {
+    resume: Option<Resume<'_>>,
+) -> Result<(S, EngineCounters), String> {
     let (rank, nranks) = (comm.rank(), comm.nranks());
-    match opts.engine {
+    Ok(match opts.engine {
         Engine::X1 => {
             let algo = X1::new(cfg, part, rank, opts, sink);
-            driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+            driver::run(part, cfg.x, opts, comm, algo, store, resume)?.into_parts()
         }
         Engine::General => {
             let algo = General::new(cfg, part, rank, nranks, opts, sink);
-            driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+            driver::run(part, cfg.x, opts, comm, algo, store, resume)?.into_parts()
         }
         Engine::Chain => {
             let algo = Chain::new(cfg, part, rank, opts, sink);
-            driver::run(part, cfg.x, opts, comm, algo, store, resume).into_parts()
+            driver::run(part, cfg.x, opts, comm, algo, store, resume)?.into_parts()
         }
-    }
+    })
 }
 
 /// The algorithm-specific half of an engine; [`driver::run`]
@@ -133,16 +136,15 @@ pub(crate) trait Strategy {
     /// a checkpoint (see [`crate::par::sink::EdgeSink::checkpoint_mark`]).
     fn sink_mark(&mut self) -> std::io::Result<(u64, u64)>;
 
-    /// The state a checkpoint captures
-    /// ([`crate::store::write_checkpoint_payload`]): the `F` table (`x` slots
-    /// per local node) and the counters. At an epoch cut every local
-    /// node below the cut is committed and nothing above it is touched,
-    /// so these two are the whole engine.
+    /// The state a checkpoint stands for: the `F` table (`x` slots per
+    /// local node) and the counters. At an epoch cut every local node
+    /// below the cut is committed and nothing above it is touched, so
+    /// these two are the whole engine.
     fn state(&mut self) -> (&mut AnyTable, &mut EngineCounters);
 
     /// Reset whatever the engine caches beside its table (engine 3's
-    /// chain memo) after a payload — written by this engine or any
-    /// other — was loaded into [`Strategy::state`] at cut `hi`.
+    /// chain memo) after the committed rows below cut `hi` — written by
+    /// this engine or any other — were loaded into [`Strategy::state`].
     fn restored(&mut self, _hi: Node) {}
 
     /// One-line progress summary (uncommitted slots, waiter-table depths)
@@ -180,92 +182,4 @@ pub(super) fn register_clique<P: Partition, S: EdgeSink>(
     let start = lo.max(x).min(hi);
     let pending_nodes = part.local_count_below(rank, hi) - part.local_count_below(rank, start);
     pending_nodes * x
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::par::CheckpointMeta;
-    use crate::partition::{self, Scheme};
-    use crate::store;
-    use pa_graph::{io::EdgeFormat, EdgeList};
-
-    /// Take a real snapshot from `fresh()`, cut or extend its counter
-    /// section, re-seal each variant through a checkpoint store (so the
-    /// checksum holds) and restore it into another `fresh()` engine:
-    /// every variant must be a named error, never a panic or a success.
-    fn damaged_counters_fail_restore<A: Strategy>(
-        tag: &str,
-        meta: CheckpointMeta,
-        fresh: impl Fn() -> A,
-    ) {
-        let x = meta.job.x;
-        let mut payload = Vec::new();
-        let mut engine = fresh();
-        let (f, counters) = engine.state();
-        store::write_checkpoint_payload(f, 0, x, counters.to_words(), &mut payload);
-        // A cut at label 0: `[cnt = 0][counter words]`, nothing after.
-        let end = 8 + 8 * EngineCounters::NAMES.len();
-        assert_eq!(
-            payload.len(),
-            end,
-            "{tag}: the payload ends at the counters"
-        );
-        let dir =
-            std::env::temp_dir().join(format!("pa_core_restore_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ckpt = CheckpointStore::new(&dir, 0, meta).unwrap();
-        let restore = |bytes: &[u8]| {
-            ckpt.save(0, 0, 0, 0, bytes).unwrap();
-            let saved = ckpt.load(0).expect("a re-sealed checkpoint loads");
-            let mut engine = fresh();
-            let (f, _) = engine.state();
-            store::read_checkpoint_payload::<{ EngineCounters::NAMES.len() }>(
-                f,
-                0,
-                x,
-                &saved.payload,
-            )
-            .map(drop)
-        };
-        assert_eq!(restore(&payload), Ok(()), "{tag}: the intact payload");
-        for cut in 1..=end - 8 {
-            let mut bytes = payload.clone();
-            bytes.drain(end - cut..end);
-            let err = restore(&bytes).expect_err("a cut counter section restores");
-            assert!(!err.is_empty(), "{tag}: cut {cut}");
-        }
-        for fill in [0x00, 0xff] {
-            for extra in 1..=16 {
-                let mut bytes = payload.clone();
-                bytes.splice(end..end, vec![fill; extra]);
-                let err = restore(&bytes).expect_err("an extended counter section restores");
-                assert!(!err.is_empty(), "{tag}: {extra} extra {fill:#04x} bytes");
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn damaged_counter_sections_are_named_restore_errors_on_every_engine() {
-        let opts = GenOptions::default();
-        let meta = |cfg: &PaConfig, engine: Engine| {
-            let opts = opts.clone().with_engine(engine);
-            CheckpointMeta::for_run(cfg, Scheme::Rrp, 2, &opts, EdgeFormat::Binary)
-        };
-        let cfg1 = PaConfig::new(400, 1).with_seed(3);
-        let cfg = PaConfig::new(400, 2).with_seed(3);
-        let part = partition::build(Scheme::Rrp, cfg.n, 2);
-        damaged_counters_fail_restore("e1", meta(&cfg1, Engine::X1), || {
-            X1::new(&cfg1, &part, 0, &opts, EdgeList::new())
-        });
-        // Two ranks, so engine 2 holds a hub replica; it is not part of
-        // the payload.
-        damaged_counters_fail_restore("e2", meta(&cfg, Engine::General), || {
-            General::new(&cfg, &part, 0, 2, &opts, EdgeList::new())
-        });
-        damaged_counters_fail_restore("e3", meta(&cfg, Engine::Chain), || {
-            Chain::new(&cfg, &part, 0, &opts, EdgeList::new())
-        });
-    }
 }

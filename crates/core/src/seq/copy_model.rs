@@ -57,22 +57,6 @@ pub fn draw_choice_keyed(
     Choice { k, direct, l }
 }
 
-/// Batch-draw the attempt-0 [`Choice`]s for node `t`'s whole edge row
-/// into `out` (cleared first).
-///
-/// This is the engines' hot path: one key-prefix mix for the node, then
-/// a tight loop of one mix + three draws per slot, with no per-event
-/// re-derivation and no branchy dispatch. Retries (attempt > 0) are rare
-/// and drawn individually via [`draw_choice_keyed`].
-pub fn draw_row_choices(keys: &EventKeys, p: f64, x: u64, t: Node, out: &mut Vec<Choice>) {
-    debug_assert!(t > x, "node {t} does not draw (x = {x})");
-    out.clear();
-    out.reserve(x as usize);
-    for e in 0..x as u32 {
-        out.push(draw_choice_keyed(keys, p, x, t, e, 0));
-    }
-}
-
 /// Resolve the final attachment target `F_t` for `x = 1` by following the
 /// copy chain analytically (no graph needed): repeatedly apply the
 /// attempt-0 choice until a direct connection is reached, then unwind.
@@ -270,6 +254,8 @@ mod tests {
     #[test]
     fn keyed_and_batched_draws_match_the_reference() {
         let (seed, p, x) = (41u64, 0.5, 4u64);
+        let cfg = PaConfig::new(3_000, x).with_p(p).with_seed(seed);
+        let model = crate::Model::resolve(&cfg, crate::ModelKind::Pa);
         let mut row = Vec::new();
         for t in [5u64, 6, 100, 2_999] {
             let keys = EventKeys::for_node(seed, t);
@@ -282,7 +268,7 @@ mod tests {
                     );
                 }
             }
-            draw_row_choices(&keys, p, x, t, &mut row);
+            model.draw_row(&keys, t, &mut row);
             assert_eq!(row.len(), x as usize);
             for (e, c) in row.iter().enumerate() {
                 assert_eq!(*c, draw_choice(seed, p, x, t, e as u32, 0));

@@ -3,8 +3,8 @@
 //! A counting `#[global_allocator]` (this test binary only — the library
 //! crates stay `forbid(unsafe_code)`) adds up every byte the measuring
 //! thread allocates. A `PagedTable` is warmed until every cache frame
-//! exists and every page has a file; after that, each fault — write-back
-//! of the evicted page, read, checksum, decode — must reuse the table's
+//! exists and every page is in the file; after that, each fault —
+//! write-back of the evicted page, then a read — must reuse the table's
 //! own buffers, so 10 000 of them allocate zero bytes.
 
 use pa_core::store::{NodeTable, PagedSpec, PagedTable};

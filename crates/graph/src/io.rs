@@ -61,23 +61,9 @@ pub fn write_binary<W: Write>(w: W, edges: &EdgeList) -> io::Result<()> {
 /// Read edges written by [`write_binary`]. A trailing partial record is an
 /// error.
 pub fn read_binary<R: Read>(r: R) -> io::Result<EdgeList> {
-    let mut r = BufReader::new(r);
-    let mut edges = EdgeList::new();
-    let mut buf = [0u8; 16];
-    loop {
-        match r.read(&mut buf[..1])? {
-            0 => break,
-            _ => {
-                r.read_exact(&mut buf[1..]).map_err(|_| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "truncated edge record")
-                })?;
-                let u = Node::from_le_bytes(buf[..8].try_into().unwrap());
-                let v = Node::from_le_bytes(buf[8..].try_into().unwrap());
-                edges.push(u, v);
-            }
-        }
-    }
-    Ok(edges)
+    EdgeReader::new(BufReader::new(r), EdgeFormat::Binary)
+        .collect::<io::Result<Vec<_>>>()
+        .map(EdgeList::from_vec)
 }
 
 /// On-disk encoding of a streamed edge list.
@@ -162,41 +148,6 @@ impl Fnv1a {
     pub fn hash(bytes: &[u8]) -> u64 {
         let mut h = Self::new();
         h.update(bytes);
-        h.digest()
-    }
-
-    /// FNV-1a folded over little-endian 64-bit words: the same basis and
-    /// prime as [`Fnv1a::hash`], one multiply per 8 bytes, with a tail
-    /// shorter than a word folded byte by byte. A *different digest* from
-    /// `hash`; page files seal with it because every page load checksums
-    /// a whole page.
-    ///
-    /// Word `i` goes to lane `i mod 4`: four independent multiply chains,
-    /// so a core overlaps their latencies instead of waiting on one. The
-    /// four lane digests are then folded, in order, with the same step.
-    ///
-    /// Each step folds the high half of the product back into the low
-    /// half. A multiply only carries upward, so without that a flip of
-    /// bit 63 would stay a flip of bit 63 of the state, and two such
-    /// flips (in two words, or in a word and the trailer) would cancel.
-    pub fn hash_words(bytes: &[u8]) -> u64 {
-        let step = |h: u64, w: u64| {
-            let h = (h ^ w).wrapping_mul(Self::PRIME);
-            h ^ (h >> 32)
-        };
-        let (words, tail) = bytes.as_chunks::<8>();
-        let (quads, rest) = words.as_chunks::<4>();
-        let mut lanes = [Self::OFFSET_BASIS; 4];
-        for quad in quads {
-            for (lane, w) in lanes.iter_mut().zip(quad) {
-                *lane = step(*lane, u64::from_le_bytes(*w));
-            }
-        }
-        for (lane, w) in lanes.iter_mut().zip(rest) {
-            *lane = step(*lane, u64::from_le_bytes(*w));
-        }
-        let mut h = Self::from_digest(lanes.into_iter().fold(Self::OFFSET_BASIS, step));
-        h.update(tail);
         h.digest()
     }
 
@@ -470,6 +421,126 @@ impl<W: Write> EdgeWriter<W> {
     }
 }
 
+/// The strict decoder of what [`EdgeWriter`] writes, one edge at a time:
+/// 16-byte little-endian records in `bin`, `"{u} {v}\n"` lines in
+/// canonical decimal in `txt`. It is how a resuming rank reads its part
+/// file's committed prefix back, so every input that is not exactly such
+/// records ends in an `InvalidData` or `UnexpectedEof` error naming the
+/// record, after which the iterator ends. Decoding holds one record on
+/// the stack and allocates nothing, whatever the input.
+#[derive(Debug)]
+pub struct EdgeReader<R: BufRead> {
+    r: R,
+    format: EdgeFormat,
+    /// Records decoded so far.
+    records: u64,
+    failed: bool,
+}
+
+impl<R: BufRead> EdgeReader<R> {
+    /// Decoder of the `format` records in `r`.
+    pub fn new(r: R, format: EdgeFormat) -> Self {
+        Self {
+            r,
+            format,
+            records: 0,
+            failed: false,
+        }
+    }
+
+    /// The next record's bytes, through its newline in `txt`, into
+    /// `rec`; their count, 0 at a clean end of input.
+    fn fill(&mut self, rec: &mut [u8; TEXT_RECORD_MAX]) -> io::Result<usize> {
+        let want = match self.format {
+            EdgeFormat::Binary => BINARY_RECORD,
+            EdgeFormat::Text => TEXT_RECORD_MAX,
+        };
+        let mut len = 0;
+        loop {
+            let buf = self.r.fill_buf()?;
+            if buf.is_empty() {
+                return match len {
+                    0 => Ok(0),
+                    _ => Err(self.bad(io::ErrorKind::UnexpectedEof, "is cut short")),
+                };
+            }
+            let (take, done) = match self.format {
+                EdgeFormat::Binary => {
+                    let take = buf.len().min(want - len);
+                    (take, len + take == want)
+                }
+                EdgeFormat::Text => match buf.iter().position(|&b| b == b'\n') {
+                    Some(i) => (i + 1, true),
+                    None => (buf.len(), false),
+                },
+            };
+            if len + take > want {
+                return Err(self.bad(io::ErrorKind::InvalidData, "is too long"));
+            }
+            rec[len..len + take].copy_from_slice(&buf[..take]);
+            self.r.consume(take);
+            len += take;
+            if done {
+                return Ok(len);
+            }
+        }
+    }
+
+    fn bad(&self, kind: io::ErrorKind, what: &str) -> io::Error {
+        let format = self.format.name();
+        io::Error::new(
+            kind,
+            format!("{format} edge record {} {what}", self.records),
+        )
+    }
+}
+
+/// A canonical decimal `u64`: digits only, no leading zero but in `0`
+/// itself, no overflow.
+fn parse_decimal(digits: &[u8]) -> Option<Node> {
+    if digits.is_empty() || digits.len() > 1 && digits[0] == b'0' {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let d = b.wrapping_sub(b'0');
+        (d < 10).then_some(())?;
+        acc.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+impl<R: BufRead> Iterator for EdgeReader<R> {
+    type Item = io::Result<(Node, Node)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let mut rec = [0u8; TEXT_RECORD_MAX];
+        let edge = match self.fill(&mut rec) {
+            Ok(0) => return None,
+            Ok(len) => match self.format {
+                EdgeFormat::Binary => Ok((
+                    Node::from_le_bytes(rec[..8].try_into().expect("8 bytes")),
+                    Node::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
+                )),
+                EdgeFormat::Text => {
+                    let line = &rec[..len - 1];
+                    line.iter()
+                        .position(|&b| b == b' ')
+                        .and_then(|i| {
+                            Some((parse_decimal(&line[..i])?, parse_decimal(&line[i + 1..])?))
+                        })
+                        .ok_or_else(|| self.bad(io::ErrorKind::InvalidData, "is not a `u v` line"))
+                }
+            },
+            Err(e) => Err(e),
+        };
+        self.failed = edge.is_err();
+        self.records += 1;
+        Some(edge)
+    }
+}
+
 /// Convenience: read a text edge list from a path.
 pub fn read_text_file<P: AsRef<Path>>(path: P) -> io::Result<EdgeList> {
     read_text(File::open(path)?)
@@ -517,6 +588,65 @@ mod tests {
         assert_eq!(buf.len(), 16 * sample().len());
         let back = read_binary(&buf[..]).unwrap();
         assert_eq!(back, sample());
+    }
+
+    #[test]
+    fn edge_reader_decodes_what_edge_writer_wrote() {
+        let edges = [(0, 0), (7, 3), (10, 9), (u64::MAX, u64::MAX - 1)];
+        for format in [EdgeFormat::Binary, EdgeFormat::Text] {
+            let bytes = encode(format, &edges);
+            let back: Vec<_> = EdgeReader::new(&bytes[..], format)
+                .collect::<io::Result<_>>()
+                .unwrap();
+            assert_eq!(back, edges, "{format:?}");
+        }
+    }
+
+    #[test]
+    fn edge_reader_names_every_record_that_is_not_exactly_a_record() {
+        let first = |bytes: &[u8], format| {
+            let mut r = EdgeReader::new(bytes, format);
+            let err = r.nth(1).unwrap().unwrap_err();
+            assert!(r.next().is_none(), "{bytes:?}: the reader goes on");
+            (err.kind(), err.to_string())
+        };
+        for bad in [
+            &b"1 0\n01 0\n"[..],
+            b"1 0\n1  0\n",
+            b"1 0\n+1 0\n",
+            b"1 0\n 1 0\n",
+            b"1 0\n1 0 0\n",
+            b"1 0\n1\n",
+            b"1 0\n\n",
+            b"1 0\n18446744073709551616 0\n",
+            b"1 0\n1 0\r\n",
+        ] {
+            let (kind, msg) = first(bad, EdgeFormat::Text);
+            assert_eq!(kind, io::ErrorKind::InvalidData, "{bad:?}");
+            assert_eq!(msg, "txt edge record 1 is not a `u v` line", "{bad:?}");
+        }
+        let long = [&b"1 0\n"[..], &[b'1'; TEXT_RECORD_MAX + 1]].concat();
+        let (kind, msg) = first(&long, EdgeFormat::Text);
+        assert_eq!(
+            (kind, msg.as_str()),
+            (io::ErrorKind::InvalidData, "txt edge record 1 is too long")
+        );
+        let (kind, msg) = first(b"1 0\n1 0", EdgeFormat::Text);
+        assert_eq!(
+            (kind, msg.as_str()),
+            (
+                io::ErrorKind::UnexpectedEof,
+                "txt edge record 1 is cut short"
+            )
+        );
+        let (kind, msg) = first(&[0; 31], EdgeFormat::Binary);
+        assert_eq!(
+            (kind, msg.as_str()),
+            (
+                io::ErrorKind::UnexpectedEof,
+                "bin edge record 1 is cut short"
+            )
+        );
     }
 
     #[test]
@@ -768,47 +898,6 @@ mod tests {
         let mut bin = Vec::new();
         write_binary(&mut bin, &edges).unwrap();
         assert_eq!(Fnv1a::hash_edges(&edges), Fnv1a::hash(&bin));
-    }
-
-    #[test]
-    fn fnv1a_hash_words_is_pinned() {
-        // No whole word: the four lane digests are the basis, folded,
-        // then a tail byte by byte.
-        assert_eq!(Fnv1a::hash_words(b""), 0x2a6b_ca99_0efa_1982);
-        assert_eq!(Fnv1a::hash_words(b"a"), 0x0f43_2514_72f9_fcb9);
-        // One word, three words, two words plus a 3-byte tail, then
-        // whole rounds of four lanes: two, and one plus a word and a tail.
-        assert_eq!(Fnv1a::hash_words(b"foobar!!"), 0xf0e1_ef6b_0c2e_ca36);
-        assert_eq!(
-            Fnv1a::hash_words(b"page files, word by word"),
-            0xa071_7130_9819_f42d
-        );
-        let ramp = |n: u8| (0..n).collect::<Vec<u8>>();
-        assert_eq!(Fnv1a::hash_words(&ramp(19)), 0x3bd5_76df_aaf3_2910);
-        assert_eq!(Fnv1a::hash_words(&ramp(64)), 0x2c8e_b789_073b_8a07);
-        assert_eq!(Fnv1a::hash_words(&ramp(43)), 0x9be5_f7ff_8eb6_7cf5);
-        // A different digest from the bytewise one.
-        assert_ne!(Fnv1a::hash_words(b"foobar!!"), Fnv1a::hash(b"foobar!!"));
-    }
-
-    #[test]
-    fn fnv1a_hash_words_does_not_cancel_top_bit_flips() {
-        // Flipping bit 63 of two words must change the digest, and
-        // flipping it in the last word must not move the digest by bit
-        // 63 alone (which a flip of a trailer's top bit would undo).
-        let base: Vec<u8> = (0..32).collect();
-        let flip = |bytes: &mut [u8], word: usize| bytes[word * 8 + 7] ^= 0x80;
-        let h = Fnv1a::hash_words(&base);
-        for i in 0..4 {
-            let mut one = base.clone();
-            flip(&mut one, i);
-            assert_ne!(Fnv1a::hash_words(&one) ^ h, 1 << 63, "word {i}");
-            for j in i + 1..4 {
-                let mut two = one.clone();
-                flip(&mut two, j);
-                assert_ne!(Fnv1a::hash_words(&two), h, "words {i} and {j}");
-            }
-        }
     }
 
     #[test]

@@ -210,6 +210,7 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
             Some(&store),
             None,
         )
+        .unwrap()
         .0
     });
     assert_eq!(
@@ -223,19 +224,21 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
         let rank = comm.rank();
         let store = par::CheckpointStore::new(&ckpt_dir, rank as u32, meta).unwrap();
         let saved = store.load(store.latest().unwrap() - 1).unwrap();
-        let mut sink = EdgeList::new();
-        for &(u, v) in &full[rank].as_slice()[..saved.edges as usize] {
-            sink.push(u, v);
-        }
+        let committed = &full[rank].as_slice()[..saved.edges as usize];
+        let edges = &mut committed.iter().map(|&e| Ok(e));
         par::generate_rank_streaming_recoverable(
             &cfg,
             &part,
             &opts,
             &mut comm,
-            sink,
+            EdgeList::from_vec(committed.to_vec()),
             None,
-            Some(&saved),
+            Some(par::Resume {
+                saved: &saved,
+                edges,
+            }),
         )
+        .unwrap()
         .0
     });
     assert_eq!(
