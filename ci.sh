@@ -442,6 +442,20 @@ if ! cmp -s "$oc_dir/resident3.txt" "$oc_dir/paged3.txt"; then
     echo "out-of-core smoke mismatch: --memory-budget changed engine 3's output bytes" >&2
     exit 1
 fi
+# 24-byte pages hold six compact cells: not a power of two, so a slot
+# splits into page and offset by division, and x = 4 rows straddle pages.
+cargo run -q -p pa-cli --release -- generate --model pa \
+    --n 200000 --x 4 --ranks 4 --scheme rrp --seed 7 --engine 3 \
+    --out "$oc_dir/paged3_24.txt" --format txt \
+    --memory-budget 64k --page-bytes 24 --store-dir "$oc_dir/store3_24"
+if [ -d "$oc_dir/store3_24" ]; then
+    echo "out-of-core smoke: finished 24-byte-page run left page files behind" >&2
+    exit 1
+fi
+if ! cmp -s "$oc_dir/resident3.txt" "$oc_dir/paged3_24.txt"; then
+    echo "out-of-core smoke mismatch: --page-bytes 24 changed engine 3's output bytes" >&2
+    exit 1
+fi
 same_edge_set "$oc_dir/resident2.txt" "$oc_dir/paged2.txt" \
     "out-of-core smoke mismatch: --memory-budget changed engine 2's edge set"
 

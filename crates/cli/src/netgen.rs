@@ -161,158 +161,167 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let started = std::time::Instant::now();
     let mut t: TcpTransport<Msg> =
         TcpTransport::connect(tcp).map_err(|e| CliError::usage(format!("rank {rank}: {e}")))?;
-    // A wedged collective should fire on the engine's stall budget, not
-    // block for the full bootstrap-time backstop.
-    if let Some(stall) = opts.stall_timeout {
-        t.set_collective_timeout(stall.min(bootstrap_coll_timeout));
-    }
+    // From here on a failure must not say BYE: peers would take it for
+    // an orderly leave and wait out their collective timeout. Severing
+    // fails them at once, naming this rank.
+    let run = (|| {
+        // A wedged collective should fire on the engine's stall budget, not
+        // block for the full bootstrap-time backstop.
+        if let Some(stall) = opts.stall_timeout {
+            t.set_collective_timeout(stall.min(bootstrap_coll_timeout));
+        }
 
-    let part = partition::build(scheme, cfg.n, world);
-    let out_path = std::path::Path::new(&path);
-    // A checkpointing rank's part lives with its checkpoints: the two
-    // together are a saved world.
-    let part_of = |rank: usize| match ckpt_dir.as_str() {
-        "" => part_path(out_path, rank),
-        dir => std::path::Path::new(dir).join(format!("rank{rank}.part")),
-    };
-    let my_part = part_of(rank);
+        let part = partition::build(scheme, cfg.n, world);
+        let out_path = std::path::Path::new(&path);
+        // A checkpointing rank's part lives with its checkpoints: the two
+        // together are a saved world.
+        let part_of = |rank: usize| match ckpt_dir.as_str() {
+            "" => part_path(out_path, rank),
+            dir => std::path::Path::new(dir).join(format!("rank{rank}.part")),
+        };
+        let my_part = part_of(rank);
 
-    let store = if ckpt_dir.is_empty() {
-        None
-    } else {
-        let meta = par::CheckpointMeta::for_run(&cfg, scheme, world, &opts, job.format);
-        Some(par::CheckpointStore::new(&ckpt_dir, rank as u32, meta).map_err(CliError::io)?)
-    };
+        let store = if ckpt_dir.is_empty() {
+            None
+        } else {
+            let meta = par::CheckpointMeta::for_run(&cfg, scheme, world, &opts, job.format);
+            Some(par::CheckpointStore::new(&ckpt_dir, rank as u32, meta).map_err(CliError::io)?)
+        };
 
-    // Agree on a common resume point: a rank with no usable checkpoint
-    // votes 0 (fresh start), a rank whose newest saved epoch is `e`
-    // votes `e + 1`; the world-wide minimum picks an epoch every rank
-    // can replay from (epoch skew across ranks is at most 1, and each
-    // rank retains its last two epochs).
-    let vote = match &store {
-        Some(s) if resume => s.latest().map_or(0, |e| e + 1),
-        _ => 0,
-    };
-    let agreed = t.allreduce_min(vote);
-    let durable = store.is_some();
-    let (sink, saved) = if agreed == 0 {
-        let file = std::fs::File::create(&my_part).map_err(CliError::io)?;
-        let mut sink = EdgeWriter::new(PartFile { file, durable }, job.format);
-        match &world_ckpt {
-            None => (sink, None),
-            Some(w) => {
-                // Elastic restart: replay this rank's share of the saved
-                // world's committed prefix in deterministic order, then
-                // resume generation from that cut. (A crash *after* the
-                // restart checkpoints under its own --checkpoint-dir
-                // resumes from those instead: the vote above comes back
-                // nonzero and this branch is skipped.)
-                let saved = w
-                    .replay(&part, rank, &opts.store, &mut sink)
-                    .map_err(CliError::usage)?;
-                (sink, Some(saved))
+        // Agree on a common resume point: a rank with no usable checkpoint
+        // votes 0 (fresh start), a rank whose newest saved epoch is `e`
+        // votes `e + 1`; the world-wide minimum picks an epoch every rank
+        // can replay from (epoch skew across ranks is at most 1, and each
+        // rank retains its last two epochs).
+        let vote = match &store {
+            Some(s) if resume => s.latest().map_or(0, |e| e + 1),
+            _ => 0,
+        };
+        let agreed = t.allreduce_min(vote);
+        let durable = store.is_some();
+        let (sink, saved) = if agreed == 0 {
+            let file = std::fs::File::create(&my_part).map_err(CliError::io)?;
+            let mut sink = EdgeWriter::new(PartFile { file, durable }, job.format);
+            match &world_ckpt {
+                None => (sink, None),
+                Some(w) => {
+                    // Elastic restart: replay this rank's share of the saved
+                    // world's committed prefix in deterministic order, then
+                    // resume generation from that cut. (A crash *after* the
+                    // restart checkpoints under its own --checkpoint-dir
+                    // resumes from those instead: the vote above comes back
+                    // nonzero and this branch is skipped.)
+                    let saved = w
+                        .replay(&part, rank, &opts.store, &mut sink)
+                        .map_err(CliError::usage)?;
+                    (sink, Some(saved))
+                }
+            }
+        } else {
+            use std::io::Seek;
+            let epoch = agreed - 1;
+            let store = store.as_ref().expect("agreed > 0 implies a store");
+            let saved = store.load(epoch).ok_or_else(|| {
+                CliError::usage(format!(
+                    "rank {rank}: cannot resume — checkpoint for epoch {epoch} is missing or \
+                     invalid in {ckpt_dir}"
+                ))
+            })?;
+            // Truncate the part file back to the committed byte watermark
+            // (dropping whatever a crashed epoch half-wrote) and append.
+            let cannot = |why: String| {
+                CliError::usage(format!(
+                    "rank {rank}: cannot resume — {}: {why}",
+                    my_part.display()
+                ))
+            };
+            let mut file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&my_part)
+                .map_err(|e| cannot(e.to_string()))?;
+            let len = file.metadata().map_err(CliError::io)?.len();
+            if len < saved.bytes {
+                return Err(cannot(format!(
+                    "{len} bytes, fewer than the {} that epoch {epoch}'s checkpoint committed",
+                    saved.bytes
+                )));
+            }
+            file.set_len(saved.bytes).map_err(CliError::io)?;
+            file.seek(std::io::SeekFrom::End(0)).map_err(CliError::io)?;
+            let file = PartFile { file, durable };
+            (
+                EdgeWriter::resume(file, job.format, saved.edges, saved.bytes),
+                Some(saved),
+            )
+        };
+        // A resuming rank's committed edges: its part up to the watermark.
+        let mut committed = match &saved {
+            None => None,
+            Some(saved) => {
+                let file = std::fs::File::open(&my_part).map_err(CliError::io)?;
+                let prefix = std::io::BufReader::new(file.take(saved.bytes));
+                Some(EdgeReader::new(prefix, job.format))
+            }
+        };
+        let resume = (saved.as_ref().zip(committed.as_mut()))
+            .map(|(saved, edges)| par::Resume { saved, edges });
+
+        let (sink, _counters) = par::generate_rank_streaming_recoverable(
+            &cfg,
+            &part,
+            &opts,
+            &mut t,
+            sink,
+            store.as_ref(),
+            resume,
+        )
+        .map_err(CliError::usage)?;
+        let edges = sink.finish().map_err(CliError::io)?;
+
+        // Publish completion before anyone merges, then merge the ledgers.
+        // Every rank runs the same flags (palaunch injects one command
+        // line), so skipping the stats collectives is uniform.
+        t.barrier();
+        // Page files are a cache: they always go.
+        if let pa_core::store::StoreSpec::Paged(spec) = &opts.store {
+            pa_core::store::clean_rank_pages(&spec.dir, rank);
+            let _ = std::fs::remove_dir(&spec.dir);
+        }
+        let total_edges = t.allreduce_sum(edges);
+        let merged = stats_flags
+            .wanted()
+            .then(|| MergedStats::over_transport(&t, t.stats()));
+
+        if rank == 0 {
+            // Merging needs every part visible on rank 0's filesystem —
+            // true for palaunch (one host) and shared-filesystem clusters.
+            let parts: Vec<_> = (0..world).map(part_of).collect();
+            let keep = keep_checkpoints && store.is_some();
+            merge_parts(out_path, &parts, keep).map_err(CliError::io)?;
+            // Only once the merged file exists do every rank's checkpoints
+            // go (unless kept for `--restart-world`): a failed merge leaves
+            // a world `--resume auto` finishes.
+            if let (Some(store), false) = (&store, keep_checkpoints) {
+                store.clear();
+            }
+            writeln!(
+                out,
+                "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} \
+                 ({format}, tcp x {world} processes)",
+                started.elapsed().as_secs_f64()
+            )
+            .map_err(CliError::io)?;
+            if let Some(merged) = &merged {
+                stats_flags.emit(merged, out)?;
             }
         }
-    } else {
-        use std::io::Seek;
-        let epoch = agreed - 1;
-        let store = store.as_ref().expect("agreed > 0 implies a store");
-        let saved = store.load(epoch).ok_or_else(|| {
-            CliError::usage(format!(
-                "rank {rank}: cannot resume — checkpoint for epoch {epoch} is missing or \
-                 invalid in {ckpt_dir}"
-            ))
-        })?;
-        // Truncate the part file back to the committed byte watermark
-        // (dropping whatever a crashed epoch half-wrote) and append.
-        let cannot = |why: String| {
-            CliError::usage(format!(
-                "rank {rank}: cannot resume — {}: {why}",
-                my_part.display()
-            ))
-        };
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&my_part)
-            .map_err(|e| cannot(e.to_string()))?;
-        let len = file.metadata().map_err(CliError::io)?.len();
-        if len < saved.bytes {
-            return Err(cannot(format!(
-                "{len} bytes, fewer than the {} that epoch {epoch}'s checkpoint committed",
-                saved.bytes
-            )));
-        }
-        file.set_len(saved.bytes).map_err(CliError::io)?;
-        file.seek(std::io::SeekFrom::End(0)).map_err(CliError::io)?;
-        let file = PartFile { file, durable };
-        (
-            EdgeWriter::resume(file, job.format, saved.edges, saved.bytes),
-            Some(saved),
-        )
-    };
-    // A resuming rank's committed edges: its part up to the watermark.
-    let mut committed = match &saved {
-        None => None,
-        Some(saved) => {
-            let file = std::fs::File::open(&my_part).map_err(CliError::io)?;
-            let prefix = std::io::BufReader::new(file.take(saved.bytes));
-            Some(EdgeReader::new(prefix, job.format))
-        }
-    };
-    let resume =
-        (saved.as_ref().zip(committed.as_mut())).map(|(saved, edges)| par::Resume { saved, edges });
-
-    let (sink, _counters) = par::generate_rank_streaming_recoverable(
-        &cfg,
-        &part,
-        &opts,
-        &mut t,
-        sink,
-        store.as_ref(),
-        resume,
-    )
-    .map_err(CliError::usage)?;
-    let edges = sink.finish().map_err(CliError::io)?;
-
-    // Publish completion before anyone merges, then merge the ledgers.
-    // Every rank runs the same flags (palaunch injects one command
-    // line), so skipping the stats collectives is uniform.
-    t.barrier();
-    // Page files are a cache: they always go.
-    if let pa_core::store::StoreSpec::Paged(spec) = &opts.store {
-        pa_core::store::clean_rank_pages(&spec.dir, rank);
-        let _ = std::fs::remove_dir(&spec.dir);
+        Ok(())
+    })();
+    if run.is_err() {
+        t.sever();
     }
-    let total_edges = t.allreduce_sum(edges);
-    let merged = stats_flags
-        .wanted()
-        .then(|| MergedStats::over_transport(&t, t.stats()));
-
-    if rank == 0 {
-        // Merging needs every part visible on rank 0's filesystem —
-        // true for palaunch (one host) and shared-filesystem clusters.
-        let parts: Vec<_> = (0..world).map(part_of).collect();
-        let keep = keep_checkpoints && store.is_some();
-        merge_parts(out_path, &parts, keep).map_err(CliError::io)?;
-        // Only once the merged file exists do every rank's checkpoints
-        // go (unless kept for `--restart-world`): a failed merge leaves
-        // a world `--resume auto` finishes.
-        if let (Some(store), false) = (&store, keep_checkpoints) {
-            store.clear();
-        }
-        writeln!(
-            out,
-            "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} \
-             ({format}, tcp x {world} processes)",
-            started.elapsed().as_secs_f64()
-        )
-        .map_err(CliError::io)?;
-        if let Some(merged) = &merged {
-            stats_flags.emit(merged, out)?;
-        }
-    }
-    Ok(())
+    run
 }
 
 /// A rank's part file. When the rank checkpoints, `flush` syncs the

@@ -33,10 +33,11 @@ fn wait_bounded(child: &mut Child, what: &str, limit: Duration) -> std::process:
         if let Some(status) = child.try_wait().unwrap() {
             return status;
         }
-        assert!(
-            start.elapsed() < limit,
-            "{what} still running after {limit:?} — killing it"
-        );
+        if start.elapsed() >= limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{what} still running after {limit:?} — killed it");
+        }
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -422,19 +423,27 @@ fn resuming_from_a_part_shorter_than_its_checkpoint_fails_naming_the_rank() {
         .set_len(0)
         .unwrap();
 
-    // Rank 1 fails once the world has agreed to resume. Its survivor
-    // is left to the launcher, which kills it (`palaunch` does).
+    // Rank 1 fails once the world has agreed to resume, with no
+    // launcher to kill its survivor: it leaves without saying BYE, so
+    // rank 0 fails at once, naming it, instead of waiting out a
+    // collective timeout.
     let peers = ports(2).join(",");
     let [mut rank0, mut rank1] = [spawn(&peers, "0", "auto"), spawn(&peers, "1", "auto")];
     let status = wait_bounded(&mut rank1, "relaunched rank 1", Duration::from_secs(60));
-    let _ = rank0.kill();
-    let _ = rank0.wait();
+    let survivor = wait_bounded(
+        &mut rank0,
+        "rank 0 after rank 1 failed",
+        Duration::from_secs(10),
+    );
     assert!(!status.success(), "rank 1 resumed over a short part");
     let stderr = String::from_utf8_lossy(&rank1.wait_with_output().unwrap().stderr).into_owned();
     assert!(
         stderr.contains("rank 1: cannot resume") && stderr.contains("fewer than"),
         "rank 1's diagnostic: {stderr}"
     );
+    assert!(!survivor.success(), "rank 0 finished without rank 1");
+    let stderr = String::from_utf8_lossy(&rank0.wait_with_output().unwrap().stderr).into_owned();
+    assert!(stderr.contains("rank 1"), "rank 0's diagnostic: {stderr}");
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 

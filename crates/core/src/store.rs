@@ -39,8 +39,17 @@
 //! each; the page index beside them ([`INDEX_BYTES_PER_PAGE`] per page
 //! of the whole table) is not counted against it ([`table_bytes`] plans
 //! both). A fault is one positioned read into the frame and a
-//! write-back one positioned write from it, so once every frame exists
-//! a fault neither allocates nor copies a page.
+//! write-back one positioned write from it.
+//!
+//! **The arena.** Every frame's cells live in one arena reserved at
+//! open, frame `i` at cell `i · spp` (cells per page), so no fault
+//! allocates or copies a page. A frame's bookkeeping and its reference
+//! bit sit in two side arrays. A hit — `get`, `set`, or `row_contains`
+//! over a row inside one page, all inlined into the caller — costs the
+//! range check, the page-index load, the reference-bit store and the
+//! cell: a slot splits into page and offset by a shift and a mask when
+//! `spp` is a power of two (every default and pinned page size), by a
+//! division otherwise.
 
 use std::fs;
 use std::io;
@@ -81,7 +90,8 @@ pub fn cell_bytes(n: u64) -> u64 {
 /// `spec`: every cell when resident; when paged, its frames — `max(2,
 /// budget / page_bytes)` of them, never more than the table has pages,
 /// each one page — and its page index. What [`AnyTable::build_for`]
-/// allocates once every frame exists, and what `pagen info` plans.
+/// allocates at open (the frames' arena is reserved then, and touched as
+/// pages fault in), and what `pagen info` plans.
 pub fn table_bytes(n: u64, len: u64, spec: &StoreSpec) -> u64 {
     let cell = cell_bytes(n);
     match spec {
@@ -148,8 +158,8 @@ pub trait Cell: Copy + Eq + std::fmt::Debug {
     /// This cell's little-endian bytes.
     fn to_le(self) -> Self::Le;
 
-    /// The cells of a page, as little-endian byte arrays.
-    fn le_cells(page: &mut [u8]) -> &mut [Self::Le];
+    /// The bytes of a run of little-endian cells, for page I/O.
+    fn le_bytes(cells: &mut [Self::Le]) -> &mut [u8];
 }
 
 impl Cell for u32 {
@@ -183,8 +193,8 @@ impl Cell for u32 {
     }
 
     #[inline]
-    fn le_cells(page: &mut [u8]) -> &mut [[u8; 4]] {
-        page.as_chunks_mut().0
+    fn le_bytes(cells: &mut [[u8; 4]]) -> &mut [u8] {
+        cells.as_flattened_mut()
     }
 }
 
@@ -213,8 +223,8 @@ impl Cell for u64 {
     }
 
     #[inline]
-    fn le_cells(page: &mut [u8]) -> &mut [[u8; 8]] {
-        page.as_chunks_mut().0
+    fn le_bytes(cells: &mut [[u8; 8]]) -> &mut [u8] {
+        cells.as_flattened_mut()
     }
 }
 
@@ -393,13 +403,11 @@ const SPILLED: u32 = u32::MAX - 1;
 /// `PageFrame::page` of a frame that holds no page.
 const NO_PAGE: u64 = u64::MAX;
 
-/// One cached page. Its buffer, one page long, lives as long as the
-/// table: a load reads the page into it, a write-back writes it out.
+/// What a cached page's frame knows besides its cells (which sit in the
+/// table's arena) and its reference bit (in `PagedTable::referenced`).
 struct PageFrame {
     page: u64,
-    cells: Vec<u8>,
     dirty: bool,
-    referenced: bool,
     /// Does the page file hold this page?
     spilled: bool,
 }
@@ -415,10 +423,19 @@ pub struct PagedTable<C: Cell = u64> {
     len: u64,
     /// Cells per page.
     spp: usize,
+    /// `log2(spp)` when `spp` is a power of two: a slot then splits into
+    /// page and offset by a shift and a mask instead of a division.
+    shift: Option<u32>,
     fill: C,
     /// Frame cap (see `frame_count`).
     nframes: usize,
     frames: Vec<PageFrame>,
+    /// Every frame's cells: frame `i` is `arena[i · spp ..][.. spp]`.
+    /// Reserved for `nframes` frames at open and never grown past that,
+    /// so no fault allocates.
+    arena: Vec<C::Le>,
+    /// `referenced[i]`: frame `i`'s clock bit, set on every access.
+    referenced: Vec<bool>,
     /// `page_frame[page]`: the frame holding `page`, or [`NO_FRAME`] or
     /// [`SPILLED`]. Dense and sized at open: the
     /// [`INDEX_BYTES_PER_PAGE`] a table keeps outside its budget.
@@ -504,18 +521,54 @@ impl<C: Cell> PagedTable<C> {
             file: None,
             len,
             spp,
+            shift: spp.is_power_of_two().then(|| spp.trailing_zeros()),
             fill,
             nframes,
             frames: Vec::with_capacity(nframes),
+            arena: Vec::with_capacity(nframes * spp),
+            referenced: vec![false; nframes],
             page_frame: vec![NO_FRAME; npages as usize],
             hand: 0,
         })
+    }
+
+    /// `slot`'s page and its offset in that page.
+    #[inline(always)]
+    fn split(&self, slot: u64) -> (u64, usize) {
+        match self.shift {
+            Some(shift) => (slot >> shift, (slot & (self.spp as u64 - 1)) as usize),
+            None => (slot / self.spp as u64, (slot % self.spp as u64) as usize),
+        }
+    }
+
+    /// Arena index of `slot`'s cell, with the frame holding it; faults
+    /// the page in on a miss. A hit is the page-index load, the
+    /// reference-bit store and the arithmetic.
+    #[inline(always)]
+    fn locate(&mut self, slot: u64) -> (usize, usize) {
+        assert!(slot < self.len, "slot {slot} out of range {}", self.len);
+        let (page, off) = self.split(slot);
+        let idx = self.frame_of(page);
+        (idx, idx * self.spp + off)
+    }
+
+    /// Frame index holding `page`, faulting it in on a miss.
+    #[inline(always)]
+    fn frame_of(&mut self, page: u64) -> usize {
+        match self.page_frame[page as usize] {
+            idx if idx < SPILLED => {
+                self.referenced[idx as usize] = true;
+                idx as usize
+            }
+            _ => self.fault(page),
+        }
     }
 
     /// Write frame `idx`'s page back to its place in the file, creating
     /// the file on the first call.
     fn write_page(&mut self, idx: usize) -> io::Result<()> {
         let frame = &mut self.frames[idx];
+        let cells = &mut self.arena[idx * self.spp..][..self.spp];
         let file = match &mut self.file {
             Some(file) => file,
             None => self.file.insert(
@@ -527,21 +580,10 @@ impl<C: Cell> PagedTable<C> {
                     .open(&self.path)?,
             ),
         };
-        file.write_all_at(&frame.cells, frame.page * frame.cells.len() as u64)?;
+        let bytes = C::le_bytes(cells);
+        file.write_all_at(bytes, frame.page * bytes.len() as u64)?;
         frame.spilled = true;
         Ok(())
-    }
-
-    /// Frame index holding `page`, faulting it in on a miss.
-    #[inline]
-    fn frame_of(&mut self, page: u64) -> usize {
-        match self.page_frame[page as usize] {
-            idx if idx < SPILLED => {
-                self.frames[idx as usize].referenced = true;
-                idx as usize
-            }
-            _ => self.fault(page),
-        }
     }
 
     /// Bring `page` into a frame, evicting (and writing back) another
@@ -554,11 +596,12 @@ impl<C: Cell> PagedTable<C> {
         let idx = if self.frames.len() < self.nframes {
             self.frames.push(PageFrame {
                 page: NO_PAGE,
-                cells: vec![0; self.spp * size_of::<C>()],
                 dirty: false,
-                referenced: false,
                 spilled: false,
             });
+            // Within the capacity reserved at open.
+            self.arena
+                .resize(self.frames.len() * self.spp, self.fill.to_le());
             self.frames.len() - 1
         } else {
             // Clock / second-chance: clear reference bits until an
@@ -567,8 +610,8 @@ impl<C: Cell> PagedTable<C> {
             loop {
                 let i = self.hand;
                 self.hand = (self.hand + 1) % self.frames.len();
-                if self.frames[i].referenced {
-                    self.frames[i].referenced = false;
+                if self.referenced[i] {
+                    self.referenced[i] = false;
                 } else {
                     break i;
                 }
@@ -584,19 +627,21 @@ impl<C: Cell> PagedTable<C> {
             self.page_frame[old as usize] = if spilled { SPILLED } else { NO_FRAME };
         }
         let spilled = self.page_frame[page as usize] == SPILLED;
-        let frame = &mut self.frames[idx];
+        let cells = &mut self.arena[idx * self.spp..][..self.spp];
         if spilled {
             let file = self.file.as_ref().expect("a spilled page has a file");
-            let at = page * frame.cells.len() as u64;
-            file.read_exact_at(&mut frame.cells, at)
+            let bytes = C::le_bytes(cells);
+            file.read_exact_at(bytes, page * bytes.len() as u64)
                 .unwrap_or_else(|e| panic!("{}: reading page {page}: {e}", self.path.display()));
         } else {
-            C::le_cells(&mut frame.cells).fill(self.fill.to_le());
+            cells.fill(self.fill.to_le());
         }
-        frame.page = page;
-        frame.dirty = false;
-        frame.referenced = true;
-        frame.spilled = spilled;
+        self.frames[idx] = PageFrame {
+            page,
+            dirty: false,
+            spilled,
+        };
+        self.referenced[idx] = true;
         self.page_frame[page as usize] = idx as u32;
         idx
     }
@@ -607,23 +652,40 @@ impl<C: Cell> NodeTable for PagedTable<C> {
         self.len
     }
 
-    #[inline]
+    #[inline(always)]
     fn get(&mut self, slot: u64) -> u64 {
-        assert!(slot < self.len, "slot {slot} out of range {}", self.len);
-        let (page, off) = (slot / self.spp as u64, (slot % self.spp as u64) as usize);
-        let idx = self.frame_of(page);
-        C::from_le(C::le_cells(&mut self.frames[idx].cells)[off]).to_node()
+        let (_, at) = self.locate(slot);
+        C::from_le(self.arena[at]).to_node()
     }
 
-    #[inline]
+    #[inline(always)]
     fn set(&mut self, slot: u64, v: u64) {
-        assert!(slot < self.len, "slot {slot} out of range {}", self.len);
         let cell = C::from_node(v);
-        let (page, off) = (slot / self.spp as u64, (slot % self.spp as u64) as usize);
-        let idx = self.frame_of(page);
-        let frame = &mut self.frames[idx];
-        C::le_cells(&mut frame.cells)[off] = cell.to_le();
-        frame.dirty = true;
+        let (idx, at) = self.locate(slot);
+        self.arena[at] = cell.to_le();
+        self.frames[idx].dirty = true;
+    }
+
+    /// One page lookup for a row inside one page; a row that straddles
+    /// pages reads slot by slot. A value no cell can hold is in no row.
+    #[inline(always)]
+    fn row_contains(&mut self, start: u64, len: u64, v: u64) -> bool {
+        assert!(
+            start <= self.len && len <= self.len - start,
+            "row {start}+{len} out of range {}",
+            self.len
+        );
+        let Some(cell) = C::narrow(v) else {
+            return false;
+        };
+        let (page, off) = self.split(start);
+        if len == 0 || off as u64 + len > self.spp as u64 {
+            return (start..start + len).any(|s| self.get(s) == v);
+        }
+        let at = self.frame_of(page) * self.spp + off;
+        self.arena[at..at + len as usize]
+            .iter()
+            .any(|&le| C::from_le(le) == cell)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -233,7 +233,11 @@ proptest! {
     /// read/write sequence, in wide and in compact cells alike (`n` on
     /// either side of the width boundary): every read agrees, the final
     /// contents agree, and so do they after a flush, scanned back to
-    /// front so that pages written back fault in again.
+    /// front so that pages written back fault in again. So does every
+    /// `row_contains` query, interleaved with the writes and repeated
+    /// after the flush: rows of up to 33 slots, inside one page or
+    /// across several, for a label some slot holds, an arbitrary one, a
+    /// label no compact cell can hold, and `NILL`.
     #[test]
     fn paged_table_equals_resident_under_tiny_budget(
         len in 1u64..300,
@@ -241,6 +245,7 @@ proptest! {
         budget_pages in 0u64..5,
         compact in any::<bool>(),
         ops in prop_vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..250),
+        rows in prop_vec((any::<u64>(), 0u64..34, 0u8..4, any::<u64>()), 0..64),
     ) {
         use pa_core::store::{AnyTable, NodeTable, PagedSpec, StoreSpec};
         const FILL: u64 = u64::MAX;
@@ -257,7 +262,21 @@ proptest! {
         let paged_spec = StoreSpec::Paged(spec);
         let mut paged = AnyTable::build_for(n, &paged_spec, 0, "t", len, FILL).unwrap();
         let mut resident = AnyTable::build_for(n, &StoreSpec::Resident, 0, "t", len, FILL).unwrap();
-        for &(slot, val, is_write) in &ops {
+        let check_row = |paged: &mut AnyTable, resident: &mut AnyTable, row| {
+            let (at, row_len, kind, raw): (u64, u64, u8, u64) = row;
+            let start = at % len;
+            let row_len = row_len.min(len - start);
+            let v = match kind {
+                0 => resident.get(raw % len),
+                1 => raw,
+                2 => u64::from(u32::MAX),
+                _ => FILL,
+            };
+            let want = resident.row_contains(start, row_len, v);
+            let got = paged.row_contains(start, row_len, v);
+            prop_assert_eq!(got, want, "row {}+{} holds {}", start, row_len, v);
+        };
+        for (i, &(slot, val, is_write)) in ops.iter().enumerate() {
             let s = slot % len;
             // Compact cells hold the labels of an n-node network.
             let val = if compact { val % n } else { val };
@@ -267,6 +286,9 @@ proptest! {
             } else {
                 prop_assert_eq!(paged.get(s), resident.get(s), "slot {}", s);
             }
+            if let Some(&row) = rows.get(i) {
+                check_row(&mut paged, &mut resident, row);
+            }
         }
         for s in 0..len {
             prop_assert_eq!(paged.get(s), resident.get(s), "final slot {}", s);
@@ -274,6 +296,9 @@ proptest! {
         paged.flush().unwrap();
         for s in (0..len).rev() {
             prop_assert_eq!(paged.get(s), resident.get(s), "flushed slot {}", s);
+        }
+        for &row in &rows {
+            check_row(&mut paged, &mut resident, row);
         }
         drop(paged);
         let _ = std::fs::remove_dir_all(&dir);

@@ -621,12 +621,11 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
             .store(timeout.as_millis().max(1) as u64, Ordering::Release);
     }
 
-    /// Abruptly sever every connection *without* the orderly `BYE`,
-    /// emulating this rank being killed mid-run: peers must detect the
-    /// crash and abort with a diagnostic. Test hook for the failure
-    /// path; real crashes exercise it via the kernel closing the
-    /// sockets of a dead process.
-    #[doc(hidden)]
+    /// Abruptly sever every connection *without* the orderly `BYE`, as
+    /// if this rank had been killed mid-run: peers detect the lost
+    /// connection and abort with a diagnostic naming this rank, instead
+    /// of waiting out a collective for a rank that left in order. A
+    /// rank that fails after connecting leaves this way.
     pub fn sever(mut self) {
         self.closed = true; // suppress the orderly close in Drop
         self.shared.shutting_down.store(true, Ordering::SeqCst);
