@@ -260,30 +260,23 @@ e1_single="$scratch/e1_single.txt"
 same_edge_set "$e1_multi" "$e1_single" \
     "engine1 smoke mismatch: 3-process run diverged from single-process run"
 
-echo "==> nlpa net smoke run"
-# The nonlinear-PA model end to end through the real binaries: a
-# 4-process TCP world running --model nlpa --alpha 1.5 must produce
-# exactly the edge set of a same-seed single-process nlpa run.
-nlpa_multi="$scratch/nlpa_multi.txt"
-nlpa_single="$scratch/nlpa_single.txt"
+echo "==> off-default p net smoke run"
+# A p away from 1/2 end to end through the real binaries: a 4-process
+# TCP world at p = 0.5^1.5 must produce exactly the edge set of a
+# same-seed single-process run.
+offp_multi="$scratch/offp_multi.txt"
+offp_single="$scratch/offp_single.txt"
 ./target/release/palaunch -p 4 --pagen ./target/release/pagen -- \
-    generate --model nlpa --alpha 1.5 --n 20000 --x 4 --scheme rrp --seed 7 \
-    --out "$nlpa_multi" --format txt
-cargo run -q -p pa-cli --release -- generate --model nlpa --alpha 1.5 \
+    generate --model pa --p 0.3535533905932738 --n 20000 --x 4 --scheme rrp --seed 7 \
+    --out "$offp_multi" --format txt
+cargo run -q -p pa-cli --release -- generate --model pa --p 0.3535533905932738 \
     --n 20000 --x 4 --ranks 4 --scheme rrp --seed 7 \
-    --out "$nlpa_single" --format txt
-same_edge_set "$nlpa_multi" "$nlpa_single" \
-    "nlpa smoke mismatch: 4-process run diverged from single-process run"
+    --out "$offp_single" --format txt
+same_edge_set "$offp_multi" "$offp_single" \
+    "off-default p smoke mismatch: 4-process run diverged from single-process run"
 
 # The bench binaries below reject a flag they do not read (exit 2), so a
 # stale flag here fails the step instead of silently running defaults.
-echo "==> nlpa exponent-sweep guard"
-# exp_nlpa_degree_dist exits non-zero unless the fitted degree exponent
-# strictly decreases as alpha grows — i.e. unless --alpha actually
-# reaches the draw streams.
-cargo run -q -p pa-bench --release --bin exp_nlpa_degree_dist -- \
-    --n 100000 --ranks 4 > /dev/null
-
 echo "==> engine3 zero-communication guard"
 # exp_engine3_vs_engine2 exits non-zero if engine3 sent any message or
 # queued any request — the communication-free property, asserted on the

@@ -11,7 +11,7 @@ use std::io::Write;
 use std::time::Duration;
 
 use crate::args::{Args, CliError};
-use crate::generate::{edge_format, parse_job};
+use crate::generate::{edge_format, parse_job, refuse_nlpa};
 use pa_net::serve::{fetch, FetchError, FetchOptions, RejectCode};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -23,6 +23,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             "unknown format {format:?} (the serve protocol streams bin or txt)"
         ))
     })?;
+    refuse_nlpa(args)?;
     let job = parse_job(args, None, encoding)?;
     let mut opts = FetchOptions::new(&addr, job.to_raw(), &out_path);
     opts.resume = args.choice("resume", "off", &["on", "off"])? == "on";

@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    refuse_nlpa(args)?;
     match args.str("backend", "mpsim").as_str() {
         "mpsim" => {}
         // One rank of a multi-process TCP world (normally under palaunch).
@@ -42,10 +43,10 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let started = std::time::Instant::now();
 
     // Every model streams each rank's edges into its own part; only PA
-    // and NLPA name a job (a PAG file never does: it is not a served
-    // artifact) and carry engine counters.
+    // names a job (a PAG file never does: it is not a served artifact)
+    // and carries engine counters.
     let (n, total_edges, job_id, stats) = match model.as_str() {
-        "pa" | "nlpa" => {
+        "pa" => {
             let job = parse_job(args, None, encoding)?;
             let ranks = job.ranks as usize;
             let store = parse_store_spec(args, &format!("{path}.store"))?;
@@ -53,19 +54,14 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let flags = StatsFlags::parse(args)?;
             args.finish()?;
             let header = pag.then(|| {
-                let meta = Meta::new(job.cfg.n)
+                Meta::new(job.cfg.n)
                     .with("seed", seed)
                     .with("x", job.cfg.x)
                     .with("p", job.cfg.p)
                     .with("scheme", job.scheme)
                     .with("ranks", ranks)
-                    .with("engine", job.engine);
-                match job.model {
-                    pa_core::ModelKind::Pa => meta.with("model", "preferential-attachment"),
-                    pa_core::ModelKind::Nlpa { alpha } => meta
-                        .with("model", "nonlinear-preferential-attachment")
-                        .with("alpha", alpha),
-                }
+                    .with("engine", job.engine)
+                    .with("model", "preferential-attachment")
             });
             let (total_edges, comms) =
                 stream_pa_to_disk(&job, tuning, Path::new(&path), header.as_ref())?;
@@ -115,7 +111,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         other => {
             return Err(CliError::usage(format!(
-                "unknown model {other:?} (expected pa, nlpa or cl)"
+                "unknown model {other:?} (expected pa or cl)"
             )))
         }
     };
@@ -143,9 +139,10 @@ pub(crate) fn edge_format(format: &str) -> Option<io::EdgeFormat> {
 }
 
 /// Read the PA run tuple — `--n --x --p --seed --ranks --scheme --engine
-/// --model --alpha` and their defaults — once, for `generate`, one rank
-/// of a TCP world (`world` replaces `--ranks`) and `fetch`, so all three
-/// name the same job by the same flags. The result is validated.
+/// --model` and their defaults — once, for `generate`, one rank of a TCP
+/// world (`world` replaces `--ranks`) and `fetch`, so all three name the
+/// same job by the same flags. `--model` must be `pa`. The result is
+/// validated.
 pub(crate) fn parse_job(
     args: &Args,
     world: Option<u64>,
@@ -159,11 +156,17 @@ pub(crate) fn parse_job(
         Some(world) => world,
         None => args.u64("ranks", 4)?,
     };
+    let model = args.str("model", "pa");
+    if model != "pa" {
+        return Err(CliError::usage(format!(
+            "this command runs --model pa only, got {model:?}"
+        )));
+    }
     let job = JobDescriptor {
         cfg: PaConfig { n, x, p, seed },
         scheme: parse_scheme(&args.str("scheme", "rrp"))?,
         engine: parse_engine(args)?.id(),
-        model: parse_model_kind(args)?,
+        model: pa_core::ModelKind::Pa,
         ranks: u32::try_from(ranks)
             .map_err(|_| CliError::usage(format!("rank count {ranks} does not fit in u32")))?,
         format,
@@ -254,21 +257,18 @@ pub(crate) fn cleanup_store(store: &pa_core::store::StoreSpec, ranks: usize) {
     }
 }
 
-/// Parse the attachment model: `--model pa` (default) or `--model nlpa`
-/// with its `--alpha` exponent. Invalid `--alpha` values (negative, NaN,
-/// infinite) fail here with the model's own diagnostic instead of
-/// panicking inside the engines. Callers dispatch on the model string
-/// first, so anything that is not `nlpa` is the classical copy model.
-pub(crate) fn parse_model_kind(args: &Args) -> Result<pa_core::ModelKind, CliError> {
-    if args.str("model", "pa") != "nlpa" {
-        return Ok(pa_core::ModelKind::Pa);
+/// Refuse the retired `--model nlpa` and its `--alpha` by name. That
+/// model was the copy model with `p` replaced by `p^alpha`, so a script
+/// written for it learns the flags that write the same graph.
+pub(crate) fn refuse_nlpa(args: &Args) -> Result<(), CliError> {
+    if args.str("model", "pa") == "nlpa" || !args.str("alpha", "").is_empty() {
+        return Err(CliError::usage(
+            "--model nlpa and --alpha are gone: nlpa was the copy model at p^alpha, \
+             so --model pa --p <p^alpha> writes the same graph \
+             (e.g. --p 0.3535533905932738 for p = 0.5, alpha = 1.5)",
+        ));
     }
-    let kind = pa_core::ModelKind::Nlpa {
-        alpha: args.f64("alpha", 1.0)?,
-    };
-    kind.check()
-        .map_err(|e| CliError::usage(format!("--alpha: {e}")))?;
-    Ok(kind)
+    Ok(())
 }
 
 /// Parse `--engine 1|2|3` (default 2, the general Algorithm 3.2).

@@ -73,16 +73,15 @@ USAGE:
 
 COMMANDS:
     generate   Generate a network and write it to disk
-               --model pa|nlpa|cl (default pa)
+               --model pa|cl (default pa)
                --n <nodes> (default 100000)      --x <edges/node> (default 4)
                --p <copy prob> (default 0.5)     --seed <u64> (default 0)
                --ranks <P> (default 4)           --scheme ucp|lcp|rrp|bcp (default rrp)
                --out <file> (default graph.pag)  --format pag|bin|txt (default pag)
-               --alpha <f64> (nlpa exponent, default 1.0; 1.0 is exactly pa)
                --engine 1|2|3 (default 2; 1 needs x=1, 3 recomputes
                           dependency chains locally and sends no messages)
-               engine/model support: every engine runs pa and nlpa on
-                          every backend (engine 1 with x=1)
+               engine support: every engine runs pa on every backend
+                          (engine 1 with x=1)
                pa tuning: --buffer-cap <msgs> (default 4096)
                           --service-interval <nodes> (default 4096)
                           --hub-cache auto|off (default auto)
@@ -130,7 +129,7 @@ COMMANDS:
     fetch      Submit a job to a serve daemon and stream its artifact
                --addr <host:port> (required)      --out <file> (default fetched.bin)
                job:   --n --x --p --seed --ranks --scheme --engine
-                      --model pa|nlpa --alpha     --format bin|txt (default bin)
+                      --model pa                  --format bin|txt (default bin)
                       (same byte-identity tuple as generate; the file an
                       uninterrupted fetch writes equals a solo generate)
                retry: --resume on|off (default off; on continues --out)

@@ -24,12 +24,6 @@ use crate::generate::{edge_format, merge_parts, parse_gen_options, parse_job, pa
 use crate::stats::{MergedStats, StatsFlags};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let model = args.str("model", "pa");
-    if !matches!(model.as_str(), "pa" | "nlpa") {
-        return Err(CliError::usage(format!(
-            "--backend tcp only supports --model pa or nlpa, got {model:?}"
-        )));
-    }
     let path = args.str("out", "graph.bin");
     let format = args.str("format", "bin");
     let encoding = edge_format(&format).ok_or_else(|| {
@@ -307,7 +301,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             }
             writeln!(
                 out,
-                "generated {model}: {n} nodes, {total_edges} edges in {:.2}s -> {path} \
+                "generated pa: {n} nodes, {total_edges} edges in {:.2}s -> {path} \
                  ({format}, tcp x {world} processes)",
                 started.elapsed().as_secs_f64()
             )

@@ -182,7 +182,6 @@ fn out_symlink_is_replaced_not_written_through() {
 fn all_models_generate() {
     for (model, extra) in [
         ("pa", vec!["--x", "3"]),
-        ("nlpa", vec!["--x", "3", "--alpha", "0.5"]),
         ("cl", vec!["--gamma", "3.0", "--x", "3"]),
     ] {
         let path = tmp(&format!("{model}.pag"));
@@ -580,64 +579,30 @@ fn engine_flag_rejects_bad_values() {
 }
 
 #[test]
-fn nlpa_alpha_one_matches_pa() {
-    // --model nlpa --alpha 1.0 must route through the same draw stream
-    // as --model pa: same edge set through engine 2 (whose streamed byte
-    // order varies with thread timing), byte-identical files through the
-    // communication-free engine 3 (whose commit order is label order).
-    let common = [
-        "--n", "2000", "--x", "3", "--ranks", "4", "--scheme", "rrp", "--seed", "9", "--format",
-        "bin",
-    ];
-    let run_one = |model_flags: &[&str], engine: &str, out: &str| {
-        let mut argv: Vec<&str> = vec!["generate"];
-        argv.extend_from_slice(model_flags);
-        argv.extend_from_slice(&common);
-        argv.extend_from_slice(&["--engine", engine, "--out", out]);
-        exec(&argv).unwrap();
-    };
-    for engine in ["2", "3"] {
-        let pa = tmp(&format!("nlpa_vs_pa_pa_e{engine}.bin"));
-        let nl = tmp(&format!("nlpa_vs_pa_nl_e{engine}.bin"));
-        run_one(&["--model", "pa"], engine, &pa);
-        run_one(&["--model", "nlpa", "--alpha", "1.0"], engine, &nl);
-        let a = pa_graph::io::read_binary_file(&pa).unwrap();
-        let b = pa_graph::io::read_binary_file(&nl).unwrap();
-        assert_eq!(a.canonicalized(), b.canonicalized(), "engine {engine}");
-        if engine == "3" {
-            assert_eq!(
-                std::fs::read(&pa).unwrap(),
-                std::fs::read(&nl).unwrap(),
-                "engine 3 streams in label order; files must match byte-for-byte"
-            );
-        }
-    }
-}
-
-#[test]
-fn nlpa_records_its_exponent_in_the_container() {
-    let path = tmp("nlpa_meta.pag");
-    let msg = exec(&[
-        "generate", "--model", "nlpa", "--alpha", "1.5", "--n", "3000", "--x", "2", "--ranks", "2",
-        "--seed", "3", "--out", &path,
-    ])
-    .unwrap();
-    assert!(msg.contains("generated nlpa"), "{msg}");
-    let info = exec(&["info", "--in", &path]).unwrap();
-    assert!(info.contains("nonlinear-preferential-attachment"), "{info}");
-    assert!(info.contains("alpha = 1.5"), "{info}");
-}
-
-#[test]
-fn nlpa_works_through_every_engine() {
-    // Engines 2 and 3 must agree on the nlpa edge set; engine 1 runs the
-    // x = 1 specialization of the same model.
-    let e2 = tmp("nlpa_e2.bin");
-    let e3 = tmp("nlpa_e3.bin");
+fn off_default_p_works_through_every_engine() {
+    // Engines 2 and 3 must agree on the edge set away from p = 1/2;
+    // engine 1 runs the x = 1 specialization of the same model.
+    let e2 = tmp("off_p_e2.bin");
+    let e3 = tmp("off_p_e3.bin");
     for (engine, out) in [("2", &e2), ("3", &e3)] {
         exec(&[
-            "generate", "--model", "nlpa", "--alpha", "0.5", "--n", "4000", "--x", "2", "--ranks",
-            "4", "--seed", "5", "--engine", engine, "--out", out, "--format", "bin",
+            "generate",
+            "--p",
+            "0.7071067811865476",
+            "--n",
+            "4000",
+            "--x",
+            "2",
+            "--ranks",
+            "4",
+            "--seed",
+            "5",
+            "--engine",
+            engine,
+            "--out",
+            out,
+            "--format",
+            "bin",
         ])
         .unwrap();
     }
@@ -647,10 +612,8 @@ fn nlpa_works_through_every_engine() {
 
     let msg = exec(&[
         "generate",
-        "--model",
-        "nlpa",
-        "--alpha",
-        "1.5",
+        "--p",
+        "0.3535533905932738",
         "--n",
         "1000",
         "--x",
@@ -660,67 +623,112 @@ fn nlpa_works_through_every_engine() {
         "--engine",
         "1",
         "--out",
-        &tmp("nlpa_e1.pag"),
+        &tmp("off_p_e1.pag"),
     ])
     .unwrap();
     assert!(msg.contains("1000 nodes"), "{msg}");
 }
 
+/// The flags that give the graph the retired `--model nlpa` made.
+const SAME_GRAPH_HINT: &str = "--model pa --p <p^alpha>";
+
 #[test]
 fn nlpa_rejects_bad_alpha_values() {
-    for (alpha, needle) in [("-1.0", "non-negative"), ("nan", "NaN"), ("inf", "finite")] {
+    // Every exponent is refused now, and with no exponent at all too:
+    // the error names the `--p` that writes the same graph.
+    for alpha in [None, Some("1.5"), Some("1.0"), Some("-1.0"), Some("nan")] {
+        let mut argv = vec!["generate", "--model", "nlpa", "--n", "100", "--x", "1"];
+        argv.extend(alpha.iter().flat_map(|a| ["--alpha", a]));
+        let out = tmp("nlpa_bad.pag");
+        argv.extend(["--out", &out]);
+        let err = exec(&argv).unwrap_err();
+        assert!(err.contains(SAME_GRAPH_HINT), "alpha {alpha:?}: {err}");
+    }
+    // fetch names a job by the same flags, and refuses them the same way.
+    let err = exec(&["fetch", "--addr", "127.0.0.1:9", "--model", "nlpa"]).unwrap_err();
+    assert!(err.contains(SAME_GRAPH_HINT), "{err}");
+}
+
+#[test]
+fn alpha_without_nlpa_is_flagged_as_unknown() {
+    for model in ["pa", "cl"] {
         let err = exec(&[
             "generate",
             "--model",
-            "nlpa",
+            model,
             "--alpha",
-            alpha,
+            "1.5",
             "--n",
             "100",
             "--x",
             "1",
             "--out",
-            &tmp("nlpa_bad.pag"),
+            &tmp("pa_alpha.pag"),
         ])
         .unwrap_err();
-        assert!(err.contains(needle), "alpha {alpha}: {err}");
-        assert!(err.contains("--alpha"), "alpha {alpha}: {err}");
+        assert!(err.contains("--alpha"), "{model}: {err}");
+        assert!(err.contains(SAME_GRAPH_HINT), "{model}: {err}");
     }
-    // Not a number at all: the flag parser's own diagnostic.
-    let err = exec(&[
-        "generate",
-        "--model",
-        "nlpa",
-        "--alpha",
-        "fast",
-        "--n",
-        "100",
-        "--x",
-        "1",
-        "--out",
-        &tmp("nlpa_bad.pag"),
-    ])
-    .unwrap_err();
-    assert!(err.contains("--alpha must be a number"), "{err}");
+}
+
+/// Run the `pagen` binary, killing it if it outlives `limit`; returns
+/// its exit code and stderr.
+fn pagen_bounded(args: &[&str], limit: std::time::Duration) -> (Option<i32>, String) {
+    use std::io::Read;
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pagen"))
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let start = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if start.elapsed() >= limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("pagen {args:?} still running after {limit:?}: killed it");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    (status.code(), err)
 }
 
 #[test]
-fn alpha_without_nlpa_is_flagged_as_unknown() {
-    let err = exec(&[
-        "generate",
-        "--model",
-        "pa",
-        "--alpha",
-        "1.5",
-        "--n",
-        "100",
-        "--x",
-        "1",
-        "--out",
-        &tmp("pa_alpha.pag"),
-    ])
-    .unwrap_err();
-    assert!(err.contains("--alpha"), "{err}");
+fn p_one_with_two_slots_exits_2_instead_of_hanging() {
+    // With p = 1 node x + 1 can reach only node x, so a second slot could
+    // never be filled: the run must be refused, not spin.
+    let limit = std::time::Duration::from_secs(30);
+    for engine in ["2", "3"] {
+        let out = tmp(&format!("p_one_e{engine}.bin"));
+        let (code, err) = pagen_bounded(
+            &[
+                "generate", "--n", "100", "--x", "2", "--p", "1", "--ranks", "1", "--engine",
+                engine, "--format", "bin", "--out", &out,
+            ],
+            limit,
+        );
+        assert_eq!(code, Some(2), "engine {engine}: {err}");
+        assert!(err.contains("p = 1 needs x = 1"), "engine {engine}: {err}");
+    }
+    // The retired model fails the same way through the binary.
+    for retired in [["--model", "nlpa"], ["--alpha", "1.5"]] {
+        let out = tmp("retired.bin");
+        let mut argv = vec!["generate", "--n", "100", "--out", &out];
+        argv.extend(retired);
+        let (code, err) = pagen_bounded(&argv, limit);
+        assert_eq!(code, Some(2), "{retired:?}: {err}");
+        assert!(err.contains("--p"), "{retired:?}: {err}");
+    }
 }
 
 #[test]

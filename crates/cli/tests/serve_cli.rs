@@ -104,46 +104,49 @@ fn assert_ok(out: &std::process::Output, what: &str) -> String {
 /// different file than the daemon generates.
 #[test]
 fn job_tuple_layout_and_ids_are_pinned_by_value() {
-    let cases: [(JobDescriptor, [u8; 48], u64); 2] = [
-        (
-            JobDescriptor {
-                cfg: PaConfig::new(50_000, 4).with_seed(42).with_p(0.5),
-                scheme: pa_core::partition::Scheme::Rrp,
-                engine: 2,
-                model: ModelKind::Pa,
-                ranks: 4,
-                format: EdgeFormat::Binary,
-            },
-            [
-                80, 195, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 224, 63, 42,
-                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 2, 2, 0, 1,
-            ],
-            0x777b_6adc_2dca_d4b8,
-        ),
-        (
-            JobDescriptor {
-                cfg: PaConfig::new(1_000, 1).with_seed(7).with_p(0.25),
-                scheme: pa_core::partition::Scheme::Lcp,
-                engine: 3,
-                model: ModelKind::Nlpa { alpha: 1.5 },
-                ranks: 8,
-                format: EdgeFormat::Text,
-            },
-            [
-                232, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63, 7, 0,
-                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 248, 63, 8, 0, 0, 0, 1, 3, 1, 0,
-            ],
-            0xd4f0_8003_d0c1_673b,
-        ),
+    let desc = JobDescriptor {
+        cfg: PaConfig::new(50_000, 4).with_seed(42).with_p(0.5),
+        scheme: pa_core::partition::Scheme::Rrp,
+        engine: 2,
+        model: ModelKind::Pa,
+        ranks: 4,
+        format: EdgeFormat::Binary,
+    };
+    let bytes = [
+        80, 195, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 224, 63, 42, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 2, 2, 0, 1,
     ];
-    for (desc, bytes, id) in cases {
-        desc.validate().unwrap();
-        assert_eq!(desc.canonical_bytes(), bytes, "{desc:?}");
-        assert_eq!(desc.job_id(), id, "{desc:?}");
-        let spec = JobSpec::from_canonical(&bytes);
-        assert_eq!(spec, desc.to_raw());
-        assert_eq!(spec.job_id(), id);
-    }
+    let id = 0x777b_6adc_2dca_d4b8;
+    desc.validate().unwrap();
+    assert_eq!(desc.canonical_bytes(), bytes, "{desc:?}");
+    assert_eq!(desc.job_id(), id, "{desc:?}");
+    let spec = JobSpec::from_canonical(&bytes);
+    assert_eq!(spec, desc.to_raw());
+    assert_eq!(spec.job_id(), id);
+
+    // The retired model id 1 with alpha = 1.5 at bytes 32..40: the raw
+    // tuple keeps its layout and id, and lifting it fails by name.
+    let retired = JobSpec {
+        n: 1_000,
+        x: 1,
+        p_bits: 0.25f64.to_bits(),
+        seed: 7,
+        alpha_bits: 1.5f64.to_bits(),
+        ranks: 8,
+        scheme_id: pa_core::partition::Scheme::Lcp.id(),
+        engine_id: 3,
+        model_id: 1,
+        format_id: EdgeFormat::Text.id(),
+    };
+    let bytes = [
+        232, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63, 7, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 248, 63, 8, 0, 0, 0, 1, 3, 1, 0,
+    ];
+    assert_eq!(retired.canonical_bytes(), bytes);
+    assert_eq!(JobSpec::from_canonical(&bytes), retired);
+    assert_eq!(retired.job_id(), 0xd4f0_8003_d0c1_673b);
+    let err = JobDescriptor::from_raw(&retired).unwrap_err();
+    assert!(err.contains("model id 1 is retired"), "{err}");
 }
 
 // ---------------------------------------------------------------------

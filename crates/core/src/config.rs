@@ -62,7 +62,9 @@ impl PaConfig {
     /// # Errors
     ///
     /// Degenerate `n`/`x` (the model needs a seed clique of `x ≥ 1`
-    /// nodes plus one attaching node), or `p` outside `[0, 1]` or NaN.
+    /// nodes plus one attaching node), `p` outside `[0, 1]` or NaN, or
+    /// `p = 1` with `x ≥ 2`: every choice is then direct, node `x + 1`
+    /// can reach only node `x`, and its second slot would redraw forever.
     pub fn check(&self) -> Result<(), String> {
         if self.x == 0 {
             return Err("x must be at least 1".into());
@@ -75,6 +77,13 @@ impl PaConfig {
         }
         if !(0.0..=1.0).contains(&self.p) {
             return Err(format!("p = {} must lie in [0, 1]", self.p));
+        }
+        if self.p == 1.0 && self.x >= 2 {
+            return Err(format!(
+                "p = 1 needs x = 1, got x = {}: every choice is direct, so node x + 1 \
+                 can reach only node x and could never fill its other slots",
+                self.x
+            ));
         }
         Ok(())
     }
@@ -252,11 +261,6 @@ pub struct GenOptions {
     /// of the seed, the memo size cannot change the generated network
     /// (pinned by the determinism suite).
     pub chain_memo_nodes: u64,
-    /// Which attachment model to generate (see [`crate::ModelKind`]).
-    /// The default is the paper's copy model; `Nlpa { alpha }` re-weights
-    /// the direct-vs-copy coin to `p^alpha` (nonlinear preferential
-    /// attachment surrogate), with `alpha = 1` bit-identical to `Pa`.
-    pub model: crate::ModelKind,
     /// Where each rank keeps its `F` table (the committed slots):
     /// RAM-resident, or spilled to fixed-size page files under a byte
     /// budget so `n` is bounded by disk instead of memory (see
@@ -277,7 +281,6 @@ impl Default for GenOptions {
             stall_timeout: None,
             checkpoint_interval: None,
             chain_memo_nodes: DEFAULT_CHAIN_MEMO_NODES,
-            model: crate::ModelKind::Pa,
             store: crate::store::StoreSpec::Resident,
         }
     }
@@ -337,20 +340,6 @@ impl GenOptions {
         self
     }
 
-    /// Replace the attachment model (see [`crate::ModelKind`]).
-    #[must_use]
-    pub fn with_model(mut self, model: crate::ModelKind) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Select nonlinear preferential attachment with exponent `alpha`
-    /// (shorthand for `with_model(ModelKind::Nlpa { alpha })`).
-    #[must_use]
-    pub fn with_alpha(self, alpha: f64) -> Self {
-        self.with_model(crate::ModelKind::Nlpa { alpha })
-    }
-
     /// Replace the node-table store backend (see [`GenOptions::store`]
     /// and [`crate::store::StoreSpec`]).
     #[must_use]
@@ -377,9 +366,7 @@ impl GenOptions {
     ///
     /// # Panics
     ///
-    /// Panics if any knob that must be positive is zero, or if the
-    /// model parameters are invalid (negative, NaN or non-finite
-    /// `alpha`; see [`crate::ModelKind::check`]).
+    /// Panics if any knob that must be positive is zero.
     pub fn validate(&self) {
         assert!(
             self.buffer_capacity > 0,
@@ -406,7 +393,6 @@ impl GenOptions {
             );
         }
         self.store.validate();
-        self.model.validate();
     }
 
     /// Validate option values against a concrete run of `n` nodes.
@@ -510,6 +496,23 @@ mod tests {
     fn extreme_p_values_allowed() {
         let _ = PaConfig::new(10, 1).with_p(0.0);
         let _ = PaConfig::new(10, 1).with_p(1.0);
+        let _ = PaConfig::new(10, 4).with_p(0.0);
+    }
+
+    #[test]
+    fn p_one_with_several_slots_is_rejected_by_name() {
+        for x in [2u64, 5] {
+            let err = PaConfig {
+                p: 1.0,
+                ..PaConfig::new(100, x)
+            }
+            .check()
+            .unwrap_err();
+            assert!(err.contains("p = 1 needs x = 1"), "{err}");
+            assert!(err.contains("can reach only node x"), "{err}");
+        }
+        // Just below 1 a copy is possible, so the run is slow but finite.
+        assert!(PaConfig::new(100, 2).with_p(0.999).check().is_ok());
     }
 
     #[test]
@@ -614,36 +617,5 @@ mod tests {
             ..GenOptions::default()
         }
         .validate_for(100);
-    }
-
-    #[test]
-    fn model_builders() {
-        assert_eq!(GenOptions::default().model, crate::ModelKind::Pa);
-        let opts = GenOptions::default().with_alpha(1.5);
-        assert_eq!(opts.model, crate::ModelKind::Nlpa { alpha: 1.5 });
-        opts.validate();
-        let opts = GenOptions::default().with_model(crate::ModelKind::Pa);
-        assert_eq!(opts.model, crate::ModelKind::Pa);
-        GenOptions::default().with_alpha(0.0).validate_for(100);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_alpha_rejected_by_validate() {
-        GenOptions::default().with_alpha(-0.5).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn nan_alpha_rejected_by_validate_for() {
-        GenOptions::default().with_alpha(f64::NAN).validate_for(100);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn infinite_alpha_rejected_by_validate() {
-        GenOptions::default()
-            .with_alpha(f64::INFINITY)
-            .validate_for(100);
     }
 }

@@ -32,7 +32,7 @@ pub struct JobDescriptor {
     pub scheme: Scheme,
     /// Engine (1, 2 or 3).
     pub engine: u8,
-    /// Attachment model.
+    /// Attachment model (the copy model; see [`ModelKind`]).
     pub model: ModelKind,
     /// Rank count the stream's per-rank sections are concatenated for.
     pub ranks: u32,
@@ -47,15 +47,14 @@ impl JobDescriptor {
     ///
     /// A human-readable description of the first violated rule:
     /// [`PaConfig::check`], the engine range and [`Engine::check`]
-    /// (engine 1 needs `x = 1`), a positive rank count, and
-    /// [`ModelKind::check`].
+    /// (engine 1 needs `x = 1`), and a positive rank count.
     pub fn validate(&self) -> Result<(), String> {
         self.cfg.check()?;
         self.typed_engine()?.check(self.cfg.x)?;
         if self.ranks == 0 {
             return Err("ranks must be at least 1".into());
         }
-        self.model.check()
+        Ok(())
     }
 
     /// The wire-level engine id as an [`Engine`].
@@ -65,9 +64,9 @@ impl JobDescriptor {
     }
 
     /// The engine options this job runs under: `base` (the server's
-    /// tuning knobs) with the job's engine and model applied. Only the
-    /// model reaches the draw streams; the engine fixes the byte order
-    /// within each rank's section; every other knob is byte-neutral.
+    /// tuning knobs) with the job's engine applied. The engine fixes the
+    /// byte order within each rank's section; every other knob is
+    /// byte-neutral.
     ///
     /// # Panics
     ///
@@ -75,7 +74,7 @@ impl JobDescriptor {
     #[must_use]
     pub fn gen_options(&self, base: GenOptions) -> GenOptions {
         let engine = self.typed_engine().unwrap_or_else(|why| panic!("{why}"));
-        base.with_engine(engine).with_model(self.model)
+        base.with_engine(engine)
     }
 
     /// [`JobSpec::canonical_bytes`] of this job's tuple.
@@ -95,7 +94,7 @@ impl JobDescriptor {
             x: self.cfg.x,
             p_bits: self.cfg.p.to_bits(),
             seed: self.cfg.seed,
-            alpha_bits: self.model.alpha_bits(),
+            alpha_bits: 0,
             ranks: self.ranks,
             scheme_id: self.scheme.id(),
             engine_id: self.engine,
@@ -108,30 +107,31 @@ impl JobDescriptor {
     ///
     /// # Errors
     ///
-    /// Named errors for unknown scheme/model/format discriminants, a
-    /// model-parameter field inconsistent with its model (`pa` with
-    /// nonzero `alpha_bits` would silently lose the parameter on the
-    /// round trip), and everything [`JobDescriptor::validate`] rejects.
+    /// Named errors for unknown scheme/model/format discriminants, the
+    /// retired model id 1 (the copy model at `p^alpha`: a tuple naming it
+    /// must fail, not run as `pa`), a nonzero `alpha_bits` (the copy
+    /// model has no exponent, and the bits would be lost on the round
+    /// trip), and everything [`JobDescriptor::validate`] rejects.
     pub fn from_raw(raw: &JobSpec) -> Result<Self, String> {
         let scheme = Scheme::from_id(raw.scheme_id)
             .ok_or_else(|| format!("unknown scheme id {}", raw.scheme_id))?;
         let format = EdgeFormat::from_id(raw.format_id)
             .ok_or_else(|| format!("unknown edge-format id {}", raw.format_id))?;
         let model = match raw.model_id {
-            0 => {
-                if raw.alpha_bits != 0 {
-                    return Err(format!(
-                        "model pa carries no alpha, but alpha_bits = {:#x}",
-                        raw.alpha_bits
-                    ));
-                }
-                ModelKind::Pa
+            0 => ModelKind::Pa,
+            1 => {
+                return Err("model id 1 is retired: it was the copy model at p^alpha, \
+                            the same graph as model 0 (pa) at p = p^alpha"
+                    .into())
             }
-            1 => ModelKind::Nlpa {
-                alpha: f64::from_bits(raw.alpha_bits),
-            },
             other => return Err(format!("unknown model id {other}")),
         };
+        if raw.alpha_bits != 0 {
+            return Err(format!(
+                "model pa carries no alpha, but alpha_bits = {:#x}",
+                raw.alpha_bits
+            ));
+        }
         let desc = JobDescriptor {
             cfg: PaConfig {
                 n: raw.n,
@@ -171,13 +171,6 @@ mod tests {
         let back = JobDescriptor::from_raw(&d.to_raw()).unwrap();
         assert_eq!(back, d);
         assert_eq!(back.job_id(), d.job_id());
-
-        let nlpa = JobDescriptor {
-            model: ModelKind::Nlpa { alpha: 1.5 },
-            ..sample()
-        };
-        let back = JobDescriptor::from_raw(&nlpa.to_raw()).unwrap();
-        assert_eq!(back, nlpa);
     }
 
     #[test]
@@ -214,10 +207,6 @@ mod tests {
                 ..base
             },
             JobDescriptor { engine: 3, ..base },
-            JobDescriptor {
-                model: ModelKind::Nlpa { alpha: 1.0 },
-                ..base
-            },
             JobDescriptor { ranks: 8, ..base },
             JobDescriptor {
                 format: EdgeFormat::Text,
@@ -292,10 +281,10 @@ mod tests {
         check(JobDescriptor { ranks: 0, ..base }, "ranks");
         check(
             JobDescriptor {
-                model: ModelKind::Nlpa { alpha: -1.0 },
+                cfg: PaConfig { p: 1.0, ..base.cfg },
                 ..base
             },
-            "non-negative",
+            "p = 1 needs x = 1",
         );
     }
 
@@ -310,22 +299,29 @@ mod tests {
         };
         bad(|r| r.scheme_id = 9, "unknown scheme");
         bad(|r| r.model_id = 9, "unknown model");
+        bad(|r| r.model_id = 1, "model id 1 is retired");
+        bad(
+            |r| {
+                r.model_id = 1;
+                r.alpha_bits = 1.5f64.to_bits();
+            },
+            "p = p^alpha",
+        );
         bad(|r| r.format_id = 9, "unknown edge-format");
         bad(|r| r.alpha_bits = 1, "carries no alpha");
         bad(|r| r.engine_id = 0, "engine must be");
+        bad(|r| r.p_bits = 1.0f64.to_bits(), "p = 1 needs x = 1");
     }
 
     #[test]
     fn gen_options_applies_the_engine_and_model_only() {
         let d = JobDescriptor {
             engine: 3,
-            model: ModelKind::Nlpa { alpha: 1.5 },
             ..sample()
         };
         let base = GenOptions::default().with_chain_memo(77);
         let opts = d.gen_options(base);
         assert_eq!(opts.engine, Engine::Chain);
-        assert_eq!(opts.model, ModelKind::Nlpa { alpha: 1.5 });
         assert_eq!(opts.chain_memo_nodes, 77, "tuning knobs pass through");
     }
 }

@@ -82,7 +82,7 @@ impl CheckpointMeta {
             cfg: *cfg,
             scheme,
             engine: opts.engine.id(),
-            model: opts.model,
+            model: crate::ModelKind::Pa,
             ranks: world as u32,
             format,
         };
@@ -524,9 +524,10 @@ mod tests {
         let dir = scratch("model");
         let store = CheckpointStore::new(&dir, 0, meta()).unwrap();
         store.save(&saved(0, 500, 10, 0)).unwrap();
-        // A checkpoint taken under PA must not resume under nlpa (or
-        // under nlpa with a different alpha).
-        let nlpa = CheckpointStore::new(
+        // A checkpoint's model fields are identity: one written under
+        // the retired model id 1, or with nonzero alpha bits, names
+        // another graph and must not load.
+        let retired = CheckpointStore::new(
             &dir,
             0,
             with_job(JobSpec {
@@ -536,7 +537,7 @@ mod tests {
             }),
         )
         .unwrap();
-        assert!(nlpa.load(0).is_none(), "foreign model rejected");
+        assert!(retired.load(0).is_none(), "foreign model rejected");
         let other_alpha = CheckpointStore::new(
             &dir,
             0,

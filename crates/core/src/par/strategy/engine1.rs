@@ -26,7 +26,7 @@ use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::store::{AnyTable, NodeTable};
-use crate::{Engine, GenOptions, Model, Node, PaConfig, NILL};
+use crate::{Engine, GenOptions, Model, ModelKind, Node, PaConfig, NILL};
 
 #[derive(Debug, Clone, Copy)]
 enum Waiter {
@@ -63,7 +63,7 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
         X1 {
             part,
             rank,
-            model: Model::resolve(cfg, opts.model),
+            model: Model::resolve(cfg, ModelKind::Pa),
             f,
             waiters: WaiterTable::new(size as usize),
             local_events: VecDeque::new(),

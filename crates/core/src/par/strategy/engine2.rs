@@ -55,7 +55,7 @@ use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::store::{AnyTable, NodeTable};
-use crate::{GenOptions, Model, Node, PaConfig, NILL};
+use crate::{GenOptions, Model, ModelKind, Node, PaConfig, NILL};
 
 /// Someone waiting for a local slot to resolve.
 #[derive(Debug, Clone, Copy)]
@@ -125,7 +125,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         let x = cfg.x;
         let size = part.size_of(rank);
         let slots = size * x;
-        let model = Model::resolve(cfg, opts.model);
+        let model = Model::resolve(cfg, ModelKind::Pa);
         // A single rank resolves everything locally; skip the replica.
         let hub_nodes = if nranks > 1 { opts.hub_nodes(cfg.n) } else { 0 };
         let f = AnyTable::build_for(cfg.n, &opts.store, rank, "f", slots, NILL)

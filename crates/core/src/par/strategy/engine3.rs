@@ -80,7 +80,7 @@ use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::seq::Choice;
 use crate::store::{AnyTable, NodeTable};
-use crate::{GenOptions, Model, Node, PaConfig, NILL};
+use crate::{GenOptions, Model, ModelKind, Node, PaConfig, NILL};
 
 /// One suspended row recomputation in the chain walk: node `k`'s
 /// attempt loop, paused while a deeper frame resolves one of its copy
@@ -305,7 +305,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             cfg,
             part,
             rank,
-            model: Model::resolve(cfg, opts.model),
+            model: Model::resolve(cfg, ModelKind::Pa),
             f,
             memo: Memo::new(
                 crate::config::chain_memo_rows(opts.chain_memo_nodes, part, rank),

@@ -21,15 +21,13 @@
 //! and exposes the same state — its `F` table and its counters — so a
 //! checkpoint taken under one engine resumes any other at the same `x`.
 //!
-//! Model-genericity comes from one further cut: strategies draw
-//! attachment randomness exclusively through [`crate::Model`], which
-//! maps the counter-addressed event key `(seed, node, edge, attempt)` to
-//! a choice under the selected [`crate::ModelKind`]. The request/resolve
-//! protocol and the chain recomputation are thereby *resolution
-//! mechanisms*, not PA-specific code paths: a new model that keeps the
-//! pure-function draw property (nonlinear PA does) plugs into every
-//! strategy, every partition scheme, chaos injection, and
-//! checkpoint/restart without touching this layer.
+//! Strategies draw attachment randomness exclusively through
+//! [`crate::Model`], which maps the counter-addressed event key
+//! `(seed, node, edge, attempt)` to a copy-model choice. The
+//! request/resolve protocol and the chain recomputation are thereby
+//! *resolution mechanisms* over one pure draw function, which is what
+//! lets every strategy, partition scheme, chaos schedule and
+//! checkpoint/restart reproduce the same edge set.
 
 mod engine1;
 mod engine2;

@@ -89,16 +89,6 @@ pub fn target_for(seed: u64, p: f64, t: Node) -> Node {
 /// `attempt` whenever the candidate already appears among `t`'s chosen
 /// targets).
 pub fn generate(cfg: &PaConfig) -> EdgeList {
-    generate_with_model(cfg, crate::Model::resolve(cfg, crate::ModelKind::Pa))
-}
-
-/// The model-generic sequential generator: the seed clique, the
-/// flattened `F` table, and the duplicate-avoidance retry loop are
-/// identical for every attachment model — only the draw itself goes
-/// through [`crate::Model`]. This is the reference semantics ("the
-/// oracle") each parallel engine must reproduce bit-for-bit, for every
-/// model.
-pub(crate) fn generate_with_model(cfg: &PaConfig, model: crate::Model) -> EdgeList {
     cfg.validate();
     let (n, x) = (cfg.n, cfg.x);
     let mut edges = EdgeList::with_capacity(cfg.expected_edges() as usize);
@@ -111,6 +101,7 @@ pub(crate) fn generate_with_model(cfg: &PaConfig, model: crate::Model) -> EdgeLi
             edges.push(i, j);
         }
     }
+    let model = crate::Model::resolve(cfg, crate::ModelKind::Pa);
     fill_rows(&model, x, &mut f, |t, v| edges.push(t, v));
     edges
 }

@@ -15,20 +15,12 @@
 //!   draws as the parallel engines, so for any `P` the parallel `x = 1`
 //!   output is bit-identical to this function's output, and for `P = 1`
 //!   the general `x ≥ 1` engine matches it too.
-//!
-//! Plus one non-PA variant on the same substrate: [`nlpa`] — nonlinear
-//! preferential attachment with exponent `α`, a redirection surrogate
-//! over the copy model's draw streams (`α = 1` is bit-identical to
-//! [`copy_model`]). It is the sequential oracle for
-//! `par --model nlpa`.
 
 mod batagelj_brandes;
 mod copy_model;
 mod naive;
-mod nlpa;
 
 pub use batagelj_brandes::generate as batagelj_brandes;
 pub(crate) use copy_model::fill_rows;
 pub use copy_model::{draw_choice, draw_choice_keyed, generate as copy_model, target_for, Choice};
 pub use naive::generate as naive;
-pub use nlpa::generate as nlpa;

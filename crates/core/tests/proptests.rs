@@ -333,7 +333,6 @@ proptest! {
         shape in (2u64..1_000_000_000, 1u64..9, 0.0f64..=1.0, any::<u64>()),
         scheme in prop_oneof![any_scheme(), Just(Scheme::Bcp)],
         engine in 1u8..4,
-        alpha in prop_oneof![Just(None), (0.0f64..=3.0).prop_map(Some)],
         ranks in 1u32..=u32::MAX,
         text in any::<bool>(),
     ) {
@@ -341,12 +340,77 @@ proptest! {
             cfg: PaConfig { n: shape.0, x: shape.1, p: shape.2, seed: shape.3 },
             scheme,
             engine,
-            model: alpha.map_or(ModelKind::Pa, |alpha| ModelKind::Nlpa { alpha }),
+            model: ModelKind::Pa,
             ranks,
             format: if text { EdgeFormat::Text } else { EdgeFormat::Binary },
         };
         prop_assume!(desc.validate().is_ok());
         prop_assert_eq!(JobDescriptor::from_raw(&desc.to_raw()), Ok(desc));
+    }
+
+    /// Whatever 48 bytes arrive, lifting them is total: either a
+    /// descriptor whose canonical bytes are exactly the input, or a named
+    /// error — never a panic. Each case starts from a well-formed tuple
+    /// and applies one edit: none, the retired model id 1, `p = 1` with
+    /// `x ≥ 2`, nonzero alpha bits, one byte overwritten, or all 48 bytes
+    /// replaced.
+    #[test]
+    fn tuple_bytes_lift_exactly_or_fail_by_name(
+        shape in (2u64..1_000_000, 1u64..9, 0.0f64..1.0, any::<u64>()),
+        ids in (0u8..4, 1u8..4, 0u8..2),
+        ranks in 1u32..=u32::MAX,
+        edit in 0u8..6,
+        junk in (any::<u64>(), 0usize..48, any::<u8>()),
+        noise in prop_vec(any::<u8>(), 48..49),
+    ) {
+        let mut raw = JobSpec {
+            n: shape.0,
+            x: shape.1,
+            p_bits: shape.2.to_bits(),
+            seed: shape.3,
+            alpha_bits: 0,
+            ranks,
+            scheme_id: ids.0,
+            engine_id: ids.1,
+            model_id: 0,
+            format_id: ids.2,
+        };
+        match edit {
+            1 => raw.model_id = 1,
+            2 => {
+                raw.p_bits = 1.0f64.to_bits();
+                raw.x = raw.x.max(2);
+            }
+            3 => raw.alpha_bits = junk.0 | 1,
+            _ => {}
+        }
+        let mut bytes = raw.canonical_bytes();
+        match edit {
+            4 => bytes[junk.1] = junk.2,
+            5 => bytes.copy_from_slice(&noise),
+            _ => {}
+        }
+        let lifted = JobDescriptor::from_raw(&JobSpec::from_canonical(&bytes));
+        match &lifted {
+            Ok(desc) => {
+                prop_assert_eq!(desc.canonical_bytes(), bytes);
+                prop_assert_eq!(bytes[46], 0, "only model id 0 lifts");
+                prop_assert_eq!(&bytes[32..40], &[0u8; 8], "the copy model has no alpha");
+                prop_assert!(!(desc.cfg.p == 1.0 && desc.cfg.x >= 2), "{:?}", desc);
+            }
+            Err(why) => prop_assert!(!why.is_empty()),
+        }
+        let needle = match edit {
+            1 => Some("model id 1 is retired"),
+            2 if raw.n > raw.x => Some("p = 1 needs x = 1"),
+            2 => Some("must exceed"),
+            3 => Some("carries no alpha"),
+            _ => None,
+        };
+        if let Some(needle) = needle {
+            let why = lifted.err().unwrap_or_default();
+            prop_assert!(why.contains(needle), "edit {}: {:?}", edit, why);
+        }
     }
 
     /// Byte-mutated `Msg` streams never panic the decoder. A stream of

@@ -1,11 +1,13 @@
 //! The run tuple: everything that determines a generated edge file.
 //!
 //! Every draw of the generators is a pure function of the run's
-//! parameters, so `(n, x, p, seed, alpha, ranks, scheme, engine, model,
-//! format)` *is* the graph file. [`JobSpec`] is that tuple as plain
-//! numbers; its 48-byte [`JobSpec::canonical_bytes`] are what a `SUBMIT`
-//! frame carries and their FNV-1a is the [`JobSpec::job_id`] that
-//! `pagen serve` caches, coalesces and resumes by. The struct lives here
+//! parameters, so `(n, x, p, seed, ranks, scheme, engine, format)` *is*
+//! the graph file. [`JobSpec`] is that tuple as plain numbers, plus an
+//! `alpha` and a `model` field that are always 0 and keep the layout and
+//! every job id as they were; its 48-byte [`JobSpec::canonical_bytes`]
+//! are what a `SUBMIT` frame carries and their FNV-1a is the
+//! [`JobSpec::job_id`] that `pagen serve` caches, coalesces and resumes
+//! by. The struct lives here
 //! because both the wire side (`pa-net`) and the engine side (`pa-core`)
 //! already depend on this crate: one definition, nothing to keep equal.
 
@@ -28,7 +30,8 @@ pub struct JobSpec {
     pub p_bits: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Model parameter as IEEE-754 bits (0 for the parameter-free `pa`).
+    /// A model exponent's IEEE-754 bits: always 0, since the copy model
+    /// has none (a runnable tuple is rejected otherwise).
     pub alpha_bits: u64,
     /// Rank count the byte stream is laid out for (part of identity:
     /// the edge *set* is rank-independent, the byte *order* is not).
@@ -37,7 +40,7 @@ pub struct JobSpec {
     pub scheme_id: u8,
     /// Engine selector (1, 2 or 3).
     pub engine_id: u8,
-    /// Attachment-model discriminant.
+    /// Attachment-model discriminant: 0, the copy model.
     pub model_id: u8,
     /// [`crate::io::EdgeFormat::id`] discriminant.
     pub format_id: u8,

@@ -137,32 +137,30 @@ fn tcp_engine3_reproduces_the_oracles_with_zero_data_messages() {
 }
 
 #[test]
-fn tcp_backend_reproduces_the_nlpa_oracles() {
-    // The nlpa model over real sockets: α = 1.0 must land on the PA
-    // oracle byte-for-byte (the surrogate is defined to degenerate to
-    // the copy model there), and α = 1.5 on the fingerprint pinned by
-    // `tests/models.rs` — through both the message-passing and the
-    // communication-free engine.
-    let cfg4 = PaConfig::new(3_000, 4).with_seed(41);
-    const NLPA_X4_A15: u64 = 0x5fd6a4040af24989;
-    for (alpha, oracle) in [(1.0f64, ORACLE_X4), (1.5, NLPA_X4_A15)] {
-        for engine in [Engine::General, Engine::Chain] {
-            let opts = GenOptions::default()
-                .with_engine(engine)
-                .with_alpha(alpha)
-                .with_hub_cache(HUB_NODES);
-            for world in [2usize, 4] {
-                for scheme in Scheme::ALL {
-                    let shards = run_world(world, |_, t| {
-                        let part = partition::build(scheme, cfg4.n, world);
-                        generate_rank_streaming(&cfg4, &part, &opts, t, EdgeList::new()).0
-                    });
-                    assert_eq!(
-                        fnv1a(shards),
-                        oracle,
-                        "{engine} nlpa drifted over TCP: alpha={alpha} P={world} {scheme}"
-                    );
-                }
+fn tcp_backend_reproduces_the_off_default_p_oracle() {
+    // A p away from 1/2 over real sockets must land on the fingerprint
+    // `tests/models.rs` pins for it, through both the message-passing and
+    // the communication-free engine.
+    let cfg4 = PaConfig::new(3_000, 4)
+        .with_seed(41)
+        .with_p(0.5f64.powf(1.5));
+    const ORACLE_X4_P035: u64 = 0x5fd6a4040af24989;
+    for engine in [Engine::General, Engine::Chain] {
+        let opts = GenOptions::default()
+            .with_engine(engine)
+            .with_hub_cache(HUB_NODES);
+        for world in [2usize, 4] {
+            for scheme in Scheme::ALL {
+                let shards = run_world(world, |_, t| {
+                    let part = partition::build(scheme, cfg4.n, world);
+                    generate_rank_streaming(&cfg4, &part, &opts, t, EdgeList::new()).0
+                });
+                assert_eq!(
+                    fnv1a(shards),
+                    ORACLE_X4_P035,
+                    "{engine} at p = {} drifted over TCP: P={world} {scheme}",
+                    cfg4.p
+                );
             }
         }
     }

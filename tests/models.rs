@@ -1,13 +1,11 @@
-//! Model-conformance suite: nonlinear PA (nlpa) across the whole stack,
-//! plus the strategy/hub-cache conformance contract.
+//! Model-conformance suite: the copy model away from the default
+//! `p = ½` across the whole stack, plus the strategy/hub-cache
+//! conformance contract.
 //!
-//! The nlpa fingerprints below were captured from the sequential oracle
-//! (`seq::nlpa`) the day the model landed; every parallel path — both
-//! engines, every scheme, every rank count, chaos transports, and
-//! checkpoint/restart — must keep reproducing them bit-for-bit. At
-//! `α = 1.0` the model is defined to be *exactly* the classical copy
-//! model, so those rows re-use the PR-1 PA oracles from
-//! `tests/determinism.rs` verbatim.
+//! The fingerprints below pin `p = ½^½` (more direct choices, thinner
+//! tail) and `p = ½^{3/2}` (more copying, heavier tail). Every parallel
+//! path — all engines, every scheme, every rank count, chaos transports,
+//! and checkpoint/restart — must keep reproducing them bit-for-bit.
 
 use std::time::Duration;
 
@@ -16,19 +14,18 @@ use pa_graph::io::{EdgeFormat, Fnv1a};
 use pa_graph::EdgeList;
 use pa_mpsim::{Transport, World};
 
-/// The PR-1 PA fingerprints (see `tests/determinism.rs`): nlpa at
-/// `α = 1.0` must land on these, not merely on a self-consistent hash.
-const ORACLE_X1: u64 = 0xdefa6458a590e3ba;
-const ORACLE_X4: u64 = 0x66b9ce422f65dc31;
-
-/// `(alpha, x = 1 fingerprint, x = 4 fingerprint)` over
-/// `PaConfig::new(3000, x).with_seed(41)` — the same workload the PA
-/// oracles pin.
-const NLPA_PINS: [(f64, u64, u64); 3] = [
+/// `(exponent a, x = 1 fingerprint, x = 4 fingerprint)` for the copy
+/// model at `p = 0.5^a` over `PaConfig::new(3000, x).with_seed(41)` — the
+/// workload the default-`p` oracles of `tests/determinism.rs` pin.
+const OFF_P_PINS: [(f64, u64, u64); 2] = [
     (0.5, 0x108c9312fdc74d0a, 0xbc1069902cb6321d),
-    (1.0, ORACLE_X1, ORACLE_X4),
     (1.5, 0xc7356a0448f3cb61, 0x5fd6a4040af24989),
 ];
+
+/// The pinned `p` for exponent `a`.
+fn p_at(a: f64) -> f64 {
+    0.5f64.powf(a)
+}
 
 fn cfg_x1() -> PaConfig {
     PaConfig::new(3_000, 1).with_seed(41)
@@ -44,34 +41,35 @@ fn fnv1a(edges: &EdgeList) -> u64 {
 }
 
 #[test]
-fn nlpa_sequential_oracle_fingerprints_are_pinned() {
-    for (alpha, pin1, pin4) in NLPA_PINS {
+fn off_default_p_sequential_oracle_fingerprints_are_pinned() {
+    for (a, pin1, pin4) in OFF_P_PINS {
+        let p = p_at(a);
         assert_eq!(
-            fnv1a(&seq::nlpa(&cfg_x1(), alpha)),
+            fnv1a(&seq::copy_model(&cfg_x1().with_p(p))),
             pin1,
-            "sequential nlpa x=1 drifted: alpha={alpha}"
+            "sequential x=1 drifted: p={p}"
         );
         assert_eq!(
-            fnv1a(&seq::nlpa(&cfg_x4(), alpha)),
+            fnv1a(&seq::copy_model(&cfg_x4().with_p(p))),
             pin4,
-            "sequential nlpa x=4 drifted: alpha={alpha}"
+            "sequential x=4 drifted: p={p}"
         );
     }
 }
 
-/// Assert every `(engine, x)` run lands on its nlpa pin at every
-/// exponent, for P ∈ {1, 2, 4} and every listed scheme.
-fn assert_nlpa_pins(runs: &[(Engine, u64)], schemes: &[Scheme]) {
-    for (alpha, pin1, pin4) in NLPA_PINS {
+/// Assert every `(engine, x)` run lands on its pin at every pinned `p`,
+/// for P ∈ {1, 2, 4} and every listed scheme.
+fn assert_off_p_pins(runs: &[(Engine, u64)], schemes: &[Scheme]) {
+    for (a, pin1, pin4) in OFF_P_PINS {
+        let p = p_at(a);
         for &(engine, x) in runs {
             let (cfg, pin) = match x {
-                1 => (cfg_x1(), pin1),
-                _ => (cfg_x4(), pin4),
+                1 => (cfg_x1().with_p(p), pin1),
+                _ => (cfg_x4().with_p(p), pin4),
             };
             // A hub replica below n, so engine 2 sends requests too.
             let opts = GenOptions::default()
                 .with_engine(engine)
-                .with_alpha(alpha)
                 .with_hub_cache(256);
             for nranks in [1usize, 2, 4] {
                 for &scheme in schemes {
@@ -79,7 +77,7 @@ fn assert_nlpa_pins(runs: &[(Engine, u64)], schemes: &[Scheme]) {
                     assert_eq!(
                         fnv1a(&out.edge_list()),
                         pin,
-                        "{engine} nlpa (x={x}) drifted: alpha={alpha} P={nranks} {scheme}"
+                        "{engine} (x={x}) drifted: p={p} P={nranks} {scheme}"
                     );
                 }
             }
@@ -88,13 +86,13 @@ fn assert_nlpa_pins(runs: &[(Engine, u64)], schemes: &[Scheme]) {
 }
 
 #[test]
-fn nlpa_message_passing_engines_match_the_oracle_for_every_world() {
-    assert_nlpa_pins(&[(Engine::X1, 1), (Engine::General, 4)], &Scheme::ALL);
+fn off_default_p_message_passing_engines_match_the_oracle_for_every_world() {
+    assert_off_p_pins(&[(Engine::X1, 1), (Engine::General, 4)], &Scheme::ALL);
 }
 
 #[test]
-fn nlpa_communication_free_engine_matches_the_oracle_for_every_world() {
-    assert_nlpa_pins(&[(Engine::Chain, 1), (Engine::Chain, 4)], &Scheme::EXTENDED);
+fn off_default_p_communication_free_engine_matches_the_oracle_for_every_world() {
+    assert_off_p_pins(&[(Engine::Chain, 1), (Engine::Chain, 4)], &Scheme::EXTENDED);
 }
 
 #[test]
@@ -150,12 +148,12 @@ fn chaos_opts(plan: FaultPlan) -> GenOptions {
 }
 
 #[test]
-fn nlpa_chaos_matrix() {
-    // Delayed, reordered and duplicated packets
-    // must not move a single nlpa edge: every fault schedule reproduces
-    // the fault-free fingerprint, at both a flattening and a sharpening
-    // exponent, through both engines.
-    for (alpha, _, pin4) in [NLPA_PINS[0], NLPA_PINS[2]] {
+fn off_default_p_chaos_matrix() {
+    // Delayed, reordered and duplicated packets must not move a single
+    // edge: every fault schedule reproduces the fault-free fingerprint,
+    // at a p above and below 1/2, through both engines.
+    for (a, _, pin4) in OFF_P_PINS {
+        let cfg = cfg_x4().with_p(p_at(a));
         for scheme in Scheme::ALL {
             for fault_seed in 0..4 {
                 let plan = if fault_seed % 2 == 0 {
@@ -164,13 +162,13 @@ fn nlpa_chaos_matrix() {
                     FaultPlan::aggressive(fault_seed)
                 };
                 for engine in [Engine::General, Engine::Chain] {
-                    let opts = chaos_opts(plan).with_engine(engine).with_alpha(alpha);
-                    let out = par::generate(&cfg_x4(), scheme, 4, &opts);
+                    let opts = chaos_opts(plan).with_engine(engine);
+                    let out = par::generate(&cfg, scheme, 4, &opts);
                     assert_eq!(
                         fnv1a(&out.edge_list()),
                         pin4,
-                        "{engine} nlpa diverged under faults: alpha={alpha} {scheme} \
-                         seed={fault_seed}"
+                        "{engine} diverged under faults: p={} {scheme} seed={fault_seed}",
+                        cfg.p
                     );
                 }
             }
@@ -179,24 +177,23 @@ fn nlpa_chaos_matrix() {
 }
 
 #[test]
-fn nlpa_checkpoint_resume_reproduces_the_oracle() {
-    // Kill-and-resume an nlpa run mid-generation: the stitched output
-    // must land on the same pinned fingerprint as the uninterrupted run,
-    // and the checkpoint must carry the model identity (a PA checkpoint
-    // must not resume an nlpa run — `checkpoint.rs` owns that test).
-    let alpha = 1.5f64;
-    let (_, _, pin4) = NLPA_PINS[2];
-    let cfg = cfg_x4();
+fn off_default_p_checkpoint_resume_reproduces_the_oracle() {
+    // Kill-and-resume a run at p = 0.5^1.5 mid-generation: the stitched
+    // output must land on the same pinned fingerprint as the
+    // uninterrupted run, and the checkpoint identity names the copy
+    // model (id 0, no alpha) with its exact p.
+    let (a, _, pin4) = OFF_P_PINS[1];
+    let cfg = cfg_x4().with_p(p_at(a));
     let opts = GenOptions::default()
         .with_engine(Engine::Chain)
-        .with_alpha(alpha)
         .with_checkpoint_interval(500);
     let part = partition::build(Scheme::Rrp, cfg.n, 3);
     let dir = std::env::temp_dir().join(format!("pa_models_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let meta = par::CheckpointMeta::for_run(&cfg, Scheme::Rrp, 3, &opts, EdgeFormat::Binary);
-    assert_eq!(meta.job.model_id, 1, "nlpa must not masquerade as pa");
-    assert_eq!(meta.job.alpha_bits, alpha.to_bits());
+    assert_eq!(meta.job.model_id, 0);
+    assert_eq!(meta.job.alpha_bits, 0);
+    assert_eq!(meta.job.p_bits, cfg.p.to_bits());
 
     let ckpt_dir = dir.clone();
     let full: Vec<EdgeList> = World::new(3).run(|mut comm| {
@@ -216,7 +213,7 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
     assert_eq!(
         fnv1a(&EdgeList::concat(full.clone())),
         pin4,
-        "checkpointed nlpa run drifted from the pinned oracle"
+        "checkpointed run drifted from the pinned oracle"
     );
 
     let ckpt_dir = dir.clone();
@@ -244,7 +241,7 @@ fn nlpa_checkpoint_resume_reproduces_the_oracle() {
     assert_eq!(
         EdgeList::concat(resumed).canonicalized(),
         EdgeList::concat(full).canonicalized(),
-        "resumed nlpa run diverged from the uninterrupted one"
+        "resumed run diverged from the uninterrupted one"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

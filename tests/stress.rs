@@ -103,7 +103,6 @@ fn repeated_runs_under_chaos_agree_for_x1() {
 }
 
 #[test]
-#[ignore = "multi-minute soak; run explicitly with --ignored"]
 fn chaos_soak_half_million_nodes_under_aggressive_faults() {
     // The long-haul version of the chaos suite: a half-million-node run
     // on 8 ranks with over two packets in five faulted. Success means
